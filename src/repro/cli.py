@@ -18,35 +18,18 @@ the prixlint static invariant checks (see ``docs/ANALYSIS.md``).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.datasets import get_corpus, list_corpora
-# Exit codes: 1 = generic failure, 2 = usage error or missing file,
-# 3 = corruption or recovery failure.  Scripts (and the CI smoke
-# steps) branch on these, so they are part of the CLI's contract; the
-# numbers live in repro.exitcodes because the serving protocol embeds
-# the same vocabulary in its typed error responses.
-from repro.exitcodes import EXIT_CORRUPTION, EXIT_ERROR, EXIT_USAGE
-from repro.prix.budget import BudgetExceededError, QueryBudget
+# The exit codes scripts branch on, and the exception classifier behind
+# them, live in repro.exitcodes: prix serve answers with the same ones.
+from repro.exitcodes import (EXIT_CODES, EXIT_CORRUPTION, EXIT_USAGE,
+                             classify, describe)
+from repro.prix.budget import QueryBudget
 from repro.prix.index import IndexOptions, PrixIndex
-from repro.query.xpath import parse_xpath
-from repro.storage.errors import CorruptionError, StorageError, WalError
+from repro.shard import open_index, scrub_index
 from repro.xmlkit.parser import parse_document, split_documents
-
-
-def _open_index(path, backend="file"):
-    """Open ``path`` as whichever index kind it is.
-
-    A directory holding a ``prixshard.json`` manifest opens as a
-    :class:`~repro.shard.ShardedIndex`; anything else opens as a
-    monolithic :class:`PrixIndex`.  Every read-side command routes
-    through here, so shard directories are first-class arguments to
-    ``query``/``stats``/``insert``/``delete``.
-    """
-    from repro.shard import ShardedIndex, is_shard_directory
-    if is_shard_directory(path):
-        return ShardedIndex.open(path, backend=backend)
-    return PrixIndex.open(path, backend=backend)
 
 
 def _cmd_build(args):
@@ -71,12 +54,13 @@ def _cmd_build(args):
         print("error: provide XML files or --corpus", file=sys.stderr)
         return EXIT_USAGE
 
+    options = IndexOptions(path=None if args.shards else args.index,
+                           page_size=args.page_size,
+                           labeler=args.labeler,
+                           durable=args.durable,
+                           guard=args.guard)
     if args.shards:
         from repro.shard import build_shards
-        options = IndexOptions(page_size=args.page_size,
-                               labeler=args.labeler,
-                               durable=args.durable,
-                               guard=args.guard)
         report = build_shards(documents, args.index, shards=args.shards,
                               workers=args.workers, options=options)
         for row in report.shards:
@@ -88,11 +72,6 @@ def _cmd_build(args):
               f"worker(s), {report.elapsed_seconds:.2f} s)")
         return 0
 
-    options = IndexOptions(path=args.index,
-                           page_size=args.page_size,
-                           labeler=args.labeler,
-                           durable=args.durable,
-                           guard=args.guard)
     index = PrixIndex.build(documents, options)
     index.save()
     if index.durable:
@@ -120,17 +99,15 @@ def _make_budget(args):
 
 
 def _cmd_query(args):
-    index = _open_index(args.index, backend=args.backend)
-    try:
-        pattern = parse_xpath(args.xpath)
+    with open_index(args.index, backend=args.backend) as index:
         matches, stats = index.query_with_stats(
-            pattern, ordered=args.ordered, variant=args.variant,
+            args.xpath, ordered=args.ordered, variant=args.variant,
             use_maxgap=not args.no_maxgap, cold=args.cold,
             budget=_make_budget(args))
         by_doc = {}
         for match in matches:
             by_doc.setdefault(match.doc_id, []).append(match)
-        if getattr(matches, "approximate", False):
+        if matches.approximate:
             # The degradation contract (docs/ROBUSTNESS.md): these are
             # the filter phase's candidate documents, a guaranteed
             # superset of the exact answer's documents (Theorems 1-2).
@@ -155,7 +132,7 @@ def _cmd_query(args):
         if args.explain:
             print(f"\nvariant={stats.variant} strategy={stats.strategy} "
                   f"arrangements={stats.arrangements}")
-            if getattr(stats, "shards", 0):
+            if stats.shards:
                 scattered = ", ".join(
                     f"{row['shard']}={row['matches']}"
                     for row in stats.per_shard)
@@ -169,20 +146,13 @@ def _cmd_query(args):
                   f"({'cold' if args.cold else 'warm'}); "
                   f"elapsed {stats.elapsed_seconds * 1000:.2f} ms")
         return 0
-    finally:
-        index.close()
 
 
 def _cmd_insert(args):
-    index = _open_index(args.index)
-    try:
+    with open_index(args.index) as index:
         doc_id = args.doc_id
         if doc_id is None:
-            from repro.shard import ShardedIndex
-            if isinstance(index, ShardedIndex):
-                doc_id = index.catalog.entries[-1].high + 1
-            else:
-                doc_id = (max(index._doc_ids) + 1) if index._doc_ids else 1
+            doc_id = index.next_doc_id()
         with open(args.file, "r", encoding="utf-8") as handle:
             document = parse_document(handle.read(), doc_id)
         from repro.prix.incremental import RebuildRequiredError
@@ -197,37 +167,40 @@ def _cmd_insert(args):
         print(f"inserted document {doc_id}; index now holds "
               f"{index.doc_count} documents")
         return 0
-    finally:
-        index.close()
 
 
 def _cmd_delete(args):
-    index = _open_index(args.index)
-    try:
-        index.delete_document(args.doc_id)
+    with open_index(args.index) as index:
+        try:
+            index.delete_document(args.doc_id)
+        except KeyError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 1
         index.save()
         print(f"deleted document {args.doc_id}; index now holds "
               f"{index.doc_count} documents")
         return 0
-    except KeyError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    finally:
-        index.close()
 
 
 def _cmd_explain(args):
-    from repro.prix.explain import explain
-    index = PrixIndex.open(args.index)
-    try:
-        print(explain(index, args.xpath, variant=args.variant), end="")
-        return 0
-    finally:
-        index.close()
+    with open_index(args.index) as index:
+        print(index.explain(args.xpath, variant=args.variant), end="")
+    return 0
+
+
+def _not_one_file(args):
+    """``recover``/``checkpoint`` replay or truncate one file's log."""
+    print(f"error: 'prix {args.command}' takes one index file, but "
+          f"{args.index} is a directory; for a shard directory run it on "
+          f"each shard file ({os.path.join(args.index, 'shard-NNNN.idx')})",
+          file=sys.stderr)
+    return EXIT_USAGE
 
 
 def _cmd_recover(args):
     from repro.storage.recovery import recover_path
+    if os.path.isdir(args.index):
+        return _not_one_file(args)
     wal_path = args.wal or args.index + ".wal"
     result = recover_path(args.index, wal_path)
     if result.clean:
@@ -248,6 +221,8 @@ def _cmd_recover(args):
 
 
 def _cmd_checkpoint(args):
+    if os.path.isdir(args.index):
+        return _not_one_file(args)
     wal_path = args.wal or args.index + ".wal"
     with PrixIndex.open(args.index, durable=True, wal_path=wal_path) as index:
         before = index._pool.wal.size_bytes
@@ -259,23 +234,10 @@ def _cmd_checkpoint(args):
 
 
 def _cmd_scrub(args):
-    import os
-
-    from repro.storage.guard import scrub_path
-    if os.path.isdir(args.index):
-        # Directory form: recursively scrub every index file found.  A
-        # shard directory additionally has its manifest verified; any
-        # unhealthy shard (or a bad manifest) yields the single
-        # corruption exit code, same as one bad index.
-        from repro.shard import is_shard_directory, scrub_shards
-        from repro.storage import scrub_tree
-        if is_shard_directory(args.index):
-            report = scrub_shards(args.index, stamp_missing=args.stamp)
-        else:
-            report = scrub_tree(args.index, stamp_missing=args.stamp)
-    else:
-        report = scrub_path(args.index, wal_path=args.wal,
-                            stamp_missing=args.stamp)
+    # For a directory, any unhealthy index file (or shard manifest)
+    # under it yields the single corruption exit code.
+    report = scrub_index(args.index, wal_path=args.wal,
+                         stamp_missing=args.stamp)
     if args.json:
         # The canonical serialization -- byte-identical to what the
         # serving tier's /healthz endpoint caches (docs/SERVING.md).
@@ -316,66 +278,33 @@ def _cmd_client(args):
     return 0
 
 
-def _stats_payload(index, target):
-    """Machine-readable ``prix stats`` summary (``--json``).
-
-    Mirrors ``prix scrub --json``: canonical keys the shard bench and
-    the CI matrix scrape instead of parsing the human rendering.
-    """
-    from repro.shard import ShardedIndex
-    payload = {"target": target, "documents": index.doc_count}
-    if isinstance(index, ShardedIndex):
-        catalog = index.catalog
-        payload["generation"] = catalog.generation
-        payload["shard_count"] = index.shard_count
-        payload["shards"] = index.shard_stats()
-    else:
-        payload["variants"] = {}
-        for variant in index.variants():
-            stats = index.trie_stats(variant)
-            payload["variants"][variant] = {
-                "sequences": stats.sequence_count,
-                "total_symbols": stats.total_sequence_length,
-                "trie_nodes": stats.node_count,
-                "paths": stats.path_count,
-                "max_path_sharing": stats.max_path_sharing,
-            }
-    return payload
-
-
 def _cmd_stats(args):
     import json
-
-    from repro.shard import ShardedIndex
-    index = _open_index(args.index, backend=args.backend)
-    try:
-        if args.json:
-            print(json.dumps(_stats_payload(index, args.index),
-                             sort_keys=True, indent=2))
-            return 0
-        if isinstance(index, ShardedIndex):
-            catalog = index.catalog
-            print(f"documents: {index.doc_count}")
-            print(f"shards: {index.shard_count} "
-                  f"(generation {catalog.generation})")
-            for row in index.shard_stats():
-                print(f"  {row['shard']}: {row['doc_count']} doc(s) "
-                      f"[{row['low']}..{row['high']}] in {row['file']}")
-            return 0
-        print(f"documents: {index.doc_count}")
-        for variant in index.variants():
-            stats = index.trie_stats(variant)
-            kind = ("Extended-Prufer (EPIndex)" if variant == "ep"
-                    else "Regular-Prufer (RPIndex)")
-            print(f"\n{variant} -- {kind}")
-            print(f"  sequences        : {stats.sequence_count}")
-            print(f"  total symbols    : {stats.total_sequence_length}")
-            print(f"  trie nodes       : {stats.node_count}")
-            print(f"  root-leaf paths  : {stats.path_count}")
-            print(f"  best path sharing: {stats.max_path_sharing} docs")
+    with open_index(args.index, backend=args.backend) as index:
+        summary = index.summary()
+    if args.json:
+        # Machine-readable, like 'prix scrub --json': canonical keys to
+        # scrape instead of parsing the human rendering below.
+        print(json.dumps({"target": args.index, **summary},
+                         sort_keys=True, indent=2))
         return 0
-    finally:
-        index.close()
+    print(f"documents: {summary['documents']}")
+    if "shards" in summary:
+        print(f"shards: {summary['shard_count']} "
+              f"(generation {summary['generation']})")
+        for row in summary["shards"]:
+            print(f"  {row['shard']}: {row['doc_count']} doc(s) "
+                  f"[{row['low']}..{row['high']}] in {row['file']}")
+    for variant, row in summary.get("variants", {}).items():
+        kind = ("Extended-Prufer (EPIndex)" if variant == "ep"
+                else "Regular-Prufer (RPIndex)")
+        print(f"\n{variant} -- {kind}")
+        print(f"  sequences        : {row['sequences']}")
+        print(f"  total symbols    : {row['total_symbols']}")
+        print(f"  trie nodes       : {row['trie_nodes']}")
+        print(f"  root-leaf paths  : {row['paths']}")
+        print(f"  best path sharing: {row['max_path_sharing']} docs")
+    return 0
 
 
 def _cmd_rebalance(args):
@@ -608,32 +537,22 @@ def main(argv=None):
     """CLI entry point; returns a process exit code.
 
     Failures surface as one-line typed errors, never tracebacks, with
-    the code telling scripts *what kind* of failure: ``EXIT_USAGE`` (2)
-    for a missing input file, ``EXIT_CORRUPTION`` (3) for checksum,
-    superblock, or write-ahead-log corruption (including recovery
-    failures), ``EXIT_ERROR`` (1) for everything else.
+    the code telling scripts *what kind* of failure
+    (:func:`repro.exitcodes.classify`, as for a ``prix serve`` error
+    body): ``EXIT_USAGE`` (2) for a missing input file or unparsable
+    query, ``EXIT_CORRUPTION`` (3) for checksum, superblock, or
+    write-ahead-log corruption (including recovery failures),
+    ``EXIT_TIMEOUT`` (4), ``EXIT_ERROR`` (1) for everything else.
     """
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CorruptionError as error:
-        print(f"error [{type(error).__name__}]: {error}", file=sys.stderr)
-        return EXIT_CORRUPTION
-    except FileNotFoundError as error:
-        name = error.filename if error.filename else error
-        print(f"error [missing file]: {name}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceededError as error:
-        print(f"error [budget]: {error}", file=sys.stderr)
-        return EXIT_ERROR
-    except StorageError as error:
-        # WAL corruption and protocol failures during recover/open.
-        code = EXIT_CORRUPTION if isinstance(error, WalError) else EXIT_ERROR
-        print(f"error [{type(error).__name__}]: {error}", file=sys.stderr)
-        return code
-    except (ValueError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_ERROR
+    except Exception as error:  # noqa: BLE001 - boundary by design
+        kind = classify(error)
+        label = ("budget" if kind == "budget-exhausted"
+                 else type(error).__name__)
+        print(f"error [{label}]: {describe(error)}", file=sys.stderr)
+        return EXIT_CODES[kind]
 
 
 if __name__ == "__main__":

@@ -641,6 +641,28 @@ class PrixIndex:
         """The MaxGap table of a variant."""
         return self._variants[variant].maxgap
 
+    def summary(self):
+        """JSON-ready description (``prix stats --json``, the serving
+        tier's per-mount rows)."""
+        variants = {}
+        for name, variant in self._variants.items():
+            stats = variant.trie_stats
+            variants[name] = {"sequences": stats.sequence_count,
+                              "total_symbols": stats.total_sequence_length,
+                              "trie_nodes": stats.node_count,
+                              "paths": stats.path_count,
+                              "max_path_sharing": stats.max_path_sharing}
+        return {"documents": self.doc_count, "variants": variants}
+
+    def next_doc_id(self):
+        """The smallest doc id above every indexed document."""
+        return max(self._doc_ids, default=0) + 1
+
+    def explain(self, pattern, variant=None):
+        """The plan text of :func:`repro.prix.explain.explain`."""
+        from repro.prix.explain import explain
+        return explain(self, pattern, variant=variant)
+
     def flush_cache(self):
         """Write back and drop every cached page (cold-cache measurement)."""
         self._pool.flush_and_clear()

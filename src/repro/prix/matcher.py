@@ -68,6 +68,9 @@ class QueryStats:
     elapsed_seconds: float = 0.0
     approximate: bool = False
     degradation_reason: object = None  # DegradationReason when degraded
+    # Scatter-gather only (repro.shard); 0 / empty for a single index.
+    shards: int = 0
+    per_shard: list = field(default_factory=list)
 
 
 class QueryResult(list):

@@ -20,7 +20,7 @@ Modules:
   :class:`~repro.prix.budget.QueryBudget` quotas forked from one
   server-wide configuration.
 - :mod:`repro.serve.registry` -- named index mounts over
-  ``PrixIndex.open(backend="mmap")`` (or ``"file"``/``"arena"``), with
+  ``open_index(path, backend="mmap")`` (or ``"file"``/``"arena"``), with
   leases, hot reload-on-generation (atomic swap under the registry
   latch, old generation drained before close) and a cached
   ``scrub``-backed health report per generation.

@@ -4,11 +4,10 @@ Everything that crosses the wire is defined here, and only here: the
 request schema (:class:`QueryRequest`), the canonical result payloads,
 and the **typed error vocabulary**.  Each error code carries both the
 HTTP status the server answers with and the ``exit_code`` the
-equivalent CLI invocation would return (imported from
-:mod:`repro.exitcodes`, not restated, so the two surfaces cannot
-drift) --
-a script talking to ``prix serve`` can branch on exactly the same
-vocabulary it already uses for ``prix query``.
+equivalent CLI invocation would return (looked up in
+:mod:`repro.exitcodes`, whose classifier both surfaces call, so they
+cannot drift) -- a script talking to ``prix serve`` can branch on
+exactly the same vocabulary it already uses for ``prix query``.
 
 The degradation contract travels the wire unchanged
 (``docs/ROBUSTNESS.md``): a refinement-phase budget exhaustion comes
@@ -28,36 +27,40 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from repro.exitcodes import (EXIT_CORRUPTION, EXIT_ERROR, EXIT_TIMEOUT,
-                             EXIT_USAGE)
-from repro.prix.budget import BudgetExceededError
-from repro.storage.errors import (CorruptionError, ReadOnlyBackendError,
-                                  StorageError, WalError)
+from repro.exitcodes import EXIT_CODES, classify, describe
 
 #: The default mount name queries target when the request names none.
 DEFAULT_INDEX = "default"
 
+#: Error code -> HTTP status, the wire's own column beside
+#: :data:`repro.exitcodes.EXIT_CODES`.
+HTTP_STATUS = {
+    "bad-request": 400,
+    "not-found": 404,
+    "method-not-allowed": 405,
+    "read-only": 403,
+    "request-timeout": 408,
+    "budget-exhausted": 429,
+    "over-capacity": 503,
+    "draining": 503,
+    "circuit-open": 503,
+    "corruption": 500,
+    "internal": 500,
+}
+
 #: Error code -> (HTTP status, CLI exit code).  The closed vocabulary of
 #: typed rejections; every error body the server emits names one of
 #: these codes, and the golden tests cover each.
-ERROR_KINDS = {
-    "bad-request": (400, EXIT_USAGE),
-    "not-found": (404, EXIT_USAGE),
-    "method-not-allowed": (405, EXIT_USAGE),
-    "read-only": (403, EXIT_ERROR),
-    "request-timeout": (408, EXIT_TIMEOUT),
-    "budget-exhausted": (429, EXIT_ERROR),
-    "over-capacity": (503, EXIT_ERROR),
-    "draining": (503, EXIT_ERROR),
-    "circuit-open": (503, EXIT_ERROR),
-    "corruption": (500, EXIT_CORRUPTION),
-    "internal": (500, EXIT_ERROR),
-}
+ERROR_KINDS = {code: (HTTP_STATUS[code], exit_code)
+               for code, exit_code in EXIT_CODES.items()}
 
 #: Default ``Retry-After`` hint (seconds) on retryable rejections whose
 #: backoff has no better-informed horizon (the circuit breaker computes
 #: its own from the remaining cooldown).
 DEFAULT_RETRY_AFTER_SECONDS = 1
+
+#: Library failures worth retrying unchanged carry the default hint.
+_RETRYABLE = frozenset({"budget-exhausted", "request-timeout"})
 
 #: Request header carrying the client's deadline in milliseconds; the
 #: server propagates it into the query's budget fork
@@ -81,7 +84,8 @@ class ProtocolError(Exception):
 
     Raised anywhere in the serving path (parsing, admission, registry
     lookup); the handler catches it and answers with :attr:`http_status`
-    and :meth:`body`.  ``detail`` is an optional JSON-ready object
+    and :meth:`body` (:attr:`exit_code` is what the CLI would exit with
+    for the same failure).  ``detail`` is an optional JSON-ready object
     (e.g. a serialized ``DegradationReason``).  ``retry_after`` (whole
     seconds) marks the rejection as retryable: it rides in the body and
     the handler emits it as an HTTP ``Retry-After`` header, which the
@@ -95,19 +99,11 @@ class ProtocolError(Exception):
             raise ValueError(f"unknown protocol error code {code!r}")
         super().__init__(message)
         self.code = code
+        self.http_status, self.exit_code = ERROR_KINDS[code]
         self.message = message
         self.detail = detail
         self.error_type = error_type or type(self).__name__
         self.retry_after = retry_after
-
-    @property
-    def http_status(self):
-        return ERROR_KINDS[self.code][0]
-
-    @property
-    def exit_code(self):
-        """The CLI exit code this failure maps to (the shared contract)."""
-        return ERROR_KINDS[self.code][1]
 
     def body(self):
         """The JSON-ready error response payload."""
@@ -127,39 +123,19 @@ class ProtocolError(Exception):
 def error_for_exception(error):
     """Map a library exception to its typed :class:`ProtocolError`.
 
-    The serving twin of ``repro.cli.main``'s exception ladder: the same
-    library failure lands on the same ``exit_code`` whether it surfaced
-    through the CLI or through a served request.
+    :func:`repro.exitcodes.classify` picks the code, so a failure
+    lands on the same ``exit_code`` as under ``prix``; this adds the
+    budget's structured ``detail`` and the ``Retry-After`` hint.
     """
     if isinstance(error, ProtocolError):
         return error
-    name = type(error).__name__
-    if isinstance(error, BudgetExceededError):
-        return ProtocolError(
-            "budget-exhausted", str(error),
-            detail=error.reason.as_dict(), error_type=name,
-            retry_after=DEFAULT_RETRY_AFTER_SECONDS)
-    if isinstance(error, ReadOnlyBackendError):
-        return ProtocolError("read-only", str(error), error_type=name)
-    if isinstance(error, (CorruptionError, WalError)):
-        return ProtocolError("corruption", str(error), error_type=name)
-    if isinstance(error, TimeoutError):
-        # Before the OSError arm: socket timeouts subclass OSError but
-        # deserve their own typed (and retryable) rejection.
-        return ProtocolError("request-timeout", str(error) or "timed out",
-                             error_type=name,
-                             retry_after=DEFAULT_RETRY_AFTER_SECONDS)
-    if isinstance(error, FileNotFoundError):
-        missing = error.filename if error.filename else str(error)
-        return ProtocolError("not-found", f"missing file: {missing}",
-                             error_type=name)
-    if isinstance(error, KeyError):
-        # Registry/variant lookups raise KeyError with the offender.
-        return ProtocolError("not-found", str(error).strip("'\""),
-                             error_type=name)
-    if isinstance(error, (StorageError, ValueError, OSError)):
-        return ProtocolError("internal", str(error), error_type=name)
-    return ProtocolError("internal", f"{name}: {error}", error_type=name)
+    code = classify(error)
+    return ProtocolError(
+        code, describe(error), error_type=type(error).__name__,
+        detail=(error.reason.as_dict() if code == "budget-exhausted"
+                else None),
+        retry_after=(DEFAULT_RETRY_AFTER_SECONDS if code in _RETRYABLE
+                     else None))
 
 
 @dataclass(frozen=True)
@@ -264,7 +240,7 @@ def result_payload(request, matches, stats, generation):
     and the structured degradation reason instead -- the result
     contract of ``docs/ROBUSTNESS.md`` on the wire.
     """
-    approximate = bool(getattr(matches, "approximate", False))
+    approximate = bool(matches.approximate)
     body = {
         "ok": True,
         "index": {"name": request.index, "generation": generation},

@@ -19,7 +19,7 @@ The reload protocol (``docs/SERVING.md``):
    keeps byte-stable pages under its feet for its whole lifetime.
 
 Health is cached per generation: mounting (or reloading) runs a full
-:func:`repro.storage.scrub_path` sweep and stores the report's
+:func:`repro.shard.scrub_index` sweep and stores the report's
 canonical :meth:`~repro.storage.guard.ScrubReport.to_json` string --
 ``GET /healthz`` serves that cached verdict instead of rescanning the
 file on every probe.
@@ -37,10 +37,9 @@ from __future__ import annotations
 import json
 import threading
 
-from repro.prix.index import PrixIndex
 from repro.serve.protocol import ProtocolError
-from repro.shard import ShardedIndex, is_shard_directory, scrub_shards
-from repro.storage import Latch, scrub_path
+from repro.shard import open_index, scrub_index
+from repro.storage import Latch
 
 #: How long a reload waits for the old generation's leases to drain
 #: before giving up (queries are budgeted, so seconds suffice).
@@ -115,21 +114,16 @@ class IndexRegistry:
         :class:`~repro.storage.faults.ChaosBackend` -- the chaos-matrix
         harness's hook, never set in production serving.
 
-        A *shard directory* (``prixshard.json`` manifest,
-        ``docs/SHARDING.md``) mounts the same way: the scrub sweeps
-        every shard plus the manifest, the open yields a
-        :class:`~repro.shard.ShardedIndex` whose per-shard backends all
-        use ``backend``, and a reload re-reads the manifest -- so a
-        rebalance's new generation swaps in as one atomic hot reload.
+        ``path`` is whatever :func:`repro.shard.open_index` accepts.  A
+        *shard directory* (``docs/SHARDING.md``) mounts like a file:
+        the scrub sweeps every shard plus the manifest, every shard's
+        backend uses ``backend``, and a reload re-reads the manifest --
+        so a rebalance's new generation swaps in as one atomic hot
+        reload.
         """
-        if is_shard_directory(path):
-            report = scrub_shards(path)
-            index = ShardedIndex.open(path, backend=backend,
-                                      pool_pages=pool_pages, chaos=chaos)
-        else:
-            report = scrub_path(path)
-            index = PrixIndex.open(path, backend=backend,
-                                   pool_pages=pool_pages, chaos=chaos)
+        report = scrub_index(path)
+        index = open_index(path, backend=backend, pool_pages=pool_pages,
+                           chaos=chaos)
         return _Mount(name, path, backend, generation, index,
                       report.to_json(), self._latch, chaos=chaos)
 
@@ -151,11 +145,9 @@ class IndexRegistry:
         mount = self._open_generation(name, path, backend, 1, pool_pages,
                                       chaos)
         with self._latch:
-            if name in self._mounts:  # lost a mount race
-                racer = True
-            else:
+            racer = name in self._mounts  # lost a mount race
+            if not racer:
                 self._mounts[name] = mount
-                racer = False
         if racer:
             mount.index.close()
             raise ServeError(f"index {name!r} is already mounted; "
@@ -266,28 +258,25 @@ class IndexRegistry:
             mount = self._mounts.get(name)
         if mount is None:
             raise KeyError(f"no index mounted as {name!r}")
-        if is_shard_directory(mount.path):
-            report = scrub_shards(mount.path)
-        else:
-            report = scrub_path(mount.path)
+        report = scrub_index(mount.path)
         with self._latch:
             mount.health_json = report.to_json()
         return report.healthy
 
     def describe(self):  # prixeffect: declares=latch-acquire
         """JSON-ready mount table (the ``GET /indexes`` body)."""
-        out = {}
         with self._latch:
-            for name, mount in sorted(self._mounts.items()):
-                row = {
-                    "path": mount.path,
-                    "backend": mount.backend,
-                    "generation": mount.generation,
-                    "leases": mount.leases,
-                }
-                if isinstance(mount.index, ShardedIndex):
-                    row["shards"] = mount.index.shard_count
-                out[name] = row
+            mounts = sorted(self._mounts.items())
+            out = {name: {"path": mount.path,
+                          "backend": mount.backend,
+                          "generation": mount.generation,
+                          "leases": mount.leases}
+                   for name, mount in mounts}
+        for name, mount in mounts:
+            # Summaries read storage counters: outside the latch.
+            summary = mount.index.summary()
+            if "shard_count" in summary:
+                out[name]["shards"] = summary["shard_count"]
         return out
 
     def health(self):  # prixeffect: declares=latch-acquire
@@ -329,11 +318,11 @@ class IndexRegistry:
                 "guard_repairs": snap.guard_repairs,
                 "guard_quarantines": snap.guard_quarantines,
             }
-            if isinstance(mount.index, ShardedIndex):
-                # Sharded mounts break the totals down per shard so the
-                # metrics endpoint shows scatter skew, not just sums.
-                row["shards"] = mount.index.shard_stats()
-                row["scatter"] = mount.index.scatter_stats()
+            # A shard set's summary breaks the totals down per shard so
+            # the metrics endpoint shows scatter skew, not just sums.
+            summary = mount.index.summary()
+            row.update((key, summary[key]) for key in ("shards", "scatter")
+                       if key in summary)
             out[name] = row
         return out
 

@@ -15,7 +15,10 @@ and makes the set a first-class index:
 - :func:`rebalance` / :func:`compact` -- generation-bumping
   maintenance on the incremental-update machinery;
 - :func:`scrub_shards` -- manifest-aware directory health for ``prix
-  scrub`` and the serving tier's ``/healthz``.
+  scrub`` and the serving tier's ``/healthz``;
+- :func:`open_index` / :func:`scrub_index` -- open or scrub whatever
+  lives at a path, index file or shard directory, so no front end has
+  to tell the two apart.
 
 Layering (``.prixarch.toml``): the ``shard`` layer sits beside the
 serving tier -- atop foundation, logical, and storage-api -- and the
@@ -28,9 +31,9 @@ from repro.shard.builder import (ShardBuildReport, ShardBuildStats,
 from repro.shard.catalog import (MANIFEST_NAME, ShardCatalog,
                                  ShardCatalogError, ShardEntry,
                                  ShardError, is_shard_directory)
-from repro.shard.health import scrub_shards
+from repro.shard.health import scrub_index, scrub_shards
 from repro.shard.rebalance import RebalanceReport, compact, rebalance
-from repro.shard.sharded import ShardedIndex
+from repro.shard.sharded import ShardedIndex, open_index
 
 __all__ = [
     "MANIFEST_NAME",
@@ -45,7 +48,9 @@ __all__ = [
     "build_shards",
     "compact",
     "is_shard_directory",
+    "open_index",
     "partition_documents",
     "rebalance",
+    "scrub_index",
     "scrub_shards",
 ]

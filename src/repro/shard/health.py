@@ -13,8 +13,11 @@ CLI's exit-code ladder treat a shard directory exactly like one index.
 
 from __future__ import annotations
 
-from repro.shard.catalog import ShardCatalog, ShardCatalogError
-from repro.storage import scrub_tree
+import os
+
+from repro.shard.catalog import (ShardCatalog, ShardCatalogError,
+                                 is_shard_directory)
+from repro.storage import scrub_path, scrub_tree
 
 
 def scrub_shards(directory, stamp_missing=False):
@@ -38,3 +41,16 @@ def scrub_shards(directory, stamp_missing=False):
     else:
         report.manifest_ok = True
     return report
+
+
+def scrub_index(path, *, wal_path=None, stamp_missing=False):
+    """Scrub whatever lives at ``path``: a shard directory (manifest
+    included), any other directory (every index file under it), or one
+    index file -- the only form with a single WAL to repair from, so
+    the only one ``wal_path`` applies to.  Every report answers
+    ``healthy`` / ``to_json()`` / ``render()`` alike."""
+    if is_shard_directory(path):
+        return scrub_shards(path, stamp_missing=stamp_missing)
+    if os.path.isdir(path):
+        return scrub_tree(path, stamp_missing=stamp_missing)
+    return scrub_path(path, wal_path=wal_path, stamp_missing=stamp_missing)

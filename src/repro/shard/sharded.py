@@ -40,7 +40,8 @@ from repro.prix.incremental import RebuildRequiredError
 from repro.prix.index import PrixIndex
 from repro.prix.matcher import QueryResult, QueryStats, TwigMatch
 from repro.query.xpath import parse_xpath
-from repro.shard.catalog import ShardCatalog, ShardError
+from repro.shard.catalog import (ShardCatalog, ShardError,
+                                 is_shard_directory)
 from repro.storage import IOStats, Latch
 
 #: ``meter.unused()`` keys double as ``QueryBudget.grant`` kwargs; the
@@ -52,20 +53,17 @@ class ShardSetIOStats:
     """Read-only aggregate over every shard's pool counters.
 
     Quacks like :class:`~repro.storage.stats.IOStats` for readers
-    (``read(name)`` and ``snapshot()``), delegating to the per-shard
-    stats objects -- each of which does its own latching, so this
-    wrapper holds no lock of its own and supports no mutation.
+    (``snapshot()``), delegating to the per-shard stats objects --
+    each of which does its own latching, so this wrapper holds no lock
+    of its own and supports no mutation.
     """
 
-    def __init__(self, shards):
-        self._shards = shards   # callable -> iterable[PrixIndex]
-
-    def read(self, name):
-        return sum(index.io_stats.read(name) for index in self._shards())
+    def __init__(self, rows):
+        self._rows = rows   # callable -> iterable[(entry, PrixIndex)]
 
     def snapshot(self):
         total = IOStats()
-        for index in self._shards():
+        for _, index in self._rows():
             snap = index.io_stats.snapshot()
             total.add(**{name: getattr(snap, name)
                          for name in IOStats._GUARDED})
@@ -101,7 +99,7 @@ class ShardedIndex:
                 "per_shard": {entry.name: 0
                               for entry in catalog.entries}}
         self._closed = False
-        self.io_stats = ShardSetIOStats(self._shard_indexes)
+        self.io_stats = ShardSetIOStats(self._snapshot)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -164,11 +162,6 @@ class ShardedIndex:
     # Introspection
     # ------------------------------------------------------------------
 
-    def _shard_indexes(self):
-        with self._latch:
-            return [self._shards[entry.name]
-                    for entry in self._catalog.entries]
-
     def _snapshot(self):
         """(entry, index) rows in catalog (doc-id) order."""
         with self._latch:
@@ -181,21 +174,8 @@ class ShardedIndex:
             return self._catalog
 
     @property
-    def shard_count(self):
-        with self._latch:
-            return len(self._catalog.entries)
-
-    @property
     def doc_count(self):
         return sum(index.doc_count for _, index in self._snapshot())
-
-    def variants(self):
-        rows = self._snapshot()
-        return rows[0][1].variants() if rows else []
-
-    def flush_cache(self):
-        for _, index in self._snapshot():
-            index.flush_cache()
 
     def export_documents(self):
         """Every stored document, in doc-id order across shards."""
@@ -229,20 +209,33 @@ class ShardedIndex:
                     "approximate_queries":
                         self._totals["approximate_queries"]}
 
+    def summary(self):
+        """JSON-ready description (see :meth:`PrixIndex.summary`)."""
+        catalog = self.catalog
+        return {"documents": self.doc_count,
+                "generation": catalog.generation,
+                "shard_count": len(catalog.entries),
+                "shards": self.shard_stats(),
+                "scatter": self.scatter_stats()}
+
+    def next_doc_id(self):
+        """The smallest doc id above every shard's range."""
+        return self.catalog.entries[-1].high + 1
+
+    def explain(self, pattern, variant=None):
+        """Each shard's plan under a ``shard-NNNN:`` heading (label
+        frequencies, hence variant and strategy, are per shard)."""
+        return "".join(f"{entry.name}:\n{index.explain(pattern, variant)}"
+                       for entry, index in self._snapshot())
+
     # ------------------------------------------------------------------
     # Query
     # ------------------------------------------------------------------
 
-    def query(self, pattern, *, ordered=False, variant=None,
-              use_maxgap=True, strategy="auto", maxgap_granularity=None,
-              budget=None):
-        """Scatter-gather twig query; same contract as
+    def query(self, pattern, **options):
+        """Scatter-gather twig query; same contract and options as
         :meth:`PrixIndex.query` (see module docstring for the merge)."""
-        matches, _ = self.query_with_stats(
-            pattern, ordered=ordered, variant=variant,
-            use_maxgap=use_maxgap, strategy=strategy,
-            maxgap_granularity=maxgap_granularity, budget=budget)
-        return matches
+        return self.query_with_stats(pattern, **options)[0]
 
     def query_with_stats(self, pattern, *, ordered=False, variant=None,
                          use_maxgap=True, strategy="auto",
@@ -424,6 +417,19 @@ class ShardedIndex:
         self._catalog = self._catalog.replace_entries(
             others + [refreshed])
         self._catalog.save()
+
+
+def open_index(path, *, backend="file", pool_pages=None, chaos=None):
+    """Open whichever index kind lives at ``path``.
+
+    A directory holding a ``prixshard.json`` manifest opens as a
+    :class:`ShardedIndex`, anything else as a :class:`PrixIndex`; both
+    answer one query / insert / delete / ``summary`` / ``explain``
+    surface, so front ends hold the result without knowing which it is.
+    """
+    kind = ShardedIndex if is_shard_directory(path) else PrixIndex
+    return kind.open(path, pool_pages=pool_pages, backend=backend,
+                     chaos=chaos)
 
 
 def _register_with_sanitizer():

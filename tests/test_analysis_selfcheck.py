@@ -6,6 +6,7 @@ deliberately introduced violation (raw ``open()`` in the storage layer,
 unseeded RNG in a dataset generator) makes the lint fail.
 """
 
+import re
 import shutil
 from pathlib import Path
 
@@ -39,6 +40,21 @@ class TestTreeIsClean:
             baseline=load_baseline(BASELINE))
         messages = [f"{f.path}:{f.line}: {f.rule}" for f in result.findings]
         assert result.findings == [], "\n".join(messages)
+
+
+class TestIndexKindStaysBehindTheShardPackage:
+    def test_no_front_end_asks_which_kind_of_index_it_holds(self):
+        """`open_index` / `scrub_index` are the only code that tells a
+        monolithic index from a shard directory (docs/SHARDING.md)."""
+        fork = re.compile(r"is_shard_directory\(|"
+                          r"isinstance\([^)]*ShardedIndex\)")
+        offenders = [f"{path.relative_to(SRC)}:{number}"
+                     for path in sorted(SRC.rglob("*.py"))
+                     if path.parent != SRC / "shard"
+                     for number, line in enumerate(
+                         path.read_text().splitlines(), start=1)
+                     if fork.search(line)]
+        assert offenders == []
 
 
 class TestViolationsAreCaught:

@@ -77,7 +77,10 @@ class TestQuery:
         assert "more)" in out
 
     def test_query_bad_xpath(self, built_index, capsys):
-        assert main(["query", built_index, "//a[["]) == 1
+        # An unparsable query is the caller's mistake: EXIT_USAGE.
+        assert main(["query", built_index, "//a[["]) == 2
+        err = capsys.readouterr().err
+        assert "error [XPathSyntaxError]" in err and "Traceback" not in err
 
     def test_query_missing_index(self, tmp_path, capsys):
         assert main(["query", str(tmp_path / "no.idx"), "//a/b"]) == 2

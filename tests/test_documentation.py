@@ -63,3 +63,15 @@ class TestPaperMapSymbols:
             source = read(path)
             assert re.search(rf"(def|class)\s+{symbol}\b", source), (
                 f"{path}::{symbol} not found")
+
+
+class TestErrorTable:
+    def test_serving_table_is_the_classifier_vocabulary(self):
+        """docs/SERVING.md states the failure vocabulary once; its rows
+        are exactly (code, HTTP status, exit code) as the code has them."""
+        from repro.serve.protocol import ERROR_KINDS
+        rows = re.findall(r"^\| `([a-z-]+)` \| (\d+) \| (\d+) \|",
+                          read("docs/SERVING.md"), flags=re.MULTILINE)
+        assert {code: (int(status), int(exit_code))
+                for code, status, exit_code in rows} == ERROR_KINDS
+        assert len(rows) == len(ERROR_KINDS)

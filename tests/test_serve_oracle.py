@@ -247,6 +247,33 @@ def test_metrics_account_requests_errors_and_degradations(index_path):
     assert body["admission"]["inflight"] == 0
 
 
+def test_malformed_xpath_neither_trips_the_circuit_nor_retries(index_path):
+    """A query that does not parse is the caller's mistake (400
+    ``bad-request``): however many arrive, the mount's circuit stays
+    closed, and the retrying client spends one HTTP attempt on each."""
+    from repro.serve.client import ClientUsageError, PrixServeClient
+    attempts = []
+
+    def counting_opener(request, timeout):
+        attempts.append(request.full_url)
+        return urllib.request.urlopen(request, timeout=timeout)
+
+    with live_server(index_path) as (server, base_url):
+        client = PrixServeClient(base_url, opener=counting_opener,
+                                 sleep=lambda seconds: None)
+        posts = server.breaker.threshold + 2
+        for _ in range(posts):
+            with pytest.raises(ClientUsageError) as caught:
+                client.query("//article[[")
+            assert caught.value.status == 400
+            assert caught.value.error["code"] == "bad-request"
+            assert caught.value.error["error_type"] == "XPathSyntaxError"
+        assert len(attempts) == posts
+        assert server.breaker.snapshot()["default"] == {
+            "state": "closed", "consecutive_failures": 0, "opened_total": 0}
+        assert client.query("//article/author")["ok"] is True
+
+
 def test_reload_and_drain_leave_no_loose_ends(index_path):
     with live_server(index_path) as (server, base_url):
         status, body = http_post(base_url, "/reload", {})

@@ -4,21 +4,26 @@ The protocol's promise is that a script can branch on the same failure
 vocabulary over HTTP that it branches on via exit codes from the CLI --
 so these tests pin the exact (HTTP status, exit_code) pair of every
 error kind, the canonical serialization bytes, and the exception ->
-typed-error mapping for every library failure the serving path can see.
+kind mapping for every library failure, asserted on both surfaces: the
+wire's typed error and the exit code ``repro.cli.main`` returns.
 """
 
 import json
 
 import pytest
 
-from repro.exitcodes import (EXIT_CORRUPTION, EXIT_ERROR, EXIT_TIMEOUT,
-                             EXIT_USAGE)
+from repro import cli
+from repro.exitcodes import (EXIT_CODES, EXIT_CORRUPTION, EXIT_ERROR,
+                             EXIT_TIMEOUT, EXIT_USAGE, classify)
 from repro.prix.budget import (BudgetExceededError, DegradationReason,
                                PHASE_FILTER)
+from repro.prix.incremental import RebuildRequiredError
+from repro.query.xpath import XPathSyntaxError
 from repro.serve import protocol
 from repro.serve.protocol import (ERROR_KINDS, ProtocolError, QueryRequest,
                                   error_for_exception, parse_query_request,
                                   result_payload)
+from repro.shard import ShardCatalogError, ShardError
 from repro.storage.errors import (PageCorruptionError, ReadOnlyBackendError,
                                   TransientStorageError, WalCorruptionError)
 
@@ -43,6 +48,8 @@ EXPECTED_KINDS = {
 
 def test_error_vocabulary_is_exactly_the_contract():
     assert ERROR_KINDS == EXPECTED_KINDS
+    assert EXIT_CODES == {code: exit_code for code, (_, exit_code)
+                          in EXPECTED_KINDS.items()}
 
 
 @pytest.mark.parametrize("code", sorted(EXPECTED_KINDS))
@@ -124,24 +131,45 @@ def test_timeout_maps_to_408_with_retry_after():
 @pytest.mark.parametrize("error,code,exit_code", [
     (PageCorruptionError("page 3 checksum"), "corruption", EXIT_CORRUPTION),
     (WalCorruptionError("torn record"), "corruption", EXIT_CORRUPTION),
+    (ShardCatalogError("manifest checksum"), "corruption", EXIT_CORRUPTION),
     (ReadOnlyBackendError("mmap is read-only"), "read-only", EXIT_ERROR),
     (FileNotFoundError("no such index"), "not-found", EXIT_USAGE),
     (KeyError("variant 'ep' was not built"), "not-found", EXIT_USAGE),
-    (ValueError("bad xpath"), "internal", EXIT_ERROR),
+    # A malformed query is the caller's to fix: 400, never retried,
+    # never a circuit trip.  Any other ValueError stays internal.
+    (XPathSyntaxError("unsupported predicate"), "bad-request", EXIT_USAGE),
+    (ValueError("bad value"), "internal", EXIT_ERROR),
     (OSError("socket"), "internal", EXIT_ERROR),
     (TimeoutError("read timed out"), "request-timeout", EXIT_TIMEOUT),
+    (BudgetExceededError(DegradationReason(
+        phase=PHASE_FILTER, limit="range_queries", spent=11, budget=10)),
+     "budget-exhausted", EXIT_ERROR),
+    (RebuildRequiredError("scope underflow"), "internal", EXIT_ERROR),
+    (ShardError("manifest lists no shards"), "internal", EXIT_ERROR),
     # A chaos-injected transient read fault is an internal server error
     # on the wire -- retryable by status, but never silently absorbed.
     (TransientStorageError("injected read-error"), "internal", EXIT_ERROR),
     (RuntimeError("surprise"), "internal", EXIT_ERROR),
 ])
-def test_library_exceptions_map_to_their_cli_exit_codes(error, code,
-                                                        exit_code):
-    # The same ladder repro.cli.main applies, on the wire.
+def test_library_exceptions_map_to_one_kind_on_both_surfaces(
+        error, code, exit_code, monkeypatch, capsys):
+    assert classify(error) == code
+    # The wire: a typed error body naming the kind and its exit code.
     typed = error_for_exception(error)
     assert typed.code == code
     assert typed.exit_code == exit_code
     assert typed.error_type == type(error).__name__
+
+    # The CLI: a command dying with the same exception exits with that
+    # code behind a one-line typed message, never a traceback.
+    def dies(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_stats", dies)
+    assert cli.main(["stats", "any.idx"]) == exit_code
+    err = capsys.readouterr().err
+    assert err.startswith("error [") and err.count("\n") == 1
+    assert typed.message in err and "Traceback" not in err
 
 
 def test_protocol_error_passes_through_unchanged():

@@ -5,6 +5,9 @@ The live-server behaviour (threads, sockets, drains) is covered by
 ``tests/test_serve_oracle.py``; here each component's protocol is pinned
 in isolation: lease counting, the reload swap-and-drain dance, admission
 capacity/drain rejections and budget forking, and the metrics counters.
+Every registry test runs over both index kinds -- one file and a shard
+directory mount the same way (``tests/test_shard_serve.py`` keeps only
+what is shard-specific).
 """
 
 import json
@@ -19,16 +22,20 @@ from repro.serve.admission import AdmissionController, ServerLimits
 from repro.serve.metrics import ServerMetrics
 from repro.serve.protocol import ProtocolError
 from repro.serve.registry import IndexRegistry, ServeError
-from repro.storage import scrub_path
+from repro.shard import build_shards, scrub_index
 
 
-@pytest.fixture
-def index_path(tmp_path):
-    path = str(tmp_path / "serve.prix")
-    index = PrixIndex.build(dblp(n_records=12, seed=7),
-                            IndexOptions(path=path))
-    index.save()
-    index.close()
+@pytest.fixture(params=["monolith", "2-shard directory"])
+def index_path(request, tmp_path):
+    documents = dblp(n_records=12, seed=7).documents
+    if request.param == "monolith":
+        path = str(tmp_path / "serve.prix")
+        index = PrixIndex.build(documents, IndexOptions(path=path))
+        index.save()
+        index.close()
+    else:
+        path = str(tmp_path / "serve.shards")
+        build_shards(documents, path, shards=2)
     return path
 
 
@@ -146,7 +153,7 @@ def test_rescrub_refreshes_health_and_returns_verdict(index_path):
     assert registry.rescrub("default") is True
     health = registry.health()["default"]
     assert health["healthy"] is True
-    assert health["scrub"] == json.loads(scrub_path(index_path).to_json())
+    assert health["scrub"] == json.loads(scrub_index(index_path).to_json())
     with pytest.raises(KeyError):
         registry.rescrub("nope")
     registry.close_all()
@@ -165,9 +172,9 @@ def test_health_caches_the_scrub_to_json_serialization(index_path):
     assert health["healthy"] is True
     assert health["generation"] == 1
     # The cached verdict is exactly the canonical ScrubReport.to_json
-    # of the mounted file -- the single serializer shared with
+    # of the mounted path -- the single serializer shared with
     # `prix scrub --json` (docs/SERVING.md).
-    assert health["scrub"] == json.loads(scrub_path(index_path).to_json())
+    assert health["scrub"] == json.loads(scrub_index(index_path).to_json())
     registry.close_all()
 
 
