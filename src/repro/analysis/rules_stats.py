@@ -48,7 +48,9 @@ class StatsIntDisciplineRule(Rule):
 
     def visit_Call(self, node):
         # The sanctioned mutation path, ``stats.add(physical_reads=1)``,
-        # must obey the same discipline as a direct ``+=``.
+        # must obey the same discipline as a direct ``+=``.  Its fixed-
+        # form twin ``stats.count_logical_read()`` takes no amount: the
+        # ``+= 1`` inside it is an AugAssign this rule already sees.
         if isinstance(node.func, ast.Attribute) and node.func.attr == "add":
             for keyword in node.keywords:
                 if keyword.arg in COUNTER_ATTRS:

@@ -17,9 +17,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from repro.prix.plan import (REL_ANCESTOR, REL_CHILD, REL_SIBLING,
-                             REL_UNPRUNABLE)
-from repro.storage.codec import encode_int, encode_key
+from repro.prix.plan import REL_ANCESTOR, REL_CHILD, REL_SIBLING
+from repro.storage.codec import (encode_int, encode_key, int_key_prefix,
+                                 pack_key_int)
 
 _POS_VALUE = struct.Struct("<QII")  # (RightPos, Level, node MaxGap)
 _DOC_VALUE = struct.Struct("<I")    # document id
@@ -53,6 +53,14 @@ class TrieSymbolIndex:
     touches the same leaf pages) without burning a page per distinct label,
     which matters once Extended-Prufer sequences put every distinct value
     string into the key space.
+
+    Key layout (:func:`~repro.storage.codec.encode_key`)::
+
+        STR_MARK  label (UTF-8, 0x00 escaped)  00 00  INT_MARK  LeftPos u64be
+
+    Everything up to and including ``INT_MARK`` is fixed per label
+    (:meth:`label_prefix`), so a probe's two bounds are that prefix plus
+    one 8-byte pack each, and ``LeftPos`` is a key's last 8 bytes.
     """
 
     def __init__(self, bptree):
@@ -62,6 +70,15 @@ class TrieSymbolIndex:
     def tree(self):
         return self._tree
 
+    @staticmethod
+    def label_prefix(label):
+        """The key bytes shared by every entry of ``label``.
+
+        A probe handle: pass it to :meth:`range_query_gaps` in place of
+        the label to encode the label once for many probes.
+        """
+        return int_key_prefix(label)
+
     def range_query_full(self, label, lo, hi):
         """Yield ``(left, right, level)`` strictly inside ``(lo, hi)``."""
         for left, right, level, _ in self.range_query_gaps(label, lo, hi):
@@ -70,18 +87,23 @@ class TrieSymbolIndex:
     def range_query_gaps(self, label, lo, hi):
         """Yield ``(left, right, level, node_maxgap)`` inside ``(lo, hi)``.
 
+        ``label`` is the label or its :meth:`label_prefix`.
         ``node_maxgap`` is the finer-grained MaxGap of Section 5.4's
         closing remark: the largest first-to-last child span of this
         occurrence's parent node, over the documents whose sequences pass
         through this trie node only.
         """
-        lo_key = encode_key(label, lo + 1)
-        hi_key = encode_key(label, hi)
-        prefix_len = len(encode_key(label))
-        for key, value in self._tree.range_scan(lo_key, hi_key):
-            left = int.from_bytes(key[prefix_len + 1:prefix_len + 9], "big")
-            right, level, gap = _POS_VALUE.unpack(value)
-            yield left, right, level, gap
+        prefix = label if isinstance(label, bytes) else int_key_prefix(label)
+        left_at = len(prefix)
+        unpack = _POS_VALUE.unpack
+        for node, start, stop in self._tree.leaf_slices(
+                prefix + pack_key_int(lo + 1), prefix + pack_key_int(hi)):
+            keys = node.keys
+            values = node.values
+            for idx in range(start, stop):
+                right, level, gap = unpack(values[idx])
+                yield (int.from_bytes(keys[idx][left_at:], "big"), right,
+                       level, gap)
 
     @staticmethod
     def make_entry(label, left, right, level, node_maxgap=0):
@@ -103,32 +125,38 @@ class DocidIndex:
 
     def documents_in(self, lo, hi):
         """Document ids whose LPS terminates in the closed range [lo, hi]."""
-        lo_key = encode_int(lo)
-        hi_key = encode_int(hi)
         return [_DOC_VALUE.unpack(value)[0]
-                for _, value in self._tree.range_scan(lo_key, hi_key,
-                                                      inclusive_hi=True)]
+                for node, start, stop in self._tree.leaf_slices(
+                    encode_int(lo), encode_int(hi), inclusive_hi=True)
+                for value in node.values[start:stop]]
 
     @staticmethod
     def make_entry(left, doc_id):
         return encode_int(left), _DOC_VALUE.pack(doc_id)
 
 
+#: Theorem 4 as one comparison: a pair of the given relationship can be
+#: a match only if ``gap <= max_gap + slack`` (REL_UNPRUNABLE: always).
+_MAXGAP_SLACK = {REL_SIBLING: 0, REL_CHILD: 1, REL_ANCESTOR: -1}
+
+
 def _maxgap_admits(kind, gap, max_gap):
     """Apply Theorem 4: return False when the pair cannot be a match."""
-    if kind == REL_SIBLING:
-        return gap <= max_gap
-    if kind == REL_CHILD:
-        return gap <= max_gap + 1
-    if kind == REL_ANCESTOR:
-        return gap < max_gap
-    return True
+    slack = _MAXGAP_SLACK.get(kind)
+    return slack is None or gap <= max_gap + slack
 
 
 def find_subsequences(plan, symbol_index, docid_index, root_range,
                       maxgap_table=None, stats=None, granularity="label",
                       budget=None):
-    """Run Algorithm 1: yield ``(doc_ids, positions)`` candidates.
+    """Run Algorithm 1: return ``(results, stats)``.
+
+    ``results`` holds one ``(doc_ids, positions)`` pair per trie path
+    spelling a subsequence occurrence of LPS(Q) that at least one
+    document's LPS terminates under: the ids of those documents and the
+    matched trie levels (= LPS positions).  ``stats`` is the
+    :class:`FilterStats` passed in (or a fresh one), also brought up to
+    date when the pass is cut short by the budget.
 
     Args:
         plan: the :class:`~repro.prix.plan.QueryPlan` being matched.
@@ -153,36 +181,60 @@ def find_subsequences(plan, symbol_index, docid_index, root_range,
     qlps = plan.qlps
     last = len(qlps) - 1
     results = []
-    positions = [0] * len(qlps)
     per_node = granularity == "node"
+    pruning = maxgap_table is not None
 
-    def recurse(i, lo, hi, prev_bound):
-        stats.range_queries += 1
-        if budget is not None:
+    # Per-level invariants.  Level i probes label qlps[i] inside the node
+    # matched at level i - 1, whose bound (its own stored MaxGap or the
+    # label's collection-wide one) limits the level gap per Theorem 4.
+    probe = symbol_index.range_query_gaps
+    handles = [symbol_index.label_prefix(label) for label in qlps]
+    slacks = [None] + [_MAXGAP_SLACK.get(kind) if pruning else None
+                       for kind in plan.rel_kinds]
+    label_bounds = [maxgap_table.get(label) if pruning else 0
+                    for label in qlps[:last]]
+    documents_in = docid_index.documents_in
+    metered = budget is not None
+
+    positions = [0] * len(qlps)
+    bounds = [0] * len(qlps)   # bounds[i]: set by the node matched at i
+    rows = [None] * len(qlps)  # rows[i]: level i's probe, part consumed
+    range_queries = nodes_visited = candidates = pruned = 0
+    try:
+        range_queries += 1
+        if metered:
             budget.charge_range_query()
-        for left, right, level, node_gap in symbol_index.range_query_gaps(
-                qlps[i], lo, hi):
-            stats.nodes_visited += 1
-            if budget is not None:
-                budget.checkpoint()
-            if maxgap_table is not None and i > 0:
-                kind = plan.rel_kinds[i - 1]
-                if kind != REL_UNPRUNABLE:
-                    gap = level - positions[i - 1]
-                    if not _maxgap_admits(kind, gap, prev_bound):
-                        stats.pruned_by_maxgap += 1
-                        continue
-            positions[i] = level
-            bound = (node_gap if per_node
-                     else maxgap_table.get(qlps[i])
-                     if maxgap_table is not None and i < last else 0)
-            if i == last:
-                docs = docid_index.documents_in(left, right)
-                if docs:
-                    stats.candidates += 1
-                    results.append((tuple(docs), tuple(positions)))
+        rows[0] = probe(handles[0], root_range[0], root_range[1])
+        i = 0
+        while i >= 0:
+            slack = slacks[i]
+            for left, right, level, node_gap in rows[i]:
+                nodes_visited += 1
+                if metered:
+                    budget.checkpoint()
+                if (slack is not None and
+                        level - positions[i - 1] > bounds[i - 1] + slack):
+                    pruned += 1
+                    continue
+                positions[i] = level
+                if i == last:
+                    docs = documents_in(left, right)
+                    if docs:
+                        candidates += 1
+                        results.append((tuple(docs), tuple(positions)))
+                    continue
+                bounds[i] = node_gap if per_node else label_bounds[i]
+                i += 1
+                range_queries += 1
+                if metered:
+                    budget.charge_range_query()
+                rows[i] = probe(handles[i], left, right)
+                break
             else:
-                recurse(i + 1, left, right, bound)
-
-    recurse(0, root_range[0], root_range[1], 0)
+                i -= 1
+    finally:
+        stats.range_queries += range_queries
+        stats.nodes_visited += nodes_visited
+        stats.candidates += candidates
+        stats.pruned_by_maxgap += pruned
     return results, stats

@@ -200,14 +200,6 @@ class BPlusTree:
     # Lookup and scans
     # ------------------------------------------------------------------
 
-    def _descend_left(self, key):
-        """Return the leaf that holds the first entry >= key."""
-        node = self._load(self._root_id)
-        while not node.is_leaf:
-            idx = bisect_left(node.keys, key)
-            node = self._load(node.children[idx])
-        return node
-
     def search(self, key):
         """Return the value of the first entry with ``key``.
 
@@ -229,35 +221,42 @@ class BPlusTree:
             return True
         return False
 
+    def leaf_slices(self, lo=None, hi=None, inclusive_hi=False):
+        """Yield ``(leaf, start, stop)`` for the entries ``lo <= key < hi``.
+
+        The one leaf walk of this module: a single root-to-leaf descent,
+        then per leaf one ``bisect`` for each end.  ``leaf.keys[start:
+        stop]`` and ``leaf.values[start:stop]`` are the matching entries
+        (leaves contributing none are skipped); bounds are as in
+        :meth:`range_scan`.  A leaf's successor is loaded only when the
+        consumer asks for more, so a walk abandoned early touches no
+        further page.
+        """
+        load = self._pool.get_decoded
+        node = load(self._root_id, _parse_node)
+        while not node.is_leaf:
+            idx = 0 if lo is None else bisect_left(node.keys, lo)
+            node = load(node.children[idx], _parse_node)
+        start = 0 if lo is None else bisect_left(node.keys, lo)
+        cut = bisect_right if inclusive_hi else bisect_left
+        while True:
+            keys = node.keys
+            stop = len(keys) if hi is None else cut(keys, hi, start)
+            if start < stop:
+                yield node, start, stop
+            if stop < len(keys) or node.next_leaf == _NO_PAGE:
+                return
+            node = load(node.next_leaf, _parse_node)
+            start = 0
+
     def range_scan(self, lo=None, hi=None, inclusive_hi=False):
         """Yield ``(key, value)`` pairs with ``lo <= key < hi``.
 
         ``inclusive_hi=True`` makes the upper bound closed; ``None`` bounds
         are open-ended.  Duplicates of a key are all yielded.
         """
-        if lo is None:
-            node = self._load(self._root_id)
-            while not node.is_leaf:
-                node = self._load(node.children[0])
-            idx = 0
-        else:
-            node = self._descend_left(lo)
-            idx = bisect_left(node.keys, lo)
-        while True:
-            while idx < len(node.keys):
-                key = node.keys[idx]
-                if hi is not None:
-                    if inclusive_hi:
-                        if key > hi:
-                            return
-                    elif key >= hi:
-                        return
-                yield key, node.values[idx]
-                idx += 1
-            if node.next_leaf == _NO_PAGE:
-                return
-            node = self._load(node.next_leaf)
-            idx = 0
+        for node, start, stop in self.leaf_slices(lo, hi, inclusive_hi):
+            yield from zip(node.keys[start:stop], node.values[start:stop])
 
     def items(self):
         """Yield every ``(key, value)`` pair in key order."""
@@ -277,6 +276,16 @@ class BPlusTree:
             raise TypeError("keys must be bytes (use repro.storage.codec)")
         if not isinstance(value, (bytes, bytearray)):
             raise TypeError("values must be bytes")
+        # Refuse before any node is touched: _insert_into edits the
+        # pool's memoised nodes in place, so an overflow found only when
+        # serialising would leave a half-applied split in the cache.
+        needed = _HEADER.size + max(4 + len(key) + len(value),
+                                    6 + len(key))  # leaf entry, separator
+        if needed > self._page_size:
+            raise PageOverflowError(
+                f"an entry with a {len(key)}-byte key and a {len(value)}-"
+                f"byte value needs {needed} bytes but the page holds "
+                f"{self._page_size}")
         split = self._insert_into(self._root_id, bytes(key), bytes(value))
         if split is not None:
             sep_key, right_id = split
@@ -339,10 +348,9 @@ class BPlusTree:
         Deletion is lazy: no rebalancing is performed.  Raises
         :class:`KeyNotFoundError` if no matching entry exists.
         """
-        node = self._descend_left(key)
-        idx = bisect_left(node.keys, key)
-        while True:
-            while idx < len(node.keys) and node.keys[idx] == key:
+        for node, start, stop in self.leaf_slices(key, key,
+                                                  inclusive_hi=True):
+            for idx in range(start, stop):
                 if value is None or node.values[idx] == value:
                     del node.keys[idx]
                     del node.values[idx]
@@ -350,11 +358,7 @@ class BPlusTree:
                     self._count -= 1
                     self._sync_meta()
                     return
-                idx += 1
-            if idx < len(node.keys) or node.next_leaf == _NO_PAGE:
-                raise KeyNotFoundError(repr(key))
-            node = self._load(node.next_leaf)
-            idx = 0
+        raise KeyNotFoundError(repr(key))
 
     # ------------------------------------------------------------------
     # Bulk loading

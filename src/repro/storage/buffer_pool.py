@@ -202,7 +202,7 @@ class BufferPool:
 
     def get(self, page_id):
         """Return the page image, loading it through the pager on a miss."""
-        self.stats.add(logical_reads=1)
+        self.stats.count_logical_read()
         with self._latch:
             frame = self._frames.get(page_id)
             if frame is not None:
@@ -258,16 +258,18 @@ class BufferPool:
         engines keeping deserialized nodes pinned to buffer frames -- the
         physical-read accounting is unaffected because the underlying
         frame is still fetched through :meth:`get`.
+
+        A resident hit -- what every B+-tree level of every index probe
+        is, once warm -- costs one latched section: the LRU touch, with
+        the logical-read bump nested at its bottom (``buffer-pool ->
+        io-stats``, the sanctioned order).
         """
         with self._latch:
             cached = self._decoded.get(page_id)
             if cached is not None and page_id in self._frames:
                 self._frames.move_to_end(page_id)
-            else:
-                cached = None
-        if cached is not None:
-            self.stats.add(logical_reads=1)
-            return cached
+                self.stats.count_logical_read()
+                return cached
         frame = self.get(page_id)
         decoded = decoder(page_id, frame)
         with self._latch:

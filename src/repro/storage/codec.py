@@ -72,6 +72,22 @@ def encode_key(*parts):
     return b"".join(chunks)
 
 
+def int_key_prefix(*parts):
+    """The bytes every ``encode_key(*parts, n)`` shares, for integer ``n``.
+
+    ``int_key_prefix(*parts) + pack_key_int(n) == encode_key(*parts, n)``:
+    a caller that probes many integers under one fixed prefix (the
+    Trie-Symbol index: one label, varying LeftPos) encodes the prefix
+    once and pays one struct pack per key.
+    """
+    return encode_key(*parts) + _INT_MARK
+
+
+#: Unchecked twin of :func:`encode_int` for :func:`int_key_prefix` users
+#: (``struct.error`` instead of ``ValueError`` when out of range).
+pack_key_int = _INT_STRUCT.pack
+
+
 def encode_varints(numbers):
     """Encode a sequence of non-negative integers as LEB128 varints."""
     out = bytearray()

@@ -16,7 +16,10 @@ provide:
   cannot be monkeypatched, so the hook points live here instead.
 
 Without the sanitizer the wrapper is two attribute loads and a ``None``
-check per operation; the storage layer uses it unconditionally.
+check per operation; the storage layer uses it unconditionally.  The
+context-manager entry points repeat that work inline rather than calling
+:meth:`Latch.acquire` / :meth:`Latch.release`: hook-equivalent, two
+frames cheaper per latched section.
 """
 
 from __future__ import annotations
@@ -79,12 +82,20 @@ class Latch:
         """Whether the calling thread currently holds this latch."""
         return self._lock._is_owned()
 
+    # acquire() / release() inlined (see the module docstring).
+
     def __enter__(self):
-        self.acquire()
+        hooks = _hooks
+        if hooks is not None:
+            hooks[0](self)
+        self._lock.acquire()
         return self
 
     def __exit__(self, *exc):
-        self.release()
+        hooks = _hooks
+        if hooks is not None:
+            hooks[1](self)
+        self._lock.release()
         return False
 
     def __repr__(self):

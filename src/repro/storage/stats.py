@@ -7,9 +7,10 @@ reads the same way the paper does (cold buffer pool, direct I/O).
 Concurrency: one stats object is shared by every component of a stack
 (pager, pool, WAL, guard) and -- once ``prix serve``-style workloads
 land -- by every thread querying that stack.  All counter mutation
-therefore goes through :meth:`IOStats.add`, which holds the object's own
-``io-stats`` latch; lost updates on ``+=`` from two threads would break
-the exact-conservation oracle the threaded stress harness checks
+therefore goes through :meth:`IOStats.add` (or its fixed-form twin for
+the per-hit counter, :meth:`IOStats.count_logical_read`), which holds the
+object's own ``io-stats`` latch; lost updates on ``+=`` from two threads
+would break the exact-conservation oracle the threaded stress harness checks
 (``docs/CONCURRENCY.md``).  Cross-thread readers use :meth:`read` or
 :meth:`snapshot` -- under ``PRIX_SANITIZE=1`` a bare counter attribute
 access on a stats object shared between threads is flagged as a race.
@@ -75,6 +76,15 @@ class IOStats:
         with self._latch:
             for name, amount in deltas.items():
                 setattr(self, name, getattr(self, name) + amount)
+
+    def count_logical_read(self):
+        """``add(logical_reads=1)`` for the pool's per-page-request path.
+
+        The one counter bumped on every cache hit, so it gets a fixed
+        form: no keyword dict, no name loop, same latch.
+        """
+        with self._latch:
+            self.logical_reads += 1
 
     def read(self, name):
         """Latched read of one counter by name (``read("physical_reads")``).

@@ -64,7 +64,7 @@ class EvilPool:
 
 
 class EvilBufferPool(BufferPool):
-    """A :class:`BufferPool` whose ``get`` skips the latch protocol.
+    """A :class:`BufferPool` whose hit paths skip the latch protocol.
 
     The static ``guarded-field-access`` rule is scoped to the class that
     *declares* the guarded fields, so this subclass is exactly the
@@ -78,3 +78,10 @@ class EvilBufferPool(BufferPool):
         if frame is not None:
             return frame
         return self._load(page_id)
+
+    def get_decoded(self, page_id, decoder):
+        cached = self._decoded.get(page_id)  # unlatched: the same race
+        if cached is not None:
+            self.stats.count_logical_read()
+            return cached
+        return super().get_decoded(page_id, decoder)

@@ -329,29 +329,71 @@ class TestRuntimeLockOrder:
         pool.flush()
         for pid in pids:
             pool.get(pid)
+            pool.get_decoded(pid, lambda page_id, frame: bytes(frame))
+            pool.get_decoded(pid, None)  # resident: the hit path
+        pool.close()
+        with sanitizer._state.meta:
+            order = {name: set(after)
+                     for name, after in sanitizer._state.order.items()}
+        assert "io-stats" in order["buffer-pool"]
+        assert order.get("io-stats", set()) == set()
+
+    def test_decoded_hit_is_one_latched_hooked_section(self, sanitized):
+        # The hit path enters its latches through the inlined
+        # ``with latch:`` form; the sanitizer must see every one.
+        from repro.storage import latch as latch_module
+        pool = make_pool()
+        pid, _ = pool.new_page()
+        pool.flush()
+        decoded = pool.get_decoded(pid, lambda page_id, frame: object())
+        on_acquire, on_release = latch_module._hooks
+        seen = []
+
+        def acquire(latch):
+            seen.append(("acquire", latch.name))
+            on_acquire(latch)
+
+        def release(latch):
+            seen.append(("release", latch.name))
+            on_release(latch)
+
+        latch_module.install_hooks(acquire, release)
+        before = pool.stats.logical_reads
+        assert pool.get_decoded(pid, None) is decoded
+        latch_module.install_hooks(on_acquire, on_release)
+        assert seen == [("acquire", "buffer-pool"), ("acquire", "io-stats"),
+                        ("release", "io-stats"), ("release", "buffer-pool")]
+        assert pool.stats.logical_reads == before + 1
+        assert sanitizer._state.tls.held == []
         pool.close()
 
 
 class TestEvilBufferPoolRuntime:
-    def test_latch_bypassing_get_trips_when_shared(self, sanitized):
+    @pytest.mark.parametrize("read, field", [
+        (lambda pool, pid: pool.get(pid), "_frames"),
+        (lambda pool, pid: pool.get_decoded(
+            pid, lambda page_id, frame: bytes(frame)), "_decoded"),
+    ], ids=["get", "get_decoded"])
+    def test_latch_bypassing_hit_trips_when_shared(self, sanitized, read,
+                                                   field):
         from eviltwin_pool import EvilBufferPool
         pool = EvilBufferPool(Pager.in_memory(page_size=32), capacity=4)
         pid, _ = pool.new_page()
         pool.flush()
-        pool.get(pid)  # still thread-confined: silent
+        read(pool, pid)  # still thread-confined: silent
         errors = []
 
-        def racy_get():
+        def racy_read():
             try:
-                pool.get(pid)
+                read(pool, pid)  # resident by now: the hit path
             except sanitizer.SanitizeError as error:
                 errors.append(error)
 
-        thread = threading.Thread(target=racy_get, name="evil-reader")
+        thread = threading.Thread(target=racy_read, name="evil-reader")
         thread.start()
         thread.join()
         assert len(errors) == 1
-        assert "BufferPool._frames" in str(errors[0])
+        assert f"BufferPool.{field}" in str(errors[0])
 
 
 class TestGuardTrust:

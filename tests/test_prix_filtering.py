@@ -1,6 +1,10 @@
 """Filtering (Algorithm 1) tests over a real index."""
 
+import pytest
+
+from repro.bench.workloads import query_by_id
 from repro.datasets import figure2_query
+from repro.prix.budget import BudgetExceededError, QueryBudget
 from repro.prix.filtering import FilterStats, find_subsequences
 from repro.prix.index import PrixIndex, VARIANT_REGULAR
 from repro.prix.plan import build_plan
@@ -8,16 +12,18 @@ from repro.query.twig import collapse
 from repro.query.xpath import parse_xpath
 
 
-def run_filter(index, xpath_or_pattern, use_maxgap=True, extended=False):
+def run_filter(index, xpath_or_pattern, use_maxgap=True, extended=False,
+               stats=None, budget=None):
     pattern = (parse_xpath(xpath_or_pattern)
                if isinstance(xpath_or_pattern, str) else xpath_or_pattern)
     plan = build_plan(collapse(pattern), extended=extended)
     variant = index._variants["ep" if extended else "rp"]
-    stats = FilterStats()
+    stats = FilterStats() if stats is None else stats
     maxgap = variant.maxgap if use_maxgap else None
     return find_subsequences(plan, variant.symbol_index,
                              variant.docid_index, variant.root_range,
-                             maxgap_table=maxgap, stats=stats)
+                             maxgap_table=maxgap, stats=stats,
+                             budget=budget)
 
 
 class TestSubsequenceMatching:
@@ -111,3 +117,88 @@ class TestMaxGapPruning:
         assert final_pruned <= final_full
         # ...but pruning inspected no more nodes.
         assert stats_pruned.nodes_visited <= stats_full.nodes_visited
+
+
+class EventRecorder:
+    """Duck-typed meter: the filter's cancellation points, in order."""
+
+    def __init__(self):
+        self.events = []
+
+    def charge_range_query(self):
+        self.events.append("probe")
+
+    def checkpoint(self):
+        self.events.append("node")
+
+
+class ClockTrippingAt:
+    """Reads 0.0 until its ``trip``-th call (counting from 0), then 10.0."""
+
+    def __init__(self, trip):
+        self.calls = 0
+        self.trip = trip
+
+    def __call__(self):
+        self.calls += 1
+        return 10.0 if self.calls > self.trip else 0.0
+
+
+class TestBudgetThroughTheLoop:
+    """The budget contract of ``find_subsequences`` (docs/ROBUSTNESS.md):
+    one ``charge_range_query`` per probe, one ``checkpoint`` per node, and
+    counters that are right when the pass is cut short.  Q6 on the
+    EPIndex, ordered: 77 probes by the parent-commit golden."""
+
+    @pytest.fixture(scope="class")
+    def q6(self, tiny_indexes):
+        from test_filter_counters_golden import FIELDS, load_golden
+        golden = dict(zip(
+            FIELDS, load_golden()["Q6/ep/ordered/trie/label"]))
+        index = tiny_indexes["swissprot"]
+        recorder = EventRecorder()
+        _, stats = run_filter(index, query_by_id("Q6").xpath,
+                              extended=True, budget=recorder)
+        assert stats.range_queries == golden["range_queries"] == 77
+        assert stats.nodes_visited == golden["nodes_visited"]
+        assert recorder.events.count("probe") == stats.range_queries
+        assert recorder.events.count("node") == stats.nodes_visited
+        return index, query_by_id("Q6").xpath, recorder.events, stats
+
+    @pytest.mark.parametrize("cap", [1, 7, 100])
+    def test_range_query_cap_trips_on_the_same_probe(self, q6, cap):
+        index, xpath, events, unbudgeted = q6
+        stats = FilterStats()
+        meter = QueryBudget(max_range_queries=cap).meter()
+        if cap >= unbudgeted.range_queries:
+            run_filter(index, xpath, extended=True, stats=stats,
+                       budget=meter)
+            assert stats == unbudgeted
+            return
+        with pytest.raises(BudgetExceededError) as excinfo:
+            run_filter(index, xpath, extended=True, stats=stats,
+                       budget=meter)
+        reason = excinfo.value.reason
+        assert (reason.limit, reason.spent, reason.budget) == (
+            "range_queries", cap + 1, cap)
+        # The refused probe is counted; the nodes are those seen before it.
+        probes = [at for at, event in enumerate(events) if event == "probe"]
+        assert stats.range_queries == cap + 1
+        assert stats.nodes_visited == events[:probes[cap]].count("node")
+        assert stats.candidates <= unbudgeted.candidates
+
+    def test_deadline_trips_between_two_nodes_of_one_probe(self, q6):
+        index, xpath, events, _ = q6
+        # A node checkpoint directly after another one: no probe between.
+        at = next(i for i in range(1, len(events))
+                  if events[i - 1] == events[i] == "node")
+        stats = FilterStats()
+        # Clock call 0 starts the meter; call i + 1 is event i's check.
+        meter = QueryBudget(deadline_seconds=1.0).meter(
+            clock=ClockTrippingAt(at + 1))
+        with pytest.raises(BudgetExceededError) as excinfo:
+            run_filter(index, xpath, extended=True, stats=stats,
+                       budget=meter)
+        assert excinfo.value.reason.limit == "deadline"
+        assert stats.range_queries == events[:at].count("probe")
+        assert stats.nodes_visited == events[:at + 1].count("node")

@@ -46,6 +46,12 @@ class TestTrieSymbolIndex:
                 in index.range_query_gaps("a", 0, 100)}
         assert hits == {10: 3, 12: 0, 30: 7}
 
+    def test_label_prefix_is_a_probe_handle(self, index):
+        handle = TrieSymbolIndex.label_prefix("a")
+        assert list(index.range_query_gaps(handle, 9, 30)) == \
+            list(index.range_query_gaps("a", 9, 30)) == \
+            [(10, 20, 1, 3), (12, 15, 2, 0)]
+
     def test_label_isolation(self, index):
         assert list(index.range_query_full("b", 10, 20)) == [(11, 14, 2)]
         assert list(index.range_query_full("zzz", 0, 100)) == []

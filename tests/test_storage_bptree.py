@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.storage.bptree import BPlusTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.codec import encode_int
-from repro.storage.errors import KeyNotFoundError
+from repro.storage.errors import KeyNotFoundError, PageOverflowError
 from repro.storage.pager import Pager
 
 
@@ -85,6 +85,30 @@ class TestSplitsAndGrowth:
         tree.check_invariants()
 
 
+    @pytest.mark.parametrize("key, value", [
+        (b"Z" * 300, b""),          # the key alone outgrows a page
+        (b"Z", b"v" * 300),         # the value does
+        (b"Z" * 246, b""),          # fits a leaf, not as a separator
+    ], ids=["key", "value", "separator"])
+    def test_oversize_entry_rejected_before_any_node_changes(self, key,
+                                                             value):
+        # _insert_into edits the pool's memoised nodes in place; an
+        # overflow noticed only at serialisation left a half-applied
+        # split in the decoded cache (phantom key, real keys missing)
+        # until the page happened to be evicted.
+        tree, pool = make_tree(page_size=256)
+        for i in range(40):
+            tree.insert(b"k%03d" % i, b"v")
+        before = list(tree.items())
+        with pytest.raises(PageOverflowError):
+            tree.insert(key, value)
+        assert list(tree.items()) == before
+        assert len(tree) == len(before) == 40
+        pool.flush_and_clear()
+        assert list(tree.items()) == before
+        tree.check_invariants()
+
+
 class TestDuplicates:
     def test_duplicate_keys_all_returned(self):
         tree, _ = make_tree()
@@ -139,6 +163,27 @@ class TestRangeScans:
         keys = [k for k, _ in tree.range_scan(encode_int(10),
                                               encode_int(290))]
         assert len(keys) == 280
+
+
+    def test_leaf_slices_are_the_scan_and_stay_lazy(self):
+        tree, pool = make_tree(page_size=256)
+        for i in range(300):
+            tree.insert(encode_int(i), b"%d" % i)
+        lo, hi = encode_int(10), encode_int(290)
+        slices = list(tree.leaf_slices(lo, hi))
+        assert len(slices) > 1
+        assert all(start < stop for _, start, stop in slices)
+        flat = [pair for node, start, stop in slices
+                for pair in zip(node.keys[start:stop],
+                                node.values[start:stop])]
+        assert flat == list(tree.range_scan(lo, hi))
+        assert [v for n, a, b in tree.leaf_slices(lo, lo, inclusive_hi=True)
+                for v in n.values[a:b]] == [b"10"]
+        # Abandoning the walk after its first slice touches no page
+        # beyond the descent: a leaf's successor loads on demand only.
+        before = pool.stats.read("logical_reads")
+        next(tree.leaf_slices(lo, hi))
+        assert pool.stats.read("logical_reads") - before == tree.height
 
 
 class TestDelete:

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.codec import (decode_key, decode_varints, encode_int,
-                                 encode_key, encode_str, encode_varints,
-                                 split_varints)
+from repro.storage.codec import (MAX_KEY_INT, decode_key, decode_varints,
+                                 encode_int, encode_key, encode_str,
+                                 encode_varints, int_key_prefix,
+                                 pack_key_int, split_varints)
 
 
 class TestIntEncoding:
@@ -47,6 +48,22 @@ class TestCompositeKeys:
 
     def test_int_within_same_prefix(self):
         assert encode_key("a", 1) < encode_key("a", 2)
+
+    @pytest.mark.parametrize("label", [
+        "a", "", "\x00", "nul\x00inside", "ends-in-nul\x00",
+        "na\u00efve-\u00dcn\u00ef-\u6f22", "\x1fJim Gray", "\x1f\x00\x1f",
+    ])
+    def test_int_key_prefix_is_the_general_encoder_minus_the_int(self,
+                                                                 label):
+        # The Trie-Symbol probe builds both of its bounds this way; it
+        # is the one place a key is not made by encode_key itself.
+        prefix = int_key_prefix(label)
+        for number in (0, 1, 255, 256, 2 ** 63, MAX_KEY_INT):
+            key = prefix + pack_key_int(number)
+            assert key == encode_key(label, number)
+            assert int.from_bytes(key[len(prefix):], "big") == number
+        assert int_key_prefix("tag", 7) + pack_key_int(9) == \
+            encode_key("tag", 7, 9)
 
     def test_unsupported_type_rejected(self):
         with pytest.raises(TypeError):
