@@ -142,6 +142,8 @@ def _cmd_query(args):
                   f"{stats.filter.pruned_by_maxgap} pruned by MaxGap")
             print(f"refinement: {stats.candidates_refined} candidates, "
                   f"{stats.candidates_accepted} accepted")
+            print(f"documents: {stats.documents_loaded} loaded, "
+                  f"{stats.documents_decoded} decoded")
             print(f"I/O: {stats.physical_reads} pages read "
                   f"({'cold' if args.cold else 'warm'}); "
                   f"elapsed {stats.elapsed_seconds * 1000:.2f} ms")

@@ -17,6 +17,7 @@ and runs the filter/refine pipeline.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import struct
 import time
@@ -37,6 +38,7 @@ from repro.storage.backend import (DEFAULT_PAGE_SIZE, DEFAULT_POOL_PAGES,
                                    recover_backend, recover_files)
 from repro.storage.bptree import BPlusTree
 from repro.storage.codec import decode_varints, encode_varints
+from repro.storage.errors import RecordCorruptionError
 from repro.storage.records import RecordStore
 from repro.trie.labeling import BulkDFSLabeler, DynamicLabeler
 from repro.trie.trie import SequenceTrie
@@ -766,7 +768,8 @@ class PrixIndex:
         reads_before = self._pool.stats.read("physical_reads")
         started = time.perf_counter()
         matches, stats = run_query(
-            pattern, variant_index, self._view_loader(variant_index),
+            pattern, variant_index,
+            self._view_loader(variant_index, stats),
             ordered=ordered, use_maxgap=use_maxgap, strategy=strategy,
             maxgap_granularity=maxgap_granularity, stats=stats,
             budget=meter)
@@ -775,12 +778,23 @@ class PrixIndex:
                                 - reads_before)
         return matches, stats
 
-    def _view_loader(self, variant_index):
+    def _view_loader(self, variant_index, stats=None):
+        """The ``doc_id -> DocView`` callable of one variant.  A view is
+        decoded once per residency of its record's first page
+        (:meth:`RecordStore.read_decoded`) and then shared, read-only;
+        ``stats`` (a ``QueryStats``) counts the loads that decoded."""
+        catalog = variant_index.catalog
+        read_decoded = self._records.read_decoded
+
         def load(doc_id):
-            rid = variant_index.catalog[doc_id]
-            blob = self._records.read(rid)
-            return _decode_document(doc_id, blob, self._labels,
-                                    variant_index.extended)
+            rid = catalog[doc_id]
+
+            def decode(blob):
+                if stats is not None:
+                    stats.documents_decoded += 1
+                return _decode_document(doc_id, rid, blob, self._labels,
+                                        variant_index.extended)
+            return read_decoded(rid, decode)
         return load
 
 
@@ -828,24 +842,35 @@ def _encode_document(seq, label_dict):
     return encode_varints(numbers)
 
 
-def _decode_document(doc_id, blob, label_dict, extended):
-    """Rebuild a :class:`DocView` from a stored document blob."""
-    numbers = decode_varints(blob)
-    n_nodes = numbers[0]
-    pos = 1
-    nps = [0] * (n_nodes + 1)
-    for i in range(1, n_nodes):
-        nps[i] = numbers[pos]
-        pos += 1
-    labels = [None] * (n_nodes + 1)
-    for i in range(1, n_nodes):
-        labels[nps[i]] = label_dict.label_of(numbers[pos])
-        pos += 1
-    leaf_count = numbers[pos]
-    pos += 1
-    for _ in range(leaf_count):
-        label_id = numbers[pos]
-        postorder = numbers[pos + 1]
-        pos += 2
-        labels[postorder] = label_dict.label_of(label_id)
-    return DocView(doc_id, nps, labels, extended)
+def _decode_document(doc_id, rid, blob, label_dict, extended):
+    """Rebuild a :class:`DocView` from a stored document blob.
+
+    A malformed blob (an unguarded index damaged at rest) raises
+    :class:`~repro.storage.errors.RecordCorruptionError`, never a bare
+    ``IndexError`` and never a view refinement could index past or loop
+    in: the counts must add up to the blob's length, label ids must be
+    known, leaf postorders lie in ``1..n_nodes`` and every parent
+    numbers above its child (postorder; parent-chain walks terminate).
+    """
+    try:
+        numbers = decode_varints(blob)
+        n_nodes = numbers[0]
+        leaf_at = 2 * n_nodes - 1
+        leaves = numbers[leaf_at + 1:]
+        well_formed = n_nodes > 0 and len(leaves) == 2 * numbers[leaf_at]
+        if well_formed:
+            label_of = label_dict._by_id
+            parents = numbers[1:n_nodes]
+            labels = [None] * (n_nodes + 1)
+            for parent, label_id in zip(parents, numbers[n_nodes:leaf_at]):
+                labels[parent] = label_of[label_id]
+            for label_id, postorder in zip(leaves[0::2], leaves[1::2]):
+                labels[postorder] = label_of[label_id]
+            # A parent or leaf numbered 0 lands in the unused slot 0.
+            well_formed = labels[0] is None and not any(
+                map(operator.le, parents, range(1, n_nodes)))
+    except (IndexError, ValueError):    # numbers out of range / truncated
+        well_formed = False
+    if not well_formed:
+        raise RecordCorruptionError(doc_id, rid)
+    return DocView(doc_id, [0] + parents + [0], labels, extended)

@@ -63,6 +63,10 @@ class QueryStats:
     candidate_documents: int = 0
     candidates_refined: int = 0
     candidates_accepted: int = 0
+    # Stored documents fetched, and how many fetches had to decode the
+    # record (the rest hit a view memoised on a resident page).
+    documents_loaded: int = 0
+    documents_decoded: int = 0
     matches: int = 0
     physical_reads: int = 0
     elapsed_seconds: float = 0.0
@@ -169,13 +173,14 @@ def run_query(pattern, variant_index, view_loader, *, ordered=False,
     pending = []
     if use_documents:
         stats.candidate_documents = len(candidate_docs)
+        wanted = frozenset(label for plan in plans for label in plan.qlps)
         for doc_id in sorted(candidate_docs):
             view = view_loader(doc_id)
             views[doc_id] = view
-            lps_seq = _document_lps(view)
+            positions_of = _label_positions(_document_lps(view), wanted)
             for plan in plans:
                 for positions in _subsequences_in_document(
-                        lps_seq, plan, maxgap_table, stats.filter,
+                        positions_of, plan, maxgap_table, stats.filter,
                         budget=budget):
                     pending.append((plan, doc_id, positions))
     else:
@@ -224,6 +229,7 @@ def run_query(pattern, variant_index, view_loader, *, ordered=False,
             degraded = error.reason
             break
 
+    stats.documents_loaded = len(views)   # each document loads once
     if degraded is not None:
         superset = sorted({doc_id for _, doc_id, _ in pending})
         result = QueryResult(
@@ -274,9 +280,20 @@ def _document_lps(view):
     return [view.labels[view.nps[i]] for i in range(1, view.n_nodes)]
 
 
-def _subsequences_in_document(lps_seq, plan, maxgap_table, filter_stats,
-                              budget=None):
-    """Enumerate subsequence occurrences of LPS(Q) inside one document.
+def _label_positions(lps_seq, wanted):
+    """``{label: [1-based LPS positions]}`` for the ``wanted`` labels
+    only -- one pass per document, shared by every arrangement's plan."""
+    positions_of = {}
+    for position, label in enumerate(lps_seq, start=1):
+        if label in wanted:
+            positions_of.setdefault(label, []).append(position)
+    return positions_of
+
+
+def _subsequences_in_document(positions_of, plan, maxgap_table,
+                              filter_stats, budget=None):
+    """Enumerate subsequence occurrences of LPS(Q) inside one document,
+    given the document's :func:`_label_positions`.
 
     Applies the same Theorem 4 gap bounds as the trie filter, so the two
     strategies inspect comparable candidate sets.
@@ -284,9 +301,6 @@ def _subsequences_in_document(lps_seq, plan, maxgap_table, filter_stats,
     from repro.prix.filtering import _maxgap_admits
     from repro.prix.plan import REL_UNPRUNABLE
 
-    positions_of = {}
-    for position, label in enumerate(lps_seq, start=1):
-        positions_of.setdefault(label, []).append(position)
     qlps = plan.qlps
     for label in qlps:
         if label not in positions_of:

@@ -29,6 +29,12 @@ class DocView:
 
     Holds the NPS, per-node sequence labels, and (lazily) the children
     adjacency needed to search subtrees for wildcard leaf images.
+
+    A view loaded from an index is **shared and read-only**: it is
+    memoised on its record's resident page, so later queries -- on any
+    thread -- get this very object.  Callers never mutate ``nps`` or
+    ``labels``; each lazy field is built from those alone and published
+    by one assignment (racing threads publish equal values).
     """
 
     def __init__(self, doc_id, nps, labels, extended):
@@ -62,7 +68,9 @@ class DocView:
             children = [[] for _ in range(self.n_nodes + 1)]
             for child in range(1, self.n_nodes):
                 children[self.nps[child]].append(child)
-            self._children = children
+            # Tuples: the view outlives the query, so leaves share the
+            # empty tuple and nobody can mutate what others read.
+            self._children = tuple(map(tuple, children))
         return self._children[number]
 
     def iter_subtree_with_depth(self, number, max_depth=None):

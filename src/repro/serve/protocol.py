@@ -226,6 +226,8 @@ def stats_payload(stats):
         "arrangements": stats.arrangements,
         "candidates_refined": stats.candidates_refined,
         "candidates_accepted": stats.candidates_accepted,
+        "documents_loaded": stats.documents_loaded,
+        "documents_decoded": stats.documents_decoded,
         "physical_reads": stats.physical_reads,
         "elapsed_ms": round(stats.elapsed_seconds * 1000.0, 3),
     }

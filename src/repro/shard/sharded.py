@@ -306,6 +306,8 @@ class ShardedIndex:
             total.candidate_documents += stats.candidate_documents
             total.candidates_refined += stats.candidates_refined
             total.candidates_accepted += stats.candidates_accepted
+            total.documents_loaded += stats.documents_loaded
+            total.documents_decoded += stats.documents_decoded
             total.matches += stats.matches
             total.physical_reads += stats.physical_reads
             per_shard.append({"shard": entry.name,

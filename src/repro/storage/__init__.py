@@ -44,9 +44,10 @@ from repro.storage.errors import (BufferPoolExhaustedError, CorruptionError,
                                   PageCorruptionError, PageOverflowError,
                                   PageRangeError, PageSizeError,
                                   PinProtocolError, ReadOnlyBackendError,
-                                  StorageError, SuperblockError,
-                                  TransientStorageError, WalCorruptionError,
-                                  WalError, WalProtocolError)
+                                  RecordCorruptionError, StorageError,
+                                  SuperblockError, TransientStorageError,
+                                  WalCorruptionError, WalError,
+                                  WalProtocolError)
 from repro.storage.faults import (ChaosBackend, ChaosConfig, ChaosSchedule,
                                   CrashPoint, FaultSchedule, FaultyFile,
                                   corruption_plan, inject_corruption)
@@ -90,6 +91,7 @@ __all__ = [
     "Pager",
     "PinProtocolError",
     "ReadOnlyBackendError",
+    "RecordCorruptionError",
     "RecordStore",
     "RecoveryResult",
     "SYNC_ALWAYS",

@@ -260,7 +260,8 @@ class BufferPool:
         frame is still fetched through :meth:`get`.
 
         A resident hit -- what every B+-tree level of every index probe
-        is, once warm -- costs one latched section: the LRU touch, with
+        and every stored-document load is, once warm -- costs one
+        latched section: the LRU touch, with
         the logical-read bump nested at its bottom (``buffer-pool ->
         io-stats``, the sanctioned order).
         """

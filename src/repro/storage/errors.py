@@ -140,6 +140,21 @@ class PageCorruptionError(CorruptionError):
         super().__init__(message)
 
 
+class RecordCorruptionError(CorruptionError):
+    """A stored document record read fine and does not decode to a
+    well-formed document -- what an *unguarded* index shows of damage
+    the checksum guard would have caught at the page.  Carries the
+    document id and the record id ``(page, offset, length)``.
+    """
+
+    def __init__(self, doc_id, rid):
+        self.doc_id = doc_id
+        self.rid = tuple(rid)
+        super().__init__(
+            f"document {doc_id}: record (page {rid[0]}, offset {rid[1]}, "
+            f"length {rid[2]}) is not a well-formed document record")
+
+
 class SuperblockError(CorruptionError, ValueError):
     """The index superblock or catalog is missing or unreadable.
 

@@ -76,16 +76,56 @@ class RecordStore:
     def read(self, rid):
         """Return the blob stored under record id ``rid``."""
         page_id, offset, length = rid
-        chunks = []
-        remaining = length
-        while remaining > 0:
-            with self._pool.pinned(page_id) as frame:
-                take = min(self._page_size - offset, remaining)
-                chunks.append(bytes(frame[offset:offset + take]))
-            remaining -= take
-            page_id += 1
-            offset = 0
+        if not length:
+            return b""
+        take = min(self._page_size - offset, length)
+        with self._pool.pinned(page_id) as frame:
+            chunks = [bytes(frame[offset:offset + take])]
+        self._continuation(page_id, length - take, chunks)
         return b"".join(chunks)
+
+    def read_decoded(self, rid, decode):
+        """Return ``decode(blob)``, decoded once per residency of the
+        record's first page.
+
+        That page goes through the pool's decoded-frame memo
+        (:meth:`BufferPool.get_decoded`), its entry being ``(frame,
+        {offset: decoded})``: a hit is one latched pool section plus a
+        dict lookup, a miss slices the blob out of the frame the entry
+        holds.  Every page is requested exactly as :meth:`read` requests
+        it, hit or miss, so page counters cannot tell the two apart.
+        The entry dies with the frame (eviction, ``mark_dirty`` by a
+        later append, ``put``, ``flush_and_clear``) and records are
+        append-only, so nothing is ever invalidated by hand.  The object
+        is shared by every caller and thread: treat it as read-only.
+        Nothing is memoised when ``decode`` raises (or returns None).
+        """
+        page_id, offset, length = rid
+        if not length:
+            return decode(b"")
+        frame, memo = self._pool.get_decoded(page_id, _page_memo)
+        decoded = memo.get(offset)
+        take = min(self._page_size - offset, length)
+        chunks = (None if decoded is not None
+                  else [bytes(frame[offset:offset + take])])
+        self._continuation(page_id, length - take, chunks)
+        if chunks is not None:
+            decoded = decode(b"".join(chunks))
+            # Latch-free by design: racing decoders publish equal
+            # objects, a memo orphaned by an eviction is garbage.
+            memo[offset] = decoded
+        return decoded
+
+    def _continuation(self, page_id, remaining, chunks):
+        """Pin and touch the pages after a record's first; append their
+        share of the blob to ``chunks`` unless it is None."""
+        while remaining > 0:
+            page_id += 1
+            take = min(self._page_size, remaining)
+            with self._pool.pinned(page_id) as frame:
+                if chunks is not None:
+                    chunks.append(bytes(frame[:take]))
+            remaining -= take
 
     def pages_for(self, rid):
         """Number of pages the record touches."""
@@ -96,3 +136,8 @@ class RecordStore:
         if length <= first:
             return 1
         return 1 + -(-(length - first) // self._page_size)
+
+
+def _page_memo(page_id, frame):
+    """Decoder for a record page: the frame plus its (empty) memo."""
+    return frame, {}

@@ -18,6 +18,7 @@ from repro.analysis import sanitizer
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.errors import PinProtocolError
 from repro.storage.pager import Pager
+from repro.storage.records import RecordStore
 
 
 @pytest.fixture(autouse=True)
@@ -373,7 +374,11 @@ class TestEvilBufferPoolRuntime:
         (lambda pool, pid: pool.get(pid), "_frames"),
         (lambda pool, pid: pool.get_decoded(
             pid, lambda page_id, frame: bytes(frame)), "_decoded"),
-    ], ids=["get", "get_decoded"])
+        # A document load is a get_decoded on the record's first page:
+        # the record store inherits the pool's protocol, racy or not.
+        (lambda pool, pid: RecordStore(pool).read_decoded(
+            (pid, 0, 8), bytes), "_decoded"),
+    ], ids=["get", "get_decoded", "read_decoded"])
     def test_latch_bypassing_hit_trips_when_shared(self, sanitized, read,
                                                    field):
         from eviltwin_pool import EvilBufferPool

@@ -61,6 +61,21 @@ class TestHandleMethods:
             assert stats.matches == len(expected)
             assert len(stats.per_shard) == stats.shards
 
+    def test_stats_tell_cold_views_from_warm_ones(self, index_handle,
+                                                  corpus):
+        with open_index(index_handle) as index:
+            _, cold = index.query_with_stats(PATTERN)
+            _, warm = index.query_with_stats(PATTERN)
+            _, idle = index.query_with_stats("//nowhere/b")
+            _, flushed = index.query_with_stats(PATTERN, cold=True)
+        # Every document holds the pattern; a first load decodes, a
+        # repeat finds the view on its resident page, a flush drops it.
+        assert cold.documents_loaded == cold.documents_decoded == len(corpus)
+        assert (warm.documents_loaded, warm.documents_decoded) == (
+            len(corpus), 0)
+        assert (idle.documents_loaded, idle.documents_decoded) == (0, 0)
+        assert flushed.documents_decoded == len(corpus)
+
     def test_backend_kwarg_reaches_every_file(self, index_handle, expected):
         with open_index(index_handle, backend="mmap",
                         pool_pages=64) as index:
@@ -123,6 +138,8 @@ class TestThroughTheCli:
         docs = len({doc_id for doc_id, _ in expected})
         assert f"{len(expected)} match(es) in {docs} document(s)" in out
         assert "pages read" in out
+        assert (f"documents: {len(corpus)} loaded, {len(corpus)} decoded"
+                in out)
         assert main(["stats", index_handle]) == 0
         assert f"documents: {len(corpus)}" in capsys.readouterr().out
         assert main(["stats", index_handle, "--json"]) == 0

@@ -37,8 +37,10 @@ class TestDocView:
 
     def test_children(self, fig2_doc):
         view = view_of(fig2_doc)
-        assert view.children_of(13) == [10, 11, 12]
-        assert view.children_of(15) == [1, 7, 9, 14]
+        # Tuples: a view is shared between queries and threads.
+        assert view.children_of(13) == (10, 11, 12)
+        assert view.children_of(15) == (1, 7, 9, 14)
+        assert view.children_of(1) == ()
 
     def test_subtree_iteration(self, fig2_doc):
         view = view_of(fig2_doc)

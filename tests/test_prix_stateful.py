@@ -1,5 +1,13 @@
 """Stateful property test: an index maintained by inserts and deletes is
-always equivalent to one built from scratch over the same documents."""
+always equivalent to one built from scratch over the same documents.
+
+The probe queries run after *every* step against the same live index,
+so each step -- a delete, a re-insert of the same tree under a fresh id,
+a ``save()`` that appends the catalog to the record pages -- happens
+with the decoded document views of the previous probes still memoised
+on their resident pages.  A view that went stale across a mutation
+shows up as a disagreement with ``baselines.naive``.
+"""
 
 import random
 
@@ -9,6 +17,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
 
 from helpers import make_random_tree
+from repro.baselines.naive import naive_matches
 from repro.prix.incremental import RebuildRequiredError
 from repro.prix.index import IndexOptions, PrixIndex
 from repro.query.xpath import parse_xpath
@@ -65,6 +74,28 @@ class IndexMaintenanceMachine(RuleBasedStateMachine):
         self.index.delete_document(doc_id)
         del self.documents[doc_id]
 
+    @precondition(lambda self: len(self.documents) > 1)
+    @rule()
+    def reinsert_under_fresh_id(self):
+        """The same tree comes back as a new document: its old record
+        (and any memoised view of it) must not answer for the new id."""
+        doc_id = self.rng.choice(sorted(self.documents))
+        self.index.delete_document(doc_id)
+        root = self.documents.pop(doc_id).root
+        document = Document(root, doc_id=self.next_id)
+        self.next_id += 1
+        self.documents[document.doc_id] = document
+        try:
+            self.index.insert_document(document)
+        except RebuildRequiredError:
+            self.index = self.index.rebuilt(DYNAMIC)
+
+    @rule()
+    def save(self):
+        """Appends the catalog blob to the current record page and
+        rewrites the superblock, under warm views."""
+        self.index.save()
+
     @rule()
     def rebuild(self):
         if self.documents:
@@ -76,7 +107,12 @@ class IndexMaintenanceMachine(RuleBasedStateMachine):
             return
         fresh = PrixIndex.build(list(self.documents.values()), DYNAMIC)
         for pattern in PROBE_QUERIES:
-            assert answers(self.index, pattern) == answers(fresh, pattern)
+            live = answers(self.index, pattern)
+            assert live == answers(fresh, pattern)
+            assert live == {(document.doc_id, embedding)
+                            for document in self.documents.values()
+                            for embedding in naive_matches(document,
+                                                           pattern)}
 
 
 IndexMaintenanceMachine.TestCase.settings = settings(

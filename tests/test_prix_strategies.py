@@ -14,7 +14,8 @@ import pytest
 from helpers import make_random_tree, make_random_twig
 from repro.baselines.naive import naive_matches
 from repro.prix.index import PrixIndex
-from repro.prix.matcher import _document_lps, _subsequences_in_document
+from repro.prix.matcher import (_document_lps, _label_positions,
+                                _subsequences_in_document)
 from repro.prix.plan import build_plan
 from repro.prix.filtering import FilterStats
 from repro.query.twig import collapse
@@ -109,7 +110,10 @@ class TestDocumentEnumerator:
         from repro.datasets import figure2_query
         plan = build_plan(collapse(figure2_query()), extended=False)
         stats = FilterStats()
-        found = list(_subsequences_in_document(lps_seq, plan, None, stats))
+        positions_of = _label_positions(lps_seq, frozenset(plan.qlps))
+        assert sorted(positions_of) == sorted(set(plan.qlps))
+        found = list(_subsequences_in_document(positions_of, plan, None,
+                                               stats))
         assert (3, 7, 11, 13, 14) in found
         for positions in found:
             assert all(lps_seq[p - 1] == label
@@ -121,6 +125,7 @@ class TestDocumentEnumerator:
         lps_seq = _document_lps(view)
         plan = build_plan(collapse(parse_xpath("//ZZZ/A")), extended=False)
         stats = FilterStats()
-        assert list(_subsequences_in_document(lps_seq, plan, None,
+        positions_of = _label_positions(lps_seq, frozenset(plan.qlps))
+        assert list(_subsequences_in_document(positions_of, plan, None,
                                               stats)) == []
         assert stats.nodes_visited == 0

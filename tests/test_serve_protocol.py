@@ -25,6 +25,7 @@ from repro.serve.protocol import (ERROR_KINDS, ProtocolError, QueryRequest,
                                   result_payload)
 from repro.shard import ShardCatalogError, ShardError
 from repro.storage.errors import (PageCorruptionError, ReadOnlyBackendError,
+                                  RecordCorruptionError,
                                   TransientStorageError, WalCorruptionError)
 
 
@@ -150,6 +151,9 @@ def test_timeout_maps_to_408_with_retry_after():
     # on the wire -- retryable by status, but never silently absorbed.
     (TransientStorageError("injected read-error"), "internal", EXIT_ERROR),
     (RuntimeError("surprise"), "internal", EXIT_ERROR),
+    # A stored document that reads fine and does not decode (last, so
+    # the generated ids of the rows above stay what they were).
+    (RecordCorruptionError(7, (3, 0, 9)), "corruption", EXIT_CORRUPTION),
 ])
 def test_library_exceptions_map_to_one_kind_on_both_surfaces(
         error, code, exit_code, monkeypatch, capsys):
@@ -225,6 +229,8 @@ class _FakeStats:
     arrangements = 2
     candidates_refined = 5
     candidates_accepted = 3
+    documents_loaded = 4
+    documents_decoded = 1
     physical_reads = 7
     elapsed_seconds = 0.004
 
@@ -260,6 +266,8 @@ def test_exact_result_payload_lists_matches():
     assert body["matches"] == [{"doc": 1, "images": [[0, 5], [1, 2]]},
                                {"doc": 4, "images": [[0, 9], [1, 7]]}]
     assert body["stats"]["physical_reads"] == 7
+    assert body["stats"]["documents_loaded"] == 4
+    assert body["stats"]["documents_decoded"] == 1
     assert body["stats"]["elapsed_ms"] == 4.0
 
 

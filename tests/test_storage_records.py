@@ -87,6 +87,159 @@ class TestSpanning:
             assert store.pages_for(rid) == 1
 
 
+class Decoder:
+    """``decode`` callable that counts its calls; every call returns a
+    fresh object, so identity tells a memo hit from a re-decode."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, blob):
+        self.calls += 1
+        return [bytes(blob)]
+
+
+class TestReadDecoded:
+    def test_hit_returns_the_identical_object(self):
+        with open_store() as (store, pool):
+            first = store.append(b"alpha")
+            second = store.append(b"beta")     # same page, other offset
+            assert first[0] == second[0]
+            decode = Decoder()
+            view = store.read_decoded(first, decode)
+            assert view == [b"alpha"]
+            assert store.read_decoded(first, decode) is view
+            assert store.read_decoded(second, decode) == [b"beta"]
+            assert store.read_decoded(first, decode) is view
+            assert decode.calls == 2
+
+    def test_one_logical_read_per_load_hit_or_miss(self):
+        with open_store() as (store, pool):
+            rid = store.append(b"alpha")
+            decode = Decoder()
+            for _ in range(3):      # miss, hit, hit
+                before = pool.stats.logical_reads
+                store.read_decoded(rid, decode)
+                assert pool.stats.logical_reads - before == 1
+            before = pool.stats.logical_reads
+            store.read(rid)
+            assert pool.stats.logical_reads - before == 1
+
+    def test_eviction_forces_a_redecode(self):
+        with BufferPool(Pager.in_memory(page_size=128),
+                        capacity=2) as pool:
+            store = RecordStore(pool)
+            rid = store.append(b"alpha")
+            decode = Decoder()
+            view = store.read_decoded(rid, decode)
+            for _ in range(2):      # push the record's page out
+                pool.new_page()
+            before = pool.stats.physical_reads
+            again = store.read_decoded(rid, decode)
+            assert pool.stats.physical_reads - before == 1
+            assert again == view and again is not view
+            assert decode.calls == 2
+
+    def test_a_later_append_to_the_page_forces_a_redecode(self):
+        with open_store() as (store, pool):
+            rid = store.append(b"alpha")
+            decode = Decoder()
+            view = store.read_decoded(rid, decode)
+            assert store.append(b"beta")[0] == rid[0]   # mark_dirty
+            again = store.read_decoded(rid, decode)
+            assert again == view and again is not view
+
+    def test_put_forces_a_redecode(self):
+        with open_store() as (store, pool):
+            rid = store.append(b"alpha")
+            decode = Decoder()
+            store.read_decoded(rid, decode)
+            image = bytearray(pool.get(rid[0]))
+            image[rid[1]:rid[1] + 5] = b"omega"
+            pool.put(rid[0], image)
+            assert store.read_decoded(rid, decode) == [b"omega"]
+
+    def test_flush_and_clear_forces_a_redecode(self):
+        with open_store() as (store, pool):
+            rid = store.append(b"alpha")
+            decode = Decoder()
+            view = store.read_decoded(rid, decode)
+            pool.flush_and_clear()
+            again = store.read_decoded(rid, decode)
+            assert again == view and again is not view
+            assert decode.calls == 2
+
+    def test_spanning_record_touches_every_page_on_a_hit(self):
+        from repro.analysis.sanitizer import sanitized
+        with sanitized(), open_store(page_size=128) as (store, pool):
+            store.append(b"pad" * 10)
+            blob = bytes(range(256)) + b"tail" * 30
+            rid = store.append(blob)
+            pages = store.pages_for(rid)
+            assert pages == 3
+            decode = Decoder()
+            deltas = []
+            for _ in range(3):      # miss, hit, hit
+                before = pool.stats.logical_reads
+                view = store.read_decoded(rid, decode)
+                deltas.append(pool.stats.logical_reads - before)
+                assert view == [blob]
+                assert not pool.pinned_pages
+            assert deltas == [pages] * 3
+            assert decode.calls == 1
+            before = pool.stats.logical_reads
+            assert store.read(rid) == blob
+            assert pool.stats.logical_reads - before == pages
+
+    def test_spanning_hit_reloads_an_evicted_continuation_page(self):
+        with BufferPool(Pager.in_memory(page_size=128),
+                        capacity=4) as pool:
+            store = RecordStore(pool)
+            rid = store.append(b"x" * 300)          # pages p, p+1, p+2
+            decode = Decoder()
+            view = store.read_decoded(rid, decode)
+            pool.get(rid[0])                        # first page is MRU
+            for _ in range(3):                      # evicts p+1 and p+2
+                pool.new_page()
+            before = pool.stats.physical_reads
+            assert store.read_decoded(rid, decode) is view
+            assert pool.stats.physical_reads - before == 2
+
+    def test_failed_decode_is_not_memoised(self):
+        with open_store() as (store, pool):
+            bad = store.append(b"bad")
+            good = store.append(b"good")
+            attempts = []
+
+            def decode(blob):
+                attempts.append(bytes(blob))
+                if blob == b"bad":
+                    raise ValueError("malformed")
+                return [bytes(blob)]
+
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    store.read_decoded(bad, decode)
+            assert attempts == [b"bad", b"bad"]
+            # ... and the healthy neighbour on the same page still loads.
+            view = store.read_decoded(good, decode)
+            assert view == [b"good"]
+            assert store.read_decoded(good, decode) is view
+
+    def test_empty_record_touches_no_page(self):
+        with open_store() as (store, pool):
+            store.append(b"abc")
+            empty = store.append(b"")
+            after = store.append(b"def")
+            assert empty[1] == after[1]     # same offset, zero length
+            decode = Decoder()
+            assert store.read_decoded(after, decode) == [b"def"]
+            before = pool.stats.logical_reads
+            assert store.read_decoded(empty, decode) == [b""]
+            assert store.read(empty) == b""
+            assert pool.stats.logical_reads == before
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.binary(max_size=400), max_size=30))
 def test_record_store_roundtrip_property(blobs):
@@ -94,3 +247,6 @@ def test_record_store_roundtrip_property(blobs):
         rids = [store.append(blob) for blob in blobs]
         for rid, blob in zip(rids, blobs):
             assert store.read(rid) == blob
+        for _ in range(2):          # decoded reads: miss, then hit
+            for rid, blob in zip(rids, blobs):
+                assert store.read_decoded(rid, bytes) == blob

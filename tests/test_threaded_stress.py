@@ -33,6 +33,7 @@ Environment knobs (the CI matrix sets these):
 
 import json
 import os
+import sys
 import threading
 
 import pytest
@@ -45,7 +46,13 @@ SEEDS = [int(s) for s in
          os.environ.get("PRIX_STRESS_SEEDS", "11,23,47").split(",")]
 THREAD_COUNTS = [int(t) for t in
                  os.environ.get("PRIX_STRESS_THREADS", "2,8").split(",")]
-QUERIES = [(spec.qid, spec.xpath) for spec in queries_for("dblp")]
+QUERIES = [(spec.qid, spec.xpath, None) for spec in queries_for("dblp")]
+#: Two queries over the *same* documents that make every thread build
+#: the lazily published fields of the shared, memoised ``DocView``\ s: a
+#: wildcard leaf below a descendant edge walks ``children_of``, and any
+#: EPIndex answer maps its images through ``original_number``.
+SHARED_VIEW_QUERIES = [("star-leaf", "//inproceedings//*", "rp"),
+                       ("extended", "//inproceedings/author", "ep")]
 
 #: Far above the working set of an 80-record corpus: the oracle demands
 #: zero evictions, so the pool must never face eviction pressure.
@@ -66,11 +73,11 @@ def build_corpus_index(tmp_path, seed):
     return path
 
 
-def run_query_list(index):
+def run_query_list(index, queries=QUERIES):
     """Run every query; return {qid: (repr(matches), match_count)}."""
     results = {}
-    for qid, xpath in QUERIES:
-        matches, _stats = index.query_with_stats(xpath)
+    for qid, xpath, variant in queries:
+        matches, _stats = index.query_with_stats(xpath, variant=variant)
         results[qid] = (repr(matches), len(matches))
     return results
 
@@ -86,11 +93,11 @@ def io_totals(index, base=None):
             "evictions": snap.evictions}
 
 
-def reference_pass(path):
+def reference_pass(path, queries=QUERIES):
     """Single-threaded cold-open run: the ground truth."""
     with PrixIndex.open(path, pool_pages=POOL_PAGES) as index:
         base = index.io_stats.snapshot()
-        results = run_query_list(index)
+        results = run_query_list(index, queries)
         totals = io_totals(index, base)
     return results, totals
 
@@ -106,8 +113,33 @@ def dump_artifact(payload):
 @pytest.mark.parametrize("threads", THREAD_COUNTS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_threaded_queries_are_exactly_conserved(tmp_path, seed, threads):
+    assert_exactly_conserved(tmp_path, seed, threads, QUERIES)
+
+
+@pytest.mark.parametrize("threads", THREAD_COUNTS)
+def test_threads_share_decoded_views(tmp_path, threads):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)     # interleave inside the lazy builds
+    try:
+        index_path = assert_exactly_conserved(tmp_path, SEEDS[0], threads,
+                                              SHARED_VIEW_QUERIES)
+    finally:
+        sys.setswitchinterval(interval)
+    # The oracle above is only about shared views if the lazy fields
+    # really were built on views that outlive one query.
+    with PrixIndex.open(index_path, pool_pages=POOL_PAGES) as index:
+        run_query_list(index, SHARED_VIEW_QUERIES)
+        plain, extended = ([index._view_loader(index._variants[name])(doc)
+                            for doc in index._doc_ids]
+                           for name in ("rp", "ep"))
+        assert any(view._children is not None for view in plain)
+        assert any(view._orig_numbers is not None for view in extended)
+
+
+def assert_exactly_conserved(tmp_path, seed, threads, queries):
+    """The oracle of the module docstring; returns the index path."""
     path = build_corpus_index(tmp_path, seed)
-    reference, ref_totals = reference_pass(path)
+    reference, ref_totals = reference_pass(path, queries)
     assert ref_totals["evictions"] == 0
     assert ref_totals["physical_reads"] > 0  # the oracle is non-trivial
 
@@ -119,7 +151,7 @@ def test_threaded_queries_are_exactly_conserved(tmp_path, seed, threads):
         def worker(slot):
             try:
                 barrier.wait()
-                outcomes[slot] = ("ok", run_query_list(index))
+                outcomes[slot] = ("ok", run_query_list(index, queries))
             except Exception as error:  # noqa: BLE001 - relayed below
                 outcomes[slot] = ("err", repr(error))
 
@@ -153,6 +185,7 @@ def test_threaded_queries_are_exactly_conserved(tmp_path, seed, threads):
     if totals != expected:
         dump_artifact(evidence)
     assert totals == expected
+    return path
 
 
 def test_sanity_reference_is_deterministic(tmp_path):
