@@ -1,63 +1,24 @@
-"""prixarch: architecture analysis -- layering, effects, conformance.
+"""prixarch: the ``layering`` rule and the manifest it enforces.
 
-The third static-analysis tier (after the per-file ``prixlint`` AST
-rules and the flow-sensitive ``prixflow``/``prixrace`` rules).  It is
-whole-project: a :class:`ProjectModel` indexes every analyzed file's
-imports, functions and classes; effect inference runs a transitive
-fixpoint over the resolvable call graph; and three rules check the
-result (``docs/ARCHITECTURE.md``):
-
-``layering``
-    Imports must respect the ``.prixarch.toml`` layer map -- the
-    logical index layers reach storage only through the storage-api
-    seam, with BFS-shortest witness chains on violations.
-``effect-contract``
-    ``# prixeffect: declares=`` def-line contracts are upper bounds on
-    the function's inferred effect set.
-``backend-conformance``
-    ``# priximpl: StorageBackend`` classes structurally satisfy the
-    Protocol: methods, signatures, effect bounds, typed errors.
+The one whole-project prixlint rule: imports must respect the
+``.prixarch.toml`` layer map -- the logical index layers reach storage
+only through the storage-api seam -- with BFS-shortest witness chains
+on violations (``docs/ARCHITECTURE.md``).
 """
 
-from repro.analysis.arch.conformance import (ALLOWED_BUILTIN_RAISES,
-                                             check_implementation,
-                                             find_protocol)
-from repro.analysis.arch.effects import (EFFECTS, ProjectModel,
-                                         parse_effect_decl, parse_impl_mark)
-from repro.analysis.arch.imports import (build_import_graph, collect_imports,
-                                         layering_violations,
-                                         module_name_for)
-from repro.analysis.arch.manifest import (MANIFEST_NAME, Manifest,
-                                          ManifestError, find_manifest,
-                                          load_manifest, parse_manifest)
-from repro.analysis.arch.rules import (ARCH_RULES, ARCH_RULE_NAMES,
-                                       ArchRule, BackendConformanceRule,
-                                       EffectContractRule, LayeringRule,
-                                       arch_check)
+from repro.analysis.arch.imports import module_name_for
+from repro.analysis.arch.manifest import (Manifest, ManifestError,
+                                          find_manifest, load_manifest,
+                                          parse_manifest)
+from repro.analysis.arch.rules import LayeringRule, check_layering
 
 __all__ = [
-    "ALLOWED_BUILTIN_RAISES",
-    "ARCH_RULES",
-    "ARCH_RULE_NAMES",
-    "ArchRule",
-    "BackendConformanceRule",
-    "EFFECTS",
-    "EffectContractRule",
     "LayeringRule",
-    "MANIFEST_NAME",
     "Manifest",
     "ManifestError",
-    "ProjectModel",
-    "arch_check",
-    "build_import_graph",
-    "check_implementation",
-    "collect_imports",
+    "check_layering",
     "find_manifest",
-    "find_protocol",
-    "layering_violations",
     "load_manifest",
     "module_name_for",
-    "parse_effect_decl",
-    "parse_impl_mark",
     "parse_manifest",
 ]

@@ -1,45 +1,24 @@
-"""The three prixarch rules and the whole-project driver.
+"""The ``layering`` rule: the one whole-project prixlint rule.
 
-Unlike the per-file prixlint/prixflow rules, these rules need every
-analyzed file at once: the import graph, the transitive effect
-fixpoint and MRO-based conformance all span modules.  They subclass
-:class:`~repro.analysis.core.Rule` so they share the registry, the
-``--rules`` selector, baselines and suppression comments, but they run
-through :func:`arch_check` in the parent process after the per-file
-pass (never inside a ``--jobs`` worker).
+Unlike the per-file AST rules it needs every analyzed file at once (the
+import graph spans modules), so the runner hands all parsed sources to
+:func:`check_layering` after the per-file pass.  :class:`LayeringRule`
+subclasses :class:`~repro.analysis.core.Rule` only to share the
+registry, the ``--rules`` selector, ``--explain``, baselines and
+suppression comments.
 """
 
 from __future__ import annotations
 
-from repro.analysis.arch.conformance import check_implementation
-from repro.analysis.arch.effects import EFFECTS, ProjectModel
-from repro.analysis.arch.imports import (build_import_graph,
-                                         layering_violations)
+from pathlib import PurePath
+
+from repro.analysis.arch.imports import (build_import_graph, collect_imports,
+                                         layering_violations,
+                                         module_name_for)
 from repro.analysis.core import Finding, Rule
 
 
-class ArchRule(Rule):
-    """Base for project-scoped rules; drives them via check_project."""
-
-    #: Marks the rule as whole-project: the runner routes it to
-    #: :func:`arch_check` instead of the per-file visitor pass.
-    project = True
-
-    def applies_to(self, source):
-        return False        # never run per-file
-
-    def check_project(self, project, manifest):
-        raise NotImplementedError
-
-    def project_report(self, project, module, lineno, col, message):
-        """Finding anchored in ``module`` at ``lineno``."""
-        source = project.modules[module].source
-        self.findings.append(Finding(
-            rule=self.name, path=source.path, line=lineno, col=col,
-            message=message, snippet=source.snippet(lineno)))
-
-
-class LayeringRule(ArchRule):
+class LayeringRule(Rule):
     """Enforce the ``.prixarch.toml`` layer map over the import graph.
 
     A module in a layer may import its own layer and the layers listed
@@ -55,123 +34,37 @@ class LayeringRule(ArchRule):
     description = ("imports must respect the .prixarch.toml layer map "
                    "(logical code reaches storage only via storage-api)")
 
-    def check_project(self, project, manifest):
-        self.findings = []
-        if manifest is None:
-            return self.findings
-        graph = build_import_graph(
-            {name: info.imports for name, info in project.modules.items()})
-        for module, chain, edge in layering_violations(graph, manifest):
-            layer = manifest.layer_of(module)
-            target = chain[-1]
-            target_layer = manifest.layer_of(target)
-            allowed = manifest.allowed_for(layer)
-            allowed_text = (", ".join(sorted(allowed))
-                            if allowed else "nothing")
-            witness = " -> ".join(chain)
-            self.project_report(
-                project, module, edge.lineno, edge.col,
-                f"layer '{layer}' module reaches layer '{target_layer}' "
-                f"({witness}); '{layer}' may only import: {allowed_text}")
-        return self.findings
+    def applies_to(self, source):
+        return False        # whole-project: see check_layering
 
 
-class EffectContractRule(ArchRule):
-    """Check ``# prixeffect: declares=`` contracts against inference.
+def check_layering(sources, manifest):
+    """Layering findings over parsed ``sources`` under ``manifest``.
 
-    The declaration is an *upper bound*: every inferred effect of the
-    function must be declared, while declaring an effect the inference
-    cannot see is legal (interfaces promise capabilities, substrates
-    may use fewer).  Unknown effect names are rejected so the
-    vocabulary stays closed.  Effects: raw-io, pager-io, wal-io,
-    latch-acquire, stats-mutate, alloc-page (docs/ARCHITECTURE.md).
+    Same suppression semantics as the per-file pass: an inline
+    ``# prixlint: disable=layering`` on the anchored import line (or a
+    file-level directive) silences the finding.
     """
-
-    name = "effect-contract"
-    description = ("inferred effects must be covered by the function's "
-                   "# prixeffect: declares= contract")
-
-    def check_project(self, project, manifest):
-        self.findings = []
-        for qualname in sorted(project.functions):
-            info = project.functions[qualname]
-            if info.declared is None:
-                continue
-            unknown = info.declared - EFFECTS
-            if unknown:
-                self.project_report(
-                    project, info.module, info.lineno,
-                    info.node.col_offset,
-                    f"{qualname} declares unknown effect(s) "
-                    f"{', '.join(sorted(unknown))}; the vocabulary is "
-                    f"{', '.join(sorted(EFFECTS))}")
-            undeclared = info.effects - info.declared
-            if undeclared:
-                self.project_report(
-                    project, info.module, info.lineno,
-                    info.node.col_offset,
-                    f"{qualname} has inferred effect(s) "
-                    f"{', '.join(sorted(undeclared))} not covered by its "
-                    f"declares= contract "
-                    f"({','.join(sorted(info.declared)) or 'pure'})")
-        return self.findings
-
-
-class BackendConformanceRule(ArchRule):
-    """Check ``# priximpl:`` classes against their Protocol.
-
-    Presence, signatures, effect bounds and the typed-exception
-    vocabulary -- see :mod:`repro.analysis.arch.conformance`.  A class
-    that inherits its obligations (e.g. through BufferPool) is checked
-    through the project MRO, and a shared defining body yields one
-    finding, not one per implementation.
-    """
-
-    name = "backend-conformance"
-    description = ("# priximpl: classes must structurally satisfy their "
-                   "Protocol: methods, signatures, effects, typed errors")
-
-    def check_project(self, project, manifest):
-        self.findings = []
-        seen = set()
-        for module_name in sorted(project.modules):
-            module = project.modules[module_name]
-            for class_name in sorted(module.classes):
-                cls = module.classes[class_name]
-                if cls.implements is None:
-                    continue
-                for issue in check_implementation(project, cls):
-                    key = (issue.module, issue.lineno, issue.message)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    self.project_report(project, issue.module,
-                                        issue.lineno, 0, issue.message)
-        return self.findings
-
-
-#: The prixarch tier, in reporting order.
-ARCH_RULES = (LayeringRule, EffectContractRule, BackendConformanceRule)
-
-#: Rule names, seeded as zero counts into JSON reports.
-ARCH_RULE_NAMES = tuple(rule.name for rule in ARCH_RULES)
-
-
-def arch_check(sources, manifest, rule_classes=ARCH_RULES):
-    """Run the project-scoped rules over parsed sources.
-
-    Returns sorted findings with the same suppression semantics as the
-    per-file pass: an inline ``# prixlint: disable=<rule>`` on the
-    anchored line (or a file-level directive) silences the finding.
-    """
-    project = ProjectModel(sources)
-    by_path = {source.path: source for source in sources}
+    if manifest is None:
+        return []
+    by_module = {module_name_for(source.path): source for source in sources}
+    graph = build_import_graph({
+        name: collect_imports(
+            source.tree, name,
+            is_package=PurePath(source.path).name == "__init__.py")
+        for name, source in by_module.items()})
     findings = []
-    for rule_class in rule_classes:
-        rule = rule_class()
-        for finding in rule.check_project(project, manifest):
-            source = by_path.get(finding.path)
-            if source is not None and source.is_suppressed(finding):
-                continue
+    for module, chain, edge in layering_violations(graph, manifest):
+        layer = manifest.layer_of(module)
+        allowed = manifest.allowed_for(layer)
+        source = by_module[module]
+        finding = Finding(
+            rule=LayeringRule.name, path=source.path, line=edge.lineno,
+            col=edge.col, snippet=source.snippet(edge.lineno),
+            message=(f"layer '{layer}' module reaches layer "
+                     f"'{manifest.layer_of(chain[-1])}' "
+                     f"({' -> '.join(chain)}); '{layer}' may only import: "
+                     f"{', '.join(sorted(allowed)) or 'nothing'}"))
+        if not source.is_suppressed(finding):
             findings.append(finding)
     return sorted(findings, key=lambda finding: finding.sort_key)

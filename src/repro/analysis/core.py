@@ -25,9 +25,9 @@ import re
 from dataclasses import dataclass
 from pathlib import PurePath
 
-#: Matches ``# prixlint: disable=rule-a,rule-b`` on a single line.
+#: A per-line directive: one or more comma-separated rule names.
 _LINE_SUPPRESS = re.compile(r"#\s*prixlint:\s*disable=([A-Za-z0-9_,\- ]+)")
-#: Matches ``# prixlint: disable-file=rule-a`` anywhere in the file.
+#: A whole-file directive, matched anywhere in the file.
 _FILE_SUPPRESS = re.compile(r"#\s*prixlint:\s*disable-file=([A-Za-z0-9_,\- ]+)")
 
 

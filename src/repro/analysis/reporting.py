@@ -5,9 +5,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from repro.analysis.arch.rules import ARCH_RULE_NAMES
-from repro.analysis.flow import PRIXRACE_RULES
-
 
 def render_text(result, show_grandfathered=False):
     """Human-readable report, one line per finding plus a summary."""
@@ -33,20 +30,19 @@ def render_text(result, show_grandfathered=False):
     return "\n".join(lines) + "\n"
 
 
-def render_json(result):
+def render_json(result, rule_names=()):
     """Machine-readable report mirroring the text reporter's content.
 
     ``rule_counts`` tallies every rule that fired (new and
     grandfathered findings both count -- the number answers "how much
-    of this pattern exists", not "how much is new").  The prixrace and
-    prixarch rules are always present, zero included, so the CI lint
-    artifact shows the concurrency and architecture checks ran even on
-    a clean tree.
+    of this pattern exists", not "how much is new").  Every rule in
+    ``rule_names`` -- the rules the run applied -- is present, zero
+    included, so the CI lint artifact shows each check ran even on a
+    clean tree.
     """
-    counts = Counter(f.rule for f in result.findings)
+    counts = Counter(dict.fromkeys(rule_names, 0))
+    counts.update(f.rule for f in result.findings)
     counts.update(f.rule for f in result.grandfathered)
-    for rule in PRIXRACE_RULES + ARCH_RULE_NAMES:
-        counts.setdefault(rule, 0)
     document = {
         "files_checked": result.files_checked,
         "findings": [finding.as_dict() for finding in result.findings],

@@ -9,19 +9,15 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
-import multiprocessing
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.arch import (ARCH_RULES, ManifestError, ProjectModel,
-                                 arch_check, find_manifest, load_manifest)
+from repro.analysis.arch import (LayeringRule, ManifestError, check_layering,
+                                 find_manifest, load_manifest)
 from repro.analysis.baseline import (BaselineError, apply_baseline,
                                      load_baseline, write_baseline)
 from repro.analysis.core import SourceFile, check_source
-from repro.analysis.flow import FLOW_RULES
 from repro.analysis.reporting import render_json, render_text
 from repro.analysis.rules_determinism import SeededRngRule
 from repro.analysis.rules_hygiene import (NoBareExceptRule,
@@ -29,9 +25,8 @@ from repro.analysis.rules_hygiene import (NoBareExceptRule,
 from repro.analysis.rules_io import NoRawIoRule, ResourceSafetyRule
 from repro.analysis.rules_stats import StatsIntDisciplineRule
 
-#: Every shipped rule, in reporting order: the AST rules first, the
-#: flow-sensitive prixflow rules, then the project-scoped prixarch
-#: rules.
+#: Every shipped rule, in reporting order: the six per-file AST rules,
+#: then the whole-project ``layering`` rule.
 ALL_RULES = (
     NoRawIoRule,
     SeededRngRule,
@@ -39,7 +34,8 @@ ALL_RULES = (
     ResourceSafetyRule,
     NoMutableDefaultArgRule,
     NoBareExceptRule,
-) + FLOW_RULES + ARCH_RULES
+    LayeringRule,
+)
 
 #: Directory names never descended into during discovery.
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
@@ -91,22 +87,6 @@ def _display_path(path):
         return path.as_posix()
 
 
-def default_jobs():
-    """Default worker count for the per-file pass."""
-    return min(8, os.cpu_count() or 1)
-
-
-def _lint_worker(task):
-    """Lint one file in a worker process (per-file rules only)."""
-    display, raw_path, rules = task
-    try:
-        text = Path(raw_path).read_text(encoding="utf-8")
-        source = SourceFile(display, text)
-    except (OSError, SyntaxError, UnicodeDecodeError, ValueError) as err:
-        return display, None, str(err)
-    return display, check_source(source, rules), None
-
-
 def _load_manifest_for(paths, result):
     """Locate and parse ``.prixarch.toml`` for the linted tree, if any."""
     roots = [str(raw) for raw in paths if Path(raw).exists()]
@@ -120,21 +100,16 @@ def _load_manifest_for(paths, result):
         return None
 
 
-def lint_paths(paths, rules=None, baseline=None, jobs=None):
+def lint_paths(paths, rules=None, baseline=None):
     """Lint files/directories and return a :class:`LintResult`.
 
     ``baseline`` is a key multiset from
     :func:`repro.analysis.baseline.load_baseline`; matching findings are
-    reported separately and do not affect the exit code.  ``jobs``
-    fans the per-file pass out over a process pool (default
-    ``min(8, cpu_count)``); output is deterministic regardless of the
-    worker count, and the project-scoped prixarch rules always run in
-    the parent process because they need every file at once.
+    reported separately and do not affect the exit code.  Every file is
+    parsed once; the per-file rules visit it, then ``layering`` runs
+    over all parsed files at once.
     """
     rules = ALL_RULES if rules is None else tuple(rules)
-    file_rules = tuple(r for r in rules if not getattr(r, "project", False))
-    arch_rules = tuple(r for r in rules if getattr(r, "project", False))
-    jobs = default_jobs() if jobs is None else max(1, int(jobs))
     result = LintResult()
     findings = []
     sources = []
@@ -142,47 +117,20 @@ def lint_paths(paths, rules=None, baseline=None, jobs=None):
         # A typo'd path must not produce a green "0 findings in 0 files".
         if not Path(raw).exists():
             result.errors.append((str(raw), "path does not exist"))
-    files = [(_display_path(path), str(path))
-             for path in iter_python_files(paths)]
-    if jobs > 1 and len(files) > 1:
-        # The per-file pass parallelizes embarrassingly; map() keeps
-        # input order, so reports are identical to a serial run.  The
-        # arch pass re-parses in the parent below -- SourceFile objects
-        # stay in the workers.
-        tasks = [(display, raw, file_rules) for display, raw in files]
-        with multiprocessing.Pool(min(jobs, len(files))) as pool:
-            for display, file_findings, error in pool.map(_lint_worker,
-                                                          tasks):
-                if error is not None:
-                    result.errors.append((display, error))
-                    continue
-                result.files_checked += 1
-                findings.extend(file_findings)
-        if arch_rules:
-            for display, raw in files:
-                try:
-                    sources.append(SourceFile(
-                        display, Path(raw).read_text(encoding="utf-8")))
-                except (OSError, SyntaxError, UnicodeDecodeError,
-                        ValueError):
-                    continue        # already reported by the worker
-    else:
-        # Serial: parse once and share the SourceFile objects between
-        # the per-file rules and the arch pass.
-        for display, raw in files:
-            try:
-                text = Path(raw).read_text(encoding="utf-8")
-                source = SourceFile(display, text)
-            except (OSError, SyntaxError, UnicodeDecodeError,
-                    ValueError) as err:
-                result.errors.append((display, str(err)))
-                continue
-            result.files_checked += 1
-            sources.append(source)
-            findings.extend(check_source(source, file_rules))
-    if arch_rules and sources:
+    for path in iter_python_files(paths):
+        display = _display_path(path)
+        try:
+            source = SourceFile(display, path.read_text(encoding="utf-8"))
+        except (OSError, SyntaxError, UnicodeDecodeError,
+                ValueError) as err:
+            result.errors.append((display, str(err)))
+            continue
+        result.files_checked += 1
+        sources.append(source)
+        findings.extend(check_source(source, rules))
+    if LayeringRule in rules and sources:
         manifest = _load_manifest_for(paths, result)
-        findings.extend(arch_check(sources, manifest, arch_rules))
+        findings.extend(check_layering(sources, manifest))
     findings.sort(key=lambda finding: finding.sort_key)
     if baseline:
         result.findings, result.grandfathered = apply_baseline(findings,
@@ -210,19 +158,11 @@ def add_lint_arguments(parser):
                         help="run only these rules")
     parser.add_argument("--list-rules", action="store_true",
                         help="print every rule with its description")
-    parser.add_argument("--jobs", type=int, metavar="N", default=None,
-                        help="worker processes for the per-file pass "
-                             "(default: min(8, cpu_count))")
     parser.add_argument("--prune-baseline", action="store_true",
                         help="rewrite --baseline FILE keeping only "
                              "entries that still match a finding")
     parser.add_argument("--explain", metavar="RULE",
-                        help="print a rule's rationale and annotation "
-                             "vocabulary, then exit")
-    parser.add_argument("--effect-report", metavar="FILE",
-                        dest="effect_report",
-                        help="write the prixarch per-function effect "
-                             "inference as JSON")
+                        help="print a rule's rationale, then exit")
     return parser
 
 
@@ -230,33 +170,13 @@ def explain_rule(rule_class, out):
     """Print one rule's rationale: description plus class docstring.
 
     Every rule's docstring is its design rationale -- why the invariant
-    matters for the reproduction -- and, for the annotation-driven
-    rules, documents the comment vocabulary (``# prixlint: disable=``,
-    ``# prixrace: guarded-by=``, ``# prixeffect: declares=``,
-    ``# priximpl:``).
+    matters for the reproduction.
     """
     print(f"{rule_class.name}: {rule_class.description}", file=out)
     doc = inspect.getdoc(rule_class)
     if doc:
         print("", file=out)
         print(doc, file=out)
-
-
-def write_effect_report(paths, report_path):
-    """Write the per-function effect inference for ``paths`` as JSON."""
-    sources = []
-    for path in iter_python_files(paths):
-        try:
-            sources.append(SourceFile(_display_path(path),
-                                      path.read_text(encoding="utf-8")))
-        except (OSError, SyntaxError, UnicodeDecodeError, ValueError):
-            continue
-    project = ProjectModel(sources)
-    document = {"version": 1, "functions": project.effect_report()}
-    with open(report_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return len(document["functions"])
 
 
 def run_lint(args, out=None, err=None):
@@ -301,13 +221,7 @@ def run_lint(args, out=None, err=None):
               file=err)
         return 2
 
-    result = lint_paths(args.paths, rules=rules, baseline=baseline,
-                        jobs=args.jobs)
-
-    if args.effect_report:
-        count = write_effect_report(args.paths, args.effect_report)
-        print(f"wrote effect report for {count} function(s) to "
-              f"{args.effect_report}", file=out)
+    result = lint_paths(args.paths, rules=rules, baseline=baseline)
 
     if args.prune_baseline:
         old_total = sum(baseline.values()) if baseline else 0
@@ -328,7 +242,7 @@ def run_lint(args, out=None, err=None):
         return 0 if not result.errors else 2
 
     if args.format == "json":
-        out.write(render_json(result))
+        out.write(render_json(result, [rule.name for rule in rules]))
     else:
         out.write(render_text(result))
     return result.exit_code

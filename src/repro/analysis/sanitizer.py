@@ -1,11 +1,13 @@
-"""Runtime sanitizer: dynamic twin of the prixflow/prixrace static rules.
+"""Runtime sanitizer: the storage protocols, asserted while the code runs.
 
-The static rules in :mod:`repro.analysis.flow` prove pin/flush and latch
-discipline per function but stop at escapes (a handle stored on ``self``
-or passed to a helper leaves their scope) and at interleavings (a data
-race needs two threads the CFG cannot see).  The sanitizer covers that
-remainder at runtime: with it enabled, the storage layer itself asserts
-the protocol at the moments the static rules cannot see.
+Pin/flush, durability-ordering and latch discipline are properties of
+whole executions -- a handle stored on ``self`` outlives the function
+that took it, a data race needs two threads -- so they are checked
+where they happen: with the sanitizer enabled, the storage layer itself
+asserts each protocol at the moment it could be broken
+(``docs/ANALYSIS.md`` has the protocol -> checker table).  It sees only
+the paths a run executes; the CI suites that run under it are what
+give it coverage.
 
 Checks added while enabled:
 
@@ -25,26 +27,30 @@ Checks added while enabled:
   its logged image record must already be fsynced
   (``wal.flushed_lsn``, the WAL-before-data invariant).  This catches
   code that writes through the pager directly, bypassing the pool's
-  ``_write_back`` where the static rules look.
+  ``_write_back``.
 - **guard trust**: when a checksum guard is attached to the pager,
   ``BufferPool.get()`` asserts the image it hands out is *trusted* --
   stamped, checksum-verified, or WAL-repaired by the
   :class:`~repro.storage.guard.PageGuard` (see ``docs/ROBUSTNESS.md``).
-- **guarded-field accesses** (dynamic twin of ``guarded-field-access``):
-  every field declared ``# prixrace: guarded-by=<latch>`` (the
-  machine-readable ``_GUARDED`` maps on BufferPool, Pager and IOStats)
-  is shadowed by a data descriptor.  Once an object has been touched by
-  two or more distinct threads -- the Eraser refinement, so
-  thread-confined use stays silent -- any read or write without the
-  declared latch held raises :class:`SanitizeError` at the racy access
-  itself, not at the eventual corrupted result.
-- **latch acquisition order** (dynamic twin of ``lock-order``): hooks
-  installed via :func:`repro.storage.latch.install_hooks` maintain a
-  per-thread held-latch stack and a process-wide order graph over latch
-  *role names*.  An acquire that would close a cycle in that graph
+- **guarded-field accesses**: every field a class's ``_GUARDED`` map
+  declares (BufferPool, Pager, IOStats, and the classes registered via
+  :func:`register_guarded_class`) is shadowed by a data descriptor.
+  Once an object has been touched by two or more distinct threads --
+  the Eraser refinement, so thread-confined use stays silent -- any
+  read or write without the declared latch held raises
+  :class:`SanitizeError` at the racy access itself, not at the eventual
+  corrupted result.
+- **latch acquisition order**: hooks installed via
+  :func:`repro.storage.latch.install_hooks` maintain a per-thread
+  held-latch stack and a process-wide order graph over latch *role
+  names*.  An acquire that would close a cycle in that graph
   raises **before** blocking on the lock, turning a
   some-interleavings-deadlock into a deterministic error with the cycle
   in the message.
+- **no pager I/O under the pool latch**: the same hooks reject taking
+  the ``pager-io`` role while the thread holds ``buffer-pool`` -- a disk
+  wait inside the frame-map latch would serialize every other thread's
+  cache hits.
 
 State lives in one :class:`_State` object: per-thread data (the
 held-latch stacks) in a ``threading.local``, the process-wide aggregates
@@ -174,7 +180,7 @@ def active():
 
 
 # ----------------------------------------------------------------------
-# Guarded-field descriptors (dynamic guarded-field-access)
+# Guarded-field descriptors
 # ----------------------------------------------------------------------
 
 def _note_access(state, obj):
@@ -266,7 +272,7 @@ def _remove_descriptors():
 
 
 # ----------------------------------------------------------------------
-# Latch hooks (dynamic lock-order)
+# Latch hooks: acquisition order, no pager I/O under the pool latch
 # ----------------------------------------------------------------------
 
 def _order_path(graph, start, target):
@@ -290,6 +296,12 @@ def _on_acquire(latch):
         return
     held = state.tls.held
     name = latch.name
+    if name == "pager-io" and "buffer-pool" in held:
+        raise SanitizeError(
+            "sanitizer: pager I/O under the buffer-pool latch (thread "
+            f"{threading.current_thread().name!r}); a disk wait there "
+            "stalls every other thread's cache hits -- call the pager "
+            "outside the latched section (docs/CONCURRENCY.md)")
     if name not in held:  # re-entrant re-acquire adds no ordering fact
         for prior in dict.fromkeys(held):  # distinct, in order
             with state.meta:

@@ -38,7 +38,8 @@ from repro.storage.backend import (DEFAULT_PAGE_SIZE, DEFAULT_POOL_PAGES,
                                    recover_backend, recover_files)
 from repro.storage.bptree import BPlusTree
 from repro.storage.codec import decode_varints, encode_varints
-from repro.storage.errors import RecordCorruptionError
+from repro.storage.errors import (RecordCorruptionError, StorageError,
+                                  SuperblockError)
 from repro.storage.records import RecordStore
 from repro.trie.labeling import BulkDFSLabeler, DynamicLabeler
 from repro.trie.trie import SequenceTrie
@@ -460,7 +461,11 @@ class PrixIndex:
                             chaos=chaos)
         if chaos is not None:
             pool.set_armed(False)
-        index = cls._attach(pool, page, offset, length)
+        try:
+            index = cls._attach(pool, page, offset, length)
+        except BaseException:
+            pool.close()    # nothing else holds the just-opened backend
+            raise
         if chaos is not None:
             pool.set_armed(True)
         return index
@@ -504,7 +509,6 @@ class PrixIndex:
         ``ValueError`` subclass, so pre-existing handlers keep working)
         when the bytes are not a PRIX superblock.
         """
-        from repro.storage.errors import SuperblockError
         if len(header) < _SUPERBLOCK.size:
             raise SuperblockError(f"{origin} does not contain a PRIX index")
         magic, page, offset, length, stored_page_size = \
@@ -515,10 +519,29 @@ class PrixIndex:
 
     @classmethod
     def _attach(cls, pool, page, offset, length):
-        """Rebuild the in-memory index from a located metadata record."""
-        records = RecordStore(pool)
-        meta = json.loads(records.read((page, offset, length)))
+        """Rebuild the in-memory index from a located metadata record.
 
+        An unguarded file hands damaged metadata bytes back without
+        complaint; whatever they then fail to parse as is reported as
+        :class:`~repro.storage.errors.SuperblockError` -- corruption,
+        as ``prix scrub`` calls the same file -- not as a bare
+        ``JSONDecodeError``/``KeyError``.
+        """
+        records = RecordStore(pool)
+        try:
+            meta = json.loads(records.read((page, offset, length)))
+            return cls._from_meta(pool, records, meta)
+        except StorageError:
+            raise       # already typed (guard verdicts, transient reads)
+        except (ValueError, KeyError, TypeError, AttributeError) as error:
+            raise SuperblockError(
+                f"catalog unreadable: the metadata record at (page {page}, "
+                f"offset {offset}, length {length}) does not describe a "
+                f"PRIX index ({type(error).__name__}: {error})") from error
+
+    @classmethod
+    def _from_meta(cls, pool, records, meta):
+        """The index a parsed metadata document describes (trusting)."""
         label_dict = LabelDict()
         for label in meta["labels"]:
             label_dict.id_of(label)

@@ -5,8 +5,8 @@ PRIX indexes -- the step that turns the paper's filter-then-refine
 matching into something that can sit behind real traffic (ROADMAP
 item 2).  The subsystem is the repo's *serving* layer: it sits atop the
 logical index layers in ``.prixarch.toml`` and reaches storage only
-through the ``storage-api`` facade, with ``# prixeffect:`` contracts on
-its handlers and ``# prixrace:`` annotations on its shared state.
+through the ``storage-api`` facade; its shared state is latched, with
+``_GUARDED`` maps the runtime sanitizer enforces.
 
 Modules:
 

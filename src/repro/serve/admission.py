@@ -73,26 +73,26 @@ class AdmissionController:
         self._latch = Latch("serve-admission")
         self._idle = threading.Event()
         self._idle.set()
-        self._inflight = 0      # prixrace: guarded-by=_latch
-        self._draining = False  # prixrace: guarded-by=_latch
+        self._inflight = 0
+        self._draining = False
 
-    #: Machine-readable twin of the ``guarded-by`` comments above; the
-    #: runtime sanitizer installs guarded-access assertions from this
-    #: mapping once the object is shared between threads.
+    #: Field -> guarding latch; the runtime sanitizer installs
+    #: guarded-access assertions from this mapping once the object is
+    #: shared between threads.
     _GUARDED = {"_inflight": "_latch", "_draining": "_latch"}
 
-    def inflight(self):  # prixeffect: declares=latch-acquire
+    def inflight(self):
         """Latched read of the number of admitted, unfinished queries."""
         with self._latch:
             return self._inflight
 
-    def draining(self):  # prixeffect: declares=latch-acquire
+    def draining(self):
         """Latched read of the drain flag."""
         with self._latch:
             return self._draining
 
     @contextmanager
-    def admit(self, deadline_ms=None):  # prixeffect: declares=latch-acquire
+    def admit(self, deadline_ms=None):
         """Admit one query for the duration of a ``with`` block.
 
         Yields the request's private
@@ -130,12 +130,12 @@ class AdmissionController:
                 if self._inflight == 0:
                     self._idle.set()
 
-    def begin_drain(self):  # prixeffect: declares=latch-acquire
+    def begin_drain(self):
         """Stop admitting new queries (idempotent)."""
         with self._latch:
             self._draining = True
 
-    def wait_drained(self, timeout=None):  # prixeffect: declares=latch-acquire
+    def wait_drained(self, timeout=None):
         """Block until every admitted query has finished.
 
         Call after :meth:`begin_drain`; returns True once in-flight hits

@@ -61,20 +61,20 @@ class _Circuit:
     ``__slots__``: the ``PRIX_SANITIZE=1`` guarded-field descriptors
     store through the instance ``__dict__``."""
 
-    #: Machine-readable twin of the ``guarded-by`` comments below.
+    #: Field -> guarding latch, enforced by the runtime sanitizer.
     _GUARDED = {"state": "_latch", "failures": "_latch",
                 "opened_until": "_latch", "probing": "_latch",
                 "opened_total": "_latch"}
 
     def __init__(self, latch):
         self._latch = latch
-        self.state = STATE_CLOSED   # prixrace: guarded-by=_latch
-        self.failures = 0           # prixrace: guarded-by=_latch
-        self.opened_until = 0.0     # prixrace: guarded-by=_latch
-        self.probing = False        # prixrace: guarded-by=_latch
-        self.opened_total = 0       # prixrace: guarded-by=_latch
+        self.state = STATE_CLOSED
+        self.failures = 0
+        self.opened_until = 0.0
+        self.probing = False
+        self.opened_total = 0
 
-    def as_dict(self):  # prixrace: requires=_latch
+    def as_dict(self):  # caller holds _latch
         return {"state": self.state,
                 "consecutive_failures": self.failures,
                 "opened_total": self.opened_total}
@@ -92,11 +92,11 @@ class CircuitBreaker:
         self._clock = clock
         self._on_event = on_event
         self._latch = Latch("serve-circuit")
-        self._circuits = {}  # prixrace: guarded-by=_latch
+        self._circuits = {}
 
-    #: Machine-readable twin of the ``guarded-by`` comment above; the
-    #: runtime sanitizer installs guarded-access assertions from this
-    #: mapping once the object is shared between threads.
+    #: Field -> guarding latch; the runtime sanitizer installs
+    #: guarded-access assertions from this mapping once the object is
+    #: shared between threads.
     _GUARDED = {"_circuits": "_latch"}
 
     def _emit(self, events):
@@ -105,7 +105,7 @@ class CircuitBreaker:
             for event in events:
                 self._on_event(event)
 
-    def _circuit(self, name):  # prixeffect: declares=latch-acquire
+    def _circuit(self, name):
         """The (created-on-first-use) circuit for mount ``name``."""
         with self._latch:
             circuit = self._circuits.get(name)
@@ -115,7 +115,7 @@ class CircuitBreaker:
                 circuit = self._circuits.setdefault(name, fresh)
         return circuit
 
-    def allow(self, name):  # prixeffect: declares=latch-acquire
+    def allow(self, name):
         """Gate one request against mount ``name``'s circuit.
 
         Returns True when this request is the half-open probe (the
@@ -158,7 +158,7 @@ class CircuitBreaker:
         finally:
             self._emit(events)
 
-    def record(self, name, *, probe, error=None, rescrub=None):  # prixeffect: declares=raw-io,pager-io,wal-io,latch-acquire,stats-mutate
+    def record(self, name, *, probe, error=None, rescrub=None):
         """Report one finished request against mount ``name``.
 
         ``error`` is the exception the request died with (None for
@@ -223,7 +223,7 @@ class CircuitBreaker:
                 events.append("circuit-reopen")
         self._emit(events)
 
-    def snapshot(self):  # prixeffect: declares=latch-acquire
+    def snapshot(self):
         """JSON-ready per-mount circuit state (the ``/metrics`` view)."""
         with self._latch:
             return {name: circuit.as_dict()

@@ -61,23 +61,23 @@ class ServerMetrics:
 
     def __init__(self):
         self._latch = Latch("serve-metrics")
-        self._endpoints = {}   # prixrace: guarded-by=_latch
+        self._endpoints = {}
         self._started = time.time()
-        self._inflight = 0     # prixrace: guarded-by=_latch
-        self._events = {}      # prixrace: guarded-by=_latch
+        self._inflight = 0
+        self._events = {}
 
-    #: Machine-readable twin of the ``guarded-by`` comments above; the
-    #: runtime sanitizer installs guarded-access assertions from this
-    #: mapping once the object is shared between threads.
+    #: Field -> guarding latch; the runtime sanitizer installs
+    #: guarded-access assertions from this mapping once the object is
+    #: shared between threads.
     _GUARDED = {"_endpoints": "_latch", "_inflight": "_latch",
                 "_events": "_latch"}
 
-    def _endpoint(self, name):  # prixrace: requires=_latch
+    def _endpoint(self, name):  # caller holds _latch
         if name not in self._endpoints:
             self._endpoints[name] = EndpointMetrics()
         return self._endpoints[name]
 
-    def observe(self, endpoint, seconds, *,  # prixeffect: declares=latch-acquire
+    def observe(self, endpoint, seconds, *,
                 error_code=None, degraded=False, rejected=False):
         """Record one finished request against ``endpoint``.
 
@@ -101,7 +101,7 @@ class ServerMetrics:
             if rejected:
                 stats.rejected += 1
 
-    def record_event(self, name):  # prixeffect: declares=latch-acquire
+    def record_event(self, name):
         """Count one named operational event (circuit transitions,
         generation leaks, ...) -- the breaker's ``on_event`` sink.
 
@@ -112,17 +112,17 @@ class ServerMetrics:
         with self._latch:
             self._events[name] = self._events.get(name, 0) + 1
 
-    def set_inflight(self, value):  # prixeffect: declares=latch-acquire
+    def set_inflight(self, value):
         """Update the in-flight gauge (admission controller only)."""
         with self._latch:
             self._inflight = value
 
-    def inflight(self):  # prixeffect: declares=latch-acquire
+    def inflight(self):
         """Latched read of the in-flight gauge."""
         with self._latch:
             return self._inflight
 
-    def snapshot(self):  # prixeffect: declares=latch-acquire
+    def snapshot(self):
         """JSON-ready copy of every counter (the ``/metrics`` body).
 
         Storage counters are *not* sampled here -- the server merges

@@ -83,9 +83,9 @@ class _Mount:
         self.chaos = chaos
         self._latch = registry_latch
         with registry_latch:
-            self.leases = 0    # prixrace: guarded-by=_latch
-            self.retired = False  # prixrace: guarded-by=_latch
-            self.health_json = health_json  # prixrace: guarded-by=_latch
+            self.leases = 0
+            self.retired = False
+            self.health_json = health_json
         self.drained = threading.Event()
 
 
@@ -94,15 +94,15 @@ class IndexRegistry:
 
     def __init__(self, drain_timeout=DEFAULT_DRAIN_TIMEOUT):
         self._latch = Latch("serve-registry")
-        self._mounts = {}  # prixrace: guarded-by=_latch
-        self._leaked = []  # prixrace: guarded-by=_latch
+        self._mounts = {}
+        self._leaked = []
         self.drain_timeout = drain_timeout
 
-    #: Machine-readable twin of the ``guarded-by`` comments above.
+    #: Field -> guarding latch, enforced by the runtime sanitizer.
     _GUARDED = {"_mounts": "_latch", "_leaked": "_latch"}
 
     def _open_generation(self, name, path, backend, generation,
-                         pool_pages, chaos=None):  # prixeffect: declares=raw-io,pager-io,wal-io,latch-acquire,stats-mutate,alloc-page
+                         pool_pages, chaos=None):
         """Scrub ``path``, open it read-shared, build the mount record.
 
         The scrub runs *before* the open so the cached health verdict
@@ -128,7 +128,7 @@ class IndexRegistry:
                       report.to_json(), self._latch, chaos=chaos)
 
     def mount(self, name, path, *, backend="mmap",
-              pool_pages=None, chaos=None):  # prixeffect: declares=raw-io,pager-io,wal-io,latch-acquire,stats-mutate,alloc-page
+              pool_pages=None, chaos=None):
         """Open ``path`` and serve it as ``name``.
 
         ``backend`` is any :func:`repro.storage.open_backend` kind --
@@ -154,7 +154,7 @@ class IndexRegistry:
                              "use reload to replace it")
         return mount.generation
 
-    def reload(self, name, timeout=None):  # prixeffect: declares=raw-io,pager-io,wal-io,latch-acquire,stats-mutate,alloc-page
+    def reload(self, name, timeout=None):
         """Hot-swap ``name`` to a fresh generation of its index file.
 
         Re-opens the mount's path (picking up a rebuilt index), swaps it
@@ -200,7 +200,7 @@ class IndexRegistry:
         old.index.close()
         return fresh.generation
 
-    def lease(self, name):  # prixeffect: declares=latch-acquire
+    def lease(self, name):
         """Pin the current generation of ``name`` for one query.
 
         Returns a context manager yielding the :class:`_Mount`; the
@@ -218,7 +218,7 @@ class IndexRegistry:
             mount.leases += 1
         return _Lease(self, mount)
 
-    def _release(self, mount):  # prixeffect: declares=raw-io,pager-io,wal-io,latch-acquire,stats-mutate
+    def _release(self, mount):
         """Return one lease; the last release of a leaked generation
         also closes it (the reload that retired it already gave up
         waiting, so nobody else will).
@@ -234,7 +234,7 @@ class IndexRegistry:
         if reap:
             mount.index.close()
 
-    def leaked(self):  # prixeffect: declares=latch-acquire
+    def leaked(self):
         """JSON-ready ledger of generations stuck past their reload's
         drain timeout (merged into ``GET /metrics``)."""
         with self._latch:
@@ -243,7 +243,7 @@ class IndexRegistry:
                      "leases": mount.leases}
                     for mount in self._leaked]
 
-    def rescrub(self, name):  # prixeffect: declares=raw-io,pager-io,wal-io,latch-acquire,stats-mutate
+    def rescrub(self, name):
         """Re-run the full scrub sweep for mount ``name`` and refresh
         its cached ``/healthz`` verdict.
 
@@ -263,7 +263,7 @@ class IndexRegistry:
             mount.health_json = report.to_json()
         return report.healthy
 
-    def describe(self):  # prixeffect: declares=latch-acquire
+    def describe(self):
         """JSON-ready mount table (the ``GET /indexes`` body)."""
         with self._latch:
             mounts = sorted(self._mounts.items())
@@ -279,7 +279,7 @@ class IndexRegistry:
                 out[name]["shards"] = summary["shard_count"]
         return out
 
-    def health(self):  # prixeffect: declares=latch-acquire
+    def health(self):
         """Cached per-mount scrub verdicts (the ``GET /healthz`` body).
 
         Each mount's ``scrub`` entry is the parsed form of the exact
@@ -303,7 +303,7 @@ class IndexRegistry:
             }
         return out
 
-    def stats(self):  # prixeffect: declares=latch-acquire
+    def stats(self):
         """Per-mount IOStats snapshots (merged into ``GET /metrics``)."""
         with self._latch:
             mounts = dict(self._mounts)
@@ -326,7 +326,7 @@ class IndexRegistry:
             out[name] = row
         return out
 
-    def close_all(self):  # prixeffect: declares=raw-io,pager-io,wal-io,latch-acquire,stats-mutate,alloc-page
+    def close_all(self):
         """Close every mount (shutdown path; callers drain first)."""
         with self._latch:
             mounts = list(self._mounts.values()) + list(self._leaked)

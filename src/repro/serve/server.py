@@ -87,7 +87,7 @@ class PrixServeServer(ThreadingHTTPServer):
         self.request_timeout = request_timeout
         super().__init__(address, PrixRequestHandler)
 
-    def drain(self, timeout=DEFAULT_DRAIN_TIMEOUT):  # prixeffect: declares=raw-io,pager-io,wal-io,latch-acquire,stats-mutate,alloc-page
+    def drain(self, timeout=DEFAULT_DRAIN_TIMEOUT):
         """Graceful shutdown: reject, drain, stop accepting, close.
 
         Returns True when every in-flight query finished inside
@@ -187,7 +187,7 @@ class PrixRequestHandler(BaseHTTPRequestHandler):
                 f"{MAX_BODY_BYTES}-byte limit")
         return self.rfile.read(length)
 
-    def _run(self, endpoint, work):  # prixeffect: declares=latch-acquire
+    def _run(self, endpoint, work):
         """Execute one endpoint, map failures, record metrics.
 
         ``work`` returns ``(status, payload)``; any exception it raises
@@ -224,7 +224,7 @@ class PrixRequestHandler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------ endpoints
 
-    def do_GET(self):  # prixeffect: declares=latch-acquire
+    def do_GET(self):
         if self.path == "/healthz":
             self._run("/healthz", self._healthz)
         elif self.path == "/metrics":
@@ -236,7 +236,7 @@ class PrixRequestHandler(BaseHTTPRequestHandler):
         else:
             self._run(self.path, self._unknown_path)
 
-    def do_POST(self):  # prixeffect: declares=latch-acquire
+    def do_POST(self):
         if self.path == "/query":
             self._run("/query", self._query)
         elif self.path == "/reload":
@@ -275,7 +275,7 @@ class PrixRequestHandler(BaseHTTPRequestHandler):
                 f"header {DEADLINE_HEADER} must be > 0, got {raw!r}")
         return value
 
-    def _query(self):  # prixeffect: declares=raw-io,pager-io,wal-io,latch-acquire,stats-mutate
+    def _query(self):
         """``POST /query``: gate, admit, lease, execute, serialize.
 
         The circuit breaker gate runs first (an open circuit sheds the
@@ -309,7 +309,7 @@ class PrixRequestHandler(BaseHTTPRequestHandler):
             rescrub=lambda: server.registry.rescrub(request.index))
         return 200, result_payload(request, matches, stats, generation)
 
-    def _reload(self):  # prixeffect: declares=raw-io,pager-io,wal-io,latch-acquire,stats-mutate,alloc-page
+    def _reload(self):
         raw = self._read_body()
         name = protocol.DEFAULT_INDEX
         if raw:
@@ -330,7 +330,7 @@ class PrixRequestHandler(BaseHTTPRequestHandler):
         generation = self.server.registry.reload(name)
         return 200, {"ok": True, "index": name, "generation": generation}
 
-    def _healthz(self):  # prixeffect: declares=latch-acquire
+    def _healthz(self):
         health = self.server.registry.health()
         healthy = bool(health) and all(entry["healthy"]
                                        for entry in health.values())
@@ -339,7 +339,7 @@ class PrixRequestHandler(BaseHTTPRequestHandler):
                         "draining": self.server.admission.draining(),
                         "indexes": health}
 
-    def _metrics(self):  # prixeffect: declares=latch-acquire
+    def _metrics(self):
         body = self.server.metrics.snapshot()
         body["ok"] = True
         body["storage"] = self.server.registry.stats()
@@ -352,7 +352,7 @@ class PrixRequestHandler(BaseHTTPRequestHandler):
         }
         return 200, body
 
-    def _indexes(self):  # prixeffect: declares=latch-acquire
+    def _indexes(self):
         return 200, {"ok": True, "indexes": self.server.registry.describe()}
 
 
@@ -363,7 +363,7 @@ def build_server(mounts, *, host="127.0.0.1", port=0, backend="mmap",
                  drain_timeout=DEFAULT_DRAIN_TIMEOUT, chaos=None,
                  request_timeout=DEFAULT_REQUEST_TIMEOUT,
                  circuit_threshold=DEFAULT_FAILURE_THRESHOLD,
-                 circuit_cooldown=DEFAULT_COOLDOWN_SECONDS):  # prixeffect: declares=raw-io,pager-io,wal-io,latch-acquire,stats-mutate,alloc-page
+                 circuit_cooldown=DEFAULT_COOLDOWN_SECONDS):
     """Mount every ``(name, path)`` and return a bound, unstarted server.
 
     ``port=0`` binds an ephemeral port (tests and the CI smoke job read
@@ -386,7 +386,7 @@ def build_server(mounts, *, host="127.0.0.1", port=0, backend="mmap",
 
 
 def serve_until_signaled(server, *, signals=(signal.SIGTERM, signal.SIGINT),
-                         out=None):  # prixeffect: declares=raw-io,pager-io,wal-io,latch-acquire,stats-mutate,alloc-page
+                         out=None):
     """Run the accept loop until a signal arrives, then drain.
 
     Returns 0 on a clean drain (every in-flight query finished), 1
@@ -498,7 +498,7 @@ def add_serve_arguments(parser):
     return parser
 
 
-def run(args):  # prixeffect: declares=raw-io,pager-io,wal-io,latch-acquire,stats-mutate,alloc-page
+def run(args):
     """``prix serve`` / ``python -m repro.serve`` entry point."""
     mounts = [(protocol.DEFAULT_INDEX, args.index)]
     for spec in args.mount:

@@ -81,8 +81,8 @@ class ShardedIndex:
     scrapes never contend with routing.
     """
 
-    #: Machine-readable twin of the ``guarded-by`` comments; the
-    #: runtime sanitizer (PRIX_SANITIZE=1) enforces this mapping.
+    #: Field -> guarding latch; the runtime sanitizer
+    #: (PRIX_SANITIZE=1) enforces this mapping.
     _GUARDED = {"_shards": "_latch", "_catalog": "_latch",
                 "_totals": "_stats_latch"}
 
@@ -90,11 +90,11 @@ class ShardedIndex:
         self._latch = Latch("shard-catalog")
         self._stats_latch = Latch("shard-stats")
         with self._latch:
-            self._shards = dict(shards)       # prixrace: guarded-by=_latch
-            self._catalog = catalog           # prixrace: guarded-by=_latch
+            self._shards = dict(shards)
+            self._catalog = catalog
         with self._stats_latch:
             # Queries served / degraded, in total and per shard.
-            self._totals = {  # prixrace: guarded-by=_stats_latch
+            self._totals = {
                 "queries": 0, "approximate_queries": 0,
                 "per_shard": {entry.name: 0
                               for entry in catalog.entries}}
@@ -400,7 +400,7 @@ class ShardedIndex:
             index.save()
             self._refresh_entry_locked(entry, index, None)
 
-    def _refresh_entry_locked(self, entry, index, doc_id):  # prixrace: requires=_latch
+    def _refresh_entry_locked(self, entry, index, doc_id):  # caller holds _latch
         """Rewrite ``entry``'s manifest row from the shard's live state.
 
         Caller holds ``_latch``.  Ranges only ever widen (a shard keeps

@@ -18,8 +18,8 @@ The public door into the stack is :mod:`repro.storage.backend`
 three implementations -- :class:`FilePagerBackend` (production file
 stack), :class:`InMemoryArenaBackend` (tests/benchmarks over process
 memory) and the read-only :class:`MmapBackend` (serving).  The logical
-index layers import storage only through that seam; the ``prixarch``
-lint tier enforces the boundary statically.
+index layers import storage only through that seam; the ``layering``
+lint rule enforces the boundary statically.
 
 Corruption safety sits beside it (``docs/ROBUSTNESS.md``): a
 :class:`PageGuard` checksums every page on write-back and verifies on

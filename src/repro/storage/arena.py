@@ -33,8 +33,8 @@ class ArenaPager:
     read-repair sees the same bytes the read fetched.
     """
 
-    #: Machine-readable twin of the ``guarded-by`` comments below, for
-    #: the runtime sanitizer's guarded-access assertions.
+    #: Field -> guarding latch, for the runtime sanitizer's
+    #: guarded-access assertions.
     _GUARDED = {"_pages": "_io_latch"}
 
     def __init__(self, page_size=DEFAULT_PAGE_SIZE, stats=None, guard=None):
@@ -42,7 +42,7 @@ class ArenaPager:
         self.stats = stats if stats is not None else IOStats()
         self.guard = None
         self._io_latch = Latch("pager-io")
-        self._pages = []  # page_id -> bytes  # prixrace: guarded-by=_io_latch
+        self._pages = []  # page_id -> bytes
         if guard is not None:
             self.attach_guard(guard)
 
@@ -61,7 +61,7 @@ class ArenaPager:
         with self._io_latch:
             return len(self._pages)
 
-    def allocate(self):  # prixeffect: declares=alloc-page,latch-acquire,stats-mutate
+    def allocate(self):
         """Extend the arena by one zeroed page and return its id."""
         zero = b"\x00" * self.page_size
         with self._io_latch:
@@ -72,7 +72,7 @@ class ArenaPager:
             self.guard.stamp(page_id, zero)
         return page_id
 
-    def _check_range(self, page_id):  # prixrace: requires=_io_latch
+    def _check_range(self, page_id):  # caller holds _io_latch
         """Reject out-of-range page ids with the pager's typed error."""
         if not isinstance(page_id, int) or isinstance(page_id, bool):
             raise PageRangeError(
@@ -81,7 +81,7 @@ class ArenaPager:
             raise PageRangeError(
                 f"page {page_id} is out of range [0, {len(self._pages)})")
 
-    def read(self, page_id):  # prixeffect: declares=pager-io,latch-acquire,stats-mutate
+    def read(self, page_id):
         """Copy one page out of the arena (counted as a physical read).
 
         The arena substitutes for the platter, so a read that reaches it
@@ -101,14 +101,14 @@ class ArenaPager:
                 data = self.guard.admit(page_id, data, self)
         return bytearray(data)
 
-    def read_raw(self, page_id):  # prixeffect: declares=pager-io,latch-acquire
+    def read_raw(self, page_id):
         """Read one page without verification or read accounting
         (guard-internal escape hatch, as on the file pager)."""
         with self._io_latch:
             self._check_range(page_id)
             return bytearray(self._pages[page_id])
 
-    def write(self, page_id, data):  # prixeffect: declares=pager-io,latch-acquire,stats-mutate
+    def write(self, page_id, data):
         """Store one page image (counted as a physical write)."""
         if len(data) != self.page_size:
             raise ValueError(
@@ -121,7 +121,7 @@ class ArenaPager:
         if self.guard is not None:
             self.guard.stamp(page_id, bytes(data))
 
-    def repair_write(self, page_id, data):  # prixeffect: declares=pager-io,latch-acquire
+    def repair_write(self, page_id, data):
         """Reinstall a repaired page image (guard traffic, not page I/O)."""
         if len(data) != self.page_size:
             raise ValueError(

@@ -25,11 +25,8 @@ durability (WAL) and integrity (guard) machinery behind ``flush`` /
 
 All three run the *same* ``BufferPool`` code above the substrate, so
 the paper's "Disk IO pages" accounting is byte-identical across
-backends by construction.  Implementations are marked with a
-``# priximpl: StorageBackend`` class annotation; the prixarch
-conformance rule checks their method signatures, typed-exception
-vocabulary and inferred effects against the protocol's declared effect
-sets (``# prixeffect: declares=...``).
+backends by construction; the backend-parametrized storage suites and
+the chaos matrix hold every implementation to the protocol.
 """
 
 from __future__ import annotations
@@ -55,10 +52,7 @@ __all__ = [
 class StorageBackend(Protocol):
     """Structural contract between the logical index and the page store.
 
-    The effect sets on each method are *upper bounds*: an
-    implementation's inferred effects must be a subset of the protocol
-    method's declared effects (checked by the ``backend-conformance``
-    lint rule).  Typed failure vocabulary: :class:`PageRangeError` for
+    Typed failure vocabulary: :class:`PageRangeError` for
     out-of-range ids, :class:`PageSizeError` for short images,
     :class:`PinProtocolError` / :class:`BufferPoolExhaustedError` for
     pin misuse, :class:`WalProtocolError` for durability-ordering
@@ -94,7 +88,7 @@ class StorageBackend(Protocol):
         """The attached write-ahead log, or None (non-durable)."""
         ...
 
-    def get(self, page_id):  # prixeffect: declares=pager-io,wal-io,latch-acquire,stats-mutate
+    def get(self, page_id):
         """Return the page image (logical read; physical on a miss).
 
         Reads carry ``wal-io`` in their effect bound because admitting
@@ -103,66 +97,66 @@ class StorageBackend(Protocol):
         """
         ...
 
-    def get_decoded(self, page_id, decoder):  # prixeffect: declares=pager-io,wal-io,latch-acquire,stats-mutate
+    def get_decoded(self, page_id, decoder):
         """Return ``decoder(page_id, frame)`` memoized per residency."""
         ...
 
-    def put(self, page_id, data):  # prixeffect: declares=pager-io,wal-io,latch-acquire,stats-mutate
+    def put(self, page_id, data):
         """Replace the image of ``page_id`` and mark it dirty."""
         ...
 
-    def new_page(self):  # prixeffect: declares=alloc-page,pager-io,wal-io,latch-acquire,stats-mutate
+    def new_page(self):
         """Allocate a fresh zeroed page; return ``(page_id, frame)``."""
         ...
 
-    def mark_dirty(self, page_id):  # prixeffect: declares=latch-acquire
+    def mark_dirty(self, page_id):
         """Flag an in-place mutation of a resident page image."""
         ...
 
-    def pin(self, page_id):  # prixeffect: declares=pager-io,wal-io,latch-acquire,stats-mutate
+    def pin(self, page_id):
         """Pin the frame against eviction; return the live image."""
         ...
 
-    def unpin(self, page_id):  # prixeffect: declares=latch-acquire
+    def unpin(self, page_id):
         """Release one of the calling thread's pins on ``page_id``."""
         ...
 
-    def pinned(self, page_id):  # prixeffect: declares=pager-io,wal-io,latch-acquire,stats-mutate
+    def pinned(self, page_id):
         """Context manager pairing :meth:`pin` with :meth:`unpin`."""
         ...
 
-    def attach_wal(self, wal):  # prixeffect: declares=latch-acquire
+    def attach_wal(self, wal):
         """Route every later mutation through ``wal`` before the data
         file (no-steal, WAL-before-data)."""
         ...
 
-    def commit(self):  # prixeffect: declares=wal-io,latch-acquire,stats-mutate
+    def commit(self):
         """Seal the current mutation batch in the log; return its LSN
         (None without a WAL)."""
         ...
 
-    def checkpoint(self):  # prixeffect: declares=pager-io,wal-io,latch-acquire,stats-mutate
+    def checkpoint(self):
         """Flush everything, sync the data file, truncate the log."""
         ...
 
-    def flush(self):  # prixeffect: declares=pager-io,wal-io,latch-acquire,stats-mutate
+    def flush(self):
         """Write every dirty page back without evicting anything."""
         ...
 
-    def flush_and_clear(self):  # prixeffect: declares=pager-io,wal-io,latch-acquire,stats-mutate
+    def flush_and_clear(self):
         """Write back all dirty pages and empty the pool (cold cache)."""
         ...
 
-    def sync(self):  # prixeffect: declares=pager-io
+    def sync(self):
         """Force the substrate (and guard sidecar) to stable storage."""
         ...
 
-    def close(self):  # prixeffect: declares=pager-io,wal-io,latch-acquire,stats-mutate
+    def close(self):
         """Flush, make the stack durable, and release every handle."""
         ...
 
 
-class FilePagerBackend(BufferPool):  # priximpl: StorageBackend
+class FilePagerBackend(BufferPool):
     """The production backend: LRU buffer pool over a file ``Pager``.
 
     Subclasses :class:`BufferPool` rather than wrapping it so the hot
@@ -181,11 +175,11 @@ class FilePagerBackend(BufferPool):  # priximpl: StorageBackend
         """Number of pages allocated in the backing substrate."""
         return self._pager.num_pages
 
-    def sync(self):  # prixeffect: declares=pager-io
+    def sync(self):
         """Fsync the data file (and guard sidecar) where supported."""
         self._pager.sync()
 
-    def close(self):  # prixeffect: declares=pager-io,wal-io,latch-acquire,stats-mutate
+    def close(self):
         """Flush and close the full stack (pool, WAL, pager, guard).
 
         ``flush`` commits and orders the log ahead of the data pages;
@@ -225,7 +219,7 @@ class FilePagerBackend(BufferPool):  # priximpl: StorageBackend
         return cls(pager, capacity=pool_pages or DEFAULT_POOL_PAGES)
 
 
-class InMemoryArenaBackend(FilePagerBackend):  # priximpl: StorageBackend
+class InMemoryArenaBackend(FilePagerBackend):
     """Backend over process memory: the same pool, no file objects.
 
     Exists for tests and benchmarks that want the full storage protocol
@@ -243,7 +237,7 @@ class InMemoryArenaBackend(FilePagerBackend):  # priximpl: StorageBackend
 
     @classmethod
     def preload(cls, path, page_size=DEFAULT_PAGE_SIZE, pool_pages=None,
-                guard=None):  # prixeffect: declares=raw-io,pager-io,wal-io,alloc-page,latch-acquire,stats-mutate
+                guard=None):
         """Arena backend warm-loaded from the saved index at ``path``.
 
         Every page of the file is copied into process memory once, up
@@ -273,7 +267,7 @@ class InMemoryArenaBackend(FilePagerBackend):  # priximpl: StorageBackend
         return backend
 
 
-class MmapBackend(FilePagerBackend):  # priximpl: StorageBackend
+class MmapBackend(FilePagerBackend):
     """Read-only serving backend over a memory-mapped index file.
 
     Mutating entry points raise

@@ -13,8 +13,8 @@ load-bearing refinements:
 
 - **no blocking I/O under the latch**: every pager read/write and every
   WAL append happens *outside* the latched sections, so one thread's
-  disk wait never serializes the others' cache hits (the
-  ``no-blocking-io-under-latch`` lint rule pins this down statically);
+  disk wait never serializes the others' cache hits (the runtime
+  sanitizer rejects a ``pager-io`` acquire under ``buffer-pool``);
 - **single-flight misses**: concurrent misses on the same page elect one
   loader via ``_loading`` and the rest wait on its event, so a page is
   read from disk exactly once however many threads want it -- which is
@@ -44,9 +44,8 @@ DEFAULT_POOL_PAGES = 2000
 class BufferPool:
     """Caches page images and tracks dirty state with LRU eviction."""
 
-    #: Machine-readable twin of the ``guarded-by`` comments in
-    #: ``__init__``; the runtime sanitizer installs guarded-access
-    #: assertions (reads and writes) from this mapping.
+    #: Field -> guarding latch; the runtime sanitizer installs
+    #: guarded-access assertions (reads and writes) from this mapping.
     _GUARDED = {
         "_frames": "_latch",
         "_dirty": "_latch",
@@ -62,15 +61,15 @@ class BufferPool:
             raise ValueError("buffer pool needs at least one frame")
         self._pager = pager
         self._capacity = capacity
-        self._latch = Latch("buffer-pool")  # prixrace: no-blocking-io
-        self._frames = OrderedDict()  # page_id -> bytearray  # prixrace: guarded-by=_latch
-        self._dirty = set()  # prixrace: guarded-by=_latch
-        self._decoded = {}  # page_id -> decoded object  # prixrace: guarded-by=_latch
-        self._pins = {}  # page_id -> {thread name -> count}  # prixrace: guarded-by=_latch
-        self._loading = {}  # page_id -> Event (in-flight I/O)  # prixrace: guarded-by=_latch
+        self._latch = Latch("buffer-pool")
+        self._frames = OrderedDict()  # page_id -> bytearray
+        self._dirty = set()
+        self._decoded = {}  # page_id -> decoded object
+        self._pins = {}  # page_id -> {thread name -> count}
+        self._loading = {}  # page_id -> Event (in-flight I/O)
         self._wal = None
-        self._page_lsn = {}  # page_id -> LSN of last logged image  # prixrace: guarded-by=_latch
-        self._wal_uncommitted = set()  # dirtied since last commit  # prixrace: guarded-by=_latch
+        self._page_lsn = {}  # page_id -> LSN of last logged image
+        self._wal_uncommitted = set()  # dirtied since last commit
         self.stats = pager.stats
 
     @property
@@ -174,7 +173,7 @@ class BufferPool:
         with self._latch:
             self._page_lsn.clear()
 
-    def _note_dirty(self, page_id):  # prixrace: requires=_latch
+    def _note_dirty(self, page_id):  # caller holds _latch
         """WAL bookkeeping for a freshly dirtied page."""
         if self._wal is not None:
             self._wal_uncommitted.add(page_id)
@@ -388,7 +387,7 @@ class BufferPool:
             self._note_dirty(page_id)
             self._decoded.pop(page_id, None)
 
-    def _evictable(self, page_id):  # prixrace: requires=_latch
+    def _evictable(self, page_id):  # caller holds _latch
         """Whether a frame may leave the pool right now.
 
         Pinned frames never move; with a WAL attached, dirty frames
@@ -399,7 +398,7 @@ class BufferPool:
             return False
         return page_id not in self._wal_uncommitted
 
-    def _exhausted(self, page_id):  # prixrace: requires=_latch
+    def _exhausted(self, page_id):  # caller holds _latch
         """The typed everything-is-pinned error, naming the pin owners."""
         pages = len(self._pins)
         total = sum(sum(by_thread.values())

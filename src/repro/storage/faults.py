@@ -434,7 +434,7 @@ class ChaosSchedule:
                 "injected": dict(self.injected)}
 
 
-class ChaosBackend:  # priximpl: StorageBackend
+class ChaosBackend:
     """A :class:`StorageBackend` that injects seeded read faults.
 
     Wraps any backend and perturbs only the *read* path (``get``,
@@ -477,29 +477,29 @@ class ChaosBackend:  # priximpl: StorageBackend
         self._config = config
         self._schedule = ChaosSchedule(config)
         self._latch = Latch("chaos-backend")
-        self._armed = bool(armed)  # prixrace: guarded-by=_latch
+        self._armed = bool(armed)
 
-    #: Machine-readable twin of the ``guarded-by`` comment above; the
-    #: runtime sanitizer installs guarded-access assertions from this
-    #: mapping once the object is shared between threads.
+    #: Field -> guarding latch; the runtime sanitizer installs
+    #: guarded-access assertions from this mapping once the object is
+    #: shared between threads.
     _GUARDED = {"_armed": "_latch"}
 
     # -- chaos controls ------------------------------------------------
 
-    def set_armed(self, armed):  # prixeffect: declares=latch-acquire
+    def set_armed(self, armed):
         """Enable or disable injection (mount-time attach reads run
         disarmed so faults target live traffic, not the catalog)."""
         with self._latch:
             self._armed = bool(armed)
 
-    def chaos_describe(self):  # prixeffect: declares=latch-acquire
+    def chaos_describe(self):
         """JSON-ready replay recipe plus live injection counts."""
         with self._latch:
             recipe = self._schedule.describe()
             recipe["armed"] = self._armed
         return recipe
 
-    def _chaos_read(self, page_id, op_name):  # prixeffect: declares=raw-io,pager-io,wal-io,latch-acquire,stats-mutate
+    def _chaos_read(self, page_id, op_name):
         """Claim one read op and inject whatever fault it drew."""
         with self._latch:
             if not self._armed:
@@ -521,7 +521,7 @@ class ChaosBackend:  # priximpl: StorageBackend
             f"injected {fault} at read op {op} ({op_name} of page "
             f"{page_id}, seed {self._config.seed})")
 
-    def _corrupt_read(self, op_index, page_id, op_name):  # prixeffect: declares=raw-io,pager-io,wal-io,latch-acquire,stats-mutate
+    def _corrupt_read(self, op_index, page_id, op_name):
         """Feed a bit-flipped image through the guard's admit path."""
         inner = self._inner
         page_guard = inner.guard
@@ -579,74 +579,73 @@ class ChaosBackend:  # priximpl: StorageBackend
 
     # -- StorageBackend: reads (injection points) ----------------------
 
-    def get(self, page_id):  # prixeffect: declares=pager-io,wal-io,latch-acquire,stats-mutate
+    def get(self, page_id):
         """Read a page image, possibly through an injected fault."""
         self._chaos_read(page_id, "get")
         return self._inner.get(page_id)
 
-    def get_decoded(self, page_id, decoder):  # prixeffect: declares=pager-io,wal-io,latch-acquire,stats-mutate
+    def get_decoded(self, page_id, decoder):
         """Decoded read, possibly through an injected fault."""
         self._chaos_read(page_id, "get_decoded")
         return self._inner.get_decoded(page_id, decoder)
 
-    def pin(self, page_id):  # prixeffect: declares=pager-io,wal-io,latch-acquire,stats-mutate
+    def pin(self, page_id):
         """Pin a frame, possibly through an injected fault.
 
         Like every backend's ``pin``, ownership of the pin transfers to
         the caller, who balances it with :meth:`unpin` (or avoids the
-        obligation entirely via :meth:`pinned`) -- hence the suppressed
-        balance finding on the delegation.
+        obligation entirely via :meth:`pinned`).
         """
         self._chaos_read(page_id, "pin")
-        return self._inner.pin(page_id)  # prixlint: disable=pin-unpin-balance
+        return self._inner.pin(page_id)
 
-    def pinned(self, page_id):  # prixeffect: declares=pager-io,wal-io,latch-acquire,stats-mutate
+    def pinned(self, page_id):
         """Pinned-read context manager over the wrapped backend."""
         self._chaos_read(page_id, "pinned")
         return self._inner.pinned(page_id)
 
     # -- StorageBackend: pure delegation -------------------------------
 
-    def put(self, page_id, data):  # prixeffect: declares=pager-io,wal-io,latch-acquire,stats-mutate
+    def put(self, page_id, data):
         """Delegate a page replacement to the wrapped backend."""
         return self._inner.put(page_id, data)
 
-    def new_page(self):  # prixeffect: declares=alloc-page,pager-io,wal-io,latch-acquire,stats-mutate
+    def new_page(self):
         """Delegate page allocation to the wrapped backend."""
         return self._inner.new_page()
 
-    def mark_dirty(self, page_id):  # prixeffect: declares=latch-acquire
+    def mark_dirty(self, page_id):
         """Delegate a dirty flag to the wrapped backend."""
         self._inner.mark_dirty(page_id)
 
-    def unpin(self, page_id):  # prixeffect: declares=latch-acquire
+    def unpin(self, page_id):
         """Delegate a pin release to the wrapped backend."""
         self._inner.unpin(page_id)
 
-    def attach_wal(self, wal):  # prixeffect: declares=latch-acquire
+    def attach_wal(self, wal):
         """Delegate WAL attachment to the wrapped backend."""
         self._inner.attach_wal(wal)
 
-    def commit(self):  # prixeffect: declares=wal-io,latch-acquire,stats-mutate
+    def commit(self):
         """Delegate a commit to the wrapped backend."""
         return self._inner.commit()
 
-    def checkpoint(self):  # prixeffect: declares=pager-io,wal-io,latch-acquire,stats-mutate
+    def checkpoint(self):
         """Delegate a checkpoint to the wrapped backend."""
         return self._inner.checkpoint()
 
-    def flush(self):  # prixeffect: declares=pager-io,wal-io,latch-acquire,stats-mutate
+    def flush(self):
         """Delegate a flush to the wrapped backend."""
         self._inner.flush()
 
-    def flush_and_clear(self):  # prixeffect: declares=pager-io,wal-io,latch-acquire,stats-mutate
+    def flush_and_clear(self):
         """Delegate flush-and-clear to the wrapped backend."""
         self._inner.flush_and_clear()
 
-    def sync(self):  # prixeffect: declares=pager-io
+    def sync(self):
         """Delegate the durability barrier to the wrapped backend."""
         self._inner.sync()
 
-    def close(self):  # prixeffect: declares=pager-io,wal-io,latch-acquire,stats-mutate
+    def close(self):
         """Close the wrapped backend."""
         self._inner.close()

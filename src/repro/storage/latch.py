@@ -1,4 +1,4 @@
-"""Named re-entrant latches for the storage layer (``prixrace``).
+"""Named re-entrant latches for the storage layer.
 
 A :class:`Latch` is a thin wrapper around :class:`threading.RLock` that
 adds the two things the concurrency tooling needs and a raw lock cannot
@@ -16,10 +16,9 @@ provide:
   cannot be monkeypatched, so the hook points live here instead.
 
 Without the sanitizer the wrapper is two attribute loads and a ``None``
-check per operation; the storage layer uses it unconditionally.  The
-context-manager entry points repeat that work inline rather than calling
-:meth:`Latch.acquire` / :meth:`Latch.release`: hook-equivalent, two
-frames cheaper per latched section.
+check per operation; the storage layer uses it unconditionally.  A
+latch is taken only by ``with latch:`` -- there is no bare acquire or
+release -- so it is released on every path by construction.
 """
 
 from __future__ import annotations
@@ -51,12 +50,7 @@ def clear_hooks():
 
 
 class Latch:
-    """A named, re-entrant mutual-exclusion latch.
-
-    Usable as a context manager; ``with latch:`` is the preferred form
-    (the ``release-on-all-paths`` lint rule flags bare :meth:`acquire`
-    calls that can leak).
-    """
+    """A named, re-entrant mutual-exclusion latch, held by ``with``."""
 
     __slots__ = ("name", "_lock")
 
@@ -64,25 +58,9 @@ class Latch:
         self.name = name
         self._lock = threading.RLock()
 
-    def acquire(self):
-        """Take the latch, blocking until it is free (re-entrant)."""
-        hooks = _hooks
-        if hooks is not None:
-            hooks[0](self)
-        self._lock.acquire()
-
-    def release(self):
-        """Drop one level of ownership of the latch."""
-        hooks = _hooks
-        if hooks is not None:
-            hooks[1](self)
-        self._lock.release()
-
     def owned(self):
         """Whether the calling thread currently holds this latch."""
         return self._lock._is_owned()
-
-    # acquire() / release() inlined (see the module docstring).
 
     def __enter__(self):
         hooks = _hooks

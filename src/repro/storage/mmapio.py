@@ -31,8 +31,8 @@ from repro.storage.stats import IOStats
 class MmapPager:
     """Pager-compatible read-only view over a memory-mapped page file."""
 
-    #: Machine-readable twin of the ``guarded-by`` comments below, for
-    #: the runtime sanitizer's guarded-access assertions.
+    #: Field -> guarding latch, for the runtime sanitizer's
+    #: guarded-access assertions.
     _GUARDED = {"_map": "_io_latch"}
 
     def __init__(self, path, page_size=DEFAULT_PAGE_SIZE, stats=None,
@@ -55,10 +55,10 @@ class MmapPager:
         # mmap rejects zero-length maps; an empty file simply has no
         # pages, and every read is then out of range anyway.
         if size:
-            self._map = mmap.mmap(  # prixrace: guarded-by=_io_latch
+            self._map = mmap.mmap(
                 self._file.fileno(), size, access=mmap.ACCESS_READ)
         else:
-            self._map = None  # prixrace: guarded-by=_io_latch
+            self._map = None
         if guard is not None:
             self.attach_guard(guard)
 
@@ -85,7 +85,7 @@ class MmapPager:
             raise PageRangeError(
                 f"page {page_id} is out of range [0, {self._num_pages})")
 
-    def read(self, page_id):  # prixeffect: declares=pager-io,latch-acquire,stats-mutate
+    def read(self, page_id):
         """Copy one page out of the mapping (counted as a physical read).
 
         The count keeps the reproduced I/O columns comparable across
@@ -103,7 +103,7 @@ class MmapPager:
                 data = self.guard.admit(page_id, data, self)
         return bytearray(data)
 
-    def read_raw(self, page_id):  # prixeffect: declares=pager-io,latch-acquire
+    def read_raw(self, page_id):
         """Read one page without verification or read accounting."""
         self._check_range(page_id)
         with self._io_latch:

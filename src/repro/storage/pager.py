@@ -59,8 +59,8 @@ class Pager:
     it never changes ``physical_reads``/``physical_writes``.
     """
 
-    #: Machine-readable twin of the ``guarded-by`` comments below, for
-    #: the runtime sanitizer's guarded-access assertions.
+    #: Field -> guarding latch, for the runtime sanitizer's
+    #: guarded-access assertions.
     _GUARDED = {"_num_pages": "_io_latch"}
 
     def __init__(self, fileobj, page_size=DEFAULT_PAGE_SIZE, stats=None,
@@ -75,7 +75,7 @@ class Pager:
         if size % page_size != 0:
             raise ValueError(
                 f"file size {size} is not a multiple of page size {page_size}")
-        self._num_pages = size // page_size  # prixrace: guarded-by=_io_latch
+        self._num_pages = size // page_size
         if guard is not None:
             self.attach_guard(guard)
 
@@ -120,7 +120,7 @@ class Pager:
             self.guard.stamp(page_id, zero)
         return page_id
 
-    def _check_range(self, page_id):  # prixrace: requires=_io_latch
+    def _check_range(self, page_id):  # caller holds _io_latch
         """Reject out-of-range page ids with a typed error.
 
         Without this, a negative id would surface as a raw ``OSError``/

@@ -43,24 +43,24 @@ class IOStats:
     actual corruption, so none of them perturb the paper's page columns.
     """
 
-    physical_reads: int = 0       # prixrace: guarded-by=_latch
-    physical_writes: int = 0      # prixrace: guarded-by=_latch
-    logical_reads: int = 0        # prixrace: guarded-by=_latch
-    evictions: int = 0            # prixrace: guarded-by=_latch
-    allocations: int = 0          # prixrace: guarded-by=_latch
-    wal_appends: int = 0          # prixrace: guarded-by=_latch
-    wal_fsyncs: int = 0           # prixrace: guarded-by=_latch
-    wal_bytes: int = 0            # prixrace: guarded-by=_latch
-    guard_verifications: int = 0  # prixrace: guarded-by=_latch
-    guard_repairs: int = 0        # prixrace: guarded-by=_latch
-    guard_quarantines: int = 0    # prixrace: guarded-by=_latch
+    physical_reads: int = 0
+    physical_writes: int = 0
+    logical_reads: int = 0
+    evictions: int = 0
+    allocations: int = 0
+    wal_appends: int = 0
+    wal_fsyncs: int = 0
+    wal_bytes: int = 0
+    guard_verifications: int = 0
+    guard_repairs: int = 0
+    guard_quarantines: int = 0
     _latch: Latch = field(default_factory=_stats_latch, repr=False,
                           compare=False)
 
-    #: Machine-readable twin of the ``guarded-by`` comments above; the
-    #: runtime sanitizer installs its guarded-access assertions from
-    #: this mapping (reads and writes alike must hold ``_latch`` once
-    #: the object is shared between threads).
+    #: Field -> guarding latch; the runtime sanitizer installs its
+    #: guarded-access assertions from this mapping (reads and writes
+    #: alike must hold ``_latch`` once the object is shared between
+    #: threads).
     _GUARDED = {name: "_latch" for name in (
         "physical_reads", "physical_writes", "logical_reads", "evictions",
         "allocations", "wal_appends", "wal_fsyncs", "wal_bytes",

@@ -1,18 +1,13 @@
-"""Intentionally racy storage classes: the prixrace acceptance oracle.
+"""Intentionally racy storage classes: the runtime sanitizer's oracle.
 
 Every method here commits exactly one of the concurrency sins the
-prixrace tooling exists to catch, so the test suite can assert that each
-seeded violation is flagged -- by the static rules
-(``tests/test_analysis_locks.py`` lints this file and demands one
-finding per sin) and, where the static scope ends, by the runtime
-sanitizer (``tests/test_analysis_sanitizer.py`` drives
-:class:`EvilBufferPool` from two threads).
+sanitizer exists to catch, so ``tests/test_analysis_sanitizer.py`` can
+assert each seeded violation raises: :class:`EvilPool` nests two
+latches in both orders, :class:`EvilBufferPool` skips the pool latch on
+its hit paths (driven from two threads) and reads the pager under it.
 
 This module is deliberately *not* collected by pytest (``python_files``
-matches ``test_*``/``bench_*``) and its four static findings are
-grandfathered in ``.prixlint-baseline.json`` -- they must exist, that is
-the point -- so the full-tree lint stays green while any *new*
-violation anywhere still fails the build.
+matches ``test_*``/``bench_*``).
 """
 
 from repro.storage.buffer_pool import BufferPool
@@ -20,25 +15,12 @@ from repro.storage.latch import Latch
 
 
 class EvilPool:
-    """A hand-rolled frame cache that gets every latch rule wrong."""
+    """Two latches, taken in both orders."""
 
-    def __init__(self, pager):
-        self._latch = Latch("evil-frames")  # prixrace: no-blocking-io
+    def __init__(self):
+        self._latch = Latch("evil-frames")
         self._order_latch = Latch("evil-order")
-        self._frames = {}  # prixrace: guarded-by=_latch
-        self._pager = pager
-
-    def racy_read(self, page_id):
-        # Seeded violation: guarded-field-access (no latch on any path).
-        return self._frames.get(page_id)
-
-    def blocking_under_latch(self, page_id):
-        # Seeded violation: no-blocking-io-under-latch (a disk read
-        # while holding the frame-map latch).
-        with self._latch:
-            frame = self._pager.read(page_id)
-            self._frames[page_id] = frame
-            return frame
+        self._frames = {}
 
     def take_frames_then_order(self):
         with self._latch:
@@ -46,30 +28,20 @@ class EvilPool:
                 return len(self._frames)
 
     def take_order_then_frames(self):
-        # Seeded violation: lock-order (the opposite nesting of
-        # take_frames_then_order closes a cycle in the module's
-        # acquisition-order graph).
+        # Seeded violation: the opposite nesting of
+        # take_frames_then_order closes a cycle in the acquisition-order
+        # graph.
         with self._order_latch:
             with self._latch:
                 return len(self._frames)
 
-    def leaky_scan(self, wanted):
-        # Seeded violation: release-on-all-paths (the miss path and
-        # every exception path return with the latch still held).
-        self._latch.acquire()
-        if wanted in self._frames:
-            self._latch.release()
-            return True
-        return False
-
 
 class EvilBufferPool(BufferPool):
-    """A :class:`BufferPool` whose hit paths skip the latch protocol.
+    """A :class:`BufferPool` that breaks the latch protocol.
 
-    The static ``guarded-field-access`` rule is scoped to the class that
-    *declares* the guarded fields, so this subclass is exactly the
-    escape it cannot see -- and exactly what the runtime sanitizer's
-    guarded-field descriptors catch once two threads share the pool.
+    Its hit paths skip the latch -- what the sanitizer's guarded-field
+    descriptors catch once two threads share the pool -- and
+    :meth:`load_under_latch` does its disk read inside it.
     """
 
     def get(self, page_id):
@@ -85,3 +57,11 @@ class EvilBufferPool(BufferPool):
             self.stats.count_logical_read()
             return cached
         return super().get_decoded(page_id, decoder)
+
+    def load_under_latch(self, page_id):
+        # Seeded violation: a disk read while holding the frame-map
+        # latch.
+        with self._latch:
+            frame = self._pager.read(page_id)
+            self._frames[page_id] = frame
+            return frame

@@ -1,11 +1,9 @@
-"""prixarch tests: manifest, layering, effect inference, conformance.
+"""prixarch tests: the manifest and the ``layering`` rule.
 
-Covers the architecture tier end to end: the ``.prixarch.toml``
-loader (including the 3.10 fallback parser), the import-graph layering
-rule with witness chains, the seeded+transitive effect inference and
-its ``# prixeffect:`` contracts, ``# priximpl:`` conformance, the evil
-twin's exact seeded findings, and the runner satellites
-(``--jobs``/``--prune-baseline``/``--explain``/``--effect-report``).
+Covers the ``.prixarch.toml`` loader (including the 3.10 fallback
+parser), the import-graph layering rule with witness chains and
+suppressions, and the runner satellites (``--prune-baseline`` /
+``--explain`` / zero-seeded ``rule_counts``).
 """
 
 import json
@@ -14,18 +12,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.arch import (EFFECTS, LayeringRule, Manifest,
-                                 ManifestError, ProjectModel, arch_check,
+from repro.analysis.arch import (LayeringRule, Manifest, ManifestError,
+                                 check_layering, load_manifest,
                                  module_name_for, parse_manifest)
 from repro.analysis.arch.manifest import _parse_toml_subset
 from repro.analysis.core import SourceFile
 from repro.analysis.reporting import render_json
-from repro.analysis.runner import (LintResult, lint_paths, main,
+from repro.analysis.runner import (ALL_RULES, LintResult, lint_paths, main,
                                    rules_by_name)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
-EVIL_TWIN = Path(__file__).resolve().parent / "eviltwin_backend.py"
 
 MANIFEST_TEXT = """
 [prixarch]
@@ -104,8 +101,8 @@ class TestModuleNames:
             "repro.storage"
 
     def test_unrooted_paths_use_stem(self):
-        assert module_name_for("tests/eviltwin_backend.py") == \
-            "eviltwin_backend"
+        assert module_name_for("tests/eviltwin_pool.py") == \
+            "eviltwin_pool"
 
 
 def _write_tree(tmp_path, files, manifest):
@@ -196,274 +193,28 @@ class TestLayering:
         result = lint_paths([SRC], rules=(LayeringRule,))
         assert result.findings == []
 
-
-def _model(**files):
-    sources = [SourceFile(name, textwrap.dedent(text))
-               for name, text in files.items()]
-    return ProjectModel(sources)
-
-
-class TestEffectInference:
-    def test_receiver_heuristics_seed_effects(self):
-        model = _model(**{"m.py": """
-            def touch(pager, wal, stats, latch):
-                with latch:
-                    pager.read(0)
-                    wal.log_page(0, b"")
-                    stats.add(physical_reads=1)
-            """})
-        effects = model.functions["m:touch"].effects
-        assert effects == {"latch-acquire", "pager-io", "wal-io",
-                           "stats-mutate"}
-
-    def test_allocate_seeds_alloc_page(self):
-        model = _model(**{"m.py": """
-            def grow(pager):
-                return pager.allocate()
-            """})
-        assert model.functions["m:grow"].effects == {"pager-io",
-                                                     "alloc-page"}
-
-    def test_open_seeds_raw_io(self):
-        model = _model(**{"m.py": """
-            def peek(path):
-                with open(path, "rb") as handle:
-                    return handle.read(1)
-            """})
-        assert "raw-io" in model.functions["m:peek"].effects
-
-    def test_effects_propagate_transitively(self):
-        model = _model(**{"m.py": """
-            def inner(pager):
-                return pager.read(0)
-
-            def outer(pager):
-                return inner(pager)
-            """})
-        assert "pager-io" in model.functions["m:outer"].effects
-
-    def test_propagation_through_methods_and_classes(self):
-        model = _model(**{"m.py": """
-            class Store:
-                def load(self, pager):
-                    return pager.read(0)
-
-                def fetch(self, pager):
-                    return self.load(pager)
-
-            def use():
-                store = Store()
-                return store.fetch(None)
-            """})
-        assert "pager-io" in model.functions["m:Store.fetch"].effects
-        assert "pager-io" in model.functions["m:use"].effects
-
-    def test_cross_module_propagation(self):
-        model = _model(**{
-            "a.py": """
-                def source(pager):
-                    return pager.read(0)
-                """,
-            "b.py": """
-                from a import source
-
-                def sink(pager):
-                    return source(pager)
-                """})
-        assert "pager-io" in model.functions["b:sink"].effects
-
-    def test_vocabulary_is_closed(self):
-        assert EFFECTS == {"raw-io", "pager-io", "wal-io", "latch-acquire",
-                           "stats-mutate", "alloc-page"}
-
-
-class TestEffectContract:
-    def _lint(self, tmp_path, text):
-        (tmp_path / "m.py").write_text(textwrap.dedent(text))
-        rule = rules_by_name()["effect-contract"]
-        return lint_paths([tmp_path / "m.py"], rules=(rule,))
-
-    def test_undeclared_effect_is_reported(self, tmp_path):
-        result = self._lint(tmp_path, """
-            def f(pager):  # prixeffect: declares=latch-acquire
-                return pager.read(0)
-            """)
-        assert len(result.findings) == 1
-        assert "pager-io" in result.findings[0].message
-
-    def test_declaration_is_an_upper_bound(self, tmp_path):
-        """Over-declaring is legal: substrates may do less than allowed."""
-        result = self._lint(tmp_path, """
-            def f(pager):  # prixeffect: declares=pager-io,latch-acquire
-                return 1
-            """)
-        assert result.findings == []
-
-    def test_unknown_effect_name_rejected(self, tmp_path):
-        result = self._lint(tmp_path, """
-            def f():  # prixeffect: declares=quantum-io
-                return 1
-            """)
-        assert len(result.findings) == 1
-        assert "unknown effect" in result.findings[0].message
-
-    def test_empty_declaration_means_pure(self, tmp_path):
-        result = self._lint(tmp_path, """
-            def f(path):  # prixeffect: declares=
-                return open(path)
-            """)
-        assert len(result.findings) == 1
-        assert "raw-io" in result.findings[0].message
-
-
-_PROTOCOL = """
-    from typing import Protocol
-
-    class Thing(Protocol):
-        @property
-        def kind(self): ...
-
-        def ping(self, token):  # prixeffect: declares=latch-acquire
-            ...
-"""
-
-
-class TestConformance:
-    def _lint(self, tmp_path, impl_text):
-        (tmp_path / "proto.py").write_text(textwrap.dedent(_PROTOCOL))
-        (tmp_path / "impl.py").write_text(textwrap.dedent(impl_text))
-        rule = rules_by_name()["backend-conformance"]
-        return lint_paths([tmp_path], rules=(rule,))
-
-    def test_conforming_impl_is_clean(self, tmp_path):
-        result = self._lint(tmp_path, """
-            class Good:  # priximpl: Thing
-                kind = "good"
-
-                def ping(self, token):
-                    with self._latch:
-                        return token
-            """)
-        assert result.findings == []
-
-    def test_missing_method_reported(self, tmp_path):
-        result = self._lint(tmp_path, """
-            class Bad:  # priximpl: Thing
-                kind = "bad"
-            """)
-        assert any("missing method 'ping'" in f.message
-                   for f in result.findings)
-
-    def test_missing_attribute_reported(self, tmp_path):
-        result = self._lint(tmp_path, """
-            class Bad:  # priximpl: Thing
-                def ping(self, token):
-                    return token
-            """)
-        assert any("missing attribute 'kind'" in f.message
-                   for f in result.findings)
-
-    def test_signature_mismatch_reported(self, tmp_path):
-        result = self._lint(tmp_path, """
-            class Bad:  # priximpl: Thing
-                kind = "bad"
-
-                def ping(self):
-                    return None
-            """)
-        assert any("signature" in f.message for f in result.findings)
-
-    def test_excess_effect_reported(self, tmp_path):
-        result = self._lint(tmp_path, """
-            class Bad:  # priximpl: Thing
-                kind = "bad"
-
-                def ping(self, token):
-                    with open(token) as handle:
-                        return handle.read()
-            """)
-        assert any("raw-io" in f.message for f in result.findings)
-
-    def test_unknown_protocol_reported(self, tmp_path):
-        result = self._lint(tmp_path, """
-            class Bad:  # priximpl: Ghost
-                pass
-            """)
-        assert any("Ghost" in f.message for f in result.findings)
-
-    def test_inherited_obligations_resolve_through_mro(self, tmp_path):
-        result = self._lint(tmp_path, """
-            class Base:
-                kind = "base"
-
-                def ping(self, token):
-                    return token
-
-            class Derived(Base):  # priximpl: Thing
-                pass
-            """)
-        assert result.findings == []
-
-
-class TestEvilTwin:
-    """The crash dummy yields exactly the seeded findings."""
-
-    def test_exact_seeded_findings(self):
-        result = lint_paths([SRC, EVIL_TWIN])
-        twins = [f for f in result.findings
-                 if f.path.endswith("eviltwin_backend.py")]
-        assert result.findings == twins          # src itself stays clean
-        assert [f.rule for f in twins] == [
-            "effect-contract", "backend-conformance",
-            "backend-conformance", "backend-conformance"]
-        assert "raw-io" in twins[0].message
-        assert "wal-io" in twins[1].message
-        assert "signature" in twins[2].message
-        assert "RuntimeError" in twins[3].message
-
-    def test_layering_bait_caught_under_test_manifest(self):
-        manifest = parse_manifest(textwrap.dedent("""
-            [layers]
-            logical = ["eviltwin_backend"]
-            storage-api = ["repro.storage.backend"]
-            storage-impl = ["repro.storage.pager"]
-
-            [allowed]
-            logical = ["storage-api"]
-            storage-api = ["storage-impl"]
-            storage-impl = ["storage-api"]
-            """))
-        sources = [
-            SourceFile("tests/eviltwin_backend.py", EVIL_TWIN.read_text()),
-            SourceFile("src/repro/storage/backend.py",
-                       (SRC / "storage" / "backend.py").read_text()),
-            SourceFile("src/repro/storage/pager.py",
-                       (SRC / "storage" / "pager.py").read_text()),
-        ]
-        findings = arch_check(sources, manifest,
-                              rule_classes=(LayeringRule,))
+    def test_replanted_storage_impl_import_in_matcher_is_caught(self):
+        """The one defect only this rule catches: a logical module
+        naming the physical substrate (no test fails on it)."""
+        sources = []
+        for path in sorted(SRC.rglob("*.py")):
+            text = path.read_text()
+            if path.name == "matcher.py":
+                text = "from repro.storage.pager import Pager\n" + text
+            sources.append(SourceFile(str(path), text))
+        findings = check_layering(
+            sources, load_manifest(REPO_ROOT / ".prixarch.toml"))
         assert len(findings) == 1
-        assert "eviltwin_backend -> repro.storage.pager" in \
-            findings[0].message
+        assert findings[0].path.endswith("prix/matcher.py")
+        assert findings[0].line == 1
+        assert ("repro.prix.matcher -> repro.storage.pager"
+                in findings[0].message)
 
 
 class TestRunnerSatellites:
-    def test_jobs_output_is_deterministic(self, tmp_path):
-        for index in range(3):
-            (tmp_path / f"m{index}.py").write_text(
-                "def f(pager):  # prixeffect: declares=latch-acquire\n"
-                "    return pager.read(0)\n")
-        serial = lint_paths([tmp_path], jobs=1)
-        parallel = lint_paths([tmp_path], jobs=3)
-        assert serial.findings == parallel.findings
-        assert serial.files_checked == parallel.files_checked == 3
-        assert len(serial.findings) == 3
-
     def test_prune_baseline_drops_stale_entries(self, tmp_path, capsys):
         target = tmp_path / "m.py"
-        target.write_text(
-            "def f(pager):  # prixeffect: declares=latch-acquire\n"
-            "    return pager.read(0)\n")
+        target.write_text("def f(pages=[]):\n    return pages\n")
         baseline_path = tmp_path / "baseline.json"
         assert main([str(target), "--write-baseline",
                      str(baseline_path)]) == 0
@@ -478,7 +229,7 @@ class TestRunnerSatellites:
         assert "pruned 2 stale baseline entries" in out
         pruned = json.loads(baseline_path.read_text())
         assert [e["rule"] for e in pruned["findings"]] == \
-            ["effect-contract"]
+            ["no-mutable-default-arg"]
 
     def test_prune_baseline_requires_baseline(self, tmp_path, capsys):
         assert main([str(tmp_path), "--prune-baseline"]) == 2
@@ -494,36 +245,12 @@ class TestRunnerSatellites:
         assert main(["--explain", "ghost-rule"]) == 2
         assert "unknown rule" in capsys.readouterr().err
 
-    def test_effect_report_written(self, tmp_path, capsys):
-        (tmp_path / "m.py").write_text(
-            "def f(pager):\n    return pager.read(0)\n")
-        report = tmp_path / "effects.json"
-        assert main([str(tmp_path), "--effect-report", str(report)]) == 0
-        document = json.loads(report.read_text())
-        assert document["version"] == 1
-        assert document["functions"]["m:f"]["effects"] == ["pager-io"]
+    def test_json_report_seeds_a_zero_for_every_rule_run(self):
+        names = [rule.name for rule in ALL_RULES]
+        document = json.loads(render_json(LintResult(), names))
+        assert document["rule_counts"] == dict.fromkeys(names, 0)
 
-    def test_json_report_seeds_arch_rule_zeros(self):
-        document = json.loads(render_json(LintResult()))
-        for rule in ("layering", "effect-contract",
-                     "backend-conformance"):
-            assert document["rule_counts"][rule] == 0
-
-    def test_arch_rules_registered(self):
+    def test_layering_is_the_one_project_rule(self):
         registry = rules_by_name()
-        for rule in ("layering", "effect-contract",
-                     "backend-conformance"):
-            assert rule in registry
-        assert len(registry) == 17
-
-
-class TestGatewayVocabularySync:
-    def test_raw_io_seeds_cover_rules_io_vocabulary(self):
-        from repro.analysis.arch.effects import (_IO_FILE_FUNCS,
-                                                 _OS_FILE_FUNCS,
-                                                 GATEWAY_FILES)
-        from repro.analysis.rules_io import (IO_FILE_FUNCS, NoRawIoRule,
-                                             OS_FILE_FUNCS)
-        assert OS_FILE_FUNCS <= _OS_FILE_FUNCS
-        assert IO_FILE_FUNCS <= _IO_FILE_FUNCS
-        assert tuple(GATEWAY_FILES) == tuple(NoRawIoRule.GATEWAY_FILES)
+        assert registry["layering"] is LayeringRule
+        assert len(registry) == 7

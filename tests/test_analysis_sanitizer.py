@@ -1,10 +1,8 @@
-"""Runtime sanitizer tests: enable/disable, both checks, env activation.
+"""Runtime sanitizer tests: enable/disable, every check, env activation.
 
 These tests intentionally commit the protocol violations the sanitizer
-exists to catch (pins outliving close, snapshots while dirty), so the
-static twin rules are opted out where they would fire:
-
-# prixlint: disable-file=pin-unpin-balance
+exists to catch (pins outliving close, snapshots while dirty, racy and
+latch-holding reads).
 """
 
 import os
@@ -116,7 +114,7 @@ class TestFlushBeforeStats:
         pool = make_pool()
         pool.new_page()
         with pytest.raises(sanitizer.SanitizeError):
-            pool.stats.snapshot()  # prixlint: disable=stats-read-before-flush
+            pool.stats.snapshot()
 
     def test_snapshot_after_flush_passes(self, sanitized):
         pool = make_pool()
@@ -201,7 +199,7 @@ class TestEnvActivation:
 
 
 class TestGuardedFieldDescriptors:
-    """Dynamic guarded-field-access: silent while thread-confined,
+    """Guarded-field descriptors: silent while thread-confined,
     loud the moment a second thread touches the object unlatched."""
 
     def test_thread_confined_unlatched_access_passes(self, sanitized):
@@ -263,9 +261,7 @@ class TestThreadLocalState:
 
     def test_held_stacks_are_thread_local(self, sanitized):
         from repro.storage.latch import Latch
-        latch = Latch("tl-test")
-        latch.acquire()
-        try:
+        with Latch("tl-test"):
             other = []
             thread = threading.Thread(
                 target=lambda: other.append(
@@ -274,8 +270,6 @@ class TestThreadLocalState:
             thread.join()
             assert other == [[]]  # fresh stack in the new thread
             assert "tl-test" in sanitizer._state.tls.held
-        finally:
-            latch.release()
         assert "tl-test" not in sanitizer._state.tls.held
 
     def test_order_graph_is_process_wide(self, sanitized):
@@ -296,12 +290,12 @@ class TestThreadLocalState:
 
 
 class TestRuntimeLockOrder:
-    """Dynamic lock-order: the cycle is raised on the acquire that
+    """Latch order: the cycle is raised on the acquire that
     would close it, before blocking -- no two threads needed."""
 
     def test_opposite_nesting_raises_before_deadlock(self, sanitized):
         from eviltwin_pool import EvilPool
-        pool = EvilPool(pager=None)
+        pool = EvilPool()
         pool.take_frames_then_order()
         with pytest.raises(sanitizer.SanitizeError) as excinfo:
             pool.take_order_then_frames()
@@ -310,7 +304,7 @@ class TestRuntimeLockOrder:
 
     def test_consistent_order_is_silent(self, sanitized):
         from eviltwin_pool import EvilPool
-        pool = EvilPool(pager=None)
+        pool = EvilPool()
         assert pool.take_frames_then_order() == 0
         assert pool.take_frames_then_order() == 0
 
@@ -366,6 +360,27 @@ class TestRuntimeLockOrder:
                         ("release", "io-stats"), ("release", "buffer-pool")]
         assert pool.stats.logical_reads == before + 1
         assert sanitizer._state.tls.held == []
+        pool.close()
+
+
+class TestNoPagerIoUnderPoolLatch:
+    def test_pager_read_under_the_pool_latch_raises(self, sanitized):
+        from eviltwin_pool import EvilBufferPool
+        pool = EvilBufferPool(Pager.in_memory(page_size=32), capacity=4)
+        pid, _ = pool.new_page()
+        pool.flush_and_clear()
+        with pytest.raises(sanitizer.SanitizeError) as excinfo:
+            pool.load_under_latch(pid)
+        assert "buffer-pool latch" in str(excinfo.value)
+        assert sanitizer._state.tls.held == []  # the with still released
+
+    def test_miss_evict_flush_cycle_is_silent(self, sanitized):
+        pool = make_pool(capacity=2)
+        pids = [pool.new_page()[0] for _ in range(4)]  # dirty evictions
+        pool.flush_and_clear()
+        for pid in pids:
+            pool.get(pid)  # misses, then clean evictions
+            pool.mark_dirty(pid)
         pool.close()
 
 

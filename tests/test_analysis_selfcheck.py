@@ -10,12 +10,15 @@ import re
 import shutil
 from pathlib import Path
 
-from repro.analysis import lint_paths, load_baseline
+from repro.analysis import SourceFile, lint_paths, load_baseline, rules_by_name
+from repro.analysis.runner import iter_python_files
 from repro.cli import main as cli_main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
 BASELINE = REPO_ROOT / ".prixlint-baseline.json"
+FULL_TREE = [SRC, REPO_ROOT / "benchmarks", REPO_ROOT / "examples",
+             REPO_ROOT / "tests"]
 
 
 class TestTreeIsClean:
@@ -34,12 +37,24 @@ class TestTreeIsClean:
         assert result.findings == [], "\n".join(messages)
 
     def test_full_tree_clean_under_checked_in_baseline(self):
-        result = lint_paths(
-            [SRC, REPO_ROOT / "benchmarks", REPO_ROOT / "examples",
-             REPO_ROOT / "tests"],
-            baseline=load_baseline(BASELINE))
+        result = lint_paths(FULL_TREE, baseline=load_baseline(BASELINE))
         messages = [f"{f.path}:{f.line}: {f.rule}" for f in result.findings]
         assert result.findings == [], "\n".join(messages)
+
+    def test_suppressions_and_baseline_name_only_shipped_rules(self):
+        """A directive or baseline entry for a rule that no longer
+        exists silences nothing and hides that the rule is gone."""
+        shipped = set(rules_by_name())
+        stale = sorted({f"{BASELINE.name}: {rule}"
+                        for rule, _, _ in load_baseline(BASELINE)
+                        if rule not in shipped})
+        for path in iter_python_files(FULL_TREE):
+            source = SourceFile(path, path.read_text())
+            named = set(source.file_suppressions).union(
+                *source.line_suppressions.values())
+            stale += [f"{path.relative_to(REPO_ROOT)}: {rule}"
+                      for rule in sorted(named - shipped - {"all"})]
+        assert stale == []
 
 
 class TestIndexKindStaysBehindTheShardPackage:

@@ -75,3 +75,17 @@ class TestErrorTable:
         assert {code: (int(status), int(exit_code))
                 for code, status, exit_code in rows} == ERROR_KINDS
         assert len(rows) == len(ERROR_KINDS)
+
+
+class TestCheckerTable:
+    def test_analysis_table_names_exactly_the_shipped_rules(self):
+        """docs/ANALYSIS.md says once which checker owns which protocol;
+        its lint-rule column is exactly the rule registry."""
+        from repro.analysis import rules_by_name
+        section = read("docs/ANALYSIS.md").split(
+            "## What is checked where")[1].split("\n## ")[0]
+        cells = re.findall(r"^\| [^|]+ \| (`[a-z-]+`|—) \|", section,
+                           flags=re.MULTILINE)
+        assert len(cells) > len(rules_by_name())    # protocols without one
+        assert sorted(cell.strip("`") for cell in cells if cell != "—") \
+            == sorted(rules_by_name())

@@ -10,15 +10,19 @@ under ``internal``; and the failed decode must leave nothing behind on
 the page's decoded-frame memo.
 """
 
+import os
+
 import pytest
 
 from repro import cli
 from repro.datasets.dblp import dblp
 from repro.exitcodes import EXIT_CORRUPTION, classify
-from repro.prix.index import (IndexOptions, LabelDict, PrixIndex,
-                              _decode_document, _encode_document)
+from repro.prix.index import (_SUPERBLOCK, IndexOptions, LabelDict,
+                              PrixIndex, _decode_document,
+                              _encode_document)
 from repro.prufer.sequence import regular_sequence
-from repro.storage import CorruptionError, RecordCorruptionError
+from repro.storage import (CorruptionError, RecordCorruptionError,
+                           SuperblockError)
 from repro.storage.codec import decode_varints, encode_varints
 from test_serve_oracle import http_post, live_server
 
@@ -153,3 +157,95 @@ class TestDecodeValidation:
         mutate(numbers, numbers[0])
         with pytest.raises(RecordCorruptionError, match="document 7"):
             self.decode(numbers, labels)
+
+
+# -- a damaged *metadata* record: the catalog itself does not parse ------
+
+def clobbered(length):
+    """Not text at all (parent: bare ``UnicodeDecodeError``)."""
+    return b"\xff" * length
+
+
+def truncated_json(length):
+    """Text, not JSON (parent: bare ``JSONDecodeError``)."""
+    return b'{"labels": ['.ljust(length)
+
+
+def missing_keys(length):
+    """JSON of the wrong shape (parent: bare ``KeyError``)."""
+    return b'{"labels": []}'.ljust(length)
+
+
+def not_an_object(length):
+    """JSON of the wrong type (parent: bare ``TypeError``)."""
+    return b"[1, 2]".ljust(length)
+
+
+def saved_index(tmp_path):
+    path = str(tmp_path / "catalog.prix")
+    with PrixIndex.build(dblp(n_records=40, seed=11),
+                         IndexOptions(path=path,
+                                      variants=("rp",))) as index:
+        index.save()
+    return path
+
+
+def damage_catalog(path, damage):
+    """Overwrite the metadata record on disk; the superblock and every
+    other page stay intact."""
+    with open(path, "r+b") as handle:
+        page, offset, length, page_size = PrixIndex._parse_superblock(
+            handle.read(_SUPERBLOCK.size), path)
+        handle.seek(page * page_size + offset)
+        handle.write(damage(length))
+
+
+@pytest.fixture(params=[clobbered, truncated_json, missing_keys,
+                        not_an_object],
+                ids=lambda damage: damage.__name__)
+def damaged_catalog(request, tmp_path):
+    path = saved_index(tmp_path)
+    damage_catalog(path, request.param)
+    return path
+
+
+def open_fds():
+    return set(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("backend", ["file", "mmap", "arena"])
+def test_open_raises_superblock_error_and_closes_the_backend(
+        damaged_catalog, backend):
+    before = open_fds()
+    with pytest.raises(SuperblockError, match="catalog unreadable") as caught:
+        PrixIndex.open(damaged_catalog, guard=False, backend=backend)
+    # Counted while the traceback still pins open()'s frame: the
+    # backend was closed explicitly, not by a later refcount drop.
+    assert open_fds() == before
+    assert isinstance(caught.value, CorruptionError)
+    assert classify(caught.value) == "corruption"
+
+
+def test_cli_and_scrub_agree_a_damaged_catalog_is_corruption(
+        damaged_catalog, capsys):
+    assert cli.main(["query", damaged_catalog, XPATH]) == EXIT_CORRUPTION
+    assert ("error [SuperblockError]: catalog unreadable"
+            in capsys.readouterr().err)
+    assert cli.main(["scrub", damaged_catalog]) == EXIT_CORRUPTION
+    assert "UNREADABLE" in capsys.readouterr().out
+
+
+def test_served_reload_of_a_damaged_catalog_answers_corruption(tmp_path):
+    """A mounted index cannot have an unreadable catalog, so the wire
+    path that reaches ``PrixIndex.open`` is the hot reload."""
+    path = saved_index(tmp_path)
+    with live_server(path, backend="file") as (_, base):
+        damage_catalog(path, clobbered)
+        status, body = http_post(base, "/reload", {})
+        assert status == 500
+        assert body["error"]["code"] == "corruption"
+        assert body["error"]["exit_code"] == EXIT_CORRUPTION
+        assert body["error"]["error_type"] == "SuperblockError"
+        # The generation that was serving keeps serving.
+        status, body = http_post(base, "/query", {"xpath": XPATH})
+        assert status == 200 and body["doc_ids"]

@@ -2,10 +2,7 @@
 
 This file deliberately drives the pool through unbalanced pin states
 (pin without unpin, unpin at zero, close while pinned) to test that the
-runtime rejects them -- exactly what the static rule forbids, so it is
-opted out file-wide:
-
-# prixlint: disable-file=pin-unpin-balance
+runtime rejects them.
 """
 
 import threading
