@@ -33,11 +33,11 @@ class NoRawIoRule(ImportTracker, Rule):
 
     Any ``open()`` / ``os.*`` / ``io.open`` call in ``repro.storage``,
     ``repro.prix`` or ``repro.trie`` bypasses the pager and silently
-    corrupts the physical-read accounting.  Four gateways are
-    sanctioned and exempt: ``pager.py`` and ``mmapio.py`` (page
-    traffic, counted in ``physical_reads``/``physical_writes``),
-    ``wal.py`` (log traffic, counted in ``wal_appends``/``wal_bytes``;
-    deliberately *not* page traffic, see ``docs/DURABILITY.md``) and
+    corrupts the physical-read accounting.  Three gateways are
+    sanctioned and exempt: ``pager.py`` (page traffic, counted in
+    ``physical_reads``/``physical_writes``), ``wal.py`` (log traffic,
+    counted in ``wal_appends``/``wal_bytes``; deliberately *not* page
+    traffic, see ``docs/DURABILITY.md``) and
     ``guard.py`` (checksum-sidecar traffic, counted in ``guard_*``;
     see ``docs/ROBUSTNESS.md``).  Any other legitimate exception (e.g.
     the superblock sniff in ``prix/index.py``) must carry an explicit
@@ -52,7 +52,7 @@ class NoRawIoRule(ImportTracker, Rule):
     watched_modules = ("os", "io")
 
     #: The sanctioned raw-I/O gateway modules of ``repro.storage``.
-    GATEWAY_FILES = ("pager.py", "wal.py", "guard.py", "mmapio.py")
+    GATEWAY_FILES = ("pager.py", "wal.py", "guard.py")
 
     def applies_to(self, source):
         if PurePath(source.path).name in self.GATEWAY_FILES:
@@ -77,10 +77,9 @@ class NoRawIoRule(ImportTracker, Rule):
 
 
 #: Classes whose instances own a file handle or dirty pages.
-TRACKED_HANDLES = frozenset({"Pager", "ArenaPager", "MmapPager",
-                             "BufferPool", "FilePagerBackend",
-                             "InMemoryArenaBackend", "MmapBackend",
-                             "PrixIndex", "WriteAheadLog", "PageGuard"})
+TRACKED_HANDLES = frozenset({"Pager", "BufferPool", "FilePagerBackend",
+                             "MmapBackend", "PrixIndex", "WriteAheadLog",
+                             "PageGuard"})
 
 
 def _tracked_constructor(node):

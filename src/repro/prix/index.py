@@ -58,7 +58,7 @@ class IndexOptions:
     labeler: str = "bulk"          # "bulk" or "dynamic" (Section 5.2.1)
     alpha: int = 4                 # prefix length for dynamic labeling
     max_range: int = 2 ** 63       # 8-byte ranges, as in the experiments
-    path: str | None = None        # None -> in-memory storage
+    path: str | None = None        # None -> pager over an in-memory buffer
     insert_fanout: int = 8         # scope share for incremental inserts
     maxgap_granularity: str = "label"  # or "node" (Section 5.4, fine)
     durable: bool = False          # write-ahead log + crash recovery
@@ -67,7 +67,6 @@ class IndexOptions:
     guard: bool = False            # per-page checksums + read-repair
     guard_path: str | None = None  # default: f"{path}.sum"
     file_factory: object = None    # testing hook: kind -> file object
-    backend: str = "file"          # storage substrate: "file" or "arena"
 
 
 @dataclass

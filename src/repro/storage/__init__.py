@@ -14,12 +14,14 @@ and deterministic fault injection (:class:`FaultSchedule` /
 in its own ``IOStats`` fields, so the paper tables are unaffected.
 
 The public door into the stack is :mod:`repro.storage.backend`
-(``docs/ARCHITECTURE.md``): a :class:`StorageBackend` protocol with
-three implementations -- :class:`FilePagerBackend` (production file
-stack), :class:`InMemoryArenaBackend` (tests/benchmarks over process
-memory) and the read-only :class:`MmapBackend` (serving).  The logical
-index layers import storage only through that seam; the ``layering``
-lint rule enforces the boundary statically.
+(``docs/ARCHITECTURE.md``): a :class:`StorageBackend` protocol
+implemented by one stack -- the buffer pool over the one
+:class:`Pager` -- as :class:`FilePagerBackend` and its read-only
+subclass :class:`MmapBackend`.  The ``open_backend`` kinds (``"file"``,
+``"arena"``, ``"mmap"``) differ only in the file-like object the pager
+is handed: the real file, an in-memory snapshot of it, or a read-only
+memory map.  The logical index layers import storage only through that
+seam; the ``layering`` lint rule enforces the boundary statically.
 
 Corruption safety sits beside it (``docs/ROBUSTNESS.md``): a
 :class:`PageGuard` checksums every page on write-back and verifies on
@@ -31,11 +33,10 @@ under.  Guard traffic, like WAL traffic, never touches the page
 counters.
 """
 
-from repro.storage.arena import ArenaPager
-from repro.storage.backend import (FilePagerBackend, InMemoryArenaBackend,
-                                   MmapBackend, StorageBackend,
-                                   backend_from_files, create_backend,
-                                   open_backend, recover_backend)
+from repro.storage.backend import (FilePagerBackend, MmapBackend,
+                                   StorageBackend, backend_from_files,
+                                   create_backend, open_backend,
+                                   recover_backend)
 from repro.storage.bptree import BPlusTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.codec import (decode_key, encode_int, encode_key,
@@ -55,7 +56,6 @@ from repro.storage.guard import (PageGuard, ScrubReport, TreeScrubReport,
                                  scrub, scrub_path, scrub_tree,
                                  wal_repair_source)
 from repro.storage.latch import Latch
-from repro.storage.mmapio import MmapPager
 from repro.storage.pager import DEFAULT_PAGE_SIZE, Pager
 from repro.storage.records import RecordStore
 from repro.storage.recovery import (RecoveryResult, recover, recover_path,
@@ -65,7 +65,6 @@ from repro.storage.wal import (SYNC_ALWAYS, SYNC_COMMIT, SYNC_NEVER,
                                WriteAheadLog)
 
 __all__ = [
-    "ArenaPager",
     "BPlusTree",
     "BufferPool",
     "BufferPoolExhaustedError",
@@ -79,10 +78,8 @@ __all__ = [
     "FaultyFile",
     "FilePagerBackend",
     "IOStats",
-    "InMemoryArenaBackend",
     "Latch",
     "MmapBackend",
-    "MmapPager",
     "PageCorruptionError",
     "PageGuard",
     "PageOverflowError",

@@ -10,42 +10,43 @@ layers is a lint finding with the witness import chain attached.
 The contract is :class:`StorageBackend`: a buffer-pool-shaped object
 that serves page images, tracks dirty state, honours pins, and owns the
 durability (WAL) and integrity (guard) machinery behind ``flush`` /
-``commit`` / ``checkpoint`` / ``close``.  Three implementations ship:
+``commit`` / ``checkpoint`` / ``close``.  One stack implements it --
+the LRU ``BufferPool`` over the one :class:`~repro.storage.pager.Pager`
+-- as :class:`FilePagerBackend` and its read-only subclass
+:class:`MmapBackend`.  The backend *kind* chosen at open time
+(:func:`open_backend`) is only which file-like object the pager holds:
 
-- :class:`FilePagerBackend` -- the production stack (``Pager`` + LRU
-  buffer pool + optional WAL and checksum guard) over a real file or an
-  in-memory buffer;
-- :class:`InMemoryArenaBackend` -- the same pool over an
-  :class:`~repro.storage.arena.ArenaPager` (process memory, no file
-  objects at all): tests and benchmarks;
-- :class:`MmapBackend` -- a read-only pool over an
-  :class:`~repro.storage.mmapio.MmapPager` for serving a finished
-  index; every mutation raises
+- ``"file"`` -- the real file (or, at build time, a ``file_factory``
+  object or an in-memory buffer): the writable production stack,
+  optionally with a WAL and a checksum guard;
+- ``"arena"`` -- an ``io.BytesIO`` snapshot of the saved file's bytes:
+  pool misses are served from process memory, mutations die with the
+  process, a WAL is refused;
+- ``"mmap"`` -- a read-only ``mmap.mmap`` of the saved file, for
+  serving: every mutation raises
   :class:`~repro.storage.errors.ReadOnlyBackendError`.
 
-All three run the *same* ``BufferPool`` code above the substrate, so
-the paper's "Disk IO pages" accounting is byte-identical across
-backends by construction; the backend-parametrized storage suites and
-the chaos matrix hold every implementation to the protocol.
+Every kind therefore runs the *same* read and write path, so the
+paper's "Disk IO pages" accounting is identical across kinds by
+construction, and the runtime sanitizer, the backend-parametrized
+storage suites and the chaos matrix cover all of them at once.
 """
 
 from __future__ import annotations
 
 from typing import Protocol
 
-from repro.storage.arena import ArenaPager
 from repro.storage.buffer_pool import DEFAULT_POOL_PAGES, BufferPool
 from repro.storage.errors import ReadOnlyBackendError
 from repro.storage.guard import PageGuard
-from repro.storage.mmapio import MmapPager
 from repro.storage.pager import DEFAULT_PAGE_SIZE, Pager
 from repro.storage.wal import SYNC_COMMIT, WriteAheadLog
 
 __all__ = [
     "DEFAULT_PAGE_SIZE", "DEFAULT_POOL_PAGES", "SYNC_COMMIT",
-    "StorageBackend", "FilePagerBackend", "InMemoryArenaBackend",
-    "MmapBackend", "create_backend", "open_backend", "recover_backend",
-    "recover_files", "backend_from_files",
+    "StorageBackend", "FilePagerBackend", "MmapBackend",
+    "create_backend", "open_backend", "recover_backend", "recover_files",
+    "backend_from_files",
 ]
 
 
@@ -157,7 +158,7 @@ class StorageBackend(Protocol):
 
 
 class FilePagerBackend(BufferPool):
-    """The production backend: LRU buffer pool over a file ``Pager``.
+    """The production backend: LRU buffer pool over a ``Pager``.
 
     Subclasses :class:`BufferPool` rather than wrapping it so the hot
     path (``get`` on a resident page) stays one virtual call -- the
@@ -204,68 +205,6 @@ class FilePagerBackend(BufferPool):
         pager = Pager.open(path, page_size=page_size, guard=guard)
         return cls(pager, capacity=pool_pages or DEFAULT_POOL_PAGES)
 
-    @classmethod
-    def in_memory(cls, page_size=DEFAULT_PAGE_SIZE, pool_pages=None,
-                  guard=None):
-        """Backend over an in-memory file object (``io.BytesIO``)."""
-        pager = Pager.in_memory(page_size=page_size, guard=guard)
-        return cls(pager, capacity=pool_pages or DEFAULT_POOL_PAGES)
-
-    @classmethod
-    def from_file(cls, fileobj, page_size=DEFAULT_PAGE_SIZE,
-                  pool_pages=None, guard=None):
-        """Backend over an already-open file object (fault injection)."""
-        pager = Pager(fileobj, page_size=page_size, guard=guard)
-        return cls(pager, capacity=pool_pages or DEFAULT_POOL_PAGES)
-
-
-class InMemoryArenaBackend(FilePagerBackend):
-    """Backend over process memory: the same pool, no file objects.
-
-    Exists for tests and benchmarks that want the full storage protocol
-    -- pins, eviction, guard verification, typed errors -- without a
-    filesystem.  Because only the substrate differs, every ``IOStats``
-    counter behaves exactly as on :class:`FilePagerBackend`.
-    """
-
-    kind = "arena"
-
-    def __init__(self, page_size=DEFAULT_PAGE_SIZE, pool_pages=None,
-                 guard=None):
-        pager = ArenaPager(page_size=page_size, guard=guard)
-        super().__init__(pager, capacity=pool_pages or DEFAULT_POOL_PAGES)
-
-    @classmethod
-    def preload(cls, path, page_size=DEFAULT_PAGE_SIZE, pool_pages=None,
-                guard=None):
-        """Arena backend warm-loaded from the saved index at ``path``.
-
-        Every page of the file is copied into process memory once, up
-        front, and the I/O counters are then reset -- so the snapshot
-        serves queries with **zero** physical page reads afterwards (the
-        serving tier's hot-index mode; ``docs/SERVING.md``).  The copy
-        is a *snapshot*: it is never written back, so mutations on it
-        die with the process -- which is why :func:`open_backend`
-        refuses to attach a write-ahead log to one.
-
-        ``guard`` (an opened :class:`PageGuard` sidecar) is attached
-        *after* the raw copy, so later reads verify the arena images
-        against the on-disk stamps exactly as the file backend would.
-        """
-        backend = cls(page_size=page_size, pool_pages=pool_pages)
-        source = Pager.open(path, page_size=page_size)
-        try:
-            arena = backend._pager
-            for page_id in range(source.num_pages):
-                arena.allocate()
-                arena.write(page_id, source.read_raw(page_id))
-        finally:
-            source.close()
-        if guard is not None:
-            backend._pager.attach_guard(guard)
-        backend.stats.reset()
-        return backend
-
 
 class MmapBackend(FilePagerBackend):
     """Read-only serving backend over a memory-mapped index file.
@@ -279,10 +218,12 @@ class MmapBackend(FilePagerBackend):
 
     kind = "mmap"
 
-    def __init__(self, path, page_size=DEFAULT_PAGE_SIZE, pool_pages=None,
-                 guard=None):
-        pager = MmapPager(path, page_size=page_size, guard=guard)
-        super().__init__(pager, capacity=pool_pages or DEFAULT_POOL_PAGES)
+    @classmethod
+    def open(cls, path, page_size=DEFAULT_PAGE_SIZE, pool_pages=None,
+             guard=None):
+        """Read-only backend over a mapping of the saved file at ``path``."""
+        pager = Pager.mapped(path, page_size=page_size, guard=guard)
+        return cls(pager, capacity=pool_pages or DEFAULT_POOL_PAGES)
 
     def put(self, page_id, data):
         raise ReadOnlyBackendError(
@@ -335,39 +276,22 @@ def _open_wal(options, stats):
 
 
 def create_backend(options):
-    """Build-time wiring: guard + substrate + pool + WAL per
-    ``IndexOptions``.
+    """Build-time wiring: guard + pager + pool + WAL per ``IndexOptions``.
 
-    ``options.backend`` selects the substrate family: ``"file"`` (the
-    default -- real file, ``file_factory`` object, or in-memory buffer
-    when ``path`` is None) or ``"arena"`` (pure process memory).  The
-    read-only ``"mmap"`` backend cannot host a build and is rejected
-    with the typed error.
+    A build always runs on the writable stack; what the pager is handed
+    follows the options: a ``file_factory`` object, an in-memory buffer
+    when ``path`` is None, else the real file at ``path``.
     """
     guard = _open_guard(options) if options.guard else None
-    kind = getattr(options, "backend", "file")
-    if kind == "arena":
-        backend = InMemoryArenaBackend(page_size=options.page_size,
-                                       pool_pages=options.pool_pages,
-                                       guard=guard)
-    elif kind == "file":
-        if options.file_factory is not None:
-            pager = Pager(options.file_factory("data"),
-                          page_size=options.page_size, guard=guard)
-        elif options.path is None:
-            pager = Pager.in_memory(page_size=options.page_size,
-                                    guard=guard)
-        else:
-            pager = Pager.open(options.path, page_size=options.page_size,
-                               guard=guard)
-        backend = FilePagerBackend(pager, capacity=options.pool_pages)
-    elif kind == "mmap":
-        raise ReadOnlyBackendError(
-            "cannot build an index onto the read-only mmap backend; "
-            "build with backend='file' and serve the saved file")
+    if options.file_factory is not None:
+        pager = Pager(options.file_factory("data"),
+                      page_size=options.page_size, guard=guard)
+    elif options.path is None:
+        pager = Pager.in_memory(page_size=options.page_size, guard=guard)
     else:
-        raise ValueError(f"unknown storage backend {kind!r} "
-                         "(expected 'file', 'arena' or 'mmap')")
+        pager = Pager.open(options.path, page_size=options.page_size,
+                           guard=guard)
+    backend = FilePagerBackend(pager, capacity=options.pool_pages)
     if options.durable:
         backend.attach_wal(_open_wal(options, backend.stats))
     return backend
@@ -383,6 +307,23 @@ def recover_backend(path, wal_path, guard_path=None):
     recover_path(path, wal_path, guard_path=guard_path)
 
 
+#: Open-time kind -> (backend class, the ``Pager`` constructor deciding
+#: how the saved file's bytes are held).
+_KINDS = {
+    "file": (FilePagerBackend, Pager.open),
+    "arena": (FilePagerBackend, Pager.snapshot),
+    "mmap": (MmapBackend, Pager.mapped),
+}
+
+#: Kinds that refuse a write-ahead log, and why.
+_NO_WAL = {
+    "arena": "the arena backend opens a detached in-memory snapshot; "
+             "it cannot attach a write-ahead log",
+    "mmap": "the mmap backend is read-only; it cannot attach a "
+            "write-ahead log",
+}
+
+
 def open_backend(path, page_size, pool_pages=None, kind="file",
                  durable=False, wal_path=None, wal_sync=SYNC_COMMIT,
                  guard=False, guard_path=None, chaos=None):
@@ -391,11 +332,11 @@ def open_backend(path, page_size, pool_pages=None, kind="file",
     ``kind="file"`` reopens the writable production stack (optionally
     durable); ``kind="mmap"`` maps the file read-only for serving --
     asking for a WAL there is a :class:`ReadOnlyBackendError` because a
-    read-only backend has nothing to log.  ``kind="arena"`` copies the
-    whole file into process memory once (a warm snapshot: pool misses
-    are served from RAM, :meth:`InMemoryArenaBackend.preload`);
-    attaching a WAL there is equally refused because changes to a
-    snapshot can never reach the index file.
+    read-only backend has nothing to log.  ``kind="arena"`` reads the
+    whole file into process memory once (a detached snapshot: pool
+    misses are served from RAM, :meth:`Pager.snapshot`); attaching a
+    WAL there is equally refused because changes to a snapshot can
+    never reach the index file.
 
     ``chaos`` (a :class:`~repro.storage.faults.ChaosConfig`) wraps the
     opened backend in a :class:`~repro.storage.faults.ChaosBackend`
@@ -403,32 +344,27 @@ def open_backend(path, page_size, pool_pages=None, kind="file",
     With ``chaos=None`` (the default) no wrapper exists at all, so the
     "Disk IO pages" accounting is exactly the unwrapped backend's.
     """
-    if guard_path is None:
-        guard_path = path + ".sum"
-    page_guard = PageGuard.open(guard_path, page_size) if guard else None
-    if kind == "mmap":
-        if durable:
-            raise ReadOnlyBackendError(
-                "the mmap backend is read-only; it cannot attach a "
-                "write-ahead log")
-        backend = MmapBackend(path, page_size=page_size,
-                              pool_pages=pool_pages, guard=page_guard)
-        return _wrap_chaos(backend, chaos)
-    if kind == "arena":
-        if durable:
-            raise ReadOnlyBackendError(
-                "the arena backend opens a detached in-memory snapshot; "
-                "it cannot attach a write-ahead log")
-        backend = InMemoryArenaBackend.preload(path, page_size=page_size,
-                                               pool_pages=pool_pages,
-                                               guard=page_guard)
-        return _wrap_chaos(backend, chaos)
-    if kind != "file":
+    # Validate before anything is opened: a refused call must leave no
+    # handle and no freshly created sidecar behind.
+    if kind not in _KINDS:
         raise ValueError(f"unknown storage backend {kind!r} for open "
                          "(expected 'file', 'arena' or 'mmap')")
-    backend = FilePagerBackend.open(path, page_size=page_size,
-                                    pool_pages=pool_pages,
-                                    guard=page_guard)
+    if durable and kind in _NO_WAL:
+        raise ReadOnlyBackendError(_NO_WAL[kind])
+    backend_class, open_pager = _KINDS[kind]
+    if guard_path is None:
+        guard_path = path + ".sum"
+    pager = open_pager(path, page_size=page_size)
+    if guard:
+        # The sidecar is opened (and created if absent) only once the
+        # pager has accepted the file, and never outlives a failure.
+        try:
+            pager.attach_guard(PageGuard.open(guard_path, page_size))
+        except BaseException:
+            pager.close()
+            raise
+    backend = backend_class(pager, capacity=pool_pages or DEFAULT_POOL_PAGES)
+    backend.kind = kind
     if durable:
         if wal_path is None:
             wal_path = path + ".wal"

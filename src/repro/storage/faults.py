@@ -439,8 +439,9 @@ class ChaosBackend:
 
     Wraps any backend and perturbs only the *read* path (``get``,
     ``get_decoded``, ``pin``, ``pinned``); every mutation, lifecycle and
-    accounting member delegates untouched, so with no faults due the
-    wrapped backend behaves identically -- and with chaos disabled
+    accounting member reaches the wrapped backend untouched through
+    ``__getattr__``, so with no faults due the wrapped backend behaves
+    identically -- and with chaos disabled
     entirely (no wrapper) the "Disk IO pages" accounting is byte-for-
     byte the unwrapped backend's.
 
@@ -549,34 +550,6 @@ class ChaosBackend:
         # admit() succeeded: the guard repaired the image from the WAL
         # (read-repair); the durable bytes were never wrong.
 
-    # -- StorageBackend: accounting ------------------------------------
-
-    @property
-    def page_size(self):
-        """Page size of the wrapped backend."""
-        return self._inner.page_size
-
-    @property
-    def num_pages(self):
-        """Allocated page count of the wrapped backend."""
-        return self._inner.num_pages
-
-    @property
-    def stats(self):
-        """The wrapped backend's :class:`IOStats` (injections never
-        count as page traffic)."""
-        return self._inner.stats
-
-    @property
-    def guard(self):
-        """The wrapped backend's checksum guard, or None."""
-        return self._inner.guard
-
-    @property
-    def wal(self):
-        """The wrapped backend's write-ahead log, or None."""
-        return self._inner.wal
-
     # -- StorageBackend: reads (injection points) ----------------------
 
     def get(self, page_id):
@@ -604,48 +577,13 @@ class ChaosBackend:
         self._chaos_read(page_id, "pinned")
         return self._inner.pinned(page_id)
 
-    # -- StorageBackend: pure delegation -------------------------------
+    # -- StorageBackend: everything else ------------------------------
 
-    def put(self, page_id, data):
-        """Delegate a page replacement to the wrapped backend."""
-        return self._inner.put(page_id, data)
-
-    def new_page(self):
-        """Delegate page allocation to the wrapped backend."""
-        return self._inner.new_page()
-
-    def mark_dirty(self, page_id):
-        """Delegate a dirty flag to the wrapped backend."""
-        self._inner.mark_dirty(page_id)
-
-    def unpin(self, page_id):
-        """Delegate a pin release to the wrapped backend."""
-        self._inner.unpin(page_id)
-
-    def attach_wal(self, wal):
-        """Delegate WAL attachment to the wrapped backend."""
-        self._inner.attach_wal(wal)
-
-    def commit(self):
-        """Delegate a commit to the wrapped backend."""
-        return self._inner.commit()
-
-    def checkpoint(self):
-        """Delegate a checkpoint to the wrapped backend."""
-        return self._inner.checkpoint()
-
-    def flush(self):
-        """Delegate a flush to the wrapped backend."""
-        self._inner.flush()
-
-    def flush_and_clear(self):
-        """Delegate flush-and-clear to the wrapped backend."""
-        self._inner.flush_and_clear()
-
-    def sync(self):
-        """Delegate the durability barrier to the wrapped backend."""
-        self._inner.sync()
-
-    def close(self):
-        """Close the wrapped backend."""
-        self._inner.close()
+    def __getattr__(self, name):
+        """Delegate every member not defined above to the wrapped
+        backend, so the wrapper tracks the protocol without a
+        hand-written forwarder per member (refusals such as a read-only
+        backend's ``put`` surface unchanged)."""
+        if name == "_inner":  # a half-built copy: fail, do not recurse
+            raise AttributeError(name)
+        return getattr(self._inner, name)

@@ -1,9 +1,14 @@
-"""File-backed page manager.
+"""The page manager: the one page substrate of ``repro.storage``.
 
-A :class:`Pager` owns a flat file divided into fixed-size pages and counts
-every physical read and write.  It can also run over an in-memory byte
-buffer, which the test suite uses so thousands of storage tests stay fast
-while exercising exactly the same code paths.
+A :class:`Pager` owns a flat file-like object divided into fixed-size
+pages and counts every physical read and write.  *Which* file-like
+object it is handed is the only thing that distinguishes the storage
+backend kinds: a real file (:meth:`Pager.open`), an ``io.BytesIO``
+(:meth:`Pager.in_memory`, or :meth:`Pager.snapshot` of a saved file's
+bytes) or a read-only ``mmap.mmap`` of a saved file
+(:meth:`Pager.mapped`).  The range check, quarantine check, guard
+admission, stats bump and latch below are therefore the same code on
+every substrate.
 
 Concurrency: a single file object has a single seek position, so every
 seek-then-read/write pair is made atomic under the pager's ``pager-io``
@@ -17,9 +22,10 @@ latch order (``pager-io`` may take ``io-stats``, nothing else).
 from __future__ import annotations
 
 import io
+import mmap
 import os
 
-from repro.storage.errors import PageRangeError
+from repro.storage.errors import PageRangeError, ReadOnlyBackendError
 from repro.storage.latch import Latch
 from repro.storage.stats import IOStats
 
@@ -69,6 +75,7 @@ class Pager:
         self.page_size = page_size
         self.stats = stats if stats is not None else IOStats()
         self.guard = None
+        self._read_only = False
         self._io_latch = Latch("pager-io")
         self._file.seek(0, os.SEEK_END)
         size = self._file.tell()
@@ -80,17 +87,67 @@ class Pager:
             self.attach_guard(guard)
 
     @classmethod
+    def _over(cls, fileobj, **kwargs):
+        """Pager over a handle this module opened itself: the handle is
+        closed, not leaked, when ``__init__`` rejects the file."""
+        try:
+            return cls(fileobj, **kwargs)
+        except BaseException:
+            fileobj.close()
+            raise
+
+    @classmethod
     def open(cls, path, page_size=DEFAULT_PAGE_SIZE, stats=None, guard=None):
         """Open (or create) a pager over the file at ``path``."""
         mode = "r+b" if os.path.exists(path) else "w+b"
-        return cls(open(path, mode), page_size=page_size, stats=stats,
-                   guard=guard)
+        return cls._over(open(path, mode), page_size=page_size,
+                         stats=stats, guard=guard)
 
     @classmethod
     def in_memory(cls, page_size=DEFAULT_PAGE_SIZE, stats=None, guard=None):
         """Create a pager over an in-memory buffer (tests, small corpora)."""
         return cls(io.BytesIO(), page_size=page_size, stats=stats,
                    guard=guard)
+
+    @classmethod
+    def snapshot(cls, path, page_size=DEFAULT_PAGE_SIZE, stats=None,
+                 guard=None):
+        """Pager over an in-memory copy of the saved file at ``path``.
+
+        The bytes are read once, up front, so every later pool miss is
+        served from process memory.  The copy is detached: it is never
+        written back, and mutations on it die with the process.
+        """
+        with open(path, "rb") as source:
+            image = source.read()
+        return cls(io.BytesIO(image), page_size=page_size, stats=stats,
+                   guard=guard)
+
+    @classmethod
+    def mapped(cls, path, page_size=DEFAULT_PAGE_SIZE, stats=None,
+               guard=None):
+        """Read-only pager over a memory map of the saved file at ``path``.
+
+        ``allocate``/``write``/``repair_write`` raise
+        :class:`~repro.storage.errors.ReadOnlyBackendError`.  A
+        read-only mount has no WAL, so with a guard attached a corrupt
+        page has no repair source and is quarantined with the usual
+        typed :class:`~repro.storage.errors.PageCorruptionError`.
+        """
+        source = open(path, "rb")
+        if os.fstat(source.fileno()).st_size:
+            # The mapping holds its own duplicate of the descriptor.
+            with source:
+                fileobj = mmap.mmap(source.fileno(), 0,
+                                    access=mmap.ACCESS_READ)
+        else:
+            # mmap rejects zero-length maps; an empty file simply has
+            # no pages, and every read is then out of range anyway.
+            fileobj = source
+        pager = cls._over(fileobj, page_size=page_size, stats=stats,
+                          guard=guard)
+        pager._read_only = True
+        return pager
 
     def attach_guard(self, guard):
         """Attach a checksum guard; it adopts this pager's stats."""
@@ -107,8 +164,16 @@ class Pager:
         with self._io_latch:
             return self._num_pages
 
+    def _check_writable(self):
+        """The single read-only condition (:meth:`mapped` pagers)."""
+        if self._read_only:
+            raise ReadOnlyBackendError(
+                "cannot allocate, write or repair a page on a read-only "
+                "pager")
+
     def allocate(self):
         """Extend the file by one zeroed page and return its id."""
+        self._check_writable()
         zero = b"\x00" * self.page_size
         with self._io_latch:
             page_id = self._num_pages
@@ -179,6 +244,7 @@ class Pager:
         Raises :class:`PageRangeError` when ``page_id`` is outside the
         allocated range.
         """
+        self._check_writable()
         if len(data) != self.page_size:
             raise ValueError(
                 f"page payload must be exactly {self.page_size} bytes, "
@@ -199,6 +265,7 @@ class Pager:
         in ``guard_repairs`` rather than ``physical_writes`` -- exactly
         as recovery's replay writes are not query I/O.
         """
+        self._check_writable()
         if len(data) != self.page_size:
             raise ValueError(
                 f"page payload must be exactly {self.page_size} bytes, "

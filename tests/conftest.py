@@ -11,18 +11,18 @@ sys.path.insert(0, os.path.dirname(__file__))
 from repro.datasets import (dblp, figure1_documents, figure2_document,
                             swissprot, treebank)
 from repro.prix.index import PrixIndex
-from repro.storage.backend import (DEFAULT_PAGE_SIZE, FilePagerBackend,
-                                   InMemoryArenaBackend)
+from repro.storage.backend import DEFAULT_PAGE_SIZE, FilePagerBackend
+from repro.storage.pager import Pager
 from repro.xmlkit.tree import Document, XMLNode
 
 
 @pytest.fixture(params=["file", "arena"])
 def make_backend(request, tmp_path):
-    """Factory for the parametrized StorageBackend kinds.
+    """Factory for the parametrized page substrates.
 
-    Storage tests taking this fixture run twice -- once over the
-    production :class:`FilePagerBackend`, once over the in-memory
-    :class:`InMemoryArenaBackend` -- asserting the substrates are
+    Storage tests taking this fixture run twice -- once with the one
+    :class:`Pager` holding a real file (``file``), once holding an
+    in-memory buffer (``arena``) -- asserting the substrates are
     observationally identical: same page contents, same ``IOStats``
     movements, same typed errors.  The fixture owns every backend it
     hands out and closes them at teardown; ``factory.kind`` exposes
@@ -36,8 +36,9 @@ def make_backend(request, tmp_path):
                 str(tmp_path / f"backend{len(opened)}.db"),
                 page_size=page_size, pool_pages=pool_pages, guard=guard)
         else:
-            backend = InMemoryArenaBackend(
-                page_size=page_size, pool_pages=pool_pages, guard=guard)
+            backend = FilePagerBackend(
+                Pager.in_memory(page_size=page_size, guard=guard),
+                capacity=pool_pages)
         opened.append(backend)
         return backend
 

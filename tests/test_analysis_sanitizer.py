@@ -13,6 +13,8 @@ import threading
 import pytest
 
 from repro.analysis import sanitizer
+from repro.prix.index import IndexOptions, PrixIndex
+from repro.storage.backend import open_backend
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.errors import PinProtocolError
 from repro.storage.pager import Pager
@@ -252,6 +254,51 @@ class TestGuardedFieldDescriptors:
         with sanitizer.sanitized():
             assert "_frames" in BufferPool.__dict__  # descriptor installed
         assert "_frames" not in BufferPool.__dict__
+
+    @pytest.fixture
+    def saved_index(self, tmp_path, tiny_dblp):
+        path = str(tmp_path / "prix.idx")
+        options = IndexOptions(path=path, guard=True, page_size=1024)
+        with PrixIndex.build(tiny_dblp.documents, options) as index:
+            index.save()
+        return path, options.page_size
+
+    @pytest.mark.parametrize("kind", ["file", "arena", "mmap"])
+    def test_every_backend_kind_is_race_free_across_threads(
+            self, sanitized, saved_index, kind):
+        # Every kind is the one guarded Pager, so the whole read path
+        # of every substrate runs under the descriptors.
+        path, page_size = saved_index
+        backend = open_backend(path, page_size, kind=kind, pool_pages=4,
+                               guard=True)
+        try:
+            pages = range(backend.num_pages)
+            for page_id in pages:
+                backend.get(page_id)
+
+            def sweep():
+                for page_id in pages:
+                    backend.get(page_id)
+                assert backend.num_pages == len(pages)
+
+            assert self.run_in_thread(sweep) == []
+        finally:
+            backend.close()
+
+    def test_unlatched_pager_read_on_mmap_kind_trips(self, sanitized,
+                                                     saved_index):
+        # The planted defect: before PR 19 the mmap substrate was its
+        # own, unguarded class and this read could not be caught.
+        path, page_size = saved_index
+        backend = open_backend(path, page_size, kind="mmap")
+        try:
+            backend.get(0)
+            pager = backend._pager
+            errors = self.run_in_thread(lambda: pager._num_pages)
+            assert len(errors) == 1
+            assert "Pager._num_pages" in str(errors[0])
+        finally:
+            backend.close()
 
 
 class TestThreadLocalState:

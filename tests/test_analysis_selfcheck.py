@@ -6,6 +6,7 @@ deliberately introduced violation (raw ``open()`` in the storage layer,
 unseeded RNG in a dataset generator) makes the lint fail.
 """
 
+import ast
 import re
 import shutil
 from pathlib import Path
@@ -70,6 +71,21 @@ class TestIndexKindStaysBehindTheShardPackage:
                          path.read_text().splitlines(), start=1)
                      if fork.search(line)]
         assert offenders == []
+
+
+class TestOnePageSubstrate:
+    def test_storage_defines_exactly_one_pager_surface(self):
+        """Backend kinds differ in the file-like object ``Pager`` is
+        handed, never in a second class re-implementing its read and
+        write path (which the runtime sanitizer would not patch)."""
+        surface = {"allocate", "read", "read_raw", "write", "repair_write"}
+        pagers = [f"{path.name}:{node.name}"
+                  for path in sorted((SRC / "storage").glob("*.py"))
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.ClassDef)
+                  and surface <= {item.name for item in node.body
+                                  if isinstance(item, ast.FunctionDef)}]
+        assert pagers == ["pager.py:Pager"]
 
 
 class TestViolationsAreCaught:

@@ -6,8 +6,8 @@ its test-scale corpus x {rp, ep} x {ordered, unordered} x strategy
 ``FilterStats`` fields, ``candidates_refined``, ``matches``, the cold
 ``physical_reads`` and the pool's ``logical_reads`` delta.  It is the
 machine check that a change to the probe path touches the same pages,
-in the same number, with the same counters -- on both the ``file`` and
-the ``arena`` substrate.
+in the same number, with the same counters -- whether the pager holds
+a real file or an in-memory buffer.
 
 Regenerate (only from a commit whose counters are the reference)::
 
@@ -29,7 +29,10 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
 FIELDS = ("range_queries", "nodes_visited", "candidates",
           "pruned_by_maxgap", "candidates_refined", "matches",
           "physical_reads", "logical_reads")
-BACKENDS = ("file", "arena")
+#: Where the pager keeps the bytes: a real file (``path=...``) or an
+#: in-memory buffer (``path=None``) -- what the ``file`` and ``arena``
+#: open-time kinds hold them in.
+SUBSTRATES = ("file", "arena")
 #: Small pages make the tiny corpora's trees three or four levels tall
 #: with ranges that cross leaf boundaries, so the page counts are
 #: sensitive to how a probe descends and walks the leaf chain.
@@ -41,14 +44,14 @@ def case_id(qid, variant, ordered, strategy, granularity):
     return f"{qid}/{variant}/{order}/{strategy}/{granularity}"
 
 
-def collect(corpora, backend, directory):
+def collect(corpora, substrate, directory):
     """``{case id: [counter per FIELDS]}`` over the whole matrix."""
     counters = {}
     for name, corpus in corpora.items():
         options = IndexOptions(
-            backend=backend, page_size=PAGE_SIZE,
+            page_size=PAGE_SIZE,
             path=(os.path.join(directory, f"{name}.idx")
-                  if backend == "file" else None))
+                  if substrate == "file" else None))
         with PrixIndex.build(corpus.documents, options) as index:
             specs = [spec for spec in QUERIES if spec.corpus == name]
             for spec, variant, ordered, strategy, granularity in product(
@@ -77,13 +80,13 @@ def load_golden():
     return document["cases"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_counters_match_golden(backend, tmp_path, tiny_dblp,
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+def test_counters_match_golden(substrate, tmp_path, tiny_dblp,
                                tiny_swissprot, tiny_treebank):
     corpora = {"dblp": tiny_dblp, "swissprot": tiny_swissprot,
                "treebank": tiny_treebank}
     golden = load_golden()
-    measured = collect(corpora, backend, str(tmp_path))
+    measured = collect(corpora, substrate, str(tmp_path))
     assert sorted(measured) == sorted(golden)
     moved = {case: dict(zip(FIELDS, zip(golden[case], row)))
              for case, row in measured.items() if row != golden[case]}
@@ -97,14 +100,14 @@ def _regenerate():
                "swissprot": swissprot(n_entries=40),
                "treebank": treebank(n_sentences=60)}
     with tempfile.TemporaryDirectory() as directory:
-        per_backend = {}
-        for backend in BACKENDS:
-            os.mkdir(os.path.join(directory, backend))
-            per_backend[backend] = collect(
-                corpora, backend, os.path.join(directory, backend))
-    assert per_backend["file"] == per_backend["arena"], \
+        per_substrate = {}
+        for substrate in SUBSTRATES:
+            os.mkdir(os.path.join(directory, substrate))
+            per_substrate[substrate] = collect(
+                corpora, substrate, os.path.join(directory, substrate))
+    assert per_substrate["file"] == per_substrate["arena"], \
         "substrates disagree; one golden cannot pin both"
-    cases = per_backend["file"]
+    cases = per_substrate["file"]
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with open(GOLDEN, "w", encoding="utf-8") as handle:
         handle.write('{"fields": %s,\n "cases": {\n' % json.dumps(FIELDS))

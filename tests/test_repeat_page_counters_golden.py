@@ -7,8 +7,8 @@ and the *second* run's ``logical_reads``, ``physical_reads`` and
 ``evictions`` deltas.  The second run is the one that finds decoded
 B+-tree nodes and decoded documents memoised on resident frames, so this
 is the machine check that a memo hit requests, touches and evicts
-exactly the pages a re-decode would -- on both the ``file`` and the
-``arena`` substrate.  Generated at ``e0ded35``, before record pages
+exactly the pages a re-decode would -- whether the pager holds a real
+file or an in-memory buffer.  Generated at ``e0ded35``, before record pages
 joined the decoded-frame memo.
 
 Regenerate (only from a commit whose counters are the reference)::
@@ -29,7 +29,10 @@ from repro.prix.index import IndexOptions, PrixIndex
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "repeat_page_counters.json")
 FIELDS = ("logical_reads", "physical_reads", "evictions")
-BACKENDS = ("file", "arena")
+#: Where the pager keeps the bytes: a real file (``path=...``) or an
+#: in-memory buffer (``path=None``) -- what the ``file`` and ``arena``
+#: open-time kinds hold them in.
+SUBSTRATES = ("file", "arena")
 PAGE_SIZE = 1024
 #: A pool every query overflows, and one nothing is ever evicted from.
 POOLS = {"pool8": 8, "resident": 2000}
@@ -39,15 +42,15 @@ def case_id(qid, variant, strategy, pool):
     return f"{qid}/{variant}/{strategy}/{pool}"
 
 
-def collect(corpora, backend, directory):
+def collect(corpora, substrate, directory):
     """``{case id: [second-run delta per FIELDS]}`` over the matrix."""
     counters = {}
     for (name, corpus), (pool, pool_pages) in product(corpora.items(),
                                                       POOLS.items()):
         options = IndexOptions(
-            backend=backend, page_size=PAGE_SIZE, pool_pages=pool_pages,
+            page_size=PAGE_SIZE, pool_pages=pool_pages,
             path=(os.path.join(directory, f"{name}-{pool}.idx")
-                  if backend == "file" else None))
+                  if substrate == "file" else None))
         with PrixIndex.build(corpus.documents, options) as index:
             specs = [spec for spec in QUERIES if spec.corpus == name]
             for spec, variant, strategy in product(
@@ -71,13 +74,13 @@ def load_golden():
     return document["cases"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_second_run_counters_match_golden(backend, tmp_path, tiny_dblp,
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+def test_second_run_counters_match_golden(substrate, tmp_path, tiny_dblp,
                                           tiny_swissprot, tiny_treebank):
     corpora = {"dblp": tiny_dblp, "swissprot": tiny_swissprot,
                "treebank": tiny_treebank}
     golden = load_golden()
-    measured = collect(corpora, backend, str(tmp_path))
+    measured = collect(corpora, substrate, str(tmp_path))
     assert sorted(measured) == sorted(golden)
     moved = {case: dict(zip(FIELDS, zip(golden[case], row)))
              for case, row in measured.items() if row != golden[case]}
@@ -91,14 +94,14 @@ def _regenerate():
                "swissprot": swissprot(n_entries=40),
                "treebank": treebank(n_sentences=60)}
     with tempfile.TemporaryDirectory() as directory:
-        per_backend = {}
-        for backend in BACKENDS:
-            os.mkdir(os.path.join(directory, backend))
-            per_backend[backend] = collect(
-                corpora, backend, os.path.join(directory, backend))
-    assert per_backend["file"] == per_backend["arena"], \
+        per_substrate = {}
+        for substrate in SUBSTRATES:
+            os.mkdir(os.path.join(directory, substrate))
+            per_substrate[substrate] = collect(
+                corpora, substrate, os.path.join(directory, substrate))
+    assert per_substrate["file"] == per_substrate["arena"], \
         "substrates disagree; one golden cannot pin both"
-    cases = per_backend["file"]
+    cases = per_substrate["file"]
     with open(GOLDEN, "w", encoding="utf-8") as handle:
         handle.write('{"fields": %s,\n "cases": {\n' % json.dumps(FIELDS))
         handle.write(",\n".join(f"  {json.dumps(case)}: {json.dumps(row)}"

@@ -1,21 +1,27 @@
 """StorageBackend seam tests: substrate parity, dispatch, read-only mmap.
 
 The PR 7 acceptance bar: the paper's "Disk IO pages" accounting and the
-query results must be byte-identical whether an index runs over the
-production file pager or the in-memory arena, and the mmap serving
-backend must answer identically while refusing every mutation with the
-typed :class:`ReadOnlyBackendError`.
+query results must be byte-identical whether the pager holds a real
+file or an in-memory buffer, and the mmap serving backend must answer
+identically while refusing every mutation with the typed
+:class:`ReadOnlyBackendError`.  Since PR 19 every kind is the one
+:class:`Pager` over a different file-like object; the conformance and
+leak tests at the bottom pin that.
 """
+
+import gc
+import os
+import warnings
+from contextlib import contextmanager
 
 import pytest
 
 from repro.datasets import dblp
 from repro.prix.index import IndexOptions, PrixIndex
-from repro.storage.backend import (FilePagerBackend, InMemoryArenaBackend,
-                                   MmapBackend, create_backend,
+from repro.storage.backend import (FilePagerBackend, MmapBackend,
                                    open_backend)
 from repro.storage.errors import ReadOnlyBackendError
-from repro.storage.mmapio import MmapPager
+from repro.storage.pager import Pager
 from repro.xmlkit.tree import Document
 
 QUERIES = ['//inproceedings[./author="Jim Gray"][./year="1990"]',
@@ -33,9 +39,10 @@ COUNTERS = ("physical_reads", "physical_writes", "logical_reads",
             "guard_quarantines")
 
 
-def _build(backend_kind):
+def _build(path):
+    """Index over a real file at ``path``, or an in-memory buffer (None)."""
     corpus = dblp(120)
-    options = IndexOptions(backend=backend_kind, pool_pages=TIGHT_POOL)
+    options = IndexOptions(path=path, pool_pages=TIGHT_POOL)
     return PrixIndex.build(corpus.documents, options)
 
 
@@ -54,11 +61,24 @@ def _run_queries(index):
     return results, reads
 
 
+@contextmanager
+def no_leaked_handles():
+    """Fail when the block leaves an open file behind (what
+    ``-W error::ResourceWarning`` reports at collection)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    leaks = [str(warning.message) for warning in caught
+             if issubclass(warning.category, ResourceWarning)]
+    assert not leaks, leaks
+
+
 class TestSubstrateParity:
-    def test_disk_io_and_results_identical_file_vs_arena(self):
+    def test_disk_io_and_results_identical_file_vs_arena(self, tmp_path):
         """The acceptance bar: byte-identical accounting across substrates."""
-        file_index = _build("file")
-        arena_index = _build("arena")
+        file_index = _build(str(tmp_path / "prix.idx"))
+        arena_index = _build(None)
         try:
             file_results, file_reads = _run_queries(file_index)
             arena_results, arena_reads = _run_queries(arena_index)
@@ -69,9 +89,9 @@ class TestSubstrateParity:
             file_index.close()
             arena_index.close()
 
-    def test_build_stats_identical(self):
-        file_index = _build("file")
-        arena_index = _build("arena")
+    def test_build_stats_identical(self, tmp_path):
+        file_index = _build(str(tmp_path / "prix.idx"))
+        arena_index = _build(None)
         try:
             file_stats = _counters(file_index)
             arena_stats = _counters(arena_index)
@@ -83,26 +103,6 @@ class TestSubstrateParity:
 
 
 class TestBackendDispatch:
-    def test_create_backend_kinds(self):
-        file_backend = create_backend(IndexOptions(backend="file"))
-        arena_backend = create_backend(IndexOptions(backend="arena"))
-        try:
-            assert isinstance(file_backend, FilePagerBackend)
-            assert file_backend.kind == "file"
-            assert isinstance(arena_backend, InMemoryArenaBackend)
-            assert arena_backend.kind == "arena"
-        finally:
-            file_backend.close()
-            arena_backend.close()
-
-    def test_create_backend_rejects_mmap_for_builds(self):
-        with pytest.raises(ReadOnlyBackendError):
-            create_backend(IndexOptions(backend="mmap"))
-
-    def test_create_backend_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            create_backend(IndexOptions(backend="carrier-pigeon"))
-
     def test_open_backend_mmap_kind(self, tmp_path):
         path = str(tmp_path / "pages.db")
         backend = FilePagerBackend.open(path, page_size=64)
@@ -127,7 +127,7 @@ class TestMmapReadOnly:
             pid, _ = writer.new_page()
             writer.put(pid, fill * 64)
         writer.close()
-        backend = MmapBackend(path, page_size=64, pool_pages=2)
+        backend = MmapBackend.open(path, page_size=64, pool_pages=2)
         yield backend
         backend.close()
 
@@ -161,15 +161,29 @@ class TestMmapReadOnly:
     def test_pager_rejects_misaligned_file(self, tmp_path):
         path = tmp_path / "ragged.db"
         path.write_bytes(b"\x00" * 100)
-        with pytest.raises(ValueError):
-            MmapPager(str(path), page_size=64)
+        with no_leaked_handles():
+            with pytest.raises(ValueError):
+                Pager.mapped(str(path), page_size=64)
+
+    @pytest.mark.parametrize("constructor", [Pager.open, Pager.snapshot],
+                             ids=["file", "snapshot"])
+    def test_writable_pager_rejects_misaligned_file(self, tmp_path,
+                                                    constructor):
+        path = tmp_path / "ragged.db"
+        path.write_bytes(b"\x00" * 100)
+        with no_leaked_handles():
+            with pytest.raises(ValueError):
+                constructor(str(path), page_size=64)
 
     def test_empty_file_has_no_pages(self, tmp_path):
         path = tmp_path / "empty.db"
         path.write_bytes(b"")
-        pager = MmapPager(str(path), page_size=64)
-        assert pager.num_pages == 0
-        pager.close()
+        with no_leaked_handles():
+            pager = Pager.mapped(str(path), page_size=64)
+            assert pager.num_pages == 0
+            with pytest.raises(ReadOnlyBackendError):
+                pager.allocate()
+            pager.close()
 
 
 class TestMmapServing:
@@ -217,7 +231,7 @@ class TestArenaServing:
         writer.close()
         served = open_backend(str(path), 64, kind="arena")
         try:
-            assert isinstance(served, InMemoryArenaBackend)
+            assert isinstance(served, FilePagerBackend)
             assert served.kind == "arena"
             # The snapshot is detached: the source file can vanish and
             # every page still answers from process memory.
@@ -252,10 +266,74 @@ class TestArenaServing:
         built.close()
         served = PrixIndex.open(path, backend="arena")
         try:
-            assert isinstance(served._pool, InMemoryArenaBackend)
+            assert isinstance(served._pool, FilePagerBackend)
+            assert served._pool.kind == "arena"
             for xpath, expected in want.items():
                 got = {(m.doc_id, m.canonical)
                        for m in served.query(xpath)}
                 assert got == expected, xpath
         finally:
             served.close()
+
+
+class TestOpenBackendKinds:
+    """Every open-time kind is the one ``Pager`` over a different
+    file-like object, and a refused open leaves nothing behind."""
+
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        path = str(tmp_path / "pages.db")
+        writer = FilePagerBackend.open(path, page_size=64)
+        pid, _ = writer.new_page()
+        writer.put(pid, b"\x42" * 64)
+        writer.close()
+        return path
+
+    @pytest.mark.parametrize("kind", ["file", "arena", "mmap"])
+    def test_kind_is_a_plain_pager(self, saved, kind):
+        backend = open_backend(saved, 64, kind=kind, guard=True)
+        try:
+            assert backend.kind == kind
+            assert type(backend._pager) is Pager
+            assert bytes(backend.get(0)) == b"\x42" * 64
+            assert backend.stats.physical_reads == 1
+            assert backend.stats.allocations == 0
+        finally:
+            backend.close()
+
+    def test_mmap_pager_refuses_every_write_path(self, saved):
+        backend = open_backend(saved, 64, kind="mmap")
+        try:
+            pager = backend._pager
+            with pytest.raises(ReadOnlyBackendError):
+                pager.allocate()
+            with pytest.raises(ReadOnlyBackendError):
+                pager.write(0, b"\x00" * 64)
+            with pytest.raises(ReadOnlyBackendError):
+                pager.repair_write(0, b"\x00" * 64)
+            assert bytes(pager.read_raw(0)) == b"\x42" * 64
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("kwargs, error", [
+        (dict(kind="carrier-pigeon"), ValueError),
+        (dict(kind="arena", durable=True), ReadOnlyBackendError),
+        (dict(kind="mmap", durable=True), ReadOnlyBackendError),
+    ], ids=["unknown-kind", "arena-durable", "mmap-durable"])
+    def test_refused_open_leaves_no_sidecar_and_no_handle(
+            self, saved, tmp_path, kwargs, error):
+        before = sorted(os.listdir(tmp_path))
+        with no_leaked_handles():
+            with pytest.raises(error):
+                open_backend(saved, 64, guard=True, **kwargs)
+        assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("kind", ["file", "arena", "mmap"])
+    def test_misaligned_file_leaves_no_sidecar_and_no_handle(
+            self, tmp_path, kind):
+        path = tmp_path / "ragged.db"
+        path.write_bytes(b"\x00" * 100)
+        with no_leaked_handles():
+            with pytest.raises(ValueError):
+                open_backend(str(path), 64, kind=kind, guard=True)
+        assert os.listdir(tmp_path) == ["ragged.db"]

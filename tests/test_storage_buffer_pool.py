@@ -247,7 +247,7 @@ class TestHitRatio:
 class TestBackendParity:
     """Buffer-pool edge behaviour through the StorageBackend seam.
 
-    Parametrized over the file and arena substrates by ``make_backend``;
+    Parametrized over the file and in-memory substrates by ``make_backend``;
     exact counter assertions force identical IOStats movement on both.
     """
 

@@ -6,7 +6,9 @@ fault kind's semantics through :class:`ChaosBackend` -- transient read
 errors, injected latency, the fail-then-heal window, and corrupt-reads
 that exercise the guard's WAL read-repair and quarantine-heal paths --
 plus the arming switch and the facade/index plumb-through
-(``open_backend(chaos=...)``, ``PrixIndex.open(chaos=...)``).
+(``open_backend(chaos=...)``, ``PrixIndex.open(chaos=...)``), and the
+runtime protocol-conformance check that stands in for the hand-written
+forwarders :class:`ChaosBackend` no longer has.
 """
 
 import io
@@ -16,8 +18,9 @@ import pytest
 from repro.prix.index import IndexOptions, PrixIndex
 from repro.storage import (ChaosBackend, ChaosConfig, ChaosSchedule,
                            TransientStorageError, open_backend)
+from repro.storage.backend import StorageBackend
 from repro.storage.buffer_pool import BufferPool
-from repro.storage.errors import PageCorruptionError
+from repro.storage.errors import PageCorruptionError, ReadOnlyBackendError
 from repro.storage.faults import (CHAOS_KINDS, KIND_CORRUPT_READ,
                                   KIND_FAIL_WINDOW, KIND_READ_ERROR,
                                   KIND_READ_LATENCY)
@@ -248,3 +251,57 @@ class TestPlumbing:
             assert sorted(result.doc_ids) == [1]
         finally:
             index.close()
+
+
+#: Every public member the ``StorageBackend`` Protocol declares, found
+#: by introspection so a member added there is checked here unasked.
+PROTOCOL_MEMBERS = sorted(
+    name for name in {**vars(StorageBackend),
+                      **StorageBackend.__annotations__}
+    if not name.startswith("_"))
+
+
+class TestProtocolConformance:
+    """``ChaosBackend`` delegates by ``__getattr__``: nothing static
+    says it still answers the whole protocol, so this does."""
+
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        path = str(tmp_path / "pages.bin")
+        writer = open_backend(path, PAGE_SIZE)
+        pid, _ = writer.new_page()
+        writer.put(pid, fill(0x5A))
+        writer.close()
+        return path
+
+    @pytest.mark.parametrize("chaos", [None, ChaosConfig(seed=1)],
+                             ids=["plain", "chaos"])
+    @pytest.mark.parametrize("kind", ["file", "arena", "mmap"])
+    def test_every_member_resolves_on_every_kind(self, saved, kind, chaos):
+        assert len(PROTOCOL_MEMBERS) > 15
+        backend = open_backend(saved, PAGE_SIZE, kind=kind, chaos=chaos)
+        try:
+            for name in PROTOCOL_MEMBERS:
+                getattr(backend, name)     # AttributeError == drifted
+            assert type(backend._pager) is Pager
+            assert backend.kind == ("chaos" if chaos else kind)
+            assert bytes(backend.get(0)) == fill(0x5A)
+        finally:
+            backend.close()
+
+    def test_read_only_refusals_pass_through_the_wrapper(self, saved):
+        wrapped = open_backend(saved, PAGE_SIZE, kind="mmap",
+                               chaos=ChaosConfig(seed=1))
+        try:
+            with pytest.raises(ReadOnlyBackendError):
+                wrapped.mark_dirty(0)
+            with pytest.raises(ReadOnlyBackendError):
+                wrapped.put(0, fill(0))
+            assert bytes(wrapped.get(0)) == fill(0x5A)
+        finally:
+            wrapped.close()
+
+    def test_unknown_member_is_an_attribute_error(self):
+        wrapped = ChaosBackend(make_pool(), ChaosConfig(seed=1))
+        with pytest.raises(AttributeError):
+            wrapped.no_such_member

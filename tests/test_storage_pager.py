@@ -137,10 +137,10 @@ class TestPageRange:
 class TestBackendSubstrates:
     """Pager-level edges driven through the StorageBackend seam.
 
-    The ``make_backend`` fixture parametrizes every test here over
-    FilePagerBackend and InMemoryArenaBackend; the assertions use exact
-    counter values, so the two substrates must move IOStats
-    identically, not merely similarly.
+    The ``make_backend`` fixture parametrizes every test here over a
+    pager holding a real file and one holding an in-memory buffer; the
+    assertions use exact counter values, so the two substrates must
+    move IOStats identically, not merely similarly.
     """
 
     def test_new_page_ids_sequential(self, make_backend):
