@@ -137,7 +137,8 @@ def _cmd_query(args):
                     f"{row['shard']}={row['matches']}"
                     for row in stats.per_shard)
                 print(f"shards: {stats.shards} ({scattered})")
-            print(f"filter: {stats.filter.range_queries} range queries, "
+            print(f"filter: {stats.filter.range_queries} range queries "
+                  f"({stats.filter.probes_issued} issued), "
                   f"{stats.filter.nodes_visited} trie nodes, "
                   f"{stats.filter.pruned_by_maxgap} pruned by MaxGap")
             print(f"refinement: {stats.candidates_refined} candidates, "

@@ -11,6 +11,7 @@ the public contract and must not be renumbered.
 """
 
 from repro.prix.budget import BudgetExceededError
+from repro.query.twig import UnsupportedTwigError
 from repro.query.xpath import XPathSyntaxError
 from repro.storage.errors import (CorruptionError, ReadOnlyBackendError,
                                   WalError)
@@ -45,7 +46,8 @@ EXIT_CODES = {
 
 #: (exception types, kind), first match wins, anything else is
 #: ``internal`` -- including the generic ``OSError`` / ``ValueError``
-#: parents of ``TimeoutError`` / ``XPathSyntaxError``.  Registry,
+#: parents of ``TimeoutError`` / ``XPathSyntaxError`` and
+#: ``UnsupportedTwigError``.  Registry,
 #: variant and document lookups raise ``KeyError``.
 _LADDER = (
     (BudgetExceededError, "budget-exhausted"),
@@ -53,7 +55,7 @@ _LADDER = (
     ((CorruptionError, WalError), "corruption"),
     (TimeoutError, "request-timeout"),
     ((FileNotFoundError, KeyError), "not-found"),
-    (XPathSyntaxError, "bad-request"),
+    ((XPathSyntaxError, UnsupportedTwigError), "bad-request"),
 )
 
 

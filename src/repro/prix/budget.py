@@ -4,8 +4,8 @@ A :class:`QueryBudget` caps the resources one query may spend: trie
 range queries, physical page reads, refinement candidates, and wall
 clock.  The caps are enforced *cooperatively*: the filter and refinement
 code calls back into a :class:`BudgetMeter` at its natural checkpoints
-(each trie range query, each candidate, each refinement step), and the
-meter raises a typed :class:`BudgetExceededError` when a cap is hit --
+(each issued trie range query, each candidate, each refinement step), and
+the meter raises a typed :class:`BudgetExceededError` when a cap is hit --
 no threads, no signals, deterministic under test.
 
 What exhaustion *means* depends on the phase, and the distinction is
@@ -79,7 +79,10 @@ class QueryBudget:
     """Resource caps for one query; ``None`` means uncapped.
 
     Attributes:
-        max_range_queries: trie range queries the filter may issue.
+        max_range_queries: trie range queries the filter may *issue*
+            -- B+-tree descents made, ``FilterStats.probes_issued``;
+            a sub-walk Algorithm 1 replays from its state table costs
+            nothing, whatever the logical ``range_queries`` count reads.
         max_physical_reads: pages the query may fault in (measured as
             the delta of ``IOStats.physical_reads``).
         max_candidates: filter candidates refinement may process.
@@ -251,7 +254,9 @@ class BudgetMeter:
                               spent=spent, budget=cap))
 
     def charge_range_query(self):
-        """Count one trie range query, then run the passive checks."""
+        """Count one issued trie range query (one per distinct state of
+        the filter's walk, not one per logical probe), then run the
+        passive checks."""
         self.range_queries += 1
         cap = self.budget.max_range_queries
         if cap is not None and self.range_queries > cap:

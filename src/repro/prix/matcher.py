@@ -130,9 +130,10 @@ def run_query(pattern, variant_index, view_loader, *, ordered=False,
         ordered: match only the twig's own branch order (Section 5.7's
             ordered semantics); the default tries every arrangement.
         use_maxgap: apply Theorem 4 pruning during filtering.
-        strategy: ``"trie"`` forces Algorithm 1's trie traversal per
-            arrangement; ``"document"`` forces the document-at-a-time
-            fallback; ``"auto"`` (default) uses the fallback when the
+        strategy: ``"trie"`` forces Algorithm 1's trie traversal (one
+            walk shared by every arrangement); ``"document"`` forces the
+            document-at-a-time fallback; ``"auto"`` (default) uses the
+            fallback when the
             rarest query label pins down few candidate documents.  Any
             match's document must contain every LPS(Q) label, so the
             fallback is answer-equivalent.
@@ -184,12 +185,12 @@ def run_query(pattern, variant_index, view_loader, *, ordered=False,
                         budget=budget):
                     pending.append((plan, doc_id, positions))
     else:
-        for plan in plans:
-            candidates, _ = find_subsequences(
-                plan, variant_index.symbol_index,
-                variant_index.docid_index, variant_index.root_range,
-                maxgap_table=maxgap_table, stats=stats.filter,
-                granularity=maxgap_granularity, budget=budget)
+        per_plan, _ = find_subsequences(
+            plans, variant_index.symbol_index,
+            variant_index.docid_index, variant_index.root_range,
+            maxgap_table=maxgap_table, stats=stats.filter,
+            granularity=maxgap_granularity, budget=budget)
+        for plan, candidates in zip(plans, per_plan):
             for doc_ids, positions in candidates:
                 for doc_id in doc_ids:
                     pending.append((plan, doc_id, positions))

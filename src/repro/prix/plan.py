@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.prufer.sequence import regular_sequence
-from repro.query.twig import STAR, EdgeSpec
+from repro.query.twig import STAR, EdgeSpec, UnsupportedTwigError
 from repro.xmlkit.tree import DUMMY_TAG, Document, XMLNode, sequence_label
 
 #: Relationship kinds between adjacent LPS(Q) positions for MaxGap pruning.
@@ -70,7 +70,7 @@ def build_plan(collapsed, extended):
     match_root, spec_of, source_of = _build_match_tree(collapsed, extended)
     match_doc = Document(match_root)
     if match_doc.size < 2:
-        raise ValueError(
+        raise UnsupportedTwigError(
             "a twig must have at least two sequenced nodes; add a child "
             "step or a predicate (single-tag queries carry no structure)")
 

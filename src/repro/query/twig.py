@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 
 from repro.xmlkit.tree import DUMMY_TAG, Document, XMLNode
@@ -30,6 +31,17 @@ class Axis(enum.Enum):
 
 #: Label used for ``*`` wildcard steps.
 STAR = "*"
+
+#: Most branch arrangements (Section 5.7) one unordered query may ask
+#: for: 7!, one seven-way branch.  The most any test asks for is 120, any
+#: Table 3 query 6 (Q6), any prixbench pool twig 2.
+MAX_ARRANGEMENTS = 5040
+
+
+class UnsupportedTwigError(ValueError):
+    """A well-formed twig the engine refuses to run (a caller mistake):
+    nothing to sequence, or more arrangements than
+    :data:`MAX_ARRANGEMENTS`."""
 
 
 class TwigNode:
@@ -256,6 +268,10 @@ def arrangements(pattern):
     twig's branches yields the unordered matches.  Arrangements whose
     (label, parent, spec) signature coincides with an earlier one (e.g.
     permutations of structurally identical branches) are skipped.
+
+    Raises :class:`UnsupportedTwigError`, before anything is enumerated,
+    when the branch fan-outs multiply to more than
+    :data:`MAX_ARRANGEMENTS` orders.
     """
     base = collapse(pattern)
     root = base.document.root
@@ -263,9 +279,15 @@ def arrangements(pattern):
     if not branch_nodes:
         yield base
         return
+    count = math.prod(math.factorial(len(n.children)) for n in branch_nodes)
+    if count > MAX_ARRANGEMENTS:
+        raise UnsupportedTwigError(
+            f"the twig's branches can be ordered {count} ways; unordered "
+            f"matching tries at most {MAX_ARRANGEMENTS} (use fewer "
+            f"predicates per step, or ordered matching)")
 
     seen = set()
-    child_orders = [list(itertools.permutations(range(len(n.children))))
+    child_orders = [itertools.permutations(range(len(n.children)))
                     for n in branch_nodes]
     originals = [list(n.children) for n in branch_nodes]
     for combo in itertools.product(*child_orders):

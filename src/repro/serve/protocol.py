@@ -224,6 +224,8 @@ def stats_payload(stats):
         "variant": stats.variant,
         "strategy": stats.strategy,
         "arrangements": stats.arrangements,
+        "range_queries": stats.filter.range_queries,
+        "probes_issued": stats.filter.probes_issued,
         "candidates_refined": stats.candidates_refined,
         "candidates_accepted": stats.candidates_accepted,
         "documents_loaded": stats.documents_loaded,

@@ -90,3 +90,51 @@ def make_random_twig(rng, max_nodes=5, tags="abcd", star_p=0.15,
         nodes.append(child)
     return TwigPattern(root, absolute=rng.random() < absolute_p,
                        source="random")
+
+
+def per_plan_walk(plan, symbol_index, docid_index, root_range,
+                  maxgap_table=None, stats=None, granularity="label",
+                  on_probe=None):
+    """Algorithm 1 for one plan, from the root, nothing shared: the
+    reference ``repro.prix.filtering.find_subsequences`` is checked
+    against.  Returns ``(results, stats)``; only the four logical
+    counters of ``stats`` are kept.  ``on_probe(i, left)`` is called
+    before level ``i`` is probed inside the node at ``left`` and may
+    raise to cut the walk short (``stats`` counts the refused probe).
+    """
+    from repro.prix.filtering import _MAXGAP_SLACK, FilterStats
+
+    stats = FilterStats() if stats is None else stats
+    qlps = plan.qlps
+    last = len(qlps) - 1
+    pruning = maxgap_table is not None
+    slacks = [None] + [_MAXGAP_SLACK.get(kind) if pruning else None
+                       for kind in plan.rel_kinds]
+    positions = [0] * len(qlps)
+    bounds = [0] * len(qlps)
+    results = []
+
+    def walk(i, lo, hi):
+        stats.range_queries += 1
+        if on_probe is not None:
+            on_probe(i, lo)
+        for left, right, level, node_gap in symbol_index.range_query_gaps(
+                qlps[i], lo, hi):
+            stats.nodes_visited += 1
+            if (slacks[i] is not None and
+                    level - positions[i - 1] > bounds[i - 1] + slacks[i]):
+                stats.pruned_by_maxgap += 1
+                continue
+            positions[i] = level
+            if i == last:
+                docs = docid_index.documents_in(left, right)
+                if docs:
+                    stats.candidates += 1
+                    results.append((tuple(docs), tuple(positions)))
+                continue
+            bounds[i] = (node_gap if granularity == "node" or not pruning
+                         else maxgap_table.get(qlps[i]))
+            walk(i + 1, left, right)
+
+    walk(0, *root_range)
+    return results, stats

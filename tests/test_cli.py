@@ -1,5 +1,7 @@
 """CLI tests (build / query / stats round trips)."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -64,6 +66,7 @@ class TestQuery:
                      "--explain", "--cold"]) == 0
         out = capsys.readouterr().out
         assert "variant=" in out
+        assert re.search(r"filter: \d+ range queries \(\d+ issued\), ", out)
         assert "pages read" in out
 
     def test_query_variant_and_flags(self, built_index, capsys):
@@ -81,6 +84,16 @@ class TestQuery:
         assert main(["query", built_index, "//a[["]) == 2
         err = capsys.readouterr().err
         assert "error [XPathSyntaxError]" in err and "Traceback" not in err
+
+    def test_query_refused_twig(self, built_index, capsys):
+        # So is a well-formed query with nothing to sequence, or with
+        # more branch arrangements than the engine will try.
+        for xpath in ("//book", "//book" + "[./title]" * 8):
+            assert main(["query", built_index, xpath,
+                         "--variant", "rp"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error [UnsupportedTwigError]: ")
+            assert "Traceback" not in err
 
     def test_query_missing_index(self, tmp_path, capsys):
         assert main(["query", str(tmp_path / "no.idx"), "//a/b"]) == 2

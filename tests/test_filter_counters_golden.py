@@ -2,9 +2,11 @@
 
 ``tests/golden/filter_counters.json`` records, for every Table 3 query on
 its test-scale corpus x {rp, ep} x {ordered, unordered} x strategy
-{trie, auto} x maxgap granularity {label, node}: the four
-``FilterStats`` fields, ``candidates_refined``, ``matches``, the cold
-``physical_reads`` and the pool's ``logical_reads`` delta.  It is the
+{trie, auto} x maxgap granularity {label, node}: the four logical
+``FilterStats`` fields (per arrangement, as the paper counts them),
+``candidates_refined``, ``matches``, the cold ``physical_reads``, the
+pool's ``logical_reads`` delta and ``FilterStats.probes_issued`` (the
+descents Algorithm 1 actually made).  It is the
 machine check that a change to the probe path touches the same pages,
 in the same number, with the same counters -- whether the pager holds
 a real file or an in-memory buffer.
@@ -28,7 +30,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "filter_counters.json")
 FIELDS = ("range_queries", "nodes_visited", "candidates",
           "pruned_by_maxgap", "candidates_refined", "matches",
-          "physical_reads", "logical_reads")
+          "physical_reads", "logical_reads", "probes_issued")
 #: Where the pager keeps the bytes: a real file (``path=...``) or an
 #: in-memory buffer (``path=None``) -- what the ``file`` and ``arena``
 #: open-time kinds hold them in.
@@ -69,7 +71,8 @@ def collect(corpora, substrate, directory):
                     stats.filter.range_queries, stats.filter.nodes_visited,
                     stats.filter.candidates, stats.filter.pruned_by_maxgap,
                     stats.candidates_refined, stats.matches,
-                    stats.physical_reads, logical]
+                    stats.physical_reads, logical,
+                    stats.filter.probes_issued]
     return counters
 
 

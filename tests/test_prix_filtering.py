@@ -2,28 +2,37 @@
 
 import pytest
 
+from helpers import per_plan_walk
 from repro.bench.workloads import query_by_id
 from repro.datasets import figure2_query
 from repro.prix.budget import BudgetExceededError, QueryBudget
 from repro.prix.filtering import FilterStats, find_subsequences
 from repro.prix.index import PrixIndex, VARIANT_REGULAR
 from repro.prix.plan import build_plan
-from repro.query.twig import collapse
+from repro.query.twig import arrangements, collapse
 from repro.query.xpath import parse_xpath
 
 
-def run_filter(index, xpath_or_pattern, use_maxgap=True, extended=False,
-               stats=None, budget=None):
+def filter_args(index, xpath_or_pattern, use_maxgap=True, extended=False):
+    """The ordered plan of a query and what a filter pass reads it from."""
     pattern = (parse_xpath(xpath_or_pattern)
                if isinstance(xpath_or_pattern, str) else xpath_or_pattern)
     plan = build_plan(collapse(pattern), extended=extended)
     variant = index._variants["ep" if extended else "rp"]
+    return plan, (variant.symbol_index, variant.docid_index,
+                  variant.root_range,
+                  variant.maxgap if use_maxgap else None)
+
+
+def run_filter(index, xpath_or_pattern, use_maxgap=True, extended=False,
+               stats=None, budget=None):
+    """Candidates of the query's one ordered plan, and the stats."""
+    plan, args = filter_args(index, xpath_or_pattern, use_maxgap, extended)
     stats = FilterStats() if stats is None else stats
-    maxgap = variant.maxgap if use_maxgap else None
-    return find_subsequences(plan, variant.symbol_index,
-                             variant.docid_index, variant.root_range,
-                             maxgap_table=maxgap, stats=stats,
-                             budget=budget)
+    (candidates,), _ = find_subsequences([plan], *args, stats=stats,
+                                         budget=budget)
+    assert stats.probes_issued <= stats.range_queries
+    return candidates, stats
 
 
 class TestSubsequenceMatching:
@@ -144,11 +153,16 @@ class ClockTrippingAt:
         return 10.0 if self.calls > self.trip else 0.0
 
 
+class StopWalk(Exception):
+    pass
+
+
 class TestBudgetThroughTheLoop:
     """The budget contract of ``find_subsequences`` (docs/ROBUSTNESS.md):
-    one ``charge_range_query`` per probe, one ``checkpoint`` per node, and
-    counters that are right when the pass is cut short.  Q6 on the
-    EPIndex, ordered: 77 probes by the parent-commit golden."""
+    one ``charge_range_query`` per *issued* probe, one ``checkpoint``
+    per trie node read, and counters that are right when the pass is cut
+    short.  Q6 on the EPIndex, ordered: 77 logical probes by the golden,
+    38 of them issued."""
 
     @pytest.fixture(scope="class")
     def q6(self, tiny_indexes):
@@ -161,16 +175,35 @@ class TestBudgetThroughTheLoop:
                               extended=True, budget=recorder)
         assert stats.range_queries == golden["range_queries"] == 77
         assert stats.nodes_visited == golden["nodes_visited"]
-        assert recorder.events.count("probe") == stats.range_queries
-        assert recorder.events.count("node") == stats.nodes_visited
+        assert stats.probes_issued == golden["probes_issued"] == 38
+        assert recorder.events.count("probe") == stats.probes_issued
+        assert recorder.events.count("node") < stats.nodes_visited
         return index, query_by_id("Q6").xpath, recorder.events, stats
+
+    @staticmethod
+    def reference_cut_at(index, xpath, issued):
+        """Logical counters of the per-plan walk on reaching the probe
+        the shared walk issues ``issued``-th (with one plan, a state is
+        its level and the node probed inside)."""
+        plan, args = filter_args(index, xpath, extended=True)
+        states = set()
+
+        def on_probe(i, left):
+            states.add((i, left))
+            if len(states) == issued:
+                raise StopWalk
+
+        stats = FilterStats()
+        with pytest.raises(StopWalk):
+            per_plan_walk(plan, *args, stats=stats, on_probe=on_probe)
+        return stats
 
     @pytest.mark.parametrize("cap", [1, 7, 100])
     def test_range_query_cap_trips_on_the_same_probe(self, q6, cap):
         index, xpath, events, unbudgeted = q6
         stats = FilterStats()
         meter = QueryBudget(max_range_queries=cap).meter()
-        if cap >= unbudgeted.range_queries:
+        if cap >= unbudgeted.probes_issued:
             run_filter(index, xpath, extended=True, stats=stats,
                        budget=meter)
             assert stats == unbudgeted
@@ -181,14 +214,16 @@ class TestBudgetThroughTheLoop:
         reason = excinfo.value.reason
         assert (reason.limit, reason.spent, reason.budget) == (
             "range_queries", cap + 1, cap)
-        # The refused probe is counted; the nodes are those seen before it.
-        probes = [at for at, event in enumerate(events) if event == "probe"]
-        assert stats.range_queries == cap + 1
-        assert stats.nodes_visited == events[:probes[cap]].count("node")
+        # The refused probe is counted, as issued and as logical; the
+        # logical counters are the per-plan walk's on reaching it.
+        assert stats.probes_issued == cap + 1
+        reference = self.reference_cut_at(index, xpath, cap + 1)
+        reference.probes_issued = cap + 1
+        assert stats == reference
         assert stats.candidates <= unbudgeted.candidates
 
     def test_deadline_trips_between_two_nodes_of_one_probe(self, q6):
-        index, xpath, events, _ = q6
+        index, xpath, events, unbudgeted = q6
         # A node checkpoint directly after another one: no probe between.
         at = next(i for i in range(1, len(events))
                   if events[i - 1] == events[i] == "node")
@@ -200,5 +235,46 @@ class TestBudgetThroughTheLoop:
             run_filter(index, xpath, extended=True, stats=stats,
                        budget=meter)
         assert excinfo.value.reason.limit == "deadline"
-        assert stats.range_queries == events[:at].count("probe")
-        assert stats.nodes_visited == events[:at + 1].count("node")
+        assert stats.probes_issued == events[:at].count("probe")
+        # Replayed sub-walks count in full on top of the nodes read.
+        assert (events[:at + 1].count("node") <= stats.nodes_visited
+                <= unbudgeted.nodes_visited)
+        assert stats.probes_issued <= stats.range_queries
+
+
+class TestSharedStates:
+    """One walk over all of a query's plans (DESIGN.md, "Cost of one
+    filter pass"): per-plan results and logical counters are the
+    per-plan walk's, with fewer probes issued."""
+
+    @pytest.mark.parametrize("qid,extended", [("Q6", True), ("Q6", False),
+                                              ("Q2", False), ("Q8", True)])
+    @pytest.mark.parametrize("granularity", ["label", "node"])
+    def test_all_arrangements_equal_the_per_plan_walk(
+            self, tiny_indexes, qid, extended, granularity):
+        spec = query_by_id(qid)
+        index = tiny_indexes[spec.corpus]
+        plans = [build_plan(arranged, extended=extended)
+                 for arranged in arrangements(parse_xpath(spec.xpath))]
+        assert len(plans) > 1
+        _, args = filter_args(index, spec.xpath, extended=extended)
+        per_plan, stats = find_subsequences(plans, *args,
+                                            granularity=granularity)
+        reference = FilterStats()
+        for plan, candidates in zip(plans, per_plan):
+            expected, _ = per_plan_walk(plan, *args, stats=reference,
+                                        granularity=granularity)
+            assert candidates == expected
+        assert 0 < stats.probes_issued < stats.range_queries
+        reference.probes_issued = stats.probes_issued
+        assert stats == reference
+
+    def test_an_identical_plan_is_replayed_whole(self, fig2_doc):
+        index = PrixIndex.build([fig2_doc])
+        plan, args = filter_args(index, figure2_query())
+        (once,), single = find_subsequences([plan], *args)
+        (first, second), both = find_subsequences([plan, plan], *args)
+        assert first == second == once
+        assert both.probes_issued == single.probes_issued
+        assert both.range_queries == 2 * single.range_queries
+        assert both.candidates == 2 * single.candidates == 2 * len(once)

@@ -5,24 +5,37 @@ corpora and random twigs (child/descendant axes, stars, values, absolute
 anchors), both index variants, MaxGap on and off, and both match
 semantics, the engine's answer set equals the exhaustive oracle's --
 no false alarms, no false dismissals (Theorems 1-4 end to end).
+
+At these sizes every label is rare, so the default ``strategy="auto"``
+answers all of the small cases from the document fallback;
+:func:`test_trie_filter_matches_oracle_and_per_plan_walk` is the one
+that drives Algorithm 1 (``strategy="trie"``), on corpora where its
+states repeat.
 """
 
 import random
+from itertools import product
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_random_tree, make_random_twig
+from helpers import make_random_tree, make_random_twig, per_plan_walk
 from repro.baselines.naive import naive_matches
+from repro.prix.filtering import FilterStats, find_subsequences
 from repro.prix.index import PrixIndex
+from repro.prix.plan import build_plan
+from repro.prufer.sequence import extended_sequence, regular_sequence
+from repro.query.twig import arrangements, collapse
 from repro.xmlkit.tree import Document
 
 
-def build_case(seed, n_docs=3, max_tree_nodes=14, max_twig_nodes=5):
+def build_case(seed, n_docs=3, max_tree_nodes=14, max_twig_nodes=5,
+               tags="abcd"):
     rng = random.Random(seed)
-    docs = [Document(make_random_tree(rng, max_nodes=max_tree_nodes),
+    docs = [Document(make_random_tree(rng, max_nodes=max_tree_nodes,
+                                      tags=tags),
                      doc_id=i + 1) for i in range(n_docs)]
-    pattern = make_random_twig(rng, max_nodes=max_twig_nodes)
+    pattern = make_random_twig(rng, max_nodes=max_twig_nodes, tags=tags)
     return docs, pattern
 
 
@@ -90,3 +103,67 @@ def test_larger_trees_still_agree(seed):
                                max_twig_nodes=6)
     index = PrixIndex.build(docs)
     assert engine_set(index, pattern) == oracle_set(docs, pattern)
+
+
+#: Subsequence occurrences of the plans' LPS(Q) in the documents' LPS
+#: above which a generated case is discarded: the per-plan reference
+#: walk, the candidate lists and refinement all grow with that number
+#: (the shared walk does not), and tier-1 has to stay short.
+OCCURRENCE_LIMIT = 8000
+
+
+def occurrences(text, wanted):
+    """How many ways ``wanted`` embeds in ``text`` as a subsequence."""
+    ways = [1] + [0] * len(wanted)
+    for symbol in text:
+        for at in range(len(wanted), 0, -1):
+            if wanted[at - 1] == symbol:
+                ways[at] += ways[at - 1]
+    return ways[-1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31))
+def test_trie_filter_matches_oracle_and_per_plan_walk(seed):
+    """Algorithm 1 itself, on generated inputs: a two- or three-letter
+    alphabet makes labels recur on one trie path, so the same (plan
+    suffix, trie node) state is reached again and again."""
+    docs, pattern = build_case(seed, n_docs=4 + seed % 3,
+                               max_tree_nodes=29, max_twig_nodes=5,
+                               tags="abc"[:2 + seed % 2])
+    index = PrixIndex.build(docs)
+    cases = []
+    for variant, ordered in product(("rp", "ep"), (True, False)):
+        built = index._variants[variant]
+        twigs = [collapse(pattern)] if ordered else arrangements(pattern)
+        cases.append((variant, ordered, built,
+                      [build_plan(twig, extended=built.extended)
+                       for twig in twigs]))
+    texts = {"rp": [regular_sequence(doc).lps for doc in docs],
+             "ep": [extended_sequence(doc).lps for doc in docs]}
+    assume(sum(occurrences(text, plan.qlps)
+               for variant, _, _, plans in cases
+               for text in texts[variant] for plan in plans)
+           <= OCCURRENCE_LIMIT)
+    for variant, ordered, built, plans in cases:
+        want = oracle_set(docs, pattern, ordered=ordered)
+        for granularity, use_maxgap in product(("label", "node"),
+                                               (True, False)):
+            matches, stats = index.query_with_stats(
+                pattern, variant=variant, ordered=ordered, strategy="trie",
+                maxgap_granularity=granularity, use_maxgap=use_maxgap)
+            assert stats.strategy == "trie"
+            assert {(m.doc_id, m.canonical) for m in matches} == want
+            assert stats.filter.probes_issued <= stats.filter.range_queries
+
+            args = (built.symbol_index, built.docid_index, built.root_range,
+                    built.maxgap if use_maxgap else None)
+            per_plan, _ = find_subsequences(plans, *args,
+                                            granularity=granularity)
+            reference = FilterStats(
+                probes_issued=stats.filter.probes_issued)
+            for plan, candidates in zip(plans, per_plan):
+                expected, _ = per_plan_walk(plan, *args, stats=reference,
+                                            granularity=granularity)
+                assert candidates == expected
+            assert stats.filter == reference

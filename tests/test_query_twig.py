@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.query.twig import (Axis, EdgeSpec, TwigNode, TwigPattern,
-                              arrangements, collapse, node_signatures)
+from repro.query.twig import (MAX_ARRANGEMENTS, Axis, EdgeSpec, TwigNode,
+                              TwigPattern, UnsupportedTwigError, arrangements,
+                              collapse, node_signatures)
 from repro.query.xpath import parse_xpath
 
 
@@ -114,6 +115,27 @@ class TestArrangements:
     def test_nested_branches_multiply(self):
         pattern = parse_xpath("//a[./b[./x][./y]][./c]")
         assert len(list(arrangements(pattern))) == 4
+
+    def test_count_is_bounded_before_anything_is_enumerated(self):
+        def branches(n, label="b"):
+            return "".join(f"[./{label}{i}]" for i in range(n))
+
+        # 7! orders is the cap itself: allowed, and yielded one by one.
+        at_cap = arrangements(parse_xpath("//a" + branches(7)))
+        assert next(at_cap) is not next(at_cap)
+        at_cap.close()
+        # 20!, 8! and 3! * 4! * 4! * 4! are refused from the fan-outs alone
+        # (enumerating the first would never finish), identical
+        # branches included: they are skipped only after being tried.
+        for xpath in ("//a" + branches(20),
+                      "//a" + "[./b]" * 8,
+                      "//a[./b%s][./c%s]/d%s" % (
+                          branches(4, "x"), branches(4, "y"),
+                          branches(4, "z"))):
+            with pytest.raises(UnsupportedTwigError) as caught:
+                next(arrangements(parse_xpath(xpath)))
+            assert str(MAX_ARRANGEMENTS) in str(caught.value)
+            assert isinstance(caught.value, ValueError)
 
 
 class TestNodeSignatures:

@@ -9,7 +9,11 @@ B+-tree nodes and decoded documents memoised on resident frames, so this
 is the machine check that a memo hit requests, touches and evicts
 exactly the pages a re-decode would -- whether the pager holds a real
 file or an in-memory buffer.  Generated at ``e0ded35``, before record pages
-joined the decoded-frame memo.
+joined the decoded-frame memo; the 20 cases that run Algorithm 1 were
+regenerated when it stopped re-issuing a probe per (plan suffix, trie
+node) state -- ``logical_reads`` fell in each, ``pool8``
+``physical_reads``/``evictions`` fell or held, no ``auto`` case that
+takes the document fallback moved.
 
 Regenerate (only from a commit whose counters are the reference)::
 

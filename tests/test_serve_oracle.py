@@ -40,6 +40,7 @@ from repro.bench.workloads import queries_for
 from repro.datasets.dblp import dblp
 from repro.prix.budget import QueryBudget
 from repro.prix.index import IndexOptions, PrixIndex
+from repro.query.twig import MAX_ARRANGEMENTS
 from repro.serve import protocol
 from repro.serve.admission import ServerLimits
 from repro.serve.server import build_server
@@ -272,6 +273,31 @@ def test_malformed_xpath_neither_trips_the_circuit_nor_retries(index_path):
         assert server.breaker.snapshot()["default"] == {
             "state": "closed", "consecutive_failures": 0, "opened_total": 0}
         assert client.query("//article/author")["ok"] is True
+
+
+def test_refused_twigs_are_bad_requests_and_never_trip_the_circuit(
+        index_path):
+    """A one-step query, or one whose branches can be ordered more ways
+    than ``MAX_ARRANGEMENTS``, parses but cannot run: the caller's
+    mistake (400), not a server fault (500 ``internal`` counts toward
+    opening the mount's circuit)."""
+    eight_way = "//article" + "".join(f"[./f{i}]" for i in range(8))
+    with live_server(index_path) as (server, base_url):
+        for _ in range(server.breaker.threshold + 2):
+            for xpath, fragment in (
+                    ("//author", "at least two sequenced nodes"),
+                    (eight_way, f"at most {MAX_ARRANGEMENTS}")):
+                status, body = http_post(base_url, "/query",
+                                         {"xpath": xpath})
+                assert status == 400
+                assert body["error"]["code"] == "bad-request"
+                assert body["error"]["error_type"] == "UnsupportedTwigError"
+                assert fragment in body["error"]["message"]
+        assert server.breaker.snapshot()["default"] == {
+            "state": "closed", "consecutive_failures": 0, "opened_total": 0}
+        status, body = http_post(base_url, "/query",
+                                 {"xpath": eight_way, "ordered": True})
+        assert (status, body["match_count"]) == (200, 0)
 
 
 def test_reload_and_drain_leave_no_loose_ends(index_path):

@@ -17,7 +17,9 @@ from repro.exitcodes import (EXIT_CODES, EXIT_CORRUPTION, EXIT_ERROR,
                              EXIT_TIMEOUT, EXIT_USAGE, classify)
 from repro.prix.budget import (BudgetExceededError, DegradationReason,
                                PHASE_FILTER)
+from repro.prix.filtering import FilterStats
 from repro.prix.incremental import RebuildRequiredError
+from repro.query.twig import UnsupportedTwigError
 from repro.query.xpath import XPathSyntaxError
 from repro.serve import protocol
 from repro.serve.protocol import (ERROR_KINDS, ProtocolError, QueryRequest,
@@ -154,6 +156,10 @@ def test_timeout_maps_to_408_with_retry_after():
     # A stored document that reads fine and does not decode (last, so
     # the generated ids of the rows above stay what they were).
     (RecordCorruptionError(7, (3, 0, 9)), "corruption", EXIT_CORRUPTION),
+    # A well-formed twig the engine refuses (one step; too many branch
+    # arrangements) is a caller mistake like a malformed one.
+    (UnsupportedTwigError("a twig must have at least two sequenced nodes"),
+     "bad-request", EXIT_USAGE),
 ])
 def test_library_exceptions_map_to_one_kind_on_both_surfaces(
         error, code, exit_code, monkeypatch, capsys):
@@ -227,6 +233,7 @@ class _FakeStats:
     variant = "rp"
     strategy = "trie"
     arrangements = 2
+    filter = FilterStats(range_queries=40, probes_issued=12)
     candidates_refined = 5
     candidates_accepted = 3
     documents_loaded = 4
@@ -266,6 +273,8 @@ def test_exact_result_payload_lists_matches():
     assert body["matches"] == [{"doc": 1, "images": [[0, 5], [1, 2]]},
                                {"doc": 4, "images": [[0, 9], [1, 7]]}]
     assert body["stats"]["physical_reads"] == 7
+    assert body["stats"]["range_queries"] == 40
+    assert body["stats"]["probes_issued"] == 12
     assert body["stats"]["documents_loaded"] == 4
     assert body["stats"]["documents_decoded"] == 1
     assert body["stats"]["elapsed_ms"] == 4.0
