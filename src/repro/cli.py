@@ -204,8 +204,7 @@ def _cmd_recover(args):
     from repro.storage.recovery import recover_path
     if os.path.isdir(args.index):
         return _not_one_file(args)
-    wal_path = args.wal or args.index + ".wal"
-    result = recover_path(args.index, wal_path)
+    result = recover_path(args.index, args.wal)
     if result.clean:
         print("nothing to redo; index is consistent")
     else:
@@ -217,7 +216,7 @@ def _cmd_recover(args):
         return 0
     # Checkpoint so the replayed tail is not replayed again on the next
     # open; this also verifies the recovered index actually opens.
-    with PrixIndex.open(args.index, durable=True, wal_path=wal_path) as index:
+    with PrixIndex.open(args.index, durable=True, wal_path=args.wal) as index:
         index.checkpoint()
         print(f"checkpointed; index holds {index.doc_count} documents")
     return 0
@@ -226,8 +225,7 @@ def _cmd_recover(args):
 def _cmd_checkpoint(args):
     if os.path.isdir(args.index):
         return _not_one_file(args)
-    wal_path = args.wal or args.index + ".wal"
-    with PrixIndex.open(args.index, durable=True, wal_path=wal_path) as index:
+    with PrixIndex.open(args.index, durable=True, wal_path=args.wal) as index:
         before = index._pool.wal.size_bytes
         index.checkpoint()
         after = index._pool.wal.size_bytes

@@ -3,14 +3,16 @@
 Produces a human-readable account of the matching pipeline for one
 query against one index: the optimizer's variant choice (with the label
 frequencies behind it), every branch arrangement's Prufer sequence with
-edge specs and MaxGap relationship kinds, and the chosen strategy.
+edge specs and MaxGap relationship kinds, and the strategy the matcher's
+own ``strategy="auto"`` test (:func:`~repro.prix.matcher.
+rare_label_candidates`) resolves to on this index.
 """
 
 from __future__ import annotations
 
 from io import StringIO
 
-from repro.prix.matcher import RARE_LABEL_NODE_LIMIT
+from repro.prix.matcher import rare_label_candidates
 from repro.prix.plan import build_plan
 from repro.query.twig import arrangements, collapse
 from repro.query.xpath import parse_xpath
@@ -81,9 +83,11 @@ def explain(index, pattern, variant=None):
         rare_nodes = counts.get(rare, 0)
         out.write(f"rarest label: {_show_label(rare)} "
                   f"({rare_nodes} trie nodes)\n")
-        if rare_nodes <= RARE_LABEL_NODE_LIMIT:
+        candidates = rare_label_candidates(plans[0], variant_index)
+        if candidates is not None:
             out.write("strategy: document-at-a-time candidate scan "
-                      "(rare label pins down few documents)\n")
+                      f"(rare label pins down {len(candidates)} "
+                      "documents)\n")
         else:
             out.write("strategy: trie traversal (Algorithm 1) per "
                       "arrangement\n")

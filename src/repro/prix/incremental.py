@@ -88,8 +88,7 @@ def find_child(symbol_index, label, parent_left, parent_right,
     return None
 
 
-def insert_sequence(variant, alloc, seq, doc_id,
-                    fanout=DEFAULT_INSERT_FANOUT):
+def insert_sequence(variant, alloc, seq, doc_id):
     """Insert one document's LPS into a variant's virtual trie.
 
     Returns the number of new trie nodes created.  Raises
@@ -132,7 +131,7 @@ def insert_sequence(variant, alloc, seq, doc_id,
             # too fast for long (e.g. Extended-Prufer) sequences.
             tail = len(seq.lps) - position
             needed = 4 * tail + 8
-            share = max(remaining // fanout, needed)
+            share = max(remaining // DEFAULT_INSERT_FANOUT, needed)
             if share > remaining:
                 share = remaining
             if share < needed or next_free + share > cur_right:

@@ -32,10 +32,10 @@ from repro.prufer.reconstruct import reconstruct_document
 from repro.prufer.maxgap import MaxGapTable, position_gaps
 from repro.prufer.sequence import extended_sequence, regular_sequence
 from repro.query.xpath import parse_xpath
+from repro.storage import ScrubReport, recover_path, sidecar_page_size
 from repro.storage.backend import (DEFAULT_PAGE_SIZE, DEFAULT_POOL_PAGES,
-                                   SYNC_COMMIT, backend_from_files,
-                                   create_backend, open_backend,
-                                   recover_backend, recover_files)
+                                   SYNC_COMMIT, create_backend, open_backend,
+                                   sidecar_paths)
 from repro.storage.bptree import BPlusTree
 from repro.storage.codec import decode_varints, encode_varints
 from repro.storage.errors import (RecordCorruptionError, StorageError,
@@ -59,8 +59,6 @@ class IndexOptions:
     alpha: int = 4                 # prefix length for dynamic labeling
     max_range: int = 2 ** 63       # 8-byte ranges, as in the experiments
     path: str | None = None        # None -> pager over an in-memory buffer
-    insert_fanout: int = 8         # scope share for incremental inserts
-    maxgap_granularity: str = "label"  # or "node" (Section 5.4, fine)
     durable: bool = False          # write-ahead log + crash recovery
     wal_path: str | None = None    # default: f"{path}.wal"
     wal_sync: str = SYNC_COMMIT    # fsync policy: commit/always/never
@@ -126,6 +124,11 @@ class _VariantIndex:
 _SUPERBLOCK = struct.Struct("<8sIIQI")
 _SUPER_MAGIC = b"PRIXIDX1"
 
+#: The Section 5.2.1 labeling parameters the catalog records beside the
+#: variants (the page size is in the superblock).  A file saved before
+#: they were recorded reads back with the ``IndexOptions`` defaults.
+_LAYOUT_KEYS = ("labeler", "alpha", "max_range")
+
 
 class PrixIndex:
     """Disk-backed PRIX index over a collection of documents.
@@ -135,12 +138,14 @@ class PrixIndex:
     :meth:`open` without rebuilding.
     """
 
-    def __init__(self, pool, records, label_dict, variants, doc_ids):
+    def __init__(self, pool, records, label_dict, variants, doc_ids,
+                 layout):
         self._pool = pool
         self._records = records
         self._labels = label_dict
         self._variants = variants
         self._doc_ids = doc_ids
+        self._layout = layout      # {key: value} over _LAYOUT_KEYS
 
     # ------------------------------------------------------------------
     # Construction
@@ -167,8 +172,8 @@ class PrixIndex:
         for name in options.variants:
             variants[name] = cls._build_variant(
                 name, documents, options, pool, records, label_dict)
-        index = cls(pool, records, label_dict, variants, doc_ids)
-        index._options = options
+        index = cls(pool, records, label_dict, variants, doc_ids,
+                    {key: getattr(options, key) for key in _LAYOUT_KEYS})
         if options.durable:
             # A durable build is one committed batch: persist the
             # catalog and seal everything behind a COMMIT record so a
@@ -204,8 +209,6 @@ class PrixIndex:
         """
         if document.doc_id in set(self._doc_ids):
             raise ValueError(f"document id {document.doc_id} exists")
-        fanout = getattr(self, "_options", None)
-        fanout = fanout.insert_fanout if fanout else 8
         underflow = None
         for variant in self._variants.values():
             seq = (extended_sequence(document) if variant.extended
@@ -218,8 +221,7 @@ class PrixIndex:
             stats.total_sequence_length += len(seq.lps)
             try:
                 stats.node_count += insert_sequence(
-                    variant, variant.alloc, seq, document.doc_id,
-                    fanout=fanout)
+                    variant, variant.alloc, seq, document.doc_id)
             except RebuildRequiredError as error:
                 underflow = error
         self._doc_ids.append(document.doc_id)
@@ -295,22 +297,29 @@ class PrixIndex:
             documents.append(document)
         return documents
 
+    def layout_options(self, **overrides):
+        """The :class:`IndexOptions` that lay a new index out like this
+        one: its variants, page and pool size, and the labeling
+        parameters its catalog records -- the same for an index just
+        built and for one reopened from its file.  ``overrides`` set
+        the deployment fields (``path``, ``durable``, ``guard``, ...).
+        """
+        return IndexOptions(variants=tuple(self._variants),
+                            page_size=self._pool.page_size,
+                            pool_pages=self._pool.capacity,
+                            **self._layout, **overrides)
+
     def rebuilt(self, options=None):
         """Build a fresh, compact index holding the same documents.
 
         The recovery path after :class:`RebuildRequiredError`: documents
         are reconstructed from their stored sequences (no access to the
-        original XML needed) and indexed from scratch.  Returns the new
-        index; the old one remains readable.
+        original XML needed) and indexed from scratch, by default under
+        :meth:`layout_options` in memory.  Returns the new index; the
+        old one remains readable.
         """
-        if options is None:
-            base = getattr(self, "_options", None) or IndexOptions()
-            options = IndexOptions(
-                variants=tuple(self._variants), page_size=base.page_size,
-                pool_pages=base.pool_pages, labeler=base.labeler,
-                alpha=base.alpha, max_range=base.max_range,
-                insert_fanout=base.insert_fanout)
-        return PrixIndex.build(self.export_documents(), options)
+        return PrixIndex.build(self.export_documents(),
+                               options or self.layout_options())
 
     # ------------------------------------------------------------------
     # Durability
@@ -364,6 +373,7 @@ class PrixIndex:
             "doc_ids": self._doc_ids,
             "labels": self._labels._by_id,
             "variants": {},
+            **self._layout,
         }
         for name, variant in self._variants.items():
             stats = variant.trie_stats
@@ -434,24 +444,16 @@ class PrixIndex:
         armed just before the index is returned, so the fault stream
         (including a ``fail_first`` window) targets live query traffic.
         """
-        if wal_path is None:
-            wal_path = path + ".wal"
-        if guard_path is None:
-            guard_path = path + ".sum"
+        wal_path, guard_path = sidecar_paths(path, wal_path, guard_path)
         if durable is None:
             durable = os.path.exists(wal_path)
         if guard is None:
             guard = os.path.exists(guard_path)
         if durable:
-            recover_backend(path, wal_path, guard_path=guard_path)
-        # Sanctioned raw read: the superblock must be sniffed before a
-        # backend exists (it stores the page size the backend needs),
-        # and these bytes are re-read through the pool right below, so
-        # no counted page access is bypassed.
-        with open(path, "rb") as handle:  # prixlint: disable=no-raw-io
-            header = handle.read(_SUPERBLOCK.size)
-        page, offset, length, stored_page_size = \
-            cls._parse_superblock(header, path)
+            # Before the superblock is read: an index torn by a crash
+            # opens in its last committed state.
+            recover_path(path, wal_path, guard_path=guard_path)
+        page, offset, length, stored_page_size = cls._read_superblock(path)
         pool = open_backend(path, stored_page_size, pool_pages=pool_pages,
                             kind=backend,
                             durable=durable and backend == "file",
@@ -470,34 +472,33 @@ class PrixIndex:
         return index
 
     @classmethod
-    def open_from(cls, data_file, wal_file=None, pool_pages=None,
-                  wal_sync=SYNC_COMMIT, guard_file=None):
-        """Attach to an index held in open file objects.
+    def _read_superblock(cls, path):
+        """:meth:`_parse_superblock` of the first bytes of ``path``,
+        checked against the file they claim to describe.
 
-        The crash-matrix harness uses this to reopen the durable images
-        a simulated crash left behind: when ``wal_file`` is given, its
-        committed tail is replayed into ``data_file`` first (the same
-        recovery pass :meth:`open` runs on paths) and the log stays
-        attached for further durable mutations.  ``guard_file`` likewise
-        attaches a checksum sidecar held in an open file object (the
-        corruption-matrix harness reopens the sidecar that survived the
-        simulated fault alongside the data image).
+        Sanctioned raw read, the only one of an index file outside
+        storage: the superblock must be sniffed before a backend exists
+        (it stores the page size the backend needs).  It is a 28-byte
+        header, not page traffic -- the catalog record it locates is
+        read through the pool -- so no counted page access is bypassed.
+
+        No checksum can vouch for these bytes yet (the guard needs the
+        page size too), so a page size the file is not a whole number
+        of, or a catalog record lying past its end, is refused here as
+        :class:`~repro.storage.errors.SuperblockError` rather than left
+        to surface as whatever the pager or the pool makes of it.
         """
-        wal = guard = None
-        if wal_file is not None:
-            wal, guard = recover_files(data_file, wal_file,
-                                       guard_file=guard_file,
-                                       wal_sync=wal_sync)
-        data_file.seek(0)
-        header = data_file.read(_SUPERBLOCK.size)
-        page, offset, length, stored_page_size = \
-            cls._parse_superblock(header, "data file")
-        pool = backend_from_files(data_file, stored_page_size,
-                                  pool_pages=pool_pages, wal=wal,
-                                  wal_file=wal_file, guard=guard,
-                                  guard_file=guard_file,
-                                  wal_sync=wal_sync)
-        return cls._attach(pool, page, offset, length)
+        with open(path, "rb") as handle:  # prixlint: disable=no-raw-io
+            header = handle.read(_SUPERBLOCK.size)
+            size = os.fstat(handle.fileno()).st_size
+        page, offset, length, page_size = cls._parse_superblock(header, path)
+        if (page_size <= 0 or size % page_size
+                or page * page_size + offset + length > size):
+            raise SuperblockError(
+                f"{path}: superblock does not describe this file (page "
+                f"size {page_size}, catalog record at page {page}, offset "
+                f"{offset}, length {length}; file is {size} bytes)")
+        return page, offset, length, page_size
 
     @staticmethod
     def _parse_superblock(header, origin):
@@ -561,8 +562,10 @@ class PrixIndex:
                                for doc_id, rid in data["catalog"].items()}
             variant.trie_stats = TrieStats(**data["trie_stats"])
             variants[name] = variant
+        layout = {key: meta.get(key, getattr(IndexOptions, key))
+                  for key in _LAYOUT_KEYS}
         return cls(pool, records, label_dict, variants,
-                   list(meta["doc_ids"]))
+                   list(meta["doc_ids"]), layout)
 
     def close(self):
         """Flush and close the backing storage stack (pool, log, file).
@@ -730,7 +733,7 @@ class PrixIndex:
                                      name != VARIANT_REGULAR))
 
     def query(self, pattern, *, ordered=False, variant=None,
-              use_maxgap=True, strategy="auto", maxgap_granularity=None,
+              use_maxgap=True, strategy="auto", maxgap_granularity="label",
               budget=None):
         """Find all occurrences of a twig; return a
         :class:`~repro.prix.matcher.QueryResult` (a list of
@@ -746,6 +749,9 @@ class PrixIndex:
             use_maxgap: apply Theorem 4 pruning (default on).
             strategy: ``"trie"`` / ``"document"`` / ``"auto"`` -- see
                 :func:`repro.prix.matcher.run_query`.
+            maxgap_granularity: ``"label"`` (one MaxGap bound per
+                label, the paper's table) or ``"node"`` (Section 5.4's
+                finer per-trie-node gaps, stored in every index).
             budget: a :class:`~repro.prix.budget.QueryBudget` (or an
                 already-started ``BudgetMeter``).  If refinement runs
                 out of budget the result comes back with
@@ -762,7 +768,8 @@ class PrixIndex:
 
     def query_with_stats(self, pattern, *, ordered=False, variant=None,
                          use_maxgap=True, strategy="auto",
-                         maxgap_granularity=None, cold=False, budget=None):
+                         maxgap_granularity="label", cold=False,
+                         budget=None):
         """Like :meth:`query` but also return a ``QueryStats``.
 
         ``cold=True`` flushes the buffer pool first, so ``physical_reads``
@@ -777,10 +784,6 @@ class PrixIndex:
             raise KeyError(f"variant {variant!r} was not built")
         if cold:
             self.flush_cache()
-        if maxgap_granularity is None:
-            options = getattr(self, "_options", None)
-            maxgap_granularity = (options.maxgap_granularity
-                                  if options else "label")
         meter = budget
         if isinstance(budget, QueryBudget):
             meter = (None if budget.unlimited
@@ -818,6 +821,45 @@ class PrixIndex:
                                         variant_index.extended)
             return read_decoded(rid, decode)
         return load
+
+
+def scrub_path(path, wal_path=None, guard_path=None, stamp_missing=False):
+    """Health of the index file at ``path``: every page swept through
+    the checksum guard, then the catalog attached exactly as
+    :meth:`PrixIndex.open` attaches it.  Returns a
+    :class:`~repro.storage.guard.ScrubReport`; nothing is raised for
+    damage, so the caller gets the whole picture (``prix scrub``, the
+    serving tier's ``/healthz``).
+
+    The log at ``wal_path`` is *not* replayed: its committed images only
+    serve as the read-repair source, as in live operation.  The checksum
+    sidecar is created when absent (every page then reports unstamped;
+    ``stamp_missing`` adopts them from their current content after the
+    sweep).
+
+    ``catalog_ok`` is :meth:`PrixIndex._attach`'s verdict on the swept
+    bytes, so a healthy report means ``open`` succeeds on them.  A file
+    without a superblock is still swept, under the page size its sidecar
+    records.
+    """
+    wal_path, guard_path = sidecar_paths(path, wal_path, guard_path)
+    report = ScrubReport(target=path)
+    try:
+        page, offset, length, page_size = PrixIndex._read_superblock(path)
+    except SuperblockError as error:
+        report.catalog_ok, report.catalog_error = False, str(error)
+        page_size = sidecar_page_size(guard_path)
+    with open_backend(path, page_size, pool_pages=8,
+                      durable=os.path.exists(wal_path), wal_path=wal_path,
+                      guard=True, guard_path=guard_path) as pool:
+        pool.scrub(report, stamp_missing=stamp_missing)
+        if report.catalog_ok is None:
+            try:
+                PrixIndex._attach(pool, page, offset, length)
+                report.catalog_ok = True
+            except StorageError as error:
+                report.catalog_ok, report.catalog_error = False, str(error)
+    return report
 
 
 def _strip_dummies(document):

@@ -159,7 +159,7 @@ def run_query(pattern, variant_index, view_loader, *, ordered=False,
 
     candidate_docs = None
     if strategy in ("auto", "document") and plans:
-        candidate_docs = _rare_label_candidates(
+        candidate_docs = rare_label_candidates(
             plans[0], variant_index,
             force=(strategy == "document"), budget=budget)
     use_documents = candidate_docs is not None
@@ -245,7 +245,7 @@ def run_query(pattern, variant_index, view_loader, *, ordered=False,
     return QueryResult(matches), stats
 
 
-def _rare_label_candidates(plan, variant_index, force=False, budget=None):
+def rare_label_candidates(plan, variant_index, force=False, budget=None):
     """Documents containing the rarest LPS(Q) label, or None.
 
     A document's LPS passes through a trie node exactly when the

@@ -145,9 +145,8 @@ def _register_with_sanitizer():
     """Teach the runtime sanitizer about this module's guarded fields.
 
     The analysis layer cannot import the serving tier (that would
-    invert the layering), so the serving tier registers itself -- the
-    same sanctioned inversion ``scrub_path`` uses to reach the index
-    layer, marked for reviewers on the import line.
+    invert the layering), so the serving tier registers itself, the
+    inversion marked for reviewers on the import line.
     """
     from repro.analysis import sanitizer  # prixlint: disable=layering
     sanitizer.register_guarded_class(ServerMetrics)

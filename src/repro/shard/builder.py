@@ -29,6 +29,7 @@ from repro.prix.index import IndexOptions, PrixIndex
 from repro.shard.catalog import (MANIFEST_NAME, ShardCatalog,
                                  ShardCatalogError, ShardEntry, ShardError,
                                  shard_file_name)
+from repro.storage import sidecar_paths
 from repro.xmlkit.parser import parse_document
 from repro.xmlkit.serializer import serialize
 
@@ -170,9 +171,10 @@ def _clear_existing(directory):
         files = [name for name in os.listdir(directory)
                  if name.startswith("shard-") and ".idx" in name]
     for file in files:
-        for suffix in ("", ".wal", ".sum"):
+        path = os.path.join(directory, file)
+        for stale in (path, *sidecar_paths(path)):
             try:
-                os.unlink(os.path.join(directory, file + suffix))
+                os.unlink(stale)
             except FileNotFoundError:
                 pass
     os.unlink(os.path.join(directory, MANIFEST_NAME))

@@ -1,11 +1,9 @@
-"""Shard-directory health: manifest verification over the tree scrub.
+"""Index health above one file: the tree scrub and the shard manifest.
 
-The storage layer's :func:`~repro.storage.scrub_tree` sweeps every
-index file under a directory but knows nothing about shard manifests
--- the ``prixshard.json`` format belongs to this subsystem.
-:func:`scrub_shards` runs the tree scrub and folds the manifest check
-in: the manifest must load (checksum included), and every shard it
-lists must actually have been swept.  The combined report keeps the
+:func:`repro.prix.index.scrub_path` is the health of one index file; :func:`scrub_tree` runs it over every index
+file under a directory, and :func:`scrub_shards` folds the manifest
+check in: the manifest must load (checksum included), and every shard
+it lists must actually have been swept.  The combined report keeps the
 single-index report's vocabulary (``catalog_ok``, ``pages_corrupt``,
 ``healthy``), so the serving tier's ``/healthz`` endpoint and the
 CLI's exit-code ladder treat a shard directory exactly like one index.
@@ -15,9 +13,43 @@ from __future__ import annotations
 
 import os
 
+from repro.prix.index import scrub_path
 from repro.shard.catalog import (ShardCatalog, ShardCatalogError,
                                  is_shard_directory)
-from repro.storage import scrub_path, scrub_tree
+from repro.storage import ScrubReport, TreeScrubReport
+
+#: File suffix that marks a scrubabble index inside a directory tree.
+INDEX_SUFFIX = ".idx"
+
+
+def scrub_tree(directory, stamp_missing=False):
+    """Recursively scrub every ``*.idx`` file under ``directory``.
+
+    Walks the tree in sorted order, sweeps each index file it finds
+    (sidecars and manifests are skipped -- they are inputs to their
+    index's sweep, not indexes), and aggregates the per-file
+    :class:`~repro.storage.guard.ScrubReport`\\ s into one
+    :class:`~repro.storage.guard.TreeScrubReport`.  A file that cannot
+    be swept at all (missing, not a whole number of pages) is recorded
+    as an unhealthy report rather than raised, matching the scrub's
+    report-not-raise contract.
+    """
+    report = TreeScrubReport(target=directory)
+    for root, dirs, files in os.walk(directory):
+        dirs.sort()
+        for name in sorted(files):
+            if not name.endswith(INDEX_SUFFIX):
+                continue
+            path = os.path.join(root, name)
+            relative = os.path.relpath(path, directory)
+            try:
+                swept = scrub_path(path, stamp_missing=stamp_missing)
+            except (OSError, ValueError) as error:
+                swept = ScrubReport(target=path)
+                swept.catalog_ok = False
+                swept.catalog_error = f"unscrubbable: {error}"
+            report.reports.append((relative, swept))
+    return report
 
 
 def scrub_shards(directory, stamp_missing=False):

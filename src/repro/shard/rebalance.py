@@ -28,10 +28,11 @@ import time
 from dataclasses import dataclass
 
 from repro.prix.incremental import RebuildRequiredError
-from repro.prix.index import IndexOptions, PrixIndex
+from repro.prix.index import PrixIndex
 from repro.shard.builder import _build_one, partition_documents, shard_seed
 from repro.shard.catalog import (ShardCatalog, ShardEntry, ShardError,
                                  shard_file_name)
+from repro.storage import sidecar_paths
 
 #: Largest symmetric difference a shard absorbs incrementally; moving
 #: more documents than this is cheaper as a bulk rebuild.
@@ -57,24 +58,6 @@ class RebalanceReport:
 
     def as_dict(self):
         return dataclasses.asdict(self)
-
-
-def _sidecars(path):
-    """The WAL and checksum companions of one shard file."""
-    return (path + ".wal", path + ".sum")
-
-
-def _infer_options(catalog, first_path, first_index):
-    """Reconstruct build options for rebuilt shards from what is on
-    disk: page size from the manifest, variants from a live shard, and
-    durability/guard from the sidecar files' existence."""
-    wal, sum_ = _sidecars(first_path)
-    page_size = catalog.page_size or IndexOptions.page_size
-    return IndexOptions(path=None,
-                        page_size=page_size,
-                        variants=tuple(first_index.variants()),
-                        durable=os.path.exists(wal),
-                        guard=os.path.exists(sum_))
 
 
 def _try_incremental(index, current_docs, target_docs):
@@ -110,7 +93,10 @@ def rebalance(directory, *, shards=None, workers=1, options=None,
         shards: target shard count (default: keep the current count).
         workers: build processes for rebuilt shards (1 = inline).
         options: :class:`IndexOptions` template for rebuilt shards;
-            inferred from the existing set when omitted.
+            by default the first shard's own layout
+            (:meth:`PrixIndex.layout_options`: variants, page size,
+            labeler and its parameters), durable / guarded as that
+            shard's sidecar files say it is.
         seed: root of rebuilt shards' RNG streams.
         force_rebuild: rebuild every shard even when its document set
             is unchanged (this is :func:`compact`).
@@ -129,11 +115,11 @@ def rebalance(directory, *, shards=None, workers=1, options=None,
     try:
         for entry in catalog.entries:
             opened[entry.name] = PrixIndex.open(catalog.path_for(entry))
-        first_entry = catalog.entries[0]
         if options is None:
-            options = _infer_options(catalog,
-                                     catalog.path_for(first_entry),
-                                     opened[first_entry.name])
+            first = catalog.entries[0]
+            wal, sum_ = sidecar_paths(catalog.path_for(first))
+            options = opened[first.name].layout_options(
+                durable=os.path.exists(wal), guard=os.path.exists(sum_))
 
         current_docs = {entry.name: list(opened[entry.name]
                                          .export_documents())
@@ -244,7 +230,7 @@ def _unlink_replaced(old_catalog, new_catalog):
         if entry.file in kept:
             continue
         path = old_catalog.path_for(entry)
-        for stale in (path, *_sidecars(path)):
+        for stale in (path, *sidecar_paths(path)):
             try:
                 os.unlink(stale)
             except FileNotFoundError:

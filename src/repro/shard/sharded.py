@@ -239,7 +239,8 @@ class ShardedIndex:
 
     def query_with_stats(self, pattern, *, ordered=False, variant=None,
                          use_maxgap=True, strategy="auto",
-                         maxgap_granularity=None, cold=False, budget=None):
+                         maxgap_granularity="label", cold=False,
+                         budget=None):
         """Like :meth:`query` but also return an aggregate ``QueryStats``.
 
         The stats sum the per-shard work counters (physical reads,

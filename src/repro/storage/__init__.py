@@ -26,17 +26,18 @@ seam; the ``layering`` lint rule enforces the boundary statically.
 Corruption safety sits beside it (``docs/ROBUSTNESS.md``): a
 :class:`PageGuard` checksums every page on write-back and verifies on
 read, repairing from the WAL's committed images or quarantining with a
-typed :class:`PageCorruptionError`; :func:`scrub_path` sweeps a whole
-index; :func:`inject_corruption` supplies the seeded bit-flip /
-zero-page / misdirected-write faults the corruption-matrix tests run
+typed :class:`PageCorruptionError`; :func:`scrub` sweeps every page of
+a pager (the index-level scrub, catalog verdict included, is composed
+above storage: ``repro.prix.index.scrub_path``);
+:func:`inject_corruption` supplies the seeded bit-flip / zero-page /
+misdirected-write faults the corruption-matrix tests run
 under.  Guard traffic, like WAL traffic, never touches the page
 counters.
 """
 
 from repro.storage.backend import (FilePagerBackend, MmapBackend,
-                                   StorageBackend, backend_from_files,
-                                   create_backend, open_backend,
-                                   recover_backend)
+                                   StorageBackend, create_backend,
+                                   open_backend, sidecar_paths)
 from repro.storage.bptree import BPlusTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.codec import (decode_key, encode_int, encode_key,
@@ -53,7 +54,7 @@ from repro.storage.faults import (ChaosBackend, ChaosConfig, ChaosSchedule,
                                   CrashPoint, FaultSchedule, FaultyFile,
                                   corruption_plan, inject_corruption)
 from repro.storage.guard import (PageGuard, ScrubReport, TreeScrubReport,
-                                 scrub, scrub_path, scrub_tree,
+                                 scrub, sidecar_page_size,
                                  wal_repair_source)
 from repro.storage.latch import Latch
 from repro.storage.pager import DEFAULT_PAGE_SIZE, Pager
@@ -104,7 +105,6 @@ __all__ = [
     "WalError",
     "WalProtocolError",
     "WriteAheadLog",
-    "backend_from_files",
     "corruption_plan",
     "create_backend",
     "decode_key",
@@ -115,12 +115,11 @@ __all__ = [
     "open_backend",
     "page_checksum",
     "recover",
-    "recover_backend",
     "recover_path",
     "scan_committed",
     "scrub",
-    "scrub_path",
-    "scrub_tree",
+    "sidecar_page_size",
+    "sidecar_paths",
     "split_varints",
     "wal_repair_source",
 ]

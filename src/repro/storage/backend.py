@@ -38,15 +38,14 @@ from typing import Protocol
 
 from repro.storage.buffer_pool import DEFAULT_POOL_PAGES, BufferPool
 from repro.storage.errors import ReadOnlyBackendError
-from repro.storage.guard import PageGuard
+from repro.storage.guard import PageGuard, scrub as sweep_pages
 from repro.storage.pager import DEFAULT_PAGE_SIZE, Pager
 from repro.storage.wal import SYNC_COMMIT, WriteAheadLog
 
 __all__ = [
     "DEFAULT_PAGE_SIZE", "DEFAULT_POOL_PAGES", "SYNC_COMMIT",
     "StorageBackend", "FilePagerBackend", "MmapBackend",
-    "create_backend", "open_backend", "recover_backend", "recover_files",
-    "backend_from_files",
+    "create_backend", "open_backend", "sidecar_paths",
 ]
 
 
@@ -180,6 +179,18 @@ class FilePagerBackend(BufferPool):
         """Fsync the data file (and guard sidecar) where supported."""
         self._pager.sync()
 
+    def scrub(self, report, stamp_missing=False):
+        """Sweep every page of the substrate into ``report``
+        (:func:`repro.storage.guard.scrub`: verify, read-repair from the
+        attached log's committed images, record what stays corrupt);
+        with ``stamp_missing``, pages that predate the guard are then
+        adopted -- stamped from their current content."""
+        sweep_pages(self._pager, report)
+        if stamp_missing:
+            adopted = self.guard.stamp_all(self._pager)
+            report.pages_unstamped -= adopted
+            report.pages_ok += adopted
+
     def close(self):
         """Flush and close the full stack (pool, WAL, pager, guard).
 
@@ -246,15 +257,28 @@ class MmapBackend(FilePagerBackend):
 # Wiring: the index-level factories
 # ----------------------------------------------------------------------
 
+def sidecar_paths(path, wal_path=None, guard_path=None):
+    """``(wal_path, guard_path)`` of the index file at ``path``.
+
+    The one place the sidecar naming lives: the write-ahead log is
+    ``path + ".wal"`` and the checksum sidecar ``path + ".sum"`` unless
+    a deployment names its own.  With ``path`` None (an in-memory
+    build) an unnamed sidecar stays None.
+    """
+    if path is not None:
+        wal_path = wal_path or path + ".wal"
+        guard_path = guard_path or path + ".sum"
+    return wal_path, guard_path
+
+
 def _open_guard(options):
     """Open the checksum sidecar named by an ``IndexOptions``."""
     if options.file_factory is not None:
         return PageGuard(options.file_factory("guard"), options.page_size)
-    if options.path is None:
-        return PageGuard.in_memory(options.page_size)
-    guard_path = options.guard_path
+    _, guard_path = sidecar_paths(options.path,
+                                  guard_path=options.guard_path)
     if guard_path is None:
-        guard_path = options.path + ".sum"
+        return PageGuard.in_memory(options.page_size)
     return PageGuard.open(guard_path, options.page_size)
 
 
@@ -264,13 +288,11 @@ def _open_wal(options, stats):
         return WriteAheadLog(options.file_factory("wal"),
                              options.page_size, stats=stats,
                              sync_policy=options.wal_sync)
-    wal_path = options.wal_path
+    wal_path, _ = sidecar_paths(options.path, options.wal_path)
     if wal_path is None:
-        if options.path is None:
-            raise ValueError(
-                "durable=True needs a path (or a file_factory) for "
-                "the write-ahead log")
-        wal_path = options.path + ".wal"
+        raise ValueError(
+            "durable=True needs a path (or a file_factory) for "
+            "the write-ahead log")
     return WriteAheadLog.open(wal_path, options.page_size, stats=stats,
                               sync_policy=options.wal_sync)
 
@@ -295,16 +317,6 @@ def create_backend(options):
     if options.durable:
         backend.attach_wal(_open_wal(options, backend.stats))
     return backend
-
-
-def recover_backend(path, wal_path, guard_path=None):
-    """Replay the committed WAL tail into the data file at ``path``.
-
-    The pre-open recovery pass: run *before* the superblock is read so
-    an index torn by a crash opens in its last committed state.
-    """
-    from repro.storage.recovery import recover_path
-    recover_path(path, wal_path, guard_path=guard_path)
 
 
 #: Open-time kind -> (backend class, the ``Pager`` constructor deciding
@@ -352,25 +364,23 @@ def open_backend(path, page_size, pool_pages=None, kind="file",
     if durable and kind in _NO_WAL:
         raise ReadOnlyBackendError(_NO_WAL[kind])
     backend_class, open_pager = _KINDS[kind]
-    if guard_path is None:
-        guard_path = path + ".sum"
+    wal_path, guard_path = sidecar_paths(path, wal_path, guard_path)
     pager = open_pager(path, page_size=page_size)
-    if guard:
-        # The sidecar is opened (and created if absent) only once the
-        # pager has accepted the file, and never outlives a failure.
-        try:
+    try:
+        if guard:
+            # The sidecar is opened (and created if absent) only once
+            # the pager has accepted the file.
             pager.attach_guard(PageGuard.open(guard_path, page_size))
-        except BaseException:
-            pager.close()
-            raise
-    backend = backend_class(pager, capacity=pool_pages or DEFAULT_POOL_PAGES)
-    backend.kind = kind
-    if durable:
-        if wal_path is None:
-            wal_path = path + ".wal"
-        backend.attach_wal(WriteAheadLog.open(
-            wal_path, page_size, stats=backend.stats,
-            sync_policy=wal_sync))
+        backend = backend_class(pager,
+                                capacity=pool_pages or DEFAULT_POOL_PAGES)
+        backend.kind = kind
+        if durable:
+            backend.attach_wal(WriteAheadLog.open(
+                wal_path, page_size, stats=backend.stats,
+                sync_policy=wal_sync))
+    except BaseException:
+        pager.close()   # with its sidecar: nothing outlives a failure
+        raise
     return _wrap_chaos(backend, chaos)
 
 
@@ -381,49 +391,3 @@ def _wrap_chaos(backend, chaos):
         return backend
     from repro.storage.faults import ChaosBackend
     return ChaosBackend(backend, chaos)
-
-
-def recover_files(data_file, wal_file, guard_file=None,
-                  wal_sync=SYNC_COMMIT):
-    """Crash recovery over already-open file objects.
-
-    Parses the log header for the page size, replays the committed tail
-    into ``data_file``, and returns ``(wal, guard)`` ready to reattach.
-    Returns ``(None, None)`` when the log header never became durable
-    (a crash before the first frame): the caller should start a fresh
-    log generation via :func:`backend_from_files`.
-    """
-    from repro.storage.recovery import recover
-    from repro.storage.wal import _HEADER
-    wal_file.seek(0)
-    header = WriteAheadLog._parse_header(wal_file.read(_HEADER.size))
-    if header is None:
-        return None, None
-    wal = WriteAheadLog(wal_file, header[1], sync_policy=wal_sync)
-    guard = (PageGuard(guard_file, header[1])
-             if guard_file is not None else None)
-    recover(data_file, wal, guard=guard)
-    return wal, guard
-
-
-def backend_from_files(data_file, page_size, pool_pages=None, wal=None,
-                       wal_file=None, guard=None, guard_file=None,
-                       wal_sync=SYNC_COMMIT):
-    """Backend over open file objects (the crash/corruption harnesses).
-
-    ``wal``/``guard`` are the live objects :func:`recover_files`
-    returned; when recovery yielded no log (header never durable) but a
-    ``wal_file`` is present, a fresh log generation is started so the
-    reopened index can keep logging.
-    """
-    if guard_file is not None and guard is None:
-        guard = PageGuard(guard_file, page_size)
-    pager = Pager(data_file, page_size=page_size, guard=guard)
-    backend = FilePagerBackend(pager, capacity=pool_pages
-                               or DEFAULT_POOL_PAGES)
-    if wal is None and wal_file is not None:
-        wal = WriteAheadLog(wal_file, page_size, sync_policy=wal_sync)
-    if wal is not None:
-        wal.stats = backend.stats
-        backend.attach_wal(wal)
-    return backend

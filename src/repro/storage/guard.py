@@ -393,78 +393,9 @@ def scrub(pager, report=None):
     return report
 
 
-def scrub_path(path, wal_path=None, guard_path=None, stamp_missing=False):
-    """Scrub the index file at ``path``: sweep all pages plus the catalog.
-
-    The ``prix scrub`` entry point.  When a write-ahead log exists at
-    ``wal_path`` (default ``path + ".wal"``), its committed images serve
-    as the read-repair source, exactly as during live operation.  When
-    ``stamp_missing`` is true, unstamped pages are adopted (stamped from
-    current content) after the sweep.
-
-    Returns a :class:`ScrubReport` whose catalog fields record whether
-    the superblock and metadata record still parse.
-    """
-    # Deliberate layering inversion, lazily bound: the scrub report
-    # validates the PRIX superblock/catalog, which only the logical
-    # layer can parse.  Kept function-local so importing the storage
-    # package never drags the index code in.
-    from repro.prix import index as prix_index  # prixlint: disable=layering
-    from repro.storage.buffer_pool import BufferPool
-    from repro.storage.pager import Pager
-    from repro.storage.records import RecordStore
-    from repro.storage.wal import WriteAheadLog
-
-    if guard_path is None:
-        guard_path = path + ".sum"
-    if wal_path is None:
-        wal_path = path + ".wal"
-    report = ScrubReport(target=path)
-
-    # Page size comes from the superblock; an unreadable superblock is
-    # itself a catalog failure worth reporting, so fall back to the
-    # sidecar header (and finally the default) to still sweep pages.
-    page_size = None
-    superblock_error = None
-    try:
-        with open(path, "rb") as handle:  # prixlint: disable=no-raw-io
-            header = handle.read(prix_index._SUPERBLOCK.size)
-        _, _, _, page_size = prix_index.PrixIndex._parse_superblock(
-            header, path)
-    except FileNotFoundError:
-        raise
-    except ValueError as error:
-        superblock_error = str(error)
-        page_size = _sidecar_page_size(guard_path)
-
-    guard = PageGuard.open(guard_path, page_size)
-    pager = Pager.open(path, page_size=page_size, guard=guard)
-    wal = None
-    try:
-        if os.path.exists(wal_path):
-            wal = WriteAheadLog.open(wal_path, page_size,
-                                     stats=pager.stats)
-            guard.attach_repair_source(wal_repair_source(wal))
-        scrub(pager, report)
-        if stamp_missing:
-            adopted = guard.stamp_all(pager)
-            report.pages_unstamped -= adopted
-            report.pages_ok += adopted
-        if superblock_error is not None:
-            report.catalog_ok = False
-            report.catalog_error = superblock_error
-        else:
-            report.catalog_ok, report.catalog_error = _check_catalog(
-                pager, BufferPool, RecordStore, prix_index, path)
-    finally:
-        if wal is not None:
-            wal.close()
-        pager.close()
-    return report
-
-
-def _sidecar_page_size(guard_path):
-    """Page size recorded in an existing sidecar, or the engine default."""
+def sidecar_page_size(guard_path):
+    """Page size recorded in an existing sidecar, or the engine default:
+    what a file with no readable superblock is still swept under."""
     from repro.storage.pager import DEFAULT_PAGE_SIZE
     if os.path.exists(guard_path):
         with open(guard_path, "rb") as handle:  # prixlint: disable=no-raw-io
@@ -474,24 +405,6 @@ def _sidecar_page_size(guard_path):
             if magic == _MAGIC and version == _VERSION and page_size > 0:
                 return page_size
     return DEFAULT_PAGE_SIZE
-
-def _check_catalog(pager, pool_cls, records_cls, index_mod, path):
-    """Parse the superblock and metadata record; ``(ok, error)``."""
-    import json
-    try:
-        pool = pool_cls(pager, capacity=8)
-        frame = pool.get(0)
-        page, offset, length, _ = index_mod.PrixIndex._parse_superblock(
-            bytes(frame[:index_mod._SUPERBLOCK.size]), path)
-        records = records_cls(pool)
-        meta = json.loads(records.read((page, offset, length)))
-        if "variants" not in meta or "doc_ids" not in meta:
-            return False, "metadata record is missing required keys"
-        return True, None
-    except PageCorruptionError as error:
-        return False, str(error)
-    except (ValueError, KeyError, struct.error) as error:
-        return False, f"catalog unreadable: {error}"
 
 
 class TreeScrubReport:
@@ -564,41 +477,3 @@ class TreeScrubReport:
         lines.append(f"  health      : "
                      f"{'OK' if self.healthy else 'CORRUPT'}")
         return "\n".join(lines)
-
-
-#: File suffix that marks a scrubabble index inside a directory tree.
-INDEX_SUFFIX = ".idx"
-
-
-def scrub_tree(directory, stamp_missing=False):
-    """Recursively scrub every ``*.idx`` file under ``directory``.
-
-    The directory form of :func:`scrub_path` (``prix scrub DIR``):
-    walks the tree in sorted order, sweeps each index file it finds
-    (sidecars and manifests are skipped -- they are inputs to their
-    index's sweep, not indexes), and aggregates the per-file
-    :class:`ScrubReport`\\ s into one :class:`TreeScrubReport`.  A
-    file that cannot be swept at all (missing, truncated below a
-    superblock) is recorded as an unhealthy report rather than raised,
-    matching :func:`scrub`'s report-not-raise contract.
-
-    Shard-manifest verification is layered on top by
-    ``repro.shard.health.scrub_shards`` -- the manifest format belongs
-    to the shard subsystem, not the storage substrate.
-    """
-    report = TreeScrubReport(target=directory)
-    for root, dirs, files in os.walk(directory):
-        dirs.sort()
-        for name in sorted(files):
-            if not name.endswith(INDEX_SUFFIX):
-                continue
-            path = os.path.join(root, name)
-            relative = os.path.relpath(path, directory)
-            try:
-                swept = scrub_path(path, stamp_missing=stamp_missing)
-            except (OSError, ValueError) as error:
-                swept = ScrubReport(target=path)
-                swept.catalog_ok = False
-                swept.catalog_error = f"unscrubbable: {error}"
-            report.reports.append((relative, swept))
-    return report

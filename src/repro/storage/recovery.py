@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import os
 
+from repro.storage.backend import sidecar_paths
 from repro.storage.pager import fsync_file
 from repro.storage.wal import REC_CHECKPOINT, REC_COMMIT, REC_PAGE
 
@@ -133,19 +134,20 @@ def recover(data_file, wal, page_size=None, guard=None):
     return result
 
 
-def recover_path(data_path, wal_path, page_size=None, guard_path=None):
+def recover_path(data_path, wal_path=None, page_size=None, guard_path=None):
     """Path-based wrapper around :func:`recover` (the ``prix recover``
-    entry point).
+    entry point, and the pass ``PrixIndex.open`` runs first).
 
     Missing files are fine: no log means nothing to redo, and a missing
     data file is created empty so committed images can be replayed into
-    it.  When a checksum sidecar exists (``guard_path``, default
-    ``data_path + ".sum"``), replayed images are restamped into it.
-    Returns a :class:`RecoveryResult` (``clean`` when there was no
-    log).
+    it.  When a checksum sidecar exists, replayed images are restamped
+    into it.  ``wal_path`` / ``guard_path`` default to the file's own
+    sidecars (:func:`~repro.storage.backend.sidecar_paths`).  Returns a
+    :class:`RecoveryResult` (``clean`` when there was no log).
     """
     from repro.storage.wal import _HEADER, WriteAheadLog
 
+    wal_path, guard_path = sidecar_paths(data_path, wal_path, guard_path)
     if not os.path.exists(wal_path):
         return RecoveryResult()
     # Sanctioned raw open, mirroring the superblock sniff in
@@ -165,8 +167,6 @@ def recover_path(data_path, wal_path, page_size=None, guard_path=None):
                 # began, so there is nothing to redo.
                 return RecoveryResult()
             _, page_size = header
-        if guard_path is None:
-            guard_path = data_path + ".sum"
         guard = None
         try:
             if os.path.exists(guard_path):

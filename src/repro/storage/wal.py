@@ -131,7 +131,12 @@ class WriteAheadLog:
         """
         mode = "r+b" if os.path.exists(path) else "w+b"
         handle = open(path, mode)  # wal.py is a sanctioned raw-I/O gateway
-        return cls(handle, page_size, stats=stats, sync_policy=sync_policy)
+        try:
+            return cls(handle, page_size, stats=stats,
+                       sync_policy=sync_policy)
+        except BaseException:
+            handle.close()      # a refused log keeps no handle
+            raise
 
     # ------------------------------------------------------------------
     # Header management

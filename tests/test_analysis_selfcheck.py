@@ -88,6 +88,37 @@ class TestOnePageSubstrate:
         assert pagers == ["pager.py:Pager"]
 
 
+class TestOneReaderForAnIndexFile:
+    """``repro.prix.index`` alone reads a superblock or a catalog record
+    and ``PrixIndex.open`` alone recovers and attaches a saved index
+    (docs/ARCHITECTURE.md); scrub is composed above storage."""
+
+    def offenders(self, pattern, paths):
+        return [f"{path.relative_to(SRC)}:{number}"
+                for path in paths
+                for number, line in enumerate(
+                    path.read_text().splitlines(), start=1)
+                if pattern.search(line)]
+
+    def test_only_the_index_module_names_the_superblock(self):
+        names = re.compile(r"_SUPERBLOCK|_parse_superblock|_SUPER_MAGIC")
+        assert self.offenders(
+            names, [path for path in sorted(SRC.rglob("*.py"))
+                    if path != SRC / "prix" / "index.py"]) == []
+
+    def test_storage_never_reaches_up_into_the_index(self):
+        upward = re.compile(r"prixlint: disable=layering|"
+                            r"^\s*(from|import)\s+repro\.prix\b")
+        assert self.offenders(
+            upward, sorted((SRC / "storage").glob("*.py"))) == []
+
+    def test_the_second_readers_and_the_option_guesses_stay_deleted(self):
+        gone = re.compile(r"open_from|recover_files|backend_from_files|"
+                          r"_check_catalog|_infer_options|"
+                          r'getattr\(self, "_options"')
+        assert self.offenders(gone, sorted(SRC.rglob("*.py"))) == []
+
+
 class TestViolationsAreCaught:
     """Copy src/repro aside, break an invariant, watch the lint fail."""
 

@@ -283,7 +283,7 @@ class TestScrubJson:
         # serializer: ScrubReport.to_json (docs/SERVING.md).
         import json
 
-        from repro.storage import scrub_path
+        from repro.prix.index import scrub_path
         assert main(["scrub", guarded_index, "--json"]) == 0
         out = capsys.readouterr().out
         assert json.loads(out) == json.loads(

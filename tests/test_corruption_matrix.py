@@ -27,10 +27,9 @@ import shutil
 
 import pytest
 
-from repro.prix.index import IndexOptions, PrixIndex
+from repro.prix.index import IndexOptions, PrixIndex, scrub_path
 from repro.storage.errors import CorruptionError
 from repro.storage.faults import inject_corruption
-from repro.storage.guard import scrub_path
 from repro.xmlkit.parser import parse_document
 
 SEEDS = (11, 23, 47)
@@ -219,9 +218,9 @@ def test_scrub_heals_with_wal_and_reports_without(seed, tmp_path):
     # index; a second scrub sees nothing left to fix.
     path, plan = corrupt_copy(pristine, tmp_path, seed, point=0,
                               checkpoint=False)
-    report = scrub_path(path, wal_path=path + ".wal")
+    report = scrub_path(path)
     assert report.healthy
-    again = scrub_path(path, wal_path=path + ".wal")
+    again = scrub_path(path)
     assert again.healthy and again.pages_repaired == 0
     with PrixIndex.open(path, pool_pages=POOL_PAGES) as index:
         assert query_results(index, dataset.queries) == oracle
@@ -231,7 +230,7 @@ def test_scrub_heals_with_wal_and_reports_without(seed, tmp_path):
     for point in range(MAX_POINTS):
         path, plan = corrupt_copy(pristine, tmp_path, seed, point,
                                   checkpoint=True)
-        report = scrub_path(path, wal_path=path + ".wal")
+        report = scrub_path(path)
         if not report.healthy:
             assert report.pages_corrupt == [plan["page"]] or (
                 report.catalog_ok is False)

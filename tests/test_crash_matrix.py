@@ -4,16 +4,18 @@ prove recovery.
 For each (dataset, seed) schedule the harness first records a clean run
 through the fault injector to count its IO operations, then re-runs the
 same scenario -- a durable build followed by durable inserts -- crashing
-at each injection point in turn.  After every crash it reopens only the
-bytes that were fsynced, lets recovery replay the committed WAL tail,
-re-applies whatever documents the crash lost, and requires the query
-results to be identical to a clean build of the full corpus.
+at each injection point in turn.  After every crash it writes only the
+bytes that were fsynced to an index file and its ``.wal``, reopens them
+with ``PrixIndex.open`` -- the recover -> open chain ``prix recover``,
+``prix query`` and ``prix serve`` run -- re-applies whatever documents
+the crash lost, and requires the query results to be identical to a
+clean build of the full corpus.
 
 A failure dumps the schedule (a complete reproduction recipe: seed +
 crash_at) as JSON to ``$PRIX_CRASH_ARTIFACT`` so CI can upload it.
 
 The matrix is intentionally written against the public surface
-(``PrixIndex.build`` / ``insert_document`` / ``save`` / ``open_from``);
+(``PrixIndex.build`` / ``insert_document`` / ``save`` / ``open``);
 it holds the whole durability story together, so keep it honest: no
 mocking, no peeking at volatile state after a crash.
 """
@@ -25,6 +27,7 @@ import os
 import pytest
 
 from repro.prix.index import IndexOptions, PrixIndex
+from repro.storage.errors import SuperblockError
 from repro.storage.faults import CrashPoint, FaultSchedule, FaultyFile
 from repro.storage.recovery import recover
 from repro.storage.wal import WriteAheadLog, _HEADER
@@ -151,14 +154,15 @@ def run_scenario(dataset, schedule):
     return data_file, wal_file
 
 
-def recover_and_complete(dataset, data_bytes, wal_bytes):
+def recover_and_complete(dataset, data_bytes, wal_bytes, tmp_path):
     """What an operator does after a crash: recover, re-apply what was
     lost, return the query results."""
+    path = tmp_path / "crashed.idx"
+    path.write_bytes(data_bytes)
+    (tmp_path / "crashed.idx.wal").write_bytes(wal_bytes)
     try:
-        index = PrixIndex.open_from(io.BytesIO(data_bytes),
-                                    io.BytesIO(wal_bytes),
-                                    pool_pages=POOL_PAGES)
-    except ValueError:
+        index = PrixIndex.open(str(path), pool_pages=POOL_PAGES)
+    except SuperblockError:
         # The crash predates the first committed save: there is no
         # superblock, so the recovered index is empty by construction
         # and the operator redoes the whole build.
@@ -198,7 +202,7 @@ def sampled_points(total):
 
 @pytest.mark.parametrize("dataset", DATASETS, ids=lambda d: d.name)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_crash_matrix(dataset, seed):
+def test_crash_matrix(dataset, seed, tmp_path):
     oracle = oracle_results(dataset)
 
     # Recording run: no crash, count the injection points and check the
@@ -210,7 +214,7 @@ def test_crash_matrix(dataset, seed):
         f"schedule exposes only {total_ops} injection points; the "
         f"matrix needs at least {MIN_POINTS} to mean anything")
     clean = recover_and_complete(dataset, data_file.durable_bytes(),
-                                 wal_file.durable_bytes())
+                                 wal_file.durable_bytes(), tmp_path)
     assert clean == oracle
 
     for crash_at in sampled_points(total_ops):
@@ -222,7 +226,7 @@ def test_crash_matrix(dataset, seed):
         try:
             got = recover_and_complete(dataset,
                                        data_file.durable_bytes(),
-                                       wal_file.durable_bytes())
+                                       wal_file.durable_bytes(), tmp_path)
             assert got == oracle
         except Exception as error:
             dump_artifact(dataset, schedule,
@@ -232,7 +236,7 @@ def test_crash_matrix(dataset, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_recovery_survives_its_own_crash(seed):
+def test_recovery_survives_its_own_crash(seed, tmp_path):
     """Crash recovery mid-replay, then recover again: idempotence."""
     dataset = DATASETS[0]
     oracle = oracle_results(dataset)
@@ -262,7 +266,8 @@ def test_recovery_survives_its_own_crash(seed):
             except CrashPoint:
                 pass
         # Whatever the second crash left durable, recovering again (and
-        # once more inside open_from) must still converge on the oracle.
+        # once more inside PrixIndex.open) must still converge on the
+        # oracle.
         got = recover_and_complete(dataset, faulty_data.durable_bytes(),
-                                   durable_wal)
+                                   durable_wal, tmp_path)
         assert got == oracle

@@ -89,3 +89,21 @@ class TestCheckerTable:
         assert len(cells) > len(rules_by_name())    # protocols without one
         assert sorted(cell.strip("`") for cell in cells if cell != "—") \
             == sorted(rules_by_name())
+
+
+class TestOptionTable:
+    def test_readme_table_lists_exactly_the_index_options(self):
+        """README states once which build options exist and which of
+        them the index file remembers; its rows are ``IndexOptions``'s
+        fields, and the remembered ones are what the catalog and the
+        superblock actually hold."""
+        import dataclasses
+
+        from repro.prix.index import _LAYOUT_KEYS, IndexOptions
+        rows = re.findall(r"^\| `(\w+)` \| [^|]+ \| ([^|]+) \|$",
+                          read("README.md"), flags=re.MULTILINE)
+        assert sorted(name for name, _ in rows) == sorted(
+            field.name for field in dataclasses.fields(IndexOptions))
+        remembered = {name for name, where in rows
+                      if not where.startswith("—")}
+        assert remembered == {"variants", "page_size", *_LAYOUT_KEYS}

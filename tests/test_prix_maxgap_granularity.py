@@ -67,14 +67,6 @@ class TestGranularityCorrectness:
         assert node_stats.filter.pruned_by_maxgap >= \
             label_stats.filter.pruned_by_maxgap
 
-    def test_default_from_index_options(self):
-        docs = [parse_document("<a><b/><c/></a>", 1)]
-        index = PrixIndex.build(
-            docs, IndexOptions(maxgap_granularity="node"))
-        matches, stats = index.query_with_stats("//a[./b][./c]",
-                                                strategy="trie")
-        assert len(matches) == 1
-
 
 class TestIncrementalGapWidening:
     def test_insert_widens_node_gap(self):

@@ -1,11 +1,14 @@
 """Index persistence tests: save to a file, reopen, query identically."""
 
+import json
+
 import pytest
 
 from repro.baselines.naive import naive_matches
 from repro.datasets import dblp
 from repro.prix.index import IndexOptions, PrixIndex
 from repro.query.xpath import parse_xpath
+from repro.xmlkit.parser import parse_document
 
 QUERIES = ['//inproceedings[./author="Jim Gray"][./year="1990"]',
            "//www[./editor]/url",
@@ -172,3 +175,59 @@ class TestDurablePersistence:
             assert reopened.doc_count == 3
             got = {m.doc_id for m in reopened.query("//article/author")}
             assert got == {1, 3}
+
+
+def strip_layout_keys(path):
+    """Rewrite the catalog record in place without the labeling keys --
+    the file as the commit before they were recorded saved it."""
+    page, offset, length, page_size = PrixIndex._read_superblock(path)
+    with open(path, "r+b") as handle:
+        handle.seek(page * page_size + offset)
+        meta = json.loads(handle.read(length))
+        for key in ("labeler", "alpha", "max_range"):
+            del meta[key]
+        handle.seek(page * page_size + offset)
+        handle.write(json.dumps(meta).encode("utf-8").ljust(length))
+
+
+class TestCatalogRemembersTheLayout:
+    """Build options are read from the file, not guessed: what
+    ``rebuilt()`` lays out after a reopen is what ``build`` laid out."""
+
+    DOCS = ["<a><b><c/></b></a>", "<a><b/></a>", "<a><b>x</b></a>"]
+    NOVEL = "<x><y><z/></y></x>"
+
+    def documents(self):
+        return [parse_document(text, doc_id)
+                for doc_id, text in enumerate(self.DOCS, start=1)]
+
+    def assert_keeps_slack(self, index):
+        assert index._pool.page_size == 1024
+        for variant in index.variants():
+            assert index._variants[variant].root_range[1] == 2 ** 63
+        index.insert_document(parse_document(self.NOVEL, 99))
+        assert index.query("//x/y/z").doc_ids == [99]
+
+    def test_dynamic_index_survives_save_open_rebuilt(self, tmp_path):
+        path = str(tmp_path / "dynamic.idx")
+        options = IndexOptions(labeler="dynamic", page_size=1024, path=path)
+        with PrixIndex.build(self.documents(), options) as built:
+            built.save()
+        with PrixIndex.build(self.documents(),
+                             IndexOptions(labeler="dynamic",
+                                          page_size=1024)) as fresh:
+            self.assert_keeps_slack(fresh)
+        with PrixIndex.open(path) as reopened:
+            with reopened.rebuilt() as rebuilt:
+                self.assert_keeps_slack(rebuilt)
+
+    def test_file_saved_before_the_keys_existed_opens_unchanged(
+            self, saved_index_path):
+        path, expected = saved_index_path
+        strip_layout_keys(path)
+        with PrixIndex.open(path) as reopened:
+            for xpath, want in expected.items():
+                got = {(m.doc_id, m.canonical)
+                       for m in reopened.query(xpath)}
+                assert got == want, xpath
+            assert reopened.layout_options() == IndexOptions()

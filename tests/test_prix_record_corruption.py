@@ -21,6 +21,7 @@ from repro.prix.index import (_SUPERBLOCK, IndexOptions, LabelDict,
                               PrixIndex, _decode_document,
                               _encode_document)
 from repro.prufer.sequence import regular_sequence
+from repro.shard import scrub_index
 from repro.storage import (CorruptionError, RecordCorruptionError,
                            SuperblockError)
 from repro.storage.codec import decode_varints, encode_varints
@@ -181,6 +182,12 @@ def not_an_object(length):
     return b"[1, 2]".ljust(length)
 
 
+def wrong_shape(length):
+    """The keys scrub's own parser asked for, and nothing ``open`` needs
+    (parent: ``prix scrub`` exits 0 on a file ``prix query`` refuses)."""
+    return b'{"variants": {"rp": {}}, "doc_ids": [1]}'.ljust(length)
+
+
 def saved_index(tmp_path):
     path = str(tmp_path / "catalog.prix")
     with PrixIndex.build(dblp(n_records=40, seed=11),
@@ -201,7 +208,7 @@ def damage_catalog(path, damage):
 
 
 @pytest.fixture(params=[clobbered, truncated_json, missing_keys,
-                        not_an_object],
+                        not_an_object, wrong_shape],
                 ids=lambda damage: damage.__name__)
 def damaged_catalog(request, tmp_path):
     path = saved_index(tmp_path)
@@ -233,6 +240,7 @@ def test_cli_and_scrub_agree_a_damaged_catalog_is_corruption(
             in capsys.readouterr().err)
     assert cli.main(["scrub", damaged_catalog]) == EXIT_CORRUPTION
     assert "UNREADABLE" in capsys.readouterr().out
+    assert scrub_index(damaged_catalog).healthy is False
 
 
 def test_served_reload_of_a_damaged_catalog_answers_corruption(tmp_path):
@@ -249,3 +257,30 @@ def test_served_reload_of_a_damaged_catalog_answers_corruption(tmp_path):
         # The generation that was serving keeps serving.
         status, body = http_post(base, "/query", {"xpath": XPATH})
         assert status == 200 and body["doc_ids"]
+
+
+# -- a damaged *superblock*: magic intact, a field does not fit the file --
+
+@pytest.mark.parametrize("at, mask", [
+    (24, 0x01), (25, 0x20), (26, 0x01), (8, 0x40), (19, 0x01)],
+    ids=["page-size-odd", "page-size-zero", "page-size-huge",
+         "record-page", "record-length"])
+def test_a_superblock_that_does_not_fit_its_file_is_corruption(
+        tmp_path, capsys, at, mask):
+    """One flipped bit in the page size (parent: bare ``ValueError`` /
+    ``ZeroDivisionError`` from the pager), the record's page or its
+    length (parent: ``PageRangeError``) -- no checksum covers these
+    bytes before the page size is known, so the reader checks them
+    against the file's length."""
+    path = saved_index(tmp_path)
+    with open(path, "r+b") as handle:
+        handle.seek(at)
+        byte = handle.read(1)[0]
+        handle.seek(at)
+        handle.write(bytes([byte ^ mask]))
+    before = open_fds()
+    with pytest.raises(SuperblockError, match="does not describe"):
+        PrixIndex.open(path)
+    assert open_fds() == before
+    assert cli.main(["scrub", path]) == EXIT_CORRUPTION
+    assert "UNREADABLE" in capsys.readouterr().out

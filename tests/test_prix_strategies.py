@@ -13,6 +13,8 @@ import pytest
 
 from helpers import make_random_tree, make_random_twig
 from repro.baselines.naive import naive_matches
+from repro.bench.workloads import queries_for
+from repro.datasets import get_corpus
 from repro.prix.index import PrixIndex
 from repro.prix.matcher import (_document_lps, _label_positions,
                                 _subsequences_in_document)
@@ -97,6 +99,29 @@ class TestStrategySelection:
         assert stats.strategy == "trie"
         _, stats = index.query_with_stats("//a/b", strategy="document")
         assert stats.strategy == "document"
+
+    @pytest.mark.parametrize("corpus_name", ["dblp", "swissprot",
+                                             "treebank"])
+    def test_explain_reports_the_strategy_the_engine_takes(self,
+                                                           corpus_name):
+        """``explain`` asks the matcher's own ``auto`` test, node *and*
+        document limit: Q1/rp and Q3/rp on ``small`` dblp have a rarest
+        label under the node limit that pins down too many documents."""
+        with PrixIndex.build(
+                get_corpus(corpus_name, "small").documents) as index:
+            for spec in queries_for(corpus_name):
+                for variant in ("rp", "ep"):
+                    line = next(
+                        line for line in index.explain(
+                            spec.xpath, variant=variant).splitlines()
+                        if line.startswith("strategy:"))
+                    said = ("document" if "document-at-a-time" in line
+                            else "trie")
+                    for ordered in (False, True):
+                        _, stats = index.query_with_stats(
+                            spec.xpath, variant=variant, ordered=ordered)
+                        assert said == stats.strategy, (spec.qid, variant,
+                                                        ordered)
 
 
 class TestDocumentEnumerator:

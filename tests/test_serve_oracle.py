@@ -39,12 +39,11 @@ import pytest
 from repro.bench.workloads import queries_for
 from repro.datasets.dblp import dblp
 from repro.prix.budget import QueryBudget
-from repro.prix.index import IndexOptions, PrixIndex
+from repro.prix.index import IndexOptions, PrixIndex, scrub_path
 from repro.query.twig import MAX_ARRANGEMENTS
 from repro.serve import protocol
 from repro.serve.admission import ServerLimits
 from repro.serve.server import build_server
-from repro.storage import scrub_path
 
 THREAD_COUNTS = [int(t) for t in
                  os.environ.get("PRIX_SERVE_THREADS", "2,8").split(",")]

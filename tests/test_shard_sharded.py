@@ -230,6 +230,25 @@ class TestRebalance:
             assert sharded.doc_count == len(corpus)
 
 
+    def test_compact_keeps_the_labeler_and_page_size(self, tmp_path):
+        """Rebuilt shards take their layout from the shard's catalog
+        (parent: bulk-relabelled on the manifest's page size, so the
+        insert below raised ``RebuildRequiredError``)."""
+        target = str(tmp_path / "dynamic")
+        build_shards(maintenance_documents(), target, shards=2,
+                     options=IndexOptions(labeler="dynamic",
+                                          page_size=1024))
+        assert compact(target).rebuilt == 2
+        with ShardedIndex.open(target) as sharded:
+            for _, shard in sharded._snapshot():
+                assert shard.layout_options() == IndexOptions(
+                    labeler="dynamic", page_size=1024)
+                assert shard._variants["rp"].root_range[1] == 2 ** 63
+            sharded.insert_document(parse_document(
+                "<a><b><c/></b><e/></a>", doc_id=99))
+            assert sharded.query("//a/e").doc_ids == [99]
+
+
 class TestScrub:
     def test_healthy_directory(self, shard_dir):
         report = scrub_shards(shard_dir)

@@ -20,7 +20,7 @@ from repro.datasets import dblp
 from repro.prix.index import IndexOptions, PrixIndex
 from repro.storage.backend import (FilePagerBackend, MmapBackend,
                                    open_backend)
-from repro.storage.errors import ReadOnlyBackendError
+from repro.storage.errors import ReadOnlyBackendError, WalCorruptionError
 from repro.storage.pager import Pager
 from repro.xmlkit.tree import Document
 
@@ -327,6 +327,15 @@ class TestOpenBackendKinds:
             with pytest.raises(error):
                 open_backend(saved, 64, guard=True, **kwargs)
         assert sorted(os.listdir(tmp_path)) == before
+
+    def test_refused_log_leaves_no_handle(self, saved):
+        """A scrub attaches whatever log lies beside the file; one that
+        is not a PRIX log must not cost the data file's handles."""
+        with open(saved + ".wal", "wb") as handle:
+            handle.write(b"not a write-ahead log")
+        with no_leaked_handles():
+            with pytest.raises(WalCorruptionError):
+                open_backend(saved, 64, durable=True, guard=True)
 
     @pytest.mark.parametrize("kind", ["file", "arena", "mmap"])
     def test_misaligned_file_leaves_no_sidecar_and_no_handle(

@@ -12,10 +12,11 @@ import os
 
 import pytest
 
+from repro.prix.index import scrub_path
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.codec import page_checksum
 from repro.storage.errors import PageCorruptionError
-from repro.storage.guard import PageGuard, scrub, scrub_path
+from repro.storage.guard import PageGuard, scrub
 from repro.storage.pager import Pager
 from repro.storage.recovery import recover_path
 from repro.storage.stats import IOStats
