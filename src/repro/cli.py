@@ -318,7 +318,6 @@ def _cmd_rebalance(args):
     print(f"generation {report.generation}: {report.shards} shard(s), "
           f"{report.doc_count} document(s)")
     print(f"  reused      : {report.reused}")
-    print(f"  incremental : {report.incremental}")
     print(f"  rebuilt     : {report.rebuilt}")
     print(f"  moved docs  : {report.moved_documents}")
     print(f"  elapsed     : {report.elapsed_seconds:.2f} s")

@@ -55,7 +55,8 @@ _LADDER = (
     ((CorruptionError, WalError), "corruption"),
     (TimeoutError, "request-timeout"),
     ((FileNotFoundError, KeyError), "not-found"),
-    ((XPathSyntaxError, UnsupportedTwigError), "bad-request"),
+    ((XPathSyntaxError, UnsupportedTwigError, FileExistsError),
+     "bad-request"),
 )
 
 

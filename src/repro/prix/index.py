@@ -161,6 +161,12 @@ class PrixIndex:
         doc_ids = [doc.doc_id for doc in documents]
         if len(set(doc_ids)) != len(doc_ids):
             raise ValueError("document ids must be unique")
+        if (options.file_factory is None and options.path is not None
+                and os.path.exists(options.path)
+                and os.path.getsize(options.path) > 0):
+            raise FileExistsError(
+                f"{options.path}: refusing to build over an existing "
+                "non-empty file (remove it, or build to a new path)")
 
         pool = create_backend(options)
         superblock_id, _ = pool.new_page()   # reserved: page 0

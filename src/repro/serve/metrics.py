@@ -54,23 +54,20 @@ class EndpointMetrics:
 class ServerMetrics:
     """Process-wide serving counters behind one ``serve-metrics`` latch.
 
-    Handlers wrap their work in :meth:`observe`; the admission
-    controller reports its gauge through :meth:`set_inflight`.  The
-    ``/metrics`` endpoint serializes :meth:`snapshot`.
+    Handlers wrap their work in :meth:`observe`; the ``/metrics``
+    endpoint serializes :meth:`snapshot`.
     """
 
     def __init__(self):
         self._latch = Latch("serve-metrics")
         self._endpoints = {}
         self._started = time.time()
-        self._inflight = 0
         self._events = {}
 
     #: Field -> guarding latch; the runtime sanitizer installs
     #: guarded-access assertions from this mapping once the object is
     #: shared between threads.
-    _GUARDED = {"_endpoints": "_latch", "_inflight": "_latch",
-                "_events": "_latch"}
+    _GUARDED = {"_endpoints": "_latch", "_events": "_latch"}
 
     def _endpoint(self, name):  # caller holds _latch
         if name not in self._endpoints:
@@ -112,16 +109,6 @@ class ServerMetrics:
         with self._latch:
             self._events[name] = self._events.get(name, 0) + 1
 
-    def set_inflight(self, value):
-        """Update the in-flight gauge (admission controller only)."""
-        with self._latch:
-            self._inflight = value
-
-    def inflight(self):
-        """Latched read of the in-flight gauge."""
-        with self._latch:
-            return self._inflight
-
     def snapshot(self):
         """JSON-ready copy of every counter (the ``/metrics`` body).
 
@@ -133,7 +120,6 @@ class ServerMetrics:
         with self._latch:
             return {
                 "uptime_seconds": round(time.time() - self._started, 3),
-                "inflight": self._inflight,
                 "events": dict(sorted(self._events.items())),
                 "endpoints": {name: stats.as_dict()
                               for name, stats in

@@ -7,13 +7,14 @@ and makes the set a first-class index:
 - :class:`ShardCatalog` -- the checksummed ``prixshard.json`` manifest
   (ranges, files, generations) published atomically;
 - :func:`build_shards` -- the parallel builder (one process per
-  worker, per-shard seeded RNG streams, WAL/guard unchanged);
+  worker, WAL/guard unchanged, bytes independent of worker count);
 - :class:`ShardedIndex` -- scatter-gather querying with exact
   :meth:`QueryBudget.split` budget slicing, headroom redistribution,
   and a merge that preserves the no-false-alarm guarantee
   (``approximate=True`` iff any shard degraded);
 - :func:`rebalance` / :func:`compact` -- generation-bumping
-  maintenance on the incremental-update machinery;
+  maintenance by replacement (reuse an unchanged shard, rebuild the
+  rest into fresh files, swap the manifest);
 - :func:`scrub_shards` -- manifest-aware directory health for ``prix
   scrub`` and the serving tier's ``/healthz``;
 - :func:`open_index` / :func:`scrub_index` -- open or scrub whatever

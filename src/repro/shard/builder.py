@@ -9,33 +9,31 @@ Parallelism is process-level (``workers > 1``): building a shard is
 CPU-bound Prufer-sequence and B+-tree work with no shared state, so
 each shard ships to a worker process as *serialized XML text* (the
 xmlkit round trip, cheaper and shallower than pickling a deep node
-tree), is re-parsed, indexed, and saved there.  Every worker gets its
-own deterministically derived seed and constructs a private seeded
-``random.Random`` stream, so any stochastic choice made inside a
-worker is a pure function of ``(corpus seed, shard ordinal)`` --
-byte-identical output no matter how many workers ran or in what order
-they finished.
+tree), is re-parsed, indexed, and saved there.  A build is
+deterministic -- a shard's bytes are a pure function of its documents
+and options -- so the output is identical no matter how many workers
+ran or in what order they finished.
+
+A shard file is written exactly once: :func:`build_jobs`, the one job
+runner behind :func:`build_shards` and
+:func:`~repro.shard.rebalance.rebalance`, builds it into a path no
+published manifest lists, and :func:`sweep_unlisted` removes whatever a
+newly published manifest no longer names.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import random
 import time
 from dataclasses import dataclass
 
 from repro.prix.index import IndexOptions, PrixIndex
-from repro.shard.catalog import (MANIFEST_NAME, ShardCatalog,
-                                 ShardCatalogError, ShardEntry, ShardError,
+from repro.shard.catalog import (MANIFEST_NAME, ShardCatalog, ShardEntry,
+                                 ShardError, is_shard_directory,
                                  shard_file_name)
-from repro.storage import sidecar_paths
 from repro.xmlkit.parser import parse_document
 from repro.xmlkit.serializer import serialize
-
-#: Default seed for the per-worker RNG streams (date of the paper's
-#: conference, like the corpus generators).
-DEFAULT_BUILD_SEED = 20040301
 
 
 @dataclass(frozen=True)
@@ -49,7 +47,6 @@ class ShardBuildStats:
     build_seconds: float
     trie_nodes: int
     index_bytes: int
-    salt: int   # first draw of the shard's seeded RNG stream
 
 
 @dataclass(frozen=True)
@@ -93,13 +90,6 @@ def partition_documents(documents, shards):
     return chunks
 
 
-def shard_seed(seed, ordinal):
-    """Deterministic per-shard RNG seed: mix the ordinal into the
-    corpus seed with a large odd multiplier so neighbouring shards get
-    well-separated streams."""
-    return (seed * 1_000_003 + ordinal) & 0xFFFFFFFF
-
-
 def _shard_options(options, path):
     """The per-shard :class:`IndexOptions`: the template with the path
     (and path-derived sidecars) rebound to this shard's file."""
@@ -121,10 +111,8 @@ def _options_payload(options):
     return payload
 
 
-def _build_one(documents, path, options, seed):
+def _build_one(documents, path, options):
     """Build, save, and close one shard; return its stats row."""
-    rng = random.Random(seed)
-    salt = rng.getrandbits(32)
     started = time.perf_counter()
     index = PrixIndex.build(documents, _shard_options(options, path))
     try:
@@ -137,51 +125,79 @@ def _build_one(documents, path, options, seed):
     return ShardBuildStats(
         name="", doc_count=len(documents), low=min(doc_ids),
         high=max(doc_ids), build_seconds=time.perf_counter() - started,
-        trie_nodes=trie_nodes, index_bytes=os.path.getsize(path),
-        salt=salt)
+        trie_nodes=trie_nodes, index_bytes=os.path.getsize(path))
 
 
 def _build_shard_worker(job):
     """Top-level worker entry point (must be picklable by name).
 
-    ``job`` is ``(path, options_payload, docs_payload, seed)`` where
+    ``job`` is ``(path, options_payload, docs_payload)`` where
     ``docs_payload`` is ``[(doc_id, xml_text), ...]`` -- the xmlkit
     round trip is the wire format, so the worker re-parses exactly the
     bytes the parent serialized.
     """
-    path, options_payload, docs_payload, seed = job
+    path, options_payload, docs_payload = job
     options = IndexOptions(**options_payload)
     documents = [parse_document(text, doc_id)
                  for doc_id, text in docs_payload]
-    return _build_one(documents, path, options, seed)
+    return _build_one(documents, path, options)
 
 
-def _clear_existing(directory):
-    """Remove a previous generation before an ``overwrite`` rebuild.
+def sweep_unlisted(directory, listed):
+    """Unlink every ``shard-*.idx`` (and ``.wal`` / ``.sum`` sidecar) in
+    ``directory`` whose index file name is not in ``listed``.
 
-    Shard files must not survive into the new build (``PrixIndex.build``
-    requires a fresh file), so drop everything the old manifest lists --
-    or, if the manifest is unreadable, anything matching the shard
-    naming scheme -- plus WAL/checksum sidecars and the manifest itself.
+    The one place shard files are removed: run against the manifest
+    just published it drops the generation that manifest replaced, and
+    run against the live manifest before a build it drops whatever an
+    interrupted run left behind.
     """
-    try:
-        old = ShardCatalog.load(directory)
-        files = [entry.file for entry in old.entries]
-    except ShardCatalogError:
-        files = [name for name in os.listdir(directory)
-                 if name.startswith("shard-") and ".idx" in name]
-    for file in files:
-        path = os.path.join(directory, file)
-        for stale in (path, *sidecar_paths(path)):
-            try:
-                os.unlink(stale)
-            except FileNotFoundError:
-                pass
-    os.unlink(os.path.join(directory, MANIFEST_NAME))
+    for name in os.listdir(directory):
+        stem, idx, _ = name.partition(".idx")
+        if stem.startswith("shard-") and idx and stem + idx not in listed:
+            os.unlink(os.path.join(directory, name))
+
+
+def build_jobs(jobs, options, workers=1):
+    """Build every ``(path, documents)`` job of one shard directory;
+    return the :class:`ShardBuildStats` rows in job order.
+
+    The only way a shard file gets written.  A target is always a path
+    the directory's live manifest does not list (anything else is a
+    :class:`ShardError`): leftovers of an interrupted run are swept
+    first, so :meth:`PrixIndex.build` starts from a fresh file, and a
+    reader of the published generation never sees a byte change.
+    ``workers > 1`` ships the jobs to a process pool.
+    """
+    if not jobs:
+        return []
+    directory = os.path.dirname(jobs[0][0])
+    listed = set()
+    if is_shard_directory(directory):
+        listed = {entry.file
+                  for entry in ShardCatalog.load(directory).entries}
+    for path, _ in jobs:
+        if os.path.basename(path) in listed:
+            raise ShardError(f"{path}: the published manifest lists this "
+                             "file; shard files are never rewritten")
+    sweep_unlisted(directory, listed)
+    if workers <= 1 or len(jobs) == 1:
+        return [_build_one(documents, path, options)
+                for path, documents in jobs]
+    payload = _options_payload(options)
+    work = [(path, payload,
+             [(doc.doc_id, serialize(doc)) for doc in documents])
+            for path, documents in jobs]
+    # Import here: the parent pays the multiprocessing import only
+    # when it actually forks, and workers never re-import it.
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(
+            max_workers=min(workers, len(work))) as executor:
+        return list(executor.map(_build_shard_worker, work))
 
 
 def build_shards(documents, directory, *, shards=1, workers=1,
-                 options=None, seed=DEFAULT_BUILD_SEED, overwrite=False):
+                 options=None, overwrite=False):
     """Build a sharded index over ``documents`` in ``directory``.
 
     Args:
@@ -191,8 +207,9 @@ def build_shards(documents, directory, *, shards=1, workers=1,
         workers: build processes; 1 builds inline in this process.
         options: :class:`IndexOptions` template; ``path`` is ignored
             (each shard gets its own file inside ``directory``).
-        seed: root of the per-shard RNG streams.
-        overwrite: allow re-publishing over an existing manifest.
+        overwrite: allow re-publishing over an existing manifest; the
+            old manifest is withdrawn first, so the directory is not an
+            index until the new one is published.
 
     Returns a :class:`ShardBuildReport`.  The partition, each shard's
     contents, and the manifest are all independent of ``workers``.
@@ -200,39 +217,21 @@ def build_shards(documents, directory, *, shards=1, workers=1,
     options = options or IndexOptions()
     chunks = partition_documents(documents, shards)
     os.makedirs(directory, exist_ok=True)
-    manifest = os.path.join(directory, "prixshard.json")
-    if os.path.exists(manifest):
+    if is_shard_directory(directory):
         if not overwrite:
             raise ShardError(f"{directory}: shard manifest already "
                              "exists (pass overwrite to rebuild)")
-        _clear_existing(directory)
+        os.unlink(os.path.join(directory, MANIFEST_NAME))
 
-    names = [f"shard-{ordinal:04d}" for ordinal in range(len(chunks))]
     files = [shard_file_name(ordinal) for ordinal in range(len(chunks))]
-    paths = [os.path.join(directory, file) for file in files]
-    seeds = [shard_seed(seed, ordinal) for ordinal in range(len(chunks))]
-
     started = time.perf_counter()
-    if workers <= 1 or len(chunks) == 1:
-        rows = [_build_one(chunk, path, options, one_seed)
-                for chunk, path, one_seed in zip(chunks, paths, seeds)]
-    else:
-        payload = _options_payload(options)
-        jobs = [(path,
-                 payload,
-                 [(doc.doc_id, serialize(doc)) for doc in chunk],
-                 one_seed)
-                for chunk, path, one_seed in zip(chunks, paths, seeds)]
-        # Import here: the parent pays the multiprocessing import only
-        # when it actually forks, and workers never re-import it.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(
-                max_workers=min(workers, len(jobs))) as executor:
-            rows = list(executor.map(_build_shard_worker, jobs))
+    rows = build_jobs([(os.path.join(directory, file), chunk)
+                       for file, chunk in zip(files, chunks)],
+                      options, workers)
     elapsed = time.perf_counter() - started
 
-    rows = [dataclasses.replace(row, name=name)
-            for name, row in zip(names, rows)]
+    rows = [dataclasses.replace(row, name=f"shard-{ordinal:04d}")
+            for ordinal, row in enumerate(rows)]
     entries = tuple(ShardEntry(name=row.name, file=file, low=row.low,
                                high=row.high, doc_count=row.doc_count)
                     for row, file in zip(rows, files))

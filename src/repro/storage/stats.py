@@ -155,15 +155,3 @@ class IOStats:
             ratio = 1.0 - self.physical_reads / self.logical_reads
         return min(1.0, max(0.0, ratio))
 
-
-@dataclass
-class StatsRegistry:
-    """Named IOStats instances, one per storage stack under measurement."""
-
-    stacks: dict = field(default_factory=dict)
-
-    def get(self, name):
-        """The named stack's stats, created on first use."""
-        if name not in self.stacks:
-            self.stacks[name] = IOStats()
-        return self.stacks[name]

@@ -53,6 +53,23 @@ class TestBuild:
         bad.write_text("<a><b></a>", encoding="utf-8")
         assert main(["build", str(tmp_path / "x.idx"), str(bad)]) == 1
 
+    def test_build_over_an_existing_index_is_refused(self, built_index,
+                                                     xml_files, capsys):
+        with open(built_index, "rb") as handle:
+            before = handle.read()
+        assert main(["build", built_index] + xml_files) == 2
+        err = capsys.readouterr().err
+        assert "error [FileExistsError]" in err and built_index in err
+        with open(built_index, "rb") as handle:
+            assert handle.read() == before
+
+    def test_build_into_an_empty_precreated_file(self, tmp_path,
+                                                 xml_files, capsys):
+        index_path = tmp_path / "empty.idx"
+        index_path.touch()
+        assert main(["build", str(index_path)] + xml_files) == 0
+        assert main(["query", str(index_path), "//book/author"]) == 0
+
 
 class TestQuery:
     def test_query_finds_matches(self, built_index, capsys):

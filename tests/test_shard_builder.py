@@ -1,9 +1,10 @@
 """Unit tests for the parallel shard builder (docs/SHARDING.md).
 
 The builder's contract is determinism: the partition is a pure function
-of the doc-id set, each shard's RNG stream is seeded from (corpus seed,
-ordinal), and the bytes on disk are independent of the worker count --
-a ``--workers 4`` build is ``filecmp``-identical to a serial one.
+of the doc-id set and the bytes on disk are independent of the worker
+count -- a ``--workers 4`` build is ``filecmp``-identical to a serial
+one.  And a shard file is written once, into a path no published
+manifest lists; whatever a manifest does not list is swept.
 """
 
 import filecmp
@@ -15,7 +16,6 @@ from repro.datasets import dblp
 from repro.prix.index import IndexOptions
 from repro.shard import (ShardCatalog, ShardError, build_shards,
                          partition_documents)
-from repro.shard.builder import shard_seed
 
 
 @pytest.fixture(scope="module")
@@ -54,12 +54,6 @@ class TestPartition:
         with pytest.raises(ShardError):
             partition_documents(corpus + [corpus[0]], 2)  # dup id
 
-    def test_seeds_are_distinct_and_stable(self):
-        seeds = [shard_seed(20040301, ordinal) for ordinal in range(16)]
-        assert len(set(seeds)) == 16
-        assert seeds == [shard_seed(20040301, ordinal)
-                         for ordinal in range(16)]
-
 
 class TestBuild:
     def test_build_writes_manifest_and_shards(self, corpus, tmp_path):
@@ -80,6 +74,35 @@ class TestBuild:
         with pytest.raises(ShardError):
             build_shards(corpus, target, shards=2)
         build_shards(corpus, target, shards=2, overwrite=True)
+
+    def test_overwrite_leaves_exactly_the_listed_files(self, corpus,
+                                                       tmp_path):
+        """Orphans of a crashed rebalance (a ``.g2`` file and its
+        sidecars) and of a wider previous build do not survive."""
+        target = str(tmp_path / "shards")
+        build_shards(corpus, target, shards=3)
+        for orphan in ("shard-0001.g2.idx", "shard-0001.g2.idx.wal",
+                       "shard-0001.g2.idx.sum"):
+            with open(os.path.join(target, orphan), "wb") as handle:
+                handle.write(b"half-written")
+        build_shards(corpus, target, shards=2, overwrite=True)
+        catalog = ShardCatalog.load(target)
+        assert sorted(os.listdir(target)) == sorted(
+            ["prixshard.json"] + [entry.file for entry in catalog.entries])
+
+    def test_published_file_is_never_a_build_target(self, corpus,
+                                                    tmp_path):
+        from repro.shard.builder import build_jobs
+        target = str(tmp_path / "shards")
+        build_shards(corpus, target, shards=2)
+        catalog = ShardCatalog.load(target)
+        path = catalog.path_for(catalog.entries[0])
+        with open(path, "rb") as handle:
+            before = handle.read()
+        with pytest.raises(ShardError, match="never rewritten"):
+            build_jobs([(path, corpus[:3])], IndexOptions())
+        with open(path, "rb") as handle:
+            assert handle.read() == before
 
     def test_parallel_build_is_byte_identical(self, corpus, tmp_path):
         serial = str(tmp_path / "serial")

@@ -5,12 +5,17 @@ degradation soundness, routed incremental maintenance, rebalance and
 compaction generations, and the directory scrub verdicts.
 """
 
+import dataclasses
+import hashlib
 import json
 import os
 
 import pytest
 
+from repro.bench.workloads import queries_for
 from repro.datasets import dblp
+from repro.prix.filtering import FilterStats
+from repro.prix.matcher import QueryStats
 from repro.prix.budget import (PHASE_FILTER, PHASE_REFINEMENT,
                                BudgetExceededError, QueryBudget)
 from repro.prix.incremental import RebuildRequiredError
@@ -89,6 +94,47 @@ class TestScatterGather:
         with ShardedIndex.open(shard_dir) as sharded:
             with pytest.raises(TypeError):
                 sharded.query(PATTERN, budget=object())
+
+    def test_every_counter_is_merged(self, corpus, tmp_path):
+        """The scatter sums the shards' counters field by field; walk
+        the dataclasses so a counter added later and not merged fails
+        here by name.  Cold, so physical reads repeat exactly."""
+        special = {"arrangements", "matches", "shards"}
+        target = str(tmp_path / "three")
+        build_shards(corpus, target, shards=3)
+
+        def int_fields(cls):
+            return [f.name for f in dataclasses.fields(cls)
+                    if f.type in (int, "int")]
+
+        assert {"documents_loaded", "physical_reads"} <= set(
+            int_fields(QueryStats))
+        assert "probes_issued" in int_fields(FilterStats)
+        with ShardedIndex.open(target) as sharded:
+            shards = [index for _, index in sharded._snapshot()]
+            for spec in queries_for("dblp"):
+                for strategy in ("trie", "document"):
+                    options = dict(cold=True, strategy=strategy)
+                    merged, total = sharded.query_with_stats(
+                        spec.xpath, **options)
+                    own = [shard.query_with_stats(spec.xpath, **options)[1]
+                           for shard in shards]
+                    where = f"{spec.qid}/{strategy}"
+                    for name in int_fields(QueryStats):
+                        if name in special:
+                            continue
+                        assert getattr(total, name) == sum(
+                            getattr(stats, name) for stats in own), \
+                            f"QueryStats.{name} not merged ({where})"
+                    for name in int_fields(FilterStats):
+                        assert getattr(total.filter, name) == sum(
+                            getattr(stats.filter, name)
+                            for stats in own), \
+                            f"FilterStats.{name} not merged ({where})"
+                    assert total.arrangements == max(
+                        stats.arrangements for stats in own)
+                    assert total.matches == len(merged)
+                    assert total.shards == len(shards)
 
 
 class TestBudgets:
@@ -247,6 +293,100 @@ class TestRebalance:
             sharded.insert_document(parse_document(
                 "<a><b><c/></b><e/></a>", doc_id=99))
             assert sharded.query("//a/e").doc_ids == [99]
+
+
+MAINTENANCE_QUERIES = ("//a/d", '//a[./d="v3"]', '//a[./d="v4"]',
+                       '//a[./d="v6"]', "//a/b/c")
+
+
+def shard_files(directory):
+    """``(listed, unlisted)`` names of the ``shard-*`` files on disk:
+    those belonging to an index file the live manifest lists (sidecars
+    included) and the rest."""
+    catalog = ShardCatalog.load(directory)
+    files = {entry.file for entry in catalog.entries}
+    on_disk = sorted(name for name in os.listdir(directory)
+                     if name.startswith("shard-"))
+    listed = [name for name in on_disk
+              if name.partition(".idx")[0] + ".idx" in files]
+    assert files <= set(listed)
+    return listed, [name for name in on_disk if name not in listed]
+
+
+def shard_file_digests(directory):
+    """SHA-256 of every file the live manifest lists, sidecars too."""
+    digests = {}
+    for name in shard_files(directory)[0]:
+        with open(os.path.join(directory, name), "rb") as handle:
+            digests[name] = hashlib.sha256(handle.read()).hexdigest()
+    return digests
+
+
+def answers(sharded, cold=False):
+    return [canonical(sharded.query(pattern, cold=cold))
+            for pattern in MAINTENANCE_QUERIES]
+
+
+class TestReplacementOnly:
+    """A published shard file is never rewritten: maintenance builds
+    replacements into fresh paths and swaps the manifest."""
+
+    @pytest.fixture
+    def churned(self, tmp_path):
+        """3 shards over 9 documents, then two live deletes: the even
+        re-cut moves documents across both boundaries."""
+        target = str(tmp_path / "churned")
+        build_shards(maintenance_documents(9), target, shards=3,
+                     options=IndexOptions(durable=True, guard=True))
+        with ShardedIndex.open(target) as sharded:
+            sharded.delete_document(1)
+            sharded.delete_document(2)
+        return target
+
+    def crash_rebalance(self, monkeypatch, directory):
+        """A rebalance that dies just before the manifest publish."""
+        def die(self):
+            raise OSError("died before the manifest publish")
+        with monkeypatch.context() as patch:
+            patch.setattr(ShardCatalog, "save", die)
+            with pytest.raises(OSError, match="died before"):
+                rebalance(directory)
+
+    def test_crash_before_publish_leaves_generation_intact(
+            self, churned, monkeypatch):
+        with ShardedIndex.open(churned) as sharded:
+            expected = answers(sharded)
+        assert [[doc_id for doc_id, _ in rows]
+                for rows in expected[1:4]] == [[4], [5], [7]]
+        before = shard_file_digests(churned)
+        self.crash_rebalance(monkeypatch, churned)
+        assert shard_file_digests(churned) == before
+        assert ShardCatalog.load(churned).generation == 1
+        with ShardedIndex.open(churned) as sharded:
+            assert answers(sharded) == expected
+
+    @pytest.mark.parametrize("again", [rebalance, compact])
+    def test_maintenance_reruns_after_a_crash(self, churned, monkeypatch,
+                                              again):
+        with ShardedIndex.open(churned) as sharded:
+            expected = answers(sharded)
+        self.crash_rebalance(monkeypatch, churned)
+        assert shard_files(churned)[1]   # the crash left orphans
+        report = again(churned)
+        assert report.generation == 2
+        assert shard_files(churned)[1] == []
+        assert scrub_shards(churned).healthy
+        with ShardedIndex.open(churned) as sharded:
+            assert answers(sharded) == expected
+
+    def test_open_reader_survives_the_next_generation(self, churned):
+        with ShardedIndex.open(churned, backend="mmap") as reader:
+            expected = answers(reader, cold=True)
+            report = rebalance(churned)
+            assert report.rebuilt and report.generation == 2
+            assert answers(reader, cold=True) == expected
+        with ShardedIndex.open(churned) as sharded:
+            assert answers(sharded) == expected
 
 
 class TestScrub:
