@@ -290,6 +290,9 @@ def _cmd_stats(args):
                          sort_keys=True, indent=2))
         return 0
     print(f"documents: {summary['documents']}")
+    if "catalog_records" in summary:
+        print(f"catalog: {summary['catalog_records']} record(s), "
+              f"{summary['catalog_bytes']} bytes")
     if "shards" in summary:
         print(f"shards: {summary['shard_count']} "
               f"(generation {summary['generation']})")

@@ -147,6 +147,7 @@ def insert_sequence(variant, alloc, seq, doc_id):
                 label, child_left, child_right, cur_level + 1, doc_gap)
             symbol_index.tree.insert(key, value)
             variant.label_counts[label] = \
+                variant.pending["label_counts"][label] = \
                 variant.label_counts.get(label, 0) + 1
             new_nodes += 1
             cur_left, cur_right = child_left, child_right

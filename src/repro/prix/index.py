@@ -21,7 +21,7 @@ import operator
 import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.prix.filtering import DocidIndex, TrieSymbolIndex
 from repro.prix.incremental import (AllocationTree, RebuildRequiredError,
@@ -118,6 +118,7 @@ class _VariantIndex:
     trie_stats: TrieStats = field(default_factory=TrieStats)
     label_counts: dict = field(default_factory=dict)  # trie nodes per label
     alloc: AllocationTree = None   # scope state for incremental inserts
+    pending: dict = None           # this variant's part of PrixIndex._pending
 
 
 #: Superblock layout: magic, meta-record page/offset/length, page size.
@@ -144,8 +145,24 @@ class PrixIndex:
         self._records = records
         self._labels = label_dict
         self._variants = variants
-        self._doc_ids = doc_ids
+        self._doc_ids = doc_ids    # in insertion order
         self._layout = layout      # {key: value} over _LAYOUT_KEYS
+        # The catalog chain on file (see save): its newest record, and
+        # the records and bytes from there back to the parentless root.
+        self._head = None
+        self._catalog_records = 0
+        self._catalog_bytes = 0
+        self._root_bytes = 0
+        self._clear_pending()
+
+    def _clear_pending(self):
+        """Start noting afresh what the mutators touch: the body of the
+        next chained catalog record, which :meth:`save` completes."""
+        self._pending = {"doc_ids": [], "removed": [], "labels": [],
+                         "variants": {}}
+        for name, variant in self._variants.items():
+            variant.pending = self._pending["variants"][name] = {
+                "catalog": {}, "maxgap": {}, "label_counts": {}}
 
     # ------------------------------------------------------------------
     # Construction
@@ -213,24 +230,30 @@ class PrixIndex:
         recovers the pre-insert state, never a document the trie knows
         but the catalog does not.
         """
-        if document.doc_id in set(self._doc_ids):
-            raise ValueError(f"document id {document.doc_id} exists")
+        doc_id = document.doc_id
+        if self._indexed(doc_id):
+            raise ValueError(f"document id {doc_id} exists")
+        known_labels = len(self._labels)
         underflow = None
         for variant in self._variants.values():
             seq = (extended_sequence(document) if variant.extended
                    else regular_sequence(document))
             blob = _encode_document(seq, self._labels)
-            variant.catalog[document.doc_id] = self._records.append(blob)
-            _merge_maxgap(variant.maxgap, seq)
+            variant.catalog[doc_id] = variant.pending["catalog"][doc_id] = \
+                self._records.append(blob)
+            variant.pending["maxgap"].update(
+                _merge_maxgap(variant.maxgap, seq))
             stats = variant.trie_stats
             stats.sequence_count += 1
             stats.total_sequence_length += len(seq.lps)
             try:
                 stats.node_count += insert_sequence(
-                    variant, variant.alloc, seq, document.doc_id)
+                    variant, variant.alloc, seq, doc_id)
             except RebuildRequiredError as error:
                 underflow = error
-        self._doc_ids.append(document.doc_id)
+        self._doc_ids.append(doc_id)
+        self._pending["doc_ids"].append(doc_id)
+        self._pending["labels"] += self._labels._by_id[known_labels:]
         if underflow is not None:
             raise underflow
 
@@ -244,20 +267,40 @@ class PrixIndex:
         stored records; :meth:`rebuilt` compacts both away.  The MaxGap
         table keeps its old bounds -- MaxGap is an upper bound, so stale
         entries can only make pruning weaker, never incorrect.
+
+        All or nothing: every variant's terminal is resolved before any
+        variant is touched, so the ``KeyError`` of a document whose
+        insert underflowed (its trie path is incomplete) leaves the
+        index as it was.
         """
-        if doc_id not in set(self._doc_ids):
+        if not self._indexed(doc_id):
             raise KeyError(f"document {doc_id} is not indexed")
+        doomed = []
         for variant in self._variants.values():
             view = self._view_loader(variant)(doc_id)
             lps = [view.labels[view.nps[i]]
                    for i in range(1, view.n_nodes)]
-            terminal_left = self._terminal_of(variant, lps)
-            key, value = DocidIndex.make_entry(terminal_left, doc_id)
+            doomed.append((variant, len(lps), DocidIndex.make_entry(
+                self._terminal_of(variant, lps), doc_id)))
+        unsaved = None
+        for variant, length, (key, value) in doomed:
             variant.docid_index.tree.delete(key, value)
             del variant.catalog[doc_id]
+            unsaved = variant.pending["catalog"].pop(doc_id, None)
             variant.trie_stats.sequence_count -= 1
-            variant.trie_stats.total_sequence_length -= len(lps)
+            variant.trie_stats.total_sequence_length -= length
         self._doc_ids.remove(doc_id)
+        if unsaved:
+            # Inserted since the last save: no record on file names it,
+            # so the insert is forgotten rather than a removal recorded.
+            self._pending["doc_ids"].remove(doc_id)
+        else:
+            self._pending["removed"].append(doc_id)
+
+    def _indexed(self, doc_id):
+        """Whether a variant catalogs ``doc_id`` (they all do, or none)."""
+        return any(doc_id in variant.catalog
+                   for variant in self._variants.values())
 
     def _terminal_of(self, variant, lps):
         """Walk a stored LPS down the virtual trie; return the terminal's
@@ -367,13 +410,54 @@ class PrixIndex:
     # ------------------------------------------------------------------
 
     def save(self):
-        """Persist the catalog and flush everything to the backing file.
+        """Persist what changed and flush everything to the backing file.
 
         The page payloads (B+-trees, records) already live in the pager
-        file; this writes the metadata blob (label dictionary, per-variant
-        catalogs, MaxGap tables, trie statistics) plus the superblock that
-        locates it, then syncs.
+        file; this appends one catalog record and moves the superblock
+        to it, then syncs.  The first save writes the whole catalog
+        (label dictionary, per-variant catalogs, MaxGap tables, trie
+        statistics).  Every later one writes only what the mutators
+        noted since -- appended and removed document ids, new labels,
+        per variant the catalog / MaxGap / label-count entries that were
+        set, and the trie statistics -- under a ``parent`` key naming
+        the record it continues, so its cost follows the mutations, not
+        the collection (Section 5.2.1).  Nothing noted, no record.  Once
+        such a chain would outweigh its root it is folded: the whole
+        catalog is written again, parentless, and :meth:`open` never
+        reads more than twice what one whole catalog takes.
         """
+        pending = self._pending
+        blob = None
+        whole = self._head is None
+        if not whole and any((
+                pending["doc_ids"], pending["removed"], pending["labels"],
+                *(entries for touched in pending["variants"].values()
+                  for entries in touched.values()))):
+            for variant in self._variants.values():
+                variant.pending["trie_stats"] = asdict(variant.trie_stats)
+            blob = json.dumps({"parent": self._head,
+                               **pending}).encode("utf-8")
+            whole = (self._catalog_bytes - self._root_bytes + len(blob)
+                     > self._root_bytes)
+        if whole:
+            blob = self._whole_catalog()
+            self._catalog_records = self._catalog_bytes = 0
+            self._root_bytes = len(blob)
+        if blob is not None:
+            self._head = self._records.append(blob)
+            self._catalog_records += 1
+            self._catalog_bytes += len(blob)
+            self._clear_pending()
+            frame = bytearray(self._pool.page_size)
+            _SUPERBLOCK.pack_into(frame, 0, _SUPER_MAGIC, *self._head,
+                                  self._pool.page_size)
+            self._pool.put(0, frame)
+        self._pool.flush()
+        self._pool.sync()
+
+    def _whole_catalog(self):
+        """The parentless catalog record: everything :meth:`_fold` needs
+        to describe this index to an empty one."""
         meta = {
             "version": 1,
             "doc_ids": self._doc_ids,
@@ -382,7 +466,6 @@ class PrixIndex:
             **self._layout,
         }
         for name, variant in self._variants.items():
-            stats = variant.trie_stats
             meta["variants"][name] = {
                 "extended": variant.extended,
                 "symbol_meta": variant.symbol_index.tree.meta_page_id,
@@ -392,26 +475,10 @@ class PrixIndex:
                 "root_range": list(variant.root_range),
                 "maxgap": variant.maxgap.as_dict(),
                 "label_counts": variant.label_counts,
-                "catalog": {str(doc_id): list(rid)
-                            for doc_id, rid in variant.catalog.items()},
-                "trie_stats": {
-                    "node_count": stats.node_count,
-                    "path_count": stats.path_count,
-                    "sequence_count": stats.sequence_count,
-                    "max_path_sharing": stats.max_path_sharing,
-                    "total_sequence_length": stats.total_sequence_length,
-                    "underflows": stats.underflows,
-                    "rebuilds": stats.rebuilds,
-                },
+                "catalog": variant.catalog,
+                "trie_stats": asdict(variant.trie_stats),
             }
-        blob = json.dumps(meta).encode("utf-8")
-        rid = self._records.append(blob)
-        frame = bytearray(self._pool.page_size)
-        _SUPERBLOCK.pack_into(frame, 0, _SUPER_MAGIC, rid[0], rid[1],
-                              rid[2], self._pool.page_size)
-        self._pool.put(0, frame)
-        self._pool.flush()
-        self._pool.sync()
+        return json.dumps(meta).encode("utf-8")
 
     @classmethod
     def open(cls, path, pool_pages=None, durable=None, wal_path=None,
@@ -525,18 +592,44 @@ class PrixIndex:
 
     @classmethod
     def _attach(cls, pool, page, offset, length):
-        """Rebuild the in-memory index from a located metadata record.
+        """Rebuild the in-memory index from a located catalog record:
+        walk its ``parent`` links back to the parentless root, then fold
+        the records forward into an empty index.
 
         An unguarded file hands damaged metadata bytes back without
         complaint; whatever they then fail to parse as is reported as
         :class:`~repro.storage.errors.SuperblockError` -- corruption,
         as ``prix scrub`` calls the same file -- not as a bare
-        ``JSONDecodeError``/``KeyError``.
+        ``JSONDecodeError``/``KeyError``.  So is a ``parent`` that does
+        not lie strictly before its child in the append-only record
+        store, which is also what makes the walk end.
         """
         records = RecordStore(pool)
+        index = cls(pool, records, LabelDict(), {}, [],
+                    {key: getattr(IndexOptions, key) for key in _LAYOUT_KEYS})
+        rid = index._head = (page, offset, length)
+        chain = []
         try:
-            meta = json.loads(records.read((page, offset, length)))
-            return cls._from_meta(pool, records, meta)
+            while rid is not None:
+                record = json.loads(records.read(rid))
+                chain.append(record)
+                index._catalog_bytes += rid[2]
+                index._root_bytes = rid[2]      # the last one read stays
+                parent = record.get("parent")
+                if parent is not None:
+                    at, start, size = parent
+                    if not (at > 0 and 0 <= start < pool.page_size
+                            and size > 0
+                            and at * pool.page_size + start + size
+                            <= rid[0] * pool.page_size + rid[1]):
+                        raise ValueError(
+                            f"parent {parent} does not lie before its "
+                            f"child {list(rid)}")
+                    parent = (at, start, size)
+                rid = parent
+            index._catalog_records = len(chain)
+            for record in reversed(chain):
+                index._fold(record)
         except StorageError:
             raise       # already typed (guard verdicts, transient reads)
         except (ValueError, KeyError, TypeError, AttributeError) as error:
@@ -544,34 +637,45 @@ class PrixIndex:
                 f"catalog unreadable: the metadata record at (page {page}, "
                 f"offset {offset}, length {length}) does not describe a "
                 f"PRIX index ({type(error).__name__}: {error})") from error
+        index._clear_pending()
+        return index
 
-    @classmethod
-    def _from_meta(cls, pool, records, meta):
-        """The index a parsed metadata document describes (trusting)."""
-        label_dict = LabelDict()
-        for label in meta["labels"]:
-            label_dict.id_of(label)
-        variants = {}
-        for name, data in meta["variants"].items():
-            variant = _VariantIndex(name=name, extended=data["extended"])
-            variant.symbol_index = TrieSymbolIndex(
-                BPlusTree.attach(pool, data["symbol_meta"]))
-            variant.docid_index = DocidIndex(
-                BPlusTree.attach(pool, data["docid_meta"]))
-            if data.get("alloc_meta") is not None:
-                variant.alloc = AllocationTree(
-                    BPlusTree.attach(pool, data["alloc_meta"]))
-            variant.root_range = tuple(data["root_range"])
-            variant.maxgap = MaxGapTable(data["maxgap"])
-            variant.label_counts = dict(data["label_counts"])
-            variant.catalog = {int(doc_id): tuple(rid)
-                               for doc_id, rid in data["catalog"].items()}
+    def _fold(self, record):
+        """Fold the next catalog record of a chain into this index
+        (trusting its types no further than it must to stay typed).
+
+        The one reader of a record: a parentless one, folded into the
+        empty index, sets everything; a chained one removes, appends
+        and sets what its :meth:`save` had pending.
+        """
+        for doc_id in record.get("removed", ()):
+            self._doc_ids.remove(doc_id)
+            for variant in self._variants.values():
+                del variant.catalog[doc_id]
+        self._doc_ids.extend(record["doc_ids"])
+        for label in record["labels"]:
+            self._labels.id_of(label)
+        self._layout.update((key, record[key]) for key in _LAYOUT_KEYS
+                            if key in record)
+        for name, data in record["variants"].items():
+            if name not in self._variants:
+                variant = _VariantIndex(name=name, extended=data["extended"])
+                variant.symbol_index = TrieSymbolIndex(
+                    BPlusTree.attach(self._pool, data["symbol_meta"]))
+                variant.docid_index = DocidIndex(
+                    BPlusTree.attach(self._pool, data["docid_meta"]))
+                if data.get("alloc_meta") is not None:
+                    variant.alloc = AllocationTree(
+                        BPlusTree.attach(self._pool, data["alloc_meta"]))
+                variant.root_range = tuple(data["root_range"])
+                self._variants[name] = variant
+            variant = self._variants[name]
+            for label, span in data["maxgap"].items():
+                variant.maxgap.merge_span(label, span)
+            variant.label_counts.update(data["label_counts"])
+            for doc_id, (page, offset, length) in data["catalog"].items():
+                variant.catalog[int(doc_id)] = (page, offset, length)
             variant.trie_stats = TrieStats(**data["trie_stats"])
-            variants[name] = variant
-        layout = {key: meta.get(key, getattr(IndexOptions, key))
-                  for key in _LAYOUT_KEYS}
-        return cls(pool, records, label_dict, variants,
-                   list(meta["doc_ids"]), layout)
 
     def close(self):
         """Flush and close the backing storage stack (pool, log, file).
@@ -685,7 +789,9 @@ class PrixIndex:
                               "trie_nodes": stats.node_count,
                               "paths": stats.path_count,
                               "max_path_sharing": stats.max_path_sharing}
-        return {"documents": self.doc_count, "variants": variants}
+        return {"documents": self.doc_count, "variants": variants,
+                "catalog_records": self._catalog_records,
+                "catalog_bytes": self._catalog_bytes}
 
     def next_doc_id(self):
         """The smallest doc id above every indexed document."""
@@ -878,7 +984,8 @@ def _strip_dummies(document):
 
 
 def _merge_maxgap(table, seq):
-    """Merge one sequence's child spans into the MaxGap table.
+    """Merge one sequence's child spans into the MaxGap table; return
+    the ``{label: span}`` entries it widened.
 
     The children of node ``p`` are exactly the positions where ``p``
     occurs in the NPS (Lemma 1), so spans are computable from the sequence
@@ -892,12 +999,13 @@ def _merge_maxgap(table, seq):
             first[parent] = position
         last[parent] = position
         label_of[parent] = seq.lps[position - 1]
+    widened = {}
     for parent, first_child in first.items():
         span = last[parent] - first_child
-        if span > 0:
+        if span > table.get(label_of[parent]):
             table.merge_span(label_of[parent], span)
-
-
+            widened[label_of[parent]] = span
+    return widened
 
 
 def _encode_document(seq, label_dict):

@@ -9,6 +9,15 @@ pages.
 
 A record id is ``(page_id, offset, length)`` -- enough to locate the
 record without any directory I/O.
+
+Packing means an append may land in a page that already holds committed
+records (a chained catalog record beside the one it continues, a new
+document beside old ones).  The rule that keeps them safe: a shared page
+is only ever rewritten as a whole logged image.  The append dirties the
+pooled frame, the batch's commit logs the full page, and the data file
+sees it only after that log record is durable -- so a crash leaves the
+page as one committed batch or the next wrote it, never a mixture
+(``tests/test_storage_recovery.py::TestChainedSaveSharesItsParentsPage``).
 """
 
 from __future__ import annotations

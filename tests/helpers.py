@@ -138,3 +138,25 @@ def per_plan_walk(plan, symbol_index, docid_index, root_range,
 
     walk(0, *root_range)
     return results, stats
+
+
+def catalog_state(index):
+    """Everything a ``PrixIndex`` catalog record chain must restore:
+    document ids in order, the label dictionary, and per variant the
+    catalog, MaxGap table, label counts and trie statistics."""
+    from dataclasses import asdict
+    return (list(index._doc_ids), list(index._labels._by_id),
+            {name: (dict(variant.catalog), variant.maxgap.as_dict(),
+                    dict(variant.label_counts), asdict(variant.trie_stats))
+             for name, variant in index._variants.items()})
+
+
+def head_record(path):
+    """The parsed catalog record the superblock of ``path`` locates."""
+    import json
+
+    from repro.prix.index import PrixIndex
+    page, offset, length, page_size = PrixIndex._read_superblock(path)
+    with open(path, "rb") as handle:
+        handle.seek(page * page_size + offset)
+        return json.loads(handle.read(length))

@@ -1,5 +1,6 @@
 """CLI tests (build / query / stats round trips)."""
 
+import json
 import re
 
 import pytest
@@ -123,6 +124,7 @@ class TestStats:
         assert main(["stats", built_index]) == 0
         out = capsys.readouterr().out
         assert "documents: 2" in out
+        assert "catalog: 1 record(s), " in out
         assert "RPIndex" in out and "EPIndex" in out
         assert "trie nodes" in out
 
@@ -184,6 +186,10 @@ class TestInsertDelete:
         out = capsys.readouterr().out
         assert "index now holds 1 documents" in out
         assert main(["delete", index_path, "99"]) == 1
+        # Each open -> mutate -> save -> close chains one record on.
+        capsys.readouterr()
+        assert main(["stats", index_path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["catalog_records"] == 2
 
 
 @pytest.fixture()

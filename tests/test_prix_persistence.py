@@ -1,9 +1,11 @@
 """Index persistence tests: save to a file, reopen, query identically."""
 
 import json
+import os
 
 import pytest
 
+from helpers import catalog_state, head_record
 from repro.baselines.naive import naive_matches
 from repro.datasets import dblp
 from repro.prix.index import IndexOptions, PrixIndex
@@ -231,3 +233,276 @@ class TestCatalogRemembersTheLayout:
                        for m in reopened.query(xpath)}
                 assert got == want, xpath
             assert reopened.layout_options() == IndexOptions()
+
+
+TINY = ["<a><b><c/></b></a>", "<a><b/><c/></a>", "<a><b>x</b></a>",
+        "<a><c><b/></c></a>", "<b><a/><c>y</c></b>"]
+
+#: What a parentless catalog record holds, and each of its variants.
+WHOLE_KEYS = {"version", "doc_ids", "labels", "variants", "labeler",
+              "alpha", "max_range"}
+VARIANT_KEYS = {"extended", "symbol_meta", "docid_meta", "alloc_meta",
+                "root_range", "maxgap", "label_counts", "catalog",
+                "trie_stats"}
+
+
+def tiny_documents(count):
+    return [parse_document(TINY[i % len(TINY)], i + 1) for i in range(count)]
+
+
+def dynamic_options(path, **overrides):
+    return IndexOptions(labeler="dynamic", page_size=1024, path=str(path),
+                        **overrides)
+
+
+class TestCatalogChain:
+    """``save()`` appends what changed, chained to the record before it
+    by ``parent``; only the first record of a chain is whole."""
+
+    def test_first_save_writes_the_whole_catalog(self, tmp_path):
+        path = tmp_path / "first.idx"
+        with PrixIndex.build(tiny_documents(5),
+                             dynamic_options(path)) as index:
+            assert index.summary()["catalog_records"] == 0
+            index.save()
+            summary = index.summary()
+        record = head_record(str(path))
+        assert set(record) == WHOLE_KEYS
+        for variant in record["variants"].values():
+            assert set(variant) == VARIANT_KEYS
+        assert summary["catalog_records"] == 1
+        assert summary["catalog_bytes"] == len(json.dumps(record))
+
+    def test_save_after_a_durable_build_appends_nothing(self, tmp_path):
+        path = tmp_path / "durable.idx"
+        with PrixIndex.build(tiny_documents(5),
+                             dynamic_options(path, durable=True)) as index:
+            built = os.path.getsize(path)
+            index.save()
+            assert os.path.getsize(path) == built
+            assert index.summary()["catalog_records"] == 1
+        assert "parent" not in head_record(str(path))
+
+    def test_a_mutation_is_saved_as_a_chained_record(self, tmp_path):
+        path = tmp_path / "chained.idx"
+        with PrixIndex.build(tiny_documents(5),
+                             dynamic_options(path)) as index:
+            index.save()
+            root = index.summary()["catalog_bytes"]
+            index.insert_document(
+                parse_document("<n><a/><a/><a/><m/></n>", 77))
+            index.delete_document(2)
+            index.save()
+            state = catalog_state(index)
+            summary = index.summary()
+        record = head_record(str(path))
+        assert set(record) == {"parent", "doc_ids", "removed", "labels",
+                               "variants"}
+        assert record["doc_ids"] == [77] and record["removed"] == [2]
+        assert sorted(record["labels"]) == ["m", "n"]
+        for variant in record["variants"].values():
+            assert set(variant) == {"catalog", "maxgap", "label_counts",
+                                    "trie_stats"}
+            assert list(variant["catalog"]) == ["77"]
+            assert set(variant["maxgap"]) == {"n"}
+        assert summary["catalog_records"] == 2
+        assert summary["catalog_bytes"] == root + len(json.dumps(record))
+        with PrixIndex.open(str(path)) as reopened:
+            assert catalog_state(reopened) == state
+            assert reopened.summary() == summary
+
+    def test_a_document_inserted_and_deleted_between_saves_leaves_no_row(
+            self, tmp_path):
+        path = tmp_path / "cancelled.idx"
+        with PrixIndex.build(tiny_documents(5),
+                             dynamic_options(path)) as index:
+            index.save()
+            index.delete_document(3)
+            index.insert_document(parse_document(TINY[2], 3))
+            index.insert_document(parse_document("<q><a/></q>", 9))
+            index.delete_document(9)
+            index.save()
+            state = catalog_state(index)
+        record = head_record(str(path))
+        assert record["doc_ids"] == [3] and record["removed"] == [3]
+        with PrixIndex.open(str(path)) as reopened:
+            assert catalog_state(reopened) == state
+
+    def test_a_chain_heavier_than_its_root_folds(self, tmp_path):
+        path = tmp_path / "fold.idx"
+        documents = tiny_documents(60)
+        lengths = []
+        with PrixIndex.build(documents, dynamic_options(path)) as index:
+            index.save()
+            root = index.summary()["catalog_bytes"]
+            for document in documents[:50]:
+                index.delete_document(document.doc_id)
+                index.save()
+                summary = index.summary()
+                lengths.append(summary["catalog_records"])
+                if lengths[-1] == 1:
+                    break
+                assert summary["catalog_bytes"] <= 2 * root
+        assert lengths[-1] == 1, "the chain never folded"
+        assert lengths[:-1] == list(range(2, len(lengths) + 1))
+        assert len(lengths) > 3
+        assert "parent" not in head_record(str(path))
+        survivors = documents[len(lengths):]
+        with PrixIndex.open(str(path)) as reopened, \
+                PrixIndex.build(survivors, dynamic_options(
+                    tmp_path / "fresh.idx")) as fresh:
+            assert reopened.summary()["catalog_records"] == 1
+            for xpath in ("//a/b", "//a//c", "//b[./a]", '//a[./b="x"]'):
+                assert ([(m.doc_id, m.canonical)
+                         for m in reopened.query(xpath)]
+                        == [(m.doc_id, m.canonical)
+                            for m in fresh.query(xpath)]), xpath
+
+    def test_rebuilt_rebalance_and_compact_write_whole_catalogs(
+            self, tmp_path):
+        from repro.shard import ShardedIndex, build_shards, compact, rebalance
+        path = tmp_path / "old.idx"
+        with PrixIndex.build(tiny_documents(12),
+                             dynamic_options(path)) as index:
+            index.save()
+            index.delete_document(4)
+            index.save()
+            assert "parent" in head_record(str(path))
+            with index.rebuilt(index.layout_options(
+                    path=str(tmp_path / "new.idx"))) as rebuilt:
+                rebuilt.save()
+        assert "parent" not in head_record(str(tmp_path / "new.idx"))
+
+        directory = str(tmp_path / "shards")
+        build_shards(tiny_documents(12), directory, shards=2,
+                     options=IndexOptions(labeler="dynamic", page_size=1024))
+        with ShardedIndex.open(directory) as sharded:
+            sharded.delete_document(1)
+            sharded.delete_document(12)
+
+        def heads():
+            return [head_record(os.path.join(directory, name))
+                    for name in sorted(os.listdir(directory))
+                    if name.endswith(".idx")]
+
+        assert all("parent" in record for record in heads())
+        rebalance(directory, shards=3)
+        assert len(heads()) == 3
+        assert not any("parent" in record for record in heads())
+        with ShardedIndex.open(directory) as sharded:
+            sharded.delete_document(6)
+        assert any("parent" in record for record in heads())
+        compact(directory)
+        assert not any("parent" in record for record in heads())
+
+
+class TestDeleteIsAllOrNothing:
+    def test_delete_of_an_underflowed_insert_touches_no_variant(self):
+        """Bulk labels leave no slack.  The new document's Regular-Prufer
+        sequence already has its trie path (same shape as document 1,
+        another leaf tag) but its Extended-Prufer one does not, so the
+        insert underflows in ``ep`` only -- and the delete then fails in
+        ``ep``, having removed nothing from ``rp``."""
+        from repro.prix.incremental import RebuildRequiredError
+        index = PrixIndex.build(tiny_documents(5), IndexOptions())
+        with pytest.raises(RebuildRequiredError):
+            index.insert_document(parse_document("<a><b><z/></b></a>", 50))
+        assert index.query("//a/b/z", variant="rp").doc_ids == [50]
+        before = catalog_state(index)
+        with pytest.raises(KeyError, match="missing from the trie"):
+            index.delete_document(50)
+        assert catalog_state(index) == before
+        assert index.query("//a/b/z", variant="rp").doc_ids == [50]
+        with index.rebuilt() as rebuilt:
+            assert rebuilt.query("//a/b/z").doc_ids == [50]
+
+
+def plant_head(path, record, length=512):
+    """Append ``record`` (space-padded to ``length`` bytes, so it can
+    name itself) as a new last page of the unguarded file at ``path``
+    and point the superblock at it; returns its record id."""
+    from repro.prix.index import _SUPER_MAGIC, _SUPERBLOCK
+    page_size = PrixIndex._read_superblock(path)[3]
+    with open(path, "r+b") as handle:
+        page = handle.seek(0, os.SEEK_END) // page_size
+        handle.write(json.dumps(record).encode("utf-8").ljust(length)
+                     .ljust(page_size, b"\x00"))
+        handle.seek(0)
+        handle.write(_SUPERBLOCK.pack(_SUPER_MAGIC, page, 0, length,
+                                      page_size))
+    return [page, 0, length]
+
+
+class TestHostileChains:
+    """A chained record is outside input like the superblock is: on an
+    unguarded file nothing vouches for it before ``open`` follows it."""
+
+    XPATH = "//a/b"
+
+    @pytest.fixture()
+    def chained(self, tmp_path):
+        """``(path, head record id, head record)`` of an unguarded index
+        whose head is a chained record."""
+        path = str(tmp_path / "chain.idx")
+        with PrixIndex.build(tiny_documents(8),
+                             dynamic_options(path)) as index:
+            index.save()
+            index.insert_document(parse_document("<a><b/><n/></a>", 30))
+            index.delete_document(2)
+            index.save()
+        page, offset, length, _ = PrixIndex._read_superblock(path)
+        return path, [page, offset, length], head_record(path)
+
+    @staticmethod
+    def delta(parent, **fields):
+        return {"parent": parent, "doc_ids": [], "removed": [],
+                "labels": [], "variants": {}, **fields}
+
+    def assert_refused(self, path, capsys):
+        from repro import cli
+        from repro.exitcodes import EXIT_CORRUPTION
+        from repro.storage import SuperblockError
+        with pytest.raises(SuperblockError, match="catalog unreadable"):
+            PrixIndex.open(path)
+        assert cli.main(["query", path, self.XPATH]) == EXIT_CORRUPTION
+        assert "error [SuperblockError]" in capsys.readouterr().err
+        assert cli.main(["scrub", path, "--json"]) == EXIT_CORRUPTION
+        assert json.loads(capsys.readouterr().out)["catalog_ok"] is False
+
+    def test_a_planted_record_that_continues_the_chain_opens(self, chained):
+        """The harness itself: what the cases below refuse is the
+        hostile field, not the planting."""
+        path, head, _ = chained
+        plant_head(path, self.delta(head))
+        with PrixIndex.open(path) as index:
+            assert index.summary()["catalog_records"] == 3
+            found = index.query(self.XPATH).doc_ids
+            assert 30 in found and 2 not in found
+
+    @pytest.mark.parametrize("where", ["itself", "forward", "past-the-end",
+                                       "not-json", "the-superblock",
+                                       "not-a-triple"])
+    def test_a_parent_that_is_no_earlier_record(self, chained, capsys,
+                                                where):
+        path, head, _ = chained
+        page = os.path.getsize(path) // 1024    # where the plant lands
+        parent = {"itself": [page, 0, 512],
+                  "forward": [page, 600, 40],
+                  "past-the-end": [page + 100, 0, 40],
+                  "not-json": [1, 0, 40],
+                  "the-superblock": [0, 0, 28],
+                  "not-a-triple": [head[0], head[1]]}[where]
+        assert plant_head(path, self.delta(parent)) == [page, 0, 512]
+        self.assert_refused(path, capsys)
+
+    def test_a_removed_id_the_chain_never_added(self, chained, capsys):
+        path, head, _ = chained
+        plant_head(path, self.delta(head, removed=[12345]))
+        self.assert_refused(path, capsys)
+
+    def test_a_catalog_row_that_is_not_a_record_id(self, chained, capsys):
+        path, head, record = chained
+        variants = record["variants"]
+        variants["rp"]["catalog"]["30"] = [1, 2]
+        plant_head(path, self.delta(head, variants=variants), length=1000)
+        self.assert_refused(path, capsys)

@@ -7,9 +7,15 @@ is cured by running it again (idempotence).
 """
 
 import io
+from pathlib import Path
 
+import pytest
+
+from helpers import catalog_state
+from repro.prix.index import IndexOptions, PrixIndex
 from repro.storage.recovery import recover, recover_path, scan_committed
 from repro.storage.wal import SYNC_NEVER, WriteAheadLog
+from repro.xmlkit.parser import parse_document
 
 PAGE = 64
 
@@ -129,3 +135,87 @@ class TestRecoverPath:
         result = recover_path(str(data_path), str(wal_path))
         assert result.clean
         assert data_path.read_bytes() == image(1)
+
+
+class TestChainedSaveSharesItsParentsPage:
+    """Within a session ``RecordStore.append`` packs a small chained
+    catalog record into the page its parent record ends on, so the
+    second ``save()`` rewrites a page that holds a committed record.
+    That is safe because the page only ever changes as a whole logged
+    image: whatever a crash leaves of the second save -- a cut log, a
+    torn page -- recovery restores one save's page or the other's."""
+
+    PAGE = 1024
+
+    @pytest.fixture()
+    def two_saves(self, tmp_path):
+        """One durable session: build (the first save), delete + save.
+        Returns the file images and the catalog after each save, and
+        the page the two catalog records share."""
+        path = str(tmp_path / "live.idx")
+        documents = [parse_document(f"<a><b>{i}</b><c/></a>", i)
+                     for i in range(1, 9)]
+        after = []
+        with PrixIndex.build(documents, IndexOptions(
+                path=path, durable=True, labeler="dynamic",
+                page_size=self.PAGE)) as index:
+            for step in range(2):
+                if step:
+                    index.delete_document(3)
+                    index.save()
+                page, offset, length, _ = PrixIndex._read_superblock(path)
+                after.append({"state": catalog_state(index),
+                              "data": Path(path).read_bytes(),
+                              "wal": Path(path + ".wal").read_bytes(),
+                              "first": page,
+                              "last": page + (offset + length - 1)
+                                      // self.PAGE})
+        first, second = after
+        assert second["first"] == first["last"]     # the shared page
+        assert second["wal"].startswith(first["wal"])
+        assert first["state"] != second["state"]
+        return first, second, second["first"]
+
+    def recovered(self, tmp_path, data, wal):
+        path = tmp_path / "crashed.idx"
+        path.write_bytes(data)
+        (tmp_path / "crashed.idx.wal").write_bytes(wal)
+        with PrixIndex.open(str(path)) as index:
+            return catalog_state(index), index.query("//a/c").doc_ids
+
+    def torn(self, first, second, shared):
+        """The first save's file with the shared page half rewritten."""
+        at = shared * self.PAGE
+        half = at + self.PAGE // 2
+        data = first["data"][:at] + second["data"][at:half] \
+            + first["data"][half:]
+        assert data not in (first["data"], second["data"][:len(data)])
+        return data
+
+    @pytest.mark.parametrize("lost", [1, 20, None],
+                             ids=["commit-torn", "commit-lost", "batch-cut"])
+    def test_log_cut_inside_the_second_save(self, two_saves, tmp_path, lost):
+        first, second, _ = two_saves
+        batch = len(second["wal"]) - len(first["wal"])
+        cut = len(second["wal"]) - (lost or batch // 2)
+        state, found = self.recovered(tmp_path, first["data"],
+                                      second["wal"][:cut])
+        assert state == first["state"]
+        assert 3 in found
+
+    def test_shared_page_torn_and_the_second_save_not_committed(
+            self, two_saves, tmp_path):
+        first, second, shared = two_saves
+        state, found = self.recovered(
+            tmp_path, self.torn(first, second, shared),
+            second["wal"][:len(second["wal"]) - 1])
+        assert state == first["state"]
+        assert 3 in found
+
+    def test_shared_page_torn_after_the_second_save_committed(
+            self, two_saves, tmp_path):
+        first, second, shared = two_saves
+        state, found = self.recovered(
+            tmp_path, self.torn(first, second, shared), second["wal"])
+        assert state == second["state"]
+        assert 3 not in found
