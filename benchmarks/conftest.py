@@ -8,9 +8,14 @@ sys.path.insert(0, os.path.join(
 
 
 def pytest_sessionstart(session):
-    """Truncate the shared results file at the start of a bench run."""
-    results = os.path.join(os.path.dirname(__file__), "results.txt")
+    """Own the shared results file: the ``results.txt`` beside this
+    conftest (``REPRO_RESULTS`` overrides), truncated at the start of a
+    bench run and appended to by every ``render_table``."""
+    from repro.bench import reporting
+    reporting.RESULTS_PATH = os.environ.get(
+        "REPRO_RESULTS",
+        os.path.join(os.path.dirname(__file__), "results.txt"))
     try:
-        open(results, "w", encoding="utf-8").close()
+        open(reporting.RESULTS_PATH, "w", encoding="utf-8").close()
     except OSError:
         pass

@@ -78,8 +78,7 @@ class NoRawIoRule(ImportTracker, Rule):
 
 #: Classes whose instances own a file handle or dirty pages.
 TRACKED_HANDLES = frozenset({"Pager", "BufferPool", "FilePagerBackend",
-                             "MmapBackend", "PrixIndex", "WriteAheadLog",
-                             "PageGuard"})
+                             "PrixIndex", "WriteAheadLog", "PageGuard"})
 
 
 def _tracked_constructor(node):

@@ -14,6 +14,8 @@ Checks added while enabled:
 - **pin balance at close**: ``BufferPool.close()`` with outstanding pins
   raises :class:`~repro.storage.errors.PinProtocolError` -- a pin that
   survives the pool's lifetime was never released anywhere.
+  ``FilePagerBackend.close()`` begins with that call, so the check
+  covers every index the product opens, not only bare pools.
   (``unpin`` at count zero and ``flush_and_clear`` with pins raise
   unconditionally; they are protocol violations, not heuristics.)
 - **flush before stats**: ``IOStats.snapshot()`` while a pool on that
@@ -33,8 +35,10 @@ Checks added while enabled:
   stamped, checksum-verified, or WAL-repaired by the
   :class:`~repro.storage.guard.PageGuard` (see ``docs/ROBUSTNESS.md``).
 - **guarded-field accesses**: every field a class's ``_GUARDED`` map
-  declares (BufferPool, Pager, IOStats, and the classes registered via
-  :func:`register_guarded_class`) is shadowed by a data descriptor.
+  declares (every class decorated with
+  :func:`repro.storage.latch.guarded`: BufferPool, Pager, IOStats,
+  ChaosBackend, the serving and sharding tiers' latched classes) is
+  shadowed by a data descriptor.
   Once an object has been touched by two or more distinct threads --
   the Eraser refinement, so thread-confined use stays silent -- any
   read or write without the declared latch held raises
@@ -89,7 +93,6 @@ from contextlib import contextmanager
 from repro.storage import latch as latch_module
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.errors import PinProtocolError
-from repro.storage.faults import ChaosBackend
 from repro.storage.pager import Pager
 from repro.storage.stats import IOStats
 
@@ -102,32 +105,6 @@ class SanitizeError(AssertionError):
     already treat assertion failures as hard failures.
     """
 
-
-#: Classes whose ``_GUARDED`` maps get descriptor enforcement.
-_GUARDED_CLASSES = (BufferPool, Pager, IOStats, ChaosBackend)
-
-#: Additional ``_GUARDED`` classes registered at import time by layers
-#: the sanitizer must not import itself (the serving tier lives *above*
-#: the storage stack; importing it from here would invert the layer
-#: map).  See :func:`register_guarded_class`.
-_extra_guarded = []
-
-
-def register_guarded_class(cls):
-    """Opt a class's ``_GUARDED`` map into guarded-field enforcement.
-
-    Called at import time by modules outside the storage layer (e.g.
-    ``repro.serve.registry``'s mount table, ``repro.serve.metrics``'s
-    counters) so their latched fields get the same data-race descriptors
-    as BufferPool/Pager/IOStats.  Idempotent; if the sanitizer is
-    already enabled the descriptors are installed immediately, otherwise
-    they arrive with the next :func:`enable`.
-    """
-    if cls in _GUARDED_CLASSES or cls in _extra_guarded:
-        return
-    _extra_guarded.append(cls)
-    if _saved:
-        _install_class_descriptors(cls)
 
 #: Original (unwrapped) methods; non-empty exactly while enabled.
 _saved = {}
@@ -255,11 +232,6 @@ def _install_class_descriptors(cls):
         _saved_attrs[(cls, field)] = original
         setattr(cls, field,
                 _GuardedField(cls.__name__, field, latch_attr, original))
-
-
-def _install_descriptors():
-    for cls in _GUARDED_CLASSES + tuple(_extra_guarded):
-        _install_class_descriptors(cls)
 
 
 def _remove_descriptors():
@@ -419,7 +391,10 @@ def enable():
     BufferPool.get = get
     IOStats.snapshot = snapshot
     Pager.write = write
-    _install_descriptors()
+    # Every class registered so far, and each later one as its module
+    # is imported (the serving tier usually loads after ``repro``).
+    for cls in latch_module.watch_guarded(_install_class_descriptors):
+        _install_class_descriptors(cls)
     latch_module.install_hooks(_on_acquire, _on_release)
 
 
@@ -429,6 +404,7 @@ def disable():
     if not _saved:
         return
     latch_module.clear_hooks()
+    latch_module.watch_guarded(None)
     _remove_descriptors()
     BufferPool.__init__ = _saved.pop("pool_init")
     BufferPool.close = _saved.pop("pool_close")

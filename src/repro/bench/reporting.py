@@ -3,17 +3,18 @@
 Each benchmark regenerates one table or figure of the paper; these helpers
 print the measured rows next to the paper's published values so the shape
 comparison (who wins, by what factor) is immediate, and append every table
-to ``benchmarks/results.txt`` for the EXPERIMENTS.md record.
+to :data:`RESULTS_PATH` (``benchmarks/results.txt`` in a bench run) for the
+EXPERIMENTS.md record.
 """
 
 from __future__ import annotations
 
-import os
-
-RESULTS_PATH = os.environ.get(
-    "REPRO_RESULTS", os.path.join(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))))),
-        "benchmarks", "results.txt"))
+#: File every persisted table is appended to, or None (print only).
+#: Set by whoever owns the file: ``benchmarks/conftest.py`` points it at
+#: the ``results.txt`` beside itself (or ``REPRO_RESULTS``) and
+#: truncates that at session start, so a copy of ``benchmarks/`` writes
+#: its own file, not the checkout this package was imported from.
+RESULTS_PATH = None
 
 
 def format_table(title, headers, rows):
@@ -38,7 +39,7 @@ def render_table(title, headers, rows, echo=True, persist=True):
     text = format_table(title, headers, rows)
     if echo:
         print("\n" + text + "\n")
-    if persist:
+    if persist and RESULTS_PATH is not None:
         try:
             with open(RESULTS_PATH, "a", encoding="utf-8") as handle:
                 handle.write(text + "\n\n")

@@ -34,8 +34,7 @@ from repro.prufer.sequence import extended_sequence, regular_sequence
 from repro.query.xpath import parse_xpath
 from repro.storage import ScrubReport, recover_path, sidecar_page_size
 from repro.storage.backend import (DEFAULT_PAGE_SIZE, DEFAULT_POOL_PAGES,
-                                   SYNC_COMMIT, create_backend, open_backend,
-                                   sidecar_paths)
+                                   SYNC_COMMIT, open_backend, sidecar_paths)
 from repro.storage.bptree import BPlusTree
 from repro.storage.codec import decode_varints, encode_varints
 from repro.storage.errors import (RecordCorruptionError, StorageError,
@@ -185,7 +184,12 @@ class PrixIndex:
                 f"{options.path}: refusing to build over an existing "
                 "non-empty file (remove it, or build to a new path)")
 
-        pool = create_backend(options)
+        pool = open_backend(
+            options.path, options.page_size, pool_pages=options.pool_pages,
+            durable=options.durable, wal_path=options.wal_path,
+            wal_sync=options.wal_sync, guard=options.guard,
+            guard_path=options.guard_path,
+            file_factory=options.file_factory)
         superblock_id, _ = pool.new_page()   # reserved: page 0
         assert superblock_id == 0
         records = RecordStore(pool)
@@ -680,8 +684,8 @@ class PrixIndex:
     def close(self):
         """Flush and close the backing storage stack (pool, log, file).
 
-        Delegates to :meth:`StorageBackend.close
-        <repro.storage.backend.StorageBackend.close>`, which commits
+        Delegates to :meth:`FilePagerBackend.close
+        <repro.storage.backend.FilePagerBackend.close>`, which commits
         and orders the log ahead of the data pages, fsyncs the data
         file (closing is a durability point), and releases every
         handle.

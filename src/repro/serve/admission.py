@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from repro.prix.budget import QueryBudget
 from repro.serve.protocol import DEFAULT_RETRY_AFTER_SECONDS, ProtocolError
-from repro.storage import Latch
+from repro.storage import Latch, guarded
 
 #: Default concurrent-query cap; sized for a thread-per-request stdlib
 #: server, where useful parallelism tops out near the core count.
@@ -65,6 +65,7 @@ class ServerLimits:
                                deadline_seconds=deadline_seconds))
 
 
+@guarded
 class AdmissionController:
     """Gate queries behind capacity, drain state and budget quotas."""
 
@@ -144,16 +145,3 @@ class AdmissionController:
         queries.
         """
         return self._idle.wait(timeout)
-
-
-def _register_with_sanitizer():
-    """Opt the guarded fields into ``PRIX_SANITIZE=1`` enforcement.
-
-    The analysis layer cannot import the serving tier (that would
-    invert the layering), so the serving tier registers itself.
-    """
-    from repro.analysis import sanitizer  # prixlint: disable=layering
-    sanitizer.register_guarded_class(AdmissionController)
-
-
-_register_with_sanitizer()

@@ -37,7 +37,7 @@ import math
 import time
 
 from repro.serve.protocol import ProtocolError, error_for_exception
-from repro.storage import Latch
+from repro.storage import Latch, guarded
 
 #: Consecutive tripping errors that open a closed circuit.
 DEFAULT_FAILURE_THRESHOLD = 5
@@ -54,6 +54,7 @@ STATE_HALF_OPEN = "half-open"
 TRIPPING_CODES = frozenset({"corruption", "internal"})
 
 
+@guarded
 class _Circuit:
     """Mutable per-mount breaker state; guarded by the owning
     :class:`CircuitBreaker`'s ``serve-circuit`` latch (shared, so one
@@ -80,6 +81,7 @@ class _Circuit:
                 "opened_total": self.opened_total}
 
 
+@guarded
 class CircuitBreaker:
     """Track per-mount failure streaks; gate requests when a mount is
     sick."""
@@ -228,17 +230,3 @@ class CircuitBreaker:
         with self._latch:
             return {name: circuit.as_dict()
                     for name, circuit in sorted(self._circuits.items())}
-
-
-def _register_with_sanitizer():
-    """Opt the guarded fields into ``PRIX_SANITIZE=1`` enforcement.
-
-    The analysis layer cannot import the serving tier (that would
-    invert the layering), so the serving tier registers itself.
-    """
-    from repro.analysis import sanitizer  # prixlint: disable=layering
-    sanitizer.register_guarded_class(CircuitBreaker)
-    sanitizer.register_guarded_class(_Circuit)
-
-
-_register_with_sanitizer()

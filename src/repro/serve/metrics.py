@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 
-from repro.storage import Latch
+from repro.storage import Latch, guarded
 
 
 class EndpointMetrics:
@@ -51,6 +51,7 @@ class EndpointMetrics:
         }
 
 
+@guarded
 class ServerMetrics:
     """Process-wide serving counters behind one ``serve-metrics`` latch.
 
@@ -125,17 +126,3 @@ class ServerMetrics:
                               for name, stats in
                               sorted(self._endpoints.items())},
             }
-
-
-def _register_with_sanitizer():
-    """Teach the runtime sanitizer about this module's guarded fields.
-
-    The analysis layer cannot import the serving tier (that would
-    invert the layering), so the serving tier registers itself, the
-    inversion marked for reviewers on the import line.
-    """
-    from repro.analysis import sanitizer  # prixlint: disable=layering
-    sanitizer.register_guarded_class(ServerMetrics)
-
-
-_register_with_sanitizer()

@@ -39,7 +39,7 @@ import threading
 
 from repro.serve.protocol import ProtocolError
 from repro.shard import open_index, scrub_index
-from repro.storage import Latch
+from repro.storage import Latch, guarded
 
 #: How long a reload waits for the old generation's leases to drain
 #: before giving up (queries are budgeted, so seconds suffice).
@@ -55,13 +55,15 @@ class ServeError(RuntimeError):
     """
 
 
+@guarded
 class _Mount:
     """One mounted index generation.
 
-    ``index``, ``path``, ``backend``, ``chaos`` and ``generation`` are
-    immutable after construction; the mutable lease/retire/health state
-    is guarded by the owning registry's ``serve-registry`` latch (shared
-    via ``_latch``).  ``health_json`` is mutable because a circuit
+    ``index``, ``path``, ``generation`` and ``opened`` -- every keyword
+    :meth:`IndexRegistry.mount` was given, which a reload reopens with
+    -- are immutable after construction; the mutable lease/retire/health
+    state is guarded by the owning registry's ``serve-registry`` latch
+    (shared via ``_latch``).  ``health_json`` is mutable because a circuit
     breaker's half-open probe re-scrubs the mount
     (:meth:`IndexRegistry.rescrub`) and refreshes the cached verdict.
     No ``__slots__``: the sanitizer's guarded-field descriptors store
@@ -73,14 +75,13 @@ class _Mount:
     _GUARDED = {"leases": "_latch", "retired": "_latch",
                 "health_json": "_latch"}
 
-    def __init__(self, name, path, backend, generation, index,
-                 health_json, registry_latch, chaos=None):
+    def __init__(self, name, path, opened, generation, index,
+                 health_json, registry_latch):
         self.name = name
         self.path = path
-        self.backend = backend
+        self.opened = opened
         self.generation = generation
         self.index = index
-        self.chaos = chaos
         self._latch = registry_latch
         with registry_latch:
             self.leases = 0
@@ -89,6 +90,7 @@ class _Mount:
         self.drained = threading.Event()
 
 
+@guarded
 class IndexRegistry:
     """The server's mount table: name -> live index generation."""
 
@@ -101,31 +103,30 @@ class IndexRegistry:
     #: Field -> guarding latch, enforced by the runtime sanitizer.
     _GUARDED = {"_mounts": "_latch", "_leaked": "_latch"}
 
-    def _open_generation(self, name, path, backend, generation,
-                         pool_pages, chaos=None):
+    def _open_generation(self, name, path, generation, opened):
         """Scrub ``path``, open it read-shared, build the mount record.
 
         The scrub runs *before* the open so the cached health verdict
         describes exactly the bytes this generation serves, and so the
         checksum sidecar it materializes is already present for the
-        open's guard auto-detection.  ``chaos`` (a
-        :class:`~repro.storage.faults.ChaosConfig`) wraps the
+        open's guard auto-detection.  ``opened`` holds the ``backend``,
+        ``pool_pages`` and ``chaos`` keywords of :meth:`mount` (``chaos``,
+        a :class:`~repro.storage.faults.ChaosConfig`, wraps the
         generation's backend in a fault-injecting
         :class:`~repro.storage.faults.ChaosBackend` -- the chaos-matrix
-        harness's hook, never set in production serving.
+        harness's hook, never set in production serving).
 
         ``path`` is whatever :func:`repro.shard.open_index` accepts.  A
         *shard directory* (``docs/SHARDING.md``) mounts like a file:
         the scrub sweeps every shard plus the manifest, every shard's
-        backend uses ``backend``, and a reload re-reads the manifest --
+        backend uses ``opened``, and a reload re-reads the manifest --
         so a rebalance's new generation swaps in as one atomic hot
         reload.
         """
         report = scrub_index(path)
-        index = open_index(path, backend=backend, pool_pages=pool_pages,
-                           chaos=chaos)
-        return _Mount(name, path, backend, generation, index,
-                      report.to_json(), self._latch, chaos=chaos)
+        index = open_index(path, **opened)
+        return _Mount(name, path, opened, generation, index,
+                      report.to_json(), self._latch)
 
     def mount(self, name, path, *, backend="mmap",
               pool_pages=None, chaos=None):
@@ -142,8 +143,9 @@ class IndexRegistry:
             if name in self._mounts:
                 raise ServeError(f"index {name!r} is already mounted; "
                                  "use reload to replace it")
-        mount = self._open_generation(name, path, backend, 1, pool_pages,
-                                      chaos)
+        mount = self._open_generation(
+            name, path, 1,
+            {"backend": backend, "pool_pages": pool_pages, "chaos": chaos})
         with self._latch:
             racer = name in self._mounts  # lost a mount race
             if not racer:
@@ -157,8 +159,9 @@ class IndexRegistry:
     def reload(self, name, timeout=None):
         """Hot-swap ``name`` to a fresh generation of its index file.
 
-        Re-opens the mount's path (picking up a rebuilt index), swaps it
-        in atomically, then waits for the old generation's leases to
+        Re-opens the mount's path (picking up a rebuilt index) exactly
+        as :meth:`mount` was asked to open it, swaps it in atomically,
+        then waits for the old generation's leases to
         drain before closing it.  Returns the new generation number.
         Unknown names raise ``KeyError`` (a typed ``not-found`` on the
         wire); a drain that exceeds ``timeout`` raises
@@ -171,8 +174,8 @@ class IndexRegistry:
             if name not in self._mounts:
                 raise KeyError(f"no index mounted as {name!r}")
             old = self._mounts[name]
-        fresh = self._open_generation(name, old.path, old.backend,
-                                      old.generation + 1, None, old.chaos)
+        fresh = self._open_generation(name, old.path, old.generation + 1,
+                                      old.opened)
         with self._latch:
             self._mounts[name] = fresh
             old.retired = True
@@ -268,7 +271,7 @@ class IndexRegistry:
         with self._latch:
             mounts = sorted(self._mounts.items())
             out = {name: {"path": mount.path,
-                          "backend": mount.backend,
+                          "backend": mount.opened["backend"],
                           "generation": mount.generation,
                           "leases": mount.leases}
                    for name, mount in mounts}
@@ -351,17 +354,3 @@ class _Lease(object):
     def __exit__(self, *exc):
         self._registry._release(self.mount)
         return False
-
-
-def _register_with_sanitizer():
-    """Opt the guarded fields into ``PRIX_SANITIZE=1`` enforcement.
-
-    The analysis layer cannot import the serving tier (that would
-    invert the layering), so the serving tier registers itself.
-    """
-    from repro.analysis import sanitizer  # prixlint: disable=layering
-    sanitizer.register_guarded_class(IndexRegistry)
-    sanitizer.register_guarded_class(_Mount)
-
-
-_register_with_sanitizer()

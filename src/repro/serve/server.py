@@ -470,31 +470,6 @@ def add_serve_arguments(parser):
                         default=DEFAULT_COOLDOWN_SECONDS, metavar="S",
                         help="seconds an open circuit rejects before its "
                              "half-open probe")
-    chaos = parser.add_argument_group(
-        "chaos", "deterministic fault injection (testing only; see "
-                 "docs/ROBUSTNESS.md)")
-    chaos.add_argument("--chaos-seed", type=int, default=None,
-                       metavar="SEED",
-                       help="arm the chaos backend with this seed "
-                            "(required for any other --chaos-* flag)")
-    chaos.add_argument("--chaos-read-error-period", type=int, default=None,
-                       metavar="N",
-                       help="inject a transient read error roughly every "
-                            "N read ops")
-    chaos.add_argument("--chaos-latency-period", type=int, default=None,
-                       metavar="N",
-                       help="inject read latency roughly every N read ops")
-    chaos.add_argument("--chaos-latency-ms", type=float, default=1.0,
-                       metavar="MS",
-                       help="injected latency per latency fault")
-    chaos.add_argument("--chaos-corrupt-period", type=int, default=None,
-                       metavar="N",
-                       help="serve a checksum-corrupted page image "
-                            "roughly every N read ops (exercises the "
-                            "guard's read-repair path)")
-    chaos.add_argument("--chaos-fail-first", type=int, default=0,
-                       metavar="N",
-                       help="fail the first N read ops, then heal")
     return parser
 
 
@@ -515,27 +490,10 @@ def run(args):
         max_candidates=args.budget_candidates,
         deadline_seconds=(args.budget_ms / 1000.0
                           if args.budget_ms is not None else None))
-    chaos = None
-    if args.chaos_seed is not None:
-        from repro.storage import ChaosConfig
-        chaos = ChaosConfig(
-            seed=args.chaos_seed,
-            read_error_period=args.chaos_read_error_period,
-            latency_period=args.chaos_latency_period,
-            latency_ms=args.chaos_latency_ms,
-            corrupt_period=args.chaos_corrupt_period,
-            fail_first=args.chaos_fail_first)
-    elif (args.chaos_read_error_period is not None
-            or args.chaos_latency_period is not None
-            or args.chaos_corrupt_period is not None
-            or args.chaos_fail_first):
-        print("error: --chaos-* flags require --chaos-seed",
-              file=sys.stderr)
-        return 2
     server = build_server(
         mounts, host=args.host, port=args.port, backend=args.backend,
         pool_pages=args.pool_pages, limits=limits,
-        drain_timeout=args.drain_timeout, chaos=chaos,
+        drain_timeout=args.drain_timeout,
         request_timeout=args.request_timeout,
         circuit_threshold=args.circuit_threshold,
         circuit_cooldown=args.circuit_cooldown)

@@ -42,7 +42,7 @@ from repro.prix.matcher import QueryResult, QueryStats, TwigMatch
 from repro.query.xpath import parse_xpath
 from repro.shard.catalog import (ShardCatalog, ShardError,
                                  is_shard_directory)
-from repro.storage import IOStats, Latch
+from repro.storage import IOStats, Latch, guarded
 
 #: ``meter.unused()`` keys double as ``QueryBudget.grant`` kwargs; the
 #: headroom carry below relies on that correspondence.
@@ -70,6 +70,7 @@ class ShardSetIOStats:
         return total
 
 
+@guarded
 class ShardedIndex:
     """The shard set behind one directory, queryable as one index.
 
@@ -433,16 +434,3 @@ def open_index(path, *, backend="file", pool_pages=None, chaos=None):
     kind = ShardedIndex if is_shard_directory(path) else PrixIndex
     return kind.open(path, pool_pages=pool_pages, backend=backend,
                      chaos=chaos)
-
-
-def _register_with_sanitizer():
-    """Opt the guarded fields into ``PRIX_SANITIZE=1`` enforcement.
-
-    The analysis layer cannot import the shard tier (that would invert
-    the layering), so the shard tier registers itself.
-    """
-    from repro.analysis import sanitizer  # prixlint: disable=layering
-    sanitizer.register_guarded_class(ShardedIndex)
-
-
-_register_with_sanitizer()

@@ -14,14 +14,15 @@ and deterministic fault injection (:class:`FaultSchedule` /
 in its own ``IOStats`` fields, so the paper tables are unaffected.
 
 The public door into the stack is :mod:`repro.storage.backend`
-(``docs/ARCHITECTURE.md``): a :class:`StorageBackend` protocol
-implemented by one stack -- the buffer pool over the one
-:class:`Pager` -- as :class:`FilePagerBackend` and its read-only
-subclass :class:`MmapBackend`.  The ``open_backend`` kinds (``"file"``,
-``"arena"``, ``"mmap"``) differ only in the file-like object the pager
-is handed: the real file, an in-memory snapshot of it, or a read-only
-memory map.  The logical index layers import storage only through that
-seam; the ``layering`` lint rule enforces the boundary statically.
+(``docs/ARCHITECTURE.md``): one backend class,
+:class:`FilePagerBackend` -- the buffer pool over the one
+:class:`Pager`, owning the WAL and guard behind it -- and one wiring
+function, :func:`open_backend`, which builds and reopens alike.  Its
+kinds (``"file"``, ``"arena"``, ``"mmap"``) differ only in the
+file-like object the pager is handed: the real file, an in-memory
+snapshot of it, or a read-only memory map.  The logical index layers
+import storage only through that seam; the ``layering`` lint rule
+enforces the boundary statically.
 
 Corruption safety sits beside it (``docs/ROBUSTNESS.md``): a
 :class:`PageGuard` checksums every page on write-back and verifies on
@@ -35,9 +36,8 @@ under.  Guard traffic, like WAL traffic, never touches the page
 counters.
 """
 
-from repro.storage.backend import (FilePagerBackend, MmapBackend,
-                                   StorageBackend, create_backend,
-                                   open_backend, sidecar_paths)
+from repro.storage.backend import (FilePagerBackend, open_backend,
+                                   sidecar_paths)
 from repro.storage.bptree import BPlusTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.codec import (decode_key, encode_int, encode_key,
@@ -56,7 +56,7 @@ from repro.storage.faults import (ChaosBackend, ChaosConfig, ChaosSchedule,
 from repro.storage.guard import (PageGuard, ScrubReport, TreeScrubReport,
                                  scrub, sidecar_page_size,
                                  wal_repair_source)
-from repro.storage.latch import Latch
+from repro.storage.latch import Latch, guarded
 from repro.storage.pager import DEFAULT_PAGE_SIZE, Pager
 from repro.storage.records import RecordStore
 from repro.storage.recovery import (RecoveryResult, recover, recover_path,
@@ -80,7 +80,6 @@ __all__ = [
     "FilePagerBackend",
     "IOStats",
     "Latch",
-    "MmapBackend",
     "PageCorruptionError",
     "PageGuard",
     "PageOverflowError",
@@ -96,7 +95,6 @@ __all__ = [
     "SYNC_COMMIT",
     "SYNC_NEVER",
     "ScrubReport",
-    "StorageBackend",
     "StorageError",
     "SuperblockError",
     "TransientStorageError",
@@ -106,11 +104,11 @@ __all__ = [
     "WalProtocolError",
     "WriteAheadLog",
     "corruption_plan",
-    "create_backend",
     "decode_key",
     "encode_int",
     "encode_key",
     "encode_str",
+    "guarded",
     "inject_corruption",
     "open_backend",
     "page_checksum",

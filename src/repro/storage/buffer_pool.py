@@ -35,12 +35,13 @@ from contextlib import contextmanager
 
 from repro.storage.errors import (BufferPoolExhaustedError, PageSizeError,
                                   PinProtocolError, WalProtocolError)
-from repro.storage.latch import Latch
+from repro.storage.latch import Latch, guarded
 
 #: Pool capacity used by the experiments; matches the paper's 2000 pages.
 DEFAULT_POOL_PAGES = 2000
 
 
+@guarded
 class BufferPool:
     """Caches page images and tracks dirty state with LRU eviction."""
 
@@ -81,9 +82,8 @@ class BufferPool:
     def page_size(self):
         """Size in bytes of every page image this pool serves.
 
-        Part of the :class:`~repro.storage.backend.StorageBackend`
-        surface: callers above the storage-api layer must not reach
-        through ``_pager`` for it.
+        Part of the backend surface: callers above the storage-api
+        layer must not reach through ``_pager`` for it.
         """
         return self._pager.page_size
 

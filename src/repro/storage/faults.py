@@ -35,8 +35,8 @@ traffic during builds and inserts, exactly what the matrix crashes.
 
 Beyond crashes, the module also supplies the *live* fault model for the
 serving tier (``docs/ROBUSTNESS.md``, "Chaos & resilience"):
-:class:`ChaosBackend` wraps any :class:`~repro.storage.backend.
-StorageBackend` and injects seeded, schedule-driven read faults --
+:class:`ChaosBackend` wraps a :class:`~repro.storage.backend.
+FilePagerBackend` and injects seeded, schedule-driven read faults --
 transient errors, latency, checksum-corrupting reads that exercise the
 guard's read-repair/quarantine machinery, and fail-then-heal windows --
 while delegating every mutation untouched.  Like :class:`FaultSchedule`,
@@ -52,7 +52,7 @@ from dataclasses import asdict, dataclass
 
 from repro.storage.errors import (PageCorruptionError,
                                   TransientStorageError)
-from repro.storage.latch import Latch
+from repro.storage.latch import Latch, guarded
 
 
 class CrashPoint(Exception):
@@ -335,7 +335,7 @@ class FaultyFile:
 
 
 # ----------------------------------------------------------------------
-# Live chaos injection at the StorageBackend seam
+# Live chaos injection at the backend seam
 # ----------------------------------------------------------------------
 
 #: Fault kinds a chaos schedule can inject at a read.
@@ -434,8 +434,9 @@ class ChaosSchedule:
                 "injected": dict(self.injected)}
 
 
+@guarded
 class ChaosBackend:
-    """A :class:`StorageBackend` that injects seeded read faults.
+    """A backend wrapper that injects seeded read faults.
 
     Wraps any backend and perturbs only the *read* path (``get``,
     ``get_decoded``, ``pin``, ``pinned``); every mutation, lifecycle and
@@ -550,7 +551,7 @@ class ChaosBackend:
         # admit() succeeded: the guard repaired the image from the WAL
         # (read-repair); the durable bytes were never wrong.
 
-    # -- StorageBackend: reads (injection points) ----------------------
+    # -- reads (injection points) --------------------------------------
 
     def get(self, page_id):
         """Read a page image, possibly through an injected fault."""
@@ -577,7 +578,7 @@ class ChaosBackend:
         self._chaos_read(page_id, "pinned")
         return self._inner.pinned(page_id)
 
-    # -- StorageBackend: everything else ------------------------------
+    # -- everything else -----------------------------------------------
 
     def __getattr__(self, name):
         """Delegate every member not defined above to the wrapped

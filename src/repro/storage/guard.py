@@ -81,13 +81,11 @@ class PageGuard:
         """
         mode = "r+b" if os.path.exists(path) else "w+b"
         handle = open(path, mode)  # guard.py is a sanctioned raw-I/O gateway
-        return cls(handle, page_size, stats=stats)
-
-    @classmethod
-    def in_memory(cls, page_size, stats=None):
-        """A guard over an in-memory sidecar (tests, in-memory indexes)."""
-        import io
-        return cls(io.BytesIO(), page_size, stats=stats)
+        try:
+            return cls(handle, page_size, stats=stats)
+        except BaseException:
+            handle.close()      # a refused sidecar keeps no handle
+            raise
 
     # ------------------------------------------------------------------
     # Sidecar persistence

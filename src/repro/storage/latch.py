@@ -15,6 +15,12 @@ provide:
   dynamic acquisition-order graph.  ``threading.RLock`` is a C type and
   cannot be monkeypatched, so the hook points live here instead.
 
+A class whose fields a latch protects says so where the latch lives: it
+declares a ``_GUARDED`` field -> latch-attribute map and is decorated
+with :func:`guarded`, the one registration point the sanitizer reads
+(:func:`watch_guarded`) -- so a layer above storage never has to import
+the analysis package to be checked by it.
+
 Without the sanitizer the wrapper is two attribute loads and a ``None``
 check per operation; the storage layer uses it unconditionally.  A
 latch is taken only by ``with latch:`` -- there is no bare acquire or
@@ -47,6 +53,31 @@ def clear_hooks():
     """Remove the latch observers."""
     global _hooks
     _hooks = None
+
+
+#: Every class registered by :func:`guarded`, in definition order.
+_guarded_classes = []
+
+#: Called with each class registered while the sanitizer is enabled.
+_guarded_observer = None
+
+
+def guarded(cls):
+    """Class decorator: opt ``cls._GUARDED`` into the runtime
+    sanitizer's guarded-field enforcement (``docs/CONCURRENCY.md``)."""
+    _guarded_classes.append(cls)
+    if _guarded_observer is not None:
+        _guarded_observer(cls)
+    return cls
+
+
+def watch_guarded(observer):
+    """Return the classes registered so far and have ``observer`` (or
+    nothing, with None) called with each one registered from now on
+    (sanitizer use only)."""
+    global _guarded_observer
+    _guarded_observer = observer
+    return tuple(_guarded_classes)
 
 
 class Latch:

@@ -26,7 +26,7 @@ import mmap
 import os
 
 from repro.storage.errors import PageRangeError, ReadOnlyBackendError
-from repro.storage.latch import Latch
+from repro.storage.latch import Latch, guarded
 from repro.storage.stats import IOStats
 
 #: Page size used throughout the reproduction; matches the paper's 8K pages.
@@ -55,6 +55,15 @@ def fsync_file(fileobj):
             pass
 
 
+def unlink_files(paths):
+    """Unlink each of ``paths`` that exists: how a refused open takes
+    back the files it created (sanctioned here, the raw-I/O gateway)."""
+    for path in paths:
+        if os.path.exists(path):
+            os.unlink(path)
+
+
+@guarded
 class Pager:
     """Allocates, reads and writes fixed-size pages of a single file.
 
@@ -75,7 +84,9 @@ class Pager:
         self.page_size = page_size
         self.stats = stats if stats is not None else IOStats()
         self.guard = None
-        self._read_only = False
+        #: True on a :meth:`mapped` pager: the single read-only
+        #: condition, here and for the backend above.
+        self.read_only = False
         self._io_latch = Latch("pager-io")
         self._file.seek(0, os.SEEK_END)
         size = self._file.tell()
@@ -146,7 +157,7 @@ class Pager:
             fileobj = source
         pager = cls._over(fileobj, page_size=page_size, stats=stats,
                           guard=guard)
-        pager._read_only = True
+        pager.read_only = True
         return pager
 
     def attach_guard(self, guard):
@@ -166,7 +177,7 @@ class Pager:
 
     def _check_writable(self):
         """The single read-only condition (:meth:`mapped` pagers)."""
-        if self._read_only:
+        if self.read_only:
             raise ReadOnlyBackendError(
                 "cannot allocate, write or repair a page on a read-only "
                 "pager")

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.storage.latch import Latch
+from repro.storage.latch import Latch, guarded
 
 
 def _stats_latch():
     return Latch("io-stats")
 
 
+@guarded
 @dataclass
 class IOStats:
     """Counters for logical and physical page traffic.

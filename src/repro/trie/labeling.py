@@ -101,14 +101,9 @@ class DynamicLabeler:
         #: the alpha ablation: pre-allocation pushes the failure deeper).
         self.labeled_before_underflow = 0
 
-    def label(self, trie, sequences=None):
-        """Label ``trie``; on unrecoverable underflow fall back to bulk DFS.
-
-        Args:
-            trie: the finished :class:`SequenceTrie`.
-            sequences: the label sequences that were inserted, used to
-                compute prefix weights for pre-allocation.  When omitted,
-                weights are derived from the trie itself.
+    def label(self, trie):
+        """Label the finished :class:`SequenceTrie` ``trie``; on
+        unrecoverable underflow fall back to bulk DFS.
 
         Returns the root's range.
         """

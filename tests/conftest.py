@@ -11,8 +11,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 from repro.datasets import (dblp, figure1_documents, figure2_document,
                             swissprot, treebank)
 from repro.prix.index import PrixIndex
-from repro.storage.backend import DEFAULT_PAGE_SIZE, FilePagerBackend
-from repro.storage.pager import Pager
+from repro.storage.backend import DEFAULT_PAGE_SIZE, open_backend
 from repro.xmlkit.tree import Document, XMLNode
 
 
@@ -30,15 +29,11 @@ def make_backend(request, tmp_path):
     """
     opened = []
 
-    def factory(page_size=DEFAULT_PAGE_SIZE, pool_pages=8, guard=None):
-        if request.param == "file":
-            backend = FilePagerBackend.open(
-                str(tmp_path / f"backend{len(opened)}.db"),
-                page_size=page_size, pool_pages=pool_pages, guard=guard)
-        else:
-            backend = FilePagerBackend(
-                Pager.in_memory(page_size=page_size, guard=guard),
-                capacity=pool_pages)
+    def factory(page_size=DEFAULT_PAGE_SIZE, pool_pages=8, guard=False):
+        path = (str(tmp_path / f"backend{len(opened)}.db")
+                if request.param == "file" else None)
+        backend = open_backend(path, page_size, pool_pages=pool_pages,
+                               guard=guard)
         opened.append(backend)
         return backend
 

@@ -17,6 +17,7 @@ from repro.prix.index import IndexOptions, PrixIndex
 from repro.storage.backend import open_backend
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.errors import PinProtocolError
+from repro.storage.faults import ChaosConfig
 from repro.storage.pager import Pager
 from repro.storage.records import RecordStore
 
@@ -109,6 +110,25 @@ class TestPinBalanceAtClose:
         pool.pin(pid)
         pool.close()  # no assertion without the sanitizer
         pool.unpin(pid)
+
+    @pytest.mark.parametrize("chaos", [None, ChaosConfig(seed=1)],
+                             ids=["plain", "chaos"])
+    @pytest.mark.parametrize("kind", ["file", "arena", "mmap"])
+    def test_product_index_close_checks_pins(self, tmp_path, tiny_dblp,
+                                             kind, chaos):
+        """The check sees the ``close()`` the product calls: an index
+        opened the ordinary way, on every kind, wrapped or not."""
+        path = str(tmp_path / "prix.idx")
+        with PrixIndex.build(tiny_dblp.documents,
+                             IndexOptions(path=path)) as built:
+            built.save()
+        with sanitizer.sanitized():
+            index = PrixIndex.open(path, backend=kind, chaos=chaos)
+            index._pool.pin(0)
+            with pytest.raises(PinProtocolError):
+                index.close()
+            index._pool.unpin(0)
+            index.close()
 
 
 class TestFlushBeforeStats:

@@ -22,6 +22,15 @@ FULL_TREE = [SRC, REPO_ROOT / "benchmarks", REPO_ROOT / "examples",
              REPO_ROOT / "tests"]
 
 
+def offenders(pattern, paths):
+    """``file:line`` of every line of ``paths`` matching ``pattern``."""
+    return [f"{path.relative_to(SRC)}:{number}"
+            for path in paths
+            for number, line in enumerate(
+                path.read_text().splitlines(), start=1)
+            if pattern.search(line)]
+
+
 class TestTreeIsClean:
     def test_src_repro_is_clean_under_all_rules(self):
         result = lint_paths([SRC])
@@ -64,13 +73,8 @@ class TestIndexKindStaysBehindTheShardPackage:
         monolithic index from a shard directory (docs/SHARDING.md)."""
         fork = re.compile(r"is_shard_directory\(|"
                           r"isinstance\([^)]*ShardedIndex\)")
-        offenders = [f"{path.relative_to(SRC)}:{number}"
-                     for path in sorted(SRC.rglob("*.py"))
-                     if path.parent != SRC / "shard"
-                     for number, line in enumerate(
-                         path.read_text().splitlines(), start=1)
-                     if fork.search(line)]
-        assert offenders == []
+        assert offenders(fork, [path for path in sorted(SRC.rglob("*.py"))
+                                if path.parent != SRC / "shard"]) == []
 
 
 class TestOnePageSubstrate:
@@ -87,36 +91,60 @@ class TestOnePageSubstrate:
                                   if isinstance(item, ast.FunctionDef)}]
         assert pagers == ["pager.py:Pager"]
 
+    @staticmethod
+    def subclasses_of(base, root):
+        """``file:Class`` of every class under ``root`` naming ``base``
+        among its bases."""
+        return [f"{path.name}:{node.name}"
+                for path in sorted(root.rglob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ClassDef)
+                and base in {ast.unparse(b).rpartition(".")[2]
+                             for b in node.bases}]
+
+    def test_one_backend_class_and_no_protocol(self):
+        """The product, the conformance test and the sanitizer all look
+        at the same class: one ``BufferPool`` subclass owns the stack,
+        and no structural ``Protocol`` restates its surface."""
+        assert self.subclasses_of("BufferPool", SRC) == [
+            "backend.py:FilePagerBackend"]
+        assert self.subclasses_of("Protocol", SRC / "storage") == []
+
+    def test_the_second_wiring_and_its_helpers_stay_deleted(self):
+        """... and with the self-registration gone, nothing outside the
+        linter's own documentation suppresses the layering rule."""
+        gone = re.compile(r"StorageBackend|MmapBackend|create_backend|"
+                          r"_open_guard|_open_wal|"
+                          r"_register_with_sanitizer")
+        assert offenders(gone, sorted(SRC.rglob("*.py"))) == []
+        suppressed = re.compile(r"prixlint: disable=layering")
+        assert offenders(
+            suppressed, [path for path in sorted(SRC.rglob("*.py"))
+                         if SRC / "analysis" not in path.parents]) == []
+
 
 class TestOneReaderForAnIndexFile:
     """``repro.prix.index`` alone reads a superblock or a catalog record
     and ``PrixIndex.open`` alone recovers and attaches a saved index
     (docs/ARCHITECTURE.md); scrub is composed above storage."""
 
-    def offenders(self, pattern, paths):
-        return [f"{path.relative_to(SRC)}:{number}"
-                for path in paths
-                for number, line in enumerate(
-                    path.read_text().splitlines(), start=1)
-                if pattern.search(line)]
-
     def test_only_the_index_module_names_the_superblock(self):
         names = re.compile(r"_SUPERBLOCK|_parse_superblock|_SUPER_MAGIC")
-        assert self.offenders(
+        assert offenders(
             names, [path for path in sorted(SRC.rglob("*.py"))
                     if path != SRC / "prix" / "index.py"]) == []
 
     def test_storage_never_reaches_up_into_the_index(self):
         upward = re.compile(r"prixlint: disable=layering|"
                             r"^\s*(from|import)\s+repro\.prix\b")
-        assert self.offenders(
+        assert offenders(
             upward, sorted((SRC / "storage").glob("*.py"))) == []
 
     def test_the_second_readers_and_the_option_guesses_stay_deleted(self):
         gone = re.compile(r"open_from|recover_files|backend_from_files|"
                           r"_check_catalog|_infer_options|"
                           r'getattr\(self, "_options"')
-        assert self.offenders(gone, sorted(SRC.rglob("*.py"))) == []
+        assert offenders(gone, sorted(SRC.rglob("*.py"))) == []
 
 
 class TestViolationsAreCaught:

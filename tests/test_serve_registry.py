@@ -165,6 +165,26 @@ def test_reload_unknown_name_raises_keyerror(index_path):
         registry.reload("nope")
 
 
+def _pool_capacities(index):
+    """Pool capacity of every backend behind a mounted index."""
+    shards = getattr(index, "_shards", {"": index})
+    return [shard._pool.capacity for shard in shards.values()]
+
+
+def test_reload_reopens_with_what_mount_was_given(index_path):
+    """A mount sized below its working set stays that size across a hot
+    reload (it used to come back with the 2000-frame default)."""
+    registry = IndexRegistry()
+    registry.mount("default", index_path, backend="arena", pool_pages=7)
+    with registry.lease("default") as mount:
+        assert set(_pool_capacities(mount.index)) == {7}
+    assert registry.reload("default") == 2
+    with registry.lease("default") as mount:
+        assert set(_pool_capacities(mount.index)) == {7}
+    assert registry.describe()["default"]["backend"] == "arena"
+    registry.close_all()
+
+
 def test_health_caches_the_scrub_to_json_serialization(index_path):
     registry = IndexRegistry()
     registry.mount("default", index_path)

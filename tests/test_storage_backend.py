@@ -1,4 +1,4 @@
-"""StorageBackend seam tests: substrate parity, dispatch, read-only mmap.
+"""Storage backend seam tests: substrate parity, dispatch, read-only mmap.
 
 The PR 7 acceptance bar: the paper's "Disk IO pages" accounting and the
 query results must be byte-identical whether the pager holds a real
@@ -18,10 +18,12 @@ import pytest
 
 from repro.datasets import dblp
 from repro.prix.index import IndexOptions, PrixIndex
-from repro.storage.backend import (FilePagerBackend, MmapBackend,
-                                   open_backend)
-from repro.storage.errors import ReadOnlyBackendError, WalCorruptionError
+from repro.storage.backend import FilePagerBackend, open_backend
+from repro.storage.errors import (ReadOnlyBackendError, StorageError,
+                                  WalCorruptionError, WalError)
+from repro.storage.guard import PageGuard
 from repro.storage.pager import Pager
+from repro.storage.wal import WriteAheadLog
 from repro.xmlkit.tree import Document
 
 QUERIES = ['//inproceedings[./author="Jim Gray"][./year="1990"]',
@@ -105,13 +107,13 @@ class TestSubstrateParity:
 class TestBackendDispatch:
     def test_open_backend_mmap_kind(self, tmp_path):
         path = str(tmp_path / "pages.db")
-        backend = FilePagerBackend.open(path, page_size=64)
+        backend = open_backend(path, 64)
         pid, _ = backend.new_page()
         backend.put(pid, b"\x42" * 64)
         backend.close()
         served = open_backend(path, 64, kind="mmap")
         try:
-            assert isinstance(served, MmapBackend)
+            assert type(served) is FilePagerBackend
             assert served.kind == "mmap"
             assert bytes(served.get(pid)) == b"\x42" * 64
         finally:
@@ -122,12 +124,12 @@ class TestMmapReadOnly:
     @pytest.fixture()
     def served(self, tmp_path):
         path = str(tmp_path / "pages.db")
-        writer = FilePagerBackend.open(path, page_size=64)
+        writer = open_backend(path, 64)
         for fill in (b"\x01", b"\x02", b"\x03"):
             pid, _ = writer.new_page()
             writer.put(pid, fill * 64)
         writer.close()
-        backend = MmapBackend.open(path, page_size=64, pool_pages=2)
+        backend = open_backend(path, 64, pool_pages=2, kind="mmap")
         yield backend
         backend.close()
 
@@ -199,7 +201,7 @@ class TestMmapServing:
         built.close()
         served = PrixIndex.open(path, backend="mmap")
         try:
-            assert isinstance(served._pool, MmapBackend)
+            assert served._pool.kind == "mmap"
             for xpath, expected in want.items():
                 got = {(m.doc_id, m.canonical)
                        for m in served.query(xpath)}
@@ -225,13 +227,13 @@ class TestMmapServing:
 class TestArenaServing:
     def test_open_backend_arena_kind_is_a_detached_snapshot(self, tmp_path):
         path = tmp_path / "pages.db"
-        writer = FilePagerBackend.open(str(path), page_size=64)
+        writer = open_backend(str(path), 64)
         pid, _ = writer.new_page()
         writer.put(pid, b"\x42" * 64)
         writer.close()
         served = open_backend(str(path), 64, kind="arena")
         try:
-            assert isinstance(served, FilePagerBackend)
+            assert type(served) is FilePagerBackend
             assert served.kind == "arena"
             # The snapshot is detached: the source file can vanish and
             # every page still answers from process memory.
@@ -242,14 +244,14 @@ class TestArenaServing:
 
     def test_open_backend_arena_refuses_durable(self, tmp_path):
         path = str(tmp_path / "pages.db")
-        FilePagerBackend.open(path, page_size=64).close()
+        open_backend(path, 64).close()
         with pytest.raises(ReadOnlyBackendError) as caught:
             open_backend(path, 64, kind="arena", durable=True)
         assert "cannot attach a write-ahead log" in str(caught.value)
 
     def test_open_backend_rejects_unknown_kind(self, tmp_path):
         path = str(tmp_path / "pages.db")
-        FilePagerBackend.open(path, page_size=64).close()
+        open_backend(path, 64).close()
         with pytest.raises(ValueError,
                            match="expected 'file', 'arena' or 'mmap'"):
             open_backend(path, 64, kind="carrier-pigeon")
@@ -283,7 +285,7 @@ class TestOpenBackendKinds:
     @pytest.fixture()
     def saved(self, tmp_path):
         path = str(tmp_path / "pages.db")
-        writer = FilePagerBackend.open(path, page_size=64)
+        writer = open_backend(path, 64)
         pid, _ = writer.new_page()
         writer.put(pid, b"\x42" * 64)
         writer.close()
@@ -346,3 +348,33 @@ class TestOpenBackendKinds:
             with pytest.raises(ValueError):
                 open_backend(str(path), 64, kind=kind, guard=True)
         assert os.listdir(tmp_path) == ["ragged.db"]
+
+    def test_refused_build_unlinks_exactly_what_it_created(self, tmp_path):
+        """A stale log for another page size refuses the build; the
+        zero-length index file and the freshly stamped sidecar it used
+        to leave behind would poison the path for the next build."""
+        path = str(tmp_path / "new.idx")
+        WriteAheadLog.open(path + ".wal", 1024).close()
+        documents = dblp(12).documents
+
+        def options(page_size):
+            return IndexOptions(path=path, durable=True, guard=True,
+                                page_size=page_size)
+
+        with no_leaked_handles():
+            with pytest.raises(WalError, match="page size 1024, not 256"):
+                PrixIndex.build(documents, options(256))
+        assert os.listdir(tmp_path) == ["new.idx.wal"]   # ours, untouched
+        with PrixIndex.build(documents, options(1024)) as index:
+            assert index.doc_count == 12
+
+    def test_refused_open_keeps_files_that_were_there(self, tmp_path):
+        """The other half: a sidecar for another page size refuses the
+        open, and neither it nor the (empty) data file is removed."""
+        path = tmp_path / "pages.db"
+        path.write_bytes(b"")
+        PageGuard.open(str(path) + ".sum", 1024).close()
+        with no_leaked_handles():
+            with pytest.raises(StorageError, match="page size 1024"):
+                open_backend(str(path), 64, guard=True, durable=True)
+        assert sorted(os.listdir(tmp_path)) == ["pages.db", "pages.db.sum"]

@@ -245,7 +245,7 @@ class TestHitRatio:
 
 
 class TestBackendParity:
-    """Buffer-pool edge behaviour through the StorageBackend seam.
+    """Buffer-pool edge behaviour through the storage backend seam.
 
     Parametrized over the file and in-memory substrates by ``make_backend``;
     exact counter assertions force identical IOStats movement on both.

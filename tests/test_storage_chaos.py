@@ -7,7 +7,7 @@ errors, injected latency, the fail-then-heal window, and corrupt-reads
 that exercise the guard's WAL read-repair and quarantine-heal paths --
 plus the arming switch and the facade/index plumb-through
 (``open_backend(chaos=...)``, ``PrixIndex.open(chaos=...)``), and the
-runtime protocol-conformance check that stands in for the hand-written
+runtime conformance check that stands in for the hand-written
 forwarders :class:`ChaosBackend` no longer has.
 """
 
@@ -18,7 +18,7 @@ import pytest
 from repro.prix.index import IndexOptions, PrixIndex
 from repro.storage import (ChaosBackend, ChaosConfig, ChaosSchedule,
                            TransientStorageError, open_backend)
-from repro.storage.backend import StorageBackend
+from repro.storage.backend import FilePagerBackend
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.errors import PageCorruptionError, ReadOnlyBackendError
 from repro.storage.faults import (CHAOS_KINDS, KIND_CORRUPT_READ,
@@ -253,12 +253,11 @@ class TestPlumbing:
             index.close()
 
 
-#: Every public member the ``StorageBackend`` Protocol declares, found
-#: by introspection so a member added there is checked here unasked.
-PROTOCOL_MEMBERS = sorted(
-    name for name in {**vars(StorageBackend),
-                      **StorageBackend.__annotations__}
-    if not name.startswith("_"))
+#: Every public member of the one backend class, found by
+#: introspection so a member added there is checked here unasked (plus
+#: the two public attributes its constructors set).
+PROTOCOL_MEMBERS = sorted({"kind", "stats"}.union(
+    name for name in dir(FilePagerBackend) if not name.startswith("_")))
 
 
 class TestProtocolConformance:
@@ -278,7 +277,7 @@ class TestProtocolConformance:
                              ids=["plain", "chaos"])
     @pytest.mark.parametrize("kind", ["file", "arena", "mmap"])
     def test_every_member_resolves_on_every_kind(self, saved, kind, chaos):
-        assert len(PROTOCOL_MEMBERS) > 15
+        assert len(PROTOCOL_MEMBERS) > 25  # the Protocol declared 21
         backend = open_backend(saved, PAGE_SIZE, kind=kind, chaos=chaos)
         try:
             for name in PROTOCOL_MEMBERS:
@@ -293,10 +292,19 @@ class TestProtocolConformance:
         wrapped = open_backend(saved, PAGE_SIZE, kind="mmap",
                                chaos=ChaosConfig(seed=1))
         try:
+            wrapped.get(0)
+            before = (wrapped.cached_pages, wrapped.stats.snapshot())
             with pytest.raises(ReadOnlyBackendError):
                 wrapped.mark_dirty(0)
             with pytest.raises(ReadOnlyBackendError):
                 wrapped.put(0, fill(0))
+            with pytest.raises(ReadOnlyBackendError):
+                wrapped.new_page()
+            with pytest.raises(ReadOnlyBackendError):
+                wrapped.attach_wal(object())
+            # Refused at the boundary: no pool state moved.
+            assert (wrapped.cached_pages,
+                    wrapped.stats.snapshot()) == before
             assert bytes(wrapped.get(0)) == fill(0x5A)
         finally:
             wrapped.close()

@@ -135,7 +135,7 @@ class TestPageRange:
 
 
 class TestBackendSubstrates:
-    """Pager-level edges driven through the StorageBackend seam.
+    """Pager-level edges driven through the storage backend seam.
 
     The ``make_backend`` fixture parametrizes every test here over a
     pager holding a real file and one holding an in-memory buffer; the
