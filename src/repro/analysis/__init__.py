@@ -13,17 +13,14 @@ Programmatic use::
     result = lint_paths(["src/repro"])
     assert not result.findings
 
-Command line: ``prix lint [paths]`` or ``python -m repro.analysis``.
+Command line: ``prix lint [paths]``.
 """
 
-from repro.analysis.baseline import (apply_baseline, load_baseline,
-                                     write_baseline)
 from repro.analysis.core import (Finding, Rule, SourceFile, check_source)
-from repro.analysis.runner import (ALL_RULES, LintResult, lint_paths, main,
+from repro.analysis.runner import (ALL_RULES, LintResult, lint_paths,
                                    rules_by_name)
 
 __all__ = [
     "ALL_RULES", "Finding", "LintResult", "Rule", "SourceFile",
-    "apply_baseline", "check_source", "lint_paths", "load_baseline",
-    "main", "rules_by_name", "write_baseline",
+    "check_source", "lint_paths", "rules_by_name",
 ]

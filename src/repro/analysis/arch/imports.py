@@ -31,7 +31,7 @@ def module_name_for(path):
     ``src/repro/storage/pager.py`` -> ``repro.storage.pager``;
     ``__init__.py`` names the package itself.  Files outside a
     ``repro`` package root fall back to their bare stem, which keeps
-    test fixtures addressable by test-local manifests.
+    test fixtures addressable by test-local layer maps.
     """
     parts = list(PurePath(path).parts)
     stem = PurePath(parts[-1]).stem
@@ -148,9 +148,7 @@ def layering_violations(graph, manifest):
         layer = manifest.layer_of(module)
         if layer is None:
             continue
-        allowed = manifest.allowed_for(layer)
-        if allowed == "*":
-            continue
+        allowed = manifest.allowed[layer]
         # BFS over edges; stop at sanctioned layered modules, pass
         # through unlayered ones, report the first hit per target.
         queue = deque([(module, (module,))])

@@ -1,84 +1,67 @@
-"""The architecture manifest: ``.prixarch.toml``.
+"""The layer map the ``layering`` rule enforces (``docs/ARCHITECTURE.md``).
 
-The manifest names the repository's layers and the dependencies each
-layer may take (``docs/ARCHITECTURE.md``)::
-
-    [prixarch]
-    version = 1
-
-    [layers]
-    foundation = ["repro.xmlkit", "repro.prufer"]
-    logical = ["repro.trie", "repro.prix", "repro.query"]
-
-    [allowed]
-    foundation = []
-    logical = ["foundation", "storage-api"]
-
-Layer membership is by *longest dotted-prefix match*: a module belongs
-to the layer whose listed prefix matches the most leading components of
-its dotted name (``repro.storage.pager`` is storage-impl even though
-``repro.storage`` is storage-api).  Modules matching no prefix are
-unlayered: they carry no import constraints themselves, but the
-layering rule traverses *through* them when hunting indirect
-violations.  An ``allowed`` value of ``"*"`` makes a layer
-unconstrained.
-
-Parsing prefers :mod:`tomllib` (Python 3.11+) and falls back to a
-small built-in parser covering exactly the subset the manifest uses --
-tables, string values, integers, and (multi-line) string arrays -- so
-the analysis tier has no dependency footprint on 3.10.
+:data:`LAYERS` names each layer's dotted module prefixes and
+:data:`ALLOWED` the other layers each may import.  Layer membership is
+by *longest dotted-prefix match*: a module belongs to the layer whose
+listed prefix matches the most leading components of its dotted name
+(``repro.storage.pager`` is storage-impl even though ``repro.storage``
+is storage-api).  Modules matching no prefix (``repro.cli``,
+``repro.datasets``, ``repro.bench``, ``repro.baselines``,
+``repro.analysis``, tests, benchmarks, examples) are unlayered: they
+carry no import constraints themselves, but the layering rule
+traverses *through* them when hunting indirect violations.
 """
 
 from __future__ import annotations
 
-import re
+#: layer -> dotted module prefixes.
+LAYERS = {
+    # Pure algorithmic core: Prufer sequences and the XML toolkit.
+    "foundation": ("repro.xmlkit", "repro.prufer"),
+    # The logical index layers of the paper: virtual trie, PRIX index
+    # and query processor.
+    "logical": ("repro.trie", "repro.prix", "repro.query"),
+    # The sanctioned doorway: the one backend class and open_backend,
+    # the B+-tree / record-store page layouts, codecs, typed errors and
+    # I/O statistics.
+    "storage-api": ("repro.storage", "repro.storage.backend",
+                    "repro.storage.bptree", "repro.storage.records",
+                    "repro.storage.codec", "repro.storage.errors",
+                    "repro.storage.stats"),
+    # The prix serve process (docs/SERVING.md).
+    "serving": ("repro.serve",),
+    # Shard catalog, parallel builder, scatter-gather, rebalance
+    # (docs/SHARDING.md): mounted *by* serving, never importing it.
+    "shard": ("repro.shard",),
+    # Physical substrate: pagers, buffer pool, WAL, checksum guard,
+    # recovery, latches, fault injection.  Nothing above storage-api
+    # may name these modules.
+    "storage-impl": ("repro.storage.pager", "repro.storage.buffer_pool",
+                     "repro.storage.wal", "repro.storage.guard",
+                     "repro.storage.recovery", "repro.storage.latch",
+                     "repro.storage.faults"),
+}
 
-try:
-    import tomllib as _toml
-except ImportError:          # Python 3.10: stdlib tomllib absent
-    _toml = None
-
-MANIFEST_NAME = ".prixarch.toml"
-
-
-class ManifestError(ValueError):
-    """The architecture manifest is missing, malformed, or inconsistent."""
+#: layer -> the other layers its modules may import.
+ALLOWED = {
+    "foundation": (),
+    "logical": ("foundation", "storage-api"),
+    "storage-api": ("storage-impl",),
+    "serving": ("foundation", "logical", "storage-api", "shard"),
+    "shard": ("foundation", "logical", "storage-api"),
+    "storage-impl": ("storage-api",),
+}
 
 
 class Manifest:
-    """Parsed layer map: membership lookup plus allowed-dependency sets."""
+    """Layer lookup over a layer map -- the shipped one by default."""
 
-    def __init__(self, layers, allowed, path=MANIFEST_NAME):
-        self.path = str(path)
-        #: layer name -> tuple of dotted module prefixes
-        self.layers = {name: tuple(prefixes)
-                       for name, prefixes in layers.items()}
-        #: layer name -> frozenset of allowed layer names, or "*"
-        self.allowed = {}
-        for name, value in allowed.items():
-            if name not in self.layers:
-                raise ManifestError(
-                    f"{self.path}: [allowed] names unknown layer {name!r}")
-            if value == "*":
-                self.allowed[name] = "*"
-                continue
-            unknown = [dep for dep in value if dep not in self.layers]
-            if unknown:
-                raise ManifestError(
-                    f"{self.path}: layer {name!r} allows unknown "
-                    f"layer(s) {unknown}")
-            self.allowed[name] = frozenset(value)
-        for name in self.layers:
-            self.allowed.setdefault(name, frozenset())
-        self._prefix_to_layer = {}
-        for name, prefixes in self.layers.items():
-            for prefix in prefixes:
-                other = self._prefix_to_layer.get(prefix)
-                if other is not None and other != name:
-                    raise ManifestError(
-                        f"{self.path}: prefix {prefix!r} is claimed by "
-                        f"both {other!r} and {name!r}")
-                self._prefix_to_layer[prefix] = name
+    def __init__(self, layers=LAYERS, allowed=ALLOWED):
+        #: layer -> the other layers its modules may import
+        self.allowed = allowed
+        self._prefix_to_layer = {prefix: name
+                                 for name, prefixes in layers.items()
+                                 for prefix in prefixes}
 
     def layer_of(self, module):
         """Layer name for a dotted module, or None when unlayered."""
@@ -88,135 +71,3 @@ class Manifest:
             if layer is not None:
                 return layer
         return None
-
-    def allowed_for(self, layer):
-        """Allowed dependency layers of ``layer`` (or ``"*"``)."""
-        return self.allowed[layer]
-
-
-def parse_manifest(text, path=MANIFEST_NAME):
-    """Parse manifest text into a :class:`Manifest`."""
-    if _toml is not None:
-        try:
-            document = _toml.loads(text)
-        except _toml.TOMLDecodeError as error:
-            raise ManifestError(f"{path}: {error}") from None
-    else:
-        document = _parse_toml_subset(text, path)
-    layers = document.get("layers")
-    if not isinstance(layers, dict) or not layers:
-        raise ManifestError(f"{path}: missing [layers] table")
-    for name, prefixes in layers.items():
-        if (not isinstance(prefixes, list)
-                or not all(isinstance(p, str) for p in prefixes)):
-            raise ManifestError(
-                f"{path}: layer {name!r} must list module prefixes")
-    allowed = document.get("allowed", {})
-    if not isinstance(allowed, dict):
-        raise ManifestError(f"{path}: [allowed] must be a table")
-    return Manifest(layers, allowed, path=path)
-
-
-def load_manifest(path):
-    """Read and parse the manifest file at ``path``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_manifest(handle.read(), path=path)
-
-
-def find_manifest(start_dirs):
-    """Locate ``.prixarch.toml`` upward from the given directories.
-
-    Each start directory and its ancestors are probed in order; the
-    first manifest found wins.  Returns the path or None -- a missing
-    manifest is not an error (the layering rule simply has no layers to
-    enforce on unmapped trees).
-    """
-    from pathlib import Path
-    seen = set()
-    for raw in start_dirs:
-        base = Path(raw).resolve()
-        if base.is_file():
-            base = base.parent
-        for directory in (base, *base.parents):
-            if directory in seen:
-                break
-            seen.add(directory)
-            candidate = directory / MANIFEST_NAME
-            if candidate.is_file():
-                return candidate
-    return None
-
-
-# ----------------------------------------------------------------------
-# Fallback parser (Python 3.10: no stdlib tomllib)
-# ----------------------------------------------------------------------
-
-_SECTION = re.compile(r"^\[([A-Za-z0-9_.\-]+)\]$")
-_KEY = re.compile(r"^([A-Za-z0-9_\-]+)\s*=\s*(.*)$")
-
-
-def _strip_comment(line):
-    """Drop a ``#`` comment, respecting double-quoted strings."""
-    out = []
-    in_string = False
-    for char in line:
-        if char == '"':
-            in_string = not in_string
-        elif char == "#" and not in_string:
-            break
-        out.append(char)
-    return "".join(out).strip()
-
-
-def _parse_value(text, path):
-    text = text.strip()
-    if text.startswith("["):
-        inner = text[1:-1]
-        items = [item.strip() for item in inner.split(",") if item.strip()]
-        values = []
-        for item in items:
-            if not (item.startswith('"') and item.endswith('"')):
-                raise ManifestError(
-                    f"{path}: only string arrays are supported, got "
-                    f"{item!r}")
-            values.append(item[1:-1])
-        return values
-    if text.startswith('"') and text.endswith('"'):
-        return text[1:-1]
-    try:
-        return int(text)
-    except ValueError:
-        raise ManifestError(
-            f"{path}: unsupported value {text!r} (the fallback parser "
-            "handles strings, integers and string arrays)") from None
-
-
-def _parse_toml_subset(text, path):
-    """Parse the manifest's TOML subset without :mod:`tomllib`."""
-    document = {}
-    table = document
-    lines = iter(text.splitlines())
-    for raw in lines:
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        match = _SECTION.match(line)
-        if match:
-            table = document.setdefault(match.group(1), {})
-            if not isinstance(table, dict):
-                raise ManifestError(f"{path}: duplicate key "
-                                    f"{match.group(1)!r}")
-            continue
-        match = _KEY.match(line)
-        if match is None:
-            raise ManifestError(f"{path}: cannot parse line {raw!r}")
-        key, value = match.groups()
-        # A multi-line array continues until brackets balance.
-        while value.count("[") > value.count("]"):
-            try:
-                value += " " + _strip_comment(next(lines))
-            except StopIteration:
-                raise ManifestError(
-                    f"{path}: unterminated array for key {key!r}") from None
-        table[key] = _parse_value(value, path)
-    return document

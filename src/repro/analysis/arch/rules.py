@@ -4,8 +4,8 @@ Unlike the per-file AST rules it needs every analyzed file at once (the
 import graph spans modules), so the runner hands all parsed sources to
 :func:`check_layering` after the per-file pass.  :class:`LayeringRule`
 subclasses :class:`~repro.analysis.core.Rule` only to share the
-registry, the ``--rules`` selector, ``--explain``, baselines and
-suppression comments.
+registry, the ``--rules`` selector, ``--explain`` and suppression
+comments.
 """
 
 from __future__ import annotations
@@ -19,19 +19,20 @@ from repro.analysis.core import Finding, Rule
 
 
 class LayeringRule(Rule):
-    """Enforce the ``.prixarch.toml`` layer map over the import graph.
+    """Enforce the layer map over the import graph.
 
-    A module in a layer may import its own layer and the layers listed
-    for it under ``[allowed]`` -- reaching any other layer, directly or
-    laundered through unlayered helper modules, is a violation.  The
-    finding shows the BFS-shortest witness import chain and anchors at
-    the import statement that starts it.  Deliberate exceptions carry
-    ``# prixlint: disable=layering`` on the import line.  Without a
-    manifest the rule has nothing to enforce and stays silent.
+    The map is code: ``LAYERS`` and ``ALLOWED`` in
+    ``repro.analysis.arch.manifest``.  A module in a layer may import
+    its own layer and the layers ``ALLOWED`` lists for it -- reaching
+    any other layer, directly or laundered through unlayered helper
+    modules, is a violation.  The finding shows the BFS-shortest
+    witness import chain and anchors at the import statement that
+    starts it.  Deliberate exceptions carry
+    ``# prixlint: disable=layering`` on the import line.
     """
 
     name = "layering"
-    description = ("imports must respect the .prixarch.toml layer map "
+    description = ("imports must respect the layer map "
                    "(logical code reaches storage only via storage-api)")
 
     def applies_to(self, source):
@@ -45,8 +46,6 @@ def check_layering(sources, manifest):
     ``# prixlint: disable=layering`` on the anchored import line (or a
     file-level directive) silences the finding.
     """
-    if manifest is None:
-        return []
     by_module = {module_name_for(source.path): source for source in sources}
     graph = build_import_graph({
         name: collect_imports(
@@ -56,7 +55,7 @@ def check_layering(sources, manifest):
     findings = []
     for module, chain, edge in layering_violations(graph, manifest):
         layer = manifest.layer_of(module)
-        allowed = manifest.allowed_for(layer)
+        allowed = manifest.allowed[layer]
         source = by_module[module]
         finding = Finding(
             rule=LayeringRule.name, path=source.path, line=edge.lineno,

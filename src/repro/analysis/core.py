@@ -46,15 +46,6 @@ class Finding:
     def sort_key(self):
         return (self.path, self.line, self.col, self.rule)
 
-    @property
-    def baseline_key(self):
-        """Line-number-independent identity used by the baseline file.
-
-        Keyed on (rule, path, snippet) so a grandfathered finding stays
-        matched when unrelated edits shift it to a different line.
-        """
-        return (self.rule, self.path, self.snippet)
-
     def as_dict(self):
         return {"rule": self.rule, "path": self.path, "line": self.line,
                 "col": self.col, "message": self.message,

@@ -41,9 +41,7 @@ class NoRawIoRule(ImportTracker, Rule):
     ``guard.py`` (checksum-sidecar traffic, counted in ``guard_*``;
     see ``docs/ROBUSTNESS.md``).  Any other legitimate exception (e.g.
     the superblock sniff in ``prix/index.py``) must carry an explicit
-    ``# prixlint: disable=no-raw-io`` so reviewers see it.  These same
-    gateways seed the ``raw-io`` effect in the prixarch effect
-    inference (``docs/ARCHITECTURE.md``).
+    ``# prixlint: disable=no-raw-io``, visible where it is made.
     """
 
     name = "no-raw-io"

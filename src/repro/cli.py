@@ -72,17 +72,16 @@ def _cmd_build(args):
               f"worker(s), {report.elapsed_seconds:.2f} s)")
         return 0
 
-    index = PrixIndex.build(documents, options)
-    index.save()
-    if index.durable:
-        print(f"write-ahead log at {args.index}.wal")
-    if args.guard:
-        print(f"checksum sidecar at {args.index}.sum")
-    for variant in index.variants():
-        stats = index.trie_stats(variant)
-        print(f"  {variant}: {stats.node_count} trie nodes over "
-              f"{stats.total_sequence_length} sequence symbols")
-    index.close()
+    with PrixIndex.build(documents, options) as index:
+        index.save()
+        if index.durable:
+            print(f"write-ahead log at {args.index}.wal")
+        if args.guard:
+            print(f"checksum sidecar at {args.index}.sum")
+        for variant in index.variants():
+            stats = index.trie_stats(variant)
+            print(f"  {variant}: {stats.node_count} trie nodes over "
+                  f"{stats.total_sequence_length} sequence symbols")
     print(f"index written to {args.index}")
     return 0
 

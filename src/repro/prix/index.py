@@ -190,24 +190,31 @@ class PrixIndex:
             wal_sync=options.wal_sync, guard=options.guard,
             guard_path=options.guard_path,
             file_factory=options.file_factory)
-        superblock_id, _ = pool.new_page()   # reserved: page 0
-        assert superblock_id == 0
-        records = RecordStore(pool)
-        label_dict = LabelDict()
+        try:
+            superblock_id, _ = pool.new_page()   # reserved: page 0
+            assert superblock_id == 0
+            records = RecordStore(pool)
+            label_dict = LabelDict()
 
-        variants = {}
-        for name in options.variants:
-            variants[name] = cls._build_variant(
-                name, documents, options, pool, records, label_dict)
-        index = cls(pool, records, label_dict, variants, doc_ids,
-                    {key: getattr(options, key) for key in _LAYOUT_KEYS})
-        if options.durable:
-            # A durable build is one committed batch: persist the
-            # catalog and seal everything behind a COMMIT record so a
-            # crash from here on recovers the complete index, and a
-            # crash before this line recovers an empty one -- never a
-            # torn middle.
-            index.save()
+            variants = {}
+            for name in options.variants:
+                variants[name] = cls._build_variant(
+                    name, documents, options, pool, records, label_dict)
+            index = cls(pool, records, label_dict, variants, doc_ids,
+                        {key: getattr(options, key) for key in _LAYOUT_KEYS})
+            if options.durable:
+                # A durable build is one committed batch: persist the
+                # catalog and seal everything behind a COMMIT record so
+                # a crash from here on recovers the complete index, and
+                # a crash before this line recovers an empty one --
+                # never a torn middle.
+                index.save()
+        except BaseException:
+            # Nothing half-built is worth keeping: drop the handles and
+            # the files this build created, so a retry at the same path
+            # is not refused as a build over an existing file.
+            pool.discard()
+            raise
         return index
 
     # ------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 This module is the **storage-api** door through which the logical index
 layers (``repro.trie``, ``repro.prix``, ``repro.query``) reach the page
-substrate; the ``layering`` lint rule (``.prixarch.toml``) makes an
-import of ``repro.storage.pager`` or ``repro.storage.wal`` from those
-layers a finding with the witness import chain attached.
+substrate; the ``layering`` lint rule (layer map:
+``repro.analysis.arch.manifest.LAYERS``) makes an import of
+``repro.storage.pager`` or ``repro.storage.wal`` from those layers a
+finding with the witness import chain attached.
 
 :class:`FilePagerBackend` is the LRU ``BufferPool`` over the one
 :class:`~repro.storage.pager.Pager`, owning the WAL, the guard and the
@@ -65,6 +66,9 @@ class FilePagerBackend(BufferPool):
         super().__init__(pager, capacity)
         #: Backend family name ("file", "arena", "mmap") for diagnostics.
         self.kind = kind
+        #: Paths :func:`open_backend` created for this stack: what
+        #: :meth:`discard` takes back.
+        self.created = []
 
     @property
     def num_pages(self):
@@ -124,6 +128,17 @@ class FilePagerBackend(BufferPool):
             self._pager.sync()
             wal.close()
         self._pager.close()
+
+    def discard(self):
+        """Close every handle without writing anything back, then unlink
+        the files :func:`open_backend` created for this stack -- never
+        one that was there before it.  How a build that fails after the
+        wiring takes back what it made, so the retry is not refused as a
+        build over an existing file."""
+        if self._wal is not None:
+            self._wal.close()
+        self._pager.close()
+        unlink_files(self.created)
 
 
 def sidecar_paths(path, wal_path=None, guard_path=None):
@@ -208,6 +223,7 @@ def open_backend(path, page_size, pool_pages=None, kind="file",
                 over("guard", PageGuard.open, PageGuard, guard_path))
         backend = FilePagerBackend(
             pager, capacity=pool_pages or DEFAULT_POOL_PAGES, kind=kind)
+        backend.created = created       # the log, if any, joins it below
         if durable:
             backend.attach_wal(over(
                 "wal", WriteAheadLog.open, WriteAheadLog, wal_path,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 from repro.storage.errors import KeyNotFoundError, PageOverflowError
 
@@ -271,14 +272,18 @@ class BPlusTree:
     # ------------------------------------------------------------------
 
     def insert(self, key, value):
-        """Insert a ``(key, value)`` entry; duplicates are allowed."""
+        """Insert a ``(key, value)`` entry; duplicates are allowed.
+
+        All or nothing: what every node on the root-to-leaf path becomes
+        -- including which of them split, and where -- is worked out
+        before any page is allocated or written, so a
+        :class:`PageOverflowError` leaves the tree, the pool and the
+        pool's memoised nodes exactly as they were.
+        """
         if not isinstance(key, (bytes, bytearray)):
             raise TypeError("keys must be bytes (use repro.storage.codec)")
         if not isinstance(value, (bytes, bytearray)):
             raise TypeError("values must be bytes")
-        # Refuse before any node is touched: _insert_into edits the
-        # pool's memoised nodes in place, so an overflow found only when
-        # serialising would leave a half-applied split in the cache.
         needed = _HEADER.size + max(4 + len(key) + len(value),
                                     6 + len(key))  # leaf entry, separator
         if needed > self._page_size:
@@ -286,11 +291,66 @@ class BPlusTree:
                 f"an entry with a {len(key)}-byte key and a {len(value)}-"
                 f"byte value needs {needed} bytes but the page holds "
                 f"{self._page_size}")
-        split = self._insert_into(self._root_id, bytes(key), bytes(value))
-        if split is not None:
-            sep_key, right_id = split
+        key = bytes(key)
+        path = []       # (node, child index taken) from the root down
+        node = self._load(self._root_id)
+        while True:
+            idx = bisect_right(node.keys, key)
+            path.append((node, idx))
+            if node.is_leaf:
+                break
+            node = self._load(node.children[idx])
+
+        # Plan bottom-up.  ``payload`` is a leaf's values or an internal
+        # node's children; a split child's right sibling enters its
+        # parent as None until the apply step allocates its page.
+        plan = []
+        sep, item = key, bytes(value)
+        for node, idx in reversed(path):
+            keys = node.keys[:idx] + [sep] + node.keys[idx:]
+            if node.is_leaf:
+                payload = node.values[:idx] + [item] + node.values[idx:]
+            else:
+                payload = (node.children[:idx + 1] + [item]
+                           + node.children[idx + 1:])
+            cut = self._cut(node.is_leaf, keys, payload)
+            plan.append((node, idx, keys, payload, cut))
+            if cut is None:
+                break
+            sep, item = keys[cut], None
+
+        # Apply bottom-up: a split allocates its right sibling, then
+        # writes the left half and the right -- the page order existing
+        # index files were laid out in.
+        right_id = None
+        for node, idx, keys, payload, cut in plan:
+            if not node.is_leaf:
+                payload[idx + 1] = right_id
+            left = _Node(node.page_id, node.is_leaf)
+            if cut is None:
+                left.keys, left.next_leaf = keys, node.next_leaf
+                if node.is_leaf:
+                    left.values = payload
+                else:
+                    left.children = payload
+                self._save(left)
+                break
+            right_id = self._pool.new_page()[0]
+            right = _Node(right_id, node.is_leaf)
+            if node.is_leaf:
+                left.keys, left.values = keys[:cut], payload[:cut]
+                right.keys, right.values = keys[cut:], payload[cut:]
+                left.next_leaf, right.next_leaf = right_id, node.next_leaf
+            else:
+                # The cut key moves up; it does not remain in either child.
+                left.keys, left.children = keys[:cut], payload[:cut + 1]
+                right.keys, right.children = (keys[cut + 1:],
+                                              payload[cut + 1:])
+            self._save(left)
+            self._save(right)
+        else:
             new_root = _Node(self._pool.new_page()[0], is_leaf=False)
-            new_root.keys = [sep_key]
+            new_root.keys = [sep]
             new_root.children = [self._root_id, right_id]
             self._save(new_root)
             self._root_id = new_root.page_id
@@ -298,49 +358,39 @@ class BPlusTree:
         self._count += 1
         self._sync_meta()
 
-    def _insert_into(self, page_id, key, value):
-        """Insert beneath ``page_id``; return a (separator, right_id) split
-        descriptor when the node overflowed, else None."""
-        node = self._load(page_id)
-        if node.is_leaf:
-            idx = bisect_right(node.keys, key)
-            node.keys.insert(idx, key)
-            node.values.insert(idx, value)
-        else:
-            idx = bisect_right(node.keys, key)
-            split = self._insert_into(node.children[idx], key, value)
-            if split is None:
-                return None
-            sep_key, right_id = split
-            node.keys.insert(idx, sep_key)
-            node.children.insert(idx + 1, right_id)
-        if node.serialized_size() <= self._page_size:
-            self._save(node)
-            return None
-        return self._split(node)
+    def _cut(self, is_leaf, keys, payload):
+        """Where a node holding ``keys`` splits, or None if it fits a page.
 
-    def _split(self, node):
-        """Split an overflowing node in half; return (separator, right_id)."""
-        mid = len(node.keys) // 2
-        right = _Node(self._pool.new_page()[0], node.is_leaf)
-        if node.is_leaf:
-            right.keys = node.keys[mid:]
-            right.values = node.values[mid:]
-            right.next_leaf = node.next_leaf
-            node.keys = node.keys[:mid]
-            node.values = node.values[:mid]
-            node.next_leaf = right.page_id
-            separator = right.keys[0]
+        The cut is the index of the key that starts the right half of a
+        leaf, or moves up out of an internal node.  Halving by entry
+        count wins whenever both halves fit -- every layout that fitted
+        before uneven entries were handled is unchanged -- and otherwise
+        the byte-balanced cut among those that fit.  Raises
+        :class:`PageOverflowError` when no two-way split fits.
+        """
+        if is_leaf:
+            sizes = [4 + len(k) + len(v) for k, v in zip(keys, payload)]
         else:
-            # The middle key moves up; it does not remain in either child.
-            separator = node.keys[mid]
-            right.keys = node.keys[mid + 1:]
-            right.children = node.children[mid + 1:]
-            node.keys = node.keys[:mid]
-            node.children = node.children[:mid + 1]
-        self._save(node)
-        self._save(right)
-        return separator, right.page_id
+            sizes = [6 + len(k) for k in keys]
+        room = self._page_size - _HEADER.size
+        if sum(sizes) <= room:
+            return None
+        before = list(accumulate(sizes, initial=0))
+        moved = 0 if is_leaf else 1   # an internal cut key leaves both
+
+        def larger_half(cut):
+            return max(before[cut], before[-1] - before[cut + moved])
+
+        cuts = range(1, len(keys)) if is_leaf else range(len(keys))
+        fitting = [cut for cut in cuts if larger_half(cut) <= room]
+        if not fitting:
+            raise PageOverflowError(
+                f"no two-way split of a {'leaf' if is_leaf else 'internal'}"
+                f" node with entries of {sizes} bytes fits a "
+                f"{self._page_size}-byte page")
+        if len(keys) // 2 in fitting:
+            return len(keys) // 2
+        return min(fitting, key=larger_half)
 
     def delete(self, key, value=None):
         """Remove the first entry matching ``key`` (and ``value`` if given).

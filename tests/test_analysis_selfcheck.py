@@ -1,9 +1,10 @@
 """Self-check: the shipped tree must satisfy its own linter.
 
-This is the acceptance gate from the issue: ``prix lint src/repro``
-exits 0, the grandfather baseline covers the whole repository, and a
-deliberately introduced violation (raw ``open()`` in the storage layer,
-unseeded RNG in a dataset generator) makes the lint fail.
+This is the acceptance gate: ``prix lint src/repro benchmarks examples
+tests`` exits 0 -- nothing is grandfathered, so a finding anywhere is
+fixed or suppressed at its line -- and a deliberately introduced
+violation (raw ``open()`` in the storage layer, unseeded RNG in a
+dataset generator) makes the lint fail.
 """
 
 import ast
@@ -11,13 +12,14 @@ import re
 import shutil
 from pathlib import Path
 
-from repro.analysis import SourceFile, lint_paths, load_baseline, rules_by_name
+import pytest
+
+from repro.analysis import SourceFile, lint_paths, rules_by_name
 from repro.analysis.runner import iter_python_files
 from repro.cli import main as cli_main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
-BASELINE = REPO_ROOT / ".prixlint-baseline.json"
 FULL_TREE = [SRC, REPO_ROOT / "benchmarks", REPO_ROOT / "examples",
              REPO_ROOT / "tests"]
 
@@ -31,33 +33,39 @@ def offenders(pattern, paths):
             if pattern.search(line)]
 
 
+@pytest.fixture(scope="module")
+def full_tree():
+    """One lint of the whole tree, shared by the cleanliness checks."""
+    return lint_paths(FULL_TREE)
+
+
+def messages(findings, under):
+    """``path:line: rule: message`` of the findings under ``under``."""
+    return [f"{f.path}:{f.line}: {f.rule}: {f.message}" for f in findings
+            if under in Path(f.path).resolve().parents]
+
+
 class TestTreeIsClean:
-    def test_src_repro_is_clean_under_all_rules(self):
-        result = lint_paths([SRC])
-        messages = [f"{f.path}:{f.line}: {f.rule}: {f.message}"
-                    for f in result.findings]
-        assert result.findings == [], "\n".join(messages)
-        assert result.errors == []
-        assert result.files_checked > 50  # the whole package was seen
+    def test_src_repro_is_clean_under_all_rules(self, full_tree):
+        assert messages(full_tree.findings, SRC) == []
+        assert full_tree.errors == []
+        # the whole package was seen
+        assert len(list(iter_python_files([SRC]))) > 50
 
-    def test_benchmarks_and_examples_are_clean(self):
-        result = lint_paths([REPO_ROOT / "benchmarks",
-                             REPO_ROOT / "examples"])
-        messages = [f"{f.path}:{f.line}: {f.rule}" for f in result.findings]
-        assert result.findings == [], "\n".join(messages)
+    def test_benchmarks_and_examples_are_clean(self, full_tree):
+        for tree in ("benchmarks", "examples"):
+            assert messages(full_tree.findings, REPO_ROOT / tree) == []
 
-    def test_full_tree_clean_under_checked_in_baseline(self):
-        result = lint_paths(FULL_TREE, baseline=load_baseline(BASELINE))
-        messages = [f"{f.path}:{f.line}: {f.rule}" for f in result.findings]
-        assert result.findings == [], "\n".join(messages)
+    def test_full_tree_is_clean(self, full_tree):
+        """No baseline: every finding is fixed or suppressed at its line."""
+        assert messages(full_tree.findings, REPO_ROOT) == []
+        assert full_tree.exit_code == 0
 
-    def test_suppressions_and_baseline_name_only_shipped_rules(self):
-        """A directive or baseline entry for a rule that no longer
-        exists silences nothing and hides that the rule is gone."""
+    def test_suppressions_name_only_shipped_rules(self):
+        """A directive for a rule that no longer exists silences nothing
+        and hides that the rule is gone."""
         shipped = set(rules_by_name())
-        stale = sorted({f"{BASELINE.name}: {rule}"
-                        for rule, _, _ in load_baseline(BASELINE)
-                        if rule not in shipped})
+        stale = []
         for path in iter_python_files(FULL_TREE):
             source = SourceFile(path, path.read_text())
             named = set(source.file_suppressions).union(
@@ -65,6 +73,26 @@ class TestTreeIsClean:
             stale += [f"{path.relative_to(REPO_ROOT)}: {rule}"
                       for rule in sorted(named - shipped - {"all"})]
         assert stale == []
+
+
+class TestTheLinterHasNoConfiguration:
+    def test_no_config_files_and_no_toml_parsing(self):
+        """The layer map is a constant beside the rule and nothing is
+        grandfathered: no manifest, no baseline, no TOML reader."""
+        gone = [".prixarch.toml", ".prixlint-baseline.json",
+                "src/repro/analysis/baseline.py",
+                "src/repro/analysis/__main__.py"]
+        assert [name for name in gone if (REPO_ROOT / name).exists()] == []
+        config = re.compile(r"\btoml(lib|i)?\b|_parse_toml|prixarch\.toml|"
+                            r"prixlint-baseline|analysis\.baseline|"
+                            r"grandfather")
+        this_file = Path(__file__).resolve()
+        assert [f"{path}:{number}"
+                for path in iter_python_files(FULL_TREE)
+                if path.resolve() != this_file
+                for number, line in enumerate(
+                    path.read_text().splitlines(), start=1)
+                if config.search(line)] == []
 
 
 class TestIndexKindStaysBehindTheShardPackage:

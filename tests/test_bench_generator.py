@@ -15,16 +15,19 @@ class TestSampleTwig:
     def corpus(self):
         return dblp(60).documents
 
-    def test_sampled_twig_always_matches(self, corpus):
+    @pytest.fixture(scope="class")
+    def index(self, corpus):
+        with PrixIndex.build(corpus) as index:
+            yield index
+
+    def test_sampled_twig_always_matches(self, corpus, index):
         rng = random.Random(1)
-        index = PrixIndex.build(corpus)
         for _ in range(20):
             pattern = sample_twig(corpus, rng)
             assert len(index.query(pattern)) >= 1
 
-    def test_matches_oracle(self, corpus):
+    def test_matches_oracle(self, corpus, index):
         rng = random.Random(2)
-        index = PrixIndex.build(corpus)
         for _ in range(10):
             pattern = sample_twig(corpus, rng)
             got = {(m.doc_id, m.canonical) for m in index.query(pattern)}
@@ -32,9 +35,8 @@ class TestSampleTwig:
                     for emb in naive_matches(d, pattern)}
             assert got == want
 
-    def test_varied_selectivity(self, corpus):
+    def test_varied_selectivity(self, corpus, index):
         rng = random.Random(3)
-        index = PrixIndex.build(corpus)
         counts = {len(index.query(sample_twig(corpus, rng)))
                   for _ in range(30)}
         assert len(counts) >= 5  # genuinely varied cardinalities
@@ -42,10 +44,10 @@ class TestSampleTwig:
     def test_deep_corpus(self):
         docs = treebank(30).documents
         rng = random.Random(4)
-        index = PrixIndex.build(docs)
-        for _ in range(10):
-            pattern = sample_twig(docs, rng)
-            assert len(index.query(pattern)) >= 1
+        with PrixIndex.build(docs) as index:
+            for _ in range(10):
+                pattern = sample_twig(docs, rng)
+                assert len(index.query(pattern)) >= 1
 
     def test_deterministic_given_rng(self, corpus):
         first = sample_twig(corpus, random.Random(7)).nodes()

@@ -71,6 +71,21 @@ class TestBuild:
         assert main(["build", str(index_path)] + xml_files) == 0
         assert main(["query", str(index_path), "//book/author"]) == 0
 
+    def test_failed_build_leaves_nothing_that_blocks_the_retry(
+            self, tmp_path, xml_files, capsys):
+        """A build that fails after its files exist (a 400-character tag
+        outgrows a 256-byte page) takes them back with it."""
+        long_tag = tmp_path / "long.xml"
+        long_tag.write_text(f"<a><{'t' * 400}/></a>", encoding="utf-8")
+        index_path = str(tmp_path / "cli.idx")
+        flags = ["--page-size", "256", "--durable", "--guard"]
+        assert main(["build", index_path, str(long_tag)] + flags) == 1
+        assert "PageOverflowError" in capsys.readouterr().err
+        assert not any(path.name.startswith("cli.idx")
+                       for path in tmp_path.iterdir())
+        assert main(["build", index_path] + xml_files + flags) == 0
+        assert main(["query", index_path, "//book/author"]) == 0
+
 
 class TestQuery:
     def test_query_finds_matches(self, built_index, capsys):

@@ -91,6 +91,22 @@ class TestCheckerTable:
             == sorted(rules_by_name())
 
 
+class TestLayerTable:
+    def test_architecture_table_is_the_layer_map(self):
+        """docs/ARCHITECTURE.md tables the layer map once; its rows are
+        exactly ``LAYERS`` (prefixes) and ``ALLOWED`` (imports)."""
+        from repro.analysis.arch import ALLOWED, LAYERS
+        section = read("docs/ARCHITECTURE.md").split(
+            "## The layer map")[1].split("\n## ")[0]
+        rows = re.findall(r"^\| `([a-z-]+)` \| ([^|]+) \| ([^|]+) \|$",
+                          section, flags=re.MULTILINE)
+        assert {layer: tuple(re.findall(r"`([\w.]+)`", prefixes))
+                for layer, prefixes, _ in rows} == LAYERS
+        assert {layer: tuple(re.findall(r"`([\w-]+)`", allowed))
+                for layer, _, allowed in rows} == ALLOWED
+        assert len(rows) == len(LAYERS)
+
+
 class TestOptionTable:
     def test_readme_table_lists_exactly_the_index_options(self):
         """README states once which build options exist and which of

@@ -41,21 +41,20 @@ def reparsed_dblp():
 class TestSerializeReparseIndex:
     def test_reparsed_corpus_queries_identically(self, reparsed_dblp):
         original = dblp(80).documents
-        index_original = PrixIndex.build(original)
-        index_reparsed = PrixIndex.build(reparsed_dblp)
-        for xpath in EXTRA_QUERIES["dblp"]:
-            first = {(m.doc_id, m.canonical)
-                     for m in index_original.query(xpath)}
-            second = {(m.doc_id, m.canonical)
-                      for m in index_reparsed.query(xpath)}
-            assert first == second, xpath
+        with PrixIndex.build(original) as index_original, \
+                PrixIndex.build(reparsed_dblp) as index_reparsed:
+            for xpath in EXTRA_QUERIES["dblp"]:
+                first = {(m.doc_id, m.canonical)
+                         for m in index_original.query(xpath)}
+                second = {(m.doc_id, m.canonical)
+                          for m in index_reparsed.query(xpath)}
+                assert first == second, xpath
 
 
 @pytest.mark.parametrize("corpus_name", ["dblp", "treebank"])
 def test_four_way_consistency(corpus_name):
     corpus = (dblp(60) if corpus_name == "dblp" else treebank(50))
     docs = corpus.documents
-    prix = PrixIndex.build(docs)
     stream_pool = BufferPool(Pager.in_memory())
     streams = StreamSet.build(docs, stream_pool)
     xb_pool = BufferPool(Pager.in_memory())
@@ -63,21 +62,23 @@ def test_four_way_consistency(corpus_name):
     vist_pool = BufferPool(Pager.in_memory())
     vist = VistIndex.build(docs, vist_pool)
 
-    for xpath in EXTRA_QUERIES[corpus_name]:
-        pattern = parse_xpath(xpath)
-        oracle = {(d.doc_id, emb) for d in docs
-                  for emb in naive_matches(d, pattern)}
-        xpath_oracle = {(d.doc_id, emb) for d in docs
-                        for emb in naive_matches(d, pattern,
-                                                 semantics="xpath")}
-        got_prix = {(m.doc_id, m.canonical) for m in prix.query(pattern)}
-        assert got_prix == oracle, xpath
-        got_ts, _ = twig_stack(pattern, streams)
-        got_xb, _ = twig_stack_xb(pattern, forest)
-        assert got_ts == xpath_oracle, xpath
-        assert got_xb == xpath_oracle, xpath
-        vist_docs, _ = vist.query(pattern)
-        assert vist_docs >= {doc_id for doc_id, _ in oracle}, xpath
+    with PrixIndex.build(docs) as prix:
+        for xpath in EXTRA_QUERIES[corpus_name]:
+            pattern = parse_xpath(xpath)
+            oracle = {(d.doc_id, emb) for d in docs
+                      for emb in naive_matches(d, pattern)}
+            xpath_oracle = {(d.doc_id, emb) for d in docs
+                            for emb in naive_matches(d, pattern,
+                                                     semantics="xpath")}
+            got_prix = {(m.doc_id, m.canonical)
+                        for m in prix.query(pattern)}
+            assert got_prix == oracle, xpath
+            got_ts, _ = twig_stack(pattern, streams)
+            got_xb, _ = twig_stack_xb(pattern, forest)
+            assert got_ts == xpath_oracle, xpath
+            assert got_xb == xpath_oracle, xpath
+            vist_docs, _ = vist.query(pattern)
+            assert vist_docs >= {doc_id for doc_id, _ in oracle}, xpath
 
 
 class TestQualitativeClaims:
@@ -87,10 +88,10 @@ class TestQualitativeClaims:
         doc1, doc2 = fig1_docs
         from repro.datasets import figure1_query
         query = figure1_query()
-        prix = PrixIndex.build([doc1, doc2])
+        with PrixIndex.build([doc1, doc2]) as prix:
+            prix_docs = {m.doc_id for m in prix.query(query)}
         vist_pool = BufferPool(Pager.in_memory())
         vist = VistIndex.build([doc1, doc2], vist_pool)
-        prix_docs = {m.doc_id for m in prix.query(query)}
         vist_docs, _ = vist.query(query)
         assert prix_docs == {1}
         assert vist_docs == {1, 2}
@@ -99,17 +100,17 @@ class TestQualitativeClaims:
         """PRIX's worst-case bound: total trie nodes never exceed total
         sequence length (= total tree nodes)."""
         corpus = dblp(100)
-        index = PrixIndex.build(corpus.documents)
         total_nodes = sum(doc.size for doc in corpus.documents)
-        for variant in index.variants():
-            stats = index.trie_stats(variant)
-            assert stats.node_count <= 2 * total_nodes
+        with PrixIndex.build(corpus.documents) as index:
+            for variant in index.variants():
+                stats = index.trie_stats(variant)
+                assert stats.node_count <= 2 * total_nodes
 
     def test_trie_sharing_on_similar_documents(self):
         """Section 6.4.2: similar DBLP structure shares trie paths."""
         corpus = dblp(300)
-        index = PrixIndex.build(corpus.documents)
-        stats = index.trie_stats("rp")
+        with PrixIndex.build(corpus.documents) as index:
+            stats = index.trie_stats("rp")
         assert stats.max_path_sharing > 10
         assert stats.node_count < stats.total_sequence_length / 4
 
@@ -117,11 +118,11 @@ class TestQualitativeClaims:
         """Q7-style wildcard query over recursive tags: PRIX issues far
         fewer range queries than ViST (Section 6.4.1)."""
         corpus = treebank(80)
-        prix = PrixIndex.build(corpus.documents)
+        pattern = parse_xpath("//S//NP/SYM")
+        with PrixIndex.build(corpus.documents) as prix:
+            _, prix_stats = prix.query_with_stats(pattern, variant="rp")
         vist_pool = BufferPool(Pager.in_memory())
         vist = VistIndex.build(corpus.documents, vist_pool)
-        pattern = parse_xpath("//S//NP/SYM")
-        _, prix_stats = prix.query_with_stats(pattern, variant="rp")
         _, vist_stats = vist.query(pattern)
         assert prix_stats.filter.range_queries < vist_stats.range_queries
 
@@ -129,8 +130,8 @@ class TestQualitativeClaims:
         """Section 5.6: EPIndex explores fewer trie paths than RPIndex
         for highly selective value queries."""
         corpus = dblp(200)
-        index = PrixIndex.build(corpus.documents)
         pattern = parse_xpath('//title[text()="Semantic Analysis Patterns"]')
-        _, ep_stats = index.query_with_stats(pattern, variant="ep")
-        _, rp_stats = index.query_with_stats(pattern, variant="rp")
+        with PrixIndex.build(corpus.documents) as index:
+            _, ep_stats = index.query_with_stats(pattern, variant="ep")
+            _, rp_stats = index.query_with_stats(pattern, variant="rp")
         assert ep_stats.filter.nodes_visited <= rp_stats.filter.nodes_visited

@@ -76,15 +76,16 @@ class TestSubsequenceMatching:
 class TestMaxGapPruning:
     def test_no_false_dismissals(self, tiny_dblp):
         """Theorem 4: pruning never changes the final answer."""
-        index = PrixIndex.build(tiny_dblp.documents)
-        for xpath in ('//inproceedings[./author="Jim Gray"][./year="1990"]',
-                      "//www[./editor]/url",
-                      "//inproceedings/author"):
-            pattern = parse_xpath(xpath)
-            with_pruning = index.query(pattern, use_maxgap=True)
-            without = index.query(pattern, use_maxgap=False)
-            assert {m.canonical for m in with_pruning} == \
-                {m.canonical for m in without}
+        with PrixIndex.build(tiny_dblp.documents) as index:
+            for xpath in ('//inproceedings[./author="Jim Gray"]'
+                          '[./year="1990"]',
+                          "//www[./editor]/url",
+                          "//inproceedings/author"):
+                pattern = parse_xpath(xpath)
+                with_pruning = index.query(pattern, use_maxgap=True)
+                without = index.query(pattern, use_maxgap=False)
+                assert {m.canonical for m in with_pruning} == \
+                    {m.canonical for m in without}
 
     def test_pruning_reduces_work(self, tiny_treebank):
         index = PrixIndex.build(tiny_treebank.documents)

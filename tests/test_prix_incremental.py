@@ -47,14 +47,14 @@ class TestInsertBasics:
         assert len(index.query("//a/b")) == 2
 
     def test_duplicate_id_rejected(self):
-        index = PrixIndex.build(docs_from(["<a><b/></a>"]), DYNAMIC)
-        with pytest.raises(ValueError):
-            index.insert_document(parse_document("<c><d/></c>", 1))
+        with PrixIndex.build(docs_from(["<a><b/></a>"]), DYNAMIC) as index:
+            with pytest.raises(ValueError):
+                index.insert_document(parse_document("<c><d/></c>", 1))
 
     def test_doc_count_grows(self):
-        index = PrixIndex.build(docs_from(["<a><b/></a>"]), DYNAMIC)
-        index.insert_document(parse_document("<a><c/></a>", 2))
-        assert index.doc_count == 2
+        with PrixIndex.build(docs_from(["<a><b/></a>"]), DYNAMIC) as index:
+            index.insert_document(parse_document("<a><c/></a>", 2))
+            assert index.doc_count == 2
 
     def test_value_queries_after_insert(self):
         index = PrixIndex.build(
@@ -69,61 +69,62 @@ class TestIncrementalEqualsBatch:
         rng = random.Random(7)
         all_docs = [Document(make_random_tree(rng, max_nodes=12),
                              doc_id=i + 1) for i in range(20)]
-        incremental = PrixIndex.build(all_docs[:10], DYNAMIC)
-        for document in all_docs[10:]:
-            incremental.insert_document(document)
-        batch = PrixIndex.build(all_docs, DYNAMIC)
-
         rng2 = random.Random(8)
         from helpers import make_random_twig
-        for _ in range(15):
-            pattern = make_random_twig(rng2)
-            for variant in ("rp", "ep"):
-                got = {(m.doc_id, m.canonical) for m in
-                       incremental.query(pattern, variant=variant)}
-                want = {(m.doc_id, m.canonical) for m in
-                        batch.query(pattern, variant=variant)}
-                assert got == want
-                oracle = {(d.doc_id, emb) for d in all_docs
-                          for emb in naive_matches(d, pattern)}
-                assert got == oracle
+        with PrixIndex.build(all_docs[:10], DYNAMIC) as incremental, \
+                PrixIndex.build(all_docs, DYNAMIC) as batch:
+            for document in all_docs[10:]:
+                incremental.insert_document(document)
+            for _ in range(15):
+                pattern = make_random_twig(rng2)
+                for variant in ("rp", "ep"):
+                    got = {(m.doc_id, m.canonical) for m in
+                           incremental.query(pattern, variant=variant)}
+                    want = {(m.doc_id, m.canonical) for m in
+                            batch.query(pattern, variant=variant)}
+                    assert got == want
+                    oracle = {(d.doc_id, emb) for d in all_docs
+                              for emb in naive_matches(d, pattern)}
+                    assert got == oracle
 
     def test_maxgap_still_lossless_after_inserts(self):
         rng = random.Random(9)
         docs = [Document(make_random_tree(rng, max_nodes=10),
                          doc_id=i + 1) for i in range(6)]
-        index = PrixIndex.build(docs[:3], DYNAMIC)
-        for document in docs[3:]:
-            index.insert_document(document)
         pattern = parse_xpath("//a//b")
-        with_pruning = {(m.doc_id, m.canonical)
-                        for m in index.query(pattern, use_maxgap=True)}
-        without = {(m.doc_id, m.canonical)
-                   for m in index.query(pattern, use_maxgap=False)}
+        with PrixIndex.build(docs[:3], DYNAMIC) as index:
+            for document in docs[3:]:
+                index.insert_document(document)
+            with_pruning = {(m.doc_id, m.canonical)
+                            for m in index.query(pattern, use_maxgap=True)}
+            without = {(m.doc_id, m.canonical)
+                       for m in index.query(pattern, use_maxgap=False)}
         assert with_pruning == without
 
 
 class TestUnderflowAndRebuild:
     def test_bulk_labeled_index_rejects_new_paths(self):
-        index = PrixIndex.build(docs_from(["<a><b/></a>"]))  # bulk labels
-        with pytest.raises(RebuildRequiredError):
-            index.insert_document(parse_document("<x><y/></x>", 2))
+        # bulk labels: gap-free ranges leave no room for a new path
+        with PrixIndex.build(docs_from(["<a><b/></a>"])) as index:
+            with pytest.raises(RebuildRequiredError):
+                index.insert_document(parse_document("<x><y/></x>", 2))
 
     def test_rebuild_recovers_all_documents(self):
-        index = PrixIndex.build(docs_from(["<a><b/></a>"]))
-        with pytest.raises(RebuildRequiredError):
-            index.insert_document(parse_document("<x><y/></x>", 2))
-        fresh = index.rebuilt()
-        assert fresh.doc_count == 2
-        assert len(fresh.query("//x/y")) == 1
-        assert len(fresh.query("//a/b")) == 1
+        with PrixIndex.build(docs_from(["<a><b/></a>"])) as index:
+            with pytest.raises(RebuildRequiredError):
+                index.insert_document(parse_document("<x><y/></x>", 2))
+            fresh = index.rebuilt()
+        with fresh:
+            assert fresh.doc_count == 2
+            assert len(fresh.query("//x/y")) == 1
+            assert len(fresh.query("//a/b")) == 1
 
     def test_export_documents_roundtrip(self):
         texts = ["<a k=\"1\"><b>hi</b><c/></a>", "<d><e><f/></e></d>"]
-        index = PrixIndex.build(docs_from(texts), DYNAMIC)
         from repro.xmlkit.tree import same_tree
         originals = docs_from(texts)
-        exported = index.export_documents()
+        with PrixIndex.build(docs_from(texts), DYNAMIC) as index:
+            exported = index.export_documents()
         for original, restored in zip(originals, exported):
             assert same_tree(original.root, restored.root)
 

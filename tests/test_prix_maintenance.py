@@ -15,32 +15,32 @@ def docs_from(texts):
 
 class TestDeleteDocument:
     def test_deleted_document_vanishes_from_results(self):
-        index = PrixIndex.build(docs_from(
-            ["<a><b/></a>", "<a><b/></a>", "<a><c/></a>"]))
-        index.delete_document(2)
-        docs = {m.doc_id for m in index.query("//a/b")}
-        assert docs == {1}
-        assert index.doc_count == 2
+        with PrixIndex.build(docs_from(
+                ["<a><b/></a>", "<a><b/></a>", "<a><c/></a>"])) as index:
+            index.delete_document(2)
+            docs = {m.doc_id for m in index.query("//a/b")}
+            assert docs == {1}
+            assert index.doc_count == 2
 
     def test_delete_then_rebuild_compacts(self):
-        index = PrixIndex.build(docs_from(
-            ["<a><b/></a>", "<x><y/></x>"]))
-        index.delete_document(2)
-        fresh = index.rebuilt()
-        assert fresh.doc_count == 1
-        assert fresh.query("//x/y") == []
-        assert len(fresh.query("//a/b")) == 1
+        with PrixIndex.build(docs_from(
+                ["<a><b/></a>", "<x><y/></x>"])) as index:
+            index.delete_document(2)
+            fresh = index.rebuilt()
+        with fresh:
+            assert fresh.doc_count == 1
+            assert fresh.query("//x/y") == []
+            assert len(fresh.query("//a/b")) == 1
 
     def test_delete_unknown_raises(self):
-        index = PrixIndex.build(docs_from(["<a><b/></a>"]))
-        with pytest.raises(KeyError):
-            index.delete_document(9)
+        with PrixIndex.build(docs_from(["<a><b/></a>"])) as index:
+            with pytest.raises(KeyError):
+                index.delete_document(9)
 
     def test_shared_trie_path_other_docs_unaffected(self):
-        index = PrixIndex.build(docs_from(
-            ["<a><b/></a>"] * 5))
-        index.delete_document(3)
-        assert {m.doc_id for m in index.query("//a/b")} == {1, 2, 4, 5}
+        with PrixIndex.build(docs_from(["<a><b/></a>"] * 5)) as index:
+            index.delete_document(3)
+            assert {m.doc_id for m in index.query("//a/b")} == {1, 2, 4, 5}
 
     def test_delete_then_insert_same_id(self):
         options = IndexOptions(labeler="dynamic")
@@ -51,13 +51,13 @@ class TestDeleteDocument:
         assert len(index.query("//a/c")) == 1
 
     def test_maxgap_remains_sound_after_delete(self):
-        index = PrixIndex.build(docs_from(
-            ["<a><b/><b/><b/></a>", "<a><b/></a>"]))
-        index.delete_document(1)  # the wide-gap document
-        with_pruning = {m.canonical
-                        for m in index.query("//a/b", use_maxgap=True)}
-        without = {m.canonical
-                   for m in index.query("//a/b", use_maxgap=False)}
+        with PrixIndex.build(docs_from(
+                ["<a><b/><b/><b/></a>", "<a><b/></a>"])) as index:
+            index.delete_document(1)  # the wide-gap document
+            with_pruning = {m.canonical
+                            for m in index.query("//a/b", use_maxgap=True)}
+            without = {m.canonical
+                       for m in index.query("//a/b", use_maxgap=False)}
         assert with_pruning == without
 
 
@@ -98,8 +98,9 @@ class TestSplitDocuments:
 class TestExplain:
     @pytest.fixture()
     def index(self):
-        return PrixIndex.build(docs_from(
-            ["<a><b>x</b><c/></a>", "<a><b>y</b></a>"]))
+        with PrixIndex.build(docs_from(
+                ["<a><b>x</b><c/></a>", "<a><b>y</b></a>"])) as index:
+            yield index
 
     def test_value_query_explanation(self, index):
         text = explain(index, '//a[./b="x"]')

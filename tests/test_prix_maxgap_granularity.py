@@ -38,18 +38,18 @@ class TestGranularityCorrectness:
         rng = random.Random(42)
         docs = [Document(make_random_tree(rng, max_nodes=18),
                          doc_id=i + 1) for i in range(5)]
-        index = PrixIndex.build(docs)
-        for _ in range(10):
-            pattern = make_random_twig(rng)
-            label = {(m.doc_id, m.canonical)
-                     for m in index.query(pattern, strategy="trie",
-                                          maxgap_granularity="label")}
-            node = {(m.doc_id, m.canonical)
-                    for m in index.query(pattern, strategy="trie",
-                                         maxgap_granularity="node")}
-            oracle = {(d.doc_id, emb) for d in docs
-                      for emb in naive_matches(d, pattern)}
-            assert label == node == oracle
+        with PrixIndex.build(docs) as index:
+            for _ in range(10):
+                pattern = make_random_twig(rng)
+                label = {(m.doc_id, m.canonical)
+                         for m in index.query(pattern, strategy="trie",
+                                              maxgap_granularity="label")}
+                node = {(m.doc_id, m.canonical)
+                        for m in index.query(pattern, strategy="trie",
+                                             maxgap_granularity="node")}
+                oracle = {(d.doc_id, emb) for d in docs
+                          for emb in naive_matches(d, pattern)}
+                assert label == node == oracle
 
     def test_node_granularity_prunes_at_least_as_hard(self):
         # One narrow document and one wide one sharing labels: the
@@ -71,16 +71,17 @@ class TestGranularityCorrectness:
 class TestIncrementalGapWidening:
     def test_insert_widens_node_gap(self):
         options = IndexOptions(labeler="dynamic")
-        index = PrixIndex.build(
-            [parse_document("<r><a><b/><c/></a></r>", 1)], options)
         # The new document shares the trie prefix but has a much wider
         # sibling span; pruning with per-node gaps must still find it.
         wide_inner = "".join(f"<f{i}><g/></f{i}>" for i in range(6))
-        index.insert_document(parse_document(
-            f"<r><a><b/>{wide_inner}<c/></a></r>", 2))
         pattern = parse_xpath("//a[./b][./c]")
-        matches = index.query(pattern, strategy="trie",
-                              maxgap_granularity="node")
+        with PrixIndex.build(
+                [parse_document("<r><a><b/><c/></a></r>", 1)],
+                options) as index:
+            index.insert_document(parse_document(
+                f"<r><a><b/>{wide_inner}<c/></a></r>", 2))
+            matches = index.query(pattern, strategy="trie",
+                                  maxgap_granularity="node")
         assert {m.doc_id for m in matches} == {1, 2}
 
     def test_incremental_matches_batch_with_node_granularity(self):
@@ -88,17 +89,17 @@ class TestIncrementalGapWidening:
         docs = [Document(make_random_tree(rng, max_nodes=12),
                          doc_id=i + 1) for i in range(10)]
         options = IndexOptions(labeler="dynamic")
-        incremental = PrixIndex.build(docs[:5], options)
-        for document in docs[5:]:
-            incremental.insert_document(document)
-        batch = PrixIndex.build(docs, options)
-        for _ in range(8):
-            pattern = make_random_twig(rng)
-            got = {(m.doc_id, m.canonical)
-                   for m in incremental.query(
-                       pattern, strategy="trie",
-                       maxgap_granularity="node")}
-            want = {(m.doc_id, m.canonical)
-                    for m in batch.query(pattern, strategy="trie",
-                                         maxgap_granularity="node")}
-            assert got == want
+        with PrixIndex.build(docs[:5], options) as incremental, \
+                PrixIndex.build(docs, options) as batch:
+            for document in docs[5:]:
+                incremental.insert_document(document)
+            for _ in range(8):
+                pattern = make_random_twig(rng)
+                got = {(m.doc_id, m.canonical)
+                       for m in incremental.query(
+                           pattern, strategy="trie",
+                           maxgap_granularity="node")}
+                want = {(m.doc_id, m.canonical)
+                        for m in batch.query(pattern, strategy="trie",
+                                             maxgap_granularity="node")}
+                assert got == want

@@ -141,8 +141,8 @@ class TestWildcardRefinement:
         # C closes at its own deletion (position 3? node 3 at position 3
         # would be the C itself) -- use the engine-level test instead:
         from repro.prix.index import PrixIndex
-        index = PrixIndex.build([fig2_doc])
-        matches = index.query(parse_xpath("//A//C/D"), variant="rp")
+        with PrixIndex.build([fig2_doc]) as index:
+            matches = index.query(parse_xpath("//A//C/D"), variant="rp")
         images = {m.canonical for m in matches}
         # C/D pairs under an A ancestor: (3,2), (6,4) under roots 15;
         # also under the inner A (15 is root; node 9 C has child F only).
@@ -151,14 +151,14 @@ class TestWildcardRefinement:
     def test_star_exact_depth(self, fig2_doc):
         from repro.baselines.naive import naive_matches
         from repro.prix.index import PrixIndex
-        index = PrixIndex.build([fig2_doc])
         # A/*/*/D: D at depth exactly 3 below A -- the B/C/D chains land
         # on leaves (D,2) and (D,4); no D sits at depth 2, so //A/*/D is
         # empty.  Both agree with the oracle.
-        empty = index.query(parse_xpath("//A/*/D"), variant="rp")
+        with PrixIndex.build([fig2_doc]) as index:
+            empty = index.query(parse_xpath("//A/*/D"), variant="rp")
+            matches = index.query(parse_xpath("//A/*/*/D"), variant="rp")
         assert empty == []
         assert not naive_matches(fig2_doc, parse_xpath("//A/*/D"))
-        matches = index.query(parse_xpath("//A/*/*/D"), variant="rp")
         got = {m.canonical for m in matches}
         want = naive_matches(fig2_doc, parse_xpath("//A/*/*/D"))
         assert got == want
@@ -167,7 +167,7 @@ class TestWildcardRefinement:
 
     def test_double_slash_leaf(self, fig2_doc):
         from repro.prix.index import PrixIndex
-        index = PrixIndex.build([fig2_doc])
-        matches = index.query(parse_xpath("//B//D"), variant="rp")
+        with PrixIndex.build([fig2_doc]) as index:
+            matches = index.query(parse_xpath("//B//D"), variant="rp")
         leaf_images = sorted(m.images[1][1] for m in matches)
         assert leaf_images == [2, 4]

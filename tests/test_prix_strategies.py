@@ -33,10 +33,15 @@ def corpus():
             for i in range(6)]
 
 
+@pytest.fixture(scope="module")
+def index(corpus):
+    with PrixIndex.build(corpus) as index:
+        yield index
+
+
 class TestStrategyEquivalence:
     @pytest.mark.parametrize("variant", ["rp", "ep"])
-    def test_forced_strategies_agree(self, corpus, variant):
-        index = PrixIndex.build(corpus)
+    def test_forced_strategies_agree(self, index, variant):
         rng = random.Random(99)
         for _ in range(12):
             pattern = make_random_twig(rng)
@@ -48,8 +53,7 @@ class TestStrategyEquivalence:
                                              strategy="document")}
             assert trie == document
 
-    def test_auto_matches_oracle(self, corpus):
-        index = PrixIndex.build(corpus)
+    def test_auto_matches_oracle(self, corpus, index):
         rng = random.Random(100)
         for _ in range(12):
             pattern = make_random_twig(rng)
@@ -59,8 +63,7 @@ class TestStrategyEquivalence:
                     for emb in naive_matches(d, pattern)}
             assert got == want
 
-    def test_ordered_mode_consistent(self, corpus):
-        index = PrixIndex.build(corpus)
+    def test_ordered_mode_consistent(self, index):
         pattern = parse_xpath("//a[./b]/c")
         trie = {(m.doc_id, m.canonical)
                 for m in index.query(pattern, ordered=True,
@@ -93,8 +96,7 @@ class TestStrategySelection:
         # Every document contains the labels: fallback must not engage.
         assert stats.strategy == "trie"
 
-    def test_stats_report_strategy(self, corpus):
-        index = PrixIndex.build(corpus)
+    def test_stats_report_strategy(self, index):
         _, stats = index.query_with_stats("//a/b", strategy="trie")
         assert stats.strategy == "trie"
         _, stats = index.query_with_stats("//a/b", strategy="document")
@@ -126,9 +128,8 @@ class TestStrategySelection:
 
 class TestDocumentEnumerator:
     def test_positions_match_labels(self, fig2_doc):
-        index = PrixIndex.build([fig2_doc])
-        variant = index._variants["rp"]
-        view = index._view_loader(variant)(1)
+        with PrixIndex.build([fig2_doc]) as index:
+            view = index._view_loader(index._variants["rp"])(1)
         lps_seq = _document_lps(view)
         assert lps_seq == list("ACBCCBACAEEEDA")
 
@@ -145,8 +146,8 @@ class TestDocumentEnumerator:
                        for p, label in zip(positions, plan.qlps))
 
     def test_absent_label_short_circuits(self, fig2_doc):
-        index = PrixIndex.build([fig2_doc])
-        view = index._view_loader(index._variants["rp"])(1)
+        with PrixIndex.build([fig2_doc]) as index:
+            view = index._view_loader(index._variants["rp"])(1)
         lps_seq = _document_lps(view)
         plan = build_plan(collapse(parse_xpath("//ZZZ/A")), extended=False)
         stats = FilterStats()

@@ -58,51 +58,50 @@ def test_xpath_parser_never_crashes_unexpectedly(query):
 
 class TestDegenerateDocuments:
     def test_single_node_corpus(self):
-        index = PrixIndex.build([Document(element("only"), doc_id=1)])
         # A one-node document can never contain a (>=2 node) twig.
-        assert index.query("//only/x") == []
+        with PrixIndex.build([Document(element("only"), doc_id=1)]) as index:
+            assert index.query("//only/x") == []
 
     def test_very_deep_document(self):
         root = element("d")
         node = root
         for _ in range(3000):
             node = node.append(element("d"))
-        index = PrixIndex.build([Document(root, doc_id=1)])
-        matches = index.query("//d/d/d")
-        assert len(matches) == 2999
+        with PrixIndex.build([Document(root, doc_id=1)]) as index:
+            assert len(index.query("//d/d/d")) == 2999
 
     def test_very_wide_document(self):
         root = element("w")
         for _ in range(5000):
             root.append(element("c"))
-        index = PrixIndex.build([Document(root, doc_id=1)])
-        assert len(index.query("//w/c")) == 5000
+        with PrixIndex.build([Document(root, doc_id=1)]) as index:
+            assert len(index.query("//w/c")) == 5000
 
     def test_unicode_tags_and_values(self):
         text = "<répertoire><naïve>早安 — ¡hola!</naïve></répertoire>"
         document = parse_document(text, 1)
-        index = PrixIndex.build([document])
-        matches = index.query('//naïve[text()="早安 — ¡hola!"]')
-        assert len(matches) == 1
+        with PrixIndex.build([document]) as index:
+            assert len(index.query('//naïve[text()="早安 — ¡hola!"]')) == 1
 
     def test_identical_documents(self):
         docs = [parse_document("<a><b/></a>", doc_id=i + 1)
                 for i in range(50)]
-        index = PrixIndex.build(docs)
-        assert len(index.query("//a/b")) == 50
-        assert index.trie_stats("rp").max_path_sharing == 50
+        with PrixIndex.build(docs) as index:
+            assert len(index.query("//a/b")) == 50
+            assert index.trie_stats("rp").max_path_sharing == 50
 
     def test_long_text_values(self):
         blob = "x" * 20000
         document = parse_document(f"<a><b>{blob}</b></a>", 1)
-        index = PrixIndex.build([document])
-        assert len(index.query(f'//a[./b="{blob}"]')) == 1
+        with PrixIndex.build([document]) as index:
+            assert len(index.query(f'//a[./b="{blob}"]')) == 1
 
 
 class TestQueryEdgeCases:
     @pytest.fixture(scope="class")
     def index(self):
-        return PrixIndex.build([parse_document("<a><b>x</b></a>", 1)])
+        with PrixIndex.build([parse_document("<a><b>x</b></a>", 1)]) as index:
+            yield index
 
     def test_label_absent_from_corpus(self, index):
         assert index.query("//zzz/yyy") == []

@@ -19,12 +19,12 @@ import pytest
 from repro.datasets import dblp
 from repro.prix.index import IndexOptions, PrixIndex
 from repro.storage.backend import FilePagerBackend, open_backend
-from repro.storage.errors import (ReadOnlyBackendError, StorageError,
-                                  WalCorruptionError, WalError)
+from repro.storage.errors import (PageOverflowError, ReadOnlyBackendError,
+                                  StorageError, WalCorruptionError, WalError)
 from repro.storage.guard import PageGuard
 from repro.storage.pager import Pager
 from repro.storage.wal import WriteAheadLog
-from repro.xmlkit.tree import Document
+from repro.xmlkit.tree import Document, element
 
 QUERIES = ['//inproceedings[./author="Jim Gray"][./year="1990"]',
            "//www[./editor]/url",
@@ -366,6 +366,23 @@ class TestOpenBackendKinds:
                 PrixIndex.build(documents, options(256))
         assert os.listdir(tmp_path) == ["new.idx.wal"]   # ours, untouched
         with PrixIndex.build(documents, options(1024)) as index:
+            assert index.doc_count == 12
+
+    def test_build_failing_after_the_wiring_unlinks_what_it_created(
+            self, tmp_path):
+        """The build gets past ``open_backend`` and then fails: a 400-byte
+        label outgrows a 256-byte page.  Its handles are closed and its
+        three files unlinked, so the same path builds on the retry."""
+        path = str(tmp_path / "long.idx")
+        options = IndexOptions(path=path, durable=True, guard=True,
+                               page_size=256)
+        with no_leaked_handles():
+            with pytest.raises(PageOverflowError):
+                PrixIndex.build(
+                    [Document(element("a", element("t" * 400)), doc_id=1)],
+                    options)
+        assert os.listdir(tmp_path) == []
+        with PrixIndex.build(dblp(12).documents, options) as index:
             assert index.doc_count == 12
 
     def test_refused_open_keeps_files_that_were_there(self, tmp_path):

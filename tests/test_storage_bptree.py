@@ -92,10 +92,9 @@ class TestSplitsAndGrowth:
     ], ids=["key", "value", "separator"])
     def test_oversize_entry_rejected_before_any_node_changes(self, key,
                                                              value):
-        # _insert_into edits the pool's memoised nodes in place; an
-        # overflow noticed only at serialisation left a half-applied
-        # split in the decoded cache (phantom key, real keys missing)
-        # until the page happened to be evicted.
+        # An overflow noticed only at serialisation would leave a
+        # half-applied split in the decoded cache (phantom key, real
+        # keys missing) until the page happened to be evicted.
         tree, pool = make_tree(page_size=256)
         for i in range(40):
             tree.insert(b"k%03d" % i, b"v")
@@ -104,6 +103,37 @@ class TestSplitsAndGrowth:
             tree.insert(key, value)
         assert list(tree.items()) == before
         assert len(tree) == len(before) == 40
+        pool.flush_and_clear()
+        assert list(tree.items()) == before
+        tree.check_invariants()
+
+    def test_uneven_entries_split_at_a_byte_balanced_point(self):
+        # Halving c, d, e by count puts d and e (257 bytes) on one
+        # 256-byte page, so the leaf must split as [c d | e].
+        tree, _ = make_tree(page_size=256)
+        entries = [(b"a", 10), (b"b", 10), (b"c", 110), (b"d", 120),
+                   (b"e", 120)]
+        for key, size in entries:
+            tree.insert(key, b"v" * size)
+        assert [key for key, _ in tree.items()] == [b"a", b"b", b"c",
+                                                    b"d", b"e"]
+        assert len(tree) == 5
+        tree.check_invariants()
+
+    def test_entry_no_two_way_split_fits_changes_nothing(self):
+        # [a, b, c] with b alone filling a page: neither [a | b c] nor
+        # [a b | c] fits, so the insert is refused -- before any page
+        # is allocated or any memoised node edited.
+        pager = Pager.in_memory(page_size=256)
+        pool = BufferPool(pager, capacity=64)
+        tree = BPlusTree.create(pool)
+        tree.insert(b"a", b"v" * 119)
+        tree.insert(b"c", b"v" * 119)
+        before, pages = list(tree.items()), pager.num_pages
+        with pytest.raises(PageOverflowError):
+            tree.insert(b"b", b"v" * 244)
+        assert list(tree.items()) == before
+        assert (len(tree), pager.num_pages) == (2, pages)
         pool.flush_and_clear()
         assert list(tree.items()) == before
         tree.check_invariants()

@@ -49,16 +49,16 @@ class TestEndToEnd:
     def test_prix_matches_long_values(self):
         docs = [parse_document(f"<a><b>{LONG_A}</b></a>", 1),
                 parse_document(f"<a><b>{LONG_B}</b></a>", 2)]
-        index = PrixIndex.build(docs)
-        matches = index.query(parse_xpath(f'//a[./b="{LONG_A}"]'))
+        with PrixIndex.build(docs) as index:
+            matches = index.query(parse_xpath(f'//a[./b="{LONG_A}"]'))
         assert {m.doc_id for m in matches} == {1}
 
     def test_both_variants_agree(self):
         docs = [parse_document(f"<a><b>{LONG_A}</b></a>", 1)]
-        index = PrixIndex.build(docs)
         pattern = parse_xpath(f'//a[./b="{LONG_A}"]')
-        assert len(index.query(pattern, variant="rp")) == 1
-        assert len(index.query(pattern, variant="ep")) == 1
+        with PrixIndex.build(docs) as index:
+            assert len(index.query(pattern, variant="rp")) == 1
+            assert len(index.query(pattern, variant="ep")) == 1
 
     def test_twigstack_matches_long_values(self):
         docs = [parse_document(f"<a><b>{LONG_A}</b></a>", 1),
@@ -71,6 +71,6 @@ class TestEndToEnd:
 
     def test_rebuild_preserves_long_value_queries(self):
         docs = [parse_document(f"<a><b>{LONG_A}</b></a>", 1)]
-        index = PrixIndex.build(docs)
-        fresh = index.rebuilt()
-        assert len(fresh.query(parse_xpath(f'//a[./b="{LONG_A}"]'))) == 1
+        with PrixIndex.build(docs) as index, index.rebuilt() as fresh:
+            assert len(fresh.query(
+                parse_xpath(f'//a[./b="{LONG_A}"]'))) == 1
