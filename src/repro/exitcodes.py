@@ -39,7 +39,6 @@ EXIT_CODES = {
     "budget-exhausted": EXIT_ERROR,
     "over-capacity": EXIT_ERROR,
     "draining": EXIT_ERROR,
-    "circuit-open": EXIT_ERROR,
     "corruption": EXIT_CORRUPTION,
     "internal": EXIT_ERROR,
 }

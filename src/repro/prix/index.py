@@ -494,7 +494,7 @@ class PrixIndex:
     @classmethod
     def open(cls, path, pool_pages=None, durable=None, wal_path=None,
              wal_sync=SYNC_COMMIT, guard=None, guard_path=None,
-             backend="file", chaos=None):
+             backend="file"):
         """Reattach to an index previously built with a ``path`` and
         :meth:`save`\\ d.
 
@@ -519,14 +519,6 @@ class PrixIndex:
         the path -- but the log is not reattached; every mutation on an
         mmap-served index raises
         :class:`~repro.storage.errors.ReadOnlyBackendError`.
-
-        ``chaos`` (a :class:`~repro.storage.faults.ChaosConfig`) opens
-        the backend through a fault-injecting
-        :class:`~repro.storage.faults.ChaosBackend`.  Injection is
-        disarmed while the catalog is attached -- the metadata reads of
-        :meth:`_attach` must succeed for a mount to exist at all -- and
-        armed just before the index is returned, so the fault stream
-        (including a ``fail_first`` window) targets live query traffic.
         """
         wal_path, guard_path = sidecar_paths(path, wal_path, guard_path)
         if durable is None:
@@ -542,18 +534,12 @@ class PrixIndex:
                             kind=backend,
                             durable=durable and backend == "file",
                             wal_path=wal_path, wal_sync=wal_sync,
-                            guard=guard, guard_path=guard_path,
-                            chaos=chaos)
-        if chaos is not None:
-            pool.set_armed(False)
+                            guard=guard, guard_path=guard_path)
         try:
-            index = cls._attach(pool, page, offset, length)
+            return cls._attach(pool, page, offset, length)
         except BaseException:
             pool.close()    # nothing else holds the just-opened backend
             raise
-        if chaos is not None:
-            pool.set_armed(True)
-        return index
 
     @classmethod
     def _read_superblock(cls, path):

@@ -37,6 +37,13 @@ STAR = "*"
 #: Table 3 query 6 (Q6), any prixbench pool twig 2.
 MAX_ARRANGEMENTS = 5040
 
+#: Most nodes one twig pattern may have.  :func:`repro.query.xpath.parse_xpath`
+#: counts them from the query's tokens and refuses a larger pattern
+#: before it builds anything, so no query nests deep enough to exhaust
+#: the parser's stack.  The largest Table 3 query has 6 nodes (Q5), any
+#: prixbench pool twig 6 (depth 4).
+MAX_TWIG_NODES = 64
+
 
 class UnsupportedTwigError(ValueError):
     """A well-formed twig the engine refuses to run (a caller mistake):

@@ -14,14 +14,16 @@ example)::
 A query with a leading ``/`` (single slash) is *absolute*: its first step
 must match the document root.  A leading bare name (``book[...]/title``)
 is treated as absolute, matching the paper's intro example.  Only equality
-value predicates are supported, as in the paper (Section 4).
+value predicates are supported, as in the paper (Section 4).  A pattern
+of more than :data:`~repro.query.twig.MAX_TWIG_NODES` nodes is refused
+before it is parsed.
 """
 
 from __future__ import annotations
 
 import re
 
-from repro.query.twig import Axis, TwigNode, TwigPattern
+from repro.query.twig import MAX_TWIG_NODES, Axis, TwigNode, TwigPattern
 
 _TOKEN_RE = re.compile(
     r"""
@@ -60,11 +62,23 @@ def _tokenize(query):
     return tokens
 
 
+#: Token kinds that each become one pattern node: a name test, ``*``,
+#: or a value literal.
+_NODE_TOKENS = frozenset({"name", "star", "string"})
+
+
 class _Parser:
     def __init__(self, query):
         self._query = query
         self._tokens = _tokenize(query)
         self._pos = 0
+        nodes = sum(kind in _NODE_TOKENS for kind, _, _ in self._tokens)
+        if nodes > MAX_TWIG_NODES:
+            # Counted before the recursive descent: no pattern can nest
+            # deep enough to exhaust the stack.
+            raise XPathSyntaxError(
+                f"a twig has at most {MAX_TWIG_NODES} nodes; this query "
+                f"has {nodes}")
 
     def _peek(self):
         if self._pos < len(self._tokens):

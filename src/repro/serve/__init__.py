@@ -25,12 +25,7 @@ Modules:
   latch, old generation drained before close) and a cached
   ``scrub``-backed health report per generation.
 - :mod:`repro.serve.metrics` -- per-endpoint request/latency/
-  degradation counters (plus named operational events: circuit
-  transitions, generation leaks) behind the ``serve-metrics`` latch.
-- :mod:`repro.serve.breaker` -- the per-mount circuit breaker: a
-  closed/open/half-open state machine behind the ``serve-circuit``
-  latch that sheds requests against a mount whose reads keep failing
-  and re-scrubs before closing again.
+  degradation counters behind the ``serve-metrics`` latch.
 - :mod:`repro.serve.client` -- the retrying stdlib client: exponential
   backoff with seeded full jitter, ``Retry-After`` honoured as a
   floor, idempotent-only retries, and a typed :class:`ClientError`
@@ -42,16 +37,18 @@ Modules:
 - ``python -m repro.serve`` / ``prix serve`` -- the process entry
   points.
 
-The chaos matrix (``tests/test_chaos_matrix.py``) drives this whole
-stack over a fault-injecting storage backend
-(:class:`~repro.storage.faults.ChaosBackend`) and holds it to the
-robustness oracle: every response is byte-identical-correct, a typed
-error, or a sound ``approximate=True`` superset -- and the retrying
-client's view converges to the fault-free answers.
+A failing request gets its typed error and changes no other request's
+outcome: the tier keeps no per-mount failure state.  The chaos matrix
+(``tests/test_chaos_matrix.py``) drives this whole stack over a
+fault-injecting storage backend
+(:class:`~repro.storage.faults.ChaosBackend`, wrapped in from the test
+side) and holds it to the robustness oracle: every response is
+byte-identical-correct, a typed error, or a sound ``approximate=True``
+superset -- and the retrying client's view converges to the
+fault-free answers.
 """
 
 from repro.serve.admission import AdmissionController, ServerLimits
-from repro.serve.breaker import CircuitBreaker
 from repro.serve.client import (ClientCorruptionError, ClientError,
                                 ClientTimeoutError, ClientUsageError,
                                 PrixServeClient, ServerUnavailableError)
@@ -61,7 +58,6 @@ from repro.serve.registry import IndexRegistry, ServeError
 
 __all__ = [
     "AdmissionController",
-    "CircuitBreaker",
     "ClientCorruptionError",
     "ClientError",
     "ClientTimeoutError",

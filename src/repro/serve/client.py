@@ -18,15 +18,14 @@ The discipline (``docs/ROBUSTNESS.md``, "Chaos & resilience"):
   refused/reset, socket timeouts) and the protocol's retryable
   statuses -- 408 (request timeout), 429 (budget), 500
   (corruption/internal: under chaos these are transient and the read
-  path self-repairs), 503 (over-capacity / draining / circuit-open).
+  path self-repairs), 503 (over-capacity / draining).
   Typed 4xx caller mistakes (400/404/405/403) fail fast.
 - **Exponential backoff with seeded full jitter**: attempt ``k`` sleeps
   ``uniform(0, min(max, base * 2**k))`` from a ``random.Random(seed)``
   private to the client -- deterministic under test, uncorrelated
   across clients in a thundering herd.
 - **Honour ``Retry-After``**: a server-provided horizon (body field or
-  HTTP header -- e.g. the circuit breaker's remaining cooldown) is a
-  *floor* under the jittered delay, never ignored.
+  HTTP header) is a *floor* under the jittered delay, never ignored.
 
 Failures raise a typed :class:`ClientError` hierarchy mirroring
 :mod:`repro.exitcodes` -- ``prix client`` exits with
@@ -105,15 +104,14 @@ class ClientTimeoutError(ClientError):
 
 
 class ServerUnavailableError(ClientError):
-    """The server shed the request (over-capacity, draining,
-    circuit-open) -- nothing wrong with the request itself."""
+    """The server shed the request (over-capacity, draining) -- nothing
+    wrong with the request itself."""
 
     exit_code = EXIT_ERROR
 
 
 #: Protocol error codes that mean "the server is shedding load".
-_UNAVAILABLE_CODES = frozenset({"over-capacity", "draining",
-                                "circuit-open"})
+_UNAVAILABLE_CODES = frozenset({"over-capacity", "draining"})
 
 #: exit_code -> exception class for everything else.
 _ERROR_CLASSES = {

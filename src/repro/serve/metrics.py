@@ -3,8 +3,7 @@
 :class:`ServerMetrics` is the serving tier's answer sheet for
 ``GET /metrics``: per-endpoint request totals, typed-error counts by
 protocol code, degraded (``approximate=True``) answers, admission
-rejections, and latency accumulators -- plus an in-flight gauge fed by
-the admission controller.
+rejections, and latency accumulators.
 
 Concurrency: one metrics object is shared by every handler thread of a
 :class:`~repro.serve.server.PrixServeServer`, so every counter lives
@@ -63,12 +62,11 @@ class ServerMetrics:
         self._latch = Latch("serve-metrics")
         self._endpoints = {}
         self._started = time.time()
-        self._events = {}
 
     #: Field -> guarding latch; the runtime sanitizer installs
     #: guarded-access assertions from this mapping once the object is
     #: shared between threads.
-    _GUARDED = {"_endpoints": "_latch", "_events": "_latch"}
+    _GUARDED = {"_endpoints": "_latch"}
 
     def _endpoint(self, name):  # caller holds _latch
         if name not in self._endpoints:
@@ -99,17 +97,6 @@ class ServerMetrics:
             if rejected:
                 stats.rejected += 1
 
-    def record_event(self, name):
-        """Count one named operational event (circuit transitions,
-        generation leaks, ...) -- the breaker's ``on_event`` sink.
-
-        Callers must not hold any other serve latch: ``serve-metrics``
-        stays a leaf, which is why the circuit breaker emits events only
-        after releasing ``serve-circuit``.
-        """
-        with self._latch:
-            self._events[name] = self._events.get(name, 0) + 1
-
     def snapshot(self):
         """JSON-ready copy of every counter (the ``/metrics`` body).
 
@@ -121,7 +108,6 @@ class ServerMetrics:
         with self._latch:
             return {
                 "uptime_seconds": round(time.time() - self._started, 3),
-                "events": dict(sorted(self._events.items())),
                 "endpoints": {name: stats.as_dict()
                               for name, stats in
                               sorted(self._endpoints.items())},

@@ -43,7 +43,6 @@ HTTP_STATUS = {
     "budget-exhausted": 429,
     "over-capacity": 503,
     "draining": 503,
-    "circuit-open": 503,
     "corruption": 500,
     "internal": 500,
 }
@@ -54,9 +53,7 @@ HTTP_STATUS = {
 ERROR_KINDS = {code: (HTTP_STATUS[code], exit_code)
                for code, exit_code in EXIT_CODES.items()}
 
-#: Default ``Retry-After`` hint (seconds) on retryable rejections whose
-#: backoff has no better-informed horizon (the circuit breaker computes
-#: its own from the remaining cooldown).
+#: Default ``Retry-After`` hint (seconds) on retryable rejections.
 DEFAULT_RETRY_AFTER_SECONDS = 1
 
 #: Library failures worth retrying unchanged carry the default hint.

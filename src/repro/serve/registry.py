@@ -22,7 +22,9 @@ Health is cached per generation: mounting (or reloading) runs a full
 :func:`repro.shard.scrub_index` sweep and stores the report's
 canonical :meth:`~repro.storage.guard.ScrubReport.to_json` string --
 ``GET /healthz`` serves that cached verdict instead of rescanning the
-file on every probe.
+file on every probe.  The verdict is fixed for the generation's life: a
+page found bad later fails the queries that read it, and the guard
+counts its quarantine in :meth:`IndexRegistry.stats`.
 
 Concurrency: the mount table and each mount's lease count live behind
 the registry's single ``serve-registry`` latch.  The latch ordering is
@@ -59,21 +61,19 @@ class ServeError(RuntimeError):
 class _Mount:
     """One mounted index generation.
 
-    ``index``, ``path``, ``generation`` and ``opened`` -- every keyword
+    ``index``, ``path``, ``generation``, ``opened`` -- every keyword
     :meth:`IndexRegistry.mount` was given, which a reload reopens with
-    -- are immutable after construction; the mutable lease/retire/health
-    state is guarded by the owning registry's ``serve-registry`` latch
-    (shared via ``_latch``).  ``health_json`` is mutable because a circuit
-    breaker's half-open probe re-scrubs the mount
-    (:meth:`IndexRegistry.rescrub`) and refreshes the cached verdict.
-    No ``__slots__``: the sanitizer's guarded-field descriptors store
-    through ``__dict__``.
+    -- and ``health_json``, the scrub verdict cached when the generation
+    was opened, are immutable after construction; the mutable
+    lease/retire state is guarded by the owning registry's
+    ``serve-registry`` latch (shared via ``_latch``).  No ``__slots__``:
+    the sanitizer's guarded-field descriptors store through
+    ``__dict__``.
     """
 
     #: Machine-readable guarded-field map (runtime sanitizer); the latch
     #: is the *registry's* -- every mount of a registry shares it.
-    _GUARDED = {"leases": "_latch", "retired": "_latch",
-                "health_json": "_latch"}
+    _GUARDED = {"leases": "_latch", "retired": "_latch"}
 
     def __init__(self, name, path, opened, generation, index,
                  health_json, registry_latch):
@@ -82,11 +82,11 @@ class _Mount:
         self.opened = opened
         self.generation = generation
         self.index = index
+        self.health_json = health_json
         self._latch = registry_latch
         with registry_latch:
             self.leases = 0
             self.retired = False
-            self.health_json = health_json
         self.drained = threading.Event()
 
 
@@ -109,12 +109,8 @@ class IndexRegistry:
         The scrub runs *before* the open so the cached health verdict
         describes exactly the bytes this generation serves, and so the
         checksum sidecar it materializes is already present for the
-        open's guard auto-detection.  ``opened`` holds the ``backend``,
-        ``pool_pages`` and ``chaos`` keywords of :meth:`mount` (``chaos``,
-        a :class:`~repro.storage.faults.ChaosConfig`, wraps the
-        generation's backend in a fault-injecting
-        :class:`~repro.storage.faults.ChaosBackend` -- the chaos-matrix
-        harness's hook, never set in production serving).
+        open's guard auto-detection.  ``opened`` holds the ``backend``
+        and ``pool_pages`` keywords of :meth:`mount`.
 
         ``path`` is whatever :func:`repro.shard.open_index` accepts.  A
         *shard directory* (``docs/SHARDING.md``) mounts like a file:
@@ -128,16 +124,13 @@ class IndexRegistry:
         return _Mount(name, path, opened, generation, index,
                       report.to_json(), self._latch)
 
-    def mount(self, name, path, *, backend="mmap",
-              pool_pages=None, chaos=None):
+    def mount(self, name, path, *, backend="mmap", pool_pages=None):
         """Open ``path`` and serve it as ``name``.
 
         ``backend`` is any :func:`repro.storage.open_backend` kind --
         ``"mmap"`` (the serving default), ``"file"`` or ``"arena"``.
         Mounting an already-mounted name is a :class:`ServeError`; use
-        :meth:`reload` to replace a generation.  ``chaos`` injects
-        deterministic read faults into every generation of this mount
-        (chaos testing only; see ``docs/ROBUSTNESS.md``).
+        :meth:`reload` to replace a generation.
         """
         with self._latch:
             if name in self._mounts:
@@ -145,7 +138,7 @@ class IndexRegistry:
                                  "use reload to replace it")
         mount = self._open_generation(
             name, path, 1,
-            {"backend": backend, "pool_pages": pool_pages, "chaos": chaos})
+            {"backend": backend, "pool_pages": pool_pages})
         with self._latch:
             racer = name in self._mounts  # lost a mount race
             if not racer:
@@ -246,26 +239,6 @@ class IndexRegistry:
                      "leases": mount.leases}
                     for mount in self._leaked]
 
-    def rescrub(self, name):
-        """Re-run the full scrub sweep for mount ``name`` and refresh
-        its cached ``/healthz`` verdict.
-
-        The circuit breaker's half-open probe calls this before closing
-        a circuit that opened on corruption: one lucky read proves
-        nothing, a clean sweep over every page does.  The sweep runs
-        outside the registry latch (it is O(file)); only the cached
-        verdict swap is latched.  Returns True when the mount's bytes
-        are healthy.  Unknown names raise ``KeyError``.
-        """
-        with self._latch:
-            mount = self._mounts.get(name)
-        if mount is None:
-            raise KeyError(f"no index mounted as {name!r}")
-        report = scrub_index(mount.path)
-        with self._latch:
-            mount.health_json = report.to_json()
-        return report.healthy
-
     def describe(self):
         """JSON-ready mount table (the ``GET /indexes`` body)."""
         with self._latch:
@@ -291,8 +264,6 @@ class IndexRegistry:
         scrub --json`` prints, so the two surfaces cannot drift.
         """
         with self._latch:
-            # health_json is guarded by _latch (rescrub and hot reload
-            # rewrite it in place), so snapshot it before parsing.
             rows = [(name, mount.generation, mount.health_json)
                     for name, mount in sorted(self._mounts.items())]
         out = {}

@@ -32,9 +32,11 @@ Hardening (``docs/ROBUSTNESS.md``, "Chaos & resilience"):
 - an ``X-Prix-Deadline-Ms`` request header **tightens** the query's
   budget deadline (:meth:`QueryBudget.fork`) -- a client's deadline
   propagates into the engine's cooperative cancellation checkpoints;
-- a per-mount **circuit breaker** (:mod:`repro.serve.breaker`) sheds
-  requests against a mount whose reads keep failing, and only closes
-  again after a half-open probe *and* a clean re-scrub;
+- a request's size is bounded before it costs anything: the body by
+  its ``Content-Length`` (:data:`MAX_BODY_BYTES`), the twig by
+  :data:`repro.query.twig.MAX_TWIG_NODES` at parse time;
+- a failing request gets its typed error and leaves nothing behind, so
+  it changes no other request's outcome;
 - retryable rejections carry an HTTP ``Retry-After`` header the
   retrying client (:mod:`repro.serve.client`) uses as a backoff floor.
 """
@@ -50,8 +52,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro.serve import protocol
 from repro.serve.admission import (AdmissionController,
                                    DEFAULT_MAX_INFLIGHT, ServerLimits)
-from repro.serve.breaker import (CircuitBreaker, DEFAULT_COOLDOWN_SECONDS,
-                                 DEFAULT_FAILURE_THRESHOLD)
 from repro.serve.metrics import ServerMetrics
 from repro.serve.protocol import (DEADLINE_HEADER, ProtocolError,
                                   error_for_exception, parse_query_request,
@@ -78,12 +78,10 @@ class PrixServeServer(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, address, registry, admission, metrics, *,
-                 breaker=None, request_timeout=DEFAULT_REQUEST_TIMEOUT):
+                 request_timeout=DEFAULT_REQUEST_TIMEOUT):
         self.registry = registry
         self.admission = admission
         self.metrics = metrics
-        self.breaker = breaker if breaker is not None else CircuitBreaker(
-            on_event=metrics.record_event)
         self.request_timeout = request_timeout
         super().__init__(address, PrixRequestHandler)
 
@@ -179,12 +177,25 @@ class PrixRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self):
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
+        """The request body, once its ``Content-Length`` is known to be a
+        byte count from 0 to :data:`MAX_BODY_BYTES`.
+
+        Anything else is a typed ``bad-request`` before a byte of the
+        body is read (a negative length would otherwise read until the
+        socket times out).  The unread body leaves the connection's
+        framing unknown, so the server answers and hangs up.
+        """
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            self.close_connection = True
             raise ProtocolError(
                 "bad-request",
-                f"request body of {length} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte limit")
+                f"header Content-Length must be a byte count from 0 to "
+                f"{MAX_BODY_BYTES}, got {raw!r}")
         return self.rfile.read(length)
 
     def _run(self, endpoint, work):
@@ -276,37 +287,26 @@ class PrixRequestHandler(BaseHTTPRequestHandler):
         return value
 
     def _query(self):
-        """``POST /query``: gate, admit, lease, execute, serialize.
+        """``POST /query``: admit, lease, execute, serialize.
 
-        The circuit breaker gate runs first (an open circuit sheds the
-        request before it costs an admission slot); the admission fork
-        gives this request its own budget meter, tightened by the
-        request's ``X-Prix-Deadline-Ms`` header when present; the lease
-        pins the mount's generation for exactly the query's lifetime,
-        so a concurrent ``/reload`` can never close the pages under a
-        running matcher.  Every outcome is reported back to the breaker
-        -- including the half-open probe's, whose success triggers the
-        registry re-scrub (the declared ``raw-io`` upper bound) before
-        the circuit closes.
+        The admission fork gives this request its own budget meter,
+        tightened by the request's ``X-Prix-Deadline-Ms`` header when
+        present; the lease pins the mount's generation for exactly the
+        query's lifetime, so a concurrent ``/reload`` can never close
+        the pages under a running matcher.  A failure is this request's
+        alone: its typed error is the answer, and nothing about it is
+        remembered for the next request.
         """
         request = parse_query_request(self._read_body())
         deadline_ms = self._deadline_ms()
         server = self.server
-        probe = server.breaker.allow(request.index)
-        try:
-            with server.admission.admit(deadline_ms=deadline_ms) as budget:
-                with server.registry.lease(request.index) as mount:
-                    matches, stats = mount.index.query_with_stats(
-                        request.xpath, ordered=request.ordered,
-                        variant=request.variant,
-                        use_maxgap=request.use_maxgap, budget=budget)
-                    generation = mount.generation
-        except Exception as error:
-            server.breaker.record(request.index, probe=probe, error=error)
-            raise
-        server.breaker.record(
-            request.index, probe=probe,
-            rescrub=lambda: server.registry.rescrub(request.index))
+        with server.admission.admit(deadline_ms=deadline_ms) as budget:
+            with server.registry.lease(request.index) as mount:
+                matches, stats = mount.index.query_with_stats(
+                    request.xpath, ordered=request.ordered,
+                    variant=request.variant,
+                    use_maxgap=request.use_maxgap, budget=budget)
+                generation = mount.generation
         return 200, result_payload(request, matches, stats, generation)
 
     def _reload(self):
@@ -343,7 +343,6 @@ class PrixRequestHandler(BaseHTTPRequestHandler):
         body = self.server.metrics.snapshot()
         body["ok"] = True
         body["storage"] = self.server.registry.stats()
-        body["circuit"] = self.server.breaker.snapshot()
         body["leaked_generations"] = self.server.registry.leaked()
         body["admission"] = {
             "inflight": self.server.admission.inflight(),
@@ -360,29 +359,19 @@ class PrixRequestHandler(BaseHTTPRequestHandler):
 
 def build_server(mounts, *, host="127.0.0.1", port=0, backend="mmap",
                  pool_pages=None, limits=None,
-                 drain_timeout=DEFAULT_DRAIN_TIMEOUT, chaos=None,
-                 request_timeout=DEFAULT_REQUEST_TIMEOUT,
-                 circuit_threshold=DEFAULT_FAILURE_THRESHOLD,
-                 circuit_cooldown=DEFAULT_COOLDOWN_SECONDS):
+                 drain_timeout=DEFAULT_DRAIN_TIMEOUT,
+                 request_timeout=DEFAULT_REQUEST_TIMEOUT):
     """Mount every ``(name, path)`` and return a bound, unstarted server.
 
     ``port=0`` binds an ephemeral port (tests and the CI smoke job read
-    it back from ``server.server_address``).  ``chaos`` (a
-    :class:`~repro.storage.faults.ChaosConfig`) wraps every mount's
-    backend in deterministic fault injection -- the chaos matrix's
-    entry point, never set in production.
+    it back from ``server.server_address``).
     """
     registry = IndexRegistry(drain_timeout=drain_timeout)
     for name, path in mounts:
-        registry.mount(name, path, backend=backend, pool_pages=pool_pages,
-                       chaos=chaos)
-    admission = AdmissionController(limits or ServerLimits())
-    metrics = ServerMetrics()
-    breaker = CircuitBreaker(threshold=circuit_threshold,
-                             cooldown_seconds=circuit_cooldown,
-                             on_event=metrics.record_event)
-    return PrixServeServer((host, port), registry, admission, metrics,
-                           breaker=breaker, request_timeout=request_timeout)
+        registry.mount(name, path, backend=backend, pool_pages=pool_pages)
+    return PrixServeServer((host, port), registry,
+                           AdmissionController(limits or ServerLimits()),
+                           ServerMetrics(), request_timeout=request_timeout)
 
 
 def serve_until_signaled(server, *, signals=(signal.SIGTERM, signal.SIGINT),
@@ -462,14 +451,6 @@ def add_serve_arguments(parser):
                         help="socket read timeout per request; a stalled "
                              "client gets a typed 408 (slow-loris "
                              "defense)")
-    parser.add_argument("--circuit-threshold", type=int,
-                        default=DEFAULT_FAILURE_THRESHOLD, metavar="N",
-                        help="consecutive corruption/internal errors that "
-                             "open a mount's circuit")
-    parser.add_argument("--circuit-cooldown", type=float,
-                        default=DEFAULT_COOLDOWN_SECONDS, metavar="S",
-                        help="seconds an open circuit rejects before its "
-                             "half-open probe")
     return parser
 
 
@@ -494,7 +475,5 @@ def run(args):
         mounts, host=args.host, port=args.port, backend=args.backend,
         pool_pages=args.pool_pages, limits=limits,
         drain_timeout=args.drain_timeout,
-        request_timeout=args.request_timeout,
-        circuit_threshold=args.circuit_threshold,
-        circuit_cooldown=args.circuit_cooldown)
+        request_timeout=args.request_timeout)
     return serve_until_signaled(server)

@@ -107,12 +107,12 @@ class ShardedIndex:
     # ------------------------------------------------------------------
 
     @classmethod
-    def open(cls, directory, pool_pages=None, backend="file", chaos=None):
+    def open(cls, directory, pool_pages=None, backend="file"):
         """Open every shard listed in ``directory``'s manifest.
 
-        ``backend``/``pool_pages``/``chaos`` apply per shard, exactly as
-        they would to a monolithic :meth:`PrixIndex.open`.  WAL and
-        checksum sidecars auto-detect per shard file.
+        ``backend``/``pool_pages`` apply per shard, exactly as they
+        would to a monolithic :meth:`PrixIndex.open`.  WAL and checksum
+        sidecars auto-detect per shard file.
         """
         catalog = ShardCatalog.load(directory)
         if not catalog.entries:
@@ -122,7 +122,7 @@ class ShardedIndex:
             for entry in catalog.entries:
                 shards[entry.name] = PrixIndex.open(
                     catalog.path_for(entry), pool_pages=pool_pages,
-                    backend=backend, chaos=chaos)
+                    backend=backend)
         except BaseException:
             for index in shards.values():
                 index.close()
@@ -423,7 +423,7 @@ class ShardedIndex:
         self._catalog.save()
 
 
-def open_index(path, *, backend="file", pool_pages=None, chaos=None):
+def open_index(path, *, backend="file", pool_pages=None):
     """Open whichever index kind lives at ``path``.
 
     A directory holding a ``prixshard.json`` manifest opens as a
@@ -432,5 +432,4 @@ def open_index(path, *, backend="file", pool_pages=None, chaos=None):
     surface, so front ends hold the result without knowing which it is.
     """
     kind = ShardedIndex if is_shard_directory(path) else PrixIndex
-    return kind.open(path, pool_pages=pool_pages, backend=backend,
-                     chaos=chaos)
+    return kind.open(path, pool_pages=pool_pages, backend=backend)

@@ -170,8 +170,7 @@ _NO_WAL = {
 
 def open_backend(path, page_size, pool_pages=None, kind="file",
                  durable=False, wal_path=None, wal_sync=SYNC_COMMIT,
-                 guard=False, guard_path=None, chaos=None,
-                 file_factory=None):
+                 guard=False, guard_path=None, file_factory=None):
     """Wire guard + pager + pool + WAL over the index file at ``path``.
 
     The kinds are the module docstring's.  ``kind="file"`` creates the
@@ -181,12 +180,6 @@ def open_backend(path, page_size, pool_pages=None, kind="file",
     ``"wal"``) over whatever it hands out.  Asking for a WAL on
     ``"mmap"`` (nothing to log) or ``"arena"`` (changes to a snapshot
     never reach the index file) is a :class:`ReadOnlyBackendError`.
-
-    ``chaos`` (a :class:`~repro.storage.faults.ChaosConfig`) wraps the
-    opened backend in a :class:`~repro.storage.faults.ChaosBackend`
-    injecting seeded read faults -- the serving tier's chaos mode.
-    With ``chaos=None`` (the default) no wrapper exists at all, so the
-    "Disk IO pages" accounting is exactly the unwrapped backend's.
 
     A refused call leaves nothing behind: the arguments are validated
     before anything is opened, and a later failure closes every handle
@@ -229,8 +222,4 @@ def open_backend(path, page_size, pool_pages=None, kind="file",
                 "wal", WriteAheadLog.open, WriteAheadLog, wal_path,
                 stats=backend.stats, sync_policy=wal_sync))
         refused.pop_all()
-    if chaos is None:
-        return backend
-    # Imported lazily so the fault injector stays optional.
-    from repro.storage.faults import ChaosBackend
-    return ChaosBackend(backend, chaos)
+    return backend

@@ -489,8 +489,9 @@ class ChaosBackend:
     # -- chaos controls ------------------------------------------------
 
     def set_armed(self, armed):
-        """Enable or disable injection (mount-time attach reads run
-        disarmed so faults target live traffic, not the catalog)."""
+        """Enable or disable injection.  A test harness wraps a backend
+        disarmed and arms it once the index is attached, so faults
+        target live query traffic, not the catalog."""
         with self._latch:
             self._armed = bool(armed)
 
@@ -579,6 +580,13 @@ class ChaosBackend:
         return self._inner.pinned(page_id)
 
     # -- everything else -----------------------------------------------
+
+    # ``with`` looks these up on the type, past ``__getattr__``.
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
     def __getattr__(self, name):
         """Delegate every member not defined above to the wrapped

@@ -1,8 +1,52 @@
 """Shared helpers for the test suite (importable without packaging)."""
 
 import random
+from unittest import mock
 
+from repro.storage.backend import open_backend
+from repro.storage.faults import ChaosBackend
 from repro.xmlkit.tree import Document, XMLNode
+
+
+class ChaosOpens:
+    """Live storage faults injected from the test side.
+
+    Inside ``with ChaosOpens(config) as chaos:`` the ``open_backend``
+    name :mod:`repro.prix.index` calls is patched, so every backend
+    opened there -- by ``PrixIndex.open``, and by the scrub a server
+    mount runs first -- comes back wrapped in a *disarmed*
+    :class:`~repro.storage.faults.ChaosBackend` over ``config`` and is
+    recorded in ``chaos.backends``.  Call :meth:`arm` once the indexes
+    are attached, so the catalog reads never draw a fault and the
+    schedule targets query traffic.  No product signature takes a chaos
+    argument.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.backends = []
+        self._patch = mock.patch("repro.prix.index.open_backend",
+                                 self.open_backend)
+
+    def open_backend(self, *args, **kwargs):
+        """:func:`repro.storage.open_backend`, wrapped and recorded."""
+        backend = ChaosBackend(open_backend(*args, **kwargs), self.config,
+                               armed=False)
+        self.backends.append(backend)
+        return backend
+
+    def arm(self):
+        """Turn injection on for every backend wrapped so far."""
+        for backend in self.backends:
+            backend.set_armed(True)
+
+    def __enter__(self):
+        self._patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._patch.stop()
+        return False
 
 
 def make_random_tree(rng, max_nodes=16, tags="abcd", value_p=0.2,

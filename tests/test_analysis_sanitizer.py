@@ -9,8 +9,11 @@ import os
 import subprocess
 import sys
 import threading
+from contextlib import nullcontext
 
 import pytest
+
+from helpers import ChaosOpens
 
 from repro.analysis import sanitizer
 from repro.prix.index import IndexOptions, PrixIndex
@@ -123,7 +126,8 @@ class TestPinBalanceAtClose:
                              IndexOptions(path=path)) as built:
             built.save()
         with sanitizer.sanitized():
-            index = PrixIndex.open(path, backend=kind, chaos=chaos)
+            with ChaosOpens(chaos) if chaos else nullcontext():
+                index = PrixIndex.open(path, backend=kind)
             index._pool.pin(0)
             with pytest.raises(PinProtocolError):
                 index.close()

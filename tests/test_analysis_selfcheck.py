@@ -175,6 +175,35 @@ class TestOneReaderForAnIndexFile:
         assert offenders(gone, sorted(SRC.rglob("*.py"))) == []
 
 
+class TestOneRequestFailsAlone:
+    """The serving tier keeps no per-mount failure state, and chaos is
+    injected only from the test side (docs/ROBUSTNESS.md)."""
+
+    def test_no_breaker_module_and_no_circuit_error_kind(self):
+        from repro.serve.protocol import ERROR_KINDS
+        assert not (SRC / "serve" / "breaker.py").exists()
+        assert "circuit-open" not in ERROR_KINDS
+
+    def test_no_chaos_parameter_outside_the_fault_module(self):
+        """``ChaosBackend`` is reachable only through
+        ``tests/helpers.py::ChaosOpens``: no product signature takes a
+        chaos argument."""
+        def parameters(function):
+            args = function.args
+            return [arg.arg for arg in (*args.posonlyargs, *args.args,
+                                        *args.kwonlyargs, args.vararg,
+                                        args.kwarg) if arg is not None]
+
+        functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        found = [f"{path.relative_to(SRC)}:{node.lineno}"
+                 for path in sorted(SRC.rglob("*.py"))
+                 if path != SRC / "storage" / "faults.py"
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, functions)
+                 and any("chaos" in name for name in parameters(node))]
+        assert found == []
+
+
 class TestViolationsAreCaught:
     """Copy src/repro aside, break an invariant, watch the lint fail."""
 

@@ -19,12 +19,14 @@ And the convergence arm: a :class:`~repro.serve.client.PrixServeClient`
 following the retry discipline ends up with answers byte-identical to
 the fault-free run, for every seed and mix.
 
-Also live here: the slow-loris socket timeout (typed 408), the
+Also live here: the slow-loris socket timeout (typed 408) and the
 ``X-Prix-Deadline-Ms`` deadline propagation (typed 429 whose detail
-blames the deadline), and the per-mount circuit breaker's full
-open -> half-open -> re-scrub -> closed arc over a healing fault storm.
+blames the deadline).
 
-Runs unchanged under ``PRIX_SANITIZE=1``.  Environment knobs:
+The faults are injected from the test side (:class:`helpers.ChaosOpens`
+wraps what the mount opens, then arms it): no product signature takes
+a chaos argument.  Runs unchanged under ``PRIX_SANITIZE=1``.
+Environment knobs:
 
 - ``PRIX_CHAOS_SEEDS``: comma-separated schedule seeds (default three).
 - ``PRIX_CHAOS_THREADS``: comma-separated client thread counts.
@@ -36,12 +38,13 @@ import json
 import os
 import socket
 import threading
-import time
 import urllib.error
 import urllib.request
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import pytest
+
+from helpers import ChaosOpens
 
 from repro.bench.workloads import queries_for
 from repro.datasets.dblp import dblp
@@ -100,13 +103,17 @@ def reference(index_path):
 
 
 @contextmanager
-def live_server(path, *, chaos=None, request_timeout=30.0,
-                circuit_threshold=10 ** 6, circuit_cooldown=0.2):
-    server = build_server([("default", path)], port=0, backend="file",
-                          pool_pages=POOL_PAGES, chaos=chaos,
-                          request_timeout=request_timeout,
-                          circuit_threshold=circuit_threshold,
-                          circuit_cooldown=circuit_cooldown)
+def live_server(path, *, chaos=None, request_timeout=30.0):
+    """A live server over ``path``.  With ``chaos`` (a ChaosConfig) every
+    backend the mount opens reads through a ChaosBackend, armed once the
+    mount is attached."""
+    opens = ChaosOpens(chaos) if chaos is not None else None
+    with opens or nullcontext():
+        server = build_server([("default", path)], port=0, backend="file",
+                              pool_pages=POOL_PAGES,
+                              request_timeout=request_timeout)
+    if opens is not None:
+        opens.arm()
     accept = threading.Thread(target=server.serve_forever,
                               name="chaos-matrix-accept")
     accept.start()
@@ -291,49 +298,3 @@ def test_deadline_header_tightens_the_budget_fork(index_path):
             assert body["error"]["code"] == "bad-request"
             assert DEADLINE_HEADER in body["error"]["message"]
 
-
-# ------------------------------------------------------- circuit, end to end
-
-def test_circuit_opens_probes_rescrubs_and_closes(index_path):
-    """A total read blackout trips the breaker; after the storm heals,
-    one half-open probe re-scrubs the mount and closes the circuit."""
-    chaos = ChaosConfig(seed=7, read_error_period=1)  # every read fails
-    with live_server(index_path, chaos=chaos, circuit_threshold=3,
-                     circuit_cooldown=0.2) as (server, base_url):
-        xpath = QUERIES[0][1]
-        for _ in range(3):
-            status, body, _ = http_post(base_url, "/query", {"xpath": xpath})
-            assert status == 500
-            assert body["error"]["code"] == "internal"
-
-        # Open: shed up front, with the remaining cooldown as the hint.
-        status, body, headers = http_post(base_url, "/query",
-                                          {"xpath": xpath})
-        assert status == 503
-        assert body["error"]["code"] == "circuit-open"
-        assert body["error"]["retry_after"] == 1
-        assert headers.get("Retry-After") == "1"
-
-        # The storm passes; the cooldown elapses; the next request is
-        # the half-open probe, whose success re-scrubs and closes.
-        with server.registry.lease("default") as mount:
-            mount.index._pool.set_armed(False)
-        time.sleep(0.25)
-        status, body, _ = http_post(base_url, "/query", {"xpath": xpath})
-        assert status == 200, body
-
-        status, body, _ = http_post(base_url, "/query", {"xpath": xpath})
-        assert status == 200
-
-        with urllib.request.urlopen(base_url + "/metrics",
-                                    timeout=60) as response:
-            snap = json.loads(response.read())
-    circuit = snap["circuit"]["default"]
-    assert circuit["state"] == "closed"
-    assert circuit["opened_total"] == 1
-    assert circuit["consecutive_failures"] == 0
-    events = snap["events"]
-    assert events["circuit-open"] == 1
-    assert events["circuit-half-open"] == 1
-    assert events["circuit-close"] == 1
-    assert snap["leaked_generations"] == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.query.twig import Axis
+from repro.query.twig import MAX_TWIG_NODES, Axis
 from repro.query.xpath import XPathSyntaxError, parse_xpath
 
 
@@ -139,3 +139,18 @@ class TestErrors:
     def test_star_root_rejected(self):
         with pytest.raises(ValueError):
             parse_xpath("//*")
+
+
+class TestSizeBound:
+    def test_deep_nesting_is_refused_before_the_parser_recurses(self):
+        deep = "//a" + "[./b" * 1000 + "]" * 1000
+        with pytest.raises(XPathSyntaxError,
+                           match=f"at most {MAX_TWIG_NODES} nodes"):
+            parse_xpath(deep)
+
+    def test_every_node_kind_counts_toward_the_bound(self):
+        chain = "//a" + "/b" * (MAX_TWIG_NODES - 1)
+        assert len(parse_xpath(chain).nodes()) == MAX_TWIG_NODES
+        for longer in (chain + "/b", chain + "/*", chain + '[text()="v"]'):
+            with pytest.raises(XPathSyntaxError):
+                parse_xpath(longer)

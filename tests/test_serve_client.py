@@ -133,7 +133,6 @@ class TestTypedErrors:
         ("request-timeout", EXIT_TIMEOUT, 408, ClientTimeoutError),
         ("over-capacity", EXIT_ERROR, 503, ServerUnavailableError),
         ("draining", EXIT_ERROR, 503, ServerUnavailableError),
-        ("circuit-open", EXIT_ERROR, 503, ServerUnavailableError),
         ("internal", EXIT_ERROR, 500, ClientError),
     ])
     def test_protocol_errors_map_to_the_typed_hierarchy(
@@ -150,7 +149,7 @@ class TestTypedErrors:
 
     def test_retry_after_prefers_body_over_header(self):
         client, _, _ = make_client(
-            protocol_error("circuit-open", EXIT_ERROR, retry_after=7,
+            protocol_error("over-capacity", EXIT_ERROR, retry_after=7,
                            status=503, headers={"Retry-After": "99"}),
             retries=0)
         with pytest.raises(ServerUnavailableError) as caught:
@@ -213,7 +212,7 @@ class TestRetryDiscipline:
         assert sleeps == []
 
     def test_exhaustion_raises_the_last_typed_error(self):
-        outcomes = [protocol_error("circuit-open", EXIT_ERROR, status=503,
+        outcomes = [protocol_error("over-capacity", EXIT_ERROR, status=503,
                                    retry_after=1) for _ in range(3)]
         client, opener, sleeps = make_client(*outcomes, retries=2)
         with pytest.raises(ServerUnavailableError) as caught:

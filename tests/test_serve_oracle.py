@@ -18,7 +18,10 @@ threaded stress harness pins (``tests/test_threaded_stress.py``):
 Also covered live: budget admission (filter-phase over-quota -> typed
 429; refinement-phase -> sound ``approximate=True`` superset), the
 cached-scrub ``/healthz`` regression against ``ScrubReport.to_json``,
-``/metrics`` accounting, and graceful drain.
+``/metrics`` accounting, graceful drain, and that a failing request
+fails alone -- an unrepairable page, a flood of malformed queries or of
+malformed ``Content-Length`` headers each get their typed error while
+every other query keeps its exact answer.
 
 Runs unchanged under ``PRIX_SANITIZE=1`` (the CI serve-smoke sanitized
 shard does exactly that).  Environment knobs:
@@ -27,12 +30,14 @@ shard does exactly that).  Environment knobs:
   (default 2,8).
 """
 
+import http.client
 import json
 import os
 import threading
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
@@ -40,10 +45,11 @@ from repro.bench.workloads import queries_for
 from repro.datasets.dblp import dblp
 from repro.prix.budget import QueryBudget
 from repro.prix.index import IndexOptions, PrixIndex, scrub_path
-from repro.query.twig import MAX_ARRANGEMENTS
+from repro.query.twig import MAX_ARRANGEMENTS, MAX_TWIG_NODES
 from repro.serve import protocol
 from repro.serve.admission import ServerLimits
-from repro.serve.server import build_server
+from repro.serve.server import MAX_BODY_BYTES, build_server
+from repro.storage.pager import Pager
 
 THREAD_COUNTS = [int(t) for t in
                  os.environ.get("PRIX_SERVE_THREADS", "2,8").split(",")]
@@ -51,6 +57,10 @@ QUERIES = [(spec.qid, spec.xpath) for spec in queries_for("dblp")]
 
 #: Far above the working set of an 80-record corpus (zero evictions).
 POOL_PAGES = 512
+
+#: Failing requests a test sends in a row before it checks that the
+#: mount still answers a well-formed query.
+FLOOD = 7
 
 
 @pytest.fixture(scope="module")
@@ -249,8 +259,8 @@ def test_metrics_account_requests_errors_and_degradations(index_path):
 
 def test_malformed_xpath_neither_trips_the_circuit_nor_retries(index_path):
     """A query that does not parse is the caller's mistake (400
-    ``bad-request``): however many arrive, the mount's circuit stays
-    closed, and the retrying client spends one HTTP attempt on each."""
+    ``bad-request``): however many arrive, the mount keeps answering,
+    and the retrying client spends one HTTP attempt on each."""
     from repro.serve.client import ClientUsageError, PrixServeClient
     attempts = []
 
@@ -261,16 +271,13 @@ def test_malformed_xpath_neither_trips_the_circuit_nor_retries(index_path):
     with live_server(index_path) as (server, base_url):
         client = PrixServeClient(base_url, opener=counting_opener,
                                  sleep=lambda seconds: None)
-        posts = server.breaker.threshold + 2
-        for _ in range(posts):
+        for _ in range(FLOOD):
             with pytest.raises(ClientUsageError) as caught:
                 client.query("//article[[")
             assert caught.value.status == 400
             assert caught.value.error["code"] == "bad-request"
             assert caught.value.error["error_type"] == "XPathSyntaxError"
-        assert len(attempts) == posts
-        assert server.breaker.snapshot()["default"] == {
-            "state": "closed", "consecutive_failures": 0, "opened_total": 0}
+        assert len(attempts) == FLOOD
         assert client.query("//article/author")["ok"] is True
 
 
@@ -278,11 +285,11 @@ def test_refused_twigs_are_bad_requests_and_never_trip_the_circuit(
         index_path):
     """A one-step query, or one whose branches can be ordered more ways
     than ``MAX_ARRANGEMENTS``, parses but cannot run: the caller's
-    mistake (400), not a server fault (500 ``internal`` counts toward
-    opening the mount's circuit)."""
+    mistake (400), not a server fault (500 ``internal``), and the mount
+    keeps answering however many arrive."""
     eight_way = "//article" + "".join(f"[./f{i}]" for i in range(8))
     with live_server(index_path) as (server, base_url):
-        for _ in range(server.breaker.threshold + 2):
+        for _ in range(FLOOD):
             for xpath, fragment in (
                     ("//author", "at least two sequenced nodes"),
                     (eight_way, f"at most {MAX_ARRANGEMENTS}")):
@@ -292,8 +299,6 @@ def test_refused_twigs_are_bad_requests_and_never_trip_the_circuit(
                 assert body["error"]["code"] == "bad-request"
                 assert body["error"]["error_type"] == "UnsupportedTwigError"
                 assert fragment in body["error"]["message"]
-        assert server.breaker.snapshot()["default"] == {
-            "state": "closed", "consecutive_failures": 0, "opened_total": 0}
         status, body = http_post(base_url, "/query",
                                  {"xpath": eight_way, "ordered": True})
         assert (status, body["match_count"]) == (200, 0)
@@ -312,3 +317,110 @@ def test_reload_and_drain_leave_no_loose_ends(index_path):
     assert server.registry.describe() == {}
     with pytest.raises(urllib.error.URLError):
         http_get(base_url, "/healthz")
+
+
+# ------------------------------------------------ one failure at a time
+
+def cold_pages(path, xpath):
+    """Ids of the pages a query of ``xpath`` reads from disk on an index
+    just opened from ``path`` (so none that the open itself read)."""
+    seen = set()
+    real_read = Pager.read
+
+    def recording_read(pager, page_id):
+        seen.add(page_id)
+        return real_read(pager, page_id)
+
+    with PrixIndex.open(path, pool_pages=POOL_PAGES) as index:
+        with mock.patch.object(Pager, "read", recording_read):
+            index.query(xpath)
+    return seen
+
+
+def flip_first_byte(path, page_id):
+    """Corrupt page ``page_id`` of the index file at ``path`` in place."""
+    page_size = PrixIndex._read_superblock(path)[3]
+    with open(path, "r+b") as handle:
+        handle.seek(page_id * page_size)
+        first = handle.read(1)[0]
+        handle.seek(page_id * page_size)
+        handle.write(bytes([first ^ 0xFF]))
+
+
+def post_content_length(server, value):
+    """``POST /query`` with ``Content-Length: value`` and no body;
+    returns ``(status, parsed body)``."""
+    host, port = server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=60)
+    try:
+        connection.putrequest("POST", "/query")
+        connection.putheader("Content-Length", value)
+        connection.endheaders()
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+def test_unrepairable_page_fails_only_the_queries_that_read_it(tmp_path):
+    """A page that fails its checksum with no log image to repair it
+    from: each query that reads it gets a typed ``corruption``, however
+    often it is asked, and every other query keeps its exact answer."""
+    path = str(tmp_path / "one-bad-page.prix")
+    with PrixIndex.build(dblp(n_records=30, seed=11),
+                         IndexOptions(path=path, pool_pages=POOL_PAGES,
+                                      guard=True)) as index:
+        index.save()
+    reference, _ = reference_answers(path, "file")
+    reads = {qid: cold_pages(path, xpath) for qid, xpath in QUERIES}
+    (bad_qid, bad_xpath), (clean_qid, _) = QUERIES[0], QUERIES[1]
+    bad_page = min(reads[bad_qid] - reads[clean_qid])
+    flip_first_byte(path, bad_page)
+
+    with live_server(path) as (server, base_url):
+        for _ in range(FLOOD):
+            status, body = http_post(base_url, "/query",
+                                     {"xpath": bad_xpath})
+            assert (status, body["error"]["code"]) == (500, "corruption")
+        for qid, xpath in QUERIES:
+            status, body = http_post(base_url, "/query", {"xpath": xpath})
+            if bad_page in reads[qid]:
+                assert (status, body["error"]["code"]) == \
+                    (500, "corruption"), qid
+            else:
+                assert status == 200, (qid, body)
+                assert canonical_answer(body) == reference[qid]
+        quarantined = storage_counters(base_url)["guard_quarantines"]
+    assert quarantined == 1
+
+
+def test_deep_twig_flood_leaves_the_next_query_answering(index_path):
+    """A twig nested far past ``MAX_TWIG_NODES`` is a typed 400 before
+    the parser recurses into it, however often it is sent, and the next
+    well-formed query answers as usual."""
+    deep = "//article" + "[./author" * 1000 + "]" * 1000
+    with live_server(index_path) as (server, base_url):
+        for _ in range(FLOOD):
+            status, body = http_post(base_url, "/query", {"xpath": deep})
+            assert (status, body["error"]["code"]) == (400, "bad-request")
+            assert body["error"]["error_type"] == "XPathSyntaxError"
+            assert str(MAX_TWIG_NODES) in body["error"]["message"]
+        status, body = http_post(base_url, "/query",
+                                 {"xpath": "//article/author"})
+    assert status == 200 and body["match_count"] > 0
+
+
+def test_malformed_content_length_is_a_bad_request(index_path):
+    """A ``Content-Length`` that is not a byte count from 0 to
+    ``MAX_BODY_BYTES`` is refused before the body is read -- a negative
+    one does not park the handler until the socket times out -- and the
+    mount keeps answering."""
+    with live_server(index_path) as (server, base_url):
+        for value in ("abc", "1.5", "-1", str(MAX_BODY_BYTES + 1)):
+            status, body = post_content_length(server, value)
+            assert (status, body["error"]["code"]) == \
+                (400, "bad-request"), value
+            assert "Content-Length" in body["error"]["message"]
+        status, body = http_post(base_url, "/query",
+                                 {"xpath": "//article/author"})
+    assert status == 200 and body["match_count"] > 0

@@ -43,7 +43,6 @@ EXPECTED_KINDS = {
     "budget-exhausted": (429, EXIT_ERROR),
     "over-capacity": (503, EXIT_ERROR),
     "draining": (503, EXIT_ERROR),
-    "circuit-open": (503, EXIT_ERROR),
     "corruption": (500, EXIT_CORRUPTION),
     "internal": (500, EXIT_ERROR),
 }
@@ -90,11 +89,12 @@ def test_error_body_golden_bytes():
 def test_retryable_error_body_golden_bytes():
     # Golden: retry_after rides in the body so a client that cannot see
     # HTTP headers (or a log reader) still gets the backoff floor.
-    error = ProtocolError("circuit-open", "circuit is open", retry_after=2)
+    error = ProtocolError("over-capacity", "server is at capacity",
+                          retry_after=2)
     assert protocol.dumps(error.body()) == (
-        b'{"error":{"code":"circuit-open","error_type":"ProtocolError",'
-        b'"exit_code":1,"message":"circuit is open","retry_after":2},'
-        b'"ok":false}')
+        b'{"error":{"code":"over-capacity","error_type":"ProtocolError",'
+        b'"exit_code":1,"message":"server is at capacity",'
+        b'"retry_after":2},"ok":false}')
 
 
 def test_retry_after_defaults_to_absent():
@@ -138,8 +138,8 @@ def test_timeout_maps_to_408_with_retry_after():
     (ReadOnlyBackendError("mmap is read-only"), "read-only", EXIT_ERROR),
     (FileNotFoundError("no such index"), "not-found", EXIT_USAGE),
     (KeyError("variant 'ep' was not built"), "not-found", EXIT_USAGE),
-    # A malformed query is the caller's to fix: 400, never retried,
-    # never a circuit trip.  Any other ValueError stays internal.
+    # A malformed query is the caller's to fix: 400, never retried.
+    # Any other ValueError stays internal.
     (XPathSyntaxError("unsupported predicate"), "bad-request", EXIT_USAGE),
     (ValueError("bad value"), "internal", EXIT_ERROR),
     (OSError("socket"), "internal", EXIT_ERROR),

@@ -147,18 +147,6 @@ def test_reload_timeout_leaks_generation_then_reaps_on_release(index_path):
     registry.close_all()
 
 
-def test_rescrub_refreshes_health_and_returns_verdict(index_path):
-    registry = IndexRegistry()
-    registry.mount("default", index_path)
-    assert registry.rescrub("default") is True
-    health = registry.health()["default"]
-    assert health["healthy"] is True
-    assert health["scrub"] == json.loads(scrub_index(index_path).to_json())
-    with pytest.raises(KeyError):
-        registry.rescrub("nope")
-    registry.close_all()
-
-
 def test_reload_unknown_name_raises_keyerror(index_path):
     registry = IndexRegistry()
     with pytest.raises(KeyError):
@@ -281,13 +269,3 @@ def test_metrics_counters_accumulate_per_endpoint():
     assert query["latency_seconds_total"] == pytest.approx(0.013)
     assert snap["endpoints"]["/healthz"]["requests"] == 1
     assert snap["uptime_seconds"] >= 0
-
-
-def test_metrics_named_events_accumulate_sorted():
-    metrics = ServerMetrics()
-    for name in ("circuit-open", "circuit-close", "circuit-open"):
-        metrics.record_event(name)
-    snap = metrics.snapshot()
-    assert snap["events"] == {"circuit-close": 1, "circuit-open": 2}
-    assert list(snap["events"]) == sorted(snap["events"])
-    assert ServerMetrics().snapshot()["events"] == {}

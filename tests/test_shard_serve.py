@@ -1,7 +1,7 @@
 """Serving-tier integration for shard directories (docs/SHARDING.md).
 
 The registry mounts a shard directory exactly like a single index file
-(``tests/test_serve_registry.py`` runs its lease/reload/rescrub cases
+(``tests/test_serve_registry.py`` runs its lease/reload/health cases
 over both kinds); here is what only a shard set has: the shard count in
 ``/indexes``, the per-shard ``/metrics`` breakdown, the tree-scrub
 verdict, and a hot reload that picks up a new catalog generation

@@ -5,15 +5,17 @@ same fault positions, replayable from the ``describe()`` recipe), each
 fault kind's semantics through :class:`ChaosBackend` -- transient read
 errors, injected latency, the fail-then-heal window, and corrupt-reads
 that exercise the guard's WAL read-repair and quarantine-heal paths --
-plus the arming switch and the facade/index plumb-through
-(``open_backend(chaos=...)``, ``PrixIndex.open(chaos=...)``), and the
-runtime conformance check that stands in for the hand-written
-forwarders :class:`ChaosBackend` no longer has.
+plus the arming switch, the test-side injection into what
+``PrixIndex.open`` opens (:class:`helpers.ChaosOpens`), and the runtime
+conformance check that stands in for the hand-written forwarders
+:class:`ChaosBackend` no longer has.
 """
 
 import io
 
 import pytest
+
+from helpers import ChaosOpens
 
 from repro.prix.index import IndexOptions, PrixIndex
 from repro.storage import (ChaosBackend, ChaosConfig, ChaosSchedule,
@@ -209,35 +211,48 @@ class TestCorruptRead:
 
 
 class TestPlumbing:
+    """Chaos reaches an index only from the test side: ``ChaosOpens``
+    wraps what ``PrixIndex.open`` opens."""
+
+    @staticmethod
+    def saved_index(tmp_path):
+        path = str(tmp_path / "chaos.idx")
+        with PrixIndex.build([parse_document("<a><b>x</b></a>", 1)],
+                             IndexOptions(path=path)) as index:
+            index.save()
+        return path
+
     def test_open_backend_wraps_when_configured(self, tmp_path):
-        path = tmp_path / "pages.bin"
-        plain = open_backend(str(path), PAGE_SIZE)
-        pid, _ = plain.new_page()
-        plain.put(pid, fill(0x99))
-        plain.flush()
-        plain.close()
-        config = ChaosConfig(seed=4, fail_first=1)
-        wrapped = open_backend(str(path), PAGE_SIZE, chaos=config)
-        assert isinstance(wrapped, ChaosBackend)
-        assert wrapped.kind == "chaos"
-        with pytest.raises(TransientStorageError):
-            wrapped.get(pid)
-        assert bytes(wrapped.get(pid)) == fill(0x99)
-        wrapped.close()
-        assert open_backend(str(path), PAGE_SIZE, chaos=None).kind == "file"
+        """Inside ``ChaosOpens`` the backend ``PrixIndex.open`` opens is
+        a recorded, disarmed wrapper until armed; outside it, the plain
+        backend."""
+        path = self.saved_index(tmp_path)
+        with ChaosOpens(ChaosConfig(seed=4, fail_first=1)) as chaos:
+            index = PrixIndex.open(path)
+        try:
+            wrapped = index._pool
+            assert isinstance(wrapped, ChaosBackend)
+            assert chaos.backends == [wrapped]
+            assert wrapped.kind == "chaos"
+            assert bytes(wrapped.get(0)) == bytes(wrapped._inner.get(0))
+            chaos.arm()
+            with pytest.raises(TransientStorageError):
+                wrapped.get(0)
+            assert sorted(index.query("//a/b").doc_ids) == [1]
+        finally:
+            index.close()
+        with PrixIndex.open(path) as plain:
+            assert plain._pool.kind == "file"
 
     def test_prix_index_open_disarms_during_attach(self, tmp_path):
         """Catalog/attach reads must not consume (or trip) the fault
         schedule: with fail_first large enough to kill any attach read,
-        the open still succeeds and the *first query* draws the fault."""
-        path = str(tmp_path / "chaos.idx")
-        index = PrixIndex.build(
-            [parse_document("<a><b>x</b></a>", 1)],
-            IndexOptions(path=path))
-        index.save()
-        index.close()
-        config = ChaosConfig(seed=6, fail_first=2)
-        index = PrixIndex.open(path, chaos=config)
+        the open still succeeds and, once armed, the *first query* draws
+        the fault."""
+        path = self.saved_index(tmp_path)
+        with ChaosOpens(ChaosConfig(seed=6, fail_first=2)) as chaos:
+            index = PrixIndex.open(path)
+        chaos.arm()
         try:
             with pytest.raises(TransientStorageError):
                 index.query("//a/b")
@@ -278,7 +293,8 @@ class TestProtocolConformance:
     @pytest.mark.parametrize("kind", ["file", "arena", "mmap"])
     def test_every_member_resolves_on_every_kind(self, saved, kind, chaos):
         assert len(PROTOCOL_MEMBERS) > 25  # the Protocol declared 21
-        backend = open_backend(saved, PAGE_SIZE, kind=kind, chaos=chaos)
+        opener = ChaosOpens(chaos).open_backend if chaos else open_backend
+        backend = opener(saved, PAGE_SIZE, kind=kind)
         try:
             for name in PROTOCOL_MEMBERS:
                 getattr(backend, name)     # AttributeError == drifted
@@ -289,8 +305,8 @@ class TestProtocolConformance:
             backend.close()
 
     def test_read_only_refusals_pass_through_the_wrapper(self, saved):
-        wrapped = open_backend(saved, PAGE_SIZE, kind="mmap",
-                               chaos=ChaosConfig(seed=1))
+        wrapped = ChaosOpens(ChaosConfig(seed=1)).open_backend(
+            saved, PAGE_SIZE, kind="mmap")
         try:
             wrapped.get(0)
             before = (wrapped.cached_pages, wrapped.stats.snapshot())
