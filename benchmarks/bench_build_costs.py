@@ -2,10 +2,10 @@
 
 Not a paper table.  What it shows at these (shallow, laptop-scale)
 corpora: PRIX's footprint is linear in tree nodes and covers *two*
-sequence variants plus per-document records and insertion-scope state;
-ViST's single trie is smaller here because shallow documents keep its
-prefixes short -- the quadratic regime the paper criticizes only bites
-with depth (measured directly in bench_ablation_space.py).  The stream
+sequence variants plus per-document records; ViST's single trie is
+smaller here because shallow documents keep its prefixes short -- the
+quadratic regime the paper criticizes only bites with depth (measured
+directly in bench_ablation_space.py).  The stream
 stores pay per-tag page padding: every distinct value string owns a
 stream, so small pages multiply.
 """

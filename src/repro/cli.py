@@ -78,10 +78,12 @@ def _cmd_build(args):
             print(f"write-ahead log at {args.index}.wal")
         if args.guard:
             print(f"checksum sidecar at {args.index}.sum")
-        for variant in index.variants():
-            stats = index.trie_stats(variant)
-            print(f"  {variant}: {stats.node_count} trie nodes over "
-                  f"{stats.total_sequence_length} sequence symbols")
+        for variant, row in index.summary()["variants"].items():
+            print(f"  {variant}: {row['trie_nodes']} trie nodes over "
+                  f"{row['total_symbols']} sequence symbols")
+            if args.labeler == "dynamic" and not row["insertion_slack"]:
+                print(f"  {variant}: dynamic labels underflowed; fell back "
+                      f"to gap-free bulk labels (no insertion slack)")
     print(f"index written to {args.index}")
     return 0
 

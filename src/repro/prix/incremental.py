@@ -5,23 +5,21 @@ without relabeling: each trie node's range keeps unallocated *scope* from
 which ranges for newly appearing children are carved.  This module walks
 a new document's LPS down the disk-resident trie (via the Trie-Symbol
 index), descending through existing nodes and carving ranges for new
-ones; allocation state (each node's next free position) lives in a
-dedicated B+-tree so inserts survive restarts.
+ones.  A node's unallocated scope starts at its last child's RightPos,
+which the Trie-Symbol index already stores, so :func:`next_free_id`
+derives it where a carve needs it and no allocation state is kept.
 
-When a carve no longer fits -- the *scope underflow* of Section 5.2.1 --
-:class:`RebuildRequiredError` is raised; :meth:`PrixIndex.rebuilt`
+Labels that leave no slack (:func:`leaves_slack`: the bulk labeler's,
+or a dynamic build's that fell back to it) refuse at the first new
+node.  When a carve no longer fits -- the *scope underflow* of Section
+5.2.1 -- :class:`RebuildRequiredError` is raised; :meth:`PrixIndex.rebuilt`
 reconstructs the documents from their stored sequences and builds a
 fresh, compact index.
 """
 
 from __future__ import annotations
 
-import struct
-
 from repro.prix.filtering import DocidIndex, TrieSymbolIndex
-from repro.storage.codec import encode_int, encode_key
-
-_ALLOC_VALUE = struct.Struct("<Q")
 
 #: Share of the remaining scope granted to each newly carved child.
 DEFAULT_INSERT_FANOUT = 8
@@ -31,51 +29,27 @@ class RebuildRequiredError(RuntimeError):
     """An insert ran out of scope; the index must be rebuilt."""
 
 
-class AllocationTree:
-    """Per-trie-node allocation state: node LeftPos -> next free id."""
+def leaves_slack(labeler, trie_stats):
+    """Whether a variant's labels leave insertion slack: the dynamic
+    labeler assigned them without falling back to gap-free bulk labels
+    (``trie_stats.rebuilds``)."""
+    return labeler == "dynamic" and not trie_stats.rebuilds
 
-    def __init__(self, bptree):
-        self._tree = bptree
 
-    @property
-    def tree(self):
-        """The underlying B+-tree."""
-        return self._tree
+def next_free_id(variant, left, right, level):
+    """The first id of the node ``(left, right)``'s unallocated scope:
+    its last child's RightPos, or ``left + 1`` for a leaf.
 
-    def get(self, left):
-        """Next free id for the node at ``left``, or None."""
-        value = self._tree.get(encode_int(left))
-        if value is None:
-            return None
-        return _ALLOC_VALUE.unpack(value)[0]
-
-    def set(self, left, next_free):
-        """Record the node's next free id."""
-        key = encode_int(left)
-        value = self._tree.get(key)
-        if value is not None:
-            self._tree.delete(key)
-        self._tree.insert(key, _ALLOC_VALUE.pack(next_free))
-
-    @staticmethod
-    def seed_entries(trie):
-        """Initial (key, value) pairs for a freshly labeled trie.
-
-        A node's next free id sits just past its last child's range (or
-        at ``left + 1`` for leaves).
-        """
-        entries = []
-        stack = [trie.root]
-        while stack:
-            node = stack.pop()
-            children = list(node.children.values())
-            next_free = max((child.right for child in children),
-                            default=node.left + 1)
-            entries.append((encode_int(node.left),
-                            _ALLOC_VALUE.pack(next_free)))
-            stack.extend(children)
-        entries.sort(key=lambda pair: pair[0])
-        return entries
+    The children are the level+1 entries inside the range; one range
+    query per label finds them all.
+    """
+    next_free = left + 1
+    for label in variant.label_counts:
+        for _, child_right, child_level, _ in \
+                variant.symbol_index.range_query_gaps(label, left, right):
+            if child_level == level + 1 and child_right > next_free:
+                next_free = child_right
+    return next_free
 
 
 def find_child(symbol_index, label, parent_left, parent_right,
@@ -88,13 +62,15 @@ def find_child(symbol_index, label, parent_left, parent_right,
     return None
 
 
-def insert_sequence(variant, alloc, seq, doc_id):
+def insert_sequence(variant, seq, doc_id, slack):
     """Insert one document's LPS into a variant's virtual trie.
 
     Returns the number of new trie nodes created.  Raises
     :class:`RebuildRequiredError` on scope underflow (the caller decides
-    whether to rebuild).  Existing nodes' finer-grained MaxGaps are
-    widened when the new document's parent spans exceed them.
+    whether to rebuild), at the first new node if ``slack``
+    (:func:`leaves_slack`) is false.  Existing nodes' finer-grained
+    MaxGaps are widened when the new document's parent spans exceed
+    them.
     """
     from repro.prufer.maxgap import position_gaps
 
@@ -120,9 +96,15 @@ def insert_sequence(variant, alloc, seq, doc_id):
                 symbol_index.tree.insert(new_key, new_value)
             cur_left, cur_right = child_left, child_right
         else:
-            next_free = alloc.get(cur_left)
-            if next_free is None:
-                next_free = cur_left + 1
+            if not slack:
+                raise RebuildRequiredError(
+                    f"scope underflow inserting doc {doc_id}: the "
+                    f"{variant.name} labels are gap-free")
+            if new_nodes:
+                next_free = cur_left + 1    # carved by this insert
+            else:
+                next_free = next_free_id(variant, cur_left, cur_right,
+                                         cur_level)
             remaining = cur_right - next_free
             # The new child must hold the whole remaining chain of this
             # sequence (each deeper node consumes at least 2 ids), so
@@ -141,8 +123,6 @@ def insert_sequence(variant, alloc, seq, doc_id):
                     f"{needed}")
             child_left = next_free
             child_right = next_free + share
-            alloc.set(cur_left, child_right)
-            alloc.set(child_left, child_left + 1)
             key, value = TrieSymbolIndex.make_entry(
                 label, child_left, child_right, cur_level + 1, doc_gap)
             symbol_index.tree.insert(key, value)

@@ -24,8 +24,8 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from repro.prix.filtering import DocidIndex, TrieSymbolIndex
-from repro.prix.incremental import (AllocationTree, RebuildRequiredError,
-                                    insert_sequence)
+from repro.prix.incremental import (RebuildRequiredError, insert_sequence,
+                                    leaves_slack)
 from repro.prix.matcher import QueryStats, run_query
 from repro.prix.refinement import DocView
 from repro.prufer.reconstruct import reconstruct_document
@@ -116,7 +116,6 @@ class _VariantIndex:
     catalog: dict = field(default_factory=dict)    # doc_id -> record id
     trie_stats: TrieStats = field(default_factory=TrieStats)
     label_counts: dict = field(default_factory=dict)  # trie nodes per label
-    alloc: AllocationTree = None   # scope state for incremental inserts
     pending: dict = None           # this variant's part of PrixIndex._pending
 
 
@@ -227,9 +226,11 @@ class PrixIndex:
         The document's sequences are threaded through the virtual trie;
         ranges for new trie nodes are carved from their parents'
         unallocated scope by the dynamic labeling scheme.  Indexes built
-        with the default bulk labeler have *gap-free* ranges and will
-        raise :class:`RebuildRequiredError` immediately; build with
-        ``IndexOptions(labeler="dynamic")`` to leave insertion slack.
+        with the default bulk labeler have *gap-free* ranges and raise
+        :class:`RebuildRequiredError` at the first new trie node, as does
+        a dynamic build that fell back to them (``summary()``'s
+        ``insertion_slack``); build with ``IndexOptions(labeler=
+        "dynamic")`` to leave insertion slack.
 
         On :class:`RebuildRequiredError` the document's record is already
         cataloged, so :meth:`rebuilt` includes it; until then queries may
@@ -259,7 +260,8 @@ class PrixIndex:
             stats.total_sequence_length += len(seq.lps)
             try:
                 stats.node_count += insert_sequence(
-                    variant, variant.alloc, seq, doc_id)
+                    variant, seq, doc_id,
+                    leaves_slack(self._layout["labeler"], stats))
             except RebuildRequiredError as error:
                 underflow = error
         self._doc_ids.append(doc_id)
@@ -481,8 +483,6 @@ class PrixIndex:
                 "extended": variant.extended,
                 "symbol_meta": variant.symbol_index.tree.meta_page_id,
                 "docid_meta": variant.docid_index.tree.meta_page_id,
-                "alloc_meta": variant.alloc.tree.meta_page_id
-                              if variant.alloc else None,
                 "root_range": list(variant.root_range),
                 "maxgap": variant.maxgap.as_dict(),
                 "label_counts": variant.label_counts,
@@ -654,6 +654,9 @@ class PrixIndex:
             self._labels.id_of(label)
         self._layout.update((key, record[key]) for key in _LAYOUT_KEYS
                             if key in record)
+        # A file written while the catalog also located a per-node
+        # allocation B+-tree carries its "alloc_meta" key: not read, as
+        # the Trie-Symbol index holds the same scope state.
         for name, data in record["variants"].items():
             if name not in self._variants:
                 variant = _VariantIndex(name=name, extended=data["extended"])
@@ -661,9 +664,6 @@ class PrixIndex:
                     BPlusTree.attach(self._pool, data["symbol_meta"]))
                 variant.docid_index = DocidIndex(
                     BPlusTree.attach(self._pool, data["docid_meta"]))
-                if data.get("alloc_meta") is not None:
-                    variant.alloc = AllocationTree(
-                        BPlusTree.attach(self._pool, data["alloc_meta"]))
                 variant.root_range = tuple(data["root_range"])
                 self._variants[name] = variant
             variant = self._variants[name]
@@ -739,8 +739,6 @@ class PrixIndex:
             BPlusTree.bulk_load(pool, symbol_entries))
         variant.docid_index = DocidIndex(
             BPlusTree.bulk_load(pool, docid_entries))
-        variant.alloc = AllocationTree(
-            BPlusTree.bulk_load(pool, AllocationTree.seed_entries(trie)))
 
         variant.trie_stats.node_count = trie.node_count
         variant.trie_stats.path_count = trie.path_count()
@@ -785,7 +783,9 @@ class PrixIndex:
                               "total_symbols": stats.total_sequence_length,
                               "trie_nodes": stats.node_count,
                               "paths": stats.path_count,
-                              "max_path_sharing": stats.max_path_sharing}
+                              "max_path_sharing": stats.max_path_sharing,
+                              "insertion_slack": leaves_slack(
+                                  self._layout["labeler"], stats)}
         return {"documents": self.doc_count, "variants": variants,
                 "catalog_records": self._catalog_records,
                 "catalog_bytes": self._catalog_bytes}

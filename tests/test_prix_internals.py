@@ -1,17 +1,20 @@
 """Unit tests for PRIX engine internals with thin coverage elsewhere:
-the Trie-Symbol / Docid index wrappers, the allocation tree, and the
-DocView's extended-to-original numbering."""
+the Trie-Symbol / Docid index wrappers, the next free id a carve derives
+from the Trie-Symbol index, and the DocView's extended-to-original
+numbering."""
 
 import pytest
 
+from repro.datasets import dblp
 from repro.prix.filtering import DocidIndex, TrieSymbolIndex
-from repro.prix.incremental import AllocationTree
+from repro.prix.incremental import next_free_id
+from repro.prix.index import IndexOptions, PrixIndex
 from repro.prix.refinement import DocView
-from repro.prufer.sequence import extended_sequence
+from repro.prufer.sequence import extended_sequence, regular_sequence
 from repro.storage.bptree import BPlusTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.pager import Pager
-from repro.trie.labeling import BulkDFSLabeler
+from repro.trie.labeling import BulkDFSLabeler, DynamicLabeler
 from repro.trie.trie import SequenceTrie
 from repro.xmlkit.parser import parse_document
 
@@ -75,32 +78,36 @@ class TestDocidIndex:
         assert sorted(index.documents_in(5, 5)) == [1, 2]
 
 
-class TestAllocationTree:
-    def test_set_get_roundtrip(self):
-        pool = make_pool()
-        alloc = AllocationTree(BPlusTree.create(pool))
-        alloc.set(10, 15)
-        assert alloc.get(10) == 15
-        alloc.set(10, 99)   # overwrite
-        assert alloc.get(10) == 99
-        assert alloc.get(11) is None
-
-    def test_seed_entries_from_trie(self):
-        trie = SequenceTrie()
-        trie.insert(("a", "b"), 1)
-        trie.insert(("a", "c"), 2)
-        BulkDFSLabeler().label(trie)
-        pool = make_pool()
-        alloc = AllocationTree(BPlusTree.bulk_load(
-            pool, AllocationTree.seed_entries(trie)))
-        a_node = trie.root.children["a"]
-        # 'a' has two children: next free id sits past the last child.
-        last_child_right = max(child.right
-                               for child in a_node.children.values())
-        assert alloc.get(a_node.left) == last_child_right
-        # Leaves point just past their own left.
-        b_node = a_node.children["b"]
-        assert alloc.get(b_node.left) == b_node.left + 1
+class TestNextFreeId:
+    def test_derived_next_free_id_is_the_seed_rule(self):
+        """Every node's next free id, derived from the Trie-Symbol index,
+        is what the allocation B+-tree was seeded with: the last child's
+        RightPos, or ``left + 1`` for a leaf.  The dynamic build keeps
+        its slack on ``rp`` and falls back to bulk labels on ``ep``."""
+        documents = dblp(n_records=12).documents
+        seen = set()
+        for options in (IndexOptions(), IndexOptions(labeler="dynamic")):
+            with PrixIndex.build(documents, options) as index:
+                for name in index.variants():
+                    variant = index._variants[name]
+                    sequence = (extended_sequence if variant.extended
+                                else regular_sequence)
+                    trie = SequenceTrie()
+                    for document in documents:
+                        trie.insert(sequence(document).lps, document.doc_id)
+                    labeler = (DynamicLabeler() if options.labeler ==
+                               "dynamic" else BulkDFSLabeler())
+                    assert labeler.label(trie) == variant.root_range
+                    seen.add((options.labeler, index.summary()
+                              ["variants"][name]["insertion_slack"]))
+                    for node in (trie.root, *trie.iter_nodes()):
+                        seed = max((child.right
+                                    for child in node.children.values()),
+                                   default=node.left + 1)
+                        assert next_free_id(variant, node.left, node.right,
+                                            node.level) == seed
+        assert seen == {("bulk", False), ("dynamic", True),
+                        ("dynamic", False)}
 
 
 class TestDocViewNumbering:

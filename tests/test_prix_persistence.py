@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -241,9 +242,8 @@ TINY = ["<a><b><c/></b></a>", "<a><b/><c/></a>", "<a><b>x</b></a>",
 #: What a parentless catalog record holds, and each of its variants.
 WHOLE_KEYS = {"version", "doc_ids", "labels", "variants", "labeler",
               "alpha", "max_range"}
-VARIANT_KEYS = {"extended", "symbol_meta", "docid_meta", "alloc_meta",
-                "root_range", "maxgap", "label_counts", "catalog",
-                "trie_stats"}
+VARIANT_KEYS = {"extended", "symbol_meta", "docid_meta", "root_range",
+                "maxgap", "label_counts", "catalog", "trie_stats"}
 
 
 def tiny_documents(count):
@@ -394,6 +394,89 @@ class TestCatalogChain:
         assert any("parent" in record for record in heads())
         compact(directory)
         assert not any("parent" in record for record in heads())
+
+
+#: Inserted into ``tiny_documents(5)`` under ``dynamic_options`` as
+#: documents 98 and 99.  In both variants the first leaves the trie at a
+#: leaf and the second at a node with children, whose next free id is
+#: its last child's RightPos.
+CARVING_XML = ("<a><b><c/></b><e/></a>", "<d><b><q/></b></d>")
+
+#: The ``(label, LeftPos, RightPos)`` of each trie node those inserts
+#: carve, per variant -- as carved while the scope state was still
+#: stored in a per-node allocation B+-tree.
+CARVED = {"rp": {("a", 1064235235021704904, 1141835720908704219),
+                 ("d", 2305843009213693953, 2461043980987692584)},
+          "ep": {("a", 3773197651440590107, 3776472996624132285),
+                 ("b", 4611686018427387904, 4683743612465315839),
+                 ("d", 4611686018427387905, 4620693217682128896),
+                 ("e", 3773197651440590106, 3799400412908927537),
+                 ("q", 4611686018427387903, 5188146770730811391)}}
+
+#: A dynamic-labelled index over ``tiny_documents(5)``, saved by a build
+#: whose catalog still located that tree (``alloc_meta``).
+OLD_FILE = os.path.join(os.path.dirname(__file__), "golden",
+                        "tiny_dynamic_with_alloc_tree.idx")
+
+TINY_QUERIES = ("//a/b", "//a/b/c", "//a/c", "//a//b", '//a[./b="x"]',
+                '//b[./c="y"]/a')
+
+
+def trie_nodes(index):
+    """``{variant: {(label, LeftPos, RightPos)}}`` over every trie node."""
+    return {name: {(label, left, right)
+                   for label in variant.label_counts
+                   for left, right, _ in
+                   variant.symbol_index.range_query_full(label, 0, 2 ** 63)}
+            for name, variant in index._variants.items()}
+
+
+def carve(index):
+    """Insert ``CARVING_XML``; the trie nodes that added.  The index
+    then answers for the new documents."""
+    before = trie_nodes(index)
+    for doc_id, xml in enumerate(CARVING_XML, start=98):
+        index.insert_document(parse_document(xml, doc_id))
+    after = trie_nodes(index)
+    assert index.query("//a/e").doc_ids == [98]
+    assert index.query("//d/b/q").doc_ids == [99]
+    return {name: after[name] - before[name] for name in after}
+
+
+class TestCarving:
+    """A node's next free id is derived from the Trie-Symbol index, so a
+    carve is the same on a fresh build, a reopened one, and a file that
+    also stored it."""
+
+    def test_carve_is_the_same_before_and_after_save_and_open(
+            self, tmp_path):
+        path = str(tmp_path / "carve.idx")
+        with PrixIndex.build(tiny_documents(5),
+                             dynamic_options(tmp_path / "fresh.idx")) \
+                as fresh:
+            assert carve(fresh) == CARVED
+        with PrixIndex.build(tiny_documents(5),
+                             dynamic_options(path)) as index:
+            index.save()
+        with PrixIndex.open(path) as reopened:
+            assert carve(reopened) == CARVED
+
+    def test_a_file_that_stored_the_allocation_tree_opens_and_carves(
+            self, tmp_path):
+        path = str(tmp_path / "old.idx")
+        shutil.copy(OLD_FILE, path)
+        assert all("alloc_meta" in variant for variant
+                   in head_record(path)["variants"].values())
+        with PrixIndex.build(tiny_documents(5), IndexOptions(
+                labeler="dynamic", page_size=1024)) as fresh, \
+                PrixIndex.open(path) as old:
+            for xpath in TINY_QUERIES:
+                want = {(m.doc_id, m.canonical) for m in fresh.query(xpath)}
+                assert want, xpath
+                assert {(m.doc_id, m.canonical)
+                        for m in old.query(xpath)} == want, xpath
+            assert old.layout_options() == fresh.layout_options()
+            assert carve(old) == CARVED
 
 
 class TestDeleteIsAllOrNothing:

@@ -12,6 +12,7 @@ what is shard-specific).
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -85,10 +86,10 @@ def test_reload_swaps_generation_and_drains_old(index_path):
     thread = threading.Thread(target=reloader)
     thread.start()
     # New queries see generation 2 while the old lease is still alive.
-    deadline_guard = 0
+    deadline = time.monotonic() + 10.0    # the reload's own timeout
     while registry.describe()["default"]["generation"] != 2:
-        deadline_guard += 1
-        assert deadline_guard < 10_000
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
     assert not done.is_set()
     # The leased old generation still answers identically: its pages
     # cannot be closed under a live query.
