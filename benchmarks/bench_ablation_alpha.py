@@ -32,7 +32,7 @@ def build_trie(corpus_name):
     return trie
 
 
-def test_ablation_alpha_coverage(benchmark):
+def test_ablation_alpha_coverage():
     total_nodes = build_trie("treebank").node_count
     coverage = {}
     for alpha in ALPHAS:
@@ -41,11 +41,6 @@ def test_ablation_alpha_coverage(benchmark):
         labeler.label(build_trie("treebank"))
         coverage[alpha] = (labeler.labeled_before_underflow,
                            labeler.underflows)
-
-    benchmark.pedantic(
-        lambda: DynamicLabeler(max_range=2 ** 63, alpha=4).label(
-            build_trie("treebank")),
-        rounds=1, iterations=1)
 
     render_table(
         f"Ablation A3: dynamic labeling coverage vs alpha "

@@ -11,7 +11,7 @@ from repro.bench.reporting import render_table
 from repro.bench.workloads import QUERIES, query_by_id
 
 
-def test_ablation_rp_vs_ep(benchmark):
+def test_ablation_rp_vs_ep():
     rows = []
     results = {}
     for spec in QUERIES:
@@ -28,10 +28,6 @@ def test_ablation_rp_vs_ep(benchmark):
             f"{ep.extra['range_queries']} rq / {ep.elapsed:.4f}s",
             auto.extra["variant"],
         ])
-    benchmark.pedantic(
-        lambda: environment("dblp").run_prix("Q3", variant="ep",
-                                            strategy="trie"),
-        rounds=1, iterations=1)
 
     render_table(
         "Ablation A2: RPIndex vs EPIndex per query",

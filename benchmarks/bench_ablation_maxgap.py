@@ -15,7 +15,7 @@ from repro.bench.reporting import ratio, render_table
 from repro.bench.workloads import QUERIES
 
 
-def test_ablation_maxgap(benchmark):
+def test_ablation_maxgap():
     rows = []
     total_off = 0
     total_label = 0
@@ -42,10 +42,6 @@ def test_ablation_maxgap(benchmark):
             ratio(off.extra["nodes_visited"],
                   max(node.filter.nodes_visited, 1)),
         ])
-    benchmark.pedantic(
-        lambda: environment("treebank").run_prix(
-            "Q9", use_maxgap=True, strategy="trie"),
-        rounds=1, iterations=1)
 
     render_table(
         "Ablation A1: MaxGap pruning (off / per-label / per-trie-node)",

@@ -37,7 +37,7 @@ def measure(n_sentences):
     return prix_stats.elapsed_seconds, vist_elapsed
 
 
-def test_ablation_scale_growth(benchmark):
+def test_ablation_scale_growth():
     rows = []
     factors = []
     for n_sentences in SIZES:
@@ -46,8 +46,6 @@ def test_ablation_scale_growth(benchmark):
         factors.append(factor)
         rows.append([n_sentences, f"{prix_elapsed:.4f}",
                      f"{vist_elapsed:.4f}", f"{factor:.1f}x"])
-
-    benchmark.pedantic(lambda: measure(SIZES[0]), rounds=1, iterations=1)
 
     render_table(
         f"Ablation A5: PRIX vs ViST elapsed time vs scale ({QUERY})",

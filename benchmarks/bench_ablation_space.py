@@ -29,7 +29,7 @@ def prix_text(document):
     return sum(len(label) for label in seq.lps)
 
 
-def test_ablation_space_growth(benchmark):
+def test_ablation_space_growth():
     rows = []
     prix_sizes = []
     vist_sizes = []
@@ -41,8 +41,6 @@ def test_ablation_space_growth(benchmark):
         vist_sizes.append(vist_size)
         rows.append([n, prix_size, vist_size,
                      f"{vist_size / prix_size:.1f}x"])
-    benchmark.pedantic(lambda: total_sequence_text(unary_document(200)),
-                       rounds=3, iterations=1)
 
     render_table(
         "Ablation A4: sequence text on a unary n-node tree",

@@ -8,12 +8,12 @@ unordered over ordered matching for every branching Table 3 query.
 """
 
 from repro.bench.harness import environment
-from repro.bench.reporting import ratio, render_table
+from repro.bench.reporting import render_table
 from repro.bench.workloads import QUERIES
 from repro.query.twig import arrangements
 
 
-def test_ablation_unordered_vs_ordered(benchmark):
+def test_ablation_unordered_vs_ordered():
     rows = []
     multipliers = []
     for spec in QUERIES:
@@ -40,11 +40,6 @@ def test_ablation_unordered_vs_ordered(benchmark):
             f"{unordered_stats.elapsed_seconds * 1000:.2f} ms",
             f"{multiplier:.1f}x",
         ])
-
-    benchmark.pedantic(
-        lambda: environment("swissprot").prix.query(
-            environment("swissprot").pattern("Q6"), ordered=True),
-        rounds=1, iterations=1)
 
     render_table(
         "Ablation A6: ordered vs unordered matching (Section 5.7)",

@@ -54,7 +54,7 @@ def build_all(corpus_name):
     return total_nodes, results
 
 
-def test_build_costs(benchmark):
+def test_build_costs():
     rows = []
     prix_pages = {}
     vist_pages = {}
@@ -66,8 +66,6 @@ def test_build_costs(benchmark):
                          f"{pages * BENCH_PAGE_SIZE / 1024:.0f} KiB"])
         prix_pages[corpus_name] = results["PRIX (rp+ep)"][1]
         vist_pages[corpus_name] = results["ViST"][1]
-
-    benchmark.pedantic(lambda: build_all("dblp"), rounds=1, iterations=1)
 
     render_table(
         f"Index construction (scale={DEFAULT_SCALE}, "

@@ -31,7 +31,7 @@ def build_trap_corpus(n_docs=200):
     return docs
 
 
-def test_fig1b_false_alarm(benchmark):
+def test_fig1b_false_alarm():
     doc1, doc2 = figure1_documents()
     query = figure1_query()
 
@@ -41,7 +41,6 @@ def test_fig1b_false_alarm(benchmark):
 
     prix_docs = {m.doc_id for m in prix.query(query)}
     vist_docs, _ = vist.query(query)
-    benchmark.pedantic(lambda: prix.query(query), rounds=3, iterations=1)
 
     # Scaled trap corpus: measure false-alarm rates.
     trap_docs = build_trap_corpus()

@@ -25,10 +25,8 @@ def collect_series():
     return series
 
 
-def test_figure6_elapsed_time(benchmark):
+def test_figure6_elapsed_time():
     series = collect_series()
-    benchmark.pedantic(lambda: environment("treebank").run_prix("Q7"),
-                       rounds=1, iterations=1)
 
     rows = []
     for qid, results in series.items():

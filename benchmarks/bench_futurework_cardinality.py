@@ -33,7 +33,7 @@ def bucket_of(count):
     return None
 
 
-def test_futurework_cardinality(benchmark):
+def test_futurework_cardinality():
     env = environment("dblp")
     documents = env.corpus.documents
     rng = random.Random(20040301)
@@ -56,11 +56,6 @@ def test_futurework_cardinality(benchmark):
         ts_matches, _ = twig_stack(pattern, streams)
         samples[pair].append((len(matches), stats.elapsed_seconds,
                               len(ts_matches)))
-
-    benchmark.pedantic(
-        lambda: env.prix.query(sample_twig(documents,
-                                           random.Random(1))),
-        rounds=1, iterations=1)
 
     rows = []
     per_match = []

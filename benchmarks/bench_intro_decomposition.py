@@ -15,12 +15,11 @@ from repro.baselines.structjoin import binary_twig_join
 from repro.baselines.twigstack import twig_stack
 from repro.bench.harness import environment
 from repro.bench.reporting import render_table
-from repro.bench.workloads import query_by_id
 
 QUERIES = ("Q5", "Q6")
 
 
-def test_intro_decomposition_overhead(benchmark):
+def test_intro_decomposition_overhead():
     env = environment("swissprot")
     rows = []
     measured = {}
@@ -49,10 +48,6 @@ def test_intro_decomposition_overhead(benchmark):
             f"{bj_elapsed:.4f}s ({bj_stats.pairs_produced} edge pairs, "
             f"{bj_stats.path_tuples} path tuples)",
         ])
-
-    benchmark.pedantic(
-        lambda: binary_twig_join(env.pattern("Q5"), env.streams),
-        rounds=1, iterations=1)
 
     render_table(
         "Intro motivation: holistic vs decomposed twig matching "

@@ -24,15 +24,11 @@ PAPER_ROWS = {
 }
 
 
-def test_table2_dataset_stats(benchmark):
+def test_table2_dataset_stats():
     stats = {}
     for name in ("dblp", "swissprot", "treebank"):
         corpus = environment(name).corpus
         stats[name] = corpus_stats(corpus)
-
-    benchmark.pedantic(
-        lambda: corpus_stats(environment("dblp").corpus),
-        rounds=1, iterations=1)
 
     rows = []
     for name, measured in stats.items():

@@ -23,12 +23,10 @@ PAPER = {
 }
 
 
-def test_table7_twigstack_vs_xb(benchmark):
+def test_table7_twigstack_vs_xb():
     env = environment("dblp")
     results = {qid: (env.run_twigstack(qid), env.run_twigstack_xb(qid))
                for qid in ("Q1", "Q2", "Q3")}
-    benchmark.pedantic(lambda: env.run_twigstack("Q1"),
-                       rounds=1, iterations=1)
 
     rows = []
     for qid, (ts, xb) in results.items():

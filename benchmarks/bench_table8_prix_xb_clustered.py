@@ -22,16 +22,13 @@ PAPER = {
 }
 
 
-def test_table8_prix_vs_xb_clustered(benchmark):
+def test_table8_prix_vs_xb_clustered():
     results = {}
     for qid in ("Q1", "Q5", "Q7"):
         spec_corpus = {"Q1": "dblp", "Q5": "swissprot",
                        "Q7": "treebank"}[qid]
         env = environment(spec_corpus)
         results[qid] = (env.run_prix(qid), env.run_twigstack_xb(qid))
-    benchmark.pedantic(
-        lambda: environment("swissprot").run_prix("Q5"),
-        rounds=1, iterations=1)
 
     rows = []
     for qid, (prix, xb) in results.items():

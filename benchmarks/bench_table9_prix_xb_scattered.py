@@ -23,14 +23,12 @@ PAPER = {
 }
 
 
-def test_table9_prix_vs_xb_scattered(benchmark):
+def test_table9_prix_vs_xb_scattered():
     corpus_of = {"Q2": "dblp", "Q6": "swissprot", "Q8": "treebank"}
     results = {}
     for qid, corpus in corpus_of.items():
         env = environment(corpus)
         results[qid] = (env.run_prix(qid), env.run_twigstack_xb(qid))
-    benchmark.pedantic(lambda: environment("dblp").run_prix("Q2"),
-                       rounds=1, iterations=1)
 
     rows = []
     for qid, (prix, xb) in results.items():

@@ -10,7 +10,7 @@ This package is a full, from-scratch Python reproduction of the PRIX system
 - :mod:`repro.trie` -- the virtual trie and its containment labeling,
 - :mod:`repro.prix` -- the PRIX index and the filter/refine query pipeline,
 - :mod:`repro.query` -- an XPath-subset parser producing twig patterns,
-- :mod:`repro.baselines` -- ViST, PathStack, TwigStack and TwigStackXB,
+- :mod:`repro.baselines` -- ViST, TwigStack and TwigStackXB,
 - :mod:`repro.bench` -- the experiment harness regenerating every table/figure.
 
 Quickstart::
@@ -48,7 +48,8 @@ __version__ = "1.0.0"
 
 # PRIX_SANITIZE=1 turns on the runtime resource-protocol sanitizer for
 # the whole process (see repro.analysis.sanitizer) -- CI runs one test
-# shard this way so pin/flush discipline is asserted dynamically too.
+# shard this way so flush, WAL and latch discipline is asserted
+# dynamically too.
 if _os.environ.get("PRIX_SANITIZE", "") not in ("", "0"):
     from repro.analysis.sanitizer import enable as _enable_sanitizer
     _enable_sanitizer()

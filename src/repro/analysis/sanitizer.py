@@ -1,6 +1,6 @@
 """Runtime sanitizer: the storage protocols, asserted while the code runs.
 
-Pin/flush, durability-ordering and latch discipline are properties of
+Flush, durability-ordering and latch discipline are properties of
 whole executions -- a handle stored on ``self`` outlives the function
 that took it, a data race needs two threads -- so they are checked
 where they happen: with the sanitizer enabled, the storage layer itself
@@ -11,13 +11,6 @@ give it coverage.
 
 Checks added while enabled:
 
-- **pin balance at close**: ``BufferPool.close()`` with outstanding pins
-  raises :class:`~repro.storage.errors.PinProtocolError` -- a pin that
-  survives the pool's lifetime was never released anywhere.
-  ``FilePagerBackend.close()`` begins with that call, so the check
-  covers every index the product opens, not only bare pools.
-  (``unpin`` at count zero and ``flush_and_clear`` with pins raise
-  unconditionally; they are protocol violations, not heuristics.)
 - **flush before stats**: ``IOStats.snapshot()`` while a pool on that
   stats object still holds dirty pages raises :class:`SanitizeError`.
   A snapshot taken then would report physical I/O that has not happened
@@ -92,7 +85,6 @@ from contextlib import contextmanager
 
 from repro.storage import latch as latch_module
 from repro.storage.buffer_pool import BufferPool
-from repro.storage.errors import PinProtocolError
 from repro.storage.pager import Pager
 from repro.storage.stats import IOStats
 
@@ -313,13 +305,11 @@ def enable():
         return
     _state = _State()
     _saved["pool_init"] = BufferPool.__init__
-    _saved["pool_close"] = BufferPool.close
     _saved["pool_get"] = BufferPool.get
     _saved["stats_snapshot"] = IOStats.snapshot
     _saved["pager_write"] = Pager.write
 
     original_init = _saved["pool_init"]
-    original_close = _saved["pool_close"]
     original_get = _saved["pool_get"]
     original_snapshot = _saved["stats_snapshot"]
     original_write = _saved["pager_write"]
@@ -329,15 +319,6 @@ def enable():
         original_init(self, *args, **kwargs)
         with state.meta:
             state.pools.add(self)
-
-    def close(self):
-        if _peek(self, "_pins"):
-            pins = sorted(_peek(self, "_pins"))
-            raise PinProtocolError(
-                "sanitizer: BufferPool.close() with outstanding pins on "
-                f"pages {pins}; every pin() needs a matching unpin() "
-                "before the pool goes away")
-        original_close(self)
 
     def get(self, page_id):
         frame = original_get(self, page_id)
@@ -387,7 +368,6 @@ def enable():
         return original_write(self, page_id, data)
 
     BufferPool.__init__ = init
-    BufferPool.close = close
     BufferPool.get = get
     IOStats.snapshot = snapshot
     Pager.write = write
@@ -407,7 +387,6 @@ def disable():
     latch_module.watch_guarded(None)
     _remove_descriptors()
     BufferPool.__init__ = _saved.pop("pool_init")
-    BufferPool.close = _saved.pop("pool_close")
     BufferPool.get = _saved.pop("pool_get")
     IOStats.snapshot = _saved.pop("stats_snapshot")
     Pager.write = _saved.pop("pager_write")

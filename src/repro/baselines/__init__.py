@@ -6,8 +6,8 @@
 - :mod:`repro.baselines.structjoin` -- binary structural joins
   (Al-Khalifa et al., ICDE 2002): the decomposition approach the paper's
   introduction argues against.
-- :mod:`repro.baselines.pathstack` / :mod:`repro.baselines.twigstack` --
-  the holistic stack joins of Bruno et al. (SIGMOD 2002).
+- :mod:`repro.baselines.twigstack` -- the holistic stack join of Bruno
+  et al. (SIGMOD 2002).
 - :mod:`repro.baselines.xbtree` / :mod:`repro.baselines.twigstackxb` --
   the XB-tree variant that skips input-list regions.
 - :mod:`repro.baselines.vist` -- the structure-encoded sequence index of
@@ -15,11 +15,9 @@
 """
 
 from repro.baselines.naive import naive_match_count, naive_matches
-from repro.baselines.pathstack import path_stack
 from repro.baselines.structjoin import binary_twig_join, structural_join
 from repro.baselines.twigstack import twig_stack
 from repro.baselines.twigstackxb import twig_stack_xb
 
 __all__ = ["binary_twig_join", "naive_match_count", "naive_matches",
-           "path_stack", "structural_join", "twig_stack",
-           "twig_stack_xb"]
+           "structural_join", "twig_stack", "twig_stack_xb"]

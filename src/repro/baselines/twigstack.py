@@ -1,4 +1,4 @@
-"""TwigStack and PathStack (Bruno, Koudas, Srivastava -- SIGMOD 2002).
+"""TwigStack (Bruno, Koudas, Srivastava -- SIGMOD 2002).
 
 Holistic stack-based twig joins over region-encoded element streams.
 TwigStack is optimal for descendant-only twigs; with parent/child edges it
@@ -288,10 +288,3 @@ def twig_stack(pattern, stream_set, stats=None):
 
     merged = collector.merge(stats)
     return _solutions_to_matches(merged, pattern, root), stats
-
-
-def path_stack(pattern, stream_set, stats=None):
-    """PathStack: the linear-path algorithm (see
-    :mod:`repro.baselines.pathstack` for the implementation)."""
-    from repro.baselines.pathstack import path_stack as run
-    return run(pattern, stream_set, stats=stats)

@@ -10,8 +10,8 @@ systems over their own storage stacks:
 
 Every measurement runs cold: the relevant buffer pool is flushed and
 cleared first, so the reported page counts correspond to the paper's
-direct-I/O methodology.  Environments are cached at module level because
-pytest-benchmark re-imports bench modules freely.
+direct-I/O methodology.  Environments are cached at module level, so
+the bench scripts of one pytest run share each corpus's build.
 """
 
 from __future__ import annotations

@@ -109,7 +109,7 @@ class QueryResult(list):
 
 
 #: Document-at-a-time fallback thresholds: the rarest query label must
-#: occur at no more than this many trie nodes, and pin down at most this
+#: occur at no more than this many trie nodes, and in no more than this
 #: many candidate documents, for the fallback to engage.
 RARE_LABEL_NODE_LIMIT = 128
 RARE_LABEL_DOC_LIMIT = 256

@@ -27,7 +27,7 @@ and the merge surfaces ``approximate=True`` iff any shard degraded:
 
 Matches are returned in canonical ``(doc_id, images)`` order, so the
 answer is byte-stable across shard counts -- the oracle property the
-sharding tests pin against a monolithic index.
+sharding tests check against a monolithic index.
 """
 
 from __future__ import annotations

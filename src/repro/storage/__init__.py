@@ -42,10 +42,9 @@ from repro.storage.bptree import BPlusTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.codec import (decode_key, encode_int, encode_key,
                                  encode_str, page_checksum, split_varints)
-from repro.storage.errors import (BufferPoolExhaustedError, CorruptionError,
-                                  PageCorruptionError, PageOverflowError,
-                                  PageRangeError, PageSizeError,
-                                  PinProtocolError, ReadOnlyBackendError,
+from repro.storage.errors import (CorruptionError, PageCorruptionError,
+                                  PageOverflowError, PageRangeError,
+                                  PageSizeError, ReadOnlyBackendError,
                                   RecordCorruptionError, StorageError,
                                   SuperblockError, TransientStorageError,
                                   WalCorruptionError, WalError,
@@ -68,7 +67,6 @@ from repro.storage.wal import (SYNC_ALWAYS, SYNC_COMMIT, SYNC_NEVER,
 __all__ = [
     "BPlusTree",
     "BufferPool",
-    "BufferPoolExhaustedError",
     "ChaosBackend",
     "ChaosConfig",
     "ChaosSchedule",
@@ -86,7 +84,6 @@ __all__ = [
     "PageRangeError",
     "PageSizeError",
     "Pager",
-    "PinProtocolError",
     "ReadOnlyBackendError",
     "RecordCorruptionError",
     "RecordStore",

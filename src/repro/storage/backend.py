@@ -117,8 +117,7 @@ class FilePagerBackend(BufferPool):
         """Flush and close the full stack (pool, WAL, pager, guard).
 
         Begins with :meth:`BufferPool.close` -- the flush, which commits
-        and orders the log ahead of the data pages, and whatever the
-        runtime sanitizer asserts there (pin balance).  The data file is
+        and orders the log ahead of the data pages.  The data file is
         then fsynced so closing is a durability point, and only then is
         the log handle released.
         """

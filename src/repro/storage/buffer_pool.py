@@ -7,7 +7,7 @@ the pager and is counted as a physical read.  Benchmarks call
 :meth:`flush_and_clear` between queries to measure cold-cache behaviour.
 
 Concurrency (``docs/CONCURRENCY.md``): all frame-map state -- the frame
-table, dirty set, decoded cache, pin table and WAL bookkeeping -- is
+table, dirty set, decoded cache and WAL bookkeeping -- is
 guarded by the pool's ``buffer-pool`` latch (``_latch``), with two
 load-bearing refinements:
 
@@ -22,19 +22,19 @@ load-bearing refinements:
   stress harness.  Dirty evictions park an event in the same table so a
   re-read of an in-flight victim waits for the write-back to land.
 
-Pins are **thread-owned**: ``pin()`` records the calling thread, and an
-``unpin()`` from a thread that holds no pin on the page is a typed
-protocol error naming the actual owners.
+Eviction only drops a frame from the map and a reload builds a new
+``bytearray``, so a frame a reader already holds never changes under
+it.  A writer mutates a frame and calls :meth:`mark_dirty` with no pool
+call in between; no query runs beside a write on the same index
+(``docs/CONCURRENCY.md``, rule 4).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 
-from repro.storage.errors import (BufferPoolExhaustedError, PageSizeError,
-                                  PinProtocolError, WalProtocolError)
+from repro.storage.errors import PageSizeError, WalProtocolError
 from repro.storage.latch import Latch, guarded
 
 #: Pool capacity used by the experiments; matches the paper's 2000 pages.
@@ -51,7 +51,6 @@ class BufferPool:
         "_frames": "_latch",
         "_dirty": "_latch",
         "_decoded": "_latch",
-        "_pins": "_latch",
         "_loading": "_latch",
         "_page_lsn": "_latch",
         "_wal_uncommitted": "_latch",
@@ -66,7 +65,6 @@ class BufferPool:
         self._frames = OrderedDict()  # page_id -> bytearray
         self._dirty = set()
         self._decoded = {}  # page_id -> decoded object
-        self._pins = {}  # page_id -> {thread name -> count}
         self._loading = {}  # page_id -> Event (in-flight I/O)
         self._wal = None
         self._page_lsn = {}  # page_id -> LSN of last logged image
@@ -108,9 +106,8 @@ class BufferPool:
 
         - **no steal**: a page dirtied since the last :meth:`commit` is
           never written to the data file -- eviction skips it, and a
-          pool full of such pages raises
-          :class:`~repro.storage.errors.BufferPoolExhaustedError`
-          (redo-only recovery cannot undo a stolen write);
+          pool full of such pages commits the batch early rather than
+          steal one (redo-only recovery cannot undo a stolen write);
         - **WAL before data**: a committed dirty page reaches the data
           file only after the log record holding its image is fsynced
           (:meth:`_write_back` forces the log flush when needed).
@@ -254,7 +251,7 @@ class BufferPool:
 
         The decoded object lives exactly as long as the page is resident
         and clean: writes and evictions drop it.  This mirrors real
-        engines keeping deserialized nodes pinned to buffer frames -- the
+        engines keeping deserialized nodes attached to buffer frames -- the
         physical-read accounting is unaffected because the underlying
         frame is still fetched through :meth:`get`.
 
@@ -276,79 +273,6 @@ class BufferPool:
             if page_id in self._frames:
                 self._decoded[page_id] = decoded
         return decoded
-
-    def pin(self, page_id):
-        """Load ``page_id`` (a logical read), pin its frame, return it.
-
-        A pinned frame is exempt from eviction, so the returned
-        ``bytearray`` stays the live in-pool image until the matching
-        :meth:`unpin` -- mutations made to it cannot be silently written
-        back and then orphaned by an eviction mid-use.  Pins nest, are
-        owned by the calling thread, and every ``pin`` needs exactly one
-        ``unpin`` on every code path (prefer :meth:`pinned`, which
-        guarantees that).
-        """
-        frame = self.get(page_id)
-        me = threading.current_thread().name
-        with self._latch:
-            by_thread = self._pins.setdefault(page_id, {})
-            by_thread[me] = by_thread.get(me, 0) + 1
-        return frame
-
-    def unpin(self, page_id):
-        """Release one of the calling thread's pins on ``page_id``.
-
-        Raises :class:`PinProtocolError` when this thread holds no pin
-        on the frame: silently letting the count go negative would make
-        a later legitimate pin a no-op and reintroduce the eviction
-        hazard the pin was supposed to prevent, and decrementing another
-        thread's pin would unprotect a frame that thread is still using.
-        The error names the actual owning threads so concurrent pin bugs
-        are diagnosable from the message alone.
-        """
-        me = threading.current_thread().name
-        with self._latch:
-            by_thread = self._pins.get(page_id)
-            held = 0 if by_thread is None else by_thread.get(me, 0)
-            if held <= 0:
-                total = 0 if by_thread is None else sum(by_thread.values())
-                owners = sorted(by_thread) if by_thread else []
-                detail = (f", owned by thread(s) {owners}" if owners else "")
-                raise PinProtocolError(
-                    f"unpin of page {page_id} by thread {me!r} which has "
-                    f"pin count 0 there (page total {total}{detail})")
-            if held == 1:
-                del by_thread[me]
-                if not by_thread:
-                    del self._pins[page_id]
-            else:
-                by_thread[me] = held - 1
-
-    @contextmanager
-    def pinned(self, page_id):
-        """Context manager: pin ``page_id`` for the block, then unpin."""
-        frame = self.pin(page_id)
-        try:
-            yield frame
-        finally:
-            self.unpin(page_id)
-
-    def pin_count(self, page_id):
-        """Current pin count of ``page_id`` (0 when unpinned)."""
-        with self._latch:
-            by_thread = self._pins.get(page_id)
-            return 0 if by_thread is None else sum(by_thread.values())
-
-    def pin_owners(self, page_id):
-        """``{thread name: pin count}`` for ``page_id`` (empty if none)."""
-        with self._latch:
-            return dict(self._pins.get(page_id, ()))
-
-    @property
-    def pinned_pages(self):
-        """Page ids currently holding at least one pin."""
-        with self._latch:
-            return frozenset(self._pins)
 
     def put(self, page_id, data):
         """Replace the cached image of ``page_id`` and mark it dirty.
@@ -390,25 +314,10 @@ class BufferPool:
     def _evictable(self, page_id):  # caller holds _latch
         """Whether a frame may leave the pool right now.
 
-        Pinned frames never move; with a WAL attached, dirty frames
-        whose current image is not yet logged (uncommitted) may not be
-        written back either (no steal).
+        With a WAL attached, dirty frames whose current image is not
+        yet logged (uncommitted) may not be written back (no steal).
         """
-        if page_id in self._pins:
-            return False
         return page_id not in self._wal_uncommitted
-
-    def _exhausted(self, page_id):  # caller holds _latch
-        """The typed everything-is-pinned error, naming the pin owners."""
-        pages = len(self._pins)
-        total = sum(sum(by_thread.values())
-                    for by_thread in self._pins.values())
-        threads = sorted({name for by_thread in self._pins.values()
-                          for name in by_thread})
-        return BufferPoolExhaustedError(
-            f"all {self._capacity} frames are pinned; cannot admit page "
-            f"{page_id} ({total} pin(s) on {pages} page(s) held by "
-            f"thread(s) {threads}; unpin, or grow the pool)")
 
     def _admit(self, page_id, frame):
         """Insert ``frame``, evicting (and writing back) as needed.
@@ -427,8 +336,7 @@ class BufferPool:
                 victim_id = next((candidate for candidate in self._frames
                                   if self._evictable(candidate)), None)
                 if victim_id is None:
-                    if self._wal is None or not self._wal_uncommitted:
-                        raise self._exhausted(page_id)
+                    # Every resident frame is uncommitted under a WAL.
                     # Memory pressure forces a batch boundary: under
                     # no-steal an uncommitted page cannot leave the
                     # pool, so a batch whose working set outgrows the
@@ -491,19 +399,7 @@ class BufferPool:
                 self._dirty.discard(page_id)
 
     def flush_and_clear(self):
-        """Write back all dirty pages and empty the pool (cold cache).
-
-        Refuses to run while any frame is pinned: clearing would orphan
-        the pinned ``bytearray`` from the pool, so later mutations through
-        it would never reach disk.
-        """
-        with self._latch:
-            if self._pins:
-                owners = sorted({name for by_thread in self._pins.values()
-                                 for name in by_thread})
-                raise PinProtocolError(
-                    "flush_and_clear with outstanding pins on pages "
-                    f"{sorted(self._pins)} (held by thread(s) {owners})")
+        """Write back all dirty pages and empty the pool (cold cache)."""
         self.flush()
         with self._latch:
             self._frames.clear()

@@ -64,30 +64,6 @@ class KeyNotFoundError(StorageError, KeyError):
     """A delete or exact lookup referenced a key that is absent."""
 
 
-class PinProtocolError(StorageError):
-    """The pin/unpin discipline of the buffer pool was violated.
-
-    Raised on unpinning a frame the calling thread holds no pin on (the
-    old behaviour -- silently going negative -- would let a later pin
-    be "cancelled" by an unrelated earlier bug), and on operations that
-    would invalidate a pinned frame, such as clearing the pool while
-    pins are outstanding.  Pins are thread-owned, so the message names
-    the offending thread and the threads actually holding pins --
-    enough to diagnose a concurrent pin bug from the message alone.
-    """
-
-
-class BufferPoolExhaustedError(StorageError):
-    """Every frame is pinned, so no page can be admitted or evicted.
-
-    Hitting this means pins are being held across too much work (or
-    leaked); the cure is narrower pin scopes, not a bigger pool.  The
-    message reports the capacity, the outstanding pin count and the
-    owning thread names, so a concurrent exhaustion is attributable
-    without a debugger.
-    """
-
-
 class ReadOnlyBackendError(StorageError):
     """A mutation reached a read-only storage backend.
 

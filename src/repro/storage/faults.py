@@ -438,8 +438,8 @@ class ChaosSchedule:
 class ChaosBackend:
     """A backend wrapper that injects seeded read faults.
 
-    Wraps any backend and perturbs only the *read* path (``get``,
-    ``get_decoded``, ``pin``, ``pinned``); every mutation, lifecycle and
+    Wraps any backend and perturbs only the *read* path (``get`` and
+    ``get_decoded``); every mutation, lifecycle and
     accounting member reaches the wrapped backend untouched through
     ``__getattr__``, so with no faults due the wrapped backend behaves
     identically -- and with chaos disabled
@@ -563,21 +563,6 @@ class ChaosBackend:
         """Decoded read, possibly through an injected fault."""
         self._chaos_read(page_id, "get_decoded")
         return self._inner.get_decoded(page_id, decoder)
-
-    def pin(self, page_id):
-        """Pin a frame, possibly through an injected fault.
-
-        Like every backend's ``pin``, ownership of the pin transfers to
-        the caller, who balances it with :meth:`unpin` (or avoids the
-        obligation entirely via :meth:`pinned`).
-        """
-        self._chaos_read(page_id, "pin")
-        return self._inner.pin(page_id)
-
-    def pinned(self, page_id):
-        """Pinned-read context manager over the wrapped backend."""
-        self._chaos_read(page_id, "pinned")
-        return self._inner.pinned(page_id)
 
     # -- everything else -----------------------------------------------
 

@@ -67,12 +67,12 @@ class RecordStore:
         page_id = first_page
         offset = first_offset
         while pos < len(blob):
-            # Pin while mutating: an eviction between the slice write and
-            # mark_dirty would write back (and then orphan) the frame.
-            with self._pool.pinned(page_id) as frame:
-                take = min(self._page_size - offset, len(blob) - pos)
-                frame[offset:offset + take] = blob[pos:pos + take]
-                self._pool.mark_dirty(page_id)
+            # No pool call between the slice write and mark_dirty, so
+            # nothing on this thread can evict the frame in between.
+            frame = self._pool.get(page_id)
+            take = min(self._page_size - offset, len(blob) - pos)
+            frame[offset:offset + take] = blob[pos:pos + take]
+            self._pool.mark_dirty(page_id)
             pos += take
             offset += take
             if offset >= self._page_size and pos < len(blob):
@@ -88,8 +88,7 @@ class RecordStore:
         if not length:
             return b""
         take = min(self._page_size - offset, length)
-        with self._pool.pinned(page_id) as frame:
-            chunks = [bytes(frame[offset:offset + take])]
+        chunks = [bytes(self._pool.get(page_id)[offset:offset + take])]
         self._continuation(page_id, length - take, chunks)
         return b"".join(chunks)
 
@@ -126,14 +125,14 @@ class RecordStore:
         return decoded
 
     def _continuation(self, page_id, remaining, chunks):
-        """Pin and touch the pages after a record's first; append their
-        share of the blob to ``chunks`` unless it is None."""
+        """Touch the pages after a record's first; append their share
+        of the blob to ``chunks`` unless it is None."""
         while remaining > 0:
             page_id += 1
             take = min(self._page_size, remaining)
-            with self._pool.pinned(page_id) as frame:
-                if chunks is not None:
-                    chunks.append(bytes(frame[:take]))
+            frame = self._pool.get(page_id)
+            if chunks is not None:
+                chunks.append(bytes(frame[:take]))
             remaining -= take
 
     def pages_for(self, rid):

@@ -1,26 +1,20 @@
 """Runtime sanitizer tests: enable/disable, every check, env activation.
 
 These tests intentionally commit the protocol violations the sanitizer
-exists to catch (pins outliving close, snapshots while dirty, racy and
-latch-holding reads).
+exists to catch (snapshots while dirty, racy and latch-holding reads).
 """
 
 import os
 import subprocess
 import sys
 import threading
-from contextlib import nullcontext
 
 import pytest
-
-from helpers import ChaosOpens
 
 from repro.analysis import sanitizer
 from repro.prix.index import IndexOptions, PrixIndex
 from repro.storage.backend import open_backend
 from repro.storage.buffer_pool import BufferPool
-from repro.storage.errors import PinProtocolError
-from repro.storage.faults import ChaosConfig
 from repro.storage.pager import Pager
 from repro.storage.records import RecordStore
 
@@ -57,24 +51,24 @@ def make_pool(capacity=4):
 
 class TestLifecycle:
     def test_enable_disable_restores_methods(self):
-        original_close = BufferPool.close
+        original_get = BufferPool.get
         original_snapshot = type(make_pool().stats).snapshot
         sanitizer.enable()
         try:
             assert sanitizer.active()
-            assert BufferPool.close is not original_close
+            assert BufferPool.get is not original_get
         finally:
             sanitizer.disable()
         assert not sanitizer.active()
-        assert BufferPool.close is original_close
+        assert BufferPool.get is original_get
         assert type(make_pool().stats).snapshot is original_snapshot
 
     def test_enable_is_idempotent(self):
         sanitizer.enable()
-        saved_close = BufferPool.close
+        saved_get = BufferPool.get
         sanitizer.enable()
         try:
-            assert BufferPool.close is saved_close
+            assert BufferPool.get is saved_get
         finally:
             sanitizer.disable()
 
@@ -90,49 +84,6 @@ class TestLifecycle:
                 pass
             assert sanitizer.active()
         assert not sanitizer.active()
-
-
-class TestPinBalanceAtClose:
-    def test_close_with_outstanding_pin_raises(self, sanitized):
-        pool = make_pool()
-        pid, _ = pool.new_page()
-        pool.pin(pid)
-        with pytest.raises(PinProtocolError):
-            pool.close()
-        pool.unpin(pid)
-        pool.close()
-
-    def test_close_without_pins_passes(self, sanitized):
-        pool = make_pool()
-        pool.new_page()
-        pool.close()
-
-    def test_without_sanitizer_close_does_not_check(self):
-        pool = make_pool()
-        pid, _ = pool.new_page()
-        pool.pin(pid)
-        pool.close()  # no assertion without the sanitizer
-        pool.unpin(pid)
-
-    @pytest.mark.parametrize("chaos", [None, ChaosConfig(seed=1)],
-                             ids=["plain", "chaos"])
-    @pytest.mark.parametrize("kind", ["file", "arena", "mmap"])
-    def test_product_index_close_checks_pins(self, tmp_path, tiny_dblp,
-                                             kind, chaos):
-        """The check sees the ``close()`` the product calls: an index
-        opened the ordinary way, on every kind, wrapped or not."""
-        path = str(tmp_path / "prix.idx")
-        with PrixIndex.build(tiny_dblp.documents,
-                             IndexOptions(path=path)) as built:
-            built.save()
-        with sanitizer.sanitized():
-            with ChaosOpens(chaos) if chaos else nullcontext():
-                index = PrixIndex.open(path, backend=kind)
-            index._pool.pin(0)
-            with pytest.raises(PinProtocolError):
-                index.close()
-            index._pool.unpin(0)
-            index.close()
 
 
 class TestFlushBeforeStats:

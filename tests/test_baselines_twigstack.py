@@ -1,16 +1,14 @@
-"""TwigStack / PathStack tests."""
+"""TwigStack tests."""
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_random_tree, make_random_twig
 from repro.baselines.naive import naive_matches
 from repro.baselines.region import StreamSet
-from repro.baselines.twigstack import (build_query_tree, path_stack,
-                                       twig_stack)
+from repro.baselines.twigstack import build_query_tree, twig_stack
 from repro.query.xpath import parse_xpath
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.pager import Pager
@@ -115,20 +113,6 @@ class TestTwigStack:
         streams, _ = stream_set(docs)
         matches, _ = twig_stack(parse_xpath("//r[./needle]//b"), streams)
         assert len(matches) == 1
-
-
-class TestPathStack:
-    def test_path_query(self):
-        docs = [parse_document("<a><b><c/></b><b/></a>", 1)]
-        streams, _ = stream_set(docs)
-        matches, _ = path_stack(parse_xpath("//a/b/c"), streams)
-        assert len(matches) == 1
-
-    def test_branching_rejected(self):
-        docs = [parse_document("<a/>", 1)]
-        streams, _ = stream_set(docs)
-        with pytest.raises(ValueError):
-            path_stack(parse_xpath("//a[./b]/c"), streams)
 
 
 @settings(max_examples=50, deadline=None)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.storage.buffer_pool import DEFAULT_POOL_PAGES, BufferPool
-from repro.storage.errors import BufferPoolExhaustedError, PageSizeError
+from repro.storage.errors import PageSizeError
 from repro.storage.pager import Pager
 
 
@@ -274,24 +274,6 @@ class TestBackendParity:
         backend.new_page()
         backend.new_page()
         assert backend.stats.evictions == 1
-
-    def test_pinned_page_not_evicted(self, make_backend):
-        backend = make_backend(page_size=64, pool_pages=1)
-        pid, _ = backend.new_page()
-        backend.pin(pid)
-        try:
-            with pytest.raises(BufferPoolExhaustedError):
-                backend.new_page()
-        finally:
-            backend.unpin(pid)
-
-    def test_pinned_context_releases(self, make_backend):
-        backend = make_backend(page_size=64, pool_pages=1)
-        pid, _ = backend.new_page()
-        with backend.pinned(pid):
-            assert backend.pin_count(pid) == 1
-        assert backend.pin_count(pid) == 0
-        backend.new_page()                 # eviction possible again
 
     def test_mark_dirty_requires_residency(self, make_backend):
         backend = make_backend(page_size=64, pool_pages=1)
