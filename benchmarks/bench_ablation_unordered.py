@@ -1,10 +1,12 @@
 """Ablation A6: ordered vs unordered twig matching (Section 5.7).
 
-Unordered (XPath) semantics is answered by running ordered matching once
-per distinct branch arrangement; the paper argues this is affordable
-because "the number of twig branches in a query is usually small".  This
-ablation measures the arrangement counts and the cost multiplier of
-unordered over ordered matching for every branching Table 3 query.
+The paper answers unordered (XPath) semantics by running ordered
+matching once per distinct branch arrangement, and argues this is
+affordable because "the number of twig branches in a query is usually
+small".  Here filtering runs once (on one root-to-leaf path when the trie
+walk is taken) and only the in-document check and refinement run per
+arrangement.  This ablation measures the arrangement counts and the cost
+multiplier of unordered over ordered matching for every Table 3 query.
 """
 
 from repro.bench.harness import environment

@@ -3,16 +3,18 @@
 Produces a human-readable account of the matching pipeline for one
 query against one index: the optimizer's variant choice (with the label
 frequencies behind it), every branch arrangement's Prufer sequence with
-edge specs and MaxGap relationship kinds, and the strategy the matcher's
+edge specs and MaxGap relationship kinds, the strategy the matcher's
 own ``strategy="auto"`` test (:func:`~repro.prix.matcher.
-rare_label_candidates`) resolves to on this index.
+rare_label_candidates`) resolves to on this index, and, when the trie
+walk filters an unordered twig of several arrangements, the path it
+filters on (:func:`~repro.prix.matcher.filter_path`).
 """
 
 from __future__ import annotations
 
 from io import StringIO
 
-from repro.prix.matcher import rare_label_candidates
+from repro.prix.matcher import filter_path, rare_label_candidates
 from repro.prix.plan import build_plan
 from repro.query.twig import arrangements, collapse
 from repro.query.xpath import parse_xpath
@@ -88,7 +90,15 @@ def explain(index, pattern, variant=None):
             out.write("strategy: document-at-a-time candidate scan "
                       f"(rare label pins down {len(candidates)} "
                       "documents)\n")
+        elif len(plans) == 1:
+            out.write("strategy: trie traversal (Algorithm 1)\n")
         else:
-            out.write("strategy: trie traversal (Algorithm 1) per "
-                      "arrangement\n")
+            out.write("strategy: trie traversal (Algorithm 1) of the "
+                      "filter path, then every arrangement inside its "
+                      "documents\n")
+            path, plan, nodes = filter_path(pattern, variant_index)
+            labels = " ".join(_show_label(label) for label in plan.qlps)
+            out.write(f"filter path: {path.source}  LPS = {labels}  "
+                      f"(first label {_show_label(plan.qlps[0])}: "
+                      f"{nodes} trie nodes)\n")
     return out.getvalue()

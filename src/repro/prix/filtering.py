@@ -11,10 +11,12 @@ whose level gap exceeds the upper bound for the adjacent query labels'
 relationship; :mod:`repro.prix.plan` pre-classifies which pairs may be
 pruned safely.
 
-Section 5.7 runs this once per branch arrangement.  Here the arrangements
-of one query are walked together and every (remaining plan suffix, trie
-node) state is solved once (:func:`find_subsequences`); the paper's
-per-arrangement work is still what :class:`FilterStats` reports.
+Section 5.7 runs this once per branch arrangement.  Here the plans
+passed in are walked together and every (remaining plan suffix, trie
+node) state is solved once (:func:`find_subsequences`); the per-plan
+work is still what :class:`FilterStats` reports.  The matcher passes one
+plan: the twig's own, or for an unordered twig of several arrangements
+one root-to-leaf path's (:func:`repro.prix.matcher.filter_path`).
 """
 
 from __future__ import annotations
@@ -39,10 +41,16 @@ class FilterStats:
 
     Two families.  ``range_queries``, ``nodes_visited``, ``candidates``
     and ``pruned_by_maxgap`` are *logical*: what Algorithm 1 run from the
-    root once per branch arrangement does, as the paper counts it --
-    a sub-walk replayed from the state table counts in full every time.
+    root once per plan does, as the paper counts it -- a sub-walk
+    replayed from the state table counts in full every time.
     ``probes_issued`` is the Trie-Symbol B+-tree descents actually made,
     one per distinct state, and what ``max_range_queries`` is charged.
+
+    A query's counters are not per arrangement for an unordered twig of
+    several: the trie walk then filters one root-to-leaf path, and the
+    in-document check of every arrangement inside that path's documents
+    adds its ``nodes_visited``, ``candidates`` and ``pruned_by_maxgap``
+    (as the document-at-a-time fallback's check does).
     """
 
     range_queries: int = 0
@@ -183,12 +191,12 @@ def find_subsequences(plans, symbol_index, docid_index, root_range,
 
     ``stats`` is the :class:`FilterStats` passed in (or a fresh one),
     also brought up to date when the pass is cut short by the budget:
-    the four logical counters then read what the per-arrangement walk
-    would have counted on reaching the same point.
+    the four logical counters then read what the per-plan walk would
+    have counted on reaching the same point.
 
     Args:
-        plans: the query's :class:`~repro.prix.plan.QueryPlan` list, one
-            per branch arrangement.
+        plans: the :class:`~repro.prix.plan.QueryPlan` list to filter,
+            e.g. one per branch arrangement.
         symbol_index: the :class:`TrieSymbolIndex`.
         docid_index: the :class:`DocidIndex`.
         root_range: the virtual-trie root's ``(left, right)`` range.
@@ -223,7 +231,7 @@ def find_subsequences(plans, symbol_index, docid_index, root_range,
     results = []
     issued = 0
     # Logical counts so far: a replayed state adds its stored counts, so
-    # at any moment these are what the per-arrangement walk has counted.
+    # at any moment these are what the per-plan walk has counted.
     rq = nv = cand = pruned = 0
     try:
         for plan in plans:

@@ -21,7 +21,8 @@ from repro.prix.budget import BudgetExceededError, PHASE_REFINEMENT
 from repro.prix.filtering import FilterStats, find_subsequences
 from repro.prix.plan import build_plan
 from repro.prix.refinement import refine
-from repro.query.twig import arrangements, collapse, node_signatures
+from repro.query.twig import (arrangements, collapse, node_signatures,
+                              root_paths)
 
 
 @dataclass(frozen=True)
@@ -130,14 +131,20 @@ def run_query(pattern, variant_index, view_loader, *, ordered=False,
         ordered: match only the twig's own branch order (Section 5.7's
             ordered semantics); the default tries every arrangement.
         use_maxgap: apply Theorem 4 pruning during filtering.
-        strategy: ``"trie"`` forces Algorithm 1's trie traversal (one
-            walk shared by every arrangement); ``"document"`` forces the
-            document-at-a-time fallback; ``"auto"`` (default) uses the
-            fallback when the
-            rarest query label pins down few candidate documents.  Any
-            match's document must contain every LPS(Q) label, so the
-            fallback is answer-equivalent.
-        stats: optional :class:`QueryStats` to fill in.
+        strategy: ``"trie"`` forces Algorithm 1's trie traversal;
+            ``"document"`` forces the document-at-a-time fallback;
+            ``"auto"`` (default) uses the fallback when the rarest query
+            label pins down few candidate documents.  Any match's
+            document must contain every LPS(Q) label, so the fallback is
+            answer-equivalent.  The trie traversal runs Algorithm 1 on
+            the twig itself when it has one arrangement; otherwise on
+            the :func:`filter_path` only, whose documents then go
+            through the fallback's in-document check for every
+            arrangement.
+        stats: optional :class:`QueryStats` to fill in.  Its ``filter``
+            counters are the one Algorithm 1 pass plus, for the
+            documents checked in place, the nodes, candidates and
+            MaxGap prunes of that check (per-label bounds).
         budget: optional :class:`~repro.prix.budget.BudgetMeter`.
             Exhaustion during filtering propagates as
             :class:`~repro.prix.budget.BudgetExceededError` (an
@@ -158,12 +165,11 @@ def run_query(pattern, variant_index, view_loader, *, ordered=False,
     stats.arrangements = len(plans)
 
     candidate_docs = None
-    if strategy in ("auto", "document") and plans:
+    if strategy in ("auto", "document"):
         candidate_docs = rare_label_candidates(
             plans[0], variant_index,
             force=(strategy == "document"), budget=budget)
-    use_documents = candidate_docs is not None
-    stats.strategy = "document" if use_documents else "trie"
+    stats.strategy = "trie" if candidate_docs is None else "document"
 
     views = {}
 
@@ -172,7 +178,28 @@ def run_query(pattern, variant_index, view_loader, *, ordered=False,
     # order the interleaved pipeline used to refine them, so a budget-
     # free run produces byte-identical results.
     pending = []
-    if use_documents:
+    if candidate_docs is None:
+        # One Algorithm 1 pass.  A twig of several arrangements is walked
+        # on one root-to-leaf path instead of once per arrangement: a
+        # path has one arrangement, and a document holding the twig in
+        # any order holds the path, so the path's documents are a
+        # superset of the answer's.  Each is checked against every
+        # arrangement below.
+        walked = (plans[0] if len(plans) == 1
+                  else filter_path(pattern, variant_index)[1])
+        (found,), _ = find_subsequences(
+            [walked], variant_index.symbol_index,
+            variant_index.docid_index, variant_index.root_range,
+            maxgap_table=maxgap_table, stats=stats.filter,
+            granularity=maxgap_granularity, budget=budget)
+        if walked is plans[0]:
+            for doc_ids, positions in found:
+                for doc_id in doc_ids:
+                    pending.append((walked, doc_id, positions))
+        else:
+            candidate_docs = {doc_id for doc_ids, _ in found
+                              for doc_id in doc_ids}
+    if candidate_docs is not None:
         stats.candidate_documents = len(candidate_docs)
         wanted = frozenset(label for plan in plans for label in plan.qlps)
         for doc_id in sorted(candidate_docs):
@@ -183,16 +210,6 @@ def run_query(pattern, variant_index, view_loader, *, ordered=False,
                 for positions in _subsequences_in_document(
                         positions_of, plan, maxgap_table, stats.filter,
                         budget=budget):
-                    pending.append((plan, doc_id, positions))
-    else:
-        per_plan, _ = find_subsequences(
-            plans, variant_index.symbol_index,
-            variant_index.docid_index, variant_index.root_range,
-            maxgap_table=maxgap_table, stats=stats.filter,
-            granularity=maxgap_granularity, budget=budget)
-        for plan, candidates in zip(plans, per_plan):
-            for doc_ids, positions in candidates:
-                for doc_id in doc_ids:
                     pending.append((plan, doc_id, positions))
 
     # ---- Phase 2: refinement (budget exhaustion degrades) ------------
@@ -243,6 +260,24 @@ def run_query(pattern, variant_index, view_loader, *, ordered=False,
 
     stats.matches = len(matches)
     return QueryResult(matches), stats
+
+
+def filter_path(pattern, variant_index):
+    """The root-to-leaf path :func:`run_query` filters an unordered twig
+    on: ``(path, plan, trie nodes of the plan's first LPS label)``.
+
+    The path whose LPS leads with the label on the fewest trie nodes,
+    the first in preorder on a tie -- the estimate
+    :meth:`~repro.prix.index.PrixIndex.choose_variant` ranks variants by.
+    """
+    counts = variant_index.label_counts
+    best = None
+    for path in root_paths(pattern):
+        plan = build_plan(collapse(path), extended=variant_index.extended)
+        nodes = counts.get(plan.qlps[0], 0)
+        if best is None or nodes < best[2]:
+            best = (path, plan, nodes)
+    return best
 
 
 def rare_label_candidates(plan, variant_index, force=False, budget=None):

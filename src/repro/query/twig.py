@@ -311,6 +311,44 @@ def arrangements(pattern):
     base.document.renumber()
 
 
+def root_paths(pattern):
+    """One :class:`TwigPattern` per leaf of ``pattern``, in preorder: the
+    chain of steps from the root down to that leaf.
+
+    Every step keeps its label, axis and value flag (``*`` steps stay
+    steps), the chain keeps ``absolute``, and its ``source`` spells it
+    as XPath.  An occurrence of the twig, in any branch order, restricts
+    to an occurrence of each chain, and a chain has one branch order.
+    Repeated sibling labels give repeated chains.
+    """
+    paths = []
+    stack = [(pattern.root, ())]
+    while stack:
+        node, above = stack.pop()
+        chain = above + (node,)
+        if not node.children:
+            paths.append(_chain_pattern(chain, pattern.absolute))
+        stack.extend((child, chain) for child in reversed(node.children))
+    return paths
+
+
+def _chain_pattern(chain, absolute):
+    root = TwigNode(chain[0].label)
+    source = ("/" if absolute else "//") + root.label
+    node = root
+    for step in chain[1:]:
+        node = node.append(TwigNode(step.label, step.axis, step.is_value))
+        if step.is_value:
+            # The parser reads only child values; ``.//`` spells the
+            # descendant ones a pattern built in code may carry.
+            axis = "" if step.axis is Axis.CHILD else ".//"
+            quote = "'" if '"' in step.label else '"'
+            source += f"[{axis}text()={quote}{step.label}{quote}]"
+        else:
+            source += step.axis.value + step.label
+    return TwigPattern(root, absolute=absolute, source=source)
+
+
 def node_signatures(pattern):
     """Assign each pattern node a signature id, equal for automorphic nodes.
 

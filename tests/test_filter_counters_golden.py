@@ -3,13 +3,19 @@
 ``tests/golden/filter_counters.json`` records, for every Table 3 query on
 its test-scale corpus x {rp, ep} x {ordered, unordered} x strategy
 {trie, auto} x maxgap granularity {label, node}: the four logical
-``FilterStats`` fields (per arrangement, as the paper counts them),
-``candidates_refined``, ``matches``, the cold ``physical_reads``, the
-pool's ``logical_reads`` delta and ``FilterStats.probes_issued`` (the
-descents Algorithm 1 actually made).  It is the
+``FilterStats`` fields (per arrangement, as the paper counts them, for a
+twig filtered on its own plans; for an unordered twig of several
+arrangements that takes the trie walk, its filter path's walk plus the
+in-document check of every arrangement), ``candidates_refined``,
+``matches``, the cold ``physical_reads``, the pool's ``logical_reads``
+delta and ``FilterStats.probes_issued`` (the descents Algorithm 1
+actually made).  It is the
 machine check that a change to the probe path touches the same pages,
 in the same number, with the same counters -- whether the pager holds
-a real file or an in-memory buffer.
+a real file or an in-memory buffer.  The 26 unordered cases of several
+arrangements that take the trie walk were regenerated once, when it
+moved from one pass per arrangement to one root-to-leaf path; no
+ordered case and no case that takes the document fallback moved.
 
 Regenerate (only from a commit whose counters are the reference)::
 

@@ -17,7 +17,7 @@ from repro.bench.workloads import queries_for
 from repro.datasets import get_corpus
 from repro.prix.index import PrixIndex
 from repro.prix.matcher import (_document_lps, _label_positions,
-                                _subsequences_in_document)
+                                _subsequences_in_document, filter_path)
 from repro.prix.plan import build_plan
 from repro.prix.filtering import FilterStats
 from repro.query.twig import collapse
@@ -108,22 +108,43 @@ class TestStrategySelection:
                                                            corpus_name):
         """``explain`` asks the matcher's own ``auto`` test, node *and*
         document limit: Q1/rp and Q3/rp on ``small`` dblp have a rarest
-        label under the node limit that pins down too many documents."""
+        label under the node limit that pins down too many documents.
+        When the trie walk filters an unordered twig of several
+        arrangements, ``explain`` names the path it filters on, and that
+        path run alone issues the unordered query's probes."""
         with PrixIndex.build(
                 get_corpus(corpus_name, "small").documents) as index:
             for spec in queries_for(corpus_name):
                 for variant in ("rp", "ep"):
-                    line = next(
-                        line for line in index.explain(
-                            spec.xpath, variant=variant).splitlines()
-                        if line.startswith("strategy:"))
+                    lines = index.explain(spec.xpath,
+                                          variant=variant).splitlines()
+                    line = next(line for line in lines
+                                if line.startswith("strategy:"))
                     said = ("document" if "document-at-a-time" in line
                             else "trie")
-                    for ordered in (False, True):
+                    for ordered in (True, False):
                         _, stats = index.query_with_stats(
                             spec.xpath, variant=variant, ordered=ordered)
                         assert said == stats.strategy, (spec.qid, variant,
                                                         ordered)
+                    shown = [line for line in lines
+                             if line.startswith("filter path:")]
+                    by_path = said == "trie" and stats.arrangements > 1
+                    assert len(shown) == by_path, (spec.qid, variant)
+                    if not by_path:
+                        continue
+                    path, _, nodes = filter_path(parse_xpath(spec.xpath),
+                                                 index._variants[variant])
+                    assert shown[0].startswith(
+                        f"filter path: {path.source}  LPS = ")
+                    assert shown[0].endswith(f": {nodes} trie nodes)")
+                    _, alone = index.query_with_stats(
+                        path.source, variant=variant, ordered=True,
+                        strategy="trie")
+                    assert (alone.filter.range_queries,
+                            alone.filter.probes_issued) == (
+                        stats.filter.range_queries,
+                        stats.filter.probes_issued), (spec.qid, variant)
 
 
 class TestDocumentEnumerator:

@@ -23,9 +23,11 @@ from helpers import make_random_tree, make_random_twig, per_plan_walk
 from repro.baselines.naive import naive_matches
 from repro.prix.filtering import FilterStats, find_subsequences
 from repro.prix.index import PrixIndex
+from repro.prix.matcher import (_label_positions, _subsequences_in_document,
+                                filter_path)
 from repro.prix.plan import build_plan
 from repro.prufer.sequence import extended_sequence, regular_sequence
-from repro.query.twig import arrangements, collapse
+from repro.query.twig import arrangements, collapse, root_paths
 from repro.xmlkit.tree import Document
 
 
@@ -105,6 +107,29 @@ def test_larger_trees_still_agree(seed):
     assert engine_set(index, pattern) == oracle_set(docs, pattern)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31))
+def test_filter_path_documents_cover_the_answer(seed):
+    """Every root-to-leaf path of a twig has two or more sequenced
+    nodes, so a non-empty LPS, and the chosen path's ordered Algorithm 1
+    pass dismisses no document of the unordered answer."""
+    docs, pattern = build_case(seed)
+    want = {doc_id for doc_id, _ in oracle_set(docs, pattern)}
+    with PrixIndex.build(docs) as index:
+        for built in index._variants.values():
+            for path in root_paths(pattern):
+                assert build_plan(collapse(path),
+                                  extended=built.extended).qlps
+            _, plan, _ = filter_path(pattern, built)
+            for granularity in ("label", "node"):
+                (found,), _ = find_subsequences(
+                    [plan], built.symbol_index, built.docid_index,
+                    built.root_range, maxgap_table=built.maxgap,
+                    granularity=granularity)
+                assert {doc_id for doc_ids, _ in found
+                        for doc_id in doc_ids} >= want
+
+
 #: Subsequence occurrences of the plans' LPS(Q) in the documents' LPS
 #: above which a generated case is discarded: the per-plan reference
 #: walk, the candidate lists and refinement all grow with that number
@@ -127,7 +152,13 @@ def occurrences(text, wanted):
 def test_trie_filter_matches_oracle_and_per_plan_walk(seed):
     """Algorithm 1 itself, on generated inputs: a two- or three-letter
     alphabet makes labels recur on one trie path, so the same (plan
-    suffix, trie node) state is reached again and again."""
+    suffix, trie node) state is reached again and again.
+
+    A twig with one arrangement is filtered by its own plan, so its
+    counters are the per-plan walk's.  An unordered twig with several is
+    filtered by its :func:`filter_path` alone, so its counters are that
+    path's walk plus the in-document check of every arrangement inside
+    the path's documents -- which cover the oracle's."""
     docs, pattern = build_case(seed, n_docs=4 + seed % 3,
                                max_tree_nodes=29, max_twig_nodes=5,
                                tags="abc"[:2 + seed % 2])
@@ -147,6 +178,7 @@ def test_trie_filter_matches_oracle_and_per_plan_walk(seed):
            <= OCCURRENCE_LIMIT)
     for variant, ordered, built, plans in cases:
         want = oracle_set(docs, pattern, ordered=ordered)
+        wanted = frozenset(label for plan in plans for label in plan.qlps)
         for granularity, use_maxgap in product(("label", "node"),
                                                (True, False)):
             matches, stats = index.query_with_stats(
@@ -162,8 +194,25 @@ def test_trie_filter_matches_oracle_and_per_plan_walk(seed):
                                             granularity=granularity)
             reference = FilterStats(
                 probes_issued=stats.filter.probes_issued)
+            walked = FilterStats()
             for plan, candidates in zip(plans, per_plan):
-                expected, _ = per_plan_walk(plan, *args, stats=reference,
+                expected, _ = per_plan_walk(plan, *args, stats=walked,
                                             granularity=granularity)
                 assert candidates == expected
+            if len(plans) == 1:
+                reference.merge(walked)
+            else:
+                _, path_plan, _ = filter_path(pattern, built)
+                found, _ = per_plan_walk(path_plan, *args, stats=reference,
+                                         granularity=granularity)
+                path_docs = {doc_id for doc_ids, _ in found
+                             for doc_id in doc_ids}
+                assert path_docs >= {doc_id for doc_id, _ in want}
+                for doc_id in sorted(path_docs):
+                    positions_of = _label_positions(
+                        texts[variant][doc_id - 1], wanted)
+                    for plan in plans:
+                        for _ in _subsequences_in_document(
+                                positions_of, plan, args[3], reference):
+                            pass
             assert stats.filter == reference

@@ -1,10 +1,11 @@
-"""Twig model tests: collapse, edge specs, arrangements, signatures."""
+"""Twig model tests: collapse, edge specs, arrangements, root paths,
+signatures."""
 
 import pytest
 
 from repro.query.twig import (MAX_ARRANGEMENTS, Axis, EdgeSpec, TwigNode,
                               TwigPattern, UnsupportedTwigError, arrangements,
-                              collapse, node_signatures)
+                              collapse, node_signatures, root_paths)
 from repro.query.xpath import parse_xpath
 
 
@@ -136,6 +137,64 @@ class TestArrangements:
                 next(arrangements(parse_xpath(xpath)))
             assert str(MAX_ARRANGEMENTS) in str(caught.value)
             assert isinstance(caught.value, ValueError)
+
+
+class TestRootPaths:
+    @staticmethod
+    def sources(xpath):
+        return [path.source for path in root_paths(parse_xpath(xpath))]
+
+    def test_one_path_per_leaf_in_preorder(self):
+        assert self.sources("//a[b][c/d]/e") == ["//a/b", "//a/c/d",
+                                                 "//a/e"]
+
+    def test_axes_kept(self):
+        paths = root_paths(parse_xpath("//a[.//b]/c//d"))
+        assert [path.source for path in paths] == ["//a//b", "//a/c//d"]
+        assert [node.axis for node in paths[1].nodes()] == [
+            Axis.CHILD, Axis.CHILD, Axis.DESCENDANT]
+
+    def test_star_steps_kept(self):
+        paths = root_paths(parse_xpath("//a[*/b][*]"))
+        assert [path.source for path in paths] == ["//a/*/b", "//a/*"]
+        assert [node.is_star for node in paths[0].nodes()] == [
+            False, True, False]
+
+    def test_values_kept(self):
+        paths = root_paths(parse_xpath('//a[b="x"][text()="y"]'))
+        assert [path.source for path in paths] == [
+            '//a/b[text()="x"]', '//a[text()="y"]']
+        assert [(node.label, node.is_value) for node in paths[0].nodes()
+                ] == [("a", False), ("b", False), ("x", True)]
+
+    def test_descendant_value_from_code(self):
+        root = TwigNode("a")
+        root.append(TwigNode("v", axis=Axis.DESCENDANT, is_value=True))
+        root.append(TwigNode("b"))
+        paths = root_paths(TwigPattern(root))
+        assert [path.source for path in paths] == ['//a[.//text()="v"]',
+                                                   "//a/b"]
+
+    def test_absolute_kept(self):
+        paths = root_paths(parse_xpath("/a[b]/c"))
+        assert [path.source for path in paths] == ["/a/b", "/a/c"]
+        assert all(path.absolute for path in paths)
+
+    def test_repeated_sibling_labels_give_repeated_paths(self):
+        assert self.sources("//a[b][b]/c") == ["//a/b", "//a/b", "//a/c"]
+
+    def test_source_parses_back_to_the_path(self):
+        for xpath in ("//a[.//b][*/c]/d[e='x']", "/a[b/*][text()='y']"):
+            for source in self.sources(xpath):
+                assert self.sources(source) == [source]
+
+    def test_pattern_untouched(self):
+        pattern = parse_xpath("//a[b][c]")
+        before = [(node.label, len(node.children))
+                  for node in pattern.nodes()]
+        root_paths(pattern)
+        assert [(node.label, len(node.children))
+                for node in pattern.nodes()] == before
 
 
 class TestNodeSignatures:

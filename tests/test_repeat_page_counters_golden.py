@@ -13,7 +13,12 @@ joined the decoded-frame memo; the 20 cases that run Algorithm 1 were
 regenerated when it stopped re-issuing a probe per (plan suffix, trie
 node) state -- ``logical_reads`` fell in each, ``pool8``
 ``physical_reads``/``evictions`` fell or held, no ``auto`` case that
-takes the document fallback moved.
+takes the document fallback moved.  The 26 cases of unordered twigs with
+several arrangements that take the trie walk were regenerated when it
+filtered them on one root-to-leaf path instead of once per arrangement
+-- ``logical_reads`` fell in each, ``pool8`` ``physical_reads`` fell
+everywhere but Q9/rp (34 -> 36); no case that takes the document
+fallback moved.
 
 Regenerate (only from a commit whose counters are the reference)::
 
