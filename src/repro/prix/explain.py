@@ -14,9 +14,7 @@ from __future__ import annotations
 
 from io import StringIO
 
-from repro.prix.matcher import filter_path, rare_label_candidates
-from repro.prix.plan import build_plan
-from repro.query.twig import arrangements, collapse
+from repro.prix.matcher import filter_path, prepare, rare_label_candidates
 from repro.query.xpath import parse_xpath
 from repro.xmlkit.tree import VALUE_LABEL_PREFIX
 
@@ -40,23 +38,27 @@ def _show_spec(spec):
 
 
 def explain(index, pattern, variant=None):
-    """Return a multi-line explanation of the execution plan."""
+    """Return a multi-line explanation of the execution plan.
+
+    ``pattern`` is an XPath string, a twig pattern or a
+    :class:`~repro.prix.matcher.PreparedQuery`.
+    """
     if isinstance(pattern, str):
         pattern = parse_xpath(pattern)
+    query = prepare(pattern)
     out = StringIO()
-    out.write(f"query: {pattern.source or '(twig)'}\n")
+    out.write(f"query: {query.pattern.source or '(twig)'}\n")
 
-    chosen = variant or index.choose_variant(pattern)
+    chosen = variant or index.choose_variant(query)
     out.write(f"variant: {chosen}")
-    if pattern.has_values():
+    if query.pattern.has_values():
         out.write("  (value predicates -> EPIndex, Section 5.6)\n")
     else:
         out.write("  (value-free: first-label trie-node frequencies: ")
         parts = []
         for name in sorted(index.variants()):
             variant_index = index._variants[name]
-            plan = build_plan(collapse(pattern),
-                              extended=variant_index.extended)
+            plan, = query.plans(variant_index.extended, ordered=True)
             first = plan.qlps[0] if plan.qlps else None
             count = variant_index.label_counts.get(first, 0)
             parts.append(f"{name}:{_show_label(first)}={count}")
@@ -64,8 +66,7 @@ def explain(index, pattern, variant=None):
 
     variant_index = index._variants[chosen]
     counts = variant_index.label_counts
-    plans = [build_plan(arranged, extended=variant_index.extended)
-             for arranged in arrangements(pattern)]
+    plans = query.plans(variant_index.extended)
     out.write(f"arrangements: {len(plans)}\n")
     for number, plan in enumerate(plans, start=1):
         labels = " ".join(_show_label(label) for label in plan.qlps)
@@ -96,7 +97,7 @@ def explain(index, pattern, variant=None):
             out.write("strategy: trie traversal (Algorithm 1) of the "
                       "filter path, then every arrangement inside its "
                       "documents\n")
-            path, plan, nodes = filter_path(pattern, variant_index)
+            path, plan, nodes = filter_path(query, variant_index)
             labels = " ".join(_show_label(label) for label in plan.qlps)
             out.write(f"filter path: {path.source}  LPS = {labels}  "
                       f"(first label {_show_label(plan.qlps[0])}: "

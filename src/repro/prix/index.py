@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 from repro.prix.filtering import DocidIndex, TrieSymbolIndex
 from repro.prix.incremental import (RebuildRequiredError, insert_sequence,
                                     leaves_slack)
-from repro.prix.matcher import QueryStats, run_query
+from repro.prix.matcher import QueryStats, prepare, run_query
 from repro.prix.refinement import DocView
 from repro.prufer.reconstruct import reconstruct_document
 from repro.prufer.maxgap import MaxGapTable, position_gaps
@@ -819,20 +819,18 @@ class PrixIndex:
         Q8 discussion can lean on MaxGap of a rare *leaf* tag
         (RBR_OR_JJR): leaf labels only reach the filter through the
         extended sequences.  Both variants return identical answers, so
-        the choice is purely a cost decision.
+        the choice is purely a cost decision.  ``pattern`` is a twig
+        pattern or a :class:`~repro.prix.matcher.PreparedQuery`.
         """
-        if pattern.has_values() and VARIANT_EXTENDED in self._variants:
+        query = prepare(pattern)
+        if query.pattern.has_values() and VARIANT_EXTENDED in self._variants:
             return VARIANT_EXTENDED
         if len(self._variants) == 1:
             return next(iter(self._variants))
 
-        from repro.prix.plan import build_plan
-        from repro.query.twig import collapse
-
         def first_label_frequency(name):
             variant = self._variants[name]
-            plan = build_plan(collapse(pattern),
-                              extended=variant.extended)
+            plan, = query.plans(variant.extended, ordered=True)
             if not plan.qlps:
                 return 0
             return variant.label_counts.get(plan.qlps[0], 0)
@@ -849,8 +847,9 @@ class PrixIndex:
         ``TwigMatch``).
 
         Args:
-            pattern: a :class:`~repro.query.twig.TwigPattern` or an XPath
-                string.
+            pattern: a :class:`~repro.query.twig.TwigPattern`, an XPath
+                string, or a :class:`~repro.prix.matcher.PreparedQuery`
+                (plans built by an earlier query on it are reused).
             ordered: require the twig's branch order in matches
                 (default False: unordered semantics, Section 5.7).
             variant: force ``"rp"`` or ``"ep"``; default lets the
@@ -887,8 +886,9 @@ class PrixIndex:
         from repro.prix.budget import QueryBudget
         if isinstance(pattern, str):
             pattern = parse_xpath(pattern)
+        query = prepare(pattern)
         if variant is None:
-            variant = self.choose_variant(pattern)
+            variant = self.choose_variant(query)
         if variant not in self._variants:
             raise KeyError(f"variant {variant!r} was not built")
         if cold:
@@ -902,7 +902,7 @@ class PrixIndex:
         reads_before = self._pool.stats.read("physical_reads")
         started = time.perf_counter()
         matches, stats = run_query(
-            pattern, variant_index,
+            query, variant_index,
             self._view_loader(variant_index, stats),
             ordered=ordered, use_maxgap=use_maxgap, strategy=strategy,
             maxgap_granularity=maxgap_granularity, stats=stats,

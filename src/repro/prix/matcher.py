@@ -5,6 +5,11 @@ injective mapping from the query's named nodes to postorder numbers of the
 document (in its original, non-extended numbering).  Matches found under
 different branch arrangements (Section 5.7) are deduplicated here.
 
+A :class:`PreparedQuery` holds what depends on the twig alone -- node
+numbering, automorphism signatures and the Section 5.7 plans per variant
+-- so a query planned once can run against any number of indexes (the
+shards of a scatter) without planning again.
+
 The driver runs the paper's two phases strictly in order -- *all*
 filtering (Theorems 1-2: a complete superset, no false dismissals), then
 refinement -- so that a :class:`~repro.prix.budget.QueryBudget` running
@@ -109,6 +114,70 @@ class QueryResult(list):
         return sorted({match.doc_id for match in self})
 
 
+class PreparedQuery:
+    """A twig and everything derived from it alone, for any index.
+
+    Plans depend on the twig and the variant only, never on the data, so
+    one prepared query serves every index it runs against.  Plans are
+    built on first use and memoised per ``(ordered, extended)``; a
+    build a budget interrupts memoises nothing.  Each memo is published
+    by one assignment, so threads sharing a prepared query at worst
+    build a memo twice and publish equal values.
+    """
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        #: ``{id(TwigNode): index in pattern.nodes()}``.
+        self.node_index = {id(node): i
+                           for i, node in enumerate(pattern.nodes())}
+        #: :func:`~repro.query.twig.node_signatures` of the pattern.
+        self.signatures = node_signatures(pattern)
+        self._plans = {}
+        self._paths = {}
+
+    def plans(self, extended, ordered=False, budget=None):
+        """The plan of every branch arrangement (Section 5.7), or the
+        twig's own order alone when ``ordered``.
+
+        ``budget`` (a ``BudgetMeter``) is checked before each plan: an
+        unordered twig may have up to ``MAX_ARRANGEMENTS`` of them.
+        """
+        key = (ordered, extended)
+        plans = self._plans.get(key)
+        if plans is None:
+            twigs = ([collapse(self.pattern)] if ordered
+                     else arrangements(self.pattern))
+            plans = []
+            for twig in twigs:
+                if budget is not None:
+                    budget.checkpoint()
+                plans.append(build_plan(twig, extended=extended))
+            plans = self._plans[key] = tuple(plans)
+        return plans
+
+    def path_plans(self, extended, budget=None):
+        """``(path, plan)`` for every :func:`~repro.query.twig.root_paths`
+        chain, in preorder."""
+        paths = self._paths.get(extended)
+        if paths is None:
+            paths = []
+            for path in root_paths(self.pattern):
+                if budget is not None:
+                    budget.checkpoint()
+                paths.append((path, build_plan(collapse(path),
+                                               extended=extended)))
+            paths = self._paths[extended] = tuple(paths)
+        return paths
+
+
+def prepare(query):
+    """``query`` as a :class:`PreparedQuery`: a twig pattern is wrapped,
+    a prepared query returned as it is."""
+    if isinstance(query, PreparedQuery):
+        return query
+    return PreparedQuery(query)
+
+
 #: Document-at-a-time fallback thresholds: the rarest query label must
 #: occur at no more than this many trie nodes, and in no more than this
 #: many candidate documents, for the fallback to engage.
@@ -116,13 +185,14 @@ RARE_LABEL_NODE_LIMIT = 128
 RARE_LABEL_DOC_LIMIT = 256
 
 
-def run_query(pattern, variant_index, view_loader, *, ordered=False,
+def run_query(query, variant_index, view_loader, *, ordered=False,
               use_maxgap=True, strategy="auto", maxgap_granularity="label",
               stats=None, budget=None):
-    """Match ``pattern`` against one variant index; return a QueryResult.
+    """Match a twig against one variant index; return a QueryResult.
 
     Args:
-        pattern: a :class:`~repro.query.twig.TwigPattern`.
+        query: the twig as a :class:`PreparedQuery` (:func:`prepare`);
+            plans it already holds are used, the others built into it.
         variant_index: the built per-variant index structures (an object
             with ``symbol_index``, ``docid_index``, ``root_range``,
             ``maxgap``, ``label_counts`` attributes).
@@ -146,7 +216,8 @@ def run_query(pattern, variant_index, view_loader, *, ordered=False,
             documents checked in place, the nodes, candidates and
             MaxGap prunes of that check (per-label bounds).
         budget: optional :class:`~repro.prix.budget.BudgetMeter`.
-            Exhaustion during filtering propagates as
+            Planning is a cancellation point, and exhaustion during
+            filtering propagates as
             :class:`~repro.prix.budget.BudgetExceededError` (an
             incomplete filter pass may have false dismissals);
             exhaustion during refinement returns the filter's candidate
@@ -154,14 +225,9 @@ def run_query(pattern, variant_index, view_loader, *, ordered=False,
     """
     if stats is None:
         stats = QueryStats()
-    node_index = {id(node): i for i, node in enumerate(pattern.nodes())}
-    signatures = node_signatures(pattern)
     maxgap_table = variant_index.maxgap if use_maxgap else None
-    extended = variant_index.extended
-
-    twig_iter = ([collapse(pattern)] if ordered else arrangements(pattern))
-    plans = [build_plan(arranged, extended=extended)
-             for arranged in twig_iter]
+    plans = query.plans(variant_index.extended, ordered=ordered,
+                        budget=budget)
     stats.arrangements = len(plans)
 
     candidate_docs = None
@@ -186,7 +252,7 @@ def run_query(pattern, variant_index, view_loader, *, ordered=False,
         # superset of the answer's.  Each is checked against every
         # arrangement below.
         walked = (plans[0] if len(plans) == 1
-                  else filter_path(pattern, variant_index)[1])
+                  else filter_path(query, variant_index, budget)[1])
         (found,), _ = find_subsequences(
             [walked], variant_index.symbol_index,
             variant_index.docid_index, variant_index.root_range,
@@ -201,11 +267,10 @@ def run_query(pattern, variant_index, view_loader, *, ordered=False,
                               for doc_id in doc_ids}
     if candidate_docs is not None:
         stats.candidate_documents = len(candidate_docs)
-        wanted = frozenset(label for plan in plans for label in plan.qlps)
         for doc_id in sorted(candidate_docs):
             view = view_loader(doc_id)
             views[doc_id] = view
-            positions_of = _label_positions(_document_lps(view), wanted)
+            positions_of = view.lps_positions()
             for plan in plans:
                 for positions in _subsequences_in_document(
                         positions_of, plan, maxgap_table, stats.filter,
@@ -226,7 +291,7 @@ def run_query(pattern, variant_index, view_loader, *, ordered=False,
             stats.candidates_accepted += 1
         for embedding in embeddings:
             images, canonical = _to_images(
-                embedding, plan, view, node_index, signatures)
+                embedding, plan, view, query.node_index, query.signatures)
             key = (doc_id, canonical)
             if key not in seen:
                 seen.add(key)
@@ -262,18 +327,19 @@ def run_query(pattern, variant_index, view_loader, *, ordered=False,
     return QueryResult(matches), stats
 
 
-def filter_path(pattern, variant_index):
+def filter_path(query, variant_index, budget=None):
     """The root-to-leaf path :func:`run_query` filters an unordered twig
     on: ``(path, plan, trie nodes of the plan's first LPS label)``.
 
     The path whose LPS leads with the label on the fewest trie nodes,
     the first in preorder on a tie -- the estimate
     :meth:`~repro.prix.index.PrixIndex.choose_variant` ranks variants by.
+    ``query`` is a twig pattern or a :class:`PreparedQuery`.
     """
     counts = variant_index.label_counts
     best = None
-    for path in root_paths(pattern):
-        plan = build_plan(collapse(path), extended=variant_index.extended)
+    for path, plan in prepare(query).path_plans(variant_index.extended,
+                                                budget):
         nodes = counts.get(plan.qlps[0], 0)
         if best is None or nodes < best[2]:
             best = (path, plan, nodes)
@@ -311,25 +377,11 @@ def rare_label_candidates(plan, variant_index, force=False, budget=None):
     return docs
 
 
-def _document_lps(view):
-    """Reconstruct the document's LPS from its stored view."""
-    return [view.labels[view.nps[i]] for i in range(1, view.n_nodes)]
-
-
-def _label_positions(lps_seq, wanted):
-    """``{label: [1-based LPS positions]}`` for the ``wanted`` labels
-    only -- one pass per document, shared by every arrangement's plan."""
-    positions_of = {}
-    for position, label in enumerate(lps_seq, start=1):
-        if label in wanted:
-            positions_of.setdefault(label, []).append(position)
-    return positions_of
-
-
 def _subsequences_in_document(positions_of, plan, maxgap_table,
                               filter_stats, budget=None):
     """Enumerate subsequence occurrences of LPS(Q) inside one document,
-    given the document's :func:`_label_positions`.
+    given the document's ``{label: LPS positions}``
+    (:meth:`~repro.prix.refinement.DocView.lps_positions`).
 
     Applies the same Theorem 4 gap bounds as the trie filter, so the two
     strategies inspect comparable candidate sets.

@@ -27,8 +27,10 @@ from repro.xmlkit.tree import DUMMY_TAG, VALUE_LABEL_PREFIX
 class DocView:
     """Decoded view of one stored document used by the refinement phases.
 
-    Holds the NPS, per-node sequence labels, and (lazily) the children
-    adjacency needed to search subtrees for wildcard leaf images.
+    Holds the NPS and per-node sequence labels, and lazily: the children
+    adjacency needed to search subtrees for wildcard leaf images, the
+    original numbering of an extended document, and each label's LPS
+    positions for the in-document filter.
 
     A view loaded from an index is **shared and read-only**: it is
     memoised on its record's resident page, so later queries -- on any
@@ -47,6 +49,7 @@ class DocView:
         self.n_nodes = len(nps) - 1
         self._children = None
         self._orig_numbers = None
+        self._lps_positions = None
 
     def parent(self, number):
         """Parent postorder number (0 for the root)."""
@@ -72,6 +75,27 @@ class DocView:
             # empty tuple and nobody can mutate what others read.
             self._children = tuple(map(tuple, children))
         return self._children[number]
+
+    def lps_positions(self):
+        """``{label: tuple of 1-based LPS positions}``, built lazily.
+
+        Position ``i`` of the LPS is the label of node ``i``'s parent,
+        so this is read off the NPS and labels; every query checking
+        this document in place shares it.
+        """
+        if self._lps_positions is None:
+            labels, nps = self.labels, self.nps
+            positions = {}
+            for position in range(1, self.n_nodes):
+                label = labels[nps[position]]
+                found = positions.get(label)
+                if found is None:
+                    positions[label] = [position]
+                else:
+                    found.append(position)
+            self._lps_positions = {label: tuple(found)
+                                   for label, found in positions.items()}
+        return self._lps_positions
 
     def iter_subtree_with_depth(self, number, max_depth=None):
         """Yield ``(descendant_or_self, depth)``, depth 0 at ``number``."""

@@ -38,7 +38,8 @@ from repro.prix.budget import (PHASE_FILTER, BudgetExceededError,
                                DegradationReason, QueryBudget)
 from repro.prix.incremental import RebuildRequiredError
 from repro.prix.index import PrixIndex
-from repro.prix.matcher import QueryResult, QueryStats, TwigMatch
+from repro.prix.matcher import (QueryResult, QueryStats, TwigMatch,
+                                prepare)
 from repro.query.xpath import parse_xpath
 from repro.shard.catalog import (ShardCatalog, ShardError,
                                  is_shard_directory)
@@ -226,7 +227,10 @@ class ShardedIndex:
     def explain(self, pattern, variant=None):
         """Each shard's plan under a ``shard-NNNN:`` heading (label
         frequencies, hence variant and strategy, are per shard)."""
-        return "".join(f"{entry.name}:\n{index.explain(pattern, variant)}"
+        if isinstance(pattern, str):
+            pattern = parse_xpath(pattern)
+        query = prepare(pattern)
+        return "".join(f"{entry.name}:\n{index.explain(query, variant)}"
                        for entry, index in self._snapshot())
 
     # ------------------------------------------------------------------
@@ -263,6 +267,10 @@ class ShardedIndex:
         slices = budget.split(len(rows)) if capped else [None] * len(rows)
         deadline = budget.deadline_seconds if capped else None
         started = time.monotonic()
+        # One prepared query for every shard: plans depend on the twig
+        # and the variant alone, so each is built at most once per
+        # scatter, by the first shard that needs it and under its meter.
+        query = prepare(pattern)
 
         total = QueryStats(variant="", strategy="")
         per_shard = []
@@ -290,7 +298,7 @@ class ShardedIndex:
                     child = child.fork(deadline_seconds=deadline - elapsed)
                 meter = child.meter(io_stats=index.io_stats)
             matches, stats = index.query_with_stats(
-                pattern, ordered=ordered, variant=variant,
+                query, ordered=ordered, variant=variant,
                 use_maxgap=use_maxgap, strategy=strategy,
                 maxgap_granularity=maxgap_granularity, cold=cold,
                 budget=meter)

@@ -219,3 +219,59 @@ class TestQueryDegradation:
                              budget=QueryBudget(max_candidates=1))
         assert result.approximate
         assert set(result.doc_ids) >= set(exact.doc_ids)
+
+
+class TestPlanningIsACancellationPoint:
+    """An unordered twig of 7 distinct sibling branches has 7! = 5 040
+    arrangements, each one plan; a deadline that runs out while they
+    are built stops the query there, on one index and on a scatter."""
+
+    PATTERN = "//r[a][b][c][d][e][f]/g"
+    DEADLINE = 0.2
+
+    @pytest.fixture
+    def stalled_planner(self, monkeypatch):
+        """Count plan builds; the 10th outlasts :attr:`DEADLINE`."""
+        import time
+
+        import repro.prix.matcher as matcher
+        import repro.prix.plan as plan
+        calls = []
+        build = plan.build_plan
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 10:
+                time.sleep(self.DEADLINE * 1.25)
+            return build(*args, **kwargs)
+        monkeypatch.setattr(matcher, "build_plan", counting)
+        monkeypatch.setattr(plan, "build_plan", counting)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def docs(self):
+        return [parse_document(
+            f"<r>{''.join(f'<{tag}>{doc_id}</{tag}>' for tag in 'abcdefg')}"
+            "</r>", doc_id) for doc_id in range(1, 5)]
+
+    def assert_stopped_while_planning(self, excinfo, calls):
+        reason = excinfo.value.reason
+        assert (reason.phase, reason.limit) == (PHASE_FILTER, "deadline")
+        assert 10 <= len(calls) < 5040
+
+    def test_monolith(self, docs, stalled_planner):
+        budget = QueryBudget(deadline_seconds=self.DEADLINE)
+        with PrixIndex.build(docs) as index:
+            with pytest.raises(BudgetExceededError) as excinfo:
+                index.query(self.PATTERN, budget=budget)
+        self.assert_stopped_while_planning(excinfo, stalled_planner)
+
+    def test_two_shard_scatter(self, docs, stalled_planner, tmp_path):
+        from repro.shard import ShardedIndex, build_shards
+        directory = str(tmp_path / "shards")
+        build_shards(docs, directory, shards=2)
+        budget = QueryBudget(deadline_seconds=self.DEADLINE)
+        with ShardedIndex.open(directory) as sharded:
+            with pytest.raises(BudgetExceededError) as excinfo:
+                sharded.query(self.PATTERN, budget=budget)
+        self.assert_stopped_while_planning(excinfo, stalled_planner)

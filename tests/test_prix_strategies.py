@@ -16,8 +16,7 @@ from repro.baselines.naive import naive_matches
 from repro.bench.workloads import queries_for
 from repro.datasets import get_corpus
 from repro.prix.index import PrixIndex
-from repro.prix.matcher import (_document_lps, _label_positions,
-                                _subsequences_in_document, filter_path)
+from repro.prix.matcher import _subsequences_in_document, filter_path
 from repro.prix.plan import build_plan
 from repro.prix.filtering import FilterStats
 from repro.query.twig import collapse
@@ -151,14 +150,16 @@ class TestDocumentEnumerator:
     def test_positions_match_labels(self, fig2_doc):
         with PrixIndex.build([fig2_doc]) as index:
             view = index._view_loader(index._variants["rp"])(1)
-        lps_seq = _document_lps(view)
-        assert lps_seq == list("ACBCCBACAEEEDA")
+        lps_seq = list("ACBCCBACAEEEDA")
+        positions_of = view.lps_positions()
+        assert positions_of == {
+            label: tuple(position for position, other
+                         in enumerate(lps_seq, start=1) if other == label)
+            for label in lps_seq}
 
         from repro.datasets import figure2_query
         plan = build_plan(collapse(figure2_query()), extended=False)
         stats = FilterStats()
-        positions_of = _label_positions(lps_seq, frozenset(plan.qlps))
-        assert sorted(positions_of) == sorted(set(plan.qlps))
         found = list(_subsequences_in_document(positions_of, plan, None,
                                                stats))
         assert (3, 7, 11, 13, 14) in found
@@ -169,10 +170,9 @@ class TestDocumentEnumerator:
     def test_absent_label_short_circuits(self, fig2_doc):
         with PrixIndex.build([fig2_doc]) as index:
             view = index._view_loader(index._variants["rp"])(1)
-        lps_seq = _document_lps(view)
         plan = build_plan(collapse(parse_xpath("//ZZZ/A")), extended=False)
         stats = FilterStats()
-        positions_of = _label_positions(lps_seq, frozenset(plan.qlps))
+        positions_of = view.lps_positions()
         assert list(_subsequences_in_document(positions_of, plan, None,
                                               stats)) == []
         assert stats.nodes_visited == 0

@@ -23,8 +23,7 @@ from helpers import make_random_tree, make_random_twig, per_plan_walk
 from repro.baselines.naive import naive_matches
 from repro.prix.filtering import FilterStats, find_subsequences
 from repro.prix.index import PrixIndex
-from repro.prix.matcher import (_label_positions, _subsequences_in_document,
-                                filter_path)
+from repro.prix.matcher import _subsequences_in_document, filter_path
 from repro.prix.plan import build_plan
 from repro.prufer.sequence import extended_sequence, regular_sequence
 from repro.query.twig import arrangements, collapse, root_paths
@@ -130,6 +129,34 @@ def test_filter_path_documents_cover_the_answer(seed):
                         for doc_id in doc_ids} >= want
 
 
+def lps_positions(text):
+    """``{label: tuple of 1-based positions}`` read off an LPS."""
+    positions = {}
+    for position, label in enumerate(text, start=1):
+        positions[label] = positions.get(label, ()) + (position,)
+    return positions
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31))
+def test_view_lps_positions_match_the_sequences(seed):
+    """A stored document's view indexes its LPS once: per label, the
+    positions the regular or extended sequence puts it at, as tuples,
+    and the same object on every later call."""
+    docs, _ = build_case(seed, max_tree_nodes=29)
+    sequence_of = {"rp": regular_sequence, "ep": extended_sequence}
+    with PrixIndex.build(docs) as index:
+        for variant, sequence in sequence_of.items():
+            load = index._view_loader(index._variants[variant])
+            for doc in docs:
+                view = load(doc.doc_id)
+                positions = view.lps_positions()
+                assert positions == lps_positions(sequence(doc).lps)
+                assert all(type(found) is tuple
+                           for found in positions.values())
+                assert view.lps_positions() is positions
+
+
 #: Subsequence occurrences of the plans' LPS(Q) in the documents' LPS
 #: above which a generated case is discarded: the per-plan reference
 #: walk, the candidate lists and refinement all grow with that number
@@ -178,7 +205,6 @@ def test_trie_filter_matches_oracle_and_per_plan_walk(seed):
            <= OCCURRENCE_LIMIT)
     for variant, ordered, built, plans in cases:
         want = oracle_set(docs, pattern, ordered=ordered)
-        wanted = frozenset(label for plan in plans for label in plan.qlps)
         for granularity, use_maxgap in product(("label", "node"),
                                                (True, False)):
             matches, stats = index.query_with_stats(
@@ -209,8 +235,7 @@ def test_trie_filter_matches_oracle_and_per_plan_walk(seed):
                              for doc_id in doc_ids}
                 assert path_docs >= {doc_id for doc_id, _ in want}
                 for doc_id in sorted(path_docs):
-                    positions_of = _label_positions(
-                        texts[variant][doc_id - 1], wanted)
+                    positions_of = lps_positions(texts[variant][doc_id - 1])
                     for plan in plans:
                         for _ in _subsequences_in_document(
                                 positions_of, plan, args[3], reference):

@@ -95,6 +95,39 @@ class TestScatterGather:
             with pytest.raises(TypeError):
                 sharded.query(PATTERN, budget=object())
 
+    @pytest.mark.parametrize("strategy", ["auto", "trie"])
+    def test_a_scatter_plans_once(self, monolith, shard_dir, monkeypatch,
+                                  strategy):
+        """Plans depend on the twig and the variant alone: four shards
+        build exactly the plans one index builds (both variants' own
+        order for the variant choice, every arrangement, and on the
+        trie walk the root-to-leaf paths) and answer byte-identically."""
+        import repro.prix.matcher as matcher
+        import repro.prix.plan as plan
+        calls = []
+        build = plan.build_plan
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return build(*args, **kwargs)
+        monkeypatch.setattr(matcher, "build_plan", counting)
+        monkeypatch.setattr(plan, "build_plan", counting)
+
+        unordered = "//inproceedings[author][title]/year"
+        assert set(monolith.variants()) == {"rp", "ep"}
+        with ShardedIndex.open(shard_dir) as sharded:
+            answers = []
+            for index in (monolith, sharded):
+                calls.clear()
+                matches, stats = index.query_with_stats(
+                    unordered, strategy=strategy)
+                answers.append((len(calls), stats.variant, stats.strategy,
+                                stats.arrangements, canonical(sorted(
+                                    matches, key=lambda m: (m.doc_id,
+                                                            m.images)))))
+        assert answers[0][3] > 1 and answers[0][4]
+        assert answers[1] == answers[0]
+
     def test_every_counter_is_merged(self, corpus, tmp_path):
         """The scatter sums the shards' counters field by field; walk
         the dataclasses so a counter added later and not merged fails

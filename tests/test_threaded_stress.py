@@ -134,6 +134,7 @@ def test_threads_share_decoded_views(tmp_path, threads):
                            for name in ("rp", "ep"))
         assert any(view._children is not None for view in plain)
         assert any(view._orig_numbers is not None for view in extended)
+        assert any(view._lps_positions is not None for view in plain)
 
 
 def assert_exactly_conserved(tmp_path, seed, threads, queries):
