@@ -3,7 +3,7 @@
 This package is a full, from-scratch Python reproduction of the PRIX system
 (Rao and Moon, ICDE 2004) together with every substrate the paper depends on:
 
-- :mod:`repro.xmlkit` -- XML tokenizer/parser and an ordered labeled tree model,
+- :mod:`repro.xmlkit` -- XML parser (on expat) and an ordered labeled tree model,
 - :mod:`repro.datasets` -- synthetic DBLP/SWISSPROT/TREEBANK-like corpora,
 - :mod:`repro.storage` -- paged storage, buffer pool and a disk-based B+-tree,
 - :mod:`repro.prufer` -- Prufer sequence construction and reconstruction,

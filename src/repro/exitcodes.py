@@ -15,11 +15,13 @@ from repro.query.twig import UnsupportedTwigError
 from repro.query.xpath import XPathSyntaxError
 from repro.storage.errors import (CorruptionError, ReadOnlyBackendError,
                                   WalError)
+from repro.xmlkit.errors import XMLSyntaxError
 
 #: Generic failure (I/O errors, storage errors, exhausted filter-phase
 #: budgets, ...).
 EXIT_ERROR = 1
-#: Usage error: bad arguments, unparsable query, missing input file.
+#: Usage error: bad arguments, unparsable query, missing or malformed
+#: input file.
 EXIT_USAGE = 2
 #: Corruption: checksum failure, unrecoverable WAL, failed recovery.
 EXIT_CORRUPTION = 3
@@ -45,8 +47,8 @@ EXIT_CODES = {
 
 #: (exception types, kind), first match wins, anything else is
 #: ``internal`` -- including the generic ``OSError`` / ``ValueError``
-#: parents of ``TimeoutError`` / ``XPathSyntaxError`` and
-#: ``UnsupportedTwigError``.  Registry,
+#: parents of ``TimeoutError`` / ``XPathSyntaxError``,
+#: ``UnsupportedTwigError`` and ``XMLSyntaxError``.  Registry,
 #: variant and document lookups raise ``KeyError``.
 _LADDER = (
     (BudgetExceededError, "budget-exhausted"),
@@ -54,8 +56,8 @@ _LADDER = (
     ((CorruptionError, WalError), "corruption"),
     (TimeoutError, "request-timeout"),
     ((FileNotFoundError, KeyError), "not-found"),
-    ((XPathSyntaxError, UnsupportedTwigError, FileExistsError),
-     "bad-request"),
+    ((XPathSyntaxError, UnsupportedTwigError, XMLSyntaxError,
+      FileExistsError), "bad-request"),
 )
 
 

@@ -941,10 +941,10 @@ def scrub_path(path, wal_path=None, guard_path=None, stamp_missing=False):
     serving tier's ``/healthz``).
 
     The log at ``wal_path`` is *not* replayed: its committed images only
-    serve as the read-repair source, as in live operation.  The checksum
-    sidecar is created when absent (every page then reports unstamped;
-    ``stamp_missing`` adopts them from their current content after the
-    sweep).
+    serve as the read-repair source, as in live operation.  Without a
+    checksum sidecar every page reports unstamped, and none is created
+    unless ``stamp_missing`` asks to adopt the pages from their current
+    content after the sweep.
 
     ``catalog_ok`` is :meth:`PrixIndex._attach`'s verdict on the swept
     bytes, so a healthy report means ``open`` succeeds on them.  A file
@@ -958,9 +958,10 @@ def scrub_path(path, wal_path=None, guard_path=None, stamp_missing=False):
     except SuperblockError as error:
         report.catalog_ok, report.catalog_error = False, str(error)
         page_size = sidecar_page_size(guard_path)
+    guard = stamp_missing or os.path.exists(guard_path)
     with open_backend(path, page_size, pool_pages=8,
                       durable=os.path.exists(wal_path), wal_path=wal_path,
-                      guard=True, guard_path=guard_path) as pool:
+                      guard=guard, guard_path=guard_path) as pool:
         pool.scrub(report, stamp_missing=stamp_missing)
         if report.catalog_ok is None:
             try:

@@ -107,10 +107,10 @@ class IndexRegistry:
         """Scrub ``path``, open it read-shared, build the mount record.
 
         The scrub runs *before* the open so the cached health verdict
-        describes exactly the bytes this generation serves, and so the
-        checksum sidecar it materializes is already present for the
-        open's guard auto-detection.  ``opened`` holds the ``backend``
-        and ``pool_pages`` keywords of :meth:`mount`.
+        describes exactly the bytes this generation serves.  It creates
+        no checksum sidecar: the open attaches a guard only where the
+        index already has one.  ``opened`` holds the ``backend`` and
+        ``pool_pages`` keywords of :meth:`mount`.
 
         ``path`` is whatever :func:`repro.shard.open_index` accepts.  A
         *shard directory* (``docs/SHARDING.md``) mounts like a file:

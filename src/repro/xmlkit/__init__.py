@@ -1,25 +1,22 @@
-"""XML substrate: tokenizer, parser, tree model and serializer.
+"""XML substrate: parser, tree model and serializer.
 
-Implemented from scratch (no ``xml.etree``/``lxml``) so the whole stack,
-down to the byte stream, is under the reproduction's control.
+The parser runs on the standard library's expat, so any well-formed XML
+1.0 text is accepted and anything else refused; the tree model and its
+numberings are the reproduction's own.
 """
 
 from repro.xmlkit.errors import XMLSyntaxError
 from repro.xmlkit.parser import (parse_document, parse_fragment,
                                  split_documents)
 from repro.xmlkit.serializer import serialize
-from repro.xmlkit.tokenizer import Token, TokenType, tokenize
 from repro.xmlkit.tree import Document, XMLNode
 
 __all__ = [
     "Document",
-    "Token",
-    "TokenType",
     "XMLNode",
     "XMLSyntaxError",
     "parse_document",
     "parse_fragment",
     "serialize",
     "split_documents",
-    "tokenize",
 ]

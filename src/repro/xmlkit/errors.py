@@ -2,10 +2,10 @@
 
 
 class XMLSyntaxError(ValueError):
-    """Raised when the tokenizer or parser encounters malformed XML.
+    """Raised when the parser encounters malformed XML.
 
-    Carries the byte offset and a human-readable reason so callers can
-    surface precise diagnostics.
+    Carries the byte offset (into the UTF-8 encoding of the text) and a
+    human-readable reason so callers can surface precise diagnostics.
     """
 
     def __init__(self, message, offset=None):

@@ -11,8 +11,12 @@ from io import StringIO
 
 from repro.xmlkit.parser import ATTRIBUTE_PREFIX
 
-_ESCAPES_TEXT = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
-_ESCAPES_ATTR = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"}
+# A parser normalizes a literal \r (line ends) and, in attribute values,
+# \t and \n too (XML 1.0 sections 2.11 and 3.3.3); character references
+# survive both, so the round trip keeps them.
+_ESCAPES_TEXT = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}
+_ESCAPES_ATTR = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                 "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
 
 
 def _escape(text, table):

@@ -70,6 +70,26 @@ def make_random_document(seed, doc_id=1, **kwargs):
     return Document(make_random_tree(rng, **kwargs), doc_id=doc_id)
 
 
+#: Text the parser must refuse, by case id: not well-formed XML 1.0, a
+#: reference to an external (or undeclared) entity, or an expansion past
+#: expat's amplification limit.  Each raises ``XMLSyntaxError`` with an
+#: offset.
+REFUSED_XML = {
+    "bare-ampersand": "<a>x & y</a>",
+    "duplicate-attribute": '<a b="1" b="2"/>',
+    "nul-reference": "<a>&#0;</a>",
+    "nul": "<a>\x00</a>",
+    "lone-surrogate": "<a>\ud800</a>",
+    "external-entity":
+        '<!DOCTYPE a [<!ENTITY e SYSTEM "e.xml">]><a>&e;</a>',
+    "skipped-entity": '<!DOCTYPE a SYSTEM "a.dtd"><a>&e;</a>',
+    "billion-laughs": "<!DOCTYPE a [<!ENTITY l0 \"lol\">" + "".join(
+        f'<!ENTITY l{i} "{f"&l{i - 1};" * 10}">' for i in range(1, 10))
+        + "]><a>&l9;</a>",
+    "empty": "",
+}
+
+
 #: Mutation operators for :func:`mutate_text`, chosen per seed.
 MUTATION_OPS = ("truncate", "delete", "duplicate", "insert_byte",
                 "insert_nul", "swap", "close_tag", "break_entity")

@@ -52,7 +52,8 @@ class TestBuild:
     def test_build_bad_xml_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.xml"
         bad.write_text("<a><b></a>", encoding="utf-8")
-        assert main(["build", str(tmp_path / "x.idx"), str(bad)]) == 1
+        assert main(["build", str(tmp_path / "x.idx"), str(bad)]) == 2
+        assert "error [XMLSyntaxError]" in capsys.readouterr().err
 
     def test_build_over_an_existing_index_is_refused(self, built_index,
                                                      xml_files, capsys):
@@ -177,6 +178,17 @@ class TestInsertDelete:
         assert "index now holds 2 documents" in out
         assert main(["query", index_path, "//a/c"]) == 0
         assert "1 match(es)" in capsys.readouterr().out
+
+    def test_insert_bad_xml_is_a_usage_error(self, tmp_path, capsys):
+        index_path = str(tmp_path / "dyn.idx")
+        doc = tmp_path / "doc.xml"
+        doc.write_text("<a><b/></a>", encoding="utf-8")
+        assert main(["build", index_path, str(doc),
+                     "--labeler", "dynamic"]) == 0
+        bad = tmp_path / "bad.xml"
+        bad.write_text("<a><b></a>", encoding="utf-8")
+        assert main(["insert", index_path, str(bad)]) == 2
+        assert "error [XMLSyntaxError]" in capsys.readouterr().err
 
     def test_insert_into_bulk_index_advises_rebuild(self, tmp_path,
                                                     capsys):

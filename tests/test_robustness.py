@@ -1,6 +1,6 @@
 """Robustness fuzzing: hostile inputs fail cleanly, never crash oddly.
 
-The tokenizer, parser and XPath parser must reject malformed input with
+The XML parser and the XPath parser must reject malformed input with
 their documented exception types -- never hang, never raise an
 unexpected error class -- and the index build must handle degenerate
 document shapes.
@@ -15,31 +15,21 @@ from hypothesis import strategies as st
 from repro.prix.index import PrixIndex
 from repro.query.xpath import XPathSyntaxError, parse_xpath
 from repro.xmlkit.errors import XMLSyntaxError
-from repro.xmlkit.parser import parse_document
-from repro.xmlkit.tokenizer import tokenize
+from repro.xmlkit.parser import parse_document, parse_fragment
 from repro.xmlkit.tree import Document, XMLNode, element
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(max_size=120))
-def test_tokenizer_never_crashes_unexpectedly(text):
-    try:
-        list(tokenize(text))
-    except XMLSyntaxError:
-        pass
-
-
-@settings(max_examples=300, deadline=None)
 @given(st.text(alphabet="<>/abc&;\"'= \n![]-?", max_size=80))
-def test_tokenizer_markup_soup(text):
+def test_parser_markup_soup(text):
     try:
-        list(tokenize(text))
+        parse_fragment(text)
     except XMLSyntaxError:
         pass
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(max_size=100))
+@given(st.text(max_size=120))
 def test_parser_never_crashes_unexpectedly(text):
     try:
         parse_document(text)

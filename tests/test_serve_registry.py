@@ -11,6 +11,7 @@ what is shard-specific).
 """
 
 import json
+import os
 import threading
 import time
 
@@ -23,7 +24,7 @@ from repro.serve.admission import AdmissionController, ServerLimits
 from repro.serve.metrics import ServerMetrics
 from repro.serve.protocol import ProtocolError
 from repro.serve.registry import IndexRegistry, ServeError
-from repro.shard import build_shards, scrub_index
+from repro.shard import build_shards, open_index, scrub_index
 
 
 @pytest.fixture(params=["monolith", "2-shard directory"])
@@ -154,10 +155,14 @@ def test_reload_unknown_name_raises_keyerror(index_path):
         registry.reload("nope")
 
 
+def _shards(index):
+    """Every single-file index behind a mounted index."""
+    return getattr(index, "_shards", {"": index}).values()
+
+
 def _pool_capacities(index):
     """Pool capacity of every backend behind a mounted index."""
-    shards = getattr(index, "_shards", {"": index})
-    return [shard._pool.capacity for shard in shards.values()]
+    return [shard._pool.capacity for shard in _shards(index)]
 
 
 def test_reload_reopens_with_what_mount_was_given(index_path):
@@ -185,6 +190,23 @@ def test_health_caches_the_scrub_to_json_serialization(index_path):
     # `prix scrub --json` (docs/SERVING.md).
     assert health["scrub"] == json.loads(scrub_index(index_path).to_json())
     registry.close_all()
+
+
+def test_scrub_and_mount_leave_an_unguarded_index_unguarded(index_path):
+    """Scrubbing (which a mount does first) writes no checksum sidecar:
+    one would hold no stamps, verify nothing, and still make every
+    later open attach a guard that runs on each page miss."""
+    report = scrub_index(index_path).as_dict()
+    assert report["pages_unstamped"] == report["pages_total"] > 0
+    registry = IndexRegistry()
+    registry.mount("default", index_path)
+    registry.close_all()
+    root = os.path.dirname(index_path)
+    assert not [name for _, _, names in os.walk(root) for name in names
+                if name.endswith(".sum")]
+    with open_index(index_path, backend="mmap") as index:
+        for shard in _shards(index):
+            assert shard._pool._pager.guard is None
 
 
 def test_registry_stats_snapshot_per_mount(index_path):

@@ -1,30 +1,30 @@
-"""Fuzz-style robustness tests for the XML tokenizer and parser.
+"""Fuzz-style robustness tests for the XML parser.
 
-The contract: whatever bytes arrive, ``tokenize`` / ``parse_document``
-/ ``split_documents`` either succeed or raise the *typed*
-:class:`~repro.xmlkit.errors.XMLSyntaxError` (a ``ValueError``).  They
-never escape with an uncaught ``IndexError``/``AttributeError``/
+The contract: whatever bytes arrive, ``parse_fragment`` /
+``parse_document`` / ``split_documents`` either succeed or raise the
+*typed* :class:`~repro.xmlkit.errors.XMLSyntaxError` (a ``ValueError``).
+They never escape with an uncaught ``IndexError``/``AttributeError``/
 ``RecursionError``-style exception and never hang -- malformed input is
 an expected environmental condition for an index that ingests
 user-supplied documents, not a programming error.
 
 Inputs come from two directions: a corpus of hand-written adversarial
-fragments (every tokenizer error path, plus shapes like interleaved
-close tags that exercise the parser's stack discipline), and seeded
-random mutations of well-formed documents (``helpers.mutate_text``).
-A failing case prints its seed, which reproduces the exact input.
+fragments (lexical errors, shapes like interleaved close tags that
+exercise the parser's stack discipline, and the refused cases of
+``helpers.REFUSED_XML``), and seeded random mutations of well-formed
+documents (``helpers.mutate_text``).  A failing case prints its seed,
+which reproduces the exact input.
 """
 
 import random
 
 import pytest
 
-from helpers import make_random_document, mutate_text
+from helpers import REFUSED_XML, make_random_document, mutate_text
 from repro.xmlkit.errors import XMLSyntaxError
 from repro.xmlkit.parser import parse_document, parse_fragment, \
     split_documents
 from repro.xmlkit.serializer import serialize
-from repro.xmlkit.tokenizer import tokenize
 
 #: Hand-picked adversarial inputs; each is malformed in a distinct way.
 ADVERSARIAL = [
@@ -61,6 +61,8 @@ ADVERSARIAL = [
     "<a" + "a" * 5000,                    # long unterminated tag
     "<a>" * 2000,                         # deep unclosed nesting
 ]
+ADVERSARIAL += [text for text in REFUSED_XML.values()
+                if text not in ADVERSARIAL]
 
 
 def assert_typed_or_ok(callable_, text):
@@ -75,7 +77,7 @@ def assert_typed_or_ok(callable_, text):
 @pytest.mark.parametrize("text", ADVERSARIAL,
                          ids=lambda t: repr(t[:24]))
 def test_adversarial_inputs_raise_typed_errors(text):
-    for entry in (lambda t: list(tokenize(t)), parse_fragment,
+    for entry in (parse_fragment,
                   lambda t: parse_document(t, 1),
                   lambda t: split_documents(t)):
         assert_typed_or_ok(entry, text)
@@ -94,7 +96,7 @@ def test_error_is_a_value_error_with_offset():
         parse_document("<a><b></a></b>", 1)
     assert isinstance(excinfo.value, XMLSyntaxError)
     with pytest.raises(XMLSyntaxError) as excinfo:
-        list(tokenize("<a>&nope;</a>"))
+        parse_fragment("<a>&nope;</a>")
     assert excinfo.value.offset is not None
 
 

@@ -1,7 +1,8 @@
-"""Parser unit tests: token stream to tree, attribute folding."""
+"""Parser unit tests: XML text to tree, attribute folding, well-formedness."""
 
 import pytest
 
+from helpers import REFUSED_XML
 from repro.xmlkit.errors import XMLSyntaxError
 from repro.xmlkit.parser import parse_document, parse_fragment
 
@@ -54,6 +55,35 @@ class TestAttributeFolding:
         root = parse_fragment('<a k=""/>')
         assert root.children[0].is_leaf
 
+    def test_markup_characters_inside_a_value(self):
+        root = parse_fragment('<a b="x>y" c=\'"/>\'/>')
+        assert [(c.tag, c.children[0].tag) for c in root.children] == [
+            ("@b", "x>y"), ("@c", '"/>')]
+
+    def test_attribute_values_are_normalized(self):
+        # XML 1.0 section 3.3.3: a literal tab or line end in a value is
+        # a space; a character reference to one survives.
+        root = parse_fragment('<a b="x\ty\r\nz" c="x&#9;y&#10;z"/>')
+        assert [c.children[0].tag for c in root.children] == [
+            "x y z", "x\ty\nz"]
+
+
+class TestCharacterData:
+    @pytest.mark.parametrize("text,values", [
+        ("<a>x<!--c-->y<?p q?>z</a>", ["x", "y", "z"]),
+        ("<a>x&amp;y&#65;</a>", ["x&yA"]),
+        ("<a>x<![CDATA[ ]]>y</a>", ["x", " ", "y"]),
+        ("<a><![CDATA[]]></a>", []),
+        ("<a> <b/>\t<![CDATA[c]]>\n</a>", ["c"]),
+        ("<a>p\r\nq\rr&#13;</a>", ["p\nq\nr\r"]),
+        ('<!DOCTYPE a [<!ENTITY e "v&#38;amp;w">]><a>&e;</a>', ["v&w"]),
+    ], ids=["markup-splits-text", "references-join-text", "cdata-node",
+            "empty-cdata", "whitespace-dropped", "line-ends",
+            "internal-entity"])
+    def test_value_nodes(self, text, values):
+        root = parse_fragment(text)
+        assert [c.tag for c in root.children if c.is_value] == values
+
 
 class TestWellFormedness:
     def test_mismatched_tags_raise(self):
@@ -79,6 +109,14 @@ class TestWellFormedness:
     def test_empty_document_raises(self):
         with pytest.raises(XMLSyntaxError):
             parse_fragment("")
+
+    @pytest.mark.parametrize("text", list(REFUSED_XML.values()),
+                             ids=list(REFUSED_XML))
+    def test_refused_text_raises_with_an_offset(self, text):
+        with pytest.raises(XMLSyntaxError) as info:
+            parse_fragment(text)
+        assert type(info.value) is XMLSyntaxError
+        assert info.value.offset >= 0
 
 
 class TestRealisticDocuments:

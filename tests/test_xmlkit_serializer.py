@@ -58,11 +58,35 @@ class TestRoundTrip:
             assert same_tree(root, reparsed)
 
 
+#: Value characters: letters plus every character the serializer must
+#: escape, or protect from XML 1.0 whitespace and line-end normalization.
+ALPHABET = "xy \t\n\r>&<\"'"
+
+
+def _random_text(rng):
+    text = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(1, 6)))
+    return text if text.strip() else "x" + text  # blank text leaves no node
+
+
+def _decorate(rng, root):
+    """Give elements attributes (first) and one text child (last)."""
+    for node in list(root.iter_subtree()):
+        for name in rng.sample("kl", rng.randint(0, 2)):
+            attr = element("@" + name)
+            if rng.random() < 0.8:
+                attr.append(value(_random_text(rng)))
+            attr.parent = node
+            node.children.insert(0, attr)
+        if rng.random() < 0.5:
+            node.append(value(_random_text(rng)))
+    return root
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31))
 def test_roundtrip_property(seed):
     rng = random.Random(seed)
-    doc = Document(make_random_tree(rng, value_p=0.0))
+    doc = Document(_decorate(rng, make_random_tree(rng, value_p=0.0)))
     text = serialize(doc)
     reparsed = parse_document(text)
     assert same_tree(doc.root, reparsed.root)

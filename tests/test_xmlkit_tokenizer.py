@@ -1,85 +1,84 @@
-"""Tokenizer unit tests."""
+"""Lexical cases of XML text, seen through ``parse_fragment``.
+
+Entities and character references, both attribute quote styles, the
+markup that leaves no node (comments, processing instructions, the
+declaration, DOCTYPE), CDATA, whitespace-only text and the lexical
+errors.  The parser runs on expat; the module keeps its name so these
+cases keep their test ids.
+"""
 
 import pytest
 
 from repro.xmlkit.errors import XMLSyntaxError
-from repro.xmlkit.tokenizer import TokenType, tokenize
+from repro.xmlkit.parser import parse_fragment
 
 
 def kinds(text):
-    return [(t.type, t.value) for t in tokenize(text)]
+    """``(tag, is_value)`` of every node, in document order."""
+    return [(node.tag, node.is_value)
+            for node in parse_fragment(text).iter_subtree()]
+
+
+def attributes(text):
+    """``(name, value)`` of the root's attribute subelements."""
+    return [(child.tag[1:], child.children[0].tag if child.children else "")
+            for child in parse_fragment(text).children
+            if child.tag.startswith("@")]
 
 
 class TestBasicTokens:
     def test_simple_element(self):
-        assert kinds("<a></a>") == [(TokenType.START, "a"),
-                                    (TokenType.END, "a")]
+        assert kinds("<a></a>") == [("a", False)]
 
     def test_self_closing(self):
-        tokens = list(tokenize("<a/>"))
-        assert len(tokens) == 1
-        assert tokens[0].self_closing
+        assert kinds("<a/>") == [("a", False)]
 
     def test_text_content(self):
-        assert kinds("<a>hello</a>") == [
-            (TokenType.START, "a"), (TokenType.TEXT, "hello"),
-            (TokenType.END, "a")]
+        assert kinds("<a>hello</a>") == [("a", False), ("hello", True)]
 
     def test_nested_elements(self):
-        assert kinds("<a><b/></a>") == [
-            (TokenType.START, "a"), (TokenType.START, "b"),
-            (TokenType.END, "a")]
+        assert kinds("<a><b/></a>") == [("a", False), ("b", False)]
 
     def test_whitespace_only_text_dropped(self):
-        assert kinds("<a>\n  <b/>\n</a>") == [
-            (TokenType.START, "a"), (TokenType.START, "b"),
-            (TokenType.END, "a")]
+        assert kinds("<a>\n  <b/>\n</a>") == [("a", False), ("b", False)]
 
     def test_names_with_punctuation(self):
-        tokens = list(tokenize("<ns:tag-1.x/>"))
-        assert tokens[0].value == "ns:tag-1.x"
+        assert parse_fragment("<ns:tag-1.x/>").tag == "ns:tag-1.x"
 
     def test_end_tag_with_whitespace(self):
-        assert kinds("<a></a >") == [(TokenType.START, "a"),
-                                     (TokenType.END, "a")]
+        assert kinds("<a></a >") == [("a", False)]
 
 
 class TestAttributes:
     def test_single_attribute(self):
-        token = next(tokenize('<a key="v"/>'))
-        assert token.attrs == (("key", "v"),)
+        assert attributes('<a key="v"/>') == [("key", "v")]
 
     def test_multiple_attributes(self):
-        token = next(tokenize('<a x="1" y="2"/>'))
-        assert token.attrs == (("x", "1"), ("y", "2"))
+        assert attributes('<a x="1" y="2"/>') == [("x", "1"), ("y", "2")]
 
     def test_single_quotes(self):
-        token = next(tokenize("<a x='1'/>"))
-        assert token.attrs == (("x", "1"),)
+        assert attributes("<a x='1'/>") == [("x", "1")]
 
     def test_attribute_with_spaces_around_eq(self):
-        token = next(tokenize('<a x = "1"/>'))
-        assert token.attrs == (("x", "1"),)
+        assert attributes('<a x = "1"/>') == [("x", "1")]
 
     def test_attribute_entity_decoding(self):
-        token = next(tokenize('<a x="a&amp;b"/>'))
-        assert token.attrs == (("x", "a&b"),)
+        assert attributes('<a x="a&amp;b"/>') == [("x", "a&b")]
 
     def test_empty_attribute_value(self):
-        token = next(tokenize('<a x=""/>'))
-        assert token.attrs == (("x", ""),)
+        assert attributes('<a x=""/>') == [("x", "")]
 
     def test_missing_eq_raises(self):
         with pytest.raises(XMLSyntaxError):
-            list(tokenize('<a x"1"/>'))
+            parse_fragment('<a x"1"/>')
 
     def test_unquoted_value_raises(self):
         with pytest.raises(XMLSyntaxError):
-            list(tokenize("<a x=1/>"))
+            parse_fragment("<a x=1/>")
 
     def test_unterminated_value_raises(self):
         with pytest.raises(XMLSyntaxError):
-            list(tokenize('<a x="1>'))
+            parse_fragment('<a x="1>')
 
 
 class TestEntities:
@@ -88,72 +87,66 @@ class TestEntities:
         ("&quot;", '"'), ("&apos;", "'"),
     ])
     def test_predefined_entities(self, entity, expected):
-        tokens = list(tokenize(f"<a>{entity}</a>"))
-        assert tokens[1].value == expected
+        assert kinds(f"<a>{entity}</a>")[1] == (expected, True)
 
     def test_decimal_reference(self):
-        tokens = list(tokenize("<a>&#65;</a>"))
-        assert tokens[1].value == "A"
+        assert kinds("<a>&#65;</a>")[1] == ("A", True)
 
     def test_hex_reference(self):
-        tokens = list(tokenize("<a>&#x41;</a>"))
-        assert tokens[1].value == "A"
+        assert kinds("<a>&#x41;</a>")[1] == ("A", True)
 
     def test_unknown_entity_raises(self):
         with pytest.raises(XMLSyntaxError):
-            list(tokenize("<a>&nope;</a>"))
+            parse_fragment("<a>&nope;</a>")
 
 
 class TestMarkupSkipping:
     def test_comment_skipped(self):
-        assert kinds("<a><!-- hi --></a>") == [
-            (TokenType.START, "a"), (TokenType.END, "a")]
+        assert kinds("<a><!-- hi --></a>") == [("a", False)]
 
     def test_comment_with_markup_inside(self):
-        assert kinds("<a><!-- <b> --></a>") == [
-            (TokenType.START, "a"), (TokenType.END, "a")]
+        assert kinds("<a><!-- <b> --></a>") == [("a", False)]
 
     def test_xml_declaration_skipped(self):
-        assert kinds('<?xml version="1.0"?><a/>')[0] == (TokenType.START, "a")
+        assert kinds('<?xml version="1.0"?><a/>') == [("a", False)]
 
     def test_processing_instruction_skipped(self):
-        assert kinds("<?php echo ?><a/>")[0] == (TokenType.START, "a")
+        assert kinds("<?php echo ?><a/>") == [("a", False)]
 
     def test_doctype_skipped(self):
-        assert kinds("<!DOCTYPE dblp SYSTEM 'dblp.dtd'><a/>")[0] == (
-            TokenType.START, "a")
+        assert kinds("<!DOCTYPE dblp SYSTEM 'dblp.dtd'><a/>") == [
+            ("a", False)]
 
     def test_doctype_with_internal_subset(self):
         text = "<!DOCTYPE a [<!ELEMENT a (#PCDATA)>]><a/>"
-        assert kinds(text)[0] == (TokenType.START, "a")
+        assert kinds(text) == [("a", False)]
 
     def test_cdata_becomes_text(self):
-        tokens = list(tokenize("<a><![CDATA[<raw&>]]></a>"))
-        assert tokens[1].value == "<raw&>"
+        assert kinds("<a><![CDATA[<raw&>]]></a>")[1] == ("<raw&>", True)
 
     def test_unterminated_comment_raises(self):
         with pytest.raises(XMLSyntaxError):
-            list(tokenize("<a><!-- oops"))
+            parse_fragment("<a><!-- oops")
 
     def test_unterminated_cdata_raises(self):
         with pytest.raises(XMLSyntaxError):
-            list(tokenize("<a><![CDATA[oops"))
+            parse_fragment("<a><![CDATA[oops")
 
 
 class TestErrors:
     def test_unterminated_start_tag(self):
         with pytest.raises(XMLSyntaxError):
-            list(tokenize("<a"))
+            parse_fragment("<a")
 
     def test_malformed_start_tag(self):
         with pytest.raises(XMLSyntaxError):
-            list(tokenize("<1a/>"))
+            parse_fragment("<1a/>")
 
     def test_malformed_end_tag(self):
         with pytest.raises(XMLSyntaxError):
-            list(tokenize("<a></1>"))
+            parse_fragment("<a></1>")
 
     def test_offset_reported(self):
         with pytest.raises(XMLSyntaxError) as info:
-            list(tokenize("<a><!-- x"))
+            parse_fragment("<a><!-- x")
         assert info.value.offset == 3
