@@ -31,6 +31,9 @@ from repro.storage.codec import (encode_int, encode_key, int_key_prefix,
 _POS_VALUE = struct.Struct("<QII")  # (RightPos, Level, node MaxGap)
 _DOC_VALUE = struct.Struct("<I")    # document id
 
+#: The largest document id a Docid-index value holds.
+MAX_DOC_ID = 2 ** 32 - 1
+
 #: Cap for the per-node MaxGap stored in index entries.
 _GAP_CAP = 2 ** 32 - 1
 
@@ -130,10 +133,15 @@ class TrieSymbolIndex:
 
     @staticmethod
     def make_entry(label, left, right, level, node_maxgap=0):
-        """Build the ``(key, value)`` pair for one trie node occurrence."""
-        return (encode_key(label, left),
-                _POS_VALUE.pack(right, level,
-                                min(node_maxgap, _GAP_CAP)))
+        """Build the ``(key, value)`` pair for one trie node occurrence.
+
+        ``label`` is the label or its :meth:`label_prefix`; a build
+        encodes each label once.  The label's ``left`` is range-checked
+        (``ValueError``), the prefix's only by its 8-byte pack.
+        """
+        key = (label + pack_key_int(left) if isinstance(label, bytes)
+               else encode_key(label, left))
+        return key, _POS_VALUE.pack(right, level, min(node_maxgap, _GAP_CAP))
 
 
 class DocidIndex:

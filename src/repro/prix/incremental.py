@@ -62,8 +62,11 @@ def find_child(symbol_index, label, parent_left, parent_right,
     return None
 
 
-def insert_sequence(variant, seq, doc_id, slack):
+def insert_sequence(variant, seq, gaps, doc_id, slack):
     """Insert one document's LPS into a variant's virtual trie.
+
+    ``gaps`` is the sequence's
+    :func:`~repro.prufer.maxgap.position_gaps`.
 
     Returns the number of new trie nodes created.  Raises
     :class:`RebuildRequiredError` on scope underflow (the caller decides
@@ -72,13 +75,10 @@ def insert_sequence(variant, seq, doc_id, slack):
     MaxGaps are widened when the new document's parent spans exceed
     them.
     """
-    from repro.prufer.maxgap import position_gaps
-
     symbol_index = variant.symbol_index
     cur_left, cur_right = variant.root_range
     cur_level = 0
     new_nodes = 0
-    gaps = position_gaps(seq)
 
     for position, label in enumerate(seq.lps):
         doc_gap = gaps[position]

@@ -23,7 +23,7 @@ import struct
 import time
 from dataclasses import asdict, dataclass, field
 
-from repro.prix.filtering import DocidIndex, TrieSymbolIndex
+from repro.prix.filtering import MAX_DOC_ID, DocidIndex, TrieSymbolIndex
 from repro.prix.incremental import (RebuildRequiredError, insert_sequence,
                                     leaves_slack)
 from repro.prix.matcher import QueryStats, prepare, run_query
@@ -36,7 +36,7 @@ from repro.storage import ScrubReport, recover_path, sidecar_page_size
 from repro.storage.backend import (DEFAULT_PAGE_SIZE, DEFAULT_POOL_PAGES,
                                    SYNC_COMMIT, open_backend, sidecar_paths)
 from repro.storage.bptree import BPlusTree
-from repro.storage.codec import decode_varints, encode_varints
+from repro.storage.codec import decode_varints, encode_int, encode_varints
 from repro.storage.errors import (RecordCorruptionError, StorageError,
                                   SuperblockError)
 from repro.storage.records import RecordStore
@@ -174,6 +174,8 @@ class PrixIndex:
         # is created would leak the handle (and a half-written file).
         documents = list(documents)
         doc_ids = [doc.doc_id for doc in documents]
+        for doc_id in doc_ids:
+            _check_doc_id(doc_id)
         if len(set(doc_ids)) != len(doc_ids):
             raise ValueError("document ids must be unique")
         if (options.file_factory is None and options.path is not None
@@ -243,6 +245,7 @@ class PrixIndex:
         but the catalog does not.
         """
         doc_id = document.doc_id
+        _check_doc_id(doc_id)
         if self._indexed(doc_id):
             raise ValueError(f"document id {doc_id} exists")
         known_labels = len(self._labels)
@@ -250,17 +253,18 @@ class PrixIndex:
         for variant in self._variants.values():
             seq = (extended_sequence(document) if variant.extended
                    else regular_sequence(document))
+            gaps = position_gaps(seq)
             blob = _encode_document(seq, self._labels)
             variant.catalog[doc_id] = variant.pending["catalog"][doc_id] = \
                 self._records.append(blob)
             variant.pending["maxgap"].update(
-                _merge_maxgap(variant.maxgap, seq))
+                _merge_maxgap(variant.maxgap, seq.lps, gaps))
             stats = variant.trie_stats
             stats.sequence_count += 1
             stats.total_sequence_length += len(seq.lps)
             try:
                 stats.node_count += insert_sequence(
-                    variant, seq, doc_id,
+                    variant, seq, gaps, doc_id,
                     leaves_slack(self._layout["labeler"], stats))
             except RebuildRequiredError as error:
                 underflow = error
@@ -696,16 +700,16 @@ class PrixIndex:
                        label_dict):
         extended = name == VARIANT_EXTENDED
         variant = _VariantIndex(name=name, extended=extended)
+        sequence_of = extended_sequence if extended else regular_sequence
         trie = SequenceTrie()
         total_length = 0
 
         for document in documents:
-            seq = (extended_sequence(document) if extended
-                   else regular_sequence(document))
-            trie.insert(seq.lps, document.doc_id,
-                        gaps=position_gaps(seq))
+            seq = sequence_of(document)
+            gaps = position_gaps(seq)
+            trie.insert(seq.lps, document.doc_id, gaps=gaps)
             total_length += len(seq.lps)
-            _merge_maxgap(variant.maxgap, seq)
+            _merge_maxgap(variant.maxgap, seq.lps, gaps)
             blob = _encode_document(seq, label_dict)
             variant.catalog[document.doc_id] = records.append(blob)
 
@@ -718,33 +722,19 @@ class PrixIndex:
         else:
             variant.root_range = BulkDFSLabeler().label(trie)
 
-        symbol_entries = []
-        docid_entries = []
-        counts = variant.label_counts
-        for node in trie.iter_nodes():
-            # Distinct trie nodes per label = Trie-Symbol index entries =
-            # the filter's worst-case fan-out for that label.  Path
-            # sharing makes this far smaller than the occurrence count on
-            # structurally similar corpora (Section 6.4.2).
-            counts[node.label] = counts.get(node.label, 0) + 1
-            symbol_entries.append(TrieSymbolIndex.make_entry(
-                node.label, node.left, node.right, node.level,
-                node.node_gap))
-            for doc_id in node.doc_ids:
-                docid_entries.append(DocidIndex.make_entry(
-                    node.left, doc_id))
-        symbol_entries.sort(key=lambda pair: pair[0])
-        docid_entries.sort(key=lambda pair: pair[0])
+        symbol_entries, docid_entries, paths, sharing = _trie_entries(
+            trie, variant.label_counts)
         variant.symbol_index = TrieSymbolIndex(
             BPlusTree.bulk_load(pool, symbol_entries))
         variant.docid_index = DocidIndex(
             BPlusTree.bulk_load(pool, docid_entries))
 
-        variant.trie_stats.node_count = trie.node_count
-        variant.trie_stats.path_count = trie.path_count()
-        variant.trie_stats.sequence_count = trie.sequence_count
-        variant.trie_stats.max_path_sharing = trie.max_path_sharing()
-        variant.trie_stats.total_sequence_length = total_length
+        stats = variant.trie_stats
+        stats.node_count = trie.node_count
+        stats.path_count = paths
+        stats.sequence_count = trie.sequence_count
+        stats.max_path_sharing = sharing
+        stats.total_sequence_length = total_length
         return variant
 
     # ------------------------------------------------------------------
@@ -972,6 +962,15 @@ def scrub_path(path, wal_path=None, guard_path=None, stamp_missing=False):
     return report
 
 
+def _check_doc_id(doc_id):
+    """Refuse a document id the Docid index cannot hold, before the
+    index is touched."""
+    if (isinstance(doc_id, bool) or not isinstance(doc_id, int)
+            or not 0 <= doc_id <= MAX_DOC_ID):
+        raise ValueError(f"document id {doc_id!r} is not an integer in "
+                         f"0..{MAX_DOC_ID}")
+
+
 def _strip_dummies(document):
     """Remove Extended-Prufer dummy leaves and renumber."""
     from repro.xmlkit.tree import DUMMY_TAG, Document
@@ -981,28 +980,87 @@ def _strip_dummies(document):
     return Document(document.root, doc_id=document.doc_id)
 
 
-def _merge_maxgap(table, seq):
+def _trie_entries(trie, label_counts):
+    """One pass over a labeled trie: its Trie-Symbol and Docid entries,
+    each sorted by key, its root-to-leaf path count and the most
+    documents sharing one terminal (the paper saw one DBLP path shared
+    by 31,864 Regular-Prufer sequences).
+
+    Fills ``label_counts`` with the distinct trie nodes per label (=
+    Trie-Symbol entries = the filter's worst-case fan-out for that
+    label; path sharing makes this far smaller than the occurrence count
+    on structurally similar corpora, Section 6.4.2), in the order of
+    each label's lowest LeftPos.  Both labelers number a node's children
+    in label order, so that is the label-sorted preorder the catalog has
+    always listed them in.
+
+    Children are visited in whatever order the trie holds them: the
+    entries are sorted by key afterwards, and the only equal keys, the
+    Docid entries of one terminal, are appended together in
+    ``doc_ids`` order, which the stable sort keeps.  The root's own
+    terminals (one-element documents, whose Regular-Prufer sequence is
+    empty) sit at the root's LeftPos, where
+    :func:`~repro.prix.incremental.insert_sequence` puts them too.
+    """
+    make_symbol = TrieSymbolIndex.make_entry
+    make_docid = DocidIndex.make_entry
+    symbol_entries = []
+    docid_entries = []
+    per_label = {}      # label -> [key prefix, nodes, lowest LeftPos]
+    paths = sharing = 0
+    root = trie.root
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.children:
+            stack.extend(node.children.values())
+        else:
+            paths += 1
+        left = node.left
+        if node.doc_ids:
+            sharing = max(sharing, len(node.doc_ids))
+            docid_entries.extend(make_docid(left, doc_id)
+                                 for doc_id in node.doc_ids)
+        if node is root:
+            continue
+        seen = per_label.get(node.label)
+        if seen is None:
+            seen = per_label[node.label] = [
+                TrieSymbolIndex.label_prefix(node.label), 0, left]
+        elif left < seen[2]:
+            seen[2] = left
+        seen[1] += 1
+        try:
+            symbol_entries.append(make_symbol(
+                seen[0], left, node.right, node.level, node.node_gap))
+        except struct.error:
+            encode_int(left)    # out of key range: the ValueError
+            raise
+    for label in sorted(per_label, key=lambda label: per_label[label][2]):
+        label_counts[label] = per_label[label][1]
+    first = operator.itemgetter(0)
+    symbol_entries.sort(key=first)
+    docid_entries.sort(key=first)
+    return symbol_entries, docid_entries, paths, sharing
+
+
+def _merge_maxgap(table, labels, gaps):
     """Merge one sequence's child spans into the MaxGap table; return
     the ``{label: span}`` entries it widened.
 
-    The children of node ``p`` are exactly the positions where ``p``
-    occurs in the NPS (Lemma 1), so spans are computable from the sequence
-    without revisiting the tree.
+    ``gaps`` is :func:`~repro.prufer.maxgap.position_gaps` of the
+    sequence whose LPS is ``labels``: the children of node ``p`` are
+    exactly the positions where ``p`` occurs in the NPS (Lemma 1), so
+    each position carries its parent's label and first-to-last child
+    span, and spans are computable without revisiting the tree.  A
+    parent's later positions repeat a span already merged, so entries
+    widen in the order of their parents' first positions.
     """
-    first = {}
-    last = {}
-    label_of = {}
-    for position, parent in enumerate(seq.nps, start=1):
-        if parent not in first:
-            first[parent] = position
-        last[parent] = position
-        label_of[parent] = seq.lps[position - 1]
     widened = {}
-    for parent, first_child in first.items():
-        span = last[parent] - first_child
-        if span > table.get(label_of[parent]):
-            table.merge_span(label_of[parent], span)
-            widened[label_of[parent]] = span
+    for label, span in zip(labels, gaps):
+        if span > table.get(label):
+            table.merge_span(label, span)
+            widened[label] = span
     return widened
 
 

@@ -13,13 +13,22 @@ Two variants are produced:
 - :func:`extended_sequence` -- the sequence of the tree extended with a
   dummy child under every leaf (Section 5.6), so every original node's
   label appears (the basis of EPIndex).
+
+Both read the document's own postorder numbering; neither copies the
+tree.  The extended tree need not be built either: a dummy is its
+leaf's first and only child, so in postorder it comes just before that
+leaf, and every original node moves up by the number of dummies at or
+before it -- the leaves numbered up to it.  By Lemma 1 the extended
+sequence is therefore the regular one with, just ahead of each leaf's
+own entry, one entry for the leaf's dummy: the leaf's label and
+(extended) number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.xmlkit.tree import Document, extend_with_dummies, sequence_label
+from repro.xmlkit.tree import DUMMY_TAG, sequence_label
 
 
 @dataclass(frozen=True)
@@ -56,27 +65,52 @@ class PruferSequence:
         return self.nps[postorder_number - 1]
 
 
-def _sequence_of(document, extended):
-    nodes = document.nodes_in_postorder()
-    lps = []
-    nps = []
-    for node in nodes[:-1]:  # every node except the root
-        lps.append(sequence_label(node.parent))
-        nps.append(node.parent.postorder)
-    leaves = tuple((sequence_label(n), n.postorder)
-                   for n in nodes if n.is_leaf)
-    return PruferSequence(lps=tuple(lps), nps=tuple(nps),
-                          n_nodes=len(nodes), leaves=leaves,
-                          extended=extended)
-
-
 def regular_sequence(document):
     """Return the Regular-Prufer sequence of a numbered document."""
-    return _sequence_of(document, extended=False)
+    nodes = document.nodes_in_postorder()
+    labels = [sequence_label(node) for node in nodes]
+    nps = tuple(node.parent.postorder for node in nodes[:-1])
+    return PruferSequence(
+        lps=tuple(labels[parent - 1] for parent in nps), nps=nps,
+        n_nodes=len(nodes),
+        leaves=tuple((labels[number - 1], number)
+                     for number, node in enumerate(nodes, start=1)
+                     if not node.children),
+        extended=False)
 
 
 def extended_sequence(document):
-    """Return the Extended-Prufer sequence (dummy child under each leaf)."""
-    extended_doc = Document(extend_with_dummies(document.root),
-                            doc_id=document.doc_id)
-    return _sequence_of(extended_doc, extended=True)
+    """Return the Extended-Prufer sequence (dummy child under each leaf).
+
+    Derived from the document's own numbering (see the module
+    docstring): ``numbers[i]`` is the extended postorder number of the
+    node numbered ``i``.  A leaf already tagged :data:`DUMMY_TAG` gets
+    no dummy, as in :func:`~repro.xmlkit.tree.extend_with_dummies`.
+    """
+    nodes = document.nodes_in_postorder()
+    labels = [sequence_label(node) for node in nodes]
+    numbers = [0]
+    dummies = 0
+    for number, node in enumerate(nodes, start=1):
+        if not node.children and node.tag != DUMMY_TAG:
+            dummies += 1
+        numbers.append(number + dummies)
+    lps = []
+    nps = []
+    leaves = []
+    for number, node in enumerate(nodes, start=1):
+        if not node.children:
+            extended_number = numbers[number]
+            if node.tag == DUMMY_TAG:
+                leaves.append((labels[number - 1], extended_number))
+            else:   # its dummy, numbered just before it
+                lps.append(labels[number - 1])
+                nps.append(extended_number)
+                leaves.append((DUMMY_TAG, extended_number - 1))
+        parent = node.parent
+        if parent is not None:
+            lps.append(labels[parent.postorder - 1])
+            nps.append(numbers[parent.postorder])
+    return PruferSequence(lps=tuple(lps), nps=tuple(nps),
+                          n_nodes=numbers[-1], leaves=tuple(leaves),
+                          extended=True)

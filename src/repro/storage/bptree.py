@@ -101,12 +101,28 @@ def _parse_node(page_id, frame):
     return node
 
 
+def _overflow(count, size, page_size):
+    return PageOverflowError(f"node with {count} entries needs {size} "
+                             f"bytes but the page holds {page_size}")
+
+
+def _page_image(is_leaf, link, chunks, size, page_size):
+    """The page image of a node whose entries are already encoded:
+    ``chunks`` is a free slot for the header, then each entry's pieces
+    in page layout (four per leaf entry, three per internal one), and
+    ``size`` the bytes they take with the header."""
+    count = (len(chunks) - 1) // (4 if is_leaf else 3)
+    if size > page_size:
+        raise _overflow(count, size, page_size)
+    chunks[0] = _HEADER.pack(is_leaf, count, link)
+    chunks.append(bytes(page_size - size))
+    return b"".join(chunks)
+
+
 def _serialize_node(node, page_size):
     size = node.serialized_size()
     if size > page_size:
-        raise PageOverflowError(
-            f"node with {len(node.keys)} entries needs {size} bytes "
-            f"but the page holds {page_size}")
+        raise _overflow(len(node.keys), size, page_size)
     frame = bytearray(page_size)
     link = node.next_leaf if node.is_leaf else (
         node.children[0] if node.children else _NO_PAGE)
@@ -419,17 +435,21 @@ class BPlusTree:
         """Build a packed tree from ``pairs`` sorted by key; return it.
 
         ``fill_factor`` bounds how full each page is packed, leaving slack
-        for later inserts.
+        for later inserts.  Each page image is its header, its entries'
+        bytes and zero padding, joined once (:func:`_page_image`); no
+        node is decoded into the pool's memo.
         """
         if not 0.1 <= fill_factor <= 1.0:
             raise ValueError("fill_factor must be in [0.1, 1.0]")
         page_size = pool.page_size
         budget = int(page_size * fill_factor)
         meta_id, _ = pool.new_page()
+        pack_u16 = _U16.pack
 
         # Build the leaf level.
         leaves = []   # (first_key, page_id)
-        current = _Node(pool.new_page()[0], is_leaf=True)
+        page_id = pool.new_page()[0]
+        chunks = [None]     # the header's slot, then the entries' bytes
         size = _HEADER.size
         count = 0
         prev_key = None
@@ -440,48 +460,53 @@ class BPlusTree:
                 raise ValueError("bulk_load input must be sorted by key")
             prev_key = key
             entry = 4 + len(key) + len(value)
-            if size + entry > budget and current.keys:
-                nxt = _Node(pool.new_page()[0], is_leaf=True)
-                current.next_leaf = nxt.page_id
-                pool.put(current.page_id,
-                         _serialize_node(current, page_size))
-                leaves.append((current.keys[0], current.page_id))
-                current = nxt
+            if size + entry > budget and len(chunks) > 1:
+                next_id = pool.new_page()[0]
+                pool.put(page_id, _page_image(1, next_id, chunks, size,
+                                              page_size))
+                leaves.append((first_key, page_id))
+                page_id = next_id
+                chunks = [None]
                 size = _HEADER.size
-            current.keys.append(key)
-            current.values.append(value)
+            if len(chunks) == 1:
+                if _HEADER.size + entry > page_size:
+                    raise _overflow(1, _HEADER.size + entry, page_size)
+                first_key = key
+            chunks += (pack_u16(len(key)), key, pack_u16(len(value)), value)
             size += entry
             count += 1
-        pool.put(current.page_id, _serialize_node(current, page_size))
-        if current.keys:
-            leaves.append((current.keys[0], current.page_id))
+        if len(chunks) > 1:
+            leaves.append((first_key, page_id))
         elif not leaves:
-            leaves.append((b"", current.page_id))
+            leaves.append((b"", page_id))
+        pool.put(page_id, _page_image(1, _NO_PAGE, chunks, size, page_size))
 
         # Build internal levels bottom-up.
         level = leaves
         height = 1
         while len(level) > 1:
             next_level = []
-            node = _Node(pool.new_page()[0], is_leaf=False)
-            node.children.append(level[0][1])
-            first_key = level[0][0]
+            page_id = pool.new_page()[0]
+            first_key, leftmost = level[0]
+            chunks = [None]
             size = _HEADER.size
             for sep_key, child_id in level[1:]:
                 entry = 6 + len(sep_key)
-                if size + entry > budget and node.keys:
-                    pool.put(node.page_id, _serialize_node(node, page_size))
-                    next_level.append((first_key, node.page_id))
-                    node = _Node(pool.new_page()[0], is_leaf=False)
-                    node.children.append(child_id)
-                    first_key = sep_key
+                if size + entry > budget and len(chunks) > 1:
+                    pool.put(page_id, _page_image(0, leftmost, chunks, size,
+                                                  page_size))
+                    next_level.append((first_key, page_id))
+                    page_id = pool.new_page()[0]
+                    first_key, leftmost = sep_key, child_id
+                    chunks = [None]
                     size = _HEADER.size
                     continue
-                node.keys.append(sep_key)
-                node.children.append(child_id)
+                chunks += (pack_u16(len(sep_key)), sep_key,
+                           _U32.pack(child_id))
                 size += entry
-            pool.put(node.page_id, _serialize_node(node, page_size))
-            next_level.append((first_key, node.page_id))
+            pool.put(page_id, _page_image(0, leftmost, chunks, size,
+                                          page_size))
+            next_level.append((first_key, page_id))
             level = next_level
             height += 1
 

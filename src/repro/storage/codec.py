@@ -89,19 +89,26 @@ pack_key_int = _INT_STRUCT.pack
 
 
 def encode_varints(numbers):
-    """Encode a sequence of non-negative integers as LEB128 varints."""
+    """Encode a list of non-negative integers as LEB128 varints.
+
+    A value in 0..127 is one byte, itself; when every value is, the
+    list's ``bytes`` is the encoding.  (``bytes`` alone would also take
+    128..255, whose varints are two bytes.)
+    """
+    if numbers and 0 <= min(numbers) and max(numbers) <= 0x7F:
+        return bytes(numbers)
     out = bytearray()
+    append = out.append
     for number in numbers:
+        if 0 <= number <= 0x7F:
+            append(number)
+            continue
         if number < 0:
             raise ValueError("varints encode non-negative integers only")
-        while True:
-            byte = number & 0x7F
+        while number > 0x7F:
+            append(number & 0x7F | 0x80)
             number >>= 7
-            if number:
-                out.append(byte | 0x80)
-            else:
-                out.append(byte)
-                break
+        append(number)
     return bytes(out)
 
 

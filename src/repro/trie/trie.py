@@ -73,29 +73,3 @@ class SequenceTrie:
                 yield node
             for label in sorted(node.children, reverse=True):
                 stack.append(node.children[label])
-
-    def path_count(self):
-        """Number of root-to-leaf paths (distinct full LPS's)."""
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if not node.children:
-                count += 1
-            stack.extend(node.children.values())
-        return count
-
-    def max_path_sharing(self):
-        """The largest number of documents sharing one terminal node.
-
-        Reproduces the paper's observation that one DBLP root-to-leaf path
-        was shared by 31,864 Regular-Prufer sequences.
-        """
-        best = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if len(node.doc_ids) > best:
-                best = len(node.doc_ids)
-            stack.extend(node.children.values())
-        return best

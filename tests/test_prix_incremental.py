@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import make_random_tree
+from helpers import catalog_state, make_random_tree
 from repro.baselines.naive import naive_matches
 from repro.prix.incremental import RebuildRequiredError
 from repro.prix.index import IndexOptions, PrixIndex
@@ -50,6 +50,30 @@ class TestInsertBasics:
         with PrixIndex.build(docs_from(["<a><b/></a>"]), DYNAMIC) as index:
             with pytest.raises(ValueError):
                 index.insert_document(parse_document("<c><d/></c>", 1))
+
+    @pytest.mark.parametrize("doc_id", [2 ** 32, -1, False, "7"])
+    def test_doc_id_outside_the_docid_range_refused(self, doc_id,
+                                                     tmp_path):
+        """Refused before any variant catalogs the record: the catalog,
+        the count, ``summary()`` and the saved bytes stay as they were,
+        and the next valid insert still goes through."""
+        path = tmp_path / "ids.idx"
+        index = PrixIndex.build(docs_from(["<a><b/></a>"]), IndexOptions(
+            labeler="dynamic", path=str(path), durable=True, guard=True))
+        with index:
+            index.save()
+            saved = path.read_bytes()
+            state, summary = catalog_state(index), index.summary()
+            with pytest.raises(ValueError, match="document id"):
+                index.insert_document(parse_document("<c><d/></c>",
+                                                     doc_id=doc_id))
+            assert catalog_state(index) == state
+            assert index.doc_count == 1
+            assert index.summary() == summary
+            index.save()
+            assert path.read_bytes() == saved
+            index.insert_document(parse_document("<c><d/></c>", 2))
+            assert index.doc_count == 2
 
     def test_doc_count_grows(self):
         with PrixIndex.build(docs_from(["<a><b/></a>"]), DYNAMIC) as index:

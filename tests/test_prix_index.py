@@ -37,6 +37,16 @@ class TestBuild:
         with pytest.raises(ValueError):
             PrixIndex.build(docs)
 
+    @pytest.mark.parametrize("doc_id", [-1, 2 ** 32, True, "7", 1.0])
+    def test_doc_id_outside_the_docid_range_refused(self, doc_id, tmp_path):
+        """Docid values hold an unsigned 32-bit id: anything else is
+        refused before the index file exists."""
+        document = parse_document("<a><b/></a>", doc_id=doc_id)
+        with pytest.raises(ValueError, match="document id"):
+            PrixIndex.build([document], IndexOptions(
+                path=str(tmp_path / "ids.idx")))
+        assert list(tmp_path.iterdir()) == []
+
     def test_doc_count(self, small_corpus):
         with PrixIndex.build(small_corpus) as index:
             assert index.doc_count == 3

@@ -61,6 +61,27 @@ class TestDeleteDocument:
         assert with_pruning == without
 
 
+    def test_delete_a_one_element_document(self, tmp_path):
+        """A one-element document's Regular-Prufer sequence is empty, so
+        its Docid entry sits at the trie root, which a build writes as
+        an insert does: the document can be deleted, and stays deleted
+        after ``save()`` and reopening."""
+        path = str(tmp_path / "one.idx")
+        index = PrixIndex.build(docs_from(["<a/>", "<a><b/></a>"]),
+                                IndexOptions(path=path))
+        with index:
+            before = index.query("//a/b")
+            index.delete_document(1)
+            assert index.doc_count == 1
+            assert index.query("//a/b") == before
+            index.save()
+        with PrixIndex.open(path) as reopened:
+            assert reopened.doc_count == 1
+            assert reopened.summary()["variants"]["rp"]["sequences"] == 1
+            assert reopened.query("//a/b") == before
+            assert [match.doc_id for match in before] == [2]
+
+
 class TestSplitDocuments:
     CORPUS = ("<dblp>text-noise"
               "<article><title>A</title></article>"

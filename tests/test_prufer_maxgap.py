@@ -3,7 +3,7 @@
 import random
 
 from helpers import make_random_tree
-from repro.prufer.maxgap import MaxGapTable, compute_maxgap
+from repro.prufer.maxgap import MaxGapTable, compute_maxgap, position_gaps
 from repro.prufer.sequence import regular_sequence
 from repro.prix.index import _merge_maxgap
 from repro.xmlkit.tree import Document, element
@@ -90,5 +90,6 @@ class TestSequenceDerivedMaxGap:
             doc = Document(make_random_tree(rng, max_nodes=30))
             from_tree = compute_maxgap([doc])
             from_seq = MaxGapTable()
-            _merge_maxgap(from_seq, regular_sequence(doc))
+            seq = regular_sequence(doc)
+            _merge_maxgap(from_seq, seq.lps, position_gaps(seq))
             assert from_tree.as_dict() == from_seq.as_dict()

@@ -142,6 +142,70 @@ class TestExtendedSequence:
         assert not regular_sequence(doc).extended
 
 
+def reference_extended(doc):
+    """The Extended-Prufer sequence the long way: copy the tree, hang a
+    dummy under every leaf, renumber, sequence the copy."""
+    return regular_sequence(Document(extend_with_dummies(doc.root),
+                                     doc_id=doc.doc_id))
+
+
+def assert_extended_matches_reference(doc):
+    derived = extended_sequence(doc)
+    reference = reference_extended(doc)
+    assert derived.lps == reference.lps
+    assert derived.nps == reference.nps
+    assert derived.n_nodes == reference.n_nodes
+    assert derived.leaves == reference.leaves
+    assert derived.extended and not reference.extended
+
+
+def shaped_tree(rng, shape):
+    """A tree of one of the shapes the derivation must survive."""
+    if shape == "random":
+        return make_random_tree(rng, max_nodes=30, value_p=0.3)
+    if shape == "single":
+        return element(rng.choice("ab"))
+    if shape == "chain":
+        root = node = element("a")
+        for depth in range(rng.randint(1, 200)):
+            node = node.append(element("abc"[depth % 3]))
+        if rng.random() < 0.5:
+            node.append(value("v"))
+        return root
+    if shape == "fan":
+        return element("r", *(value(f"v{i}") if rng.random() < 0.3
+                              else make_random_tree(rng, max_nodes=2)
+                              for i in range(rng.randint(1, 80))))
+    # A leaf already tagged as a dummy gets none, as in the reference.
+    return element("a", value(DUMMY_TAG), element("b", element(DUMMY_TAG)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31),
+       st.sampled_from(("random", "single", "chain", "fan", "dummy")))
+def test_extended_sequence_equals_tree_copy_reference(seed, shape):
+    """Deriving the EP sequence from the document's own numbering gives
+    the sequence of the copied, dummy-extended tree, field by field."""
+    rng = random.Random(seed)
+    doc = Document(shaped_tree(rng, shape), doc_id=seed)
+    assert_extended_matches_reference(doc)
+    # And the regular sequence read off the tree is still Lemma 1's.
+    seq = regular_sequence(doc)
+    nodes = doc.nodes_in_postorder()
+    assert seq.nps == tuple(node.parent.postorder for node in nodes[:-1])
+    assert seq.lps == tuple(sequence_label(node.parent)
+                            for node in nodes[:-1])
+    assert seq.leaves == tuple((sequence_label(node), node.postorder)
+                               for node in nodes if node.is_leaf)
+
+
+def test_extended_sequence_equals_reference_on_generators(
+        tiny_dblp, tiny_swissprot, tiny_treebank):
+    for corpus in (tiny_dblp, tiny_swissprot, tiny_treebank):
+        for doc in corpus.documents:
+            assert_extended_matches_reference(doc)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31))
 def test_theorem1_subgraph_subsequence(seed):

@@ -90,6 +90,28 @@ class TestVarints:
         with pytest.raises(ValueError):
             decode_varints(b"\x80")
 
+    @pytest.mark.parametrize("values", [
+        [0], [127], [128], [255], [256], [16383], [16384], [2 ** 32],
+        [2 ** 64 - 1], [0, 127, 5], [127, 128, 0], [200, 1, 255, 3],
+        [2 ** 64 - 1, 0, 300, 127], []])
+    def test_bytes_equal_the_per_number_loop(self, values):
+        """The all-one-byte fast path writes what LEB128 does: 128..255
+        are two bytes each, never the one ``bytes(values)`` gives."""
+        expected = bytearray()
+        for number in values:
+            while True:
+                byte, number = number & 0x7F, number >> 7
+                expected.append(byte | 0x80 if number else byte)
+                if not number:
+                    break
+        assert encode_varints(values) == bytes(expected)
+        assert decode_varints(encode_varints(values)) == values
+
+    @pytest.mark.parametrize("values", [[5, -1], [-1, 127], [300, -2]])
+    def test_negative_rejected_beside_others(self, values):
+        with pytest.raises(ValueError):
+            encode_varints(values)
+
 
 class TestBoundaryRoundtrips:
     """Edges the WAL payload codec leans on (see storage/wal.py)."""

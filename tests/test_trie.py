@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.prix.index import _trie_entries
 from repro.trie.labeling import (BulkDFSLabeler, DynamicLabeler,
                                  ScopeUnderflowError, _Scope)
 from repro.trie.trie import SequenceTrie
@@ -16,6 +17,14 @@ def build_trie(sequences):
     return trie
 
 
+def path_statistics(trie):
+    """``(path count, max path sharing)`` as an index build reads them
+    off the labeled trie, in its one pass over the nodes."""
+    BulkDFSLabeler().label(trie)
+    _, _, paths, sharing = _trie_entries(trie, {})
+    return paths, sharing
+
+
 class TestTrieConstruction:
     def test_shared_prefix_shares_nodes(self):
         trie = build_trie([("a", "b", "c"), ("a", "b", "d")])
@@ -24,7 +33,7 @@ class TestTrieConstruction:
     def test_identical_sequences_share_terminal(self):
         trie = build_trie([("a", "b"), ("a", "b"), ("a", "b")])
         assert trie.node_count == 2
-        assert trie.max_path_sharing() == 3
+        assert path_statistics(trie) == (1, 3)
 
     def test_sequence_count(self):
         trie = build_trie([("a",), ("b",), ("a",)])
@@ -32,7 +41,7 @@ class TestTrieConstruction:
 
     def test_path_count(self):
         trie = build_trie([("a", "b"), ("a", "c"), ("d",)])
-        assert trie.path_count() == 3
+        assert path_statistics(trie) == (3, 1)
 
     def test_levels_are_positions(self):
         trie = build_trie([("x", "y", "z")])
