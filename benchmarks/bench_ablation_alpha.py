@@ -1,66 +1,90 @@
-"""Ablation A3: alpha-prefix pre-allocation in the dynamic labeler.
+"""Ablation A3: novel inserts absorbed, bulk vs dynamic labels (§5.2.1).
 
-Section 5.2.1: ViST's dynamic labeling scheme "suffers from scope
-underflows for long sequences and large alphabet sizes, which makes it
-difficult to implement"; PRIX mitigates this by pre-allocating number
-ranges for the in-memory trie of length-alpha LPS prefixes, sized by
-sequence frequency and length.
+Section 5.2.1 keeps unallocated scope in the trie's containment ranges
+so that documents can be inserted without a rebuild; ViST's dynamic
+scheme "suffers from scope underflows for long sequences and large
+alphabet sizes".  The dynamic labeler here numbers the trie with the
+bulk labeler's one DFS, but strides its counter to fill the 8-byte
+range, so every node keeps one stride of free ids past its last child.
+(The alpha-prefix pre-allocation it replaced ran out within the first
+20-43 of TREEBANK's 742 trie nodes, fell back to gap-free labels, and
+absorbed none of these inserts.)
 
-Two measurements:
-
-- *coverage*: how many trie nodes the dynamic scheme labels before its
-  first underflow, as alpha grows (pre-allocation pushes the failure
-  deeper; the index build recovers by falling back to bulk DFS labels),
-- *shallow corpora*: with the paper's 8-byte ranges, DBLP-like corpora
-  (short sequences) label completely with no underflow at all.
+Per corpus, at the "small" scale: documents the corpus does not hold
+(a larger run of the same generator, minus every document text the
+corpus has) are inserted into a bulk-labelled and a dynamic-labelled
+build.  A bulk build refuses each at its first new trie node; a
+dynamic one carves them all, and then answers every Table 3 query as
+its ``rebuilt()`` does.
 """
 
 from repro.bench.reporting import render_table
+from repro.bench.workloads import queries_for
 from repro.datasets import get_corpus
-from repro.prufer.sequence import regular_sequence
-from repro.trie.labeling import DynamicLabeler
-from repro.trie.trie import SequenceTrie
+from repro.prix.incremental import RebuildRequiredError
+from repro.prix.index import IndexOptions, PrixIndex
+from repro.xmlkit.parser import parse_document
+from repro.xmlkit.serializer import serialize
 
-ALPHAS = (0, 2, 4, 8, 16, 32)
-
-
-def build_trie(corpus_name):
-    corpus = get_corpus(corpus_name, "small")
-    trie = SequenceTrie()
-    for doc in corpus.documents:
-        trie.insert(regular_sequence(doc).lps, doc.doc_id)
-    return trie
+CORPORA = ("dblp", "swissprot", "treebank")
+SCALE = {"dblp": 600, "swissprot": 150, "treebank": 250}
+NOVEL = 20
 
 
-def test_ablation_alpha_coverage():
-    total_nodes = build_trie("treebank").node_count
-    coverage = {}
-    for alpha in ALPHAS:
-        labeler = DynamicLabeler(max_range=2 ** 63, alpha=alpha,
-                                 fanout_guess=16)
-        labeler.label(build_trie("treebank"))
-        coverage[alpha] = (labeler.labeled_before_underflow,
-                           labeler.underflows)
+def novel_documents(name, corpus):
+    """``NOVEL`` documents of a larger run that ``corpus`` lacks."""
+    known = {serialize(document) for document in corpus.documents}
+    larger = get_corpus(name, len(corpus.documents) + 2 * NOVEL).documents
+    return [document for document in larger
+            if serialize(document) not in known][-NOVEL:]
+
+
+def absorb(index, documents):
+    """Insert ``documents``; return how many landed."""
+    landed = 0
+    doc_id = index.next_doc_id()
+    for offset, document in enumerate(documents):
+        try:
+            index.insert_document(parse_document(serialize(document),
+                                                 doc_id + offset))
+            landed += 1
+        except RebuildRequiredError:
+            pass
+    return landed
+
+
+def answers(index, xpath):
+    return sorted((match.doc_id, match.canonical)
+                  for match in index.query(xpath))
+
+
+def test_ablation_novel_inserts():
+    rows = []
+    for name in CORPORA:
+        corpus = get_corpus(name, SCALE[name])
+        novel = novel_documents(name, corpus)
+        landed = {}
+        for labeler in ("bulk", "dynamic"):
+            with PrixIndex.build(corpus.documents,
+                                 IndexOptions(labeler=labeler)) as index:
+                nodes = index.trie_stats("ep").node_count
+                landed[labeler] = absorb(index, novel)
+                if labeler == "dynamic":
+                    carved = index.trie_stats("ep").node_count - nodes
+                    with index.rebuilt() as rebuilt:
+                        same = all(answers(index, spec.xpath)
+                                   == answers(rebuilt, spec.xpath)
+                                   for spec in queries_for(name))
+        rows.append([name, len(corpus.documents), len(novel),
+                     landed["bulk"], landed["dynamic"], carved,
+                     "yes" if same else "NO"])
+        assert landed == {"bulk": 0, "dynamic": len(novel)}, name
+        assert same, name
 
     render_table(
-        f"Ablation A3: dynamic labeling coverage vs alpha "
-        f"(TREEBANK trie, {total_nodes} nodes, 8-byte root range)",
-        ["alpha", "nodes labeled before underflow", "underflows"],
-        [[alpha, coverage[alpha][0], coverage[alpha][1]]
-         for alpha in ALPHAS])
-
-    # Pre-allocation monotonically (weakly) deepens coverage.
-    values = [coverage[alpha][0] for alpha in ALPHAS]
-    assert all(a <= b for a, b in zip(values, values[1:])), values
-    assert values[-1] > 2 * values[0], (
-        "pre-allocation should push the first underflow much deeper")
-
-    # Shallow sequences (DBLP-like) never underflow with 8-byte ranges:
-    # the regime the paper's experiments ran in.
-    dblp_labeler = DynamicLabeler(max_range=2 ** 63, alpha=4)
-    dblp_labeler.label(build_trie("dblp"))
-    assert dblp_labeler.underflows == 0
-    render_table(
-        "Ablation A3b: shallow corpus (DBLP) under the same scheme",
-        ["corpus", "underflows"],
-        [["dblp (small)", dblp_labeler.underflows]])
+        "Ablation A3: novel inserts absorbed, bulk vs dynamic labels "
+        "(strided DFS, 8-byte root range)",
+        ["corpus", "documents", "novel", "absorbed (bulk)",
+         "absorbed (dynamic)", "EP trie nodes carved",
+         "answers = rebuilt()"],
+        rows)

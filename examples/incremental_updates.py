@@ -30,8 +30,7 @@ def main():
     # children that appear later (the default bulk labeler is gap-free
     # and rejects inserts with RebuildRequiredError), and durable=True
     # so mutations are write-ahead logged.
-    options = IndexOptions(labeler="dynamic", alpha=4, path=path,
-                           durable=True)
+    options = IndexOptions(labeler="dynamic", path=path, durable=True)
     initial = [parse_document(
         f"<order id=\"{i}\"><customer>C{i % 3}</customer>"
         f"<total>{100 + i}</total></order>", doc_id=i + 1)

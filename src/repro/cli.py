@@ -81,9 +81,6 @@ def _cmd_build(args):
         for variant, row in index.summary()["variants"].items():
             print(f"  {variant}: {row['trie_nodes']} trie nodes over "
                   f"{row['total_symbols']} sequence symbols")
-            if args.labeler == "dynamic" and not row["insertion_slack"]:
-                print(f"  {variant}: dynamic labels underflowed; fell back "
-                      f"to gap-free bulk labels (no insertion slack)")
     print(f"index written to {args.index}")
     return 0
 

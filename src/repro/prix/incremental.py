@@ -10,11 +10,11 @@ which the Trie-Symbol index already stores, so :func:`next_free_id`
 derives it where a carve needs it and no allocation state is kept.
 
 Labels that leave no slack (:func:`leaves_slack`: the bulk labeler's,
-or a dynamic build's that fell back to it) refuse at the first new
-node.  When a carve no longer fits -- the *scope underflow* of Section
-5.2.1 -- :class:`RebuildRequiredError` is raised; :meth:`PrixIndex.rebuilt`
-reconstructs the documents from their stored sequences and builds a
-fresh, compact index.
+or those of a file saved while a dynamic build could still fall back to
+them) refuse at the first new node.  When a carve no longer fits -- the
+*scope underflow* of Section 5.2.1 -- :class:`RebuildRequiredError` is
+raised; :meth:`PrixIndex.rebuilt` reconstructs the documents from their
+stored sequences and builds a fresh, compact index.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ class RebuildRequiredError(RuntimeError):
 
 def leaves_slack(labeler, trie_stats):
     """Whether a variant's labels leave insertion slack: the dynamic
-    labeler assigned them without falling back to gap-free bulk labels
+    labeler assigned them, and (in files saved before it always kept
+    its slack) did not fall back to gap-free bulk labels
     (``trie_stats.rebuilds``)."""
     return labeler == "dynamic" and not trie_stats.rebuilds
 

@@ -55,8 +55,6 @@ class IndexOptions:
     page_size: int = DEFAULT_PAGE_SIZE
     pool_pages: int = DEFAULT_POOL_PAGES
     labeler: str = "bulk"          # "bulk" or "dynamic" (Section 5.2.1)
-    alpha: int = 4                 # prefix length for dynamic labeling
-    max_range: int = 2 ** 63       # 8-byte ranges, as in the experiments
     path: str | None = None        # None -> pager over an in-memory buffer
     durable: bool = False          # write-ahead log + crash recovery
     wal_path: str | None = None    # default: f"{path}.wal"
@@ -75,6 +73,8 @@ class TrieStats:
     sequence_count: int = 0
     max_path_sharing: int = 0
     total_sequence_length: int = 0
+    # Set only in files saved while a dynamic build could fall back to
+    # gap-free labels; kept so those files read back with their slack.
     underflows: int = 0
     rebuilds: int = 0
 
@@ -123,10 +123,11 @@ class _VariantIndex:
 _SUPERBLOCK = struct.Struct("<8sIIQI")
 _SUPER_MAGIC = b"PRIXIDX1"
 
-#: The Section 5.2.1 labeling parameters the catalog records beside the
+#: The Section 5.2.1 labeling parameter the catalog records beside the
 #: variants (the page size is in the superblock).  A file saved before
-#: they were recorded reads back with the ``IndexOptions`` defaults.
-_LAYOUT_KEYS = ("labeler", "alpha", "max_range")
+#: it was recorded reads back with the ``IndexOptions`` default; the
+#: ``alpha`` and ``max_range`` keys of older files are not read.
+_LAYOUT_KEYS = ("labeler",)
 
 
 class PrixIndex:
@@ -230,9 +231,9 @@ class PrixIndex:
         unallocated scope by the dynamic labeling scheme.  Indexes built
         with the default bulk labeler have *gap-free* ranges and raise
         :class:`RebuildRequiredError` at the first new trie node, as does
-        a dynamic build that fell back to them (``summary()``'s
-        ``insertion_slack``); build with ``IndexOptions(labeler=
-        "dynamic")`` to leave insertion slack.
+        a file saved by a dynamic build that fell back to them
+        (``summary()``'s ``insertion_slack``); build with
+        ``IndexOptions(labeler="dynamic")`` to leave insertion slack.
 
         On :class:`RebuildRequiredError` the document's record is already
         cataloged, so :meth:`rebuilt` includes it; until then queries may
@@ -713,14 +714,9 @@ class PrixIndex:
             blob = _encode_document(seq, label_dict)
             variant.catalog[document.doc_id] = records.append(blob)
 
-        if options.labeler == "dynamic":
-            labeler = DynamicLabeler(max_range=options.max_range,
-                                     alpha=options.alpha)
-            variant.root_range = labeler.label(trie)
-            variant.trie_stats.underflows = labeler.underflows
-            variant.trie_stats.rebuilds = labeler.rebuilds
-        else:
-            variant.root_range = BulkDFSLabeler().label(trie)
+        labeler = (DynamicLabeler() if options.labeler == "dynamic"
+                   else BulkDFSLabeler())
+        variant.root_range = labeler.label(trie)
 
         symbol_entries, docid_entries, paths, sharing = _trie_entries(
             trie, variant.label_counts)
@@ -973,10 +969,10 @@ def _check_doc_id(doc_id):
 
 def _strip_dummies(document):
     """Remove Extended-Prufer dummy leaves and renumber."""
-    from repro.xmlkit.tree import DUMMY_TAG, Document
+    from repro.xmlkit.tree import Document
     for node in document.nodes_in_postorder():
         node.children = [child for child in node.children
-                         if child.tag != DUMMY_TAG]
+                         if not child.is_dummy]
     return Document(document.root, doc_id=document.doc_id)
 
 

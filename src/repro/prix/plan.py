@@ -89,7 +89,7 @@ def build_plan(collapsed, extended):
             star_numbers.add(number)
         if node.is_leaf and node.parent is not None:
             label = None if is_star else sequence_label(node)
-            if node.tag == DUMMY_TAG:
+            if node.is_dummy:
                 # The dummy's "leaf check" verifies its parent's label,
                 # which already happened during subsequence matching.
                 continue

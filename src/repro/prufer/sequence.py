@@ -84,15 +84,15 @@ def extended_sequence(document):
 
     Derived from the document's own numbering (see the module
     docstring): ``numbers[i]`` is the extended postorder number of the
-    node numbered ``i``.  A leaf already tagged :data:`DUMMY_TAG` gets
-    no dummy, as in :func:`~repro.xmlkit.tree.extend_with_dummies`.
+    node numbered ``i``.  A leaf that already is a dummy gets no dummy,
+    as in :func:`~repro.xmlkit.tree.extend_with_dummies`.
     """
     nodes = document.nodes_in_postorder()
     labels = [sequence_label(node) for node in nodes]
     numbers = [0]
     dummies = 0
     for number, node in enumerate(nodes, start=1):
-        if not node.children and node.tag != DUMMY_TAG:
+        if not node.children and not node.is_dummy:
             dummies += 1
         numbers.append(number + dummies)
     lps = []
@@ -101,7 +101,7 @@ def extended_sequence(document):
     for number, node in enumerate(nodes, start=1):
         if not node.children:
             extended_number = numbers[number]
-            if node.tag == DUMMY_TAG:
+            if node.is_dummy:
                 leaves.append((labels[number - 1], extended_number))
             else:   # its dummy, numbered just before it
                 lps.append(labels[number - 1])

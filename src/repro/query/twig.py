@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from repro.xmlkit.tree import DUMMY_TAG, Document, XMLNode
+from repro.xmlkit.tree import Document, XMLNode
 
 
 class Axis(enum.Enum):
@@ -180,10 +180,6 @@ class CollapsedTwig:
     def source_of(self, node):
         """Original :class:`TwigNode` this collapsed node stands for."""
         return self._source_by_node.get(id(node))
-
-    def spec_for(self, postorder):
-        """Edge spec of the node with this postorder number."""
-        return self.spec_of(self.document.node_by_postorder(postorder))
 
     def is_plain(self):
         """True when every edge is a plain parent/child edge."""

@@ -7,19 +7,18 @@ containment-labeling schemes:
 
 - :class:`~repro.trie.labeling.BulkDFSLabeler` -- exact, gap-free labels
   assigned by a DFS over the finished trie (used for static corpora),
-- :class:`~repro.trie.labeling.DynamicLabeler` -- the paper-faithful
-  dynamic scheme with alpha-prefix pre-allocation, which can suffer scope
-  underflows (Section 5.2.1); underflows are counted and trigger a rebuild.
+- :class:`~repro.trie.labeling.DynamicLabeler` -- the same DFS with its
+  counter strided to fill the 8-byte range, so every node keeps one
+  stride of unallocated scope for children inserted later (Section
+  5.2.1).
 """
 
-from repro.trie.labeling import (BulkDFSLabeler, DynamicLabeler,
-                                 ScopeUnderflowError)
+from repro.trie.labeling import BulkDFSLabeler, DynamicLabeler
 from repro.trie.trie import SequenceTrie, TrieNode
 
 __all__ = [
     "BulkDFSLabeler",
     "DynamicLabeler",
-    "ScopeUnderflowError",
     "SequenceTrie",
     "TrieNode",
 ]

@@ -108,8 +108,9 @@ class XMLNode:
 
     @property
     def is_dummy(self):
-        """True for an Extended-Prufer dummy node."""
-        return self.tag == DUMMY_TAG
+        """True for an Extended-Prufer dummy node (an element, so a value
+        whose text is ``#dummy`` is not one)."""
+        return self.tag == DUMMY_TAG and not self.is_value
 
     def iter_subtree(self):
         """Yield the nodes of this subtree in document (pre-) order."""

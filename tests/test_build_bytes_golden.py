@@ -7,9 +7,11 @@ layouts at 1 KiB pages: ``bulk`` (the default build) and ``churn``
 (dynamic labeling, durable, guarded: how a mutable index is built).
 Page ids follow allocation order, so a build that reorders its record
 appends or B+-tree pages, or writes one byte differently, fails here.
-Generated at ``b796e2b``, before the build derived Extended-Prufer
-sequences without copying trees; the build code changed underneath it
-and every hash held.
+Re-pinned when the dynamic labeler became the bulk DFS with a strided
+counter and the catalog stopped recording ``alpha`` and ``max_range``:
+a ``bulk`` file differs from its predecessor in the superblock and the
+catalog record's page only, a ``churn`` file in its trie label values
+(the B+-trees keep their shape and page count).
 
 Cost: six small builds, about a second in all.
 

@@ -6,13 +6,17 @@ import pytest
 
 from helpers import catalog_state, make_random_tree
 from repro.baselines.naive import naive_matches
+from repro.bench.workloads import queries_for
+from repro.datasets import dblp, swissprot, treebank
 from repro.prix.incremental import RebuildRequiredError
 from repro.prix.index import IndexOptions, PrixIndex
+from repro.prufer.sequence import regular_sequence
 from repro.query.xpath import parse_xpath
 from repro.xmlkit.parser import parse_document
+from repro.xmlkit.serializer import serialize
 from repro.xmlkit.tree import Document
 
-DYNAMIC = IndexOptions(labeler="dynamic", alpha=4)
+DYNAMIC = IndexOptions(labeler="dynamic")
 
 
 def docs_from(texts, start=1):
@@ -162,10 +166,72 @@ class TestUnderflowAndRebuild:
             assert answers(index, xpath) == answers(fresh, xpath)
 
 
+#: Documents the test-scale corpora do not hold: the same generators
+#: under other seeds.
+HELD_OUT = {"dblp": lambda: dblp(n_records=120, seed=3),
+            "swissprot": lambda: swissprot(n_entries=20, seed=7),
+            "treebank": lambda: treebank(n_sentences=10, seed=7)}
+
+
+def novel_shapes(corpus, candidates, count):
+    """The first ``count`` of ``candidates`` whose Regular-Prufer
+    sequence leaves the trie ``corpus`` builds: each inserts at least
+    one new trie node in both variants."""
+    seen = {lps[:end] for lps in (regular_sequence(document).lps
+                                  for document in corpus.documents)
+            for end in range(len(lps) + 1)}
+    novel = []
+    for document in candidates:
+        lps = regular_sequence(document).lps
+        if lps not in seen:
+            seen.update(lps[:end] for end in range(len(lps) + 1))
+            novel.append(document)
+    return novel[:count]
+
+
+def root_path(document):
+    """The XPath of the element chain from the root to its first leaf."""
+    node, tags = document.root, [document.root.tag]
+    while node.children and not node.children[0].is_value:
+        node = node.children[0]
+        tags.append(node.tag)
+    return "/" + "/".join(tags)
+
+
+class TestNovelInsertsLand:
+    """A dynamic build of each test-scale corpus takes documents whose
+    shapes its trie has not seen, and then answers as a rebuild does."""
+
+    @pytest.mark.parametrize("name", sorted(HELD_OUT))
+    def test_every_novel_insert_lands(self, request, name):
+        corpus = request.getfixturevalue(f"tiny_{name}")
+        novel = novel_shapes(corpus, HELD_OUT[name]().documents, 3)
+        assert len(novel) == 3
+        with PrixIndex.build(corpus.documents, IndexOptions(
+                labeler="dynamic", page_size=1024)) as index:
+            nodes = {variant: index.trie_stats(variant).node_count
+                     for variant in index.variants()}
+            doc_id = index.next_doc_id()
+            for offset, document in enumerate(novel):
+                index.insert_document(parse_document(
+                    serialize(document), doc_id + offset))
+            for variant, before in nodes.items():
+                assert index.trie_stats(variant).node_count > before
+            xpaths = ({spec.xpath for spec in queries_for(name)}
+                      | {root_path(document) for document in novel})
+            with index.rebuilt() as rebuilt:
+                for xpath in sorted(xpaths):
+                    assert answers(index, xpath) == \
+                        answers(rebuilt, xpath), xpath
+            for offset, document in enumerate(novel):
+                assert doc_id + offset in \
+                    index.query(root_path(document)).doc_ids
+
+
 class TestPersistenceOfInserts:
     def test_inserts_survive_save_and_open(self, tmp_path):
         path = str(tmp_path / "grow.idx")
-        options = IndexOptions(labeler="dynamic", alpha=4, path=path)
+        options = IndexOptions(labeler="dynamic", path=path)
         index = PrixIndex.build(docs_from(["<a><b/></a>"]), options)
         index.insert_document(parse_document("<a><b/><b/></a>", 2))
         index.save()

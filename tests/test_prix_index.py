@@ -8,6 +8,7 @@ from repro.prix.index import (IndexOptions, PrixIndex, VARIANT_EXTENDED,
                               VARIANT_REGULAR)
 from repro.query.xpath import parse_xpath
 from repro.xmlkit.parser import parse_document
+from repro.xmlkit.serializer import serialize
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +67,7 @@ class TestBuild:
             assert len(matches) == 3
 
     def test_dynamic_labeler_build(self, small_corpus):
-        options = IndexOptions(labeler="dynamic", alpha=2)
+        options = IndexOptions(labeler="dynamic")
         with PrixIndex.build(small_corpus, options) as index:
             matches = index.query(parse_xpath("//a/b/c"))
             assert len(matches) == 3
@@ -156,6 +157,23 @@ class TestQueries:
             assert stats.arrangements == 1
             assert stats.physical_reads > 0
             assert stats.elapsed_seconds > 0
+
+    @pytest.mark.parametrize("variant", [VARIANT_REGULAR, VARIANT_EXTENDED])
+    def test_value_spelled_like_the_dummy_tag_is_a_value(self, variant):
+        """A value whose text is ``#dummy`` is data, not an Extended-
+        Prufer dummy: neither variant drops it, ignores its leaf check,
+        or strips it on the way through ``rebuilt()``."""
+        texts = ["<a><b>#dummy</b></a>", "<a><b>x</b></a>"]
+        documents = [parse_document(text, doc_id)
+                     for doc_id, text in enumerate(texts, start=1)]
+        options = IndexOptions(variants=(variant,))
+        with PrixIndex.build(documents, options) as index:
+            query = '//a[./b="#dummy"]'
+            assert index.query(query).doc_ids == [1]
+            assert [serialize(document) for document
+                    in index.export_documents()] == texts
+            with index.rebuilt() as rebuilt:
+                assert rebuilt.query(query).doc_ids == [1]
 
     def test_paper_query_on_figure2(self, fig2_doc):
         # Figure 2's Q has 4 embeddings in T: the B node has two C

@@ -83,7 +83,7 @@ class TestNextFreeId:
         """Every node's next free id, derived from the Trie-Symbol index,
         is what the allocation B+-tree was seeded with: the last child's
         RightPos, or ``left + 1`` for a leaf.  The dynamic build keeps
-        its slack on ``rp`` and falls back to bulk labels on ``ep``."""
+        its slack on both variants."""
         documents = dblp(n_records=12).documents
         seen = set()
         for options in (IndexOptions(), IndexOptions(labeler="dynamic")):
@@ -106,8 +106,7 @@ class TestNextFreeId:
                                    default=node.left + 1)
                         assert next_free_id(variant, node.left, node.right,
                                             node.level) == seed
-        assert seen == {("bulk", False), ("dynamic", True),
-                        ("dynamic", False)}
+        assert seen == {("bulk", False), ("dynamic", True)}
 
 
 class TestDocViewNumbering:

@@ -181,14 +181,13 @@ class TestDurablePersistence:
 
 
 def strip_layout_keys(path):
-    """Rewrite the catalog record in place without the labeling keys --
-    the file as the commit before they were recorded saved it."""
+    """Rewrite the catalog record in place without the labeling key --
+    the file as the commit before it was recorded saved it."""
     page, offset, length, page_size = PrixIndex._read_superblock(path)
     with open(path, "r+b") as handle:
         handle.seek(page * page_size + offset)
         meta = json.loads(handle.read(length))
-        for key in ("labeler", "alpha", "max_range"):
-            del meta[key]
+        del meta["labeler"]
         handle.seek(page * page_size + offset)
         handle.write(json.dumps(meta).encode("utf-8").ljust(length))
 
@@ -206,8 +205,8 @@ class TestCatalogRemembersTheLayout:
 
     def assert_keeps_slack(self, index):
         assert index._pool.page_size == 1024
-        for variant in index.variants():
-            assert index._variants[variant].root_range[1] == 2 ** 63
+        for variant in index.variants():    # strided, not gap-free
+            assert index._variants[variant].root_range[1] > 2 ** 62
         index.insert_document(parse_document(self.NOVEL, 99))
         assert index.query("//x/y/z").doc_ids == [99]
 
@@ -240,8 +239,7 @@ TINY = ["<a><b><c/></b></a>", "<a><b/><c/></a>", "<a><b>x</b></a>",
         "<a><c><b/></c></a>", "<b><a/><c>y</c></b>"]
 
 #: What a parentless catalog record holds, and each of its variants.
-WHOLE_KEYS = {"version", "doc_ids", "labels", "variants", "labeler",
-              "alpha", "max_range"}
+WHOLE_KEYS = {"version", "doc_ids", "labels", "variants", "labeler"}
 VARIANT_KEYS = {"extended", "symbol_meta", "docid_meta", "root_range",
                 "maxgap", "label_counts", "catalog", "trie_stats"}
 
@@ -403,18 +401,29 @@ class TestCatalogChain:
 CARVING_XML = ("<a><b><c/></b><e/></a>", "<d><b><q/></b></d>")
 
 #: The ``(label, LeftPos, RightPos)`` of each trie node those inserts
-#: carve, per variant -- as carved while the scope state was still
-#: stored in a per-node allocation B+-tree.
-CARVED = {"rp": {("a", 1064235235021704904, 1141835720908704219),
-                 ("d", 2305843009213693953, 2461043980987692584)},
-          "ep": {("a", 3773197651440590107, 3776472996624132285),
-                 ("b", 4611686018427387904, 4683743612465315839),
-                 ("d", 4611686018427387905, 4620693217682128896),
-                 ("e", 3773197651440590106, 3799400412908927537),
-                 ("q", 4611686018427387903, 5188146770730811391)}}
+#: carve, per variant, out of the strided labels of a dynamic build.
+CARVED = {"rp": {("a", 3586866903221301701, 3650918097921682088),
+                 ("d", 6148914691236517200, 6212965885936897587)},
+          "ep": {("a", 8198552921648689602, 8202556121317463376),
+                 ("b", 8967167258053254251, 8971170457722028025),
+                 ("d", 8967167258053254252, 8967667658011850973),
+                 ("e", 8198552921648689601, 8230578518998879794),
+                 ("q", 8967167258053254250, 8999192855403444443)}}
+
+#: The same inserts into ``OLD_FILE``, whose labels the alpha-prefix
+#: scheme assigned -- as carved while the scope state was still stored
+#: in a per-node allocation B+-tree.
+OLD_CARVED = {"rp": {("a", 1064235235021704904, 1141835720908704219),
+                     ("d", 2305843009213693953, 2461043980987692584)},
+              "ep": {("a", 3773197651440590107, 3776472996624132285),
+                     ("b", 4611686018427387904, 4683743612465315839),
+                     ("d", 4611686018427387905, 4620693217682128896),
+                     ("e", 3773197651440590106, 3799400412908927537),
+                     ("q", 4611686018427387903, 5188146770730811391)}}
 
 #: A dynamic-labelled index over ``tiny_documents(5)``, saved by a build
-#: whose catalog still located that tree (``alloc_meta``).
+#: whose catalog still located that tree (``alloc_meta``) and recorded
+#: the alpha-prefix scheme's ``alpha`` and ``max_range``.
 OLD_FILE = os.path.join(os.path.dirname(__file__), "golden",
                         "tiny_dynamic_with_alloc_tree.idx")
 
@@ -476,7 +485,34 @@ class TestCarving:
                 assert {(m.doc_id, m.canonical)
                         for m in old.query(xpath)} == want, xpath
             assert old.layout_options() == fresh.layout_options()
-            assert carve(old) == CARVED
+            assert all(row["insertion_slack"] for row
+                       in old.summary()["variants"].values())
+            assert carve(old) == OLD_CARVED
+
+    def test_a_file_whose_dynamic_build_fell_back_still_refuses(
+            self, tmp_path):
+        """A dynamic build used to fall back to gap-free labels when its
+        scopes ran out, and counted that in ``trie_stats.rebuilds``.  A
+        file saved so still reports no slack and refuses a novel
+        insert rather than carving from a gap it does not have."""
+        from repro.prix.incremental import RebuildRequiredError
+        path = str(tmp_path / "fell-back.idx")
+        with PrixIndex.build(tiny_documents(5),
+                             dynamic_options(path)) as index:
+            index.save()
+        page, offset, length, page_size = PrixIndex._read_superblock(path)
+        with open(path, "r+b") as handle:
+            handle.seek(page * page_size + offset)
+            meta = json.loads(handle.read(length))
+            meta["variants"]["ep"]["trie_stats"]["rebuilds"] = 1
+            handle.seek(page * page_size + offset)
+            handle.write(json.dumps(meta).encode("utf-8").ljust(length))
+        with PrixIndex.open(path) as reopened:
+            assert {name: row["insertion_slack"] for name, row
+                    in reopened.summary()["variants"].items()} == \
+                {"rp": True, "ep": False}
+            with pytest.raises(RebuildRequiredError, match="gap-free"):
+                reopened.insert_document(parse_document(CARVING_XML[1], 99))
 
 
 class TestDeleteIsAllOrNothing:

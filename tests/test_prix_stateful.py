@@ -35,7 +35,7 @@ PROBE_QUERIES = [parse_xpath(xpath) for xpath in
                  ("//a/b", "//a//c", "//b[./a]", "//c/*", '//a[./d="v1"]',
                   "//d//d")]
 
-DYNAMIC = IndexOptions(labeler="dynamic", alpha=4)
+DYNAMIC = IndexOptions(labeler="dynamic")
 
 
 def answers(index, pattern):
@@ -160,7 +160,7 @@ class DurableMaintenanceMachine(IndexMaintenanceMachine):
             self.builds = 0
         self.builds += 1
         self.path = os.path.join(self.directory, f"{self.builds}.idx")
-        return IndexOptions(labeler="dynamic", alpha=4, path=self.path,
+        return IndexOptions(labeler="dynamic", path=self.path,
                             durable=True)
 
     def teardown(self):

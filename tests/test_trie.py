@@ -2,11 +2,8 @@
 
 import random
 
-import pytest
-
 from repro.prix.index import _trie_entries
-from repro.trie.labeling import (BulkDFSLabeler, DynamicLabeler,
-                                 ScopeUnderflowError, _Scope)
+from repro.trie.labeling import MAX_RANGE, BulkDFSLabeler, DynamicLabeler
 from repro.trie.trie import SequenceTrie
 
 
@@ -65,9 +62,8 @@ def check_containment(trie):
     """Child ranges nest inside the parent's; siblings are disjoint.
 
     Only LeftPos values ever serve as query keys, so a child may share
-    its parent's right boundary (the dynamic labeler hands the last
-    carve the tail of the scope); left boundaries must be strictly
-    inside.
+    its parent's right boundary (an insert hands its last carve the
+    tail of the scope); left boundaries must be strictly inside.
     """
     stack = [trie.root]
     while stack:
@@ -114,57 +110,36 @@ class TestDynamicLabeler:
         sequences = [tuple(rng.choice("ab") for _ in range(rng.randint(1, 6)))
                      for _ in range(30)]
         trie = build_trie(sequences)
-        DynamicLabeler(max_range=2 ** 63, alpha=3).label(trie)
+        DynamicLabeler().label(trie)
         check_containment(trie)
 
     def test_huge_range_never_underflows(self):
+        """The 8-byte range labels every node, and each keeps one stride
+        of unallocated scope past its last child for later inserts."""
         rng = random.Random(3)
         sequences = [tuple(rng.choice("abcd")
                            for _ in range(rng.randint(1, 20)))
                      for _ in range(100)]
         trie = build_trie(sequences)
-        labeler = DynamicLabeler(max_range=2 ** 63, alpha=4)
-        labeler.label(trie)
-        assert labeler.underflows == 0
+        stride = MAX_RANGE // (2 * trie.node_count + 2)
+        left, right = DynamicLabeler().label(trie)
+        assert (left, right) == (stride, (2 * trie.node_count + 2) * stride)
+        assert right <= MAX_RANGE
         check_containment(trie)
+        for node in (trie.root, *trie.iter_nodes()):
+            next_free = max((child.right
+                             for child in node.children.values()),
+                            default=node.left)
+            assert node.right - next_free == stride
 
-    def test_small_range_underflows_and_recovers(self):
-        rng = random.Random(4)
-        sequences = [tuple(rng.choice("abcd")
-                           for _ in range(rng.randint(8, 25)))
-                     for _ in range(200)]
-        trie = build_trie(sequences)
-        labeler = DynamicLabeler(max_range=2 ** 16, alpha=0)
-        labeler.label(trie)
-        assert labeler.underflows >= 1
-        assert labeler.rebuilds >= 1
-        check_containment(trie)  # fallback still labels correctly
-
-    def test_alpha_preallocation_reduces_underflows(self):
-        """Ablation A3's core claim at unit scale: pre-allocating ranges
-        for the frequent prefixes avoids underflows a pure dynamic
-        scheme hits."""
-        rng = random.Random(5)
-        base = [tuple(rng.choice("ab") for _ in range(12))
-                for _ in range(6)]
-        sequences = [base[i % len(base)] for i in range(300)]
-        trie = build_trie(sequences)
-
-        tight = 2 ** 24
-        no_prefix = DynamicLabeler(max_range=tight, alpha=0,
-                                   fanout_guess=64)
-        no_prefix.label(build_trie(sequences))
-        with_prefix = DynamicLabeler(max_range=tight, alpha=6,
-                                     fanout_guess=64)
-        with_prefix.label(trie)
-        assert with_prefix.underflows <= no_prefix.underflows
-
-    def test_tiny_range_rejected(self):
-        with pytest.raises(ValueError):
-            DynamicLabeler(max_range=4)
-
-    def test_scope_carve_underflow(self):
-        scope = _Scope(1, 10)
-        scope.carve(4)
-        with pytest.raises(ScopeUnderflowError):
-            scope.carve(100)
+    def test_stride_keeps_the_bulk_order(self):
+        """Dynamic labels are the bulk labels times the stride, so keys
+        sort, and B+-trees fill, exactly as a bulk build's."""
+        sequences = [("a", "b", "c"), ("a", "d"), ("e",), ("a", "b")]
+        bulk, dynamic = build_trie(sequences), build_trie(sequences)
+        BulkDFSLabeler().label(bulk)
+        DynamicLabeler().label(dynamic)
+        stride = MAX_RANGE // (2 * dynamic.node_count + 2)
+        assert [(n.left * stride, n.right * stride)
+                for n in bulk.iter_nodes()] == \
+            [(n.left, n.right) for n in dynamic.iter_nodes()]
