@@ -30,8 +30,8 @@ Checks added while enabled:
 - **guarded-field accesses**: every field a class's ``_GUARDED`` map
   declares (every class decorated with
   :func:`repro.storage.latch.guarded`: BufferPool, Pager, IOStats,
-  ChaosBackend, the serving and sharding tiers' latched classes) is
-  shadowed by a data descriptor.
+  the serving and sharding tiers' latched classes, the tests'
+  ChaosBackend) is shadowed by a data descriptor.
   Once an object has been touched by two or more distinct threads --
   the Eraser refinement, so thread-confined use stays silent -- any
   read or write without the declared latch held raises

@@ -111,7 +111,10 @@ class QueryBudget:
         :meth:`meter` starts its own deadline clock and physical-read
         baseline.  The caps themselves are immutable, so the fork is a
         constructor call -- no flag re-parsing, no shared meter state
-        between requests.
+        between requests.  A query is metered once, whatever it runs
+        against: a shard set hands its one meter to every shard it
+        visits (``docs/SHARDING.md``), so the caps bound the whole
+        scatter.
 
         ``deadline_seconds`` lets a caller *tighten* the template's
         wall-clock cap (the ``X-Prix-Deadline-Ms`` request header): the
@@ -127,67 +130,6 @@ class QueryBudget:
             max_physical_reads=self.max_physical_reads,
             max_candidates=self.max_candidates,
             deadline_seconds=deadline)
-
-    def split(self, n):
-        """Divide this budget into ``n`` sub-budgets, exactly.
-
-        The scatter-gather primitive (``docs/SHARDING.md``): a sharded
-        query hands each shard its own slice of the caller's budget, and
-        the slices must *conserve* the parent -- for every countable cap
-        (range queries, physical reads, candidates) the children's caps
-        sum to exactly the parent's, never more, never fewer.  Caps that
-        do not divide evenly spill their remainder one unit at a time
-        into the earliest children, so ``sum(child.cap) == parent.cap``
-        holds for every ``n``.
-
-        The wall-clock deadline is **shared, not divided**: a deadline
-        bounds the whole query's elapsed time, and the shards of one
-        query run toward the same horizon -- each child carries the
-        parent's full ``deadline_seconds`` (the sharded executor starts
-        every child's clock from the same scatter instant and tightens
-        it with :meth:`fork` as time burns down).
-
-        Uncapped (``None``) limits stay uncapped in every child.
-        Composes with :meth:`fork`: forking then splitting yields the
-        same caps as splitting the original.
-        """
-        if n < 1:
-            raise ValueError(f"cannot split a budget into {n} parts")
-
-        def shares(cap):
-            if cap is None:
-                return [None] * n
-            base, spill = divmod(cap, n)
-            return [base + (1 if i < spill else 0) for i in range(n)]
-
-        ranges = shares(self.max_range_queries)
-        reads = shares(self.max_physical_reads)
-        candidates = shares(self.max_candidates)
-        return [QueryBudget(max_range_queries=ranges[i],
-                            max_physical_reads=reads[i],
-                            max_candidates=candidates[i],
-                            deadline_seconds=self.deadline_seconds)
-                for i in range(n)]
-
-    def grant(self, range_queries=0, physical_reads=0, candidates=0):
-        """A copy of this budget with headroom added to countable caps.
-
-        The redistribution half of :meth:`split`: when one shard of a
-        scatter-gather finishes under its slice, the executor grants the
-        *unused* remainder to the shards still waiting, so the total
-        work admitted stays exactly the parent's cap while no shard
-        starves behind a lucky sibling.  ``None`` (uncapped) limits
-        ignore the grant -- there is nothing to top up.
-        """
-        def topped(cap, extra):
-            return None if cap is None else cap + max(0, extra)
-
-        return QueryBudget(
-            max_range_queries=topped(self.max_range_queries, range_queries),
-            max_physical_reads=topped(self.max_physical_reads,
-                                      physical_reads),
-            max_candidates=topped(self.max_candidates, candidates),
-            deadline_seconds=self.deadline_seconds)
 
     def meter(self, io_stats=None, clock=time.monotonic):
         """Start enforcement: returns a :class:`BudgetMeter` whose
@@ -217,36 +159,16 @@ class BudgetMeter:
         self.candidates = 0
         self.phase = PHASE_FILTER
 
+    def enter_filter(self):
+        """Start a filter pass: exhaustion from here on is a hard error,
+        even after an earlier index's refinement (one meter spans every
+        shard of a scatter)."""
+        self.phase = PHASE_FILTER
+
     def enter_refinement(self):
         """Mark the filter phase complete: exhaustion from here on is
         degradable (the filter superset is whole)."""
         self.phase = PHASE_REFINEMENT
-
-    def physical_reads_spent(self):
-        """Pages faulted in since this meter started (0 untracked)."""
-        if self._io is None:
-            return 0
-        return self._io.read("physical_reads") - self._reads_base
-
-    def unused(self):
-        """Headroom left under each countable cap (``None`` = uncapped).
-
-        The scatter-gather executor reads this when a shard finishes and
-        :meth:`QueryBudget.grant`\\ s the remainder to the shards still
-        queued -- the other half of :meth:`QueryBudget.split`'s exact
-        conservation (``docs/SHARDING.md``).
-        """
-        def headroom(cap, spent):
-            return None if cap is None else max(0, cap - spent)
-
-        return {
-            "range_queries": headroom(self.budget.max_range_queries,
-                                      self.range_queries),
-            "physical_reads": headroom(self.budget.max_physical_reads,
-                                       self.physical_reads_spent()),
-            "candidates": headroom(self.budget.max_candidates,
-                                   self.candidates),
-        }
 
     def _exceeded(self, limit, spent, cap):
         raise BudgetExceededError(

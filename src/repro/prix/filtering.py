@@ -11,12 +11,12 @@ whose level gap exceeds the upper bound for the adjacent query labels'
 relationship; :mod:`repro.prix.plan` pre-classifies which pairs may be
 pruned safely.
 
-Section 5.7 runs this once per branch arrangement.  Here the plans
-passed in are walked together and every (remaining plan suffix, trie
-node) state is solved once (:func:`find_subsequences`); the per-plan
-work is still what :class:`FilterStats` reports.  The matcher passes one
-plan: the twig's own, or for an unordered twig of several arrangements
-one root-to-leaf path's (:func:`repro.prix.matcher.filter_path`).
+Section 5.7 runs this once per branch arrangement.  The matcher walks
+one plan: the twig's own, or for an unordered twig of several
+arrangements one root-to-leaf path's
+(:func:`repro.prix.matcher.filter_path`).  Within the walk every
+(level, trie node) state is solved once (:func:`find_subsequences`);
+the paper's per-walk work is still what :class:`FilterStats` reports.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class FilterStats:
 
     Two families.  ``range_queries``, ``nodes_visited``, ``candidates``
     and ``pruned_by_maxgap`` are *logical*: what Algorithm 1 run from the
-    root once per plan does, as the paper counts it -- a sub-walk
+    root does, as the paper counts it -- a sub-walk
     replayed from the state table counts in full every time.
     ``probes_issued`` is the Trie-Symbol B+-tree descents actually made,
     one per distinct state, and what ``max_range_queries`` is charged.
@@ -177,34 +177,30 @@ def _maxgap_admits(kind, gap, max_gap):
     return slack is None or gap <= max_gap + slack
 
 
-def find_subsequences(plans, symbol_index, docid_index, root_range,
+def find_subsequences(plan, symbol_index, docid_index, root_range,
                       maxgap_table=None, stats=None, granularity="label",
                       budget=None):
-    """Run Algorithm 1 over all of a query's plans: ``(results, stats)``.
+    """Run Algorithm 1 for one plan: ``(results, stats)``.
 
-    ``results`` holds one list per plan, in plan order, of one
-    ``(doc_ids, positions)`` pair per trie path spelling a subsequence
-    occurrence of that plan's LPS(Q) that at least one document's LPS
-    terminates under: the ids of those documents and the matched trie
-    levels (= LPS positions), in the order a depth-first walk of that
-    plan alone finds them.
+    ``results`` holds one ``(doc_ids, positions)`` pair per trie path
+    spelling a subsequence occurrence of the plan's LPS(Q) that at least
+    one document's LPS terminates under: the ids of those documents and
+    the matched trie levels (= LPS positions), in depth-first order.
 
-    The plans are walked together.  What the walk does below a matched
-    trie node depends only on that node (its range, level and MaxGap
-    bound) and on the labels and relationships still to match, never on
-    how the node was reached, so each *state* -- (remaining plan suffix,
-    ``LeftPos`` of the node matched above it) -- is probed and solved
-    once and replayed wherever it recurs, within one arrangement or
-    across them (DESIGN.md, "Cost of one filter pass").
+    What the walk does below a matched trie node depends only on that
+    node (its range, level and MaxGap bound) and on the labels and
+    relationships still to match, never on how the node was reached, so
+    each *state* -- (level, ``LeftPos`` of the node matched above it) --
+    is probed and solved once and replayed wherever it recurs (DESIGN.md,
+    "Cost of one filter pass").
 
     ``stats`` is the :class:`FilterStats` passed in (or a fresh one),
     also brought up to date when the pass is cut short by the budget:
-    the four logical counters then read what the per-plan walk would
-    have counted on reaching the same point.
+    the four logical counters then read what the plain walk would have
+    counted on reaching the same point.
 
     Args:
-        plans: the :class:`~repro.prix.plan.QueryPlan` list to filter,
-            e.g. one per branch arrangement.
+        plan: the :class:`~repro.prix.plan.QueryPlan` to filter.
         symbol_index: the :class:`TrieSymbolIndex`.
         docid_index: the :class:`DocidIndex`.
         root_range: the virtual-trie root's ``(left, right)`` range.
@@ -230,119 +226,102 @@ def find_subsequences(plans, symbol_index, docid_index, root_range,
     documents_in = docid_index.documents_in
     metered = budget is not None
     root_left, root_right = root_range
-
-    # solved: plan suffix -> {LeftPos of the node matched above it ->
-    # (range queries, nodes, candidates, pruned, hits) of the walk below}.
-    # ``hits`` is a tuple of ``(level, hits one level down)`` per row that
-    # led to a candidate, of ``(level, doc ids)`` at the last level.
-    solved = {}
-    results = []
-    issued = 0
+    qlps = plan.qlps
+    last = len(qlps) - 1
+    # Per-level invariants.  Level i probes label qlps[i] inside the node
+    # matched at level i - 1, whose bound (its own stored MaxGap or the
+    # label's collection-wide one) limits the level gap per Theorem 4.
+    handles = [symbol_index.label_prefix(label) for label in qlps]
+    slacks = (None,) + tuple(
+        _MAXGAP_SLACK.get(kind) if pruning else None
+        for kind in plan.rel_kinds)
+    label_bounds = [maxgap_table.get(label) if pruning else 0
+                    for label in qlps[:last]]
+    # belows[i]: LeftPos of a node matched at level i -> (range queries,
+    # nodes, candidates, pruned, hits) of the walk below it, the solved
+    # states of level i + 1 (None at the last level).  ``hits`` is a
+    # tuple of ``(level, hits one level down)`` per row that led to a
+    # candidate, of ``(level, doc ids)`` at the last level.
+    belows = [{} for _ in qlps[1:]] + [None]
+    # limits[i]: the highest level Theorem 4 admits at level i under the
+    # node matched at i - 1 (None: no bound applies).
+    limits = [None] * (last + 1)
+    rows = [None] * (last + 1)  # rows[i]: probe, part consumed
+    # found[i]: the hits of the state open at level i, so far.
+    found = [[] for _ in qlps]
+    # opened[i]: the counts when level i's probe was issued, and the
+    # level and LeftPos of the node it was issued inside.
+    opened = [None] * (last + 1)
     # Logical counts so far: a replayed state adds its stored counts, so
-    # at any moment these are what the per-plan walk has counted.
-    rq = nv = cand = pruned = 0
+    # at any moment these are what the plain walk has counted.
+    nv = cand = pruned = 0
+    rq = issued = 1
+    i = 0
     try:
-        for plan in plans:
-            qlps = plan.qlps
-            last = len(qlps) - 1
-            # Per-level invariants.  Level i probes label qlps[i] inside
-            # the node matched at level i - 1, whose bound (its own
-            # stored MaxGap or the label's collection-wide one) limits
-            # the level gap per Theorem 4.
-            handles = [symbol_index.label_prefix(label) for label in qlps]
-            slacks = (None,) + tuple(
-                _MAXGAP_SLACK.get(kind) if pruning else None
-                for kind in plan.rel_kinds)
-            label_bounds = [maxgap_table.get(label) if pruning else 0
-                            for label in qlps[:last]]
-            tables = [solved.setdefault((qlps[at:], slacks[at:]), {})
-                      for at in range(last + 1)]
-            state = tables[0].get(root_left)
-            if state is not None:
-                rq += state[0]
-                nv += state[1]
-                cand += state[2]
-                pruned += state[3]
-                results.append(_expand(state[4], last))
-                continue
-            belows = tables[1:] + [None]
-            # limits[i]: the highest level Theorem 4 admits at level i
-            # under the node matched at i - 1 (None: no bound applies).
-            limits = [None] * (last + 1)
-            rows = [None] * (last + 1)  # rows[i]: probe, part consumed
-            # found[i]: the hits of the state open at level i, so far.
-            found = [[] for _ in qlps]
-            # opened[i]: the counts when level i's probe was issued, and
-            # the level and LeftPos of the node it was issued inside.
-            opened = [(rq, nv, cand, pruned, 0, root_left)] * (last + 1)
-            i = 0
-            rq += 1
-            issued += 1
-            if metered:
-                budget.charge_range_query()
-            rows[0] = probe(handles[0], root_left, root_right)
-            while True:
-                limit = limits[i]
-                below = belows[i]
-                hits = found[i]
-                for left, right, level, node_gap in rows[i]:
-                    nv += 1
-                    if metered:
-                        budget.checkpoint()
-                    if limit is not None and level > limit:
-                        pruned += 1
-                        continue
-                    if below is None:
-                        docs = documents_in(left, right)
-                        if docs:
-                            cand += 1
-                            hits.append((level, tuple(docs)))
-                        continue
-                    state = below.get(left)
-                    if state is not None:
-                        rq += state[0]
-                        nv += state[1]
-                        pruned += state[3]
-                        if state[2]:
-                            cand += state[2]
-                            hits.append((level, state[4]))
-                        continue
-                    i += 1
-                    opened[i] = (rq, nv, cand, pruned, level, left)
-                    slack = slacks[i]
-                    if slack is not None:
-                        limits[i] = level + slack + (
-                            node_gap if per_node else label_bounds[i - 1])
-                    rq += 1
-                    issued += 1
-                    if metered:
-                        budget.charge_range_query()
-                    rows[i] = probe(handles[i], left, right)
+        if metered:
+            budget.charge_range_query()
+        rows[0] = probe(handles[0], root_left, root_right)
+        while True:
+            limit = limits[i]
+            below = belows[i]
+            hits = found[i]
+            for left, right, level, node_gap in rows[i]:
+                nv += 1
+                if metered:
+                    budget.checkpoint()
+                if limit is not None and level > limit:
+                    pruned += 1
+                    continue
+                if below is None:
+                    docs = documents_in(left, right)
+                    if docs:
+                        cand += 1
+                        hits.append((level, tuple(docs)))
+                    continue
+                state = below.get(left)
+                if state is not None:
+                    rq += state[0]
+                    nv += state[1]
+                    pruned += state[3]
+                    if state[2]:
+                        cand += state[2]
+                        hits.append((level, state[4]))
+                    continue
+                i += 1
+                opened[i] = (rq, nv, cand, pruned, level, left)
+                slack = slacks[i]
+                if slack is not None:
+                    limits[i] = level + slack + (
+                        node_gap if per_node else label_bounds[i - 1])
+                rq += 1
+                issued += 1
+                if metered:
+                    budget.charge_range_query()
+                rows[i] = probe(handles[i], left, right)
+                break
+            else:
+                if i == 0:
                     break
-                else:
-                    was_rq, was_nv, was_cand, was_pruned, level, left = \
-                        opened[i]
-                    state = (rq - was_rq, nv - was_nv, cand - was_cand,
-                             pruned - was_pruned, tuple(hits))
-                    tables[i][left] = state
-                    if i == 0:
-                        break
-                    if hits:
-                        found[i - 1].append((level, state[4]))
-                        hits.clear()
-                    i -= 1
-            results.append(_expand(state[4], last))
+                was_rq, was_nv, was_cand, was_pruned, level, left = \
+                    opened[i]
+                state = (rq - was_rq, nv - was_nv, cand - was_cand,
+                         pruned - was_pruned, tuple(hits))
+                belows[i - 1][left] = state
+                if hits:
+                    found[i - 1].append((level, state[4]))
+                    hits.clear()
+                i -= 1
     finally:
         stats.range_queries += rq
         stats.nodes_visited += nv
         stats.candidates += cand
         stats.pruned_by_maxgap += pruned
         stats.probes_issued += issued
-    return results, stats
+    return _expand(found[0], last), stats
 
 
 def _expand(hits, last):
-    """Unfold one plan's solved root state into its candidate list."""
+    """Unfold the walk's root-level hits into its candidate list."""
     results = []
     positions = [0] * (last + 1)
     pending = [None] * (last + 1)

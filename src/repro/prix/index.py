@@ -841,7 +841,7 @@ class PrixIndex:
             variant: force ``"rp"`` or ``"ep"``; default lets the
                 optimizer decide.
             use_maxgap: apply Theorem 4 pruning (default on).
-            strategy: ``"trie"`` / ``"document"`` / ``"auto"`` -- see
+            strategy: ``"trie"`` / ``"auto"`` -- see
                 :func:`repro.prix.matcher.run_query`.
             maxgap_granularity: ``"label"`` (one MaxGap bound per
                 label, the paper's table) or ``"node"`` (Section 5.4's

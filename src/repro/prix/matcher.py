@@ -202,39 +202,44 @@ def run_query(query, variant_index, view_loader, *, ordered=False,
             ordered semantics); the default tries every arrangement.
         use_maxgap: apply Theorem 4 pruning during filtering.
         strategy: ``"trie"`` forces Algorithm 1's trie traversal;
-            ``"document"`` forces the document-at-a-time fallback;
-            ``"auto"`` (default) uses the fallback when the rarest query
-            label pins down few candidate documents.  Any match's
-            document must contain every LPS(Q) label, so the fallback is
-            answer-equivalent.  The trie traversal runs Algorithm 1 on
-            the twig itself when it has one arrangement; otherwise on
-            the :func:`filter_path` only, whose documents then go
-            through the fallback's in-document check for every
+            ``"auto"`` (default) uses the document-at-a-time fallback
+            when the rarest query label pins down few candidate
+            documents (``stats.strategy`` then reads ``"document"``).
+            Any match's document must contain every LPS(Q) label, so
+            the fallback is answer-equivalent.  The trie traversal runs
+            Algorithm 1 on the twig itself when it has one arrangement;
+            otherwise on the :func:`filter_path` only, whose documents
+            then go through the fallback's in-document check for every
             arrangement.
         stats: optional :class:`QueryStats` to fill in.  Its ``filter``
             counters are the one Algorithm 1 pass plus, for the
             documents checked in place, the nodes, candidates and
             MaxGap prunes of that check (per-label bounds).
-        budget: optional :class:`~repro.prix.budget.BudgetMeter`.
-            Planning is a cancellation point, and exhaustion during
+        budget: optional :class:`~repro.prix.budget.BudgetMeter`,
+            put in its filter phase first (a scatter's one meter has
+            seen the previous shard's refinement).  Planning is a
+            cancellation point, and exhaustion during
             filtering propagates as
             :class:`~repro.prix.budget.BudgetExceededError` (an
             incomplete filter pass may have false dismissals);
             exhaustion during refinement returns the filter's candidate
             documents as an ``approximate=True`` superset instead.
     """
+    if strategy not in ("auto", "trie"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     if stats is None:
         stats = QueryStats()
+    if budget is not None:
+        budget.enter_filter()
     maxgap_table = variant_index.maxgap if use_maxgap else None
     plans = query.plans(variant_index.extended, ordered=ordered,
                         budget=budget)
     stats.arrangements = len(plans)
 
     candidate_docs = None
-    if strategy in ("auto", "document"):
-        candidate_docs = rare_label_candidates(
-            plans[0], variant_index,
-            force=(strategy == "document"), budget=budget)
+    if strategy == "auto":
+        candidate_docs = rare_label_candidates(plans[0], variant_index,
+                                               budget=budget)
     stats.strategy = "trie" if candidate_docs is None else "document"
 
     views = {}
@@ -253,8 +258,8 @@ def run_query(query, variant_index, view_loader, *, ordered=False,
         # arrangement below.
         walked = (plans[0] if len(plans) == 1
                   else filter_path(query, variant_index, budget)[1])
-        (found,), _ = find_subsequences(
-            [walked], variant_index.symbol_index,
+        found, _ = find_subsequences(
+            walked, variant_index.symbol_index,
             variant_index.docid_index, variant_index.root_range,
             maxgap_table=maxgap_table, stats=stats.filter,
             granularity=maxgap_granularity, budget=budget)
@@ -346,8 +351,10 @@ def filter_path(query, variant_index, budget=None):
     return best
 
 
-def rare_label_candidates(plan, variant_index, force=False, budget=None):
-    """Documents containing the rarest LPS(Q) label, or None.
+def rare_label_candidates(plan, variant_index, budget=None):
+    """Documents containing the rarest LPS(Q) label, or None when that
+    label is on more than :data:`RARE_LABEL_NODE_LIMIT` trie nodes or in
+    more than :data:`RARE_LABEL_DOC_LIMIT` documents.
 
     A document's LPS passes through a trie node exactly when the
     document's terminal lies inside that node's range, so the union of
@@ -361,7 +368,7 @@ def rare_label_candidates(plan, variant_index, force=False, budget=None):
     node_count = counts.get(rare_label, 0)
     if node_count == 0:
         return set()
-    if not force and node_count > RARE_LABEL_NODE_LIMIT:
+    if node_count > RARE_LABEL_NODE_LIMIT:
         return None
     if budget is not None:
         budget.charge_range_query()
@@ -372,7 +379,7 @@ def rare_label_candidates(plan, variant_index, force=False, budget=None):
         if budget is not None:
             budget.charge_range_query()
         docs.update(variant_index.docid_index.documents_in(left, right))
-        if not force and len(docs) > RARE_LABEL_DOC_LIMIT:
+        if len(docs) > RARE_LABEL_DOC_LIMIT:
             return None
     return docs
 

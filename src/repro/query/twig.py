@@ -47,7 +47,7 @@ MAX_TWIG_NODES = 64
 
 class UnsupportedTwigError(ValueError):
     """A well-formed twig the engine refuses to run (a caller mistake):
-    nothing to sequence, or more arrangements than
+    a ``*`` root, nothing to sequence, or more arrangements than
     :data:`MAX_ARRANGEMENTS`."""
 
 
@@ -92,7 +92,7 @@ class TwigPattern:
 
     def __init__(self, root, absolute=False, source=""):
         if root.is_star:
-            raise ValueError("the twig root must be a named node")
+            raise UnsupportedTwigError("the twig root must be a named node")
         self.root = root
         self.absolute = absolute
         self.source = source

@@ -40,12 +40,11 @@ Modules:
 A failing request gets its typed error and changes no other request's
 outcome: the tier keeps no per-mount failure state.  The chaos matrix
 (``tests/test_chaos_matrix.py``) drives this whole stack over a
-fault-injecting storage backend
-(:class:`~repro.storage.faults.ChaosBackend`, wrapped in from the test
-side) and holds it to the robustness oracle: every response is
-byte-identical-correct, a typed error, or a sound ``approximate=True``
-superset -- and the retrying client's view converges to the
-fault-free answers.
+fault-injecting storage backend (``tests/chaos_backend.py``, wrapped
+in from the test side) and holds it to the robustness oracle: every
+response is byte-identical-correct, a typed error, or a sound
+``approximate=True`` superset -- and the retrying client's view
+converges to the fault-free answers.
 """
 
 from repro.serve.admission import AdmissionController, ServerLimits

@@ -3,7 +3,7 @@
 :class:`PrixServeClient` is the reference consumer of the serving
 protocol and the convergence arm of the chaos matrix: given a server
 whose storage layer is throwing deterministic faults
-(:class:`~repro.storage.faults.ChaosBackend`), a client that follows
+(``tests/chaos_backend.py``), a client that follows
 the retry discipline below must eventually read answers byte-identical
 to a fault-free run -- or surface a *typed* failure, never a silent
 wrong answer.

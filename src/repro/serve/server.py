@@ -43,6 +43,7 @@ Hardening (``docs/ROBUSTNESS.md``, "Chaos & resilience"):
 
 from __future__ import annotations
 
+import math
 import signal
 import sys
 import threading
@@ -280,10 +281,12 @@ class PrixRequestHandler(BaseHTTPRequestHandler):
                 "bad-request",
                 f"header {DEADLINE_HEADER} must be a number of "
                 f"milliseconds, got {raw!r}")
-        if value <= 0:
+        if not (math.isfinite(value) and value > 0):
+            # NaN compares false with everything: it would never fire.
             raise ProtocolError(
                 "bad-request",
-                f"header {DEADLINE_HEADER} must be > 0, got {raw!r}")
+                f"header {DEADLINE_HEADER} must be a finite number > 0, "
+                f"got {raw!r}")
         return value
 
     def _query(self):

@@ -9,11 +9,11 @@ every document lives in exactly one shard, so a twig occurrence in doc
 Theorems 1-2 apply shard-locally), and the union over disjoint doc
 ranges neither duplicates nor drops matches.
 
-Budgets split exactly: a caller :class:`QueryBudget` is divided with
-:meth:`~repro.prix.budget.QueryBudget.split` (countable caps conserved,
-deadline shared), each finished shard's unused headroom is
-:meth:`~repro.prix.budget.QueryBudget.grant`\\ ed forward to the next,
-and the merge surfaces ``approximate=True`` iff any shard degraded:
+A caller :class:`QueryBudget` is metered once per query: one
+:class:`~repro.prix.budget.BudgetMeter`, reading the set's summed page
+counters, is handed to every shard in turn, so the caps and the deadline
+bound the whole scatter exactly as they bound one monolithic query.  The
+merge surfaces ``approximate=True`` iff any shard degraded:
 
 - **Refinement**-phase exhaustion in a shard yields that shard's sound
   candidate-document superset; the merged answer collapses to doc-level
@@ -23,7 +23,9 @@ and the merge surfaces ``approximate=True`` iff any shard degraded:
 - **Filter**-phase exhaustion in any shard propagates as
   :class:`~repro.prix.budget.BudgetExceededError`: that shard's filter
   pass is incomplete, no sound superset exists for its doc range, so
-  none exists for the whole corpus either.
+  none exists for the whole corpus either.  Each shard's query starts
+  in the filter phase, so a cap already spent by an earlier shard's
+  refinement stops the next shard's filter with this error.
 
 Matches are returned in canonical ``(doc_id, images)`` order, so the
 answer is byte-stable across shard counts -- the oracle property the
@@ -34,8 +36,7 @@ from __future__ import annotations
 
 import time
 
-from repro.prix.budget import (PHASE_FILTER, BudgetExceededError,
-                               DegradationReason, QueryBudget)
+from repro.prix.budget import QueryBudget
 from repro.prix.incremental import RebuildRequiredError
 from repro.prix.index import PrixIndex
 from repro.prix.matcher import (QueryResult, QueryStats, TwigMatch,
@@ -45,22 +46,23 @@ from repro.shard.catalog import (ShardCatalog, ShardError,
                                  is_shard_directory)
 from repro.storage import IOStats, Latch, guarded
 
-#: ``meter.unused()`` keys double as ``QueryBudget.grant`` kwargs; the
-#: headroom carry below relies on that correspondence.
-_CARRY_ZERO = {"range_queries": 0, "physical_reads": 0, "candidates": 0}
-
-
 class ShardSetIOStats:
     """Read-only aggregate over every shard's pool counters.
 
     Quacks like :class:`~repro.storage.stats.IOStats` for readers
-    (``snapshot()``), delegating to the per-shard stats objects --
+    (``read(name)``, ``snapshot()``), delegating to the per-shard stats
+    objects --
     each of which does its own latching, so this wrapper holds no lock
     of its own and supports no mutation.
     """
 
     def __init__(self, rows):
         self._rows = rows   # callable -> iterable[(entry, PrixIndex)]
+
+    def read(self, name):
+        """One counter summed over every shard (what a scatter's budget
+        meter reads)."""
+        return sum(index.io_stats.read(name) for _, index in self._rows())
 
     def snapshot(self):
         total = IOStats()
@@ -255,21 +257,21 @@ class ShardedIndex:
         """
         if budget is not None and not isinstance(budget, QueryBudget):
             raise TypeError("ShardedIndex budgets must be QueryBudget "
-                            "templates; per-shard meters are minted "
-                            "internally by the scatter")
+                            "templates; the scatter starts its own meter")
         if isinstance(pattern, str):
             pattern = parse_xpath(pattern)
         rows = self._snapshot()
         if not rows:
             raise ShardError("sharded index is closed or empty")
 
-        capped = budget is not None and not budget.unlimited
-        slices = budget.split(len(rows)) if capped else [None] * len(rows)
-        deadline = budget.deadline_seconds if capped else None
         started = time.monotonic()
+        # One meter for the whole scatter: its caps, deadline and page
+        # reads count every shard's work, as they would one index's.
+        meter = (None if budget is None or budget.unlimited
+                 else budget.meter(io_stats=self.io_stats))
         # One prepared query for every shard: plans depend on the twig
         # and the variant alone, so each is built at most once per
-        # scatter, by the first shard that needs it and under its meter.
+        # scatter, by the first shard that needs it and under the meter.
         query = prepare(pattern)
 
         total = QueryStats(variant="", strategy="")
@@ -279,33 +281,13 @@ class ShardedIndex:
         reason = None
         variants_seen = []
         strategies_seen = []
-        carry = dict(_CARRY_ZERO)
 
-        for (entry, index), sub in zip(rows, slices):
-            meter = None
-            if sub is not None:
-                child = sub.grant(**carry)
-                if deadline is not None:
-                    elapsed = time.monotonic() - started
-                    if elapsed >= deadline:
-                        # The scatter's own cancellation point: shards
-                        # not yet started have run no filter pass at
-                        # all, so no sound superset exists for their
-                        # doc ranges -- fail the query, never fake it.
-                        raise BudgetExceededError(DegradationReason(
-                            phase=PHASE_FILTER, limit="deadline",
-                            spent=elapsed, budget=deadline))
-                    child = child.fork(deadline_seconds=deadline - elapsed)
-                meter = child.meter(io_stats=index.io_stats)
+        for entry, index in rows:
             matches, stats = index.query_with_stats(
                 query, ordered=ordered, variant=variant,
                 use_maxgap=use_maxgap, strategy=strategy,
                 maxgap_granularity=maxgap_granularity, cold=cold,
                 budget=meter)
-            if meter is not None:
-                unused = meter.unused()
-                carry = {name: (left or 0)
-                         for name, left in unused.items()}
 
             if stats.variant and stats.variant not in variants_seen:
                 variants_seen.append(stats.variant)

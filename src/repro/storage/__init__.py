@@ -49,8 +49,7 @@ from repro.storage.errors import (CorruptionError, PageCorruptionError,
                                   SuperblockError, TransientStorageError,
                                   WalCorruptionError, WalError,
                                   WalProtocolError)
-from repro.storage.faults import (ChaosBackend, ChaosConfig, ChaosSchedule,
-                                  CrashPoint, FaultSchedule, FaultyFile,
+from repro.storage.faults import (CrashPoint, FaultSchedule, FaultyFile,
                                   corruption_plan, inject_corruption)
 from repro.storage.guard import (PageGuard, ScrubReport, TreeScrubReport,
                                  scrub, sidecar_page_size,
@@ -67,9 +66,6 @@ from repro.storage.wal import (SYNC_ALWAYS, SYNC_COMMIT, SYNC_NEVER,
 __all__ = [
     "BPlusTree",
     "BufferPool",
-    "ChaosBackend",
-    "ChaosConfig",
-    "ChaosSchedule",
     "CorruptionError",
     "CrashPoint",
     "DEFAULT_PAGE_SIZE",

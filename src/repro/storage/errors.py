@@ -77,7 +77,7 @@ class ReadOnlyBackendError(StorageError):
 class TransientStorageError(StorageError):
     """A read failed for a reason that is expected to heal on retry.
 
-    Raised by the chaos layer (:class:`repro.storage.faults.ChaosBackend`)
+    Raised by the test suite's chaos layer (``tests/chaos_backend.py``)
     to model the environmental failures a networked or degraded disk
     exhibits -- a dropped request, a device briefly offline, an I/O
     retry-storm -- without tearing any durable state.  The serving tier

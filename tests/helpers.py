@@ -3,8 +3,9 @@
 import random
 from unittest import mock
 
+from chaos_backend import ChaosBackend
+
 from repro.storage.backend import open_backend
-from repro.storage.faults import ChaosBackend
 from repro.xmlkit.tree import Document, XMLNode
 
 
@@ -15,7 +16,7 @@ class ChaosOpens:
     name :mod:`repro.prix.index` calls is patched, so every backend
     opened there -- by ``PrixIndex.open``, and by the scrub a server
     mount runs first -- comes back wrapped in a *disarmed*
-    :class:`~repro.storage.faults.ChaosBackend` over ``config`` and is
+    :class:`~chaos_backend.ChaosBackend` over ``config`` and is
     recorded in ``chaos.backends``.  Call :meth:`arm` once the indexes
     are attached, so the catalog reads never draw a fault and the
     schedule targets query traffic.  No product signature takes a chaos

@@ -1,121 +1,174 @@
-"""`QueryBudget.split` conservation laws (docs/SHARDING.md).
+"""How a shard set meters one query's budget (docs/SHARDING.md).
 
-The sharded query path slices one caller budget across N shards; these
-tests pin the arithmetic the merge-soundness argument leans on: the
-children's countable caps sum to *exactly* the parent's (never more --
-the shards together cannot admit more work than the caller allowed;
-never fewer -- no budget silently evaporates), the wall-clock deadline
-is shared rather than divided, and split composes with fork and with
-headroom grants.
+A scatter splits one query into a query per shard, but meters it once:
+every shard runs under the same :class:`BudgetMeter`, so the caller's
+caps bound the shards' work together, exactly as they bound a
+monolithic query.  These tests pin the conservation law the merge's
+soundness leans on -- for every countable cap, the shards together
+admit exactly the caller's cap (never more, never fewer), and the
+wall-clock deadline is shared rather than divided -- and the two
+shapes of work an evenly divided budget got wrong: all of the work in
+an early shard, and page reads left over at the end of a shard.
 """
 
 import pytest
 
-from repro.prix.budget import QueryBudget
-from repro.storage.stats import IOStats
+from repro.bench.workloads import queries_for
+from repro.datasets import dblp, get_corpus
+from repro.prix.budget import (PHASE_FILTER, PHASE_REFINEMENT,
+                               BudgetExceededError, QueryBudget)
+from repro.prix.index import PrixIndex
+from repro.shard import ShardedIndex, build_shards
+from repro.xmlkit.parser import parse_document
 
-COUNTABLE = ("max_range_queries", "max_physical_reads", "max_candidates")
+PATTERN = "//article[./author]/title"
 
 
-def caps(budget):
-    return {name: getattr(budget, name) for name in COUNTABLE}
+def canonical(matches):
+    return [(m.doc_id, m.images) for m in matches]
+
+
+@pytest.fixture(scope="module")
+def shard_sets(tmp_path_factory):
+    """``n -> (open shard set, uncapped answer, its stats)``, cold and on
+    the trie strategy, so every shard's filter opens with a charge."""
+    docs = dblp(n_records=40, seed=3).documents
+    root = tmp_path_factory.mktemp("sets")
+    opened = {}
+    try:
+        for n in (1, 2, 3, 4, 7, 8, 16):
+            target = str(root / str(n))
+            build_shards(docs, target, shards=n)
+            sharded = ShardedIndex.open(target)
+            opened[n] = (sharded,) + sharded.query_with_stats(
+                PATTERN, strategy="trie", cold=True)
+        yield opened
+    finally:
+        for sharded, _, _ in opened.values():
+            sharded.close()
+
+
+def capped(sharded, **caps):
+    """``(result, stats)`` under ``caps``, or the filter-phase error."""
+    try:
+        return sharded.query_with_stats(PATTERN, strategy="trie", cold=True,
+                                        budget=QueryBudget(**caps))
+    except BudgetExceededError as error:
+        assert error.reason.phase == PHASE_FILTER
+        return error, None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 16])
 @pytest.mark.parametrize("cap", [0, 1, 2, 5, 8, 100, 101, 1000])
-def test_split_conserves_every_countable_cap_exactly(n, cap):
-    parent = QueryBudget(max_range_queries=cap, max_physical_reads=cap,
-                         max_candidates=cap, deadline_seconds=2.5)
-    children = parent.split(n)
-    assert len(children) == n
-    for name in COUNTABLE:
-        total = sum(getattr(child, name) for child in children)
-        assert total == cap, (name, n, cap, total)
-        # No child may exceed its fair share by more than the remainder
-        # unit -- the spill is spread one unit at a time.
-        shares = sorted(getattr(child, name) for child in children)
-        assert shares[-1] - shares[0] <= 1
+def test_split_conserves_every_countable_cap_exactly(shard_sets, n, cap):
+    sharded, exact, uncapped = shard_sets[n]
+
+    # Trie range queries: one charge per issued probe, all in filters.
+    result, _ = capped(sharded, max_range_queries=cap)
+    if cap >= uncapped.filter.probes_issued:
+        assert canonical(result) == canonical(exact)
+    else:
+        assert isinstance(result, BudgetExceededError)
+        assert result.reason.spent == cap + 1
+
+    # Candidates: one charge per refined candidate, all in refinements.
+    result, stats = capped(sharded, max_candidates=cap)
+    if cap >= uncapped.candidates_refined:
+        assert not result.approximate
+        assert canonical(result) == canonical(exact)
+    else:
+        assert result.approximate
+        assert result.degradation_reason.phase == PHASE_REFINEMENT
+        assert stats.candidates_refined == cap
+        assert set(result.doc_ids) >= set(exact.doc_ids)
+
+    # Physical reads: every shard's filter opens with a checkpoint that
+    # sees the earlier shards' reads, so an exact answer overspends at
+    # most by what the last shard read after its last checkpoint.
+    result, stats = capped(sharded, max_physical_reads=cap)
+    if cap >= uncapped.physical_reads:
+        assert canonical(result) == canonical(exact)
+    elif stats is not None and not result.approximate:
+        assert sum(row["physical_reads"]
+                   for row in stats.per_shard[:-1]) <= cap
+
+
+class Ticker:
+    """A clock that advances one second per reading."""
+
+    def __init__(self):
+        self.now = -1.0
+
+    def __call__(self):
+        self.now += 1.0
+        return self.now
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
-def test_split_shares_the_deadline_instead_of_dividing_it(n):
-    parent = QueryBudget(max_candidates=10, deadline_seconds=3.0)
-    for child in parent.split(n):
-        assert child.deadline_seconds == 3.0
+def test_split_shares_the_deadline_instead_of_dividing_it(shard_sets, n,
+                                                          monkeypatch):
+    """With a clock that ticks once per checkpoint, the whole scatter
+    takes ``ticks`` seconds: a deadline of ``ticks`` lets every shard
+    finish, one of ``ticks - 1`` does not."""
+    sharded, exact, _ = shard_sets[n]
+    meter = QueryBudget.meter
+    clocks = []
+
+    def ticking(budget, io_stats=None):
+        clocks.append(Ticker())
+        return meter(budget, io_stats=io_stats, clock=clocks[-1])
+
+    monkeypatch.setattr(QueryBudget, "meter", ticking)
+    result, _ = capped(sharded, deadline_seconds=1e9)
+    assert len(clocks) == 1     # one meter for the whole scatter
+    ticks = clocks[0].now
+    result, _ = capped(sharded, deadline_seconds=ticks)
+    assert canonical(result) == canonical(exact)
+    result, _ = capped(sharded, deadline_seconds=ticks - 1)
+    assert isinstance(result, BudgetExceededError) or result.approximate
+    reason = (result.reason if isinstance(result, BudgetExceededError)
+              else result.degradation_reason)
+    assert (reason.limit, reason.spent, reason.budget) == (
+        "deadline", ticks, ticks - 1)
 
 
-def test_split_keeps_uncapped_limits_uncapped():
-    parent = QueryBudget(max_candidates=9)  # everything else None
-    for child in parent.split(4):
-        assert child.max_range_queries is None
-        assert child.max_physical_reads is None
-        assert child.deadline_seconds is None
-    assert sum(c.max_candidates for c in parent.split(4)) == 9
+def test_work_in_an_early_shard_gets_the_whole_cap(tmp_path):
+    """All of the matches are in the first shard: the cap the monolith
+    answers exactly under answers the shard set exactly too (an evenly
+    divided cap gave that shard a quarter of it)."""
+    docs = [parse_document("<r><a><b/></a><a><b/></a></r>", doc_id=1 + i)
+            for i in range(2)]
+    docs += [parse_document("<r><z/></r>", doc_id=3 + i) for i in range(6)]
+    target = str(tmp_path / "early")
+    build_shards(docs, target, shards=4)
+    with ShardedIndex.open(target) as sharded, \
+            PrixIndex.build(docs) as monolith:
+        exact, stats = sharded.query_with_stats("//a/b")
+        needs = [row["candidates_refined"] for row in stats.per_shard]
+        assert needs == [4, 0, 0, 0]
+        budget = QueryBudget(max_candidates=sum(needs))
+        assert not monolith.query("//a/b", budget=budget).approximate
+        budgeted = sharded.query("//a/b", budget=budget)
+        assert not budgeted.approximate
+        assert canonical(budgeted) == canonical(exact)
 
 
-def test_split_rejects_nonpositive_counts():
-    with pytest.raises(ValueError):
-        QueryBudget(max_candidates=4).split(0)
-    with pytest.raises(ValueError):
-        QueryBudget(max_candidates=4).split(-2)
-
-
-def test_fork_then_split_equals_split_of_the_original():
-    parent = QueryBudget(max_range_queries=11, max_physical_reads=7,
-                         max_candidates=30, deadline_seconds=1.0)
-    direct = parent.split(4)
-    forked = parent.fork().split(4)
-    assert [caps(a) for a in direct] == [caps(b) for b in forked]
-    assert all(a.deadline_seconds == b.deadline_seconds
-               for a, b in zip(direct, forked))
-
-
-def test_split_children_fork_without_loosening():
-    parent = QueryBudget(max_candidates=8, deadline_seconds=5.0)
-    child = parent.split(2)[0]
-    tightened = child.fork(deadline_seconds=1.0)
-    assert tightened.max_candidates == child.max_candidates
-    assert tightened.deadline_seconds == 1.0
-    loosened = child.fork(deadline_seconds=9.0)
-    assert loosened.deadline_seconds == 5.0  # min() wins
-
-
-def test_sum_of_child_meters_equals_parent_charges():
-    """Charging every child to its cap admits exactly the parent cap."""
-    parent = QueryBudget(max_candidates=10)
-    admitted = 0
-    for child in parent.split(3):
-        meter = child.meter()
-        for _ in range(child.max_candidates):
-            meter.charge_candidate()
-            admitted += 1
-        # The next charge over the child's slice must trip.
-        with pytest.raises(Exception):
-            meter.charge_candidate()
-    assert admitted == 10
-
-
-def test_grant_redistributes_only_unused_headroom():
-    parent = QueryBudget(max_candidates=10, max_physical_reads=6,
-                         deadline_seconds=2.0)
-    first, second = parent.split(2)
-    meter = first.meter(io_stats=IOStats())
-    for _ in range(2):
-        meter.charge_candidate()
-    unused = meter.unused()
-    assert unused["candidates"] == first.max_candidates - 2
-    assert unused["physical_reads"] == first.max_physical_reads
-    assert unused["range_queries"] is None
-    topped = second.grant(candidates=unused["candidates"],
-                          physical_reads=unused["physical_reads"])
-    # Conservation across the redistribution: what the two shards may
-    # admit in total is still exactly the parent's cap.
-    assert 2 + (first.max_candidates - 2) == first.max_candidates
-    assert topped.max_candidates + 2 == parent.max_candidates
-    assert topped.max_physical_reads == parent.max_physical_reads
-    assert topped.deadline_seconds == 2.0
-
-
-def test_grant_ignores_uncapped_limits():
-    budget = QueryBudget(max_candidates=None)
-    assert budget.grant(candidates=5).max_candidates is None
+@pytest.mark.parametrize("cap", [13, 14])
+def test_reads_left_at_the_end_of_a_shard_count(tmp_path, cap):
+    """Tiny swissprot Q6 on 4 shards reads 16 pages cold.  Under a cap
+    of 13 or 14 pages the pages an earlier shard read after its last
+    checkpoint are counted at the next shard's first one, so the filter
+    stops with an error instead of answering after 16 reads."""
+    target = str(tmp_path / "swissprot")
+    build_shards(get_corpus("swissprot", "tiny").documents, target,
+                 shards=4)
+    q6 = next(spec for spec in queries_for("swissprot")
+              if spec.qid == "Q6")
+    with ShardedIndex.open(target) as sharded:
+        _, stats = sharded.query_with_stats(q6.xpath, cold=True)
+        assert stats.physical_reads == 16
+        with pytest.raises(BudgetExceededError) as caught:
+            sharded.query(q6.xpath, cold=True,
+                          budget=QueryBudget(max_physical_reads=cap))
+        assert caught.value.reason.phase == PHASE_FILTER
+        assert caught.value.reason.limit == "physical_reads"

@@ -1,6 +1,6 @@
 """The chaos matrix: a live server over fault-injecting storage.
 
-``prix serve`` runs over a :class:`~repro.storage.faults.ChaosBackend`
+``prix serve`` runs over a :class:`~chaos_backend.ChaosBackend`
 whose deterministic schedule throws transient read errors, injected
 latency, fail-then-heal windows, and checksum-corrupting reads at the
 query path, across seeds x fault mixes x client thread counts.  The
@@ -44,6 +44,7 @@ from contextlib import contextmanager, nullcontext
 
 import pytest
 
+from chaos_backend import ChaosConfig
 from helpers import ChaosOpens
 
 from repro.bench.workloads import queries_for
@@ -53,7 +54,6 @@ from repro.serve import protocol
 from repro.serve.client import PrixServeClient
 from repro.serve.protocol import DEADLINE_HEADER, ERROR_KINDS
 from repro.serve.server import build_server
-from repro.storage import ChaosConfig
 
 SEEDS = [int(seed) for seed in
          os.environ.get("PRIX_CHAOS_SEEDS", "101,202,303").split(",")]
@@ -290,7 +290,7 @@ def test_deadline_header_tightens_the_budget_fork(index_path):
             headers={DEADLINE_HEADER: "60000"})
         assert status == 200 and body["approximate"] is False
 
-        for bad in ("nope", "-5", "0"):
+        for bad in ("nope", "-5", "0", "nan", "inf", "-inf"):
             status, body, _ = http_post(
                 base_url, "/query", {"xpath": "//a"},
                 headers={DEADLINE_HEADER: bad})
@@ -298,3 +298,12 @@ def test_deadline_header_tightens_the_budget_fork(index_path):
             assert body["error"]["code"] == "bad-request"
             assert DEADLINE_HEADER in body["error"]["message"]
 
+
+def test_a_wildcard_root_is_a_bad_request(index_path):
+    """``//*`` parses but has no named root: the caller's mistake (400
+    ``bad-request``), not a server fault (500 ``internal``)."""
+    with live_server(index_path) as (server, base_url):
+        status, body, _ = http_post(base_url, "/query", {"xpath": "//*"})
+        assert status == 400, body
+        assert body["error"]["code"] == "bad-request"
+        assert body["error"]["error_type"] == "UnsupportedTwigError"

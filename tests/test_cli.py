@@ -120,9 +120,9 @@ class TestQuery:
         assert "error [XPathSyntaxError]" in err and "Traceback" not in err
 
     def test_query_refused_twig(self, built_index, capsys):
-        # So is a well-formed query with nothing to sequence, or with
-        # more branch arrangements than the engine will try.
-        for xpath in ("//book", "//book" + "[./title]" * 8):
+        # So is a well-formed query with a wildcard root, nothing to
+        # sequence, or more branch arrangements than the engine will try.
+        for xpath in ("//*", "//book", "//book" + "[./title]" * 8):
             assert main(["query", built_index, xpath,
                          "--variant", "rp"]) == 2
             err = capsys.readouterr().err

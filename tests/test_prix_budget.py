@@ -63,6 +63,16 @@ class TestBudgetDataclass:
         assert fork is not template
         assert QueryBudget().fork().unlimited
 
+    def test_fork_tightens_the_deadline_but_never_loosens_it(self):
+        template = QueryBudget(max_candidates=8, deadline_seconds=5.0)
+        tightened = template.fork(deadline_seconds=1.0)
+        assert tightened.max_candidates == template.max_candidates
+        assert tightened.deadline_seconds == 1.0
+        loosened = template.fork(deadline_seconds=9.0)
+        assert loosened.deadline_seconds == 5.0  # min() wins
+        assert QueryBudget().fork(deadline_seconds=2.0).deadline_seconds \
+            == 2.0
+
     def test_forked_meters_do_not_share_state(self):
         # The serving-tier property: one template budget, one meter per
         # request -- spending in one fork's meter must never count
@@ -214,9 +224,10 @@ class TestQueryDegradation:
         assert "candidates" in text and "refinement" in text
 
     def test_document_strategy_degrades_too(self, index):
-        exact = index.query(QUERY, strategy="document")
-        result = index.query(QUERY, strategy="document",
-                             budget=QueryBudget(max_candidates=1))
+        exact = index.query(QUERY, strategy="trie")
+        result, stats = index.query_with_stats(
+            QUERY, budget=QueryBudget(max_candidates=1))
+        assert stats.strategy == "document"
         assert result.approximate
         assert set(result.doc_ids) >= set(exact.doc_ids)
 

@@ -29,8 +29,8 @@ def run_filter(index, xpath_or_pattern, use_maxgap=True, extended=False,
     """Candidates of the query's one ordered plan, and the stats."""
     plan, args = filter_args(index, xpath_or_pattern, use_maxgap, extended)
     stats = FilterStats() if stats is None else stats
-    (candidates,), _ = find_subsequences([plan], *args, stats=stats,
-                                         budget=budget)
+    candidates, _ = find_subsequences(plan, *args, stats=stats,
+                                      budget=budget)
     assert stats.probes_issued <= stats.range_queries
     return candidates, stats
 
@@ -244,9 +244,9 @@ class TestBudgetThroughTheLoop:
 
 
 class TestSharedStates:
-    """One walk over all of a query's plans (DESIGN.md, "Cost of one
-    filter pass"): per-plan results and logical counters are the
-    per-plan walk's, with fewer probes issued."""
+    """Each (level, trie node) state of a walk is solved once (DESIGN.md,
+    "Cost of one filter pass"): results and logical counters are the
+    plain per-plan walk's, with no more probes issued."""
 
     @pytest.mark.parametrize("qid,extended", [("Q6", True), ("Q6", False),
                                               ("Q2", False), ("Q8", True)])
@@ -259,23 +259,14 @@ class TestSharedStates:
                  for arranged in arrangements(parse_xpath(spec.xpath))]
         assert len(plans) > 1
         _, args = filter_args(index, spec.xpath, extended=extended)
-        per_plan, stats = find_subsequences(plans, *args,
-                                            granularity=granularity)
+        stats = FilterStats()
         reference = FilterStats()
-        for plan, candidates in zip(plans, per_plan):
+        for plan in plans:
+            candidates, _ = find_subsequences(plan, *args, stats=stats,
+                                              granularity=granularity)
             expected, _ = per_plan_walk(plan, *args, stats=reference,
                                         granularity=granularity)
             assert candidates == expected
-        assert 0 < stats.probes_issued < stats.range_queries
+        assert 0 < stats.probes_issued <= stats.range_queries
         reference.probes_issued = stats.probes_issued
         assert stats == reference
-
-    def test_an_identical_plan_is_replayed_whole(self, fig2_doc):
-        index = PrixIndex.build([fig2_doc])
-        plan, args = filter_args(index, figure2_query())
-        (once,), single = find_subsequences([plan], *args)
-        (first, second), both = find_subsequences([plan, plan], *args)
-        assert first == second == once
-        assert both.probes_issued == single.probes_issued
-        assert both.range_queries == 2 * single.range_queries
-        assert both.candidates == 2 * single.candidates == 2 * len(once)

@@ -69,7 +69,7 @@ class TestSaveAndOpen:
         path, expected = saved_index_path
         reopened = PrixIndex.open(path)
         xpath = QUERIES[0]
-        for strategy in ("trie", "document"):
+        for strategy in ("trie", "auto"):
             got = {(m.doc_id, m.canonical)
                    for m in reopened.query(xpath, strategy=strategy)}
             assert got == expected[xpath], strategy

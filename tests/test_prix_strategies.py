@@ -41,16 +41,17 @@ def index(corpus):
 class TestStrategyEquivalence:
     @pytest.mark.parametrize("variant", ["rp", "ep"])
     def test_forced_strategies_agree(self, index, variant):
+        """On six documents ``auto`` always takes the fallback."""
         rng = random.Random(99)
         for _ in range(12):
             pattern = make_random_twig(rng)
             trie = {(m.doc_id, m.canonical)
                     for m in index.query(pattern, variant=variant,
                                          strategy="trie")}
-            document = {(m.doc_id, m.canonical)
-                        for m in index.query(pattern, variant=variant,
-                                             strategy="document")}
-            assert trie == document
+            matches, stats = index.query_with_stats(pattern,
+                                                    variant=variant)
+            assert stats.strategy == "document"
+            assert trie == {(m.doc_id, m.canonical) for m in matches}
 
     def test_auto_matches_oracle(self, corpus, index):
         rng = random.Random(100)
@@ -67,10 +68,9 @@ class TestStrategyEquivalence:
         trie = {(m.doc_id, m.canonical)
                 for m in index.query(pattern, ordered=True,
                                      strategy="trie")}
-        document = {(m.doc_id, m.canonical)
-                    for m in index.query(pattern, ordered=True,
-                                         strategy="document")}
-        assert trie == document
+        matches, stats = index.query_with_stats(pattern, ordered=True)
+        assert stats.strategy == "document"
+        assert trie == {(m.doc_id, m.canonical) for m in matches}
 
 
 class TestStrategySelection:
@@ -98,8 +98,12 @@ class TestStrategySelection:
     def test_stats_report_strategy(self, index):
         _, stats = index.query_with_stats("//a/b", strategy="trie")
         assert stats.strategy == "trie"
-        _, stats = index.query_with_stats("//a/b", strategy="document")
+        _, stats = index.query_with_stats("//a/b", strategy="auto")
         assert stats.strategy == "document"
+
+    def test_an_unknown_strategy_is_refused(self, index):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            index.query("//a/b", strategy="document")
 
     @pytest.mark.parametrize("corpus_name", ["dblp", "swissprot",
                                              "treebank"])

@@ -121,8 +121,8 @@ def test_filter_path_documents_cover_the_answer(seed):
                                   extended=built.extended).qlps
             _, plan, _ = filter_path(pattern, built)
             for granularity in ("label", "node"):
-                (found,), _ = find_subsequences(
-                    [plan], built.symbol_index, built.docid_index,
+                found, _ = find_subsequences(
+                    plan, built.symbol_index, built.docid_index,
                     built.root_range, maxgap_table=built.maxgap,
                     granularity=granularity)
                 assert {doc_id for doc_ids, _ in found
@@ -216,12 +216,12 @@ def test_trie_filter_matches_oracle_and_per_plan_walk(seed):
 
             args = (built.symbol_index, built.docid_index, built.root_range,
                     built.maxgap if use_maxgap else None)
-            per_plan, _ = find_subsequences(plans, *args,
-                                            granularity=granularity)
             reference = FilterStats(
                 probes_issued=stats.filter.probes_issued)
             walked = FilterStats()
-            for plan, candidates in zip(plans, per_plan):
+            for plan in plans:
+                candidates, _ = find_subsequences(plan, *args,
+                                                  granularity=granularity)
                 expected, _ = per_plan_walk(plan, *args, stats=walked,
                                             granularity=granularity)
                 assert candidates == expected

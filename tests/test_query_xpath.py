@@ -1,8 +1,10 @@
 """XPath-subset parser tests, covering every Table 3 query form."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.query.twig import MAX_TWIG_NODES, Axis
+from repro.query.twig import MAX_TWIG_NODES, Axis, UnsupportedTwigError
 from repro.query.xpath import XPathSyntaxError, parse_xpath
 
 
@@ -137,8 +139,18 @@ class TestErrors:
             parse_xpath(bad)
 
     def test_star_root_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnsupportedTwigError, match="named node"):
             parse_xpath("//*")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="/*[].=\"'()abtex ", max_size=16))
+    def test_only_typed_errors_escape(self, query):
+        """Whatever the string, parsing succeeds or raises one of the two
+        types the CLI and the server answer as a caller's mistake."""
+        try:
+            parse_xpath(query)
+        except (XPathSyntaxError, UnsupportedTwigError):
+            pass
 
 
 class TestSizeBound:

@@ -146,7 +146,7 @@ class TestScatterGather:
         with ShardedIndex.open(target) as sharded:
             shards = [index for _, index in sharded._snapshot()]
             for spec in queries_for("dblp"):
-                for strategy in ("trie", "document"):
+                for strategy in ("trie", "auto"):
                     options = dict(cold=True, strategy=strategy)
                     merged, total = sharded.query_with_stats(
                         spec.xpath, **options)

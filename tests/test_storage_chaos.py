@@ -1,4 +1,4 @@
-"""Unit tests for the live chaos layer (``repro.storage.faults``).
+"""Unit tests for the live chaos layer (``tests/chaos_backend.py``).
 
 Covers the :class:`ChaosSchedule`'s determinism contract (same seed ==
 same fault positions, replayable from the ``describe()`` recipe), each
@@ -15,17 +15,17 @@ import io
 
 import pytest
 
+from chaos_backend import (CHAOS_KINDS, KIND_CORRUPT_READ,
+                           KIND_FAIL_WINDOW, KIND_READ_ERROR,
+                           KIND_READ_LATENCY, ChaosBackend, ChaosConfig,
+                           ChaosSchedule)
 from helpers import ChaosOpens
 
 from repro.prix.index import IndexOptions, PrixIndex
-from repro.storage import (ChaosBackend, ChaosConfig, ChaosSchedule,
-                           TransientStorageError, open_backend)
+from repro.storage import TransientStorageError, open_backend
 from repro.storage.backend import FilePagerBackend
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.errors import PageCorruptionError, ReadOnlyBackendError
-from repro.storage.faults import (CHAOS_KINDS, KIND_CORRUPT_READ,
-                                  KIND_FAIL_WINDOW, KIND_READ_ERROR,
-                                  KIND_READ_LATENCY)
 from repro.storage.guard import PageGuard
 from repro.storage.pager import Pager
 from repro.storage.wal import WriteAheadLog
