@@ -7,7 +7,8 @@ This package is a full, from-scratch Python reproduction of the PRIX system
 - :mod:`repro.datasets` -- synthetic DBLP/SWISSPROT/TREEBANK-like corpora,
 - :mod:`repro.storage` -- paged storage, buffer pool and a disk-based B+-tree,
 - :mod:`repro.prufer` -- Prufer sequence construction and reconstruction,
-- :mod:`repro.trie` -- the virtual trie and its containment labeling,
+- :mod:`repro.trie` -- containment labeling of the virtual trie, streamed
+  from the sorted sequences,
 - :mod:`repro.prix` -- the PRIX index and the filter/refine query pipeline,
 - :mod:`repro.query` -- an XPath-subset parser producing twig patterns,
 - :mod:`repro.baselines` -- ViST, TwigStack and TwigStackXB,

@@ -28,12 +28,13 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from repro.query.twig import arrangements
 from repro.storage.bptree import BPlusTree
-from repro.storage.codec import encode_int, encode_key
+from repro.storage.codec import (encode_int, encode_key, int_key_prefix,
+                                 pack_key_int)
 from repro.trie.labeling import BulkDFSLabeler
-from repro.trie.trie import SequenceTrie
 from repro.xmlkit.tree import sequence_label
 
 _POS_VALUE = struct.Struct("<Q")   # RightPos
@@ -74,6 +75,16 @@ def total_sequence_text(document):
                for symbol, prefix in structure_encoded_sequence(document))
 
 
+#: ViST's D-Ancestorship (``(symbol, prefix, LeftPos) -> RightPos``) and
+#: Docid (``LeftPos -> document id``) layouts, for the trie labeler.
+_D_ANCESTORSHIP = SimpleNamespace(
+    label_prefix=lambda label: int_key_prefix(*label),
+    make_entry=lambda prefix, left, right, level, node_gap: (
+        prefix + pack_key_int(left), _POS_VALUE.pack(right)))
+_DOCID_TREE = SimpleNamespace(make_entry=lambda left, doc_id: (
+    encode_int(left), _DOC_VALUE.pack(doc_id)))
+
+
 class VistIndex:
     """Disk-backed ViST index over a collection of documents."""
 
@@ -88,26 +99,14 @@ class VistIndex:
     @classmethod
     def build(cls, documents, pool):
         """Build the ViST index over ``documents``."""
-        trie = SequenceTrie()
-        for document in documents:
-            sequence = structure_encoded_sequence(document)
-            trie.insert(tuple(sequence), document.doc_id)
-        root_range = BulkDFSLabeler().label(trie)
-
-        symbol_entries = []
-        docid_entries = []
-        for node in trie.iter_nodes():
-            symbol, prefix = node.label
-            key = encode_key(symbol, prefix, node.left)
-            symbol_entries.append((key, _POS_VALUE.pack(node.right)))
-            for doc_id in node.doc_ids:
-                docid_entries.append((encode_int(node.left),
-                                      _DOC_VALUE.pack(doc_id)))
-        symbol_entries.sort(key=lambda pair: pair[0])
-        docid_entries.sort(key=lambda pair: pair[0])
-        d_ancestorship = BPlusTree.bulk_load(pool, symbol_entries)
-        docid_tree = BPlusTree.bulk_load(pool, docid_entries)
-        return cls(pool, d_ancestorship, docid_tree, root_range,
+        trie = BulkDFSLabeler().label(
+            [tuple(structure_encoded_sequence(document))
+             for document in documents],
+            [document.doc_id for document in documents], _D_ANCESTORSHIP,
+            _DOCID_TREE)
+        d_ancestorship = BPlusTree.bulk_load(pool, trie.symbol_entries)
+        docid_tree = BPlusTree.bulk_load(pool, trie.docid_entries)
+        return cls(pool, d_ancestorship, docid_tree, trie.root_range,
                    len(documents))
 
     # ------------------------------------------------------------------

@@ -26,7 +26,7 @@ from repro.datasets import get_corpus, list_corpora
 # them, live in repro.exitcodes: prix serve answers with the same ones.
 from repro.exitcodes import (EXIT_CODES, EXIT_CORRUPTION, EXIT_USAGE,
                              classify, describe)
-from repro.prix.budget import QueryBudget
+from repro.prix.budget import QueryBudget, cap_flag
 from repro.prix.index import IndexOptions, PrixIndex
 from repro.shard import open_index, scrub_index
 from repro.xmlkit.parser import parse_document, split_documents
@@ -86,13 +86,8 @@ def _cmd_build(args):
 
 
 def _make_budget(args):
-    """Assemble a QueryBudget from the ``--budget-*`` flags, or None."""
-    budget = QueryBudget(
-        max_range_queries=args.budget_range_queries,
-        max_physical_reads=args.budget_reads,
-        max_candidates=args.budget_candidates,
-        deadline_seconds=(args.budget_ms / 1000.0
-                          if args.budget_ms is not None else None))
+    """The QueryBudget the ``--budget-*`` flags ask for, or None."""
+    budget = QueryBudget.from_flags(args)
     return None if budget.unlimited else budget
 
 
@@ -379,19 +374,21 @@ def make_parser():
                        help="max matches to print")
     query.add_argument("--explain", action="store_true",
                        help="print execution statistics")
-    query.add_argument("--budget-range-queries", type=int, default=None,
-                       metavar="N",
+    query.add_argument("--budget-range-queries", type=cap_flag(int),
+                       default=None, metavar="N",
                        help="cap trie range queries (exceeding during "
                             "filtering is an error)")
-    query.add_argument("--budget-reads", type=int, default=None,
-                       metavar="N", help="cap physical page reads")
-    query.add_argument("--budget-candidates", type=int, default=None,
-                       metavar="N",
+    query.add_argument("--budget-reads", type=cap_flag(int),
+                       default=None, metavar="N",
+                       help="cap physical page reads")
+    query.add_argument("--budget-candidates", type=cap_flag(int),
+                       default=None, metavar="N",
                        help="cap refinement candidates; exceeding "
                             "returns the filter superset as an "
                             "approximate result")
-    query.add_argument("--budget-ms", type=float, default=None,
-                       metavar="MS", help="wall-clock deadline in ms")
+    query.add_argument("--budget-ms", type=cap_flag(float),
+                       default=None, metavar="MS",
+                       help="wall-clock deadline in ms")
     query.add_argument("--backend", choices=["file", "mmap", "arena"],
                        default="file",
                        help="storage backend to open the index with: "

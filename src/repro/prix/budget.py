@@ -28,6 +28,8 @@ See ``docs/ROBUSTNESS.md`` for the knobs and the result contract.
 
 from __future__ import annotations
 
+import argparse
+import math
 import time
 from dataclasses import dataclass
 
@@ -35,6 +37,22 @@ from dataclasses import dataclass
 #: distinction is load-bearing).
 PHASE_FILTER = "filter"
 PHASE_REFINEMENT = "refinement"
+
+
+def cap_flag(kind):
+    """The ``argparse`` type of the ``--budget-*`` flags of ``prix
+    query`` and ``prix serve``: a finite ``kind`` > 0, or exit 2 before
+    any index is opened.  (A NaN deadline never fires and wins every
+    ``min`` in :meth:`QueryBudget.fork`; a cap <= 0 exhausts at once.)
+    """
+    def parse(text):
+        value = kind(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number > 0, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__     # "invalid int value: ..."
+    return parse
 
 
 @dataclass(frozen=True)
@@ -93,6 +111,16 @@ class QueryBudget:
     max_physical_reads: int | None = None
     max_candidates: int | None = None
     deadline_seconds: float | None = None
+
+    @classmethod
+    def from_flags(cls, args):
+        """The budget parsed ``--budget-*`` flags ask for (``prix query``
+        and ``prix serve``; ``--budget-ms`` is in milliseconds)."""
+        return cls(max_range_queries=args.budget_range_queries,
+                   max_physical_reads=args.budget_reads,
+                   max_candidates=args.budget_candidates,
+                   deadline_seconds=(None if args.budget_ms is None
+                                     else args.budget_ms / 1000.0))
 
     @property
     def unlimited(self):

@@ -36,12 +36,11 @@ from repro.storage import ScrubReport, recover_path, sidecar_page_size
 from repro.storage.backend import (DEFAULT_PAGE_SIZE, DEFAULT_POOL_PAGES,
                                    SYNC_COMMIT, open_backend, sidecar_paths)
 from repro.storage.bptree import BPlusTree
-from repro.storage.codec import decode_varints, encode_int, encode_varints
+from repro.storage.codec import decode_varints, encode_varints
 from repro.storage.errors import (RecordCorruptionError, StorageError,
                                   SuperblockError)
 from repro.storage.records import RecordStore
 from repro.trie.labeling import BulkDFSLabeler, DynamicLabeler
-from repro.trie.trie import SequenceTrie
 
 VARIANT_REGULAR = "rp"
 VARIANT_EXTENDED = "ep"
@@ -702,35 +701,35 @@ class PrixIndex:
         extended = name == VARIANT_EXTENDED
         variant = _VariantIndex(name=name, extended=extended)
         sequence_of = extended_sequence if extended else regular_sequence
-        trie = SequenceTrie()
-        total_length = 0
+        sequences = []
+        sequence_gaps = []
 
         for document in documents:
             seq = sequence_of(document)
             gaps = position_gaps(seq)
-            trie.insert(seq.lps, document.doc_id, gaps=gaps)
-            total_length += len(seq.lps)
+            sequences.append(seq.lps)
+            sequence_gaps.append(gaps)
             _merge_maxgap(variant.maxgap, seq.lps, gaps)
             blob = _encode_document(seq, label_dict)
             variant.catalog[document.doc_id] = records.append(blob)
 
         labeler = (DynamicLabeler() if options.labeler == "dynamic"
                    else BulkDFSLabeler())
-        variant.root_range = labeler.label(trie)
-
-        symbol_entries, docid_entries, paths, sharing = _trie_entries(
-            trie, variant.label_counts)
+        trie = labeler.label(sequences, [doc.doc_id for doc in documents],
+                             TrieSymbolIndex, DocidIndex, sequence_gaps)
+        variant.root_range = trie.root_range
+        variant.label_counts.update(trie.label_counts)
         variant.symbol_index = TrieSymbolIndex(
-            BPlusTree.bulk_load(pool, symbol_entries))
+            BPlusTree.bulk_load(pool, trie.symbol_entries))
         variant.docid_index = DocidIndex(
-            BPlusTree.bulk_load(pool, docid_entries))
+            BPlusTree.bulk_load(pool, trie.docid_entries))
 
         stats = variant.trie_stats
         stats.node_count = trie.node_count
-        stats.path_count = paths
-        stats.sequence_count = trie.sequence_count
-        stats.max_path_sharing = sharing
-        stats.total_sequence_length = total_length
+        stats.path_count = trie.path_count
+        stats.sequence_count = len(sequences)
+        stats.max_path_sharing = trie.max_path_sharing
+        stats.total_sequence_length = sum(map(len, sequences))
         return variant
 
     # ------------------------------------------------------------------
@@ -974,70 +973,6 @@ def _strip_dummies(document):
         node.children = [child for child in node.children
                          if not child.is_dummy]
     return Document(document.root, doc_id=document.doc_id)
-
-
-def _trie_entries(trie, label_counts):
-    """One pass over a labeled trie: its Trie-Symbol and Docid entries,
-    each sorted by key, its root-to-leaf path count and the most
-    documents sharing one terminal (the paper saw one DBLP path shared
-    by 31,864 Regular-Prufer sequences).
-
-    Fills ``label_counts`` with the distinct trie nodes per label (=
-    Trie-Symbol entries = the filter's worst-case fan-out for that
-    label; path sharing makes this far smaller than the occurrence count
-    on structurally similar corpora, Section 6.4.2), in the order of
-    each label's lowest LeftPos.  Both labelers number a node's children
-    in label order, so that is the label-sorted preorder the catalog has
-    always listed them in.
-
-    Children are visited in whatever order the trie holds them: the
-    entries are sorted by key afterwards, and the only equal keys, the
-    Docid entries of one terminal, are appended together in
-    ``doc_ids`` order, which the stable sort keeps.  The root's own
-    terminals (one-element documents, whose Regular-Prufer sequence is
-    empty) sit at the root's LeftPos, where
-    :func:`~repro.prix.incremental.insert_sequence` puts them too.
-    """
-    make_symbol = TrieSymbolIndex.make_entry
-    make_docid = DocidIndex.make_entry
-    symbol_entries = []
-    docid_entries = []
-    per_label = {}      # label -> [key prefix, nodes, lowest LeftPos]
-    paths = sharing = 0
-    root = trie.root
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.children:
-            stack.extend(node.children.values())
-        else:
-            paths += 1
-        left = node.left
-        if node.doc_ids:
-            sharing = max(sharing, len(node.doc_ids))
-            docid_entries.extend(make_docid(left, doc_id)
-                                 for doc_id in node.doc_ids)
-        if node is root:
-            continue
-        seen = per_label.get(node.label)
-        if seen is None:
-            seen = per_label[node.label] = [
-                TrieSymbolIndex.label_prefix(node.label), 0, left]
-        elif left < seen[2]:
-            seen[2] = left
-        seen[1] += 1
-        try:
-            symbol_entries.append(make_symbol(
-                seen[0], left, node.right, node.level, node.node_gap))
-        except struct.error:
-            encode_int(left)    # out of key range: the ValueError
-            raise
-    for label in sorted(per_label, key=lambda label: per_label[label][2]):
-        label_counts[label] = per_label[label][1]
-    first = operator.itemgetter(0)
-    symbol_entries.sort(key=first)
-    docid_entries.sort(key=first)
-    return symbol_entries, docid_entries, paths, sharing
 
 
 def _merge_maxgap(table, labels, gaps):

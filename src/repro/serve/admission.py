@@ -52,18 +52,6 @@ class ServerLimits:
     max_inflight: int = DEFAULT_MAX_INFLIGHT
     budget: QueryBudget = field(default_factory=QueryBudget)
 
-    @classmethod
-    def from_args(cls, *, max_inflight=DEFAULT_MAX_INFLIGHT,
-                  max_range_queries=None, max_physical_reads=None,
-                  max_candidates=None, deadline_seconds=None):
-        """Limits from CLI-flag values (None means unlimited)."""
-        return cls(
-            max_inflight=max_inflight,
-            budget=QueryBudget(max_range_queries=max_range_queries,
-                               max_physical_reads=max_physical_reads,
-                               max_candidates=max_candidates,
-                               deadline_seconds=deadline_seconds))
-
 
 @guarded
 class AdmissionController:

@@ -50,6 +50,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from repro.prix.budget import QueryBudget, cap_flag
 from repro.serve import protocol
 from repro.serve.admission import (AdmissionController,
                                    DEFAULT_MAX_INFLIGHT, ServerLimits)
@@ -431,19 +432,19 @@ def add_serve_arguments(parser):
                         default=DEFAULT_MAX_INFLIGHT,
                         help="concurrent-query cap; excess requests get "
                              "a typed over-capacity rejection")
-    parser.add_argument("--budget-range-queries", type=int, default=None,
-                        metavar="N",
+    parser.add_argument("--budget-range-queries", type=cap_flag(int),
+                        default=None, metavar="N",
                         help="per-request cap on trie range queries")
-    parser.add_argument("--budget-reads", type=int, default=None,
-                        metavar="N",
+    parser.add_argument("--budget-reads", type=cap_flag(int),
+                        default=None, metavar="N",
                         help="per-request cap on physical page reads")
-    parser.add_argument("--budget-candidates", type=int, default=None,
-                        metavar="N",
+    parser.add_argument("--budget-candidates", type=cap_flag(int),
+                        default=None, metavar="N",
                         help="per-request cap on refinement candidates; "
                              "exceeding degrades to the approximate "
                              "superset answer")
-    parser.add_argument("--budget-ms", type=float, default=None,
-                        metavar="MS",
+    parser.add_argument("--budget-ms", type=cap_flag(float),
+                        default=None, metavar="MS",
                         help="per-request wall-clock deadline in ms")
     parser.add_argument("--drain-timeout", type=float,
                         default=DEFAULT_DRAIN_TIMEOUT,
@@ -467,13 +468,8 @@ def run(args):
                   file=sys.stderr)
             return 2
         mounts.append((name, path))
-    limits = ServerLimits.from_args(
-        max_inflight=args.max_inflight,
-        max_range_queries=args.budget_range_queries,
-        max_physical_reads=args.budget_reads,
-        max_candidates=args.budget_candidates,
-        deadline_seconds=(args.budget_ms / 1000.0
-                          if args.budget_ms is not None else None))
+    limits = ServerLimits(max_inflight=args.max_inflight,
+                          budget=QueryBudget.from_flags(args))
     server = build_server(
         mounts, host=args.host, port=args.port, backend=args.backend,
         pool_pages=args.pool_pages, limits=limits,

@@ -68,7 +68,7 @@ class TestNoRawIo:
                           path=path) == []
 
     @pytest.mark.parametrize("path", [
-        "src/repro/prix/index.py", "src/repro/trie/trie.py",
+        "src/repro/prix/index.py", "src/repro/trie/labeling.py",
     ])
     def test_prix_and_trie_in_scope(self, path):
         assert rule_names("open('f')\n", NoRawIoRule,

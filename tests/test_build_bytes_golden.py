@@ -15,14 +15,23 @@ catalog record's page only, a ``churn`` file in its trie label values
 
 Cost: six small builds, about a second in all.
 
+Six tiny builds never reach the deep shared prefixes of a full-size
+trie, so ``tests/golden/build_bytes_medium.json`` pins the same layouts
+over the ``medium`` corpora (the full prixbench scale).  Those builds
+take several seconds; CI checks them, tier-1 does not::
+
+    PYTHONPATH=src python tests/test_build_bytes_golden.py --scale medium --check
+
 Regenerate (only from a commit whose files are the reference)::
 
-    PYTHONPATH=src python tests/test_build_bytes_golden.py
+    PYTHONPATH=src python tests/test_build_bytes_golden.py [--scale medium]
 """
 
+import argparse
 import hashlib
 import json
 import os
+import sys
 import tempfile
 from itertools import product
 
@@ -30,6 +39,10 @@ from repro.prix.index import IndexOptions, PrixIndex
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "build_bytes.json")
+#: The golden of each scale; ``tiny`` is the ``tiny_*`` fixtures' scale.
+GOLDENS = {"tiny": GOLDEN,
+           "medium": os.path.join(os.path.dirname(__file__), "golden",
+                                  "build_bytes_medium.json")}
 PAGE_SIZE = 1024
 LAYOUTS = {
     "bulk": {},
@@ -72,19 +85,32 @@ def test_built_files_match_golden(tmp_path, tiny_dblp, tiny_swissprot,
     assert not moved, f"files whose bytes changed: {moved}"
 
 
-def _regenerate():
-    from repro.datasets import dblp, swissprot, treebank
-    # The same scales as the ``tiny_*`` fixtures in conftest.py.
-    corpora = {"dblp": dblp(n_records=120),
-               "swissprot": swissprot(n_entries=40),
-               "treebank": treebank(n_sentences=60)}
+def main(argv=None):
+    from repro.datasets.registry import get_corpus
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--scale", choices=sorted(GOLDENS), default="tiny")
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the golden instead of writing it")
+    args = parser.parse_args(argv)
+    corpora = {name: get_corpus(name, args.scale)
+               for name in ("dblp", "swissprot", "treebank")}
     with tempfile.TemporaryDirectory() as directory:
         hashes = build_hashes(corpora, directory)
-    with open(GOLDEN, "w", encoding="utf-8") as handle:
+    golden = GOLDENS[args.scale]
+    if args.check:
+        with open(golden, encoding="utf-8") as handle:
+            pinned = json.load(handle)
+        moved = sorted(name for name in pinned.keys() | hashes.keys()
+                       if pinned.get(name) != hashes.get(name))
+        print(f"{len(hashes)} files, {len(moved)} differ from {golden}"
+              + "".join(f"\n  {name}" for name in moved))
+        return 1 if moved else 0
+    with open(golden, "w", encoding="utf-8") as handle:
         json.dump(hashes, handle, indent=1, sort_keys=True)
         handle.write("\n")
-    print(f"wrote {len(hashes)} hashes to {GOLDEN}")
+    print(f"wrote {len(hashes)} hashes to {golden}")
+    return 0
 
 
 if __name__ == "__main__":
-    _regenerate()
+    sys.exit(main())

@@ -48,9 +48,12 @@ from chaos_backend import ChaosConfig
 from helpers import ChaosOpens
 
 from repro.bench.workloads import queries_for
+from repro.cli import make_parser
 from repro.datasets.dblp import dblp
+from repro.prix.budget import QueryBudget
 from repro.prix.index import IndexOptions, PrixIndex
 from repro.serve import protocol
+from repro.serve.admission import ServerLimits
 from repro.serve.client import PrixServeClient
 from repro.serve.protocol import DEADLINE_HEADER, ERROR_KINDS
 from repro.serve.server import build_server
@@ -103,14 +106,14 @@ def reference(index_path):
 
 
 @contextmanager
-def live_server(path, *, chaos=None, request_timeout=30.0):
+def live_server(path, *, chaos=None, request_timeout=30.0, limits=None):
     """A live server over ``path``.  With ``chaos`` (a ChaosConfig) every
     backend the mount opens reads through a ChaosBackend, armed once the
     mount is attached."""
     opens = ChaosOpens(chaos) if chaos is not None else None
     with opens or nullcontext():
         server = build_server([("default", path)], port=0, backend="file",
-                              pool_pages=POOL_PAGES,
+                              pool_pages=POOL_PAGES, limits=limits,
                               request_timeout=request_timeout)
     if opens is not None:
         opens.arm()
@@ -297,6 +300,24 @@ def test_deadline_header_tightens_the_budget_fork(index_path):
             assert status == 400
             assert body["error"]["code"] == "bad-request"
             assert DEADLINE_HEADER in body["error"]["message"]
+
+
+def test_a_finite_budget_ms_still_yields_to_a_tighter_header(index_path):
+    """The ``--budget-ms`` template is a ceiling, not a floor: a server
+    started with one still fires a client's tighter deadline."""
+    args = make_parser().parse_args(
+        ["serve", index_path, "--budget-ms", "60000"])
+    limits = ServerLimits(budget=QueryBudget.from_flags(args))
+    assert limits.budget.deadline_seconds == 60.0
+    with live_server(index_path, limits=limits) as (server, base_url):
+        status, body, _ = http_post(
+            base_url, "/query", {"xpath": QUERIES[0][1]},
+            headers={DEADLINE_HEADER: "0.001"})
+        assert status == 429, body
+        assert body["error"]["detail"]["limit"] == "deadline"
+        status, body, _ = http_post(
+            base_url, "/query", {"xpath": QUERIES[0][1]})
+        assert status == 200 and body["approximate"] is False
 
 
 def test_a_wildcard_root_is_a_bad_request(index_path):

@@ -283,7 +283,7 @@ class TestGuardAndScrub:
 class TestQueryBudget:
     def test_budget_candidates_degrades(self, built_index, capsys):
         assert main(["query", built_index, "//book[./author]/title",
-                     "--budget-candidates", "0"]) == 0
+                     "--budget-candidates", "1"]) == 0
         out = capsys.readouterr().out
         assert "approximate result" in out
         assert "superset" in out
@@ -292,7 +292,7 @@ class TestQueryBudget:
     def test_budget_filter_exhaustion_is_error(self, built_index,
                                                capsys):
         assert main(["query", built_index, "//book/title",
-                     "--budget-range-queries", "0"]) == 1
+                     "--budget-range-queries", "1"]) == 1
         err = capsys.readouterr().err
         assert "error [budget]" in err and "Traceback" not in err
 
@@ -303,6 +303,25 @@ class TestQueryBudget:
                      "--budget-candidates", "1000",
                      "--budget-ms", "60000"]) == 0
         assert capsys.readouterr().out == exact
+
+
+    @pytest.mark.parametrize("command", ["query", "serve"])
+    @pytest.mark.parametrize("flag", [
+        "--budget-range-queries", "--budget-reads", "--budget-candidates",
+        "--budget-ms"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_a_cap_not_finite_and_positive_is_a_usage_error(
+            self, tmp_path, capsys, command, flag, value):
+        """Exit 2 before the index is opened: opening this file would
+        exit 3."""
+        bogus = tmp_path / "bogus.idx"
+        bogus.write_bytes(b"not an index" * 100)
+        argv = [command, str(bogus)] + (["//a/b"] if command == "query"
+                                        else []) + [flag, value]
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
 
 
 class TestBackendFlag:

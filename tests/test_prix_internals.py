@@ -3,6 +3,8 @@ the Trie-Symbol / Docid index wrappers, the next free id a carve derives
 from the Trie-Symbol index, and the DocView's extended-to-original
 numbering."""
 
+import struct
+
 import pytest
 
 from repro.datasets import dblp
@@ -15,7 +17,6 @@ from repro.storage.bptree import BPlusTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.pager import Pager
 from repro.trie.labeling import BulkDFSLabeler, DynamicLabeler
-from repro.trie.trie import SequenceTrie
 from repro.xmlkit.parser import parse_document
 
 
@@ -78,6 +79,24 @@ class TestDocidIndex:
         assert sorted(index.documents_in(5, 5)) == [1, 2]
 
 
+def labeled_nodes(labeled):
+    """``(left, right, level, children's RightPos)`` of every node of a
+    labeled trie, the root's first, read off its Trie-Symbol entries; a
+    node's parent is the nearest earlier node one level up."""
+    nodes = [(int.from_bytes(key[-8:], "big"),
+              *struct.unpack("<QII", value)[:2], [])
+             for key, value in labeled.symbol_entries]
+    nodes.sort(key=lambda node: node[0])
+    root = (*labeled.root_range, 0, [])
+    stack = [root]
+    for node in nodes:
+        while stack[-1][2] >= node[2]:
+            stack.pop()
+        stack[-1][3].append(node[1])
+        stack.append(node)
+    return [root, *nodes]
+
+
 class TestNextFreeId:
     def test_derived_next_free_id_is_the_seed_rule(self):
         """Every node's next free id, derived from the Trie-Symbol index,
@@ -92,20 +111,19 @@ class TestNextFreeId:
                     variant = index._variants[name]
                     sequence = (extended_sequence if variant.extended
                                 else regular_sequence)
-                    trie = SequenceTrie()
-                    for document in documents:
-                        trie.insert(sequence(document).lps, document.doc_id)
                     labeler = (DynamicLabeler() if options.labeler ==
                                "dynamic" else BulkDFSLabeler())
-                    assert labeler.label(trie) == variant.root_range
+                    labeled = labeler.label(
+                        [sequence(document).lps for document in documents],
+                        [document.doc_id for document in documents],
+                        TrieSymbolIndex, DocidIndex)
+                    assert labeled.root_range == variant.root_range
                     seen.add((options.labeler, index.summary()
                               ["variants"][name]["insertion_slack"]))
-                    for node in (trie.root, *trie.iter_nodes()):
-                        seed = max((child.right
-                                    for child in node.children.values()),
-                                   default=node.left + 1)
-                        assert next_free_id(variant, node.left, node.right,
-                                            node.level) == seed
+                    for left, right, level, rights in labeled_nodes(labeled):
+                        seed = max(rights, default=left + 1)
+                        assert next_free_id(variant, left, right,
+                                            level) == seed
         assert seen == {("bulk", False), ("dynamic", True)}
 
 
