@@ -7,9 +7,10 @@
   (Al-Khalifa et al., ICDE 2002): the decomposition approach the paper's
   introduction argues against.
 - :mod:`repro.baselines.twigstack` -- the holistic stack join of Bruno
-  et al. (SIGMOD 2002).
+  et al. (SIGMOD 2002): one loop, run over region stream cursors.
 - :mod:`repro.baselines.xbtree` / :mod:`repro.baselines.twigstackxb` --
-  the XB-tree variant that skips input-list regions.
+  the XB-tree variant: the same loop over pointers that skip input-list
+  regions.
 - :mod:`repro.baselines.vist` -- the structure-encoded sequence index of
   Wang et al. (SIGMOD 2003), including its false-alarm behaviour.
 """

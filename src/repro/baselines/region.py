@@ -8,7 +8,9 @@ can run over the whole corpus as one stream per tag, exactly like the
 paper's sorted input lists.
 
 Streams are stored in pages through the buffer pool, so the baselines'
-"Disk IO (pages)" is measured on the same footing as PRIX's.
+"Disk IO (pages)" is measured on the same footing as PRIX's.  A
+:class:`StreamCursor` is TwigStack's input to the one twig join,
+:func:`~repro.baselines.twigstack.twig_join`.
 """
 
 from __future__ import annotations
@@ -126,7 +128,15 @@ class DiskStream:
 
 
 class StreamCursor:
-    """Sequential reader over a :class:`DiskStream` with a lookahead head."""
+    """Sequential reader over a :class:`DiskStream` with a lookahead head.
+
+    The cursor of TwigStack in :func:`~repro.baselines.twigstack.twig_join`:
+    it always stands on an element (never on an XB-tree region), and its
+    ``left``/``right`` are the head's start and end.
+    """
+
+    #: Always on a concrete element: the join never drills down.
+    at_leaf = True
 
     def __init__(self, stream):
         self._stream = stream
@@ -137,8 +147,19 @@ class StreamCursor:
     @property
     def eof(self):
         """True when no elements remain."""
-        return self._entry_index >= len(self._page) and \
-            self._page_index >= len(self._stream._page_ids) - 1
+        return self.head() is None
+
+    @property
+    def left(self):
+        """The head's start, or infinity at end of stream."""
+        head = self.head()
+        return head.start if head is not None else float("inf")
+
+    @property
+    def right(self):
+        """The head's end, or infinity at end of stream."""
+        head = self.head()
+        return head.end if head is not None else float("inf")
 
     def head(self):
         """The current element, or None at end of stream."""

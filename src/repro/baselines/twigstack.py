@@ -8,34 +8,35 @@ sub-optimality the PRIX paper exploits in its Q8 experiment
 ``getNext`` only reasons about ancestor/descendant containment, and
 parent/child constraints are enforced during path expansion and merging.
 
-The query tree is built from a :class:`~repro.query.twig.TwigPattern`;
-``*`` steps are not supported (none of the paper's queries use them with
-the TwigStack baselines).
+One loop, :func:`twig_join`, serves both joins of the paper's Section 6:
+:func:`twig_stack` drives it over region stream cursors, and
+:func:`~repro.baselines.twigstackxb.twig_stack_xb` over XB-tree pointers
+that may stand on a whole region, so the two differ by their cursor
+alone.  The query tree is built from a
+:class:`~repro.query.twig.TwigPattern`; a ``*`` step scans the
+all-elements stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.query.twig import Axis, node_signatures
 from repro.xmlkit.tree import value_label
-
-_INF = float("inf")
 
 
 class QueryNode:
     """One node of the twig-join query tree."""
 
-    __slots__ = ("tag", "axis", "children", "parent", "cursor", "ptr",
-                 "stack", "source", "index")
+    __slots__ = ("tag", "axis", "children", "parent", "cursor", "stack",
+                 "source", "index")
 
     def __init__(self, tag, axis, source):
         self.tag = tag
         self.axis = axis
         self.children = []
         self.parent = None
-        self.cursor = None   # StreamCursor (TwigStack)
-        self.ptr = None      # XBPointer (TwigStackXB)
+        self.cursor = None   # StreamCursor or XBPointer
         self.stack = []   # list of (Element, parent_stack_size_at_push)
         self.source = source
         self.index = 0
@@ -85,20 +86,9 @@ def build_query_tree(pattern):
     return root
 
 
-def _next_l(node):
-    head = node.cursor.head()
-    return head.start if head is not None else _INF
-
-
-def _next_r(node):
-    head = node.cursor.head()
-    return head.end if head is not None else _INF
-
-
 def _end(root):
     """Termination test: every leaf stream exhausted."""
-    return all(node.cursor.head() is None
-               for node in root.subtree() if node.is_leaf)
+    return all(node.cursor.eof for node in root.subtree() if node.is_leaf)
 
 
 def _get_next(q):
@@ -109,6 +99,8 @@ def _get_next(q):
     is skipped while the remaining branches keep streaming (their path
     solutions still merge against the finalized ones).  The published
     pseudocode gets the same effect implicitly via infinite sentinels.
+    Over XB-tree cursors a region stands in for its elements: its ``L``
+    and ``R`` bound every start and end below it.
     """
     if q.is_leaf:
         return q
@@ -116,22 +108,22 @@ def _get_next(q):
     for child in q.children:
         result = _get_next(child)
         if result is not child:
-            if result.cursor.head() is not None:
+            if not result.cursor.eof:
                 return result
             continue  # exhausted subtree: skip this branch
-        if child.cursor.head() is None:
+        if child.cursor.eof:
             continue  # exhausted branch head
         candidates.append(child)
     if not candidates:
         # Every branch below q is exhausted; report it so ancestors (or
         # the main loop, at the root) can move on.
-        return q.children[0] if q.children[0].is_leaf else _get_next(
-            q.children[0])
-    n_min = min(candidates, key=_next_l)
-    n_max = max(candidates, key=_next_l)
-    while _next_r(q) < _next_l(n_max):
+        child = q.children[0]
+        return child if child.is_leaf else _get_next(child)
+    n_min = min(candidates, key=lambda node: node.cursor.left)
+    n_max = max(candidates, key=lambda node: node.cursor.left)
+    while q.cursor.right < n_max.cursor.left:
         q.cursor.advance()
-    if _next_l(q) < _next_l(n_min):
+    if q.cursor.left < n_min.cursor.left:
         return q
     return n_min
 
@@ -254,25 +246,37 @@ def _solutions_to_matches(merged, pattern, root):
     return matches
 
 
-def twig_stack(pattern, stream_set, stats=None):
-    """Run TwigStack; return ``(matches, stats)``.
+def twig_join(pattern, cursor_of, stats=None):
+    """The holistic twig join; return ``(matches, stats)``.
 
-    ``matches`` is a set of ``(doc_id, canonical_embedding)`` pairs in the
-    same canonical form the PRIX engine reports, so results compare
-    directly in tests and benchmarks.
+    ``cursor_of(tag)`` opens one query node's input: a region
+    :class:`~repro.baselines.region.StreamCursor`, which always stands on
+    an element, or an :class:`~repro.baselines.xbtree.XBPointer`, which
+    may stand on a region it drills into or skips whole (the rule is in
+    :mod:`repro.baselines.twigstackxb`).
     """
     if stats is None:
         stats = TwigJoinStats()
     root = build_query_tree(pattern)
     for node in root.subtree():
-        node.cursor = stream_set.stream(node.tag).cursor()
+        node.cursor = cursor_of(node.tag)
 
     collector = _SolutionCollector(root)
     while not _end(root):
         q_act = _get_next(root)
-        head = q_act.cursor.head()
-        if head is None:
+        cursor = q_act.cursor
+        if cursor.eof:
             break
+        if not cursor.at_leaf:
+            if not q_act.is_root and not q_act.parent.stack and \
+                    cursor.right < q_act.parent.cursor.left:
+                cursor.advance()
+                stats.coarse_advances += 1
+            else:
+                cursor.drill_down()
+                stats.drilldowns += 1
+            continue
+        head = cursor.head()
         stats.elements_scanned += 1
         if not q_act.is_root:
             _clean_stack(q_act.parent, head.start)
@@ -284,7 +288,18 @@ def twig_stack(pattern, stream_set, stats=None):
             if q_act.is_leaf:
                 collector.expand(q_act, stats)
                 q_act.stack.pop()
-        q_act.cursor.advance()
+        cursor.advance()
 
     merged = collector.merge(stats)
     return _solutions_to_matches(merged, pattern, root), stats
+
+
+def twig_stack(pattern, stream_set, stats=None):
+    """Run TwigStack; return ``(matches, stats)``.
+
+    ``matches`` is a set of ``(doc_id, canonical_embedding)`` pairs in the
+    same canonical form the PRIX engine reports, so results compare
+    directly in tests and benchmarks.
+    """
+    return twig_join(pattern, lambda tag: stream_set.stream(tag).cursor(),
+                     stats)

@@ -1,11 +1,12 @@
 """TwigStackXB: TwigStack driven by XB-tree pointers (Bruno et al. §5).
 
-Identical join logic to :mod:`repro.baselines.twigstack`, but every query
-node reads its input through an :class:`~repro.baselines.xbtree.XBPointer`
-whose position may be an *internal* XB-tree entry summarizing a whole
-region of the element list.  The join only drills down to concrete
-elements when the region may contribute to a solution; otherwise it
-advances at the coarse level and the region's leaf pages are never read.
+The join is :func:`~repro.baselines.twigstack.twig_join`, the loop
+TwigStack runs; only the cursor differs.  Every query node reads its
+input through an :class:`~repro.baselines.xbtree.XBPointer` whose
+position may be an *internal* XB-tree entry summarizing a whole region
+of the element list.  The join only drills down to concrete elements
+when the region may contribute to a solution; otherwise it advances at
+the coarse level and the region's leaf pages are never read.
 
 The skip rule (applied when the parent's stack is empty): a region whose
 maximum end precedes the parent stream's next start can contain no element
@@ -16,12 +17,8 @@ its elements one page read at a time.
 
 from __future__ import annotations
 
-from repro.baselines.twigstack import (TwigJoinStats, _SolutionCollector,
-                                       _clean_stack, _solutions_to_matches,
-                                       build_query_tree)
+from repro.baselines.twigstack import twig_join
 from repro.baselines.xbtree import XBTree
-
-_INF = float("inf")
 
 
 class XBForest:
@@ -44,84 +41,7 @@ class XBForest:
         return self._trees.get(tag, self._empty)
 
 
-def _next_l(node):
-    return node.ptr.left if not node.ptr.eof else _INF
-
-
-def _next_r(node):
-    return node.ptr.right if not node.ptr.eof else _INF
-
-
-def _end(root):
-    return all(node.ptr.eof for node in root.subtree() if node.is_leaf)
-
-
-def _get_next(q):
-    """getNext over XB pointers; regions stand in for elements."""
-    if q.is_leaf:
-        return q
-    candidates = []
-    for child in q.children:
-        result = _get_next(child)
-        if result is not child:
-            if not result.ptr.eof:
-                return result
-            continue
-        if child.ptr.eof:
-            continue
-        candidates.append(child)
-    if not candidates:
-        child = q.children[0]
-        return child if child.is_leaf else _get_next(child)
-    n_min = min(candidates, key=_next_l)
-    n_max = max(candidates, key=_next_l)
-    while _next_r(q) < _next_l(n_max):
-        q.ptr.advance()
-    if _next_l(q) < _next_l(n_min):
-        return q
-    return n_min
-
-
 def twig_stack_xb(pattern, xb_forest, stats=None):
     """Run TwigStackXB; return ``(matches, stats)`` like ``twig_stack``."""
-    if stats is None:
-        stats = TwigJoinStats()
-    root = build_query_tree(pattern)
-    for node in root.subtree():
-        node.ptr = xb_forest.tree(node.tag).pointer()
-
-    collector = _SolutionCollector(root)
-    while not _end(root):
-        q_act = _get_next(root)
-        if q_act.ptr.eof:
-            break
-        if not q_act.ptr.at_leaf:
-            parent = q_act.parent
-            if q_act.is_root or (parent is not None and parent.stack):
-                q_act.ptr.drill_down()
-                stats.drilldowns += 1
-            elif q_act.ptr.right < _next_l(parent):
-                q_act.ptr.advance()
-                stats.coarse_advances += 1
-            else:
-                q_act.ptr.drill_down()
-                stats.drilldowns += 1
-            continue
-        head = q_act.ptr.head()
-        if head is None:
-            break
-        stats.elements_scanned += 1
-        if not q_act.is_root:
-            _clean_stack(q_act.parent, head.start)
-        if q_act.is_root or q_act.parent.stack:
-            _clean_stack(q_act, head.start)
-            q_act.stack.append((head, len(q_act.parent.stack)
-                                if q_act.parent else 0))
-            stats.elements_pushed += 1
-            if q_act.is_leaf:
-                collector.expand(q_act, stats)
-                q_act.stack.pop()
-        q_act.ptr.advance()
-
-    merged = collector.merge(stats)
-    return _solutions_to_matches(merged, pattern, root), stats
+    return twig_join(pattern, lambda tag: xb_forest.tree(tag).pointer(),
+                     stats)

@@ -112,6 +112,16 @@ class QueryBudget:
     max_candidates: int | None = None
     deadline_seconds: float | None = None
 
+    def __post_init__(self):
+        """Refuse a cap that is NaN, infinite or negative: a NaN deadline
+        never fires and wins every ``min`` in :meth:`fork`.  A cap of 0
+        is kept: it exhausts at once."""
+        for name, value in vars(self).items():
+            if value is not None and not (math.isfinite(value)
+                                          and value >= 0):
+                raise ValueError(f"QueryBudget {name} must be a finite "
+                                 f"number >= 0, got {value!r}")
+
     @classmethod
     def from_flags(cls, args):
         """The budget parsed ``--budget-*`` flags ask for (``prix query``

@@ -58,17 +58,6 @@ class _Node:
         self.children = []  # internal child page ids (len(keys) + 1)
         self.next_leaf = _NO_PAGE
 
-    def serialized_size(self):
-        """Bytes this node needs on a page."""
-        size = _HEADER.size
-        if self.is_leaf:
-            for key, val in zip(self.keys, self.values):
-                size += 4 + len(key) + len(val)
-        else:
-            for key in self.keys:
-                size += 6 + len(key)
-        return size
-
 
 def _parse_node(page_id, frame):
     is_leaf, count, link = _HEADER.unpack_from(frame, 0)
@@ -119,37 +108,6 @@ def _page_image(is_leaf, link, chunks, size, page_size):
     return b"".join(chunks)
 
 
-def _serialize_node(node, page_size):
-    size = node.serialized_size()
-    if size > page_size:
-        raise _overflow(len(node.keys), size, page_size)
-    frame = bytearray(page_size)
-    link = node.next_leaf if node.is_leaf else (
-        node.children[0] if node.children else _NO_PAGE)
-    _HEADER.pack_into(frame, 0, 1 if node.is_leaf else 0,
-                      len(node.keys), link)
-    pos = _HEADER.size
-    if node.is_leaf:
-        for key, val in zip(node.keys, node.values):
-            _U16.pack_into(frame, pos, len(key))
-            pos += 2
-            frame[pos:pos + len(key)] = key
-            pos += len(key)
-            _U16.pack_into(frame, pos, len(val))
-            pos += 2
-            frame[pos:pos + len(val)] = val
-            pos += len(val)
-    else:
-        for key, child in zip(node.keys, node.children[1:]):
-            _U16.pack_into(frame, pos, len(key))
-            pos += 2
-            frame[pos:pos + len(key)] = key
-            pos += len(key)
-            _U32.pack_into(frame, pos, child)
-            pos += 4
-    return frame
-
-
 class BPlusTree:
     """A B+-tree whose nodes live in buffer-pool pages.
 
@@ -174,8 +132,8 @@ class BPlusTree:
         """Allocate and initialize a fresh, empty tree; return it."""
         meta_id, _ = pool.new_page()
         root_id, _ = pool.new_page()
-        root = _Node(root_id, is_leaf=True)
-        pool.put(root_id, _serialize_node(root, pool.page_size))
+        pool.put(root_id, _page_image(1, _NO_PAGE, [None], _HEADER.size,
+                                      pool.page_size))
         cls._write_meta(pool, meta_id, root_id, 1, 0)
         return cls(pool, meta_id)
 
@@ -211,7 +169,22 @@ class BPlusTree:
         return self._pool.get_decoded(page_id, _parse_node)
 
     def _save(self, node):
-        self._pool.put(node.page_id, _serialize_node(node, self._page_size))
+        """Write ``node``'s page image, encoded like :meth:`bulk_load`'s."""
+        chunks = [None]
+        size = _HEADER.size
+        pack_u16 = _U16.pack
+        if node.is_leaf:
+            link = node.next_leaf
+            for key, val in zip(node.keys, node.values):
+                chunks += (pack_u16(len(key)), key, pack_u16(len(val)), val)
+                size += 4 + len(key) + len(val)
+        else:
+            link = node.children[0]
+            for key, child in zip(node.keys, node.children[1:]):
+                chunks += (pack_u16(len(key)), key, _U32.pack(child))
+                size += 6 + len(key)
+        self._pool.put(node.page_id, _page_image(
+            int(node.is_leaf), link, chunks, size, self._page_size))
 
     # ------------------------------------------------------------------
     # Lookup and scans
@@ -412,15 +385,20 @@ class BPlusTree:
         """Remove the first entry matching ``key`` (and ``value`` if given).
 
         Deletion is lazy: no rebalancing is performed.  Raises
-        :class:`KeyNotFoundError` if no matching entry exists.
+        :class:`KeyNotFoundError` if no matching entry exists.  The
+        shortened leaf is a new node, as in :meth:`insert`: the one the
+        pool memoises is shared by every reader, so a write the backend
+        refuses leaves what they see unchanged.
         """
         for node, start, stop in self.leaf_slices(key, key,
                                                   inclusive_hi=True):
             for idx in range(start, stop):
                 if value is None or node.values[idx] == value:
-                    del node.keys[idx]
-                    del node.values[idx]
-                    self._save(node)
+                    leaf = _Node(node.page_id, is_leaf=True)
+                    leaf.keys = node.keys[:idx] + node.keys[idx + 1:]
+                    leaf.values = node.values[:idx] + node.values[idx + 1:]
+                    leaf.next_leaf = node.next_leaf
+                    self._save(leaf)
                     self._count -= 1
                     self._sync_meta()
                     return

@@ -55,6 +55,16 @@ class TestBudgetDataclass:
         assert not QueryBudget(max_physical_reads=5).unlimited
         assert not QueryBudget(deadline_seconds=0.5).unlimited
 
+    @pytest.mark.parametrize("caps", [
+        dict(deadline_seconds=float("nan")),
+        dict(deadline_seconds=float("inf")),
+        dict(max_candidates=-1),
+    ], ids=["nan-deadline", "inf-deadline", "negative-candidates"])
+    def test_a_cap_not_finite_or_negative_is_refused(self, caps):
+        # A NaN deadline never fires; -1 would degrade exactly like 0.
+        with pytest.raises(ValueError, match=next(iter(caps))):
+            QueryBudget(**caps)
+
     def test_fork_copies_limits_into_a_fresh_budget(self):
         template = QueryBudget(max_range_queries=1, max_physical_reads=2,
                                max_candidates=3, deadline_seconds=4.0)

@@ -223,6 +223,27 @@ class TestMmapServing:
         finally:
             served.close()
 
+    def test_mmap_refused_delete_changes_no_answer(self, tmp_path):
+        # The B+-tree leaf the pool memoises is shared by every reader:
+        # a delete the backend refuses must not have shortened it first.
+        path = str(tmp_path / "prix.idx")
+        with PrixIndex.build(dblp(120).documents,
+                             IndexOptions(path=path)) as built:
+            built.save()
+        served = PrixIndex.open(path, backend="mmap")
+        try:
+            xpath = "//inproceedings/author"
+            want = {(m.doc_id, m.canonical) for m in served.query(xpath)}
+            count = served.doc_count
+            assert 1 in {doc_id for doc_id, _ in want}
+            with pytest.raises(ReadOnlyBackendError):
+                served.delete_document(1)
+            assert {(m.doc_id, m.canonical)
+                    for m in served.query(xpath)} == want
+            assert served.doc_count == count
+        finally:
+            served.close()
+
 
 class TestArenaServing:
     def test_open_backend_arena_kind_is_a_detached_snapshot(self, tmp_path):
