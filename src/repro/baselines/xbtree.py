@@ -101,7 +101,12 @@ class XBTree:
 
 
 class XBPointer:
-    """A TwigStackXB cursor into an XB-tree."""
+    """A TwigStackXB cursor into an XB-tree.
+
+    The page under the cursor is read when the cursor moves onto it
+    (:meth:`advance`, :meth:`drill_down`), not again on every look at
+    its entry.
+    """
 
     def __init__(self, tree):
         self._tree = tree
@@ -109,6 +114,8 @@ class XBPointer:
         self._path = [(tree.root_page, 0)]
         if tree.count == 0:
             self._path = []
+        #: ``(is_leaf, entries)`` of the page atop ``_path``, once read.
+        self._page = None
 
     @property
     def eof(self):
@@ -116,9 +123,10 @@ class XBPointer:
         return not self._path
 
     def _current(self):
-        page_id, index = self._path[-1]
-        is_leaf, entries = self._tree._read(page_id)
-        return is_leaf, entries, index
+        if self._page is None:
+            self._page = self._tree._read(self._path[-1][0])
+        is_leaf, entries = self._page
+        return is_leaf, entries, self._path[-1][1]
 
     @property
     def at_leaf(self):
@@ -159,11 +167,12 @@ class XBPointer:
         """Move to the next entry, ascending when the node is exhausted."""
         while self._path:
             page_id, index = self._path[-1]
-            _, entries = self._tree._read(page_id)
-            if index + 1 < len(entries):
+            self._page = self._tree._read(page_id)
+            if index + 1 < len(self._page[1]):
                 self._path[-1] = (page_id, index + 1)
                 return
             self._path.pop()
+        self._page = None
 
     def drill_down(self):
         """Descend into the child page of the current internal entry."""
@@ -172,3 +181,4 @@ class XBPointer:
             raise ValueError("cannot drill down from a leaf entry")
         child_page = entries[index][2]
         self._path.append((child_page, 0))
+        self._page = None

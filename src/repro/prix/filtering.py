@@ -22,9 +22,11 @@ the paper's per-walk work is still what :class:`FilterStats` reports.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.prix.plan import REL_ANCESTOR, REL_CHILD, REL_SIBLING
+from repro.storage.bptree import NO_PAGE
 from repro.storage.codec import (encode_int, encode_key, int_key_prefix,
                                  pack_key_int)
 
@@ -131,6 +133,36 @@ class TrieSymbolIndex:
                 yield (int.from_bytes(keys[idx][left_at:], "big"), right,
                        level, gap)
 
+    def child(self, label, left, right, level, fingers):
+        """The child of the trie node ``(left, right)`` at ``level`` whose
+        edge is labeled ``label``: its ``(left, right, node_maxgap)``, or
+        None.
+
+        ``fingers`` belongs to one walk down a known path and lives as
+        long as the walk: per label, its :meth:`label_prefix` and the
+        leaf that label's last lookup ended on, from which the next one
+        resumes (:meth:`~repro.storage.bptree.BPlusTree.seek`) instead of
+        descending from the root.  A walk that writes to this tree must
+        empty it.
+        """
+        prefix, near = fingers.get(label) or (int_key_prefix(label), None)
+        found = None
+        # The loop leaves ``near`` at the last leaf it read.
+        for near, start, stop in self._tree.leaf_slices(
+                prefix + pack_key_int(left + 1), prefix + pack_key_int(right),
+                near=near):
+            for idx in range(start, stop):
+                child_right, child_level, gap = _POS_VALUE.unpack(
+                    near.values[idx])
+                if child_level == level + 1:
+                    found = (int.from_bytes(near.keys[idx][len(prefix):],
+                                            "big"), child_right, gap)
+                    break
+            if found:
+                break
+        fingers[label] = prefix, near
+        return found
+
     @staticmethod
     def make_entry(label, left, right, level, node_maxgap=0):
         """Build the ``(key, value)`` pair for one trie node occurrence.
@@ -160,6 +192,32 @@ class DocidIndex:
                 for node, start, stop in self._tree.leaf_slices(
                     encode_int(lo), encode_int(hi), inclusive_hi=True)
                 for value in node.values[start:stop]]
+
+    def fits_one_leaf(self, lo, hi, near=None):
+        """``(fits, leaf)``: whether the closed range [lo, hi] ends in
+        the leaf it starts in, and that leaf -- a finger for the next
+        call and for :meth:`entry_of`
+        (:meth:`~repro.storage.bptree.BPlusTree.seek`)."""
+        leaf, start = self._tree.seek(encode_int(lo), near)
+        keys = leaf.keys
+        return (leaf.next_leaf == NO_PAGE
+                or (start < len(keys) and bisect_right(
+                    keys, encode_int(hi), start) < len(keys)),
+                leaf)
+
+    def entry_of(self, doc_id, lo, hi, near=None):
+        """The ``(key, value)`` entry of ``doc_id`` among those in the
+        closed range [lo, hi], or None; the scan starts from the finger
+        ``near`` when that leaf holds ``lo``."""
+        value = _DOC_VALUE.pack(doc_id)
+        for leaf, start, stop in self._tree.leaf_slices(
+                encode_int(lo), encode_int(hi), True, near):
+            try:
+                idx = leaf.values.index(value, start, stop)
+            except ValueError:
+                continue
+            return leaf.keys[idx], value
+        return None
 
     @staticmethod
     def make_entry(left, doc_id):

@@ -53,16 +53,6 @@ def next_free_id(variant, left, right, level):
     return next_free
 
 
-def find_child(symbol_index, label, parent_left, parent_right,
-               parent_level):
-    """Locate the parent's child edge labeled ``label``, if present."""
-    for left, right, level, gap in symbol_index.range_query_gaps(
-            label, parent_left, parent_right):
-        if level == parent_level + 1:
-            return left, right, gap
-    return None
-
-
 def insert_sequence(variant, seq, gaps, doc_id, slack):
     """Insert one document's LPS into a variant's virtual trie.
 
@@ -75,16 +65,22 @@ def insert_sequence(variant, seq, gaps, doc_id, slack):
     (:func:`leaves_slack`) is false.  Existing nodes' finer-grained
     MaxGaps are widened when the new document's parent spans exceed
     them.
+
+    The walk's child lookups resume from fingers
+    (:meth:`TrieSymbolIndex.child`), dropped after a gap widening
+    writes to the Trie-Symbol tree.  Below the first new node there is
+    nothing to look up, so a carve ends the lookups.
     """
     symbol_index = variant.symbol_index
     cur_left, cur_right = variant.root_range
     cur_level = 0
     new_nodes = 0
+    fingers = {}
 
     for position, label in enumerate(seq.lps):
         doc_gap = gaps[position]
-        child = find_child(symbol_index, label, cur_left, cur_right,
-                           cur_level)
+        child = None if new_nodes else symbol_index.child(
+            label, cur_left, cur_right, cur_level, fingers)
         if child is not None:
             child_left, child_right, stored_gap = child
             if doc_gap > stored_gap:
@@ -95,6 +91,7 @@ def insert_sequence(variant, seq, gaps, doc_id, slack):
                     label, child_left, child_right, cur_level + 1,
                     doc_gap)
                 symbol_index.tree.insert(new_key, new_value)
+                fingers.clear()
             cur_left, cur_right = child_left, child_right
         else:
             if not slack:

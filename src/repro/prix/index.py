@@ -143,7 +143,7 @@ class PrixIndex:
         self._records = records
         self._labels = label_dict
         self._variants = variants
-        self._doc_ids = doc_ids    # in insertion order
+        self._doc_ids = dict.fromkeys(doc_ids)    # in insertion order
         self._layout = layout      # {key: value} over _LAYOUT_KEYS
         # The catalog chain on file (see save): its newest record, and
         # the records and bytes from there back to the parentless root.
@@ -156,7 +156,7 @@ class PrixIndex:
     def _clear_pending(self):
         """Start noting afresh what the mutators touch: the body of the
         next chained catalog record, which :meth:`save` completes."""
-        self._pending = {"doc_ids": [], "removed": [], "labels": [],
+        self._pending = {"doc_ids": {}, "removed": [], "labels": [],
                          "variants": {}}
         for name, variant in self._variants.items():
             variant.pending = self._pending["variants"][name] = {
@@ -268,8 +268,7 @@ class PrixIndex:
                     leaves_slack(self._layout["labeler"], stats))
             except RebuildRequiredError as error:
                 underflow = error
-        self._doc_ids.append(doc_id)
-        self._pending["doc_ids"].append(doc_id)
+        self._doc_ids[doc_id] = self._pending["doc_ids"][doc_id] = None
         self._pending["labels"] += self._labels._by_id[known_labels:]
         if underflow is not None:
             raise underflow
@@ -285,10 +284,10 @@ class PrixIndex:
         table keeps its old bounds -- MaxGap is an upper bound, so stale
         entries can only make pruning weaker, never incorrect.
 
-        All or nothing: every variant's terminal is resolved before any
+        All or nothing: every variant's Docid entry is found before any
         variant is touched, so the ``KeyError`` of a document whose
-        insert underflowed (its trie path is incomplete) leaves the
-        index as it was.
+        insert underflowed (it has no Docid entry) leaves the index as
+        it was.
         """
         if not self._indexed(doc_id):
             raise KeyError(f"document {doc_id} is not indexed")
@@ -297,8 +296,8 @@ class PrixIndex:
             view = self._view_loader(variant)(doc_id)
             lps = [view.labels[view.nps[i]]
                    for i in range(1, view.n_nodes)]
-            doomed.append((variant, len(lps), DocidIndex.make_entry(
-                self._terminal_of(variant, lps), doc_id)))
+            doomed.append((variant, len(lps),
+                           self._docid_entry(variant, lps, doc_id)))
         unsaved = None
         for variant, length, (key, value) in doomed:
             variant.docid_index.tree.delete(key, value)
@@ -306,11 +305,11 @@ class PrixIndex:
             unsaved = variant.pending["catalog"].pop(doc_id, None)
             variant.trie_stats.sequence_count -= 1
             variant.trie_stats.total_sequence_length -= length
-        self._doc_ids.remove(doc_id)
+        del self._doc_ids[doc_id]
         if unsaved:
             # Inserted since the last save: no record on file names it,
             # so the insert is forgotten rather than a removal recorded.
-            self._pending["doc_ids"].remove(doc_id)
+            del self._pending["doc_ids"][doc_id]
         else:
             self._pending["removed"].append(doc_id)
 
@@ -319,22 +318,33 @@ class PrixIndex:
         return any(doc_id in variant.catalog
                    for variant in self._variants.values())
 
-    def _terminal_of(self, variant, lps):
-        """Walk a stored LPS down the virtual trie; return the terminal's
-        LeftPos."""
-        from repro.prix.incremental import find_child
-        cur_left, cur_right = variant.root_range
-        level = 0
-        for label in lps:
-            child = find_child(variant.symbol_index, label, cur_left,
-                               cur_right, level)
+    def _docid_entry(self, variant, lps, doc_id):
+        """The ``(key, value)`` Docid entry of ``doc_id`` in ``variant``.
+
+        Walks the document's stored LPS down the virtual trie, but only
+        until the current node's Docid range fits one Docid leaf (checked
+        before each label, the root's too); that leaf, or the terminal's
+        whole range, is then scanned for ``doc_id``.  Every lookup
+        resumes from a finger of this walk.  Raises ``KeyError`` when
+        there is no entry: the document's insert underflowed.
+        """
+        docids = variant.docid_index
+        fingers = {}
+        near = None
+        left, right = variant.root_range
+        for level, label in enumerate(lps):
+            fits, near = docids.fits_one_leaf(left, right, near)
+            if fits:
+                break
+            child = variant.symbol_index.child(label, left, right, level,
+                                               fingers)
             if child is None:
-                raise KeyError(
-                    "stored sequence is missing from the trie (index "
-                    "needs a rebuild?)")
-            cur_left, cur_right, _ = child
-            level += 1
-        return cur_left
+                raise _no_docid_entry(variant, doc_id)
+            left, right, _ = child
+        entry = docids.entry_of(doc_id, left, right, near)
+        if entry is None:
+            raise _no_docid_entry(variant, doc_id)
+        return entry
 
     def export_documents(self):
         """Reconstruct every indexed document from its stored sequences.
@@ -452,8 +462,9 @@ class PrixIndex:
                   for entries in touched.values()))):
             for variant in self._variants.values():
                 variant.pending["trie_stats"] = asdict(variant.trie_stats)
-            blob = json.dumps({"parent": self._head,
-                               **pending}).encode("utf-8")
+            blob = json.dumps({"parent": self._head, **pending,
+                               "doc_ids": list(pending["doc_ids"])}
+                              ).encode("utf-8")
             whole = (self._catalog_bytes - self._root_bytes + len(blob)
                      > self._root_bytes)
         if whole:
@@ -477,7 +488,7 @@ class PrixIndex:
         to describe this index to an empty one."""
         meta = {
             "version": 1,
-            "doc_ids": self._doc_ids,
+            "doc_ids": list(self._doc_ids),
             "labels": self._labels._by_id,
             "variants": {},
             **self._layout,
@@ -650,10 +661,10 @@ class PrixIndex:
         and sets what its :meth:`save` had pending.
         """
         for doc_id in record.get("removed", ()):
-            self._doc_ids.remove(doc_id)
+            del self._doc_ids[doc_id]
             for variant in self._variants.values():
                 del variant.catalog[doc_id]
-        self._doc_ids.extend(record["doc_ids"])
+        self._doc_ids.update(dict.fromkeys(record["doc_ids"]))
         for label in record["labels"]:
             self._labels.id_of(label)
         self._layout.update((key, record[key]) for key in _LAYOUT_KEYS
@@ -955,6 +966,12 @@ def scrub_path(path, wal_path=None, guard_path=None, stamp_missing=False):
             except StorageError as error:
                 report.catalog_ok, report.catalog_error = False, str(error)
     return report
+
+
+def _no_docid_entry(variant, doc_id):
+    return KeyError(f"document {doc_id} has no {variant.name} Docid entry: "
+                    "its stored sequence is missing from the trie (index "
+                    "needs a rebuild?)")
 
 
 def _check_doc_id(doc_id):

@@ -37,7 +37,8 @@ from repro.storage.errors import KeyNotFoundError, PageOverflowError
 _HEADER = struct.Struct("<BHI")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
-_NO_PAGE = 0xFFFFFFFF
+#: The next-leaf link of the last leaf.
+NO_PAGE = 0xFFFFFFFF
 
 #: Meta page layout: magic, root page id, height, entry count.
 _META = struct.Struct("<8sIIQ")
@@ -56,7 +57,7 @@ class _Node:
         self.keys = []
         self.values = []    # leaf payloads
         self.children = []  # internal child page ids (len(keys) + 1)
-        self.next_leaf = _NO_PAGE
+        self.next_leaf = NO_PAGE
 
 
 def _parse_node(page_id, frame):
@@ -132,7 +133,7 @@ class BPlusTree:
         """Allocate and initialize a fresh, empty tree; return it."""
         meta_id, _ = pool.new_page()
         root_id, _ = pool.new_page()
-        pool.put(root_id, _page_image(1, _NO_PAGE, [None], _HEADER.size,
+        pool.put(root_id, _page_image(1, NO_PAGE, [None], _HEADER.size,
                                       pool.page_size))
         cls._write_meta(pool, meta_id, root_id, 1, 0)
         return cls(pool, meta_id)
@@ -211,30 +212,50 @@ class BPlusTree:
             return True
         return False
 
-    def leaf_slices(self, lo=None, hi=None, inclusive_hi=False):
+    def seek(self, lo=None, near=None):
+        """``(leaf, index)``: the leaf holding the first entry with key
+        ``>= lo`` and that entry's index (``len(leaf.keys)`` when it lies
+        further on).  ``lo=None`` seeks the first leaf.
+
+        ``near`` is a *finger*: a leaf this tree handed out (here or in
+        :meth:`leaf_slices`) since its last write.  When ``lo`` lies
+        strictly inside its keys the answer is in it, and the
+        root-to-leaf descent -- with its page reads -- is skipped.  A
+        leaf from before a write may hold entries that have moved;
+        passing one is the caller's error.
+        """
+        if near is not None and lo is not None:
+            keys = near.keys
+            if keys and keys[0] < lo <= keys[-1]:
+                return near, bisect_left(keys, lo)
+        load = self._pool.get_decoded
+        node = load(self._root_id, _parse_node)
+        while not node.is_leaf:
+            idx = 0 if lo is None else bisect_left(node.keys, lo)
+            node = load(node.children[idx], _parse_node)
+        return node, 0 if lo is None else bisect_left(node.keys, lo)
+
+    def leaf_slices(self, lo=None, hi=None, inclusive_hi=False, near=None):
         """Yield ``(leaf, start, stop)`` for the entries ``lo <= key < hi``.
 
-        The one leaf walk of this module: a single root-to-leaf descent,
-        then per leaf one ``bisect`` for each end.  ``leaf.keys[start:
+        The one leaf walk of this module: a :meth:`seek` (from the
+        finger ``near``, if it holds ``lo``), then per leaf one
+        ``bisect`` for the far end.  ``leaf.keys[start:
         stop]`` and ``leaf.values[start:stop]`` are the matching entries
         (leaves contributing none are skipped); bounds are as in
         :meth:`range_scan`.  A leaf's successor is loaded only when the
         consumer asks for more, so a walk abandoned early touches no
         further page.
         """
-        load = self._pool.get_decoded
-        node = load(self._root_id, _parse_node)
-        while not node.is_leaf:
-            idx = 0 if lo is None else bisect_left(node.keys, lo)
-            node = load(node.children[idx], _parse_node)
-        start = 0 if lo is None else bisect_left(node.keys, lo)
+        node, start = self.seek(lo, near)
         cut = bisect_right if inclusive_hi else bisect_left
+        load = self._pool.get_decoded
         while True:
             keys = node.keys
             stop = len(keys) if hi is None else cut(keys, hi, start)
             if start < stop:
                 yield node, start, stop
-            if stop < len(keys) or node.next_leaf == _NO_PAGE:
+            if stop < len(keys) or node.next_leaf == NO_PAGE:
                 return
             node = load(node.next_leaf, _parse_node)
             start = 0
@@ -457,7 +478,7 @@ class BPlusTree:
             leaves.append((first_key, page_id))
         elif not leaves:
             leaves.append((b"", page_id))
-        pool.put(page_id, _page_image(1, _NO_PAGE, chunks, size, page_size))
+        pool.put(page_id, _page_image(1, NO_PAGE, chunks, size, page_size))
 
         # Build internal levels bottom-up.
         level = leaves
@@ -540,7 +561,7 @@ class BPlusTree:
             node = self._load(node.children[0])
         while True:
             chained.append(node.page_id)
-            if node.next_leaf == _NO_PAGE:
+            if node.next_leaf == NO_PAGE:
                 break
             node = self._load(node.next_leaf)
         walk_leaves = [pid for _, pid in leaf_first_ids]

@@ -1,16 +1,22 @@
 """Incremental insertion tests (dynamic labeling, Section 5.2.1)."""
 
+import contextlib
 import random
+import re
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import catalog_state, make_random_tree
 from repro.baselines.naive import naive_matches
 from repro.bench.workloads import queries_for
 from repro.datasets import dblp, swissprot, treebank
+from repro.prix.filtering import DocidIndex, TrieSymbolIndex
 from repro.prix.incremental import RebuildRequiredError
 from repro.prix.index import IndexOptions, PrixIndex
-from repro.prufer.sequence import regular_sequence
+from repro.prufer.sequence import extended_sequence, regular_sequence
 from repro.query.xpath import parse_xpath
 from repro.xmlkit.parser import parse_document
 from repro.xmlkit.serializer import serialize
@@ -242,3 +248,178 @@ class TestPersistenceOfInserts:
         reopened.insert_document(parse_document("<a><b/></a>", 3))
         assert len(reopened.query("//a/b")) == 4
         reopened.close()
+
+
+@contextlib.contextmanager
+def counted_lookups():
+    """The arguments of every Trie-Symbol child lookup made inside."""
+    calls = []
+    child = TrieSymbolIndex.child
+
+    def counting(self, *args):
+        calls.append(args[:4])
+        return child(self, *args)
+
+    with mock.patch.object(TrieSymbolIndex, "child", counting):
+        yield calls
+
+
+def trie_items(index, variant):
+    return list(index._variants[variant].symbol_index.tree.items())
+
+
+class TestKnownPathWalk:
+    """Inserts and deletes walk a stored document's trie path with
+    fingered child lookups; a delete stops once its Docid entry lies in
+    one leaf."""
+
+    def test_delete_from_a_terminal_range_over_several_leaves(
+            self, tiny_dblp):
+        text = serialize(tiny_dblp.documents[0])
+        copies = [parse_document(text, doc_id) for doc_id in range(1, 301)]
+        with PrixIndex.build(copies, IndexOptions(
+                labeler="dynamic", page_size=1024)) as index:
+            for variant in index.variants():
+                tree = index._variants[variant].docid_index.tree
+                assert len({key for key, _ in tree.items()}) == 1
+                assert len(list(tree.leaf_slices())) > 3
+            gone = (150, 300, 1, 61)
+            with counted_lookups() as lookups:
+                for doc_id in gone:
+                    index.delete_document(doc_id)
+            # No node on the way holds fewer than 297 entries: every
+            # walk reaches the terminal and scans its whole range.
+            assert len(lookups) == len(gone) * sum(
+                len(sequence_of(tiny_dblp.documents[0]).lps)
+                for sequence_of in (regular_sequence, extended_sequence))
+            kept = [doc_id for doc_id in range(1, 301) if doc_id not in gone]
+            assert [document.doc_id for document
+                    in index.export_documents()] == kept
+            for variant in index.variants():
+                tree = index._variants[variant].docid_index.tree
+                tree.check_invariants()
+                assert len(tree) == len(kept)
+            xpath = root_path(tiny_dblp.documents[0])
+            assert sorted(index.query(xpath).doc_ids) == kept
+            with index.rebuilt() as rebuilt:
+                assert answers(index, xpath) == answers(rebuilt, xpath)
+            with pytest.raises(KeyError):
+                index.delete_document(150)
+
+    def test_a_delete_walk_stops_once_its_range_fits_one_leaf(
+            self, tiny_swissprot, tiny_dblp):
+        """Every Docid entry of a one-leaf Docid tree is found at the
+        root; in a tree of several leaves some walk stops before its
+        terminal and some has to look further than the root."""
+        with PrixIndex.build(tiny_swissprot.documents) as index:
+            assert len(list(index._variants["rp"].docid_index.tree
+                            .leaf_slices())) == 1
+            with counted_lookups() as lookups:
+                for document in tiny_swissprot.documents[::4]:
+                    index.delete_document(document.doc_id)
+            assert lookups == []
+        with PrixIndex.build(tiny_dblp.documents,
+                             IndexOptions(page_size=1024)) as index:
+            walked = []
+            for document in tiny_dblp.documents[::3]:
+                with counted_lookups() as lookups:
+                    index.delete_document(document.doc_id)
+                walked.append((len(lookups), sum(
+                    len(sequence_of(document).lps) for sequence_of
+                    in (regular_sequence, extended_sequence))))
+            assert any(made < labels for made, labels in walked)
+            assert any(made > 0 for made, _ in walked)
+            assert all(made <= labels for made, labels in walked)
+
+    def test_delete_of_an_underflowed_insert_keeps_every_answer(
+            self, tiny_dblp):
+        """Bulk labels: the record's Regular-Prufer path exists, its
+        Extended-Prufer one (a new value) does not, so the insert lands
+        in ``rp`` alone and the delete must refuse in ``ep`` having
+        touched neither."""
+        text = serialize(tiny_dblp.documents[3])
+        novel = re.sub(r">([^<]+)<", ">a value no record holds<", text,
+                       count=1)
+        xpaths = sorted({spec.xpath for spec in queries_for("dblp")}
+                        | {root_path(tiny_dblp.documents[3])})
+        with PrixIndex.build(tiny_dblp.documents,
+                             IndexOptions(page_size=1024)) as index:
+            doc_id = index.next_doc_id()
+            with pytest.raises(RebuildRequiredError):
+                index.insert_document(parse_document(novel, doc_id))
+            before = catalog_state(index)
+            found = {xpath: answers(index, xpath) for xpath in xpaths}
+            assert doc_id in index.query(root_path(
+                tiny_dblp.documents[3]), variant="rp").doc_ids
+            with pytest.raises(KeyError, match="no ep Docid entry"):
+                index.delete_document(doc_id)
+            assert catalog_state(index) == before
+            assert {xpath: answers(index, xpath)
+                    for xpath in xpaths} == found
+
+    def test_gap_widened_mid_walk(self):
+        """The inserted document shares the stored one's sequence
+        ``a a a a`` but widens the second node's MaxGap from 0 to 3; the
+        lookups after that write must not resume from a leaf read
+        before it."""
+        stored = "<a><a/><a><a/></a><b/></a>"
+        wider = "<a><a/><a/><a><b/></a></a>"
+        assert regular_sequence(parse_document(stored)).lps == \
+            regular_sequence(parse_document(wider)).lps
+        padding = [f"<a><b{i}><c/></b{i}><a><c/></a></a>"
+                   for i in range(40)]
+        with PrixIndex.build(docs_from([stored] + padding), IndexOptions(
+                labeler="dynamic", page_size=512)) as index:
+            before = trie_items(index, "rp")
+            index.insert_document(parse_document(wider, 100))
+            assert trie_items(index, "rp") != before
+            with index.rebuilt() as rebuilt:
+                assert trie_items(index, "rp") == trie_items(rebuilt, "rp")
+                for xpath in ("//a/a", "//a//b", "//a[./a]/b", "//a/a/b"):
+                    assert answers(index, xpath) == \
+                        answers(rebuilt, xpath), xpath
+            index.delete_document(100)
+            assert 100 not in index.query("//a/a/b").doc_ids
+
+
+def full_walk_terminal(variant, lps):
+    """The LeftPos of ``lps``'s terminal, by a walk that scans every
+    same-label entry under each node, or None if the path is missing."""
+    left, right = variant.root_range
+    for level, label in enumerate(lps):
+        for child_left, child_right, child_level, _ in \
+                variant.symbol_index.range_query_gaps(label, left, right):
+            if child_level == level + 1:
+                left, right = child_left, child_right
+                break
+        else:
+            return None
+    return left
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 31),
+       page_size=st.sampled_from([512, 1024]))
+def test_early_stopping_delete_finds_the_full_walks_terminal(seed,
+                                                             page_size):
+    """On a random dynamic build grown by inserts, the Docid entry the
+    early-stopping walk finds for every document is the one keyed by
+    the terminal LeftPos a full walk finds; shapes repeat, so terminal
+    ranges hold many documents and span leaves."""
+    rng = random.Random(seed)
+    shapes = [make_random_tree(rng, max_nodes=10, tags="abc")
+              for _ in range(6)]
+    documents = [Document(rng.choice(shapes), doc_id=i + 1)
+                 for i in range(90)]
+    with PrixIndex.build(documents[:60], IndexOptions(
+            labeler="dynamic", page_size=page_size)) as index:
+        for document in documents[60:]:
+            index.insert_document(document)
+        for name, sequence_of in (("rp", regular_sequence),
+                                  ("ep", extended_sequence)):
+            variant = index._variants[name]
+            for document in documents:
+                lps = sequence_of(document).lps
+                terminal = full_walk_terminal(variant, lps)
+                assert index._docid_entry(variant, lps, document.doc_id) \
+                    == DocidIndex.make_entry(terminal, document.doc_id)

@@ -216,6 +216,57 @@ class TestRangeScans:
         assert pool.stats.read("logical_reads") - before == tree.height
 
 
+class TestSeek:
+    @staticmethod
+    def duplicates_tree():
+        """A tree whose runs of equal keys straddle leaf boundaries."""
+        tree, pool = make_tree(page_size=256)
+        for i in range(400):
+            tree.insert(encode_int(i // 7), b"%d" % i)
+        return tree, pool
+
+    def test_seek_lands_on_the_first_entry_at_or_above(self):
+        tree, _ = self.duplicates_tree()
+        for lo in (encode_int(0), encode_int(13), encode_int(56),
+                   encode_int(57), None):
+            leaf, index = tree.seek(lo)
+            flat = [key for key, _ in tree.range_scan(lo)]
+            rest = [key for node, start, stop in tree.leaf_slices(lo)
+                    for key in node.keys[start:stop]]
+            assert flat == rest
+            if index < len(leaf.keys):
+                assert leaf.keys[index] == flat[0]
+
+    def test_a_finger_answers_only_strictly_inside_its_keys(self):
+        """From any leaf as finger, ``seek`` answers as the descent does
+        -- also for a bound equal to a finger's first key, whose run may
+        begin in the leaf before -- and it reads no page when the bound
+        lies strictly inside the finger's keys."""
+        tree, pool = self.duplicates_tree()
+        leaves = [node for node, _, _ in tree.leaf_slices()]
+        assert len(leaves) > 4
+        for lo in [encode_int(i) for i in range(0, 60)]:
+            want = tree.seek(lo)
+            for near in leaves:
+                before = pool.stats.read("logical_reads")
+                leaf, index = tree.seek(lo, near)
+                assert (leaf.page_id, index) == (want[0].page_id, want[1])
+                if near.keys[0] < lo <= near.keys[-1]:
+                    assert leaf is near
+                    assert pool.stats.read("logical_reads") == before
+
+    def test_a_scan_from_a_finger_is_the_scan(self):
+        tree, _ = self.duplicates_tree()
+        leaves = [node for node, _, _ in tree.leaf_slices()]
+        lo, hi = encode_int(20), encode_int(40)
+        want = list(tree.range_scan(lo, hi, inclusive_hi=True))
+        for near in leaves:
+            assert [pair for node, start, stop
+                    in tree.leaf_slices(lo, hi, True, near)
+                    for pair in zip(node.keys[start:stop],
+                                    node.values[start:stop])] == want
+
+
 class TestDelete:
     def test_delete_existing(self):
         tree, _ = make_tree()
