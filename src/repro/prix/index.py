@@ -26,7 +26,8 @@ from dataclasses import asdict, dataclass, field
 from repro.prix.filtering import MAX_DOC_ID, DocidIndex, TrieSymbolIndex
 from repro.prix.incremental import (RebuildRequiredError, insert_sequence,
                                     leaves_slack)
-from repro.prix.matcher import QueryStats, prepare, run_query
+from repro.prix.matcher import (QueryStats, prepare, run_query,
+                                variant_choice)
 from repro.prix.refinement import DocView
 from repro.prufer.reconstruct import reconstruct_document
 from repro.prufer.maxgap import MaxGapTable, position_gaps
@@ -93,10 +94,6 @@ class LabelDict:
             self._by_label[label] = label_id
             self._by_id.append(label)
         return label_id
-
-    def label_of(self, label_id):
-        """Label string for an id."""
-        return self._by_id[label_id]
 
     def __len__(self):
         return len(self._by_id)
@@ -804,36 +801,9 @@ class PrixIndex:
     # ------------------------------------------------------------------
 
     def choose_variant(self, pattern):
-        """The query optimizer's variant choice.
-
-        Section 5.6's rule picks EPIndex whenever the query carries value
-        predicates (their high selectivity prunes subsequence matching).
-        For value-free queries we extend the rule with a selectivity
-        estimate: filtering fans out from the *first* LPS label of the
-        query, so whichever variant gives that label the lower collection
-        frequency explores fewer trie paths.  This is how the paper's
-        Q8 discussion can lean on MaxGap of a rare *leaf* tag
-        (RBR_OR_JJR): leaf labels only reach the filter through the
-        extended sequences.  Both variants return identical answers, so
-        the choice is purely a cost decision.  ``pattern`` is a twig
-        pattern or a :class:`~repro.prix.matcher.PreparedQuery`.
-        """
-        query = prepare(pattern)
-        if query.pattern.has_values() and VARIANT_EXTENDED in self._variants:
-            return VARIANT_EXTENDED
-        if len(self._variants) == 1:
-            return next(iter(self._variants))
-
-        def first_label_frequency(name):
-            variant = self._variants[name]
-            plan, = query.plans(variant.extended, ordered=True)
-            if not plan.qlps:
-                return 0
-            return variant.label_counts.get(plan.qlps[0], 0)
-
-        return min(sorted(self._variants),
-                   key=lambda name: (first_label_frequency(name),
-                                     name != VARIANT_REGULAR))
+        """The planner's variant for a twig pattern or prepared query
+        (:func:`~repro.prix.matcher.variant_choice`)."""
+        return variant_choice(prepare(pattern), self._variants)[0]
 
     def query(self, pattern, *, ordered=False, variant=None,
               use_maxgap=True, strategy="auto", maxgap_granularity="label",
@@ -883,23 +853,18 @@ class PrixIndex:
         if isinstance(pattern, str):
             pattern = parse_xpath(pattern)
         query = prepare(pattern)
-        if variant is None:
-            variant = self.choose_variant(query)
-        if variant not in self._variants:
-            raise KeyError(f"variant {variant!r} was not built")
         if cold:
             self.flush_cache()
         meter = budget
         if isinstance(budget, QueryBudget):
             meter = (None if budget.unlimited
                      else budget.meter(io_stats=self._pool.stats))
-        variant_index = self._variants[variant]
-        stats = QueryStats(variant=variant)
+        stats = QueryStats()
         reads_before = self._pool.stats.read("physical_reads")
         started = time.perf_counter()
         matches, stats = run_query(
-            query, variant_index,
-            self._view_loader(variant_index, stats),
+            query, self._variants, variant,
+            lambda variant_index: self._view_loader(variant_index, stats),
             ordered=ordered, use_maxgap=use_maxgap, strategy=strategy,
             maxgap_granularity=maxgap_granularity, stats=stats,
             budget=meter)

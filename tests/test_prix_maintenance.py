@@ -142,3 +142,20 @@ class TestExplain:
     def test_accepts_pattern_object(self, index):
         text = explain(index, parse_xpath("//a//b"))
         assert "//" in text
+
+    def test_an_rp_only_index_reports_its_only_variant(self):
+        """A valued twig runs on RP when no EPIndex was built."""
+        with PrixIndex.build(docs_from(["<a><b>x</b><c/></a>"]),
+                             IndexOptions(variants=("rp",))) as index:
+            text = explain(index, '//a[./b="x"]')
+        assert "variant: rp  (the only variant built)\n" in text
+        assert "value predicates" not in text
+
+    @pytest.mark.parametrize("xpath", ["//a[./b]/c", '//a[./b="x"]'])
+    @pytest.mark.parametrize("variant", ["rp", "ep"])
+    def test_a_forced_variant_is_reported_as_forced(self, index, xpath,
+                                                    variant):
+        text = explain(index, xpath, variant=variant)
+        assert f"variant: {variant}  (forced)\n" in text
+        assert "value predicates" not in text
+        assert "first-label" not in text
