@@ -26,7 +26,7 @@ from repro.datasets import get_corpus, list_corpora
 # them, live in repro.exitcodes: prix serve answers with the same ones.
 from repro.exitcodes import (EXIT_CODES, EXIT_CORRUPTION, EXIT_USAGE,
                              classify, describe)
-from repro.prix.budget import QueryBudget, cap_flag
+from repro.prix.budget import QueryBudget, add_budget_flags, number_flag
 from repro.prix.index import IndexOptions, PrixIndex
 from repro.shard import open_index, scrub_index
 from repro.xmlkit.parser import parse_document, split_documents
@@ -333,7 +333,8 @@ def make_parser():
                        help="use a bundled synthetic corpus instead")
     build.add_argument("--scale", default="small",
                        help="corpus scale (tiny/small/medium/large or int)")
-    build.add_argument("--page-size", type=int, default=8192)
+    build.add_argument("--page-size", type=number_flag(int, 1),
+                       default=8192)
     build.add_argument("--split", action="store_true",
                        help="treat each root child as its own document "
                             "(DBLP-style corpus files)")
@@ -349,7 +350,7 @@ def make_parser():
                        help="keep per-page checksums in INDEX.sum; "
                             "reads verify, repair from the WAL, or fail "
                             "with a typed corruption error")
-    build.add_argument("--shards", type=int, default=None, metavar="N",
+    build.add_argument("--shards", type=number_flag(int, 1), metavar="N",
                        help="partition into N doc-id-range shards; "
                             "INDEX becomes a directory holding one "
                             "index file per shard plus a checksummed "
@@ -370,25 +371,11 @@ def make_parser():
                        help="disable Theorem 4 pruning")
     query.add_argument("--cold", action="store_true",
                        help="flush the buffer pool first")
-    query.add_argument("--limit", type=int, default=20,
+    query.add_argument("--limit", type=number_flag(int, 0), default=20,
                        help="max matches to print")
     query.add_argument("--explain", action="store_true",
                        help="print execution statistics")
-    query.add_argument("--budget-range-queries", type=cap_flag(int),
-                       default=None, metavar="N",
-                       help="cap trie range queries (exceeding during "
-                            "filtering is an error)")
-    query.add_argument("--budget-reads", type=cap_flag(int),
-                       default=None, metavar="N",
-                       help="cap physical page reads")
-    query.add_argument("--budget-candidates", type=cap_flag(int),
-                       default=None, metavar="N",
-                       help="cap refinement candidates; exceeding "
-                            "returns the filter superset as an "
-                            "approximate result")
-    query.add_argument("--budget-ms", type=cap_flag(float),
-                       default=None, metavar="MS",
-                       help="wall-clock deadline in ms")
+    add_budget_flags(query)
     query.add_argument("--backend", choices=["file", "mmap", "arena"],
                        default="file",
                        help="storage backend to open the index with: "

@@ -50,7 +50,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.prix.budget import QueryBudget, cap_flag
+from repro.prix.budget import QueryBudget, add_budget_flags, number_flag
 from repro.serve import protocol
 from repro.serve.admission import (AdmissionController,
                                    DEFAULT_MAX_INFLIGHT, ServerLimits)
@@ -420,37 +420,26 @@ def add_serve_arguments(parser):
                         help="mount an additional index under NAME "
                              "(repeatable)")
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8399,
+    parser.add_argument("--port", type=number_flag(int, 0, 65535),
+                        default=8399,
                         help="listen port (0 binds an ephemeral port)")
     parser.add_argument("--backend", choices=["file", "mmap", "arena"],
                         default="mmap",
                         help="storage backend for every mount "
                              "(default: mmap, read-only shared pages)")
-    parser.add_argument("--pool-pages", type=int, default=None,
+    parser.add_argument("--pool-pages", type=number_flag(int, 1),
                         help="buffer-pool frames per mount")
-    parser.add_argument("--max-inflight", type=int,
+    parser.add_argument("--max-inflight", type=number_flag(int, 1),
                         default=DEFAULT_MAX_INFLIGHT,
                         help="concurrent-query cap; excess requests get "
                              "a typed over-capacity rejection")
-    parser.add_argument("--budget-range-queries", type=cap_flag(int),
-                        default=None, metavar="N",
-                        help="per-request cap on trie range queries")
-    parser.add_argument("--budget-reads", type=cap_flag(int),
-                        default=None, metavar="N",
-                        help="per-request cap on physical page reads")
-    parser.add_argument("--budget-candidates", type=cap_flag(int),
-                        default=None, metavar="N",
-                        help="per-request cap on refinement candidates; "
-                             "exceeding degrades to the approximate "
-                             "superset answer")
-    parser.add_argument("--budget-ms", type=cap_flag(float),
-                        default=None, metavar="MS",
-                        help="per-request wall-clock deadline in ms")
-    parser.add_argument("--drain-timeout", type=float,
+    add_budget_flags(parser)
+    parser.add_argument("--drain-timeout", type=number_flag(float, 0),
                         default=DEFAULT_DRAIN_TIMEOUT,
                         help="seconds to wait for in-flight queries on "
                              "shutdown and reload")
-    parser.add_argument("--request-timeout", type=float,
+    parser.add_argument("--request-timeout",
+                        type=number_flag(float, 0, low_open=True),
                         default=DEFAULT_REQUEST_TIMEOUT, metavar="S",
                         help="socket read timeout per request; a stalled "
                              "client gets a typed 408 (slow-loris "

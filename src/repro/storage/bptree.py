@@ -44,6 +44,10 @@ NO_PAGE = 0xFFFFFFFF
 _META = struct.Struct("<8sIIQ")
 _MAGIC = b"PRIXBPT1"
 
+#: How full :meth:`BPlusTree.bulk_load` packs a page, leaving slack for
+#: later inserts.
+BULK_FILL_FACTOR = 0.9
+
 
 class _Node:
     """In-memory image of one B+-tree page."""
@@ -430,18 +434,15 @@ class BPlusTree:
     # ------------------------------------------------------------------
 
     @classmethod
-    def bulk_load(cls, pool, pairs, fill_factor=0.9):
+    def bulk_load(cls, pool, pairs):
         """Build a packed tree from ``pairs`` sorted by key; return it.
 
-        ``fill_factor`` bounds how full each page is packed, leaving slack
-        for later inserts.  Each page image is its header, its entries'
-        bytes and zero padding, joined once (:func:`_page_image`); no
-        node is decoded into the pool's memo.
+        Each page is packed to :data:`BULK_FILL_FACTOR`.  Each page image
+        is its header, its entries' bytes and zero padding, joined once
+        (:func:`_page_image`); no node is decoded into the pool's memo.
         """
-        if not 0.1 <= fill_factor <= 1.0:
-            raise ValueError("fill_factor must be in [0.1, 1.0]")
         page_size = pool.page_size
-        budget = int(page_size * fill_factor)
+        budget = int(page_size * BULK_FILL_FACTOR)
         meta_id, _ = pool.new_page()
         pack_u16 = _U16.pack
 

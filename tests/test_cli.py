@@ -323,6 +323,37 @@ class TestQueryBudget:
         assert exited.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("build", "--page-size", "0"), ("build", "--page-size", "-8192"),
+        ("build", "--shards", "0"), ("build", "--shards", "-2"),
+        ("query", "--limit", "-3"),
+        ("serve", "--request-timeout", "-1"),
+        ("serve", "--request-timeout", "0"),
+        ("serve", "--request-timeout", "nan"),
+        ("serve", "--max-inflight", "0"), ("serve", "--max-inflight", "-1"),
+        ("serve", "--pool-pages", "0"),
+        ("serve", "--drain-timeout", "nan"),
+        ("serve", "--drain-timeout", "-1"),
+        ("serve", "--port", "-1"), ("serve", "--port", "65536")])
+    def test_an_operator_number_out_of_range_is_a_usage_error(
+            self, tmp_path, capsys, command, flag, value):
+        """Exit 2 before a file is created, an index opened (this one
+        would exit 3) or a socket bound."""
+        target = tmp_path / "bogus.idx"
+        if command == "build":
+            argv = ["build", str(target), "--corpus", "dblp",
+                    "--scale", "tiny"]
+        else:
+            target.write_bytes(b"not an index" * 100)
+            argv = [command, str(target)] + (["//a/b"] if command == "query"
+                                             else [])
+        with pytest.raises(SystemExit) as exited:
+            main(argv + [flag, value])
+        assert exited.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == (
+            [] if command == "build" else ["bogus.idx"])
+
 
 class TestBackendFlag:
     def test_query_backends_answer_identically(self, built_index, capsys):
