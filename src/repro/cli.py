@@ -355,7 +355,8 @@ def make_parser():
                             "INDEX becomes a directory holding one "
                             "index file per shard plus a checksummed "
                             "prixshard.json manifest (docs/SHARDING.md)")
-    build.add_argument("--workers", type=int, default=1, metavar="W",
+    build.add_argument("--workers", type=number_flag(int, 1), default=1,
+                       metavar="W",
                        help="build shards with W processes (with "
                             "--shards; output is identical at any W)")
     build.set_defaults(func=_cmd_build)
@@ -422,11 +423,11 @@ def make_parser():
                           "doc-id ranges, publishing a new manifest "
                           "generation (docs/SHARDING.md)")
     rebalance_cmd.add_argument("index", help="shard directory")
-    rebalance_cmd.add_argument("--shards", type=int, default=None,
-                               metavar="N",
+    rebalance_cmd.add_argument("--shards", type=number_flag(int, 1),
+                               default=None, metavar="N",
                                help="target shard count (default: keep)")
-    rebalance_cmd.add_argument("--workers", type=int, default=1,
-                               metavar="W",
+    rebalance_cmd.add_argument("--workers", type=number_flag(int, 1),
+                               default=1, metavar="W",
                                help="rebuild processes")
     rebalance_cmd.add_argument("--compact", action="store_true",
                                help="rebuild every shard from its live "

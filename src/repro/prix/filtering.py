@@ -112,7 +112,7 @@ class TrieSymbolIndex:
         for left, right, level, _ in self.range_query_gaps(label, lo, hi):
             yield left, right, level
 
-    def range_query_gaps(self, label, lo, hi):
+    def range_query_gaps(self, label, lo, hi, finger=None):
         """Yield ``(left, right, level, node_maxgap)`` inside ``(lo, hi)``.
 
         ``label`` is the label or its :meth:`label_prefix`.
@@ -120,12 +120,22 @@ class TrieSymbolIndex:
         closing remark: the largest first-to-last child span of this
         occurrence's parent node, over the documents whose sequences pass
         through this trie node only.
+
+        ``finger`` is None or a query's one-item list holding the leaf
+        its previous probe of this tree landed on (or None): the probe
+        seeks from it (:meth:`~repro.storage.bptree.BPlusTree.seek`) and
+        leaves its own landing leaf there -- never a leaf further along
+        the chain, whose parent this query may not have read.
         """
         prefix = label if isinstance(label, bytes) else int_key_prefix(label)
         left_at = len(prefix)
         unpack = _POS_VALUE.unpack
         for node, start, stop in self._tree.leaf_slices(
-                prefix + pack_key_int(lo + 1), prefix + pack_key_int(hi)):
+                prefix + pack_key_int(lo + 1), prefix + pack_key_int(hi),
+                near=None if finger is None else finger[0]):
+            if finger is not None:
+                finger[0] = node    # the first slice is the landing leaf
+                finger = None
             keys = node.keys
             values = node.values
             for idx in range(start, stop):
@@ -186,12 +196,19 @@ class DocidIndex:
     def tree(self):
         return self._tree
 
-    def documents_in(self, lo, hi):
-        """Document ids whose LPS terminates in the closed range [lo, hi]."""
-        return [_DOC_VALUE.unpack(value)[0]
-                for node, start, stop in self._tree.leaf_slices(
-                    encode_int(lo), encode_int(hi), inclusive_hi=True)
-                for value in node.values[start:stop]]
+    def documents_in(self, lo, hi, finger=None):
+        """Document ids whose LPS terminates in the closed range [lo, hi];
+        ``finger`` as in :meth:`TrieSymbolIndex.range_query_gaps`."""
+        unpack = _DOC_VALUE.unpack
+        docs = []
+        for node, start, stop in self._tree.leaf_slices(
+                encode_int(lo), encode_int(hi), True,
+                None if finger is None else finger[0]):
+            if finger is not None:
+                finger[0] = node    # the first slice is the landing leaf
+                finger = None
+            docs += [unpack(value)[0] for value in node.values[start:stop]]
+        return docs
 
     def fits_one_leaf(self, lo, hi, near=None):
         """``(fits, leaf)``: whether the closed range [lo, hi] ends in
@@ -307,6 +324,11 @@ def find_subsequences(plan, symbol_index, docid_index, root_range,
     rows = [None] * (last + 1)  # rows[i]: probe, part consumed
     # found[i]: the hits of the state open at level i, so far.
     found = [[] for _ in qlps]
+    # fingers[i]: the leaf level i's last probe landed on.  A level's
+    # label is fixed and the walk probes it in increasing LeftPos, as it
+    # does the Docid index at the last level.
+    fingers = [[None] for _ in qlps]
+    docid_finger = [None]
     # opened[i]: the counts when level i's probe was issued, and the
     # level and LeftPos of the node it was issued inside.
     opened = [None] * (last + 1)
@@ -318,7 +340,7 @@ def find_subsequences(plan, symbol_index, docid_index, root_range,
     try:
         if metered:
             budget.charge_range_query()
-        rows[0] = probe(handles[0], root_left, root_right)
+        rows[0] = probe(handles[0], root_left, root_right, fingers[0])
         while True:
             limit = limits[i]
             below = belows[i]
@@ -331,7 +353,7 @@ def find_subsequences(plan, symbol_index, docid_index, root_range,
                     pruned += 1
                     continue
                 if below is None:
-                    docs = documents_in(left, right)
+                    docs = documents_in(left, right, docid_finger)
                     if docs:
                         cand += 1
                         hits.append((level, tuple(docs)))
@@ -355,7 +377,7 @@ def find_subsequences(plan, symbol_index, docid_index, root_range,
                 issued += 1
                 if metered:
                     budget.charge_range_query()
-                rows[i] = probe(handles[i], left, right)
+                rows[i] = probe(handles[i], left, right, fingers[i])
                 break
             else:
                 if i == 0:

@@ -421,12 +421,14 @@ def rare_label(plan, variant_index, budget=None):
     if budget is not None:
         budget.charge_range_query()
     documents = set()
+    finger = [None]     # the nodes come in LeftPos order
     for left, right, _ in variant_index.symbol_index.range_query_full(
             label, variant_index.root_range[0],
             variant_index.root_range[1]):
         if budget is not None:
             budget.charge_range_query()
-        documents.update(variant_index.docid_index.documents_in(left, right))
+        documents.update(variant_index.docid_index.documents_in(
+            left, right, finger))
         if len(documents) > RARE_LABEL_DOC_LIMIT:
             return label, nodes, None
     return label, nodes, tuple(sorted(documents))

@@ -223,16 +223,19 @@ class BPlusTree:
 
         ``near`` is a *finger*: a leaf this tree handed out (here or in
         :meth:`leaf_slices`) since its last write.  When ``lo`` lies
-        strictly inside its keys the answer is in it, and the
-        root-to-leaf descent -- with its page reads -- is skipped.  A
-        leaf from before a write may hold entries that have moved;
-        passing one is the caller's error.
+        strictly inside its keys the answer is in it: the leaf is
+        requested again -- one logical read, an LRU touch, and a
+        physical read if the pool has evicted it since -- and the
+        root-to-leaf descent above it is skipped.  A leaf from before a
+        write may hold entries that have moved; passing one is the
+        caller's error.
         """
+        load = self._pool.get_decoded
         if near is not None and lo is not None:
             keys = near.keys
             if keys and keys[0] < lo <= keys[-1]:
-                return near, bisect_left(keys, lo)
-        load = self._pool.get_decoded
+                near = load(near.page_id, _parse_node)
+                return near, bisect_left(near.keys, lo)
         node = load(self._root_id, _parse_node)
         while not node.is_leaf:
             idx = 0 if lo is None else bisect_left(node.keys, lo)
@@ -245,24 +248,26 @@ class BPlusTree:
         The one leaf walk of this module: a :meth:`seek` (from the
         finger ``near``, if it holds ``lo``), then per leaf one
         ``bisect`` for the far end.  ``leaf.keys[start:
-        stop]`` and ``leaf.values[start:stop]`` are the matching entries
-        (leaves contributing none are skipped); bounds are as in
-        :meth:`range_scan`.  A leaf's successor is loaded only when the
-        consumer asks for more, so a walk abandoned early touches no
-        further page.
+        stop]`` and ``leaf.values[start:stop]`` are the matching entries;
+        bounds are as in :meth:`range_scan`.  The first triple is always
+        the leaf the seek landed on, even when it contributes no entry
+        (``start == stop``): a finger for a later seek, whose ancestors
+        that seek has read.  Later leaves contributing none are skipped.
+        A leaf's successor is loaded only when the consumer asks for
+        more, so a walk abandoned early touches no further page.
         """
         node, start = self.seek(lo, near)
         cut = bisect_right if inclusive_hi else bisect_left
         load = self._pool.get_decoded
-        while True:
-            keys = node.keys
-            stop = len(keys) if hi is None else cut(keys, hi, start)
-            if start < stop:
-                yield node, start, stop
-            if stop < len(keys) or node.next_leaf == NO_PAGE:
-                return
+        keys = node.keys
+        stop = len(keys) if hi is None else cut(keys, hi, start)
+        yield node, start, stop
+        while stop == len(keys) and node.next_leaf != NO_PAGE:
             node = load(node.next_leaf, _parse_node)
-            start = 0
+            keys = node.keys
+            stop = len(keys) if hi is None else cut(keys, hi)
+            if stop:
+                yield node, 0, stop
 
     def range_scan(self, lo=None, hi=None, inclusive_hi=False):
         """Yield ``(key, value)`` pairs with ``lo <= key < hi``.

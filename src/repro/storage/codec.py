@@ -112,8 +112,25 @@ def encode_varints(numbers):
     return bytes(out)
 
 
+#: Maps a byte to 1 when it carries the varint continuation bit, else 0.
+_CONTINUES = bytes(byte >> 7 for byte in range(256))
+
+
 def decode_varints(data):
-    """Decode a LEB128 varint stream back into a list of integers."""
+    """Decode a LEB128 varint stream back into a list of integers.
+
+    Two fast paths give what the loop gives: a stream of one-byte
+    varints is its bytes, and one of one- and two-byte varints -- no two
+    adjacent bytes, nor the last, carrying the continuation bit -- pairs
+    each continuation byte with the next.  Anything else (longer
+    varints, a truncated stream) takes the loop.
+    """
+    if data.isascii():
+        return list(data)
+    if data[-1] < 0x80 and b"\x01\x01" not in data.translate(_CONTINUES):
+        pairs = iter(data)
+        return [byte if byte < 0x80 else byte - 0x80 + (next(pairs) << 7)
+                for byte in pairs]
     numbers = []
     shift = 0
     current = 0

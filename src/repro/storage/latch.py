@@ -1,7 +1,7 @@
 """Named re-entrant latches for the storage layer.
 
-A :class:`Latch` is a thin wrapper around :class:`threading.RLock` that
-adds the two things the concurrency tooling needs and a raw lock cannot
+A :class:`Latch` is a :class:`threading.RLock` (the C ``_thread.RLock``)
+with the two things the concurrency tooling needs and a raw lock cannot
 provide:
 
 - a **role name** (``"buffer-pool"``, ``"pager-io"``, ``"io-stats"``),
@@ -12,8 +12,9 @@ provide:
 - **observability**: the runtime sanitizer installs process-wide hooks
   (:func:`install_hooks`) that see every acquire and release, which is
   how ``PRIX_SANITIZE=1`` maintains per-thread held-latch stacks and the
-  dynamic acquisition-order graph.  ``threading.RLock`` is a C type and
-  cannot be monkeypatched, so the hook points live here instead.
+  dynamic acquisition-order graph.  A C type's methods cannot be
+  monkeypatched, so the hooks swap ``Latch``'s own ``__enter__`` and
+  ``__exit__`` in, and :func:`clear_hooks` takes them out again.
 
 A class whose fields a latch protects says so where the latch lives: it
 declares a ``_GUARDED`` field -> latch-attribute map and is decorated
@@ -21,15 +22,17 @@ with :func:`guarded`, the one registration point the sanitizer reads
 (:func:`watch_guarded`) -- so a layer above storage never has to import
 the analysis package to be checked by it.
 
-Without the sanitizer the wrapper is two attribute loads and a ``None``
-check per operation; the storage layer uses it unconditionally.  A
-latch is taken only by ``with latch:`` -- there is no bare acquire or
-release -- so it is released on every path by construction.
+Without the sanitizer ``with latch:`` runs the lock's C ``__enter__``
+and ``__exit__``: no Python frame, the cost of a bare ``RLock``.  Every
+page hit takes two latches, so the storage layer can use them
+unconditionally.  A latch is taken only by ``with latch:`` -- there is
+no bare acquire or release -- so it is released on every path by
+construction.
 """
 
 from __future__ import annotations
 
-import threading
+from _thread import RLock
 
 #: ``(on_acquire, on_release)`` installed by the runtime sanitizer, or
 #: ``None``.  Read once per operation so a concurrent ``clear_hooks``
@@ -47,12 +50,17 @@ def install_hooks(on_acquire, on_release):
     """
     global _hooks
     _hooks = (on_acquire, on_release)
+    Latch.__enter__ = _hooked_enter
+    Latch.__exit__ = _hooked_exit
 
 
 def clear_hooks():
-    """Remove the latch observers."""
+    """Remove the latch observers: ``with latch:`` is the bare lock's
+    again."""
     global _hooks
     _hooks = None
+    Latch.__enter__ = RLock.__enter__
+    Latch.__exit__ = RLock.__exit__
 
 
 #: Every class registered by :func:`guarded`, in definition order.
@@ -80,32 +88,32 @@ def watch_guarded(observer):
     return tuple(_guarded_classes)
 
 
-class Latch:
+class Latch(RLock):
     """A named, re-entrant mutual-exclusion latch, held by ``with``."""
 
-    __slots__ = ("name", "_lock")
+    __slots__ = ("name",)
 
     def __init__(self, name):
         self.name = name
-        self._lock = threading.RLock()
 
     def owned(self):
         """Whether the calling thread currently holds this latch."""
-        return self._lock._is_owned()
-
-    def __enter__(self):
-        hooks = _hooks
-        if hooks is not None:
-            hooks[0](self)
-        self._lock.acquire()
-        return self
-
-    def __exit__(self, *exc):
-        hooks = _hooks
-        if hooks is not None:
-            hooks[1](self)
-        self._lock.release()
-        return False
+        return self._is_owned()
 
     def __repr__(self):
         return f"<Latch {self.name!r}>"
+
+
+def _hooked_enter(latch):
+    hooks = _hooks
+    if hooks is not None:
+        hooks[0](latch)
+    return latch.acquire()      # what the C ``__enter__`` returns
+
+
+def _hooked_exit(latch, *exc):
+    hooks = _hooks
+    if hooks is not None:
+        hooks[1](latch)
+    latch.release()
+    return False

@@ -326,6 +326,9 @@ class TestQueryBudget:
     @pytest.mark.parametrize("command, flag, value", [
         ("build", "--page-size", "0"), ("build", "--page-size", "-8192"),
         ("build", "--shards", "0"), ("build", "--shards", "-2"),
+        ("build", "--workers", "0"), ("build", "--workers", "-1"),
+        ("rebalance", "--shards", "0"), ("rebalance", "--shards", "-1"),
+        ("rebalance", "--workers", "0"), ("rebalance", "--workers", "-1"),
         ("query", "--limit", "-3"),
         ("serve", "--request-timeout", "-1"),
         ("serve", "--request-timeout", "0"),

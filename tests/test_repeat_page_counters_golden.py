@@ -18,7 +18,14 @@ several arrangements that take the trie walk were regenerated when it
 filtered them on one root-to-leaf path instead of once per arrangement
 -- ``logical_reads`` fell in each, ``pool8`` ``physical_reads`` fell
 everywhere but Q9/rp (34 -> 36); no case that takes the document
-fallback moved.
+fallback moved.  50 cases were regenerated when query probes began to
+resume from the leaf their previous seek landed on: ``logical_reads``
+fell in each, and with a whole-index pool nothing else moved.  In six
+``pool8`` cases ``physical_reads`` and ``evictions`` moved, because an
+8-page pool evicts the internal pages that the skipped descents no
+longer touch, so later descents find a different set resident:
+Q5/rp/trie 47 -> 44, Q7/ep/trie 29 -> 30, Q7/rp/trie 26 -> 28,
+Q8/rp/auto and Q8/rp/trie 18 -> 19, Q9/rp/trie 36 -> 38.
 
 Regenerate (only from a commit whose counters are the reference)::
 

@@ -253,7 +253,7 @@ class TestSeek:
                 assert (leaf.page_id, index) == (want[0].page_id, want[1])
                 if near.keys[0] < lo <= near.keys[-1]:
                     assert leaf is near
-                    assert pool.stats.read("logical_reads") == before
+                    assert pool.stats.read("logical_reads") == before + 1
 
     def test_a_scan_from_a_finger_is_the_scan(self):
         tree, _ = self.duplicates_tree()
@@ -265,6 +265,68 @@ class TestSeek:
                     in tree.leaf_slices(lo, hi, True, near)
                     for pair in zip(node.keys[start:stop],
                                     node.values[start:stop])] == want
+
+    def test_a_finger_the_pool_evicted_is_read_again(self):
+        """A finger is requested from the pool, never trusted in its
+        place: once its page has left the pool, a seek from it reads
+        that page -- and only that page -- again."""
+        tree, pool = self.duplicates_tree()
+        near = next(node for node, _, _ in tree.leaf_slices()
+                    if node.keys[0] < node.keys[-1])
+        lo = near.keys[-1]
+        want = tree.seek(lo)
+        pool.flush_and_clear()
+        before = [pool.stats.read(field)
+                  for field in ("logical_reads", "physical_reads")]
+        leaf, index = tree.seek(lo, near)
+        assert (leaf.page_id, index) == (want[0].page_id, want[1])
+        assert [pool.stats.read(field) - start for field, start in zip(
+            ("logical_reads", "physical_reads"), before)] == [1, 1]
+
+
+@pytest.fixture(scope="module")
+def landing_leaf_tree():
+    """A bulk-loaded tree at least three levels tall at 128-byte pages,
+    runs of equal keys straddling its leaves, in a pool that holds all
+    of it."""
+    pool = BufferPool(Pager.in_memory(page_size=128), capacity=4096)
+    tree = BPlusTree.bulk_load(pool, ((encode_int(i // 3), b"%d" % (i % 10))
+                                      for i in range(600)))
+    assert tree.height >= 3
+    return tree, pool
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 40),
+                          st.booleans()), min_size=1, max_size=25))
+def test_probes_resumed_from_landing_leaves_read_what_descents_read(
+        landing_leaf_tree, probes):
+    """Monotone probes (each ``step`` past the last one's lower bound,
+    often inside its range), each seeking from the leaf the previous one
+    landed on (the first slice of ``leaf_slices``), yield the slices
+    fresh descents yield and -- cold, in a pool that holds the tree --
+    make the same physical reads: every descent a finger skips is above
+    a leaf an earlier probe descended to.  A finger taken from the last
+    slice instead fails this."""
+    tree, pool = landing_leaf_tree
+
+    def run(resume):
+        pool.flush_and_clear()
+        before = pool.stats.read("physical_reads")
+        finger = None
+        seen = []
+        lo = 0
+        for step, span, inclusive in probes:
+            lo += step
+            slices = list(tree.leaf_slices(encode_int(lo),
+                                           encode_int(lo + span), inclusive,
+                                           finger if resume else None))
+            finger = slices[0][0]
+            seen.append([(leaf.page_id, start, stop)
+                         for leaf, start, stop in slices])
+        return seen, pool.stats.read("physical_reads") - before
+
+    assert run(resume=True) == run(resume=False)
 
 
 class TestDelete:

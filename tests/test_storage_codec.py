@@ -188,3 +188,39 @@ def test_composite_key_order_matches_tuple_order(pairs):
 @given(st.lists(st.integers(min_value=0, max_value=2 ** 40), max_size=50))
 def test_varint_roundtrip_property(values):
     assert decode_varints(encode_varints(values)) == values
+
+
+def reference_decode_varints(data):
+    """The plain LEB128 loop ``decode_varints``'s fast paths must match."""
+    numbers = []
+    shift = current = 0
+    for byte in data:
+        current |= (byte & 0x7F) << shift
+        if byte & 0x80:
+            shift += 7
+        else:
+            numbers.append(current)
+            shift = current = 0
+    if shift:
+        raise ValueError("truncated varint stream")
+    return numbers
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=40),
+    st.lists(st.integers(0, 2 ** 14 - 1), max_size=40).map(encode_varints),
+    st.lists(st.integers(0, 2 ** 40), max_size=20).map(encode_varints),
+    st.lists(st.integers(0, 2 ** 14 - 1), min_size=1, max_size=20).map(
+        lambda values: encode_varints(values)[:-1])))
+def test_varint_decode_equals_the_reference_loop(data):
+    """Any bytes -- one- and two-byte streams, longer varints, streams
+    cut inside a varint -- decode as the loop decodes them, or raise
+    ``ValueError`` as it does."""
+    try:
+        expected = reference_decode_varints(data)
+    except ValueError:
+        with pytest.raises(ValueError):
+            decode_varints(data)
+    else:
+        assert decode_varints(data) == expected
