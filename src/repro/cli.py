@@ -7,12 +7,10 @@ Usage::
     python -m repro.cli build SHARDS/ --corpus dblp --shards 4 --workers 4
     python -m repro.cli query INDEX.idx '//book[./author="Knuth"]/title'
     python -m repro.cli stats INDEX.idx
-    python -m repro.cli lint src/repro --format json
 
 ``build`` indexes XML files (one document each) or one of the bundled
 synthetic corpora; ``query`` runs a twig query and prints matches with
-execution statistics; ``stats`` summarizes a saved index; ``lint`` runs
-the prixlint static invariant checks (see ``docs/ANALYSIS.md``).
+execution statistics; ``stats`` summarizes a saved index.
 """
 
 from __future__ import annotations
@@ -241,11 +239,6 @@ def _cmd_scrub(args):
     return 0 if report.healthy else EXIT_CORRUPTION
 
 
-def _cmd_lint(args):
-    from repro.analysis.runner import run_lint
-    return run_lint(args)
-
-
 def _cmd_serve(args):
     from repro.serve.server import run
     return run(args)
@@ -435,8 +428,8 @@ def make_parser():
                                     "residue")
     rebalance_cmd.set_defaults(func=_cmd_rebalance)
 
-    # Function-local import (like lint's below): importing repro.cli as
-    # a library never drags the serving tier in.
+    # Function-local import: importing repro.cli as a library never
+    # drags the serving tier in.
     serve = commands.add_parser(
         "serve", help="serve twig queries over HTTP from one or more "
                       "saved indexes (see docs/SERVING.md)")
@@ -509,13 +502,6 @@ def make_parser():
                             "serialization the serve tier's /healthz "
                             "endpoint returns)")
     scrub.set_defaults(func=_cmd_scrub)
-
-    from repro.analysis.runner import add_lint_arguments
-    lint = commands.add_parser(
-        "lint", help="run prixlint static invariant checks "
-                     "(I/O accounting, determinism, resource safety)")
-    add_lint_arguments(lint)
-    lint.set_defaults(func=_cmd_lint)
     return parser
 
 

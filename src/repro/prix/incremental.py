@@ -5,9 +5,10 @@ without relabeling: each trie node's range keeps unallocated *scope* from
 which ranges for newly appearing children are carved.  This module walks
 a new document's LPS down the disk-resident trie (via the Trie-Symbol
 index), descending through existing nodes and carving ranges for new
-ones.  A node's unallocated scope starts at its last child's RightPos,
-which the Trie-Symbol index already stores, so :func:`next_free_id`
-derives it where a carve needs it and no allocation state is kept.
+ones.  A node's unallocated scope starts just past its last child's
+RightPos, which the Trie-Symbol index already stores, so
+:func:`next_free_id` derives it where a carve needs it and no
+allocation state is kept.
 
 Labels that leave no slack (:func:`leaves_slack`: the bulk labeler's,
 or those of a file saved while a dynamic build could still fall back to
@@ -39,17 +40,20 @@ def leaves_slack(labeler, trie_stats):
 
 def next_free_id(variant, left, right, level):
     """The first id of the node ``(left, right)``'s unallocated scope:
-    its last child's RightPos, or ``left + 1`` for a leaf.
+    one past its last child's RightPos, or ``left + 1`` for a leaf.
 
-    The children are the level+1 entries inside the range; one range
-    query per label finds them all.
+    A carve must not start *at* that RightPos: the new sibling's LeftPos
+    keys its documents in the Docid index, and the old child's closed
+    range would then contain them (a false alarm).  The children are
+    the level+1 entries inside the range; one range query per label
+    finds them all.
     """
     next_free = left + 1
     for label in variant.label_counts:
         for _, child_right, child_level, _ in \
                 variant.symbol_index.range_query_gaps(label, left, right):
-            if child_level == level + 1 and child_right > next_free:
-                next_free = child_right
+            if child_level == level + 1:
+                next_free = max(next_free, child_right + 1)
     return next_free
 
 
@@ -103,7 +107,9 @@ def insert_sequence(variant, seq, gaps, doc_id, slack):
             else:
                 next_free = next_free_id(variant, cur_left, cur_right,
                                          cur_level)
-            remaining = cur_right - next_free
+            # The carve [next_free, next_free + share] must end strictly
+            # inside the parent's closed range.
+            remaining = cur_right - 1 - next_free
             # The new child must hold the whole remaining chain of this
             # sequence (each deeper node consumes at least 2 ids), so
             # size the carve by the known tail length rather than only a
@@ -114,7 +120,7 @@ def insert_sequence(variant, seq, gaps, doc_id, slack):
             share = max(remaining // DEFAULT_INSERT_FANOUT, needed)
             if share > remaining:
                 share = remaining
-            if share < needed or next_free + share > cur_right:
+            if share < needed:
                 raise RebuildRequiredError(
                     f"scope underflow inserting doc {doc_id}: node at "
                     f"{cur_left} has {remaining} ids left, needs "

@@ -570,7 +570,7 @@ class PrixIndex:
         :class:`~repro.storage.errors.SuperblockError` rather than left
         to surface as whatever the pager or the pool makes of it.
         """
-        with open(path, "rb") as handle:  # prixlint: disable=no-raw-io
+        with open(path, "rb") as handle:
             header = handle.read(_SUPERBLOCK.size)
             size = os.fstat(handle.fileno()).st_size
         page, offset, length, page_size = cls._parse_superblock(header, path)

@@ -4,8 +4,9 @@ A long-lived process answering twig queries over shared **read-only**
 PRIX indexes -- the step that turns the paper's filter-then-refine
 matching into something that can sit behind real traffic (ROADMAP
 item 2).  The subsystem is the repo's *serving* layer: it sits atop the
-logical index layers (``repro.analysis.arch.manifest.LAYERS``) and
-reaches storage only through the ``storage-api`` facade; its shared state is latched, with
+logical index layers (the layer map is ``LAYERS`` in
+``tests/test_source_invariants.py``) and reaches storage only through
+the ``storage-api`` facade; its shared state is latched, with
 ``_GUARDED`` maps the runtime sanitizer enforces.
 
 Modules:

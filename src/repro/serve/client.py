@@ -147,8 +147,8 @@ class PrixServeClient:
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
         self._sleep = sleep
-        # Seeded by contract (the prixlint seeded-rng rule): jitter must
-        # be replayable under test and uncorrelated across clients.
+        # Seeded by contract: jitter must be replayable under test and
+        # uncorrelated across clients.
         self._rng = random.Random(seed)
         self._opener = opener if opener is not None else _default_opener
 

@@ -21,10 +21,10 @@ and makes the set a first-class index:
   lives at a path, index file or shard directory, so no front end has
   to tell the two apart.
 
-Layering (``repro.analysis.arch.manifest.LAYERS``): the ``shard``
-layer sits beside the serving tier -- atop foundation, logical, and
-storage-api -- and the serving tier may import it (``IndexRegistry``
-mounts shard directories).
+Layering (``LAYERS`` in ``tests/test_source_invariants.py``): the
+``shard`` layer sits beside the serving tier -- atop foundation,
+logical, and storage-api -- and the serving tier may import it
+(``IndexRegistry`` mounts shard directories).
 """
 
 from repro.shard.builder import (ShardBuildReport, ShardBuildStats,

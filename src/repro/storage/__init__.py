@@ -8,10 +8,11 @@ pure Python with explicit physical-read accounting so the "Disk IO (pages)"
 columns of Tables 4-9 can be regenerated.
 
 Durability is layered on top (``docs/DURABILITY.md``): an ARIES-lite
-redo-only :class:`WriteAheadLog`, crash :mod:`~repro.storage.recovery`,
-and deterministic fault injection (:class:`FaultSchedule` /
-:class:`FaultyFile`) for the crash-matrix tests.  WAL traffic is counted
-in its own ``IOStats`` fields, so the paper tables are unaffected.
+redo-only :class:`WriteAheadLog` and crash
+:mod:`~repro.storage.recovery`.  WAL traffic is counted in its own
+``IOStats`` fields, so the paper tables are unaffected.  The
+deterministic fault injectors the crash and corruption matrices run
+under live with those tests (``tests/faults.py``).
 
 The public door into the stack is :mod:`repro.storage.backend`
 (``docs/ARCHITECTURE.md``): one backend class,
@@ -21,19 +22,16 @@ function, :func:`open_backend`, which builds and reopens alike.  Its
 kinds (``"file"``, ``"arena"``, ``"mmap"``) differ only in the
 file-like object the pager is handed: the real file, an in-memory
 snapshot of it, or a read-only memory map.  The logical index layers
-import storage only through that seam; the ``layering`` lint rule
-enforces the boundary statically.
+import storage only through that seam; the layer map in
+``tests/test_source_invariants.py`` enforces the boundary statically.
 
 Corruption safety sits beside it (``docs/ROBUSTNESS.md``): a
 :class:`PageGuard` checksums every page on write-back and verifies on
 read, repairing from the WAL's committed images or quarantining with a
 typed :class:`PageCorruptionError`; :func:`scrub` sweeps every page of
 a pager (the index-level scrub, catalog verdict included, is composed
-above storage: ``repro.prix.index.scrub_path``);
-:func:`inject_corruption` supplies the seeded bit-flip / zero-page /
-misdirected-write faults the corruption-matrix tests run
-under.  Guard traffic, like WAL traffic, never touches the page
-counters.
+above storage: ``repro.prix.index.scrub_path``).  Guard traffic, like
+WAL traffic, never touches the page counters.
 """
 
 from repro.storage.backend import (FilePagerBackend, open_backend,
@@ -49,8 +47,6 @@ from repro.storage.errors import (CorruptionError, PageCorruptionError,
                                   SuperblockError, TransientStorageError,
                                   WalCorruptionError, WalError,
                                   WalProtocolError)
-from repro.storage.faults import (CrashPoint, FaultSchedule, FaultyFile,
-                                  corruption_plan, inject_corruption)
 from repro.storage.guard import (PageGuard, ScrubReport, TreeScrubReport,
                                  scrub, sidecar_page_size,
                                  wal_repair_source)
@@ -67,10 +63,7 @@ __all__ = [
     "BPlusTree",
     "BufferPool",
     "CorruptionError",
-    "CrashPoint",
     "DEFAULT_PAGE_SIZE",
-    "FaultSchedule",
-    "FaultyFile",
     "FilePagerBackend",
     "IOStats",
     "Latch",
@@ -96,13 +89,11 @@ __all__ = [
     "WalError",
     "WalProtocolError",
     "WriteAheadLog",
-    "corruption_plan",
     "decode_key",
     "encode_int",
     "encode_key",
     "encode_str",
     "guarded",
-    "inject_corruption",
     "open_backend",
     "page_checksum",
     "recover",

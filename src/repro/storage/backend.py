@@ -2,10 +2,11 @@
 
 This module is the **storage-api** door through which the logical index
 layers (``repro.trie``, ``repro.prix``, ``repro.query``) reach the page
-substrate; the ``layering`` lint rule (layer map:
-``repro.analysis.arch.manifest.LAYERS``) makes an import of
-``repro.storage.pager`` or ``repro.storage.wal`` from those layers a
-finding with the witness import chain attached.
+substrate; the layer map (``LAYERS`` in
+``tests/test_source_invariants.py``) makes an import of
+``repro.storage.pager`` or ``repro.storage.wal`` from those layers,
+direct or through helper modules, a test failure that names the import
+chain.
 
 :class:`FilePagerBackend` is the LRU ``BufferPool`` over the one
 :class:`~repro.storage.pager.Pager`, owning the WAL, the guard and the

@@ -396,7 +396,7 @@ def sidecar_page_size(guard_path):
     what a file with no readable superblock is still swept under."""
     from repro.storage.pager import DEFAULT_PAGE_SIZE
     if os.path.exists(guard_path):
-        with open(guard_path, "rb") as handle:  # prixlint: disable=no-raw-io
+        with open(guard_path, "rb") as handle:
             raw = handle.read(_HEADER.size)
         if len(raw) == _HEADER.size:
             magic, version, page_size = _HEADER.unpack(raw)

@@ -37,9 +37,9 @@ def fsync_file(fileobj):
     """Flush ``fileobj`` and force it to stable storage where supported.
 
     The single durability barrier used by the pager and the write-ahead
-    log.  A file object may provide its own ``fsync()`` (the fault
-    injector's :class:`~repro.storage.faults.FaultyFile` models the
-    barrier there); otherwise ``os.fsync`` is attempted on the file
+    log.  A file object may provide its own ``fsync()`` (the crash
+    tests' ``FaultyFile``, ``tests/faults.py``, models the barrier
+    there); otherwise ``os.fsync`` is attempted on the file
     descriptor and skipped for purely in-memory buffers.
     """
     fileobj.flush()

@@ -156,9 +156,9 @@ def recover_path(data_path, wal_path=None, page_size=None, guard_path=None):
     # and every byte written here is a committed page image that normal
     # operation already counted when it was first dirtied.
     mode = "r+b" if os.path.exists(data_path) else "w+b"
-    with open(data_path, mode) as data_file:  # prixlint: disable=no-raw-io
+    with open(data_path, mode) as data_file:
         if page_size is None:
-            with open(wal_path, "rb") as peek:  # prixlint: disable=no-raw-io
+            with open(wal_path, "rb") as peek:
                 header = WriteAheadLog._parse_header(
                     peek.read(_HEADER.size))
             if header is None:

@@ -101,7 +101,7 @@ class WriteAheadLog:
     """Append-only framed log over a single file object.
 
     Like :class:`~repro.storage.pager.Pager`, the log is file-object
-    first (the fault injector hands it a :class:`FaultyFile`) with an
+    first (the crash tests hand it a ``FaultyFile``) with an
     :meth:`open` classmethod for paths.  All appends go to the end of
     the file; :attr:`flushed_lsn` tracks the durability watermark the
     buffer pool's WAL-before-data rule checks against.

@@ -16,9 +16,9 @@ go.  The two labelers differ only in the step:
   the PRIX index uses when built from a static corpus.
 - :class:`DynamicLabeler` steps by ``MAX_RANGE // (2 * node_count + 2)``,
   so the labels fill the paper's 8-byte range and every two consecutive
-  labels leave the same gap.  A node's unallocated scope -- from its last
-  child's RightPos (or its own LeftPos) up to its RightPos -- is one
-  stride wide, and :mod:`repro.prix.incremental` carves the ranges of
+  labels leave the same gap.  A node's unallocated scope -- strictly
+  between its last child's RightPos (or its own LeftPos) and its
+  RightPos -- is one stride wide, and :mod:`repro.prix.incremental` carves the ranges of
   later inserted children out of it (Section 5.2.1).  The stride keeps
   the key order of the gap-free labels, so both labelers' B+-trees have
   the same shape.

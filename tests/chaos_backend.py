@@ -6,7 +6,7 @@ transient errors, latency, checksum-corrupting reads that exercise the
 guard's read-repair/quarantine machinery, and fail-then-heal windows --
 while delegating every mutation untouched (``docs/ROBUSTNESS.md``,
 "Chaos & resilience").  Like the crash half's
-:class:`~repro.storage.faults.FaultSchedule`, a :class:`ChaosConfig` is
+:class:`faults.FaultSchedule`, a :class:`ChaosConfig` is
 a complete reproduction recipe.  Only tests construct these, through
 :class:`helpers.ChaosOpens`; no product signature takes a chaos
 argument.
@@ -15,8 +15,8 @@ argument.
 import time
 from dataclasses import asdict, dataclass
 
+from faults import _mix
 from repro.storage.errors import PageCorruptionError, TransientStorageError
-from repro.storage.faults import _mix
 from repro.storage.latch import Latch, guarded
 
 #: Fault kinds a chaos schedule can inject at a read.

@@ -1,4 +1,4 @@
-"""Deterministic crash and fault injection for the storage engine.
+"""Deterministic crash and fault injection for the storage tests.
 
 The recovery guarantees in :mod:`repro.storage.recovery` are only as
 good as the crash model they were tested under.  This module supplies
@@ -33,9 +33,9 @@ survives), and log truncation at a checkpoint trusts the data-file
 fsync that precedes it -- so dropped-fsync injection targets data-file
 traffic during builds and inserts, exactly what the matrix crashes.
 
-The *live* read-fault model of the serving tier lives beside the tests
-that drive it (``tests/chaos_backend.py``; ``docs/ROBUSTNESS.md``,
-"Chaos & resilience").
+Only tests import this module (the crash and corruption matrices).  The
+*live* read-fault model of the serving tier lives beside it
+(``chaos_backend.py``; ``docs/ROBUSTNESS.md``, "Chaos & resilience").
 """
 
 from __future__ import annotations

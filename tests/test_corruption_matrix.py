@@ -4,7 +4,7 @@ prove the guard never lets a silent wrong answer through.
 For each (dataset, seed) the harness builds one guarded, durable index
 on disk, then sweeps corruption points.  Each point deterministically
 picks a page and a corruption flavour (bit flip, zeroed page,
-misdirected write -- see :func:`repro.storage.faults.inject_corruption`)
+misdirected write -- see :func:`faults.inject_corruption`)
 and applies it to a fresh copy of the files.  The oracle is absolute:
 
 - with the write-ahead log intact, every corruption must be *repaired*
@@ -27,9 +27,9 @@ import shutil
 
 import pytest
 
+from faults import inject_corruption
 from repro.prix.index import IndexOptions, PrixIndex, scrub_path
 from repro.storage.errors import CorruptionError
-from repro.storage.faults import inject_corruption
 from repro.xmlkit.parser import parse_document
 
 SEEDS = (11, 23, 47)

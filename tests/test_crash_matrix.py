@@ -26,9 +26,9 @@ import os
 
 import pytest
 
+from faults import CrashPoint, FaultSchedule, FaultyFile
 from repro.prix.index import IndexOptions, PrixIndex
 from repro.storage.errors import SuperblockError
-from repro.storage.faults import CrashPoint, FaultSchedule, FaultyFile
 from repro.storage.recovery import recover
 from repro.storage.wal import WriteAheadLog, _HEADER
 from repro.xmlkit.parser import parse_document
@@ -251,9 +251,7 @@ def test_recovery_survives_its_own_crash(seed, tmp_path):
     durable_data = data_file.durable_bytes()
     durable_wal = wal_file.durable_bytes()
 
-    # (_parse_header is a pure static parse, not an acquired handle)
-    header = WriteAheadLog._parse_header(  # prixlint: disable=resource-safety
-        durable_wal[:_HEADER.size])
+    header = WriteAheadLog._parse_header(durable_wal[:_HEADER.size])
     assert header is not None, "mid-run crash left no durable log header"
     page_size = header[1]
 

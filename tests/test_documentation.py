@@ -1,5 +1,6 @@
 """Documentation consistency: the docs reference real files and symbols."""
 
+import ast
 import os
 import re
 
@@ -80,22 +81,28 @@ class TestErrorTable:
 class TestCheckerTable:
     def test_analysis_table_names_exactly_the_shipped_rules(self):
         """docs/ANALYSIS.md says once which checker owns which protocol;
-        its lint-rule column is exactly the rule registry."""
-        from repro.analysis import rules_by_name
+        its source-test column is exactly the source checks of
+        ``tests/test_source_invariants.py``."""
+        tree = ast.parse(read("tests/test_source_invariants.py"))
+        checks = {node.name for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name.startswith("test_")}
         section = read("docs/ANALYSIS.md").split(
             "## What is checked where")[1].split("\n## ")[0]
-        cells = re.findall(r"^\| [^|]+ \| (`[a-z-]+`|—) \|", section,
-                           flags=re.MULTILINE)
-        assert len(cells) > len(rules_by_name())    # protocols without one
-        assert sorted(cell.strip("`") for cell in cells if cell != "—") \
-            == sorted(rules_by_name())
+        cells = re.findall(
+            r"^\| [^|]+ \| (`test_source_invariants::\w+`|—) \|", section,
+            flags=re.MULTILINE)
+        cited = [cell.strip("`").partition("::")[2] for cell in cells
+                 if cell != "—"]
+        assert len(cells) > len(checks)     # protocols without one
+        assert sorted(cited) == sorted(checks)
 
 
 class TestLayerTable:
     def test_architecture_table_is_the_layer_map(self):
         """docs/ARCHITECTURE.md tables the layer map once; its rows are
         exactly ``LAYERS`` (prefixes) and ``ALLOWED`` (imports)."""
-        from repro.analysis.arch import ALLOWED, LAYERS
+        from test_source_invariants import ALLOWED, LAYERS
         section = read("docs/ARCHITECTURE.md").split(
             "## The layer map")[1].split("\n## ")[0]
         rows = re.findall(r"^\| `([a-z-]+)` \| ([^|]+) \| ([^|]+) \|$",

@@ -1,6 +1,7 @@
 """Incremental insertion tests (dynamic labeling, Section 5.2.1)."""
 
 import contextlib
+import itertools
 import random
 import re
 from unittest import mock
@@ -423,3 +424,98 @@ def test_early_stopping_delete_finds_the_full_walks_terminal(seed,
                 terminal = full_walk_terminal(variant, lps)
                 assert index._docid_entry(variant, lps, document.doc_id) \
                     == DocidIndex.make_entry(terminal, document.doc_id)
+
+
+def small_documents(nodes):
+    """Every document of exactly ``nodes`` nodes over the tags a, b and
+    the text value v1 (adjacent text children would parse as one)."""
+    def forests(size):
+        if size == 0:
+            yield ()
+            return
+        for first in range(1, size + 1):
+            for head in trees(first):
+                for rest in forests(size - first):
+                    if not (head == "v1" and rest[:1] == ("v1",)):
+                        yield (head,) + rest
+
+    def trees(size):
+        if size == 1:
+            yield "v1"
+        for tag in "ab":
+            for forest in forests(size - 1):
+                yield f"<{tag}>{''.join(forest)}</{tag}>"
+
+    return [text for text in trees(nodes) if text.startswith("<")]
+
+
+def small_twigs():
+    """Every two- and three-node twig over a, b and v1."""
+    twigs = []
+    for x, y in itertools.product("ab", repeat=2):
+        twigs += [f"//{x}/{y}", f"//{x}//{y}", f'//{x}/{y}[text()="v1"]']
+    twigs += [f'//{x}[text()="v1"]' for x in "ab"]
+    for x, y, z in itertools.product("ab", repeat=3):
+        twigs += [f"//{x}/{y}/{z}", f"//{x}[{y}]/{z}"]
+    return twigs
+
+
+def assert_ranges_nest(variant):
+    """Sibling Trie-Symbol ranges are disjoint closed intervals, each
+    strictly inside its parent's."""
+    lo, hi = variant.root_range
+    nodes = sorted(
+        (left, right, level)
+        for label in variant.label_counts
+        for left, right, level, _ in
+        variant.symbol_index.range_query_gaps(label, lo, hi))
+    open_nodes = [(lo, hi, 0)]
+    for left, right, level in nodes:
+        while open_nodes[-1][1] < left:
+            open_nodes.pop()
+        parent_left, parent_right, parent_level = open_nodes[-1]
+        assert (parent_level, parent_left < left, right < parent_right) \
+            == (level - 1, True, True), (left, right, level)
+        open_nodes.append((left, right, level))
+
+
+class TestNovelInsertLabels:
+    """A child carved under a node with children starts past its last
+    child's closed range, so that sibling's Docid lookup never reaches
+    the new documents (no false alarms, Theorems 2-3)."""
+
+    def test_a_novel_sibling_is_not_a_false_alarm(self):
+        with PrixIndex.build(docs_from(["<a>v1</a>"]), DYNAMIC) as index:
+            index.insert_document(parse_document("<b>v1</b>", 2))
+            xpath = '//a[text()="v1"]'
+            for variant in index.variants():
+                assert index.query(xpath, strategy="trie",
+                                   variant=variant).doc_ids == [1]
+            with index.rebuilt() as rebuilt:
+                assert rebuilt.query(xpath).doc_ids == [1]
+
+    def test_every_small_insert_matches_the_oracle(self):
+        built = small_documents(1) + small_documents(2)
+        inserted = small_documents(3)
+        documents = docs_from(built + inserted)
+        with PrixIndex.build(documents[:len(built)], DYNAMIC) as index:
+            for document in documents[len(built):]:
+                index.insert_document(document)
+            for variant in index.variants():
+                assert_ranges_nest(index._variants[variant])
+            mismatches = []
+            for xpath, ordered in itertools.product(small_twigs(),
+                                                    (False, True)):
+                pattern = parse_xpath(xpath)
+                expected = {(document.doc_id, embedding)
+                            for document in documents
+                            for embedding in naive_matches(
+                                document, pattern, ordered=ordered)}
+                for variant in index.variants():
+                    found = {(match.doc_id, match.canonical)
+                             for match in index.query(
+                                 pattern, ordered=ordered, variant=variant,
+                                 strategy="trie")}
+                    if found != expected:
+                        mismatches.append((xpath, ordered, variant))
+            assert mismatches == []

@@ -100,9 +100,9 @@ def labeled_nodes(labeled):
 class TestNextFreeId:
     def test_derived_next_free_id_is_the_seed_rule(self):
         """Every node's next free id, derived from the Trie-Symbol index,
-        is what the allocation B+-tree was seeded with: the last child's
-        RightPos, or ``left + 1`` for a leaf.  The dynamic build keeps
-        its slack on both variants."""
+        is one past its last child's RightPos, or ``left + 1`` for a
+        leaf: a carve never starts inside a sibling's closed range.  The
+        dynamic build keeps its slack on both variants."""
         documents = dblp(n_records=12).documents
         seen = set()
         for options in (IndexOptions(), IndexOptions(labeler="dynamic")):
@@ -121,7 +121,7 @@ class TestNextFreeId:
                     seen.add((options.labeler, index.summary()
                               ["variants"][name]["insertion_slack"]))
                     for left, right, level, rights in labeled_nodes(labeled):
-                        seed = max(rights, default=left + 1)
+                        seed = max(rights, default=left) + 1
                         assert next_free_id(variant, left, right,
                                             level) == seed
         assert seen == {("bulk", False), ("dynamic", True)}

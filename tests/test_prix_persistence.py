@@ -397,29 +397,29 @@ class TestCatalogChain:
 #: Inserted into ``tiny_documents(5)`` under ``dynamic_options`` as
 #: documents 98 and 99.  In both variants the first leaves the trie at a
 #: leaf and the second at a node with children, whose next free id is
-#: its last child's RightPos.
+#: one past its last child's RightPos.
 CARVING_XML = ("<a><b><c/></b><e/></a>", "<d><b><q/></b></d>")
 
 #: The ``(label, LeftPos, RightPos)`` of each trie node those inserts
 #: carve, per variant, out of the strided labels of a dynamic build.
 CARVED = {"rp": {("a", 3586866903221301701, 3650918097921682088),
-                 ("d", 6148914691236517200, 6212965885936897587)},
-          "ep": {("a", 8198552921648689602, 8202556121317463376),
-                 ("b", 8967167258053254251, 8971170457722028025),
-                 ("d", 8967167258053254252, 8967667658011850973),
+                 ("d", 6148914691236517201, 6212965885936897588)},
+          "ep": {("a", 8198552921648689602, 8202556121317463375),
+                 ("b", 8967167258053254252, 8971170457722028025),
+                 ("d", 8967167258053254253, 8967667658011850974),
                  ("e", 8198552921648689601, 8230578518998879794),
-                 ("q", 8967167258053254250, 8999192855403444443)}}
+                 ("q", 8967167258053254251, 8999192855403444444)}}
 
 #: The same inserts into ``OLD_FILE``, whose labels the alpha-prefix
 #: scheme assigned -- as carved while the scope state was still stored
 #: in a per-node allocation B+-tree.
 OLD_CARVED = {"rp": {("a", 1064235235021704904, 1141835720908704219),
-                     ("d", 2305843009213693953, 2461043980987692584)},
+                     ("d", 2305843009213693954, 2461043980987692585)},
               "ep": {("a", 3773197651440590107, 3776472996624132285),
-                     ("b", 4611686018427387904, 4683743612465315839),
-                     ("d", 4611686018427387905, 4620693217682128896),
-                     ("e", 3773197651440590106, 3799400412908927537),
-                     ("q", 4611686018427387903, 5188146770730811391)}}
+                     ("b", 4611686018427387905, 4683743612465315840),
+                     ("d", 4611686018427387906, 4620693217682128897),
+                     ("e", 3773197651440590106, 3799400412908927536),
+                     ("q", 4611686018427387904, 5188146770730811391)}}
 
 #: A dynamic-labelled index over ``tiny_documents(5)``, saved by a build
 #: whose catalog still located that tree (``alloc_meta``) and recorded

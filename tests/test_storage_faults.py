@@ -8,9 +8,8 @@ without testing anything.
 
 import pytest
 
-from repro.storage.faults import (KIND_AT_FSYNC, KIND_BEFORE_WRITE,
-                                  KIND_DROPPED_FSYNC, KIND_TORN_WRITE,
-                                  CrashPoint, FaultSchedule, FaultyFile)
+from faults import (KIND_AT_FSYNC, KIND_BEFORE_WRITE, KIND_DROPPED_FSYNC,
+                    KIND_TORN_WRITE, CrashPoint, FaultSchedule, FaultyFile)
 
 
 def clean_file(seed=1, **kwargs):
