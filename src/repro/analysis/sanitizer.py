@@ -79,6 +79,7 @@ the whole suite with the sanitizer on, plus the threaded stress job
 
 from __future__ import annotations
 
+import os
 import threading
 import weakref
 from contextlib import contextmanager
@@ -292,6 +293,33 @@ def _on_release(latch):
         if held[index] == latch.name:
             del held[index]
             return
+
+
+# ----------------------------------------------------------------------
+# Fork safety
+# ----------------------------------------------------------------------
+
+#: The state whose meta-lock is held across an ``os.fork``.
+_forking = []
+
+
+def _before_fork():
+    """Hold the meta-lock across a fork, so that no other thread holds
+    it at that instant: a forked ``prix serve`` engine process takes it
+    on its first latch and would otherwise wait forever."""
+    state = _state
+    if state is not None:
+        state.meta.acquire()
+        _forking.append(state)
+
+
+def _after_fork():
+    if _forking:
+        _forking.pop().meta.release()
+
+
+os.register_at_fork(before=_before_fork, after_in_parent=_after_fork,
+                    after_in_child=_after_fork)
 
 
 # ----------------------------------------------------------------------

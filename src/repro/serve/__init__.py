@@ -31,6 +31,11 @@ Modules:
   backoff with seeded full jitter, ``Retry-After`` honoured as a
   floor, idempotent-only retries, and a typed :class:`ClientError`
   hierarchy mirroring :mod:`repro.exitcodes`.
+- :mod:`repro.serve.engines` -- the engine processes, one per CPU,
+  forked when the server starts serving: each runs the queries handed
+  to it over a pipe on the index handles it inherited, and returns the
+  serialized body (or the typed error) with the query's page-counter
+  delta.
 - :mod:`repro.serve.server` -- the ``ThreadingHTTPServer`` front end,
   endpoint dispatch, per-request socket timeouts (slow-loris defense),
   ``X-Prix-Deadline-Ms`` deadline propagation, and graceful drain on

@@ -102,6 +102,12 @@ class ProtocolError(Exception):
         self.error_type = error_type or type(self).__name__
         self.retry_after = retry_after
 
+    def __reduce__(self):
+        """Pickle by fields: an engine process sends its typed error to
+        the front end whole (``repro.serve.engines``)."""
+        return (type(self), (self.code, self.message, self.detail,
+                             self.error_type, self.retry_after))
+
     def body(self):
         """The JSON-ready error response payload."""
         error = {

@@ -18,6 +18,12 @@ The reload protocol (``docs/SERVING.md``):
    generation with live leases is *never* closed, so an in-flight query
    keeps byte-stable pages under its feet for its whole lifetime.
 
+The engine processes (:mod:`repro.serve.engines`) hold handles of
+their own on each generation: those they inherited when forked, and
+those they opened from a mount's path for a later one.  Closing a
+retired generation logs it (:meth:`IndexRegistry.closed_since`), and
+each engine closes its handle when next told.
+
 Health is cached per generation: mounting (or reloading) runs a full
 :func:`repro.shard.scrub_index` sweep and stores the report's
 canonical :meth:`~repro.storage.guard.ScrubReport.to_json` string --
@@ -98,10 +104,12 @@ class IndexRegistry:
         self._latch = Latch("serve-registry")
         self._mounts = {}
         self._leaked = []
+        self._closed = []       # (name, generation), in closing order
         self.drain_timeout = drain_timeout
 
     #: Field -> guarding latch, enforced by the runtime sanitizer.
-    _GUARDED = {"_mounts": "_latch", "_leaked": "_latch"}
+    _GUARDED = {"_mounts": "_latch", "_leaked": "_latch",
+                "_closed": "_latch"}
 
     def _open_generation(self, name, path, generation, opened):
         """Scrub ``path``, open it read-shared, build the mount record.
@@ -187,14 +195,36 @@ class IndexRegistry:
                 if stuck:
                     self._leaked.append(old)
             if not stuck:
-                old.index.close()
+                self._retire(old)
                 return fresh.generation
             raise ServeError(
                 f"reload of {name!r}: generation {old.generation} still "
                 f"has leases after {timeout:.1f}s; it stays open and "
                 "leaks until its queries finish")
-        old.index.close()
+        self._retire(old)
         return fresh.generation
+
+    def _retire(self, mount):
+        """Close a drained generation and log it for the engine
+        processes, which close their own handles on it when told
+        (:meth:`closed_since`)."""
+        mount.index.close()
+        with self._latch:
+            self._closed.append((mount.name, mount.generation))
+
+    def closed_since(self, count):
+        """``(name, generation)`` of every generation retired after the
+        first ``count`` (what an engine told ``count`` has yet to close)."""
+        with self._latch:
+            return self._closed[count:]
+
+    def handles(self):
+        """``(name, generation) -> index`` for every open generation:
+        what a forked engine process inherits."""
+        with self._latch:
+            mounts = [*self._mounts.values(), *self._leaked]
+        return {(mount.name, mount.generation): mount.index
+                for mount in mounts}
 
     def lease(self, name):
         """Pin the current generation of ``name`` for one query.
@@ -228,7 +258,7 @@ class IndexRegistry:
         if fire:
             mount.drained.set()
         if reap:
-            mount.index.close()
+            self._retire(mount)
 
     def leaked(self):
         """JSON-ready ledger of generations stuck past their reload's

@@ -1,13 +1,19 @@
 """The ``prix serve`` front end: a threaded HTTP server over shared indexes.
 
-One process, one :class:`PrixServeServer` -- a stdlib
+One :class:`PrixServeServer` -- a stdlib
 :class:`~http.server.ThreadingHTTPServer` (thread per connection, no
-dependencies) whose handler threads answer twig queries over index
-generations shared through the :class:`~repro.serve.registry.IndexRegistry`.
-The read path is why this works without a write lock anywhere: every
-mount is a read-only backend (``mmap`` by default), so concurrent
-queries only contend on the storage latches the stress oracle already
-exercises (``docs/CONCURRENCY.md``).
+dependencies) -- whose handler threads admit, lease and answer twig
+queries over index generations shared through the
+:class:`~repro.serve.registry.IndexRegistry`.  The queries themselves
+run in engine processes (:mod:`repro.serve.engines`): when the server
+starts serving it forks one per CPU, each inheriting every mounted
+handle, and a handler thread hands each admitted query to an idle one
+and serves the body it returns.  ``--pool-pages`` is therefore per
+mount *per engine*.  The read path is why this works without a write
+lock anywhere: every mount is a read-only backend (``mmap`` by
+default), so concurrent queries only contend on the storage latches
+the stress oracle already exercises (``docs/CONCURRENCY.md``), and an
+engine's pool is its own (``docs/SERVING.md``, "Process model").
 
 Endpoints (all JSON; see :mod:`repro.serve.protocol` for the schemas):
 
@@ -19,9 +25,11 @@ Endpoints (all JSON; see :mod:`repro.serve.protocol` for the schemas):
 - ``GET /indexes``  -- the mount table.
 
 Shutdown: SIGTERM (or SIGINT) triggers :meth:`PrixServeServer.drain` --
-stop admitting, wait for in-flight queries, stop accepting, close every
-mount.  The accept loop runs in a worker thread so the main thread can
-sit in ``signal``-interruptible waits.
+stop admitting, wait for in-flight queries, stop accepting, reap the
+engines, close every mount.  The accept loop runs in a worker thread so
+the main thread can sit in ``signal``-interruptible waits; a status
+line that cannot be printed (its reader went away) never skips the
+drain.
 
 Hardening (``docs/ROBUSTNESS.md``, "Chaos & resilience"):
 
@@ -44,6 +52,7 @@ Hardening (``docs/ROBUSTNESS.md``, "Chaos & resilience"):
 from __future__ import annotations
 
 import math
+import os
 import signal
 import sys
 import threading
@@ -54,10 +63,10 @@ from repro.prix.budget import QueryBudget, add_budget_flags, number_flag
 from repro.serve import protocol
 from repro.serve.admission import (AdmissionController,
                                    DEFAULT_MAX_INFLIGHT, ServerLimits)
+from repro.serve.engines import Answer, EnginePool
 from repro.serve.metrics import ServerMetrics
 from repro.serve.protocol import (DEADLINE_HEADER, ProtocolError,
-                                  error_for_exception, parse_query_request,
-                                  result_payload)
+                                  error_for_exception, parse_query_request)
 from repro.serve.registry import DEFAULT_DRAIN_TIMEOUT, IndexRegistry
 
 #: Request bodies larger than this are rejected outright (a twig query
@@ -85,19 +94,36 @@ class PrixServeServer(ThreadingHTTPServer):
         self.admission = admission
         self.metrics = metrics
         self.request_timeout = request_timeout
+        self.engines = EnginePool()
         super().__init__(address, PrixRequestHandler)
+
+    def start_engines(self):
+        """Fork the engine processes, once (:mod:`repro.serve.engines`).
+
+        Call after every mount is attached and before any other thread
+        of this process takes a latch; :meth:`serve_forever` calls it
+        first thing.  Each engine closes its copy of the listening
+        socket at once.
+        """
+        self.engines.start(self.registry, self.socket)
+
+    def serve_forever(self, poll_interval=0.5):
+        self.start_engines()
+        super().serve_forever(poll_interval)
 
     def drain(self, timeout=DEFAULT_DRAIN_TIMEOUT):
         """Graceful shutdown: reject, drain, stop accepting, close.
 
         Returns True when every in-flight query finished inside
         ``timeout`` (the clean-drain signal the CI smoke job asserts);
-        mounts are closed either way, since the process is exiting.
+        the engines are reaped and the mounts closed either way, since
+        the process is exiting.
         """
         self.admission.begin_drain()
         clean = self.admission.wait_drained(timeout)
         self.shutdown()
         self.server_close()
+        self.engines.close()
         self.registry.close_all()
         return clean
 
@@ -169,7 +195,8 @@ class PrixRequestHandler(BaseHTTPRequestHandler):
             pass  # the client may already be gone; the thread is free
 
     def _respond(self, status, payload, retry_after=None):
-        body = protocol.dumps(payload)
+        body = (payload.body if isinstance(payload, Answer)
+                else protocol.dumps(payload))
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -219,7 +246,7 @@ class PrixRequestHandler(BaseHTTPRequestHandler):
         retry_after = None
         try:
             status, payload = work()
-            degraded = bool(payload.get("approximate"))
+            degraded = isinstance(payload, Answer) and payload.approximate
         except Exception as error:  # noqa: BLE001 - boundary by design
             typed = error_for_exception(error)
             error_code = typed.code
@@ -291,14 +318,16 @@ class PrixRequestHandler(BaseHTTPRequestHandler):
         return value
 
     def _query(self):
-        """``POST /query``: admit, lease, execute, serialize.
+        """``POST /query``: admit, lease, hand to an engine.
 
         The admission fork gives this request its own budget meter,
         tightened by the request's ``X-Prix-Deadline-Ms`` header when
         present; the lease pins the mount's generation for exactly the
         query's lifetime, so a concurrent ``/reload`` can never close
-        the pages under a running matcher.  A failure is this request's
-        alone: its typed error is the answer, and nothing about it is
+        the pages under a running matcher.  An idle engine process runs
+        the query and returns the serialized body
+        (:meth:`EnginePool.query`).  A failure is this request's alone:
+        its typed error is the answer, and nothing about it is
         remembered for the next request.
         """
         request = parse_query_request(self._read_body())
@@ -306,12 +335,8 @@ class PrixRequestHandler(BaseHTTPRequestHandler):
         server = self.server
         with server.admission.admit(deadline_ms=deadline_ms) as budget:
             with server.registry.lease(request.index) as mount:
-                matches, stats = mount.index.query_with_stats(
-                    request.xpath, ordered=request.ordered,
-                    variant=request.variant,
-                    use_maxgap=request.use_maxgap, budget=budget)
-                generation = mount.generation
-        return 200, result_payload(request, matches, stats, generation)
+                return 200, server.engines.query(mount, request, budget,
+                                                 server.registry)
 
     def _reload(self):
         raw = self._read_body()
@@ -348,6 +373,7 @@ class PrixRequestHandler(BaseHTTPRequestHandler):
         body["ok"] = True
         body["storage"] = self.server.registry.stats()
         body["leaked_generations"] = self.server.registry.leaked()
+        body["engines"] = self.server.engines.describe()
         body["admission"] = {
             "inflight": self.server.admission.inflight(),
             "max_inflight": self.server.admission.limits.max_inflight,
@@ -382,8 +408,9 @@ def serve_until_signaled(server, *, signals=(signal.SIGTERM, signal.SIGINT),
                          out=None):
     """Run the accept loop until a signal arrives, then drain.
 
-    Returns 0 on a clean drain (every in-flight query finished), 1
-    otherwise -- the process exit code.
+    The engines are forked here, on the main thread, before the accept
+    thread exists.  Returns 0 on a clean drain (every in-flight query
+    finished), 1 otherwise -- the process exit code.
     """
     out = out if out is not None else sys.stdout
     stop = threading.Event()
@@ -391,25 +418,44 @@ def serve_until_signaled(server, *, signals=(signal.SIGTERM, signal.SIGINT),
     def _handle(signum, frame):
         stop.set()
 
+    server.start_engines()
     previous = {number: signal.signal(number, _handle)
                 for number in signals}
     accept = threading.Thread(target=server.serve_forever,
                               name="prix-serve-accept")
     accept.start()
     host, port = server.server_address[:2]
-    print(f"prix serve: listening on http://{host}:{port}", file=out,
-          flush=True)
+    _status(out, f"prix serve: listening on http://{host}:{port}")
     try:
         stop.wait()
     finally:
         for number, handler in previous.items():
             signal.signal(number, handler)
-        print("prix serve: draining", file=out, flush=True)
+        _status(out, "prix serve: draining")
         clean = server.drain()
         accept.join()
-        print("prix serve: drained cleanly" if clean
-              else "prix serve: drain timed out", file=out, flush=True)
+        _status(out, "prix serve: drained cleanly" if clean
+                else "prix serve: drain timed out")
     return 0 if clean else 1
+
+
+def _status(out, line):
+    """Print one ``prix serve`` status line; it never costs a drain.
+
+    A reader of ``out`` that went away (a closed pipe) drops the line,
+    and ``out``'s descriptor, when it has one, is pointed at the null
+    device: later lines, and the interpreter's final flush of the
+    dropped bytes, cannot fail either.
+    """
+    try:
+        print(line, file=out, flush=True)
+    except OSError:
+        try:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, out.fileno())
+            os.close(null)
+        except (OSError, ValueError):
+            pass
 
 
 def add_serve_arguments(parser):
@@ -428,7 +474,8 @@ def add_serve_arguments(parser):
                         help="storage backend for every mount "
                              "(default: mmap, read-only shared pages)")
     parser.add_argument("--pool-pages", type=number_flag(int, 1),
-                        help="buffer-pool frames per mount")
+                        help="buffer-pool frames per mount, in each "
+                             "engine process")
     parser.add_argument("--max-inflight", type=number_flag(int, 1),
                         default=DEFAULT_MAX_INFLIGHT,
                         help="concurrent-query cap; excess requests get "

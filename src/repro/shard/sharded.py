@@ -64,6 +64,11 @@ class ShardSetIOStats:
         meter reads)."""
         return sum(index.io_stats.read(name) for _, index in self._rows())
 
+    def parts(self):
+        """Each shard's own counters, in shard order (see
+        :meth:`IOStats.parts`)."""
+        return tuple(index.io_stats for _, index in self._rows())
+
     def snapshot(self):
         total = IOStats()
         for _, index in self._rows():

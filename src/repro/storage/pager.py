@@ -10,13 +10,19 @@ bytes) or a read-only ``mmap.mmap`` of a saved file
 admission, stats bump and latch below are therefore the same code on
 every substrate.
 
-Concurrency: a single file object has a single seek position, so every
-seek-then-read/write pair is made atomic under the pager's ``pager-io``
-latch (``_io_latch``); without it, two threads reading different pages
-interleave their seeks and each gets the other's bytes.  The latch is
-re-entrant so guard read-repair (``repair_write`` called from inside a
-latched ``read``) nests cleanly.  See ``docs/CONCURRENCY.md`` for the
-latch order (``pager-io`` may take ``io-stats``, nothing else).
+Concurrency: page I/O on a real OS file is positional (``os.pread`` /
+``os.pwrite`` on its descriptor), so it never moves the descriptor's
+seek offset -- which a forked ``prix serve`` engine process shares with
+its front end and with every other engine (``docs/SERVING.md``).  Any
+other file object (an in-memory buffer, a map, a test's fault-injecting
+wrapper) keeps seek-then-read/write.  Either way each page transfer,
+with its range check and accounting, runs under the pager's
+``pager-io`` latch (``_io_latch``): a seek-then-read pair must be
+atomic, or two threads reading different pages interleave their seeks
+and each gets the other's bytes.  The latch is re-entrant so guard
+read-repair (``repair_write`` called from inside a latched ``read``)
+nests cleanly.  See ``docs/CONCURRENCY.md`` for the latch order
+(``pager-io`` may take ``io-stats``, nothing else).
 """
 
 from __future__ import annotations
@@ -55,6 +61,41 @@ def fsync_file(fileobj):
             pass
 
 
+def os_descriptor(fileobj):
+    """The descriptor behind a file object opened on a real OS file, or
+    None for anything else (in-memory buffers, maps, test wrappers).
+
+    Only these exact types qualify: a wrapper that happens to expose a
+    ``fileno`` must keep seeing every read and write it intercepts.
+    """
+    if isinstance(fileobj, (io.BufferedRandom, io.BufferedReader,
+                            io.FileIO)):
+        return fileobj.fileno()
+    return None
+
+
+def read_at(fileobj, fd, offset, size):
+    """``size`` bytes at ``offset``: ``os.pread`` on descriptor ``fd``
+    (from :func:`os_descriptor`), else seek-then-read on ``fileobj``."""
+    if fd is not None:
+        return os.pread(fd, size, offset)
+    fileobj.seek(offset)
+    return fileobj.read(size)
+
+
+def write_at(fileobj, fd, offset, data):
+    """Write ``data`` at ``offset``: ``os.pwrite`` on descriptor ``fd``
+    (from :func:`os_descriptor`), else seek-then-write on ``fileobj``."""
+    if fd is not None:
+        view = memoryview(data)
+        while view:
+            written = os.pwrite(fd, view, offset)
+            view, offset = view[written:], offset + written
+        return
+    fileobj.seek(offset)
+    fileobj.write(data)
+
+
 def unlink_files(paths):
     """Unlink each of ``paths`` that exists: how a refused open takes
     back the files it created (sanctioned here, the raw-I/O gateway)."""
@@ -88,6 +129,7 @@ class Pager:
         #: condition, here and for the backend above.
         self.read_only = False
         self._io_latch = Latch("pager-io")
+        self._fd = os_descriptor(fileobj)
         self._file.seek(0, os.SEEK_END)
         size = self._file.tell()
         if size % page_size != 0:
@@ -188,8 +230,7 @@ class Pager:
         zero = b"\x00" * self.page_size
         with self._io_latch:
             page_id = self._num_pages
-            self._file.seek(page_id * self.page_size)
-            self._file.write(zero)
+            write_at(self._file, self._fd, page_id * self.page_size, zero)
             self._num_pages += 1
             self.stats.add(allocations=1)
         if self.guard is not None:
@@ -227,13 +268,13 @@ class Pager:
                 # Fail fast on a known-bad page, before spending (and
                 # counting) a physical read on bytes already condemned.
                 self.guard.check_quarantine(page_id)
-            self._file.seek(page_id * self.page_size)
-            data = self._file.read(self.page_size)
+            data = read_at(self._file, self._fd, page_id * self.page_size,
+                           self.page_size)
             self.stats.add(physical_reads=1)
             if self.guard is not None:
                 # Verification (and possible read-repair through
                 # ``repair_write``, which re-enters the latch) must see
-                # the same bytes the seek+read pair fetched.
+                # the same bytes the read fetched.
                 data = self.guard.admit(page_id, data, self)
         return bytearray(data)
 
@@ -246,8 +287,9 @@ class Pager:
         """
         with self._io_latch:
             self._check_range(page_id)
-            self._file.seek(page_id * self.page_size)
-            return bytearray(self._file.read(self.page_size))
+            return bytearray(read_at(self._file, self._fd,
+                                     page_id * self.page_size,
+                                     self.page_size))
 
     def write(self, page_id, data):
         """Write one page back to the file (counted as a physical write).
@@ -262,8 +304,8 @@ class Pager:
                 f"got {len(data)}")
         with self._io_latch:
             self._check_range(page_id)
-            self._file.seek(page_id * self.page_size)
-            self._file.write(bytes(data))
+            write_at(self._file, self._fd, page_id * self.page_size,
+                     bytes(data))
             self.stats.add(physical_writes=1)
         if self.guard is not None:
             self.guard.stamp(page_id, bytes(data))
@@ -283,8 +325,8 @@ class Pager:
                 f"got {len(data)}")
         with self._io_latch:
             self._check_range(page_id)
-            self._file.seek(page_id * self.page_size)
-            self._file.write(bytes(data))
+            write_at(self._file, self._fd, page_id * self.page_size,
+                     bytes(data))
 
     def sync(self):
         """Flush the underlying file to stable storage where supported."""

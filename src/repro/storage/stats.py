@@ -125,6 +125,12 @@ class IOStats:
                 self.guard_quarantines - earlier.guard_quarantines,
             )
 
+    def parts(self):
+        """The counter objects this one reads: itself (a shard set's
+        aggregate lists one per shard).  What adds a delta measured
+        elsewhere -- a ``prix serve`` engine process -- adds it here."""
+        return (self,)
+
     def reset(self):
         """Zero every counter."""
         with self._latch:

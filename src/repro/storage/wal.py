@@ -44,7 +44,7 @@ import zlib
 
 from repro.storage.codec import encode_varints, split_varints
 from repro.storage.errors import WalCorruptionError, WalError
-from repro.storage.pager import fsync_file
+from repro.storage.pager import fsync_file, os_descriptor, read_at
 from repro.storage.stats import IOStats
 
 #: Record types.
@@ -271,26 +271,32 @@ class WriteAheadLog:
         iteration: everything after it is the residue of a crash (or of
         a checkpoint racing a crash) and must not be re-applied.
         """
-        self._file.seek(0, os.SEEK_END)
-        size = self._file.tell()
+        fd = os_descriptor(self._file)
+        if fd is not None:
+            # Frames are read positionally, past the file object's write
+            # buffer, so appends still held there go to the OS first.
+            self._file.flush()
+            size = os.fstat(fd).st_size
+        else:
+            self._file.seek(0, os.SEEK_END)
+            size = self._file.tell()
         if size < _HEADER.size:
             return
-        self._file.seek(0)
-        header = self._parse_header(self._file.read(_HEADER.size))
+        header = self._parse_header(read_at(self._file, fd, 0,
+                                            _HEADER.size))
         if header is None:
             return
         base_lsn, page_size = header
         offset = _HEADER.size
         max_payload = page_size + _MAX_PAYLOAD_SLACK
         while offset + _FRAME.size <= size:
-            self._file.seek(offset)
             crc, length, lsn, rtype = _FRAME.unpack(
-                self._file.read(_FRAME.size))
+                read_at(self._file, fd, offset, _FRAME.size))
             if (length > max_payload
                     or lsn != base_lsn + (offset - _HEADER.size)
                     or offset + _FRAME.size + length > size):
                 return
-            payload = self._file.read(length)
+            payload = read_at(self._file, fd, offset + _FRAME.size, length)
             if len(payload) < length:
                 return
             if _crc(length, lsn, rtype, payload) != crc:

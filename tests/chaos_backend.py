@@ -12,6 +12,7 @@ a complete reproduction recipe.  Only tests construct these, through
 argument.
 """
 
+import multiprocessing
 import time
 from dataclasses import asdict, dataclass
 
@@ -63,12 +64,17 @@ class ChaosSchedule:
     ``(config.seed, op_index)``.  The schedule itself holds no lock --
     the backend claims indexes under its own latch, the same external-
     synchronization discipline :class:`FaultSchedule` relies on.
+
+    The injection counts live in shared memory behind their own
+    process-shared lock: a ``prix serve`` engine process forked from the
+    server runs its own copy of the schedule (its own ``ops``), and the
+    faults it injects count where the test reads them.
     """
 
     def __init__(self, config):
         self.config = config
         self.ops = 0
-        self.injected = {kind: 0 for kind in CHAOS_KINDS}
+        self.injected = multiprocessing.Array("q", len(CHAOS_KINDS))
 
     def next_op(self):
         """Claim the next read-operation index."""
@@ -107,12 +113,16 @@ class ChaosSchedule:
 
     def record(self, kind):
         """Count one injected fault of ``kind``."""
-        self.injected[kind] += 1
+        with self.injected.get_lock():
+            self.injected[CHAOS_KINDS.index(kind)] += 1
 
     def describe(self):
-        """JSON-ready reproduction recipe plus injection counts."""
+        """JSON-ready reproduction recipe plus injection counts (every
+        process's); ``ops_seen`` is this process's own."""
+        with self.injected.get_lock():
+            counts = self.injected[:]
         return {"config": self.config.as_dict(), "ops_seen": self.ops,
-                "injected": dict(self.injected)}
+                "injected": dict(zip(CHAOS_KINDS, counts))}
 
 
 @guarded

@@ -78,11 +78,14 @@ RAW_IO = {
 }
 
 #: ``(file under src/repro, function)`` that may touch files directly:
-#: the Pager's files (page traffic, counted in ``physical_*``), the log
+#: the Pager's files (page traffic, counted in ``physical_*``; the log
+#: reads its frames through the same positional ``read_at``), the log
 #: (``wal_*``), the checksum sidecar (``guard_*``), and two reads made
 #: before any pager exists (recovery's reopen, the superblock).
 RAW_IO_ALLOWED = {
     ("storage/pager.py", "unlink_files"),
+    ("storage/pager.py", "read_at"),
+    ("storage/pager.py", "write_at"),
     ("storage/pager.py", "open"),
     ("storage/pager.py", "snapshot"),
     ("storage/pager.py", "mapped"),

@@ -1,5 +1,8 @@
 """Buffer pool tests: caching, eviction, dirty write-back, accounting."""
 
+import errno
+import io
+
 import pytest
 
 from repro.storage.buffer_pool import DEFAULT_POOL_PAGES, BufferPool
@@ -92,6 +95,37 @@ class TestDirtyTracking:
         pool.flush_and_clear()
         with pytest.raises(KeyError):
             pool.mark_dirty(pid)
+
+
+class FullDisk(io.BytesIO):
+    """A data file whose writes fail with ``ENOSPC`` while ``full``."""
+
+    full = False
+
+    def write(self, data):
+        if self.full:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(data)
+
+
+class TestFlushWriteError:
+    def test_a_failed_write_back_propagates_and_keeps_the_page_dirty(self):
+        disk = FullDisk()
+        pager = Pager(disk, page_size=16)
+        pool = BufferPool(pager, capacity=4)
+        pid, _ = pool.new_page()
+        pool.flush()
+        pool.put(pid, b"\x05" * 16)
+        disk.full = True
+        with pytest.raises(OSError) as caught:
+            pool.flush()
+        assert caught.value.errno == errno.ENOSPC
+        assert bytes(pager.read(pid)) == b"\x00" * 16
+        disk.full = False
+        writes = pager.stats.physical_writes
+        pool.flush()        # the page is still dirty: this writes it
+        assert pager.stats.physical_writes == writes + 1
+        assert bytes(pager.read(pid)) == b"\x05" * 16
 
 
 class TestPutSizeValidation:

@@ -1,5 +1,7 @@
 """Pager unit tests."""
 
+import os
+
 import pytest
 
 from repro.storage.errors import PageNotFoundError, PageRangeError
@@ -80,6 +82,56 @@ class TestFileBacked:
             pager.sync()
         with pytest.raises(ValueError):
             Pager.open(path, page_size=48)
+
+
+class NoSeek:
+    """A file object that refuses to seek and forwards the rest."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def seek(self, *args):
+        raise AssertionError("the pager moved the shared seek offset")
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestPositionalIO:
+    """Page I/O on a real file is positional: a forked process shares
+    the descriptor's seek offset, so a seek-then-read could fetch the
+    page another process asked for."""
+
+    def test_page_io_on_a_real_file_never_seeks(self, tmp_path):
+        with Pager.open(str(tmp_path / "store.db")) as pager:
+            real, pager._file = pager._file, NoSeek(pager._file)
+            try:
+                pid = pager.allocate()
+                pager.write(pid, b"\x07" * pager.page_size)
+                assert bytes(pager.read(pid)) == b"\x07" * pager.page_size
+                assert bytes(pager.read_raw(pid)) == bytes(pager.read(pid))
+            finally:
+                pager._file = real
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_readers_each_get_their_own_page(self, tmp_path):
+        images = [bytes([value]) * DEFAULT_PAGE_SIZE for value in (1, 2)]
+        with Pager.open(str(tmp_path / "store.db")) as pager:
+            ids = [pager.allocate() for _ in images]
+            for pid, image in zip(ids, images):
+                pager.write(pid, image)
+            pager.sync()
+            child = os.fork()
+            mine = 1 if child == 0 else 0
+            wrong = 0
+            try:
+                for _ in range(2000):
+                    wrong += bytes(pager.read(ids[mine])) != images[mine]
+            finally:
+                if child == 0:
+                    os._exit(1 if wrong else 0)
+            _, status = os.waitpid(child, 0)
+        assert (wrong, os.waitstatus_to_exitcode(status)) == (0, 0)
 
 
 class TestPageRange:

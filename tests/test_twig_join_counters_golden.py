@@ -83,13 +83,25 @@ def load_golden(scale):
     return document["scales"][scale]
 
 
+def typed(value):
+    """``value`` with each leaf paired with its type: a float counter is
+    not its int, though ``1.0 == 1``."""
+    if isinstance(value, dict):
+        return {key: typed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [typed(item) for item in value]
+    return type(value), value
+
+
 def moved_cases(golden, measured):
     """``{case: {field: (golden, measured)}}`` for every case that moved
-    (an empty dict for a case the golden lacks)."""
+    (an empty dict for a case the golden lacks); a value of another type
+    has moved."""
     return {case: {field: pair for field, pair in
                    zip(FIELDS, zip(golden.get(case, ()), row))
-                   if pair[0] != pair[1]}
-            for case, row in measured.items() if row != golden.get(case)}
+                   if typed(pair[0]) != typed(pair[1])}
+            for case, row in measured.items()
+            if typed(row) != typed(golden.get(case))}
 
 
 def test_counters_match_golden(tiny_dblp, tiny_swissprot, tiny_treebank):
