@@ -24,7 +24,8 @@ Checks added while enabled:
   code that writes through the pager directly, bypassing the pool's
   ``_write_back``.
 - **guard trust**: when a checksum guard is attached to the pager,
-  ``BufferPool.get()`` asserts the image it hands out is *trusted* --
+  ``BufferPool.get()`` and ``BufferPool.get_decoded()`` (whose miss
+  reads the page itself) assert the image they hand out is *trusted* --
   stamped, checksum-verified, or WAL-repaired by the
   :class:`~repro.storage.guard.PageGuard` (see ``docs/ROBUSTNESS.md``).
 - **guarded-field accesses**: every field a class's ``_GUARDED`` map
@@ -334,11 +335,13 @@ def enable():
     _state = _State()
     _saved["pool_init"] = BufferPool.__init__
     _saved["pool_get"] = BufferPool.get
+    _saved["pool_get_decoded"] = BufferPool.get_decoded
     _saved["stats_snapshot"] = IOStats.snapshot
     _saved["pager_write"] = Pager.write
 
     original_init = _saved["pool_init"]
     original_get = _saved["pool_get"]
+    original_get_decoded = _saved["pool_get_decoded"]
     original_snapshot = _saved["stats_snapshot"]
     original_write = _saved["pager_write"]
     state = _state
@@ -348,17 +351,25 @@ def enable():
         with state.meta:
             state.pools.add(self)
 
-    def get(self, page_id):
-        frame = original_get(self, page_id)
-        guard = self._pager.guard
+    def check_trusted(pool, page_id, method):
+        guard = pool._pager.guard
         if guard is not None and not guard.is_trusted(page_id):
             raise SanitizeError(
-                f"sanitizer: BufferPool.get({page_id}) is handing out a "
-                "page image the checksum guard never verified; every "
-                "image the matcher consumes must be stamped, verified, "
-                "or WAL-repaired -- some path smuggled bytes around the "
-                "guard.admit() gateway")
+                f"sanitizer: BufferPool.{method}({page_id}) is handing "
+                "out a page image the checksum guard never verified; "
+                "every image the matcher consumes must be stamped, "
+                "verified, or WAL-repaired -- some path smuggled bytes "
+                "around the guard.admit() gateway")
+
+    def get(self, page_id):
+        frame = original_get(self, page_id)
+        check_trusted(self, page_id, "get")
         return frame
+
+    def get_decoded(self, page_id, decoder):
+        decoded = original_get_decoded(self, page_id, decoder)
+        check_trusted(self, page_id, "get_decoded")
+        return decoded
 
     def snapshot(self):
         with state.meta:
@@ -397,6 +408,7 @@ def enable():
 
     BufferPool.__init__ = init
     BufferPool.get = get
+    BufferPool.get_decoded = get_decoded
     IOStats.snapshot = snapshot
     Pager.write = write
     # Every class registered so far, and each later one as its module
@@ -416,6 +428,7 @@ def disable():
     _remove_descriptors()
     BufferPool.__init__ = _saved.pop("pool_init")
     BufferPool.get = _saved.pop("pool_get")
+    BufferPool.get_decoded = _saved.pop("pool_get_decoded")
     IOStats.snapshot = _saved.pop("stats_snapshot")
     Pager.write = _saved.pop("pager_write")
     _saved.clear()

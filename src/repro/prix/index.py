@@ -766,6 +766,12 @@ class PrixIndex:
         """The MaxGap table of a variant."""
         return self._variants[variant].maxgap
 
+    def query_counts(self):
+        """None: one index file keeps no query counters.  A shard set's
+        (:meth:`repro.shard.ShardedIndex.query_counts`) are what a
+        ``prix serve`` engine process reports back."""
+        return None
+
     def summary(self):
         """JSON-ready description (``prix stats --json``, the serving
         tier's per-mount rows)."""

@@ -22,9 +22,11 @@ What crosses the pipe:
   ``approximate`` flag), or a
   :class:`~repro.serve.protocol.ProtocolError`; and either way the
   query's :class:`~repro.storage.stats.IOStats` delta, one per counter
-  object behind the index (one for a file, one per shard), which the
-  front end adds to the mount's own counters -- ``/metrics`` keeps
-  reporting every page the engines read.
+  object behind the index (one for a file, one per shard), and for a
+  shard set its query-counter delta (scatter and per-shard queries),
+  which the front end adds to the mount's own counters -- ``/metrics``
+  keeps reporting every page the engines read and every scatter they
+  ran.
 
 Lifecycle.  The fork comes after every mount is attached and before the
 first handler thread exists, so no latch is inherited while held.  A
@@ -91,6 +93,7 @@ class Reply(NamedTuple):
     answer: Answer | None
     error: ProtocolError | None
     deltas: list                # per counter object: {counter: increment}
+    counts: dict | None         # a shard set's query_counts_since delta
 
 
 def answer(index, request, budget, generation):
@@ -109,13 +112,14 @@ def _run_job(job, handles):
         if stale is not None:
             stale.close()
     key = (job.name, job.generation)
-    parts, before = (), ()
+    parts, before, counted = (), (), None
     try:
         index = handles.get(key)
         if index is None:
             index = handles[key] = open_index(job.path, **job.opened)
         parts = index.io_stats.parts()
         before = [part.snapshot() for part in parts]
+        counted = index.query_counts()
         result = answer(index, job.request, job.budget, job.generation)
         error = None
     except Exception as failure:  # noqa: BLE001 - the reply carries it
@@ -126,7 +130,8 @@ def _run_job(job, handles):
         deltas.append({name: getattr(delta, name)
                        for name in type(delta)._GUARDED
                        if getattr(delta, name)})
-    return Reply(result, error, deltas)
+    counts = None if counted is None else index.query_counts_since(counted)
+    return Reply(result, error, deltas, counts)
 
 
 def _engine_main(connection, handles):
@@ -277,6 +282,8 @@ class EnginePool:
         for part, delta in zip(mount.index.io_stats.parts(), reply.deltas):
             if delta:
                 part.add(**delta)
+        if reply.counts is not None:
+            mount.index.add_query_counts(reply.counts)
         if reply.error is not None:
             raise reply.error
         return reply.answer

@@ -218,6 +218,39 @@ class ShardedIndex:
                     "approximate_queries":
                         self._totals["approximate_queries"]}
 
+    def query_counts(self):
+        """A copy of the cumulative query counters the two methods above
+        report: ``queries``, ``approximate_queries`` and ``per_shard``
+        (shard name -> queries)."""
+        with self._stats_latch:
+            return {"queries": self._totals["queries"],
+                    "approximate_queries":
+                        self._totals["approximate_queries"],
+                    "per_shard": dict(self._totals["per_shard"])}
+
+    def query_counts_since(self, earlier):
+        """The increments of :meth:`query_counts` since ``earlier``, one
+        of its results: what a ``prix serve`` engine process reports
+        back for the front end's :meth:`add_query_counts`."""
+        now = self.query_counts()
+        before = earlier["per_shard"]
+        return {"queries": now["queries"] - earlier["queries"],
+                "approximate_queries": (now["approximate_queries"]
+                                        - earlier["approximate_queries"]),
+                "per_shard": {name: count - before.get(name, 0)
+                              for name, count in now["per_shard"].items()
+                              if count != before.get(name, 0)}}
+
+    def add_query_counts(self, delta):
+        """Add a :meth:`query_counts_since` delta measured elsewhere."""
+        with self._stats_latch:
+            totals = self._totals
+            totals["queries"] += delta["queries"]
+            totals["approximate_queries"] += delta["approximate_queries"]
+            per_shard = totals["per_shard"]
+            for name, count in delta["per_shard"].items():
+                per_shard[name] = per_shard.get(name, 0) + count
+
     def summary(self):
         """JSON-ready description (see :meth:`PrixIndex.summary`)."""
         catalog = self.catalog

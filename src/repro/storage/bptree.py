@@ -32,7 +32,8 @@ import struct
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
-from repro.storage.errors import KeyNotFoundError, PageOverflowError
+from repro.storage.errors import (KeyNotFoundError, PageCorruptionError,
+                                  PageOverflowError)
 
 _HEADER = struct.Struct("<BHI")
 _U16 = struct.Struct("<H")
@@ -65,33 +66,44 @@ class _Node:
 
 
 def _parse_node(page_id, frame):
-    is_leaf, count, link = _HEADER.unpack_from(frame, 0)
-    node = _Node(page_id, bool(is_leaf))
-    pos = _HEADER.size
-    if node.is_leaf:
-        node.next_leaf = link
-        for _ in range(count):
-            (klen,) = _U16.unpack_from(frame, pos)
-            pos += 2
-            key = bytes(frame[pos:pos + klen])
-            pos += klen
-            (vlen,) = _U16.unpack_from(frame, pos)
-            pos += 2
-            val = bytes(frame[pos:pos + vlen])
-            pos += vlen
-            node.keys.append(key)
-            node.values.append(val)
-    else:
-        node.children.append(link)
-        for _ in range(count):
-            (klen,) = _U16.unpack_from(frame, pos)
-            pos += 2
-            key = bytes(frame[pos:pos + klen])
-            pos += klen
-            (child,) = _U32.unpack_from(frame, pos)
-            pos += 4
-            node.keys.append(key)
-            node.children.append(child)
+    """Decode the page image ``frame`` into a :class:`_Node`.
+
+    One ``bytes`` copy of the page, read by index arithmetic: u16s as
+    two indexed bytes, a child id by one ``unpack_from`` (little-endian,
+    per the page layout above).  A count or a length that runs past the
+    page end -- damage an unguarded index has no checksum to catch --
+    raises :class:`PageCorruptionError`, never a truncated key or value.
+    """
+    page = bytes(frame)
+    try:
+        node = _Node(page_id, page[0] != 0)
+        count = page[1] | page[2] << 8
+        link = int.from_bytes(page[3:7], "little")
+        keys = node.keys
+        pos = _HEADER.size
+        if node.is_leaf:
+            node.next_leaf = link
+            values = node.values
+            for _ in range(count):
+                end = pos + 2 + (page[pos] | page[pos + 1] << 8)
+                keys.append(page[pos + 2:end])
+                pos = end + 2 + (page[end] | page[end + 1] << 8)
+                values.append(page[end + 2:pos])
+        else:
+            children = node.children
+            children.append(link)
+            unpack_u32 = _U32.unpack_from
+            for _ in range(count):
+                end = pos + 2 + (page[pos] | page[pos + 1] << 8)
+                keys.append(page[pos + 2:end])
+                pos = end + 4
+                children.append(unpack_u32(page, end)[0])
+    except (IndexError, struct.error):
+        pos = len(page) + 1
+    if pos > len(page):
+        raise PageCorruptionError(
+            page_id, f"page {page_id} is not a well-formed B+-tree node: "
+            "its entries run past the page end")
     return node
 
 

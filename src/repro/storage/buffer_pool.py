@@ -16,11 +16,17 @@ load-bearing refinements:
   disk wait never serializes the others' cache hits (the runtime
   sanitizer rejects a ``pager-io`` acquire under ``buffer-pool``);
 - **single-flight misses**: concurrent misses on the same page elect one
-  loader via ``_loading`` and the rest wait on its event, so a page is
-  read from disk exactly once however many threads want it -- which is
-  what keeps ``physical_reads`` exactly conserved under the threaded
-  stress harness.  Dirty evictions park an event in the same table so a
-  re-read of an in-flight victim waits for the write-back to land.
+  loader via ``_loading`` and the rest wait on its *flight*, a raw
+  ``_thread`` lock the loader holds until the frame is admitted.  So a
+  page is read from disk exactly once however many threads want it,
+  which is what keeps ``physical_reads`` exactly conserved under the
+  threaded stress harness.  Dirty evictions park a held lock in the
+  same table so a re-read of an in-flight victim waits for the
+  write-back to land.
+
+A clean miss takes the latch twice: once to look the page up, count the
+logical read and register the flight; once to evict the LRU victim,
+admit the frame with its decoded object and unregister the flight.
 
 Eviction only drops a frame from the map and a reload builds a new
 ``bytearray``, so a frame a reader already holds never changes under
@@ -31,7 +37,7 @@ call in between; no query runs beside a write on the same index
 
 from __future__ import annotations
 
-import threading
+from _thread import allocate_lock
 from collections import OrderedDict
 
 from repro.storage.errors import PageSizeError, WalProtocolError
@@ -65,7 +71,7 @@ class BufferPool:
         self._frames = OrderedDict()  # page_id -> bytearray
         self._dirty = set()
         self._decoded = {}  # page_id -> decoded object
-        self._loading = {}  # page_id -> Event (in-flight I/O)
+        self._loading = {}  # page_id -> held lock (in-flight I/O)
         self._wal = None
         self._page_lsn = {}  # page_id -> LSN of last logged image
         self._wal_uncommitted = set()  # dirtied since last commit
@@ -198,43 +204,77 @@ class BufferPool:
 
     def get(self, page_id):
         """Return the page image, loading it through the pager on a miss."""
-        self.stats.count_logical_read()
         with self._latch:
+            self.stats.count_logical_read()
             frame = self._frames.get(page_id)
             if frame is not None:
                 self._frames.move_to_end(page_id)
                 return frame
-        return self._load(page_id)
+            flight, loader = self._claim(page_id)
+        return self._load(page_id, flight, loader)[0]
 
-    def _load(self, page_id):
-        """Miss path: read through the pager, single-flight per page.
+    def _claim(self, page_id):  # caller holds _latch
+        """``(flight, True)`` after registering the caller as the loader
+        of the absent ``page_id``: ``flight`` is a fresh lock, held until
+        the frame is admitted.  ``(flight, False)`` when a load or
+        write-back of the page is already in flight: wait behind it."""
+        flight = self._loading.get(page_id)
+        if flight is not None:
+            return flight, False
+        flight = allocate_lock()
+        flight.acquire()
+        self._loading[page_id] = flight
+        return flight, True
 
-        Exactly one thread performs the physical read for a given page;
-        every other thread that misses it concurrently waits on the
-        loader's event and then finds the frame resident.  Also parks
-        behind in-flight dirty-eviction write-backs of the same page, so
-        a reload cannot observe the pre-write-back file image.
+    def _load(self, page_id, flight, loader, decoder=None):
+        """Miss path, entered with what the caller's latched lookup got
+        from :meth:`_claim`; returns ``(frame, decoded)``.
+
+        Exactly one thread, the loader, performs the physical read (and
+        the decode, when ``decoder`` is given); every other thread that
+        misses the page concurrently waits on the loader's flight and
+        then finds the frame resident.  A waiter also parks behind an
+        in-flight dirty-eviction write-back of the same page, so a
+        reload cannot observe the pre-write-back file image.
         """
-        while True:
+        while not loader:
+            flight.acquire()    # returns once the flight is released
+            flight.release()
             with self._latch:
                 frame = self._frames.get(page_id)
-                if frame is not None:
+                if frame is None:
+                    flight, loader = self._claim(page_id)
+                else:
                     self._frames.move_to_end(page_id)
-                    return frame
-                flight = self._loading.get(page_id)
-                if flight is None:
-                    flight = threading.Event()
-                    self._loading[page_id] = flight
-                    break
-            flight.wait()
+                    decoded = self._decoded.get(page_id)
+            if frame is not None:
+                if decoder is not None and decoded is None:
+                    decoded = self._publish(page_id, frame, decoder)
+                return frame, decoded
         try:
             frame = self._pager.read(page_id)
-            self._admit(page_id, frame)
-            return frame
-        finally:
+        except BaseException:
             with self._latch:
-                self._loading.pop(page_id, None)
-            flight.set()
+                del self._loading[page_id]
+            flight.release()
+            raise
+        decoded = None
+        try:
+            if decoder is not None:
+                decoded = decoder(page_id, frame)
+        finally:
+            # A decoder that raises still leaves the frame resident.
+            self._admit(page_id, frame, decoded, flight)
+        return frame, decoded
+
+    def _publish(self, page_id, frame, decoder):
+        """Decode a resident frame and memoize the result -- only onto
+        that frame: not if it left the pool meanwhile."""
+        decoded = decoder(page_id, frame)
+        with self._latch:
+            if self._frames.get(page_id) is frame:
+                self._decoded[page_id] = decoded
+        return decoded
 
     def new_page(self):
         """Allocate a fresh page and return ``(page_id, frame)``."""
@@ -251,9 +291,10 @@ class BufferPool:
 
         The decoded object lives exactly as long as the page is resident
         and clean: writes and evictions drop it.  This mirrors real
-        engines keeping deserialized nodes attached to buffer frames -- the
-        physical-read accounting is unaffected because the underlying
-        frame is still fetched through :meth:`get`.
+        engines keeping deserialized nodes attached to buffer frames --
+        the page is counted exactly as :meth:`get` counts it, and on a
+        miss the decoded object is published with the frame it was
+        decoded from, in the section that admits it.
 
         A resident hit -- what every B+-tree level of every index probe
         and every stored-document load is, once warm -- costs one
@@ -267,12 +308,15 @@ class BufferPool:
                 self._frames.move_to_end(page_id)
                 self.stats.count_logical_read()
                 return cached
-        frame = self.get(page_id)
-        decoded = decoder(page_id, frame)
-        with self._latch:
-            if page_id in self._frames:
-                self._decoded[page_id] = decoded
-        return decoded
+            self.stats.count_logical_read()
+            frame = self._frames.get(page_id)
+            if frame is None:
+                flight, loader = self._claim(page_id)
+            else:
+                self._frames.move_to_end(page_id)
+        if frame is None:
+            return self._load(page_id, flight, loader, decoder)[1]
+        return self._publish(page_id, frame, decoder)
 
     def put(self, page_id, data):
         """Replace the cached image of ``page_id`` and mark it dirty.
@@ -311,31 +355,52 @@ class BufferPool:
             self._note_dirty(page_id)
             self._decoded.pop(page_id, None)
 
-    def _evictable(self, page_id):  # caller holds _latch
-        """Whether a frame may leave the pool right now.
+    def _admit(self, page_id, frame, decoded=None, flight=None):
+        """Insert ``frame`` (and ``decoded``, its decoded object),
+        evicting -- and writing back -- as needed.
 
-        With a WAL attached, dirty frames whose current image is not
-        yet logged (uncommitted) may not be written back (no steal).
-        """
-        return page_id not in self._wal_uncommitted
-
-    def _admit(self, page_id, frame):
-        """Insert ``frame``, evicting (and writing back) as needed.
-
-        Victim selection runs under the latch; the victim's write-back
-        runs outside it, with an event parked in ``_loading`` so a
+        With a clean victim this is one latched section: the victim
+        leaves, the frame arrives and ``flight``, the caller's
+        :meth:`_claim` on ``page_id``, is unregistered, then released
+        (on every path).  When no page is uncommitted (always, without
+        a WAL) the victim is the LRU head; otherwise the least recently
+        used committed page (no steal).  A dirty victim's write-back runs
+        outside the latch, with a held lock parked in ``_loading`` so a
         concurrent reload of the victim waits for the write to land.
         """
-        while True:
-            gate = None
-            force_commit = False
-            with self._latch:
-                if len(self._frames) < self._capacity:
-                    self._frames[page_id] = frame
-                    return
-                victim_id = next((candidate for candidate in self._frames
-                                  if self._evictable(candidate)), None)
-                if victim_id is None:
+        try:
+            while True:
+                gate = None
+                with self._latch:
+                    frames = self._frames
+                    uncommitted = self._wal_uncommitted
+                    while len(frames) >= self._capacity:
+                        if uncommitted:
+                            victim_id = next(
+                                (candidate for candidate in frames
+                                 if candidate not in uncommitted), None)
+                            if victim_id is None:
+                                break
+                        else:
+                            victim_id = next(iter(frames))
+                        victim = frames.pop(victim_id)
+                        self._decoded.pop(victim_id, None)
+                        if victim_id in self._dirty:
+                            self._dirty.discard(victim_id)
+                            lsn = self._page_lsn.get(victim_id, 0)
+                            gate = allocate_lock()
+                            gate.acquire()
+                            self._loading[victim_id] = gate
+                            break
+                        self.stats.count_eviction()
+                    else:
+                        frames[page_id] = frame
+                        if decoded is not None:
+                            self._decoded[page_id] = decoded
+                        if flight is not None:
+                            del self._loading[page_id]
+                        return
+                if gate is None:
                     # Every resident frame is uncommitted under a WAL.
                     # Memory pressure forces a batch boundary: under
                     # no-steal an uncommitted page cannot leave the
@@ -346,29 +411,24 @@ class BufferPool:
                     # open() rejects as incomplete); callers that need
                     # a batch to be all-or-nothing must size the pool
                     # to hold it.
-                    force_commit = True
-                else:
-                    victim = self._frames.pop(victim_id)
-                    dirty = victim_id in self._dirty
-                    self._dirty.discard(victim_id)
-                    self._decoded.pop(victim_id, None)
-                    lsn = self._page_lsn.get(victim_id, 0)
-                    if dirty:
-                        gate = threading.Event()
-                        self._loading[victim_id] = gate
-            if force_commit:
-                self.commit()
-                continue
-            try:
-                if gate is not None:
+                    self.commit()
+                    continue
+                try:
                     self._write_back(victim_id, victim, lsn,
                                      uncommitted=False)
-            finally:
-                if gate is not None:
+                finally:
                     with self._latch:
-                        self._loading.pop(victim_id, None)
-                    gate.set()
-            self.stats.add(evictions=1)
+                        del self._loading[victim_id]
+                    gate.release()
+                self.stats.count_eviction()
+        except BaseException:
+            if flight is not None:
+                with self._latch:
+                    del self._loading[page_id]
+            raise
+        finally:
+            if flight is not None:
+                flight.release()
 
     def flush(self):
         """Write every dirty page back without evicting anything.

@@ -99,7 +99,8 @@ class CorruptionError(StorageError):
 
 class PageCorruptionError(CorruptionError):
     """A page image failed checksum verification and could not be
-    repaired from the write-ahead log.
+    repaired from the write-ahead log -- or, on an unguarded index, a
+    B+-tree page's entries run past the page end.
 
     Carries the page id so operators can correlate with ``prix scrub``
     output.  Once raised for a page, the guard quarantines that id:

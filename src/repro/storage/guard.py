@@ -212,7 +212,7 @@ class PageGuard:
             # covered at its next write-back (or via a scrub --stamp).
             self._trusted.add(page_id)
             return payload
-        self.stats.add(guard_verifications=1)
+        self.stats.count_guard_verification()
         actual = page_checksum(page_id, bytes(payload))
         if actual == stamp:
             self._trusted.add(page_id)

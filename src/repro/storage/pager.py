@@ -270,7 +270,7 @@ class Pager:
                 self.guard.check_quarantine(page_id)
             data = read_at(self._file, self._fd, page_id * self.page_size,
                            self.page_size)
-            self.stats.add(physical_reads=1)
+            self.stats.count_physical_read()
             if self.guard is not None:
                 # Verification (and possible read-repair through
                 # ``repair_write``, which re-enters the latch) must see

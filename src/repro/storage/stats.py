@@ -7,8 +7,9 @@ reads the same way the paper does (cold buffer pool, direct I/O).
 Concurrency: one stats object is shared by every component of a stack
 (pager, pool, WAL, guard) and -- once ``prix serve``-style workloads
 land -- by every thread querying that stack.  All counter mutation
-therefore goes through :meth:`IOStats.add` (or its fixed-form twin for
-the per-hit counter, :meth:`IOStats.count_logical_read`), which holds the
+therefore goes through :meth:`IOStats.add` (or its fixed-form twins for
+the per-page counters, :meth:`IOStats.count_logical_read` and the
+three a pool miss bumps), which holds the
 object's own ``io-stats`` latch; lost updates on ``+=`` from two threads
 would break the exact-conservation oracle the threaded stress harness checks
 (``docs/CONCURRENCY.md``).  Cross-thread readers use :meth:`read` or
@@ -82,10 +83,29 @@ class IOStats:
         """``add(logical_reads=1)`` for the pool's per-page-request path.
 
         The one counter bumped on every cache hit, so it gets a fixed
-        form: no keyword dict, no name loop, same latch.
+        form: no keyword dict, no name loop, same latch.  The three
+        counters every pool miss bumps get the same form below.
         """
         with self._latch:
             self.logical_reads += 1
+
+    def count_physical_read(self):
+        """``add(physical_reads=1)``, in :meth:`count_logical_read`'s
+        fixed form: the pager's per-read bump."""
+        with self._latch:
+            self.physical_reads += 1
+
+    def count_eviction(self):
+        """``add(evictions=1)``, in fixed form: the pool's per-victim
+        bump."""
+        with self._latch:
+            self.evictions += 1
+
+    def count_guard_verification(self):
+        """``add(guard_verifications=1)``, in fixed form: the guard's
+        per-verified-read bump."""
+        with self._latch:
+            self.guard_verifications += 1
 
     def read(self, name):
         """Latched read of one counter by name (``read("physical_reads")``).

@@ -45,11 +45,11 @@ class EvilBufferPool(BufferPool):
     """
 
     def get(self, page_id):
-        self.stats.add(logical_reads=1)
         frame = self._frames.get(page_id)  # unlatched: the data race
         if frame is not None:
+            self.stats.count_logical_read()
             return frame
-        return self._load(page_id)
+        return super().get(page_id)
 
     def get_decoded(self, page_id, decoder):
         cached = self._decoded.get(page_id)  # unlatched: the same race

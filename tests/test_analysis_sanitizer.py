@@ -385,6 +385,33 @@ class TestRuntimeLockOrder:
         pool.close()
 
 
+    def test_clean_miss_is_two_pool_sections(self, sanitized):
+        # One section looks up, counts and registers the load; one
+        # evicts the clean victim, admits the frame and its decoded
+        # object and unregisters the load.
+        from repro.storage import latch as latch_module
+        pool = make_pool(capacity=1)
+        first, second = pool.new_page()[0], pool.new_page()[0]
+        pool.flush_and_clear()
+        pool.get_decoded(first, lambda page_id, frame: object())
+        on_acquire, on_release = latch_module._hooks
+        seen = []
+
+        def acquire(latch):
+            seen.append(latch.name)
+            on_acquire(latch)
+
+        evictions = pool.stats.evictions
+        latch_module.install_hooks(acquire, on_release)
+        try:
+            pool.get_decoded(second, lambda page_id, frame: object())
+        finally:
+            latch_module.install_hooks(on_acquire, on_release)
+        assert seen.count("buffer-pool") == 2
+        assert pool.stats.evictions == evictions + 1
+        pool.close()
+
+
 class TestNoPagerIoUnderPoolLatch:
     def test_pager_read_under_the_pool_latch_raises(self, sanitized):
         from eviltwin_pool import EvilBufferPool

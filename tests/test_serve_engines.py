@@ -10,7 +10,8 @@ there.  These tests hold the process model to its contract:
   -- on the engines left, and in the front end once none is;
 - a hot reload's generation is opened by the engines from the mount's
   path: they answer from the new file, not from what they inherited;
-- a shard directory's page reads come back one delta per shard;
+- a shard directory's page reads come back one delta per shard, and
+  its scatter and per-shard query counts come back too;
 - a front end killed outright leaves no engine behind, and one whose
   stdout reader went away still drains on SIGTERM.
 """
@@ -32,7 +33,7 @@ from test_serve_oracle import (QUERIES, canonical_answer, http_get,
 from repro.datasets.dblp import dblp
 from repro.prix.index import IndexOptions, PrixIndex
 from repro.serve.engines import engine_count
-from repro.shard import build_shards
+from repro.shard import ShardedIndex, build_shards
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -158,6 +159,26 @@ def test_a_shard_directory_reports_each_shards_reads(index_path, tmp_path):
         [True, True]
     for counter in ("logical_reads", "physical_reads"):
         assert row[counter] == sum(shard[counter] for shard in row["shards"])
+
+
+def test_a_shard_directorys_query_counters_come_back_from_the_engines(
+        tmp_path):
+    shards = str(tmp_path / "shards")
+    build_shards(dblp(n_records=40, seed=11).documents, shards, shards=2)
+    xpaths = [xpath for _, xpath in QUERIES[:3]]
+    with ShardedIndex.open(shards) as local:
+        for xpath in xpaths:
+            local.query(xpath)
+        expected = local.summary()
+    with live_server(shards) as (server, base_url):
+        for xpath in xpaths:
+            status, body = http_post(base_url, "/query", {"xpath": xpath})
+            assert status == 200, body
+        row = http_get(base_url, "/metrics")[1]["storage"]["default"]
+    assert row["scatter"] == expected["scatter"]
+    assert row["scatter"]["queries"] == 3
+    assert [shard["queries"] for shard in row["shards"]] == \
+        [shard["queries"] for shard in expected["shards"]]
 
 
 # -------------------------------------------------- the serving process

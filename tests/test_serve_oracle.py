@@ -24,7 +24,9 @@ cached-scrub ``/healthz`` regression against ``ScrubReport.to_json``,
 ``/metrics`` accounting, graceful drain, and that a failing request
 fails alone -- an unrepairable page, a flood of malformed queries or of
 malformed ``Content-Length`` headers each get their typed error while
-every other query keeps its exact answer.
+every other query keeps its exact answer -- and generated
+``Content-Length`` and ``X-Prix-Deadline-Ms`` values get an answer or a
+typed refusal, never an ``internal`` error or a hang.
 
 Runs unchanged under ``PRIX_SANITIZE=1`` (the CI serve-smoke sanitized
 shard does exactly that).  Environment knobs:
@@ -43,6 +45,8 @@ from contextlib import contextmanager
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.workloads import queries_for
 from repro.datasets.dblp import dblp
@@ -353,21 +357,6 @@ def flip_first_byte(path, page_id):
         handle.write(bytes([first ^ 0xFF]))
 
 
-def post_content_length(server, value):
-    """``POST /query`` with ``Content-Length: value`` and no body;
-    returns ``(status, parsed body)``."""
-    host, port = server.server_address[:2]
-    connection = http.client.HTTPConnection(host, port, timeout=60)
-    try:
-        connection.putrequest("POST", "/query")
-        connection.putheader("Content-Length", value)
-        connection.endheaders()
-        response = connection.getresponse()
-        return response.status, json.loads(response.read())
-    finally:
-        connection.close()
-
-
 def test_unrepairable_page_fails_only_the_queries_that_read_it(tmp_path):
     """A page that fails its checksum with no log image to repair it
     from: each query that reads it gets a typed ``corruption``, however
@@ -426,10 +415,73 @@ def test_malformed_content_length_is_a_bad_request(index_path):
     mount keeps answering."""
     with live_server(index_path) as (server, base_url):
         for value in ("abc", "1.5", "-1", str(MAX_BODY_BYTES + 1)):
-            status, body = post_content_length(server, value)
+            status, body = post_with_headers(server, value, None)
             assert (status, body["error"]["code"]) == \
                 (400, "bad-request"), value
             assert "Content-Length" in body["error"]["message"]
+        status, body = http_post(base_url, "/query",
+                                 {"xpath": "//article/author"})
+    assert status == 200 and body["match_count"] > 0
+
+
+#: Header values: text, ints and floats (NaN and the infinities among
+#: them), negatives, and values far past any bound.
+HEADER_VALUES = st.one_of(
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+            max_size=12),
+    st.integers(-(10 ** 30), 10 ** 30).map(str),
+    st.integers(-1, MAX_BODY_BYTES + 1).map(str),
+    st.floats().map(str),
+    st.sampled_from(["nan", "-inf", "Infinity", "1e309", "-0", "1_0",
+                     "0x10", " 7 ", "+3", "1e-320", "9" * 5000]))
+
+#: What a well-formed query body is padded or cut to.
+FUZZ_BODY = json.dumps({"xpath": "//article/author"}).encode("utf-8")
+
+
+def post_with_headers(server, content_length, deadline):
+    """``POST /query`` with the given ``Content-Length`` and, unless
+    None, ``X-Prix-Deadline-Ms``.  When the length is a byte count the
+    server accepts, exactly that many body bytes follow (the query,
+    padded with spaces or cut short); otherwise none."""
+    try:
+        length = int(content_length)
+    except ValueError:
+        length = -1
+    body = (FUZZ_BODY.ljust(length)[:length]
+            if 0 <= length <= MAX_BODY_BYTES else b"")
+    host, port = server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        connection.putrequest("POST", "/query")
+        connection.putheader("Content-Length", content_length)
+        if deadline is not None:
+            connection.putheader(protocol.DEADLINE_HEADER, deadline)
+        connection.endheaders(body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+def test_fuzzed_length_and_deadline_headers_never_fail_internally(
+        index_path):
+    """Each request gets its answer or a typed 400 -- or, for a valid
+    deadline too short to meet, the typed 429 of an exhausted budget --
+    within the client's timeout: never an ``internal`` 500, never a
+    hang."""
+    with live_server(index_path) as (server, base_url):
+        @settings(max_examples=80, deadline=None)
+        @given(content_length=HEADER_VALUES,
+               deadline=st.none() | HEADER_VALUES)
+        def check(content_length, deadline):
+            status, body = post_with_headers(server, content_length,
+                                             deadline)
+            if status != 200:
+                assert (status, body["error"]["code"]) in (
+                    (400, "bad-request"), (429, "budget-exhausted")), body
+
+        check()
         status, body = http_post(base_url, "/query",
                                  {"xpath": "//article/author"})
     assert status == 200 and body["match_count"] > 0

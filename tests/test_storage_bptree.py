@@ -3,13 +3,14 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.storage.bptree import BPlusTree
+from repro.storage.bptree import _U16, NO_PAGE, BPlusTree, _Node, _parse_node
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.codec import encode_int
-from repro.storage.errors import KeyNotFoundError, PageOverflowError
+from repro.storage.errors import (KeyNotFoundError, PageCorruptionError,
+                                  PageOverflowError)
 from repro.storage.pager import Pager
 
 
@@ -442,3 +443,92 @@ def test_bptree_matches_model_under_mixed_workload(operations):
     assert [k for k, _ in tree.items()] == [encode_int(k)
                                             for k in sorted(model)]
     tree.check_invariants()
+
+
+# -------------------------------------------------------- the page codec
+
+#: Page size of the codec tests: small enough that entries of every
+#: size, and full pages, are cheap to draw.
+CODEC_PAGE = 128
+
+#: Bytes a page spends on its header.
+HEADER = 7
+
+
+@st.composite
+def page_nodes(draw):
+    """``(is_leaf, keys, payload, link)`` for a node that fits one
+    ``CODEC_PAGE`` page: 0 entries up to a full page, keys and values
+    of 0 bytes up to the largest that fits."""
+    is_leaf = draw(st.booleans())
+    overhead = 4 if is_leaf else 6
+    room = CODEC_PAGE - HEADER
+    keys, payload = [], []
+    while room >= overhead and draw(st.booleans()):
+        key = draw(st.binary(max_size=room - overhead))
+        room -= overhead + len(key)
+        if is_leaf:
+            item = draw(st.binary(max_size=room))
+            room -= len(item)
+        else:
+            item = draw(st.integers(0, NO_PAGE))
+        keys.append(key)
+        payload.append(item)
+    link = draw(st.integers(0, NO_PAGE))
+    return is_leaf, keys, payload, link
+
+
+def full_page(is_leaf):
+    """Zero-length entries to the last byte of the page."""
+    count = (CODEC_PAGE - HEADER) // (4 if is_leaf else 6)
+    return is_leaf, [b""] * count, [b"" if is_leaf else 7] * count, 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(page_nodes())
+@example((True, [], [], NO_PAGE))
+@example((False, [], [], 0))
+@example(full_page(True))
+@example(full_page(False))
+@example((True, [b"k" * (CODEC_PAGE - HEADER - 4)], [b""], NO_PAGE))
+@example((True, [b""], [b"v" * (CODEC_PAGE - HEADER - 4)], NO_PAGE))
+@example((False, [b"k" * (CODEC_PAGE - HEADER - 6)], [NO_PAGE], 5))
+def test_the_page_codec_round_trips(node_spec):
+    is_leaf, keys, payload, link = node_spec
+    pool = BufferPool(Pager.in_memory(page_size=CODEC_PAGE), capacity=8)
+    tree = BPlusTree.create(pool)
+    node = _Node(pool.new_page()[0], is_leaf)
+    node.keys = keys
+    if is_leaf:
+        node.values, node.next_leaf = payload, link
+    else:
+        node.children = [link] + payload
+    tree._save(node)
+    parsed = _parse_node(node.page_id, pool.get(node.page_id))
+    assert (parsed.is_leaf, parsed.keys, parsed.values, parsed.children,
+            parsed.next_leaf) == (is_leaf, node.keys, node.values,
+                                  node.children, node.next_leaf)
+
+
+def malformed_leaf(page_size, count=None, klen=None):
+    """A one-entry leaf page whose count or key length is overwritten."""
+    pool = BufferPool(Pager.in_memory(page_size=page_size), capacity=4)
+    tree = BPlusTree.create(pool)
+    tree.insert(b"key", b"value")
+    leaf = tree.seek(None)[0].page_id
+    image = bytearray(pool.get(leaf))
+    if count is not None:
+        image[1:3] = _U16.pack(count)
+    if klen is not None:
+        image[HEADER:HEADER + 2] = _U16.pack(klen)
+    pool.put(leaf, image)
+    return tree, leaf
+
+
+@pytest.mark.parametrize("damage", [{"count": 65535}, {"klen": 2047}],
+                         ids=["count", "klen"])
+def test_a_page_whose_entries_run_past_its_end_is_corrupt(damage):
+    tree, leaf = malformed_leaf(1024, **damage)
+    with pytest.raises(PageCorruptionError) as excinfo:
+        tree.get(b"key")
+    assert excinfo.value.page_id == leaf

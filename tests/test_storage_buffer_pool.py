@@ -2,6 +2,8 @@
 
 import errno
 import io
+import threading
+import time
 
 import pytest
 
@@ -126,6 +128,107 @@ class TestFlushWriteError:
         pool.flush()        # the page is still dirty: this writes it
         assert pager.stats.physical_writes == writes + 1
         assert bytes(pager.read(pid)) == b"\x05" * 16
+
+
+class HookedPager(Pager):
+    """An in-memory pager that runs a test's hook before each read and
+    write, and logs each read as it starts and each write as it lands."""
+
+    def __init__(self, page_size=64):
+        super().__init__(io.BytesIO(), page_size=page_size)
+        self.before_read = self.before_write = None
+        self.log = []
+
+    def read(self, page_id):
+        if self.before_read is not None:
+            self.before_read(page_id)
+        self.log.append(("read", page_id))
+        return super().read(page_id)
+
+    def write(self, page_id, data):
+        if self.before_write is not None:
+            self.before_write(page_id)
+        super().write(page_id, data)
+        self.log.append(("wrote", page_id))
+
+
+def wait_for(condition, seconds=10.0):
+    """Poll ``condition`` until it holds; fail the test after
+    ``seconds`` rather than hang it."""
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.001)
+
+
+class TestInFlightPages:
+    """Single-flight misses and the dirty write-back gate, driven
+    deterministically: the pager blocks until the other threads are
+    where the test wants them."""
+
+    def test_four_concurrent_misses_read_the_page_once(self):
+        pager = HookedPager()
+        pool = BufferPool(pager, capacity=4)
+        pid, _ = pool.new_page()
+        pool.flush_and_clear()
+        before = pool.stats.snapshot()
+        base = before.logical_reads
+
+        def logical_reads():
+            return pool.stats.read("logical_reads") - base
+
+        # The one read blocks until all four threads have asked.
+        pager.before_read = lambda page_id: wait_for(
+            lambda: logical_reads() == 4)
+        frames = [None] * 4
+
+        def miss(slot):
+            frames[slot] = pool.get(pid)
+
+        threads = [threading.Thread(target=miss, args=(slot,))
+                   for slot in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+        delta = pool.stats.delta(before)
+        assert (delta.physical_reads, delta.logical_reads) == (1, 4)
+        assert frames[0] is not None
+        assert all(frame is frames[0] for frame in frames)
+
+    def test_a_reload_waits_for_the_write_back_of_its_eviction(self):
+        pager = HookedPager()
+        pool = BufferPool(pager, capacity=1)
+        victim, frame = pool.new_page()
+        frame[:4] = b"\xaa\xbb\xcc\xdd"
+        pool.mark_dirty(victim)
+        other = pager.allocate()
+        writing, landed = threading.Event(), threading.Event()
+
+        def hold_write(page_id):
+            writing.set()
+            assert landed.wait(30)
+
+        pager.before_write = hold_write
+        evictor = threading.Thread(target=pool.get, args=(other,))
+        evictor.start()             # evicts the victim: its write blocks
+        assert writing.wait(30)
+        reads = pool.stats.read("logical_reads")
+        reloaded = []
+        reloader = threading.Thread(
+            target=lambda: reloaded.append(pool.get(victim)))
+        reloader.start()
+        wait_for(lambda: pool.stats.read("logical_reads") == reads + 1)
+        reloader.join(0.1)
+        assert reloader.is_alive()  # parked behind the write-back
+        landed.set()
+        evictor.join(30)
+        reloader.join(30)
+        assert not evictor.is_alive() and not reloader.is_alive()
+        assert bytes(reloaded[0])[:4] == b"\xaa\xbb\xcc\xdd"
+        assert pager.log.index(("wrote", victim)) < \
+            pager.log.index(("read", victim))
 
 
 class TestPutSizeValidation:
