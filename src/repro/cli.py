@@ -453,17 +453,21 @@ def make_parser():
                             help="force an index variant")
     client_cmd.add_argument("--no-maxgap", action="store_true",
                             help="disable Theorem 4 pruning")
-    client_cmd.add_argument("--limit", type=int, default=None,
+    client_cmd.add_argument("--limit", type=number_flag(int, 0),
+                            default=None,
                             help="max matches in the response")
-    client_cmd.add_argument("--retries", type=int, default=5,
+    client_cmd.add_argument("--retries", type=number_flag(int, 0),
+                            default=5,
                             help="max retries for retryable failures "
                                  "(transport errors, 408/429/500/503)")
     client_cmd.add_argument("--retry-seed", type=int, default=0,
                             help="seed for the backoff jitter RNG "
                                  "(deterministic, replayable)")
-    client_cmd.add_argument("--timeout", type=float, default=30.0,
+    client_cmd.add_argument("--timeout", default=30.0,
+                            type=number_flag(float, 0, low_open=True),
                             help="per-request socket timeout in seconds")
-    client_cmd.add_argument("--deadline-ms", type=float, default=None,
+    client_cmd.add_argument("--deadline-ms", default=None,
+                            type=number_flag(float, 0, low_open=True),
                             metavar="MS",
                             help="propagate this deadline to the server "
                                  "via the X-Prix-Deadline-Ms header")

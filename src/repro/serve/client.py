@@ -141,6 +141,8 @@ class PrixServeClient:
                  backoff_base=DEFAULT_BACKOFF_BASE_SECONDS,
                  backoff_max=DEFAULT_BACKOFF_MAX_SECONDS,
                  sleep=time.sleep, opener=None):
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries!r}")
         self.base_url = base_url.rstrip("/")
         self.retries = retries
         self.timeout = timeout

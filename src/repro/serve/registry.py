@@ -11,12 +11,13 @@ The reload protocol (``docs/SERVING.md``):
 
 1. the new generation is opened and scrubbed *outside* the registry
    latch (opening is slow; the latch is for pointer swaps only);
-2. the mount table entry is swapped under ``serve-registry`` -- new
-   queries lease the new generation from this instant;
-3. the old generation is marked retired; when its lease count reaches
-   zero its ``drained`` event fires and the reloader closes it.  A
-   generation with live leases is *never* closed, so an in-flight query
-   keeps byte-stable pages under its feet for its whole lifetime.
+2. under ``serve-registry`` it replaces whichever generation is current
+   at that instant and is numbered one past it -- new queries lease it
+   from this instant, and the reload returns without waiting;
+3. the replaced generation is retired: closed at once when nothing
+   leases it, else by its last lease's release.  A generation with live
+   leases is *never* closed, so an in-flight query keeps byte-stable
+   pages under its feet for its whole lifetime.
 
 The engine processes (:mod:`repro.serve.engines`) hold handles of
 their own on each generation: those they inherited when forked, and
@@ -32,34 +33,30 @@ file on every probe.  The verdict is fixed for the generation's life: a
 page found bad later fails the queries that read it, and the guard
 counts its quarantine in :meth:`IndexRegistry.stats`.
 
-Concurrency: the mount table and each mount's lease count live behind
-the registry's single ``serve-registry`` latch.  The latch ordering is
-``serve-registry`` strictly before any storage latch (a leased query
-acquires buffer-pool/io-stats latches while the lease exists, never
-the other way around) and ``serve-registry`` is never held while
-opening or closing an index.
+Concurrency: the mount table, the retired generations still leased and
+each mount's lease count live behind the registry's single
+``serve-registry`` latch.  The latch ordering is ``serve-registry``
+strictly before any storage latch (a leased query acquires
+buffer-pool/io-stats latches while the lease exists, never the other
+way around) and ``serve-registry`` is never held while opening or
+closing an index.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 
 from repro.serve.protocol import ProtocolError
 from repro.shard import open_index, scrub_index
 from repro.storage import Latch, guarded
 
-#: How long a reload waits for the old generation's leases to drain
-#: before giving up (queries are budgeted, so seconds suffice).
-DEFAULT_DRAIN_TIMEOUT = 30.0
-
 
 class ServeError(RuntimeError):
-    """An operational serving failure (mount conflict, drain timeout).
+    """An operational serving failure (a mount conflict).
 
     Distinct from :class:`~repro.serve.protocol.ProtocolError`: these are
-    operator-facing conditions (bad configuration, a reload that cannot
-    complete), not per-request rejections.
+    operator-facing conditions (bad configuration), not per-request
+    rejections.
     """
 
 
@@ -93,26 +90,25 @@ class _Mount:
         with registry_latch:
             self.leases = 0
             self.retired = False
-        self.drained = threading.Event()
 
 
 @guarded
 class IndexRegistry:
     """The server's mount table: name -> live index generation."""
 
-    def __init__(self, drain_timeout=DEFAULT_DRAIN_TIMEOUT):
+    def __init__(self):
         self._latch = Latch("serve-registry")
         self._mounts = {}
-        self._leaked = []
+        self._retired = []      # retired generations still leased
         self._closed = []       # (name, generation), in closing order
-        self.drain_timeout = drain_timeout
 
     #: Field -> guarding latch, enforced by the runtime sanitizer.
-    _GUARDED = {"_mounts": "_latch", "_leaked": "_latch",
+    _GUARDED = {"_mounts": "_latch", "_retired": "_latch",
                 "_closed": "_latch"}
 
-    def _open_generation(self, name, path, generation, opened):
-        """Scrub ``path``, open it read-shared, build the mount record.
+    def _open(self, path, opened):
+        """Scrub ``path``, then open it read-shared: ``(index,
+        health_json)``.
 
         The scrub runs *before* the open so the cached health verdict
         describes exactly the bytes this generation serves.  It creates
@@ -128,9 +124,7 @@ class IndexRegistry:
         reload.
         """
         report = scrub_index(path)
-        index = open_index(path, **opened)
-        return _Mount(name, path, opened, generation, index,
-                      report.to_json(), self._latch)
+        return open_index(path, **opened), report.to_json()
 
     def mount(self, name, path, *, backend="mmap", pool_pages=None):
         """Open ``path`` and serve it as ``name``.
@@ -144,69 +138,55 @@ class IndexRegistry:
             if name in self._mounts:
                 raise ServeError(f"index {name!r} is already mounted; "
                                  "use reload to replace it")
-        mount = self._open_generation(
-            name, path, 1,
-            {"backend": backend, "pool_pages": pool_pages})
+        opened = {"backend": backend, "pool_pages": pool_pages}
+        index, health_json = self._open(path, opened)
         with self._latch:
             racer = name in self._mounts  # lost a mount race
             if not racer:
-                self._mounts[name] = mount
+                self._mounts[name] = _Mount(name, path, opened, 1, index,
+                                            health_json, self._latch)
         if racer:
-            mount.index.close()
+            index.close()
             raise ServeError(f"index {name!r} is already mounted; "
                              "use reload to replace it")
-        return mount.generation
+        return 1
 
-    def reload(self, name, timeout=None):
+    def reload(self, name):
         """Hot-swap ``name`` to a fresh generation of its index file.
 
         Re-opens the mount's path (picking up a rebuilt index) exactly
-        as :meth:`mount` was asked to open it, swaps it in atomically,
-        then waits for the old generation's leases to
-        drain before closing it.  Returns the new generation number.
-        Unknown names raise ``KeyError`` (a typed ``not-found`` on the
-        wire); a drain that exceeds ``timeout`` raises
-        :class:`ServeError` -- the new generation stays live either way,
-        and the stuck old generation is recorded in the :meth:`leaked`
-        ledger (visible under ``/metrics``) until its last lease finally
-        releases it, at which point :meth:`_release` closes it.
+        as :meth:`mount` was asked to open it, then swaps it in for
+        whichever generation is current at the swap, numbered one past
+        it, and returns that number without waiting.  The replaced
+        generation is closed at once when nothing leases it, else by
+        its last lease's :meth:`_release`.  Unknown names raise
+        ``KeyError`` (a typed ``not-found`` on the wire).
         """
         with self._latch:
             if name not in self._mounts:
                 raise KeyError(f"no index mounted as {name!r}")
-            old = self._mounts[name]
-        fresh = self._open_generation(name, old.path, old.generation + 1,
-                                      old.opened)
+            current = self._mounts[name]
+        index, health_json = self._open(current.path, current.opened)
         with self._latch:
-            self._mounts[name] = fresh
-            old.retired = True
-            idle = old.leases == 0
-        if idle:
-            old.drained.set()
-        if timeout is None:
-            timeout = self.drain_timeout
-        if not old.drained.wait(timeout):
-            with self._latch:
-                # Re-check under the latch: the last lease may have
-                # drained between the wait timing out and this instant,
-                # in which case the old generation is safe to close now
-                # rather than leak.
-                stuck = old.leases > 0
-                if stuck:
-                    self._leaked.append(old)
-            if not stuck:
-                self._retire(old)
-                return fresh.generation
-            raise ServeError(
-                f"reload of {name!r}: generation {old.generation} still "
-                f"has leases after {timeout:.1f}s; it stays open and "
-                "leaks until its queries finish")
-        self._retire(old)
+            old = self._mounts.get(name)
+            if old is not None:
+                fresh = self._mounts[name] = _Mount(
+                    name, old.path, old.opened, old.generation + 1, index,
+                    health_json, self._latch)
+                old.retired = True
+                leased = old.leases > 0
+                if leased:
+                    self._retired.append(old)
+        if old is None:     # unmounted by close_all while opening
+            index.close()
+            raise KeyError(f"no index mounted as {name!r}")
+        if not leased:
+            self._close(old)
         return fresh.generation
 
-    def _retire(self, mount):
-        """Close a drained generation and log it for the engine
-        processes, which close their own handles on it when told
+    def _close(self, mount):
+        """Close a retired generation nothing leases and log it for the
+        engine processes, which close their own handles on it when told
         (:meth:`closed_since`)."""
         mount.index.close()
         with self._latch:
@@ -222,7 +202,7 @@ class IndexRegistry:
         """``(name, generation) -> index`` for every open generation:
         what a forked engine process inherits."""
         with self._latch:
-            mounts = [*self._mounts.values(), *self._leaked]
+            mounts = [*self._mounts.values(), *self._retired]
         return {(mount.name, mount.generation): mount.index
                 for mount in mounts}
 
@@ -245,29 +225,16 @@ class IndexRegistry:
         return _Lease(self, mount)
 
     def _release(self, mount):
-        """Return one lease; the last release of a leaked generation
-        also closes it (the reload that retired it already gave up
-        waiting, so nobody else will).
-        """
+        """Return one lease; the last release of a retired generation
+        also closes it."""
         with self._latch:
             mount.leases -= 1
-            fire = mount.retired and mount.leases == 0
-            reap = fire and mount in self._leaked
-            if reap:
-                self._leaked.remove(mount)
-        if fire:
-            mount.drained.set()
-        if reap:
-            self._retire(mount)
-
-    def leaked(self):
-        """JSON-ready ledger of generations stuck past their reload's
-        drain timeout (merged into ``GET /metrics``)."""
-        with self._latch:
-            return [{"name": mount.name,
-                     "generation": mount.generation,
-                     "leases": mount.leases}
-                    for mount in self._leaked]
+            last = (mount.retired and mount.leases == 0
+                    and mount in self._retired)
+            if last:
+                self._retired.remove(mount)
+        if last:
+            self._close(mount)
 
     def describe(self):
         """JSON-ready mount table (the ``GET /indexes`` body)."""
@@ -331,11 +298,11 @@ class IndexRegistry:
         return out
 
     def close_all(self):
-        """Close every mount (shutdown path; callers drain first)."""
+        """Close every open generation (the shutdown path)."""
         with self._latch:
-            mounts = list(self._mounts.values()) + list(self._leaked)
+            mounts = [*self._mounts.values(), *self._retired]
             self._mounts = {}
-            self._leaked = []
+            self._retired = []
         for mount in mounts:
             mount.index.close()
 

@@ -9,11 +9,12 @@ run in engine processes (:mod:`repro.serve.engines`): when the server
 starts serving it forks one per CPU, each inheriting every mounted
 handle, and a handler thread hands each admitted query to an idle one
 and serves the body it returns.  ``--pool-pages`` is therefore per
-mount *per engine*.  The read path is why this works without a write
-lock anywhere: every mount is a read-only backend (``mmap`` by
-default), so concurrent queries only contend on the storage latches
-the stress oracle already exercises (``docs/CONCURRENCY.md``), and an
-engine's pool is its own (``docs/SERVING.md``, "Process model").
+mount *per engine*.  Every mount is opened read-only (``mmap`` by
+default) and each engine's pool is its own, so engines share no
+mutable state; a lease pins the generation an engine reads, so a hot
+reload never closes pages under a running query; and only with no
+engine left do handler threads run queries on the storage latches the
+stress oracle exercises (``docs/SERVING.md``, "Process model").
 
 Endpoints (all JSON; see :mod:`repro.serve.protocol` for the schemas):
 
@@ -57,6 +58,7 @@ import signal
 import sys
 import threading
 import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.prix.budget import QueryBudget, add_budget_flags, number_flag
@@ -67,7 +69,7 @@ from repro.serve.engines import Answer, EnginePool
 from repro.serve.metrics import ServerMetrics
 from repro.serve.protocol import (DEADLINE_HEADER, ProtocolError,
                                   error_for_exception, parse_query_request)
-from repro.serve.registry import DEFAULT_DRAIN_TIMEOUT, IndexRegistry
+from repro.serve.registry import IndexRegistry
 
 #: Request bodies larger than this are rejected outright (a twig query
 #: is a few hundred bytes; nothing legitimate approaches this).
@@ -76,6 +78,10 @@ MAX_BODY_BYTES = 1 << 20
 #: Seconds a connection may sit idle mid-request (request line, headers
 #: or body) before the server answers 408 and reclaims the thread.
 DEFAULT_REQUEST_TIMEOUT = 30.0
+
+#: Seconds a shutdown waits for in-flight queries (queries are
+#: budgeted, so seconds suffice).
+DEFAULT_DRAIN_TIMEOUT = 30.0
 
 
 class PrixServeServer(ThreadingHTTPServer):
@@ -89,11 +95,13 @@ class PrixServeServer(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, address, registry, admission, metrics, *,
-                 request_timeout=DEFAULT_REQUEST_TIMEOUT):
+                 request_timeout=DEFAULT_REQUEST_TIMEOUT,
+                 drain_timeout=DEFAULT_DRAIN_TIMEOUT):
         self.registry = registry
         self.admission = admission
         self.metrics = metrics
         self.request_timeout = request_timeout
+        self.drain_timeout = drain_timeout
         self.engines = EnginePool()
         super().__init__(address, PrixRequestHandler)
 
@@ -111,16 +119,18 @@ class PrixServeServer(ThreadingHTTPServer):
         self.start_engines()
         super().serve_forever(poll_interval)
 
-    def drain(self, timeout=DEFAULT_DRAIN_TIMEOUT):
+    def drain(self, timeout=None):
         """Graceful shutdown: reject, drain, stop accepting, close.
 
         Returns True when every in-flight query finished inside
-        ``timeout`` (the clean-drain signal the CI smoke job asserts);
-        the engines are reaped and the mounts closed either way, since
-        the process is exiting.
+        ``timeout`` (by default the server's ``drain_timeout``; the
+        clean-drain signal the CI smoke job asserts); the engines are
+        reaped and the mounts closed either way, since the process is
+        exiting.
         """
         self.admission.begin_drain()
-        clean = self.admission.wait_drained(timeout)
+        clean = self.admission.wait_drained(
+            self.drain_timeout if timeout is None else timeout)
         self.shutdown()
         self.server_close()
         self.engines.close()
@@ -171,21 +181,28 @@ class PrixRequestHandler(BaseHTTPRequestHandler):
         super().handle_one_request()
         if getattr(self, "_timed_out", False):
             self._timed_out = False
-            self._respond_timeout()
+            self._refuse(ProtocolError(
+                "request-timeout",
+                f"no complete request within {self.timeout:.1f}s",
+                retry_after=protocol.DEFAULT_RETRY_AFTER_SECONDS),
+                float(self.timeout))
 
-    def _respond_timeout(self):
-        """Answer a request-line timeout with a typed 408 and hang up."""
-        # The timeout fired before request parsing: the attributes the
-        # stdlib response machinery logs from may not exist yet.
-        for attr, default in (("requestline", ""), ("command", ""),
-                              ("request_version", "HTTP/1.1")):
-            if not getattr(self, attr, None):
-                setattr(self, attr, default)
-        typed = ProtocolError(
-            "request-timeout",
-            f"no complete request within {self.timeout:.1f}s",
-            retry_after=protocol.DEFAULT_RETRY_AFTER_SECONDS)
-        self.server.metrics.observe("(request-line)", float(self.timeout),
+    def send_error(self, code, message=None, explain=None):
+        """Refuse what the stdlib refuses before dispatch -- a malformed
+        request line, an unsupported method, an oversized line or header
+        block -- with a typed error instead of its HTML page."""
+        self._refuse(ProtocolError(
+            "method-not-allowed" if code == HTTPStatus.NOT_IMPLEMENTED
+            else "bad-request", message or self.responses[code][0]), 0.0)
+
+    def _refuse(self, typed, elapsed):
+        """Answer a request that never reached an endpoint with
+        ``typed``, count it, and hang up."""
+        # The request line may be missing or unparsed: answer with a
+        # status line and headers whatever version it named.
+        self.requestline = getattr(self, "requestline", "")
+        self.request_version = self.protocol_version
+        self.server.metrics.observe("(request-line)", elapsed,
                                     error_code=typed.code)
         self.close_connection = True
         try:
@@ -215,9 +232,12 @@ class PrixRequestHandler(BaseHTTPRequestHandler):
         framing unknown, so the server answers and hangs up.
         """
         raw = self.headers.get("Content-Length") or "0"
+        text = raw.strip(" \t")
         try:
-            length = int(raw)
-        except ValueError:
+            # 1*DIGIT: int() alone would also take a sign, "_" and
+            # other scripts' digits.
+            length = int(text) if text.isascii() and text.isdigit() else -1
+        except ValueError:      # more digits than int() converts
             length = -1
         if not 0 <= length <= MAX_BODY_BYTES:
             self.close_connection = True
@@ -372,7 +392,6 @@ class PrixRequestHandler(BaseHTTPRequestHandler):
         body = self.server.metrics.snapshot()
         body["ok"] = True
         body["storage"] = self.server.registry.stats()
-        body["leaked_generations"] = self.server.registry.leaked()
         body["engines"] = self.server.engines.describe()
         body["admission"] = {
             "inflight": self.server.admission.inflight(),
@@ -396,12 +415,13 @@ def build_server(mounts, *, host="127.0.0.1", port=0, backend="mmap",
     ``port=0`` binds an ephemeral port (tests and the CI smoke job read
     it back from ``server.server_address``).
     """
-    registry = IndexRegistry(drain_timeout=drain_timeout)
+    registry = IndexRegistry()
     for name, path in mounts:
         registry.mount(name, path, backend=backend, pool_pages=pool_pages)
     return PrixServeServer((host, port), registry,
                            AdmissionController(limits or ServerLimits()),
-                           ServerMetrics(), request_timeout=request_timeout)
+                           ServerMetrics(), request_timeout=request_timeout,
+                           drain_timeout=drain_timeout)
 
 
 def serve_until_signaled(server, *, signals=(signal.SIGTERM, signal.SIGINT),
@@ -483,8 +503,8 @@ def add_serve_arguments(parser):
     add_budget_flags(parser)
     parser.add_argument("--drain-timeout", type=number_flag(float, 0),
                         default=DEFAULT_DRAIN_TIMEOUT,
-                        help="seconds to wait for in-flight queries on "
-                             "shutdown and reload")
+                        help="seconds a shutdown waits for in-flight "
+                             "queries")
     parser.add_argument("--request-timeout",
                         type=number_flag(float, 0, low_open=True),
                         default=DEFAULT_REQUEST_TIMEOUT, metavar="S",

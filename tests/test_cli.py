@@ -337,19 +337,23 @@ class TestQueryBudget:
         ("serve", "--pool-pages", "0"),
         ("serve", "--drain-timeout", "nan"),
         ("serve", "--drain-timeout", "-1"),
-        ("serve", "--port", "-1"), ("serve", "--port", "65536")])
+        ("serve", "--port", "-1"), ("serve", "--port", "65536"),
+        ("client", "--retries", "-1"), ("client", "--limit", "-1"),
+        ("client", "--timeout", "nan"), ("client", "--timeout", "-1"),
+        ("client", "--timeout", "0"), ("client", "--deadline-ms", "0"),
+        ("client", "--deadline-ms", "inf")])
     def test_an_operator_number_out_of_range_is_a_usage_error(
             self, tmp_path, capsys, command, flag, value):
         """Exit 2 before a file is created, an index opened (this one
-        would exit 3) or a socket bound."""
+        would exit 3), a socket bound or a request sent."""
         target = tmp_path / "bogus.idx"
         if command == "build":
             argv = ["build", str(target), "--corpus", "dblp",
                     "--scale", "tiny"]
         else:
             target.write_bytes(b"not an index" * 100)
-            argv = [command, str(target)] + (["//a/b"] if command == "query"
-                                             else [])
+            argv = [command, str(target)] + (
+                ["//a/b"] if command in ("query", "client") else [])
         with pytest.raises(SystemExit) as exited:
             main(argv + [flag, value])
         assert exited.value.code == 2

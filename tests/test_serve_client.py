@@ -222,6 +222,11 @@ class TestRetryDiscipline:
         # Retry-After floors every backoff sleep.
         assert all(delay >= 1.0 for delay in sleeps)
 
+    def test_a_negative_retry_count_is_refused(self):
+        # It would allow no attempt at all, and then raise no error.
+        with pytest.raises(ValueError, match="retries must be >= 0"):
+            make_client(retries=-1)
+
     def test_reload_is_never_retried(self):
         client, opener, sleeps = make_client(
             urllib.error.URLError("connection reset"), retries=5)

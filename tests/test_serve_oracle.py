@@ -24,9 +24,11 @@ cached-scrub ``/healthz`` regression against ``ScrubReport.to_json``,
 ``/metrics`` accounting, graceful drain, and that a failing request
 fails alone -- an unrepairable page, a flood of malformed queries or of
 malformed ``Content-Length`` headers each get their typed error while
-every other query keeps its exact answer -- and generated
+every other query keeps its exact answer -- generated
 ``Content-Length`` and ``X-Prix-Deadline-Ms`` values get an answer or a
-typed refusal, never an ``internal`` error or a hang.
+typed refusal, never an ``internal`` error or a hang, request lines the
+stdlib refuses get typed errors too, and ``drain_timeout`` bounds a
+shutdown.
 
 Runs unchanged under ``PRIX_SANITIZE=1`` (the CI serve-smoke sanitized
 shard does exactly that).  Environment knobs:
@@ -38,7 +40,9 @@ shard does exactly that).  Environment knobs:
 import http.client
 import json
 import os
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
@@ -414,11 +418,15 @@ def test_malformed_content_length_is_a_bad_request(index_path):
     one does not park the handler until the socket times out -- and the
     mount keeps answering."""
     with live_server(index_path) as (server, base_url):
-        for value in ("abc", "1.5", "-1", str(MAX_BODY_BYTES + 1)):
+        for value in ("abc", "1.5", "-1", str(MAX_BODY_BYTES + 1),
+                      "+29", "2_9", "0x1d"):
             status, body = post_with_headers(server, value, None)
             assert (status, body["error"]["code"]) == \
                 (400, "bad-request"), value
             assert "Content-Length" in body["error"]["message"]
+        # Whitespace around the digits is HTTP's optional whitespace.
+        status, body = post_with_headers(server, " 29 ", None)
+        assert status == 200 and body["match_count"] > 0
         status, body = http_post(base_url, "/query",
                                  {"xpath": "//article/author"})
     assert status == 200 and body["match_count"] > 0
@@ -442,11 +450,13 @@ FUZZ_BODY = json.dumps({"xpath": "//article/author"}).encode("utf-8")
 def post_with_headers(server, content_length, deadline):
     """``POST /query`` with the given ``Content-Length`` and, unless
     None, ``X-Prix-Deadline-Ms``.  When the length is a byte count the
-    server accepts, exactly that many body bytes follow (the query,
-    padded with spaces or cut short); otherwise none."""
+    server accepts -- ASCII digits, optionally wrapped in spaces or tabs
+    -- exactly that many body bytes follow (the query, padded with
+    spaces or cut short); otherwise none."""
+    digits = content_length.strip(" \t")
     try:
-        length = int(content_length)
-    except ValueError:
+        length = int(digits) if digits.isascii() and digits.isdigit() else -1
+    except ValueError:      # more digits than int() converts
         length = -1
     body = (FUZZ_BODY.ljust(length)[:length]
             if 0 <= length <= MAX_BODY_BYTES else b"")
@@ -485,3 +495,60 @@ def test_fuzzed_length_and_deadline_headers_never_fail_internally(
         status, body = http_post(base_url, "/query",
                                  {"xpath": "//article/author"})
     assert status == 200 and body["match_count"] > 0
+
+
+#: Request lines the stdlib refuses before dispatch, each with the
+#: typed error code it must get.  A line longer than the stdlib's
+#: 65 536-byte limit is refused whole (its 414); one of 40 000 bytes is
+#: read and routed, so it gets the typed 404 of an unknown path.
+REFUSED_REQUEST_LINES = [
+    (b"PUT /query HTTP/1.1", "method-not-allowed"),
+    (b"GET /healthz HTTP/9.9", "bad-request"),
+    (b"GET", "bad-request"),
+    (b"GET /" + b"a" * 40_000 + b" HTTP/1.1", "not-found"),
+    (b"GET /" + b"a" * 65_540 + b" HTTP/1.1", "bad-request"),
+]
+
+
+def send_request_line(server, request_line):
+    """Send ``request_line`` and an empty header block on a fresh
+    connection; the answer's status and parsed JSON body."""
+    with socket.create_connection(server.server_address[:2],
+                                  timeout=10) as connection:
+        connection.sendall(request_line + b"\r\n\r\n")
+        response = http.client.HTTPResponse(connection)
+        response.begin()
+        return response.status, json.loads(response.read())
+
+
+def test_refused_request_lines_get_typed_errors(index_path):
+    """Each refused request line gets a JSON error whose code is in
+    ``ERROR_KINDS``, not the stdlib's HTML page, and is counted."""
+    with live_server(index_path) as (server, base_url):
+        for request_line, code in REFUSED_REQUEST_LINES:
+            status, body = send_request_line(server, request_line)
+            assert body["error"]["code"] == code, request_line[:40]
+            assert status == protocol.ERROR_KINDS[code][0]
+        status, body = http_get(base_url, "/metrics")
+    assert body["endpoints"]["(request-line)"]["errors"] == {
+        "method-not-allowed": 1, "bad-request": 3}
+
+
+def test_drain_timeout_bounds_shutdown(index_path):
+    """A server built with ``drain_timeout=0.5`` gives up on a query
+    that never finishes after that long, not after the default."""
+    server = build_server([("default", index_path)], port=0,
+                          drain_timeout=0.5)
+    server.start_engines()
+    accept = threading.Thread(target=server.serve_forever,
+                              name="serve-oracle-accept")
+    accept.start()
+    stuck = server.admission.admit()
+    stuck.__enter__()               # admitted, and never finishes
+    started = time.monotonic()
+    try:
+        assert server.drain() is False
+        assert time.monotonic() - started < 2.0
+    finally:
+        stuck.__exit__(None, None, None)
+        accept.join(30.0)

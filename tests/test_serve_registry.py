@@ -3,8 +3,9 @@ metrics -- the pieces under the ``serve-*`` latches.
 
 The live-server behaviour (threads, sockets, drains) is covered by
 ``tests/test_serve_oracle.py``; here each component's protocol is pinned
-in isolation: lease counting, the reload swap-and-drain dance, admission
-capacity/drain rejections and budget forking, and the metrics counters.
+in isolation: lease counting, the reload swap and last-lease close,
+admission capacity/drain rejections and budget forking, and the
+metrics counters.
 Every registry test runs over both index kinds -- one file and a shard
 directory mount the same way (``tests/test_shard_serve.py`` keeps only
 what is shard-specific).
@@ -13,13 +14,13 @@ what is shard-specific).
 import json
 import os
 import threading
-import time
 
 import pytest
 
 from repro.datasets.dblp import dblp
 from repro.prix.budget import QueryBudget
 from repro.prix.index import IndexOptions, PrixIndex
+from repro.serve import registry as registry_module
 from repro.serve.admission import AdmissionController, ServerLimits
 from repro.serve.metrics import ServerMetrics
 from repro.serve.protocol import ProtocolError
@@ -67,38 +68,22 @@ def test_mount_rejects_duplicates_and_lease_rejects_unknown(index_path):
 
 
 def test_reload_swaps_generation_and_drains_old(index_path):
+    """With generation 1 leased, a reload swaps to generation 2 at once;
+    the leased generation keeps answering, and its last release closes
+    it."""
     registry = IndexRegistry()
     registry.mount("default", index_path)
     with registry.lease("default") as mount:
         before = mount.index.query("//article/author")
 
-    # Hold a lease on generation 1 while the reload happens in another
-    # thread: the reload must swap immediately but only close the old
-    # generation after the lease is released.
-    lease = registry.lease("default")
-    old_mount = lease.__enter__()
-    done = threading.Event()
-    outcome = {}
-
-    def reloader():
-        outcome["generation"] = registry.reload("default", timeout=10.0)
-        done.set()
-
-    thread = threading.Thread(target=reloader)
-    thread.start()
-    # New queries see generation 2 while the old lease is still alive.
-    deadline = time.monotonic() + 10.0    # the reload's own timeout
-    while registry.describe()["default"]["generation"] != 2:
-        assert time.monotonic() < deadline
-        time.sleep(0.001)
-    assert not done.is_set()
-    # The leased old generation still answers identically: its pages
-    # cannot be closed under a live query.
-    assert old_mount.index.query("//article/author") == before
-    lease.__exit__(None, None, None)
-    thread.join(10.0)
-    assert done.is_set()
-    assert outcome["generation"] == 2
+    with registry.lease("default") as old_mount:
+        assert registry.reload("default") == 2
+        assert registry.describe()["default"]["generation"] == 2
+        # The leased old generation still answers identically: its pages
+        # cannot be closed under a live query.
+        assert old_mount.index.query("//article/author") == before
+        assert registry.closed_since(0) == []
+    assert registry.closed_since(0) == [("default", 1)]
 
     with registry.lease("default") as mount:
         assert mount.generation == 2
@@ -106,47 +91,46 @@ def test_reload_swaps_generation_and_drains_old(index_path):
     registry.close_all()
 
 
-def test_reload_times_out_but_keeps_new_generation_live(index_path):
+def test_overlapping_reloads_number_and_close_each_generation_once(
+        index_path, monkeypatch):
+    """Two reloads whose opens overlap each retire the generation current
+    at their own swap: they return 2 and 3, generations 1 and 2 are each
+    closed and logged once, and ``close_all`` closes the last one."""
+    handles = []            # [index, times closed], in opening order
+    overlap = []            # the barrier both reloads' opens wait on
+
+    def counted_open(path, **opened):
+        index = open_index(path, **opened)
+        record = [index, 0]
+        close = index.close
+
+        def counted_close():
+            record[1] += 1
+            close()
+
+        index.close = counted_close
+        handles.append(record)
+        for barrier in overlap:
+            barrier.wait()
+        return index
+
+    monkeypatch.setattr(registry_module, "open_index", counted_open)
     registry = IndexRegistry()
     registry.mount("default", index_path)
-    lease = registry.lease("default")
-    lease.__enter__()
-    with pytest.raises(ServeError, match="still has leases"):
-        registry.reload("default", timeout=0.05)
-    # The swap already happened; the stuck generation leaks, the new one
-    # serves.
-    with registry.lease("default") as mount:
-        assert mount.generation == 2
-    lease.__exit__(None, None, None)
+    overlap.append(threading.Barrier(2, timeout=30.0))
+    generations = []
+    reloaders = [threading.Thread(target=lambda: generations.append(
+        registry.reload("default"))) for _ in range(2)]
+    for thread in reloaders:
+        thread.start()
+    for thread in reloaders:
+        thread.join(60.0)
+    assert sorted(generations) == [2, 3]
+    assert sorted(registry.closed_since(0)) == [("default", 1),
+                                                ("default", 2)]
+    assert registry.describe()["default"]["generation"] == 3
     registry.close_all()
-
-
-def test_reload_timeout_leaks_generation_then_reaps_on_release(index_path):
-    """The drain-timeout leak branch, end to end: a stuck lease leaks
-    the old generation (visible in the ``leaked()`` ledger the server
-    merges into ``/metrics``), the new generation keeps serving, and
-    the *last* release of the stuck lease closes and reaps the leak."""
-    registry = IndexRegistry()
-    registry.mount("default", index_path)
-    with registry.lease("default") as mount:
-        before = mount.index.query("//article/author")
-
-    lease = registry.lease("default")
-    old_mount = lease.__enter__()
-    with pytest.raises(ServeError, match="leaks until its queries finish"):
-        registry.reload("default", timeout=0.05)
-    assert registry.leaked() == [
-        {"name": "default", "generation": 1, "leases": 1}]
-    # The leaked generation still answers under its live lease...
-    assert old_mount.index.query("//article/author") == before
-    # ...while new traffic is already on generation 2.
-    with registry.lease("default") as mount:
-        assert mount.generation == 2
-        assert mount.index.query("//article/author") == before
-    # Releasing the stuck lease reaps (closes + delists) the leak.
-    lease.__exit__(None, None, None)
-    assert registry.leaked() == []
-    registry.close_all()
+    assert [closed for _, closed in handles] == [1, 1, 1]
 
 
 def test_reload_unknown_name_raises_keyerror(index_path):

@@ -67,7 +67,7 @@ def test_reload_swaps_in_rebalanced_generation(registry, shard_dir,
         before = [(m.doc_id, m.images) for m in mount.index.query(PATTERN)]
     report = rebalance(shard_dir, shards=4, workers=1)
     assert report.generation == 2
-    assert registry.reload("default", timeout=10.0) == 2
+    assert registry.reload("default") == 2
     row = registry.describe()["default"]
     assert row["generation"] == 2
     assert row["shards"] == 4
